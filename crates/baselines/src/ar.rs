@@ -36,7 +36,7 @@ use wsn_simcore::{
 
 use wsn_coverage::actor::NET_STREAM_TAG;
 use wsn_coverage::scheme::{SchemeDetails, SchemeReport};
-use wsn_coverage::SpareSelection;
+use wsn_coverage::{OwnerCounts, SpareSelection};
 
 /// Configuration for an AR run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -107,6 +107,9 @@ pub struct ArProtocol {
     metrics: Metrics,
     energy: EnergyModel,
     active: Vec<ArProcess>,
+    /// Active cascades per `current_target` cell: detection's "owned by
+    /// a cascade" check without scanning `active`.
+    owners: OwnerCounts,
     next_id: u64,
     /// (initiator, hole) pairs that already fired during the current
     /// vacancy episode of the hole; cleared when the hole fills.
@@ -150,6 +153,7 @@ impl ArProtocol {
         let mut pending_holes = wsn_grid::HoleSet::new(net.system().cell_count());
         pending_holes.assign_vacant(net.occupancy());
         net.clear_changed_cells();
+        let owners = OwnerCounts::new(net.system());
         ArProtocol {
             net,
             config,
@@ -158,6 +162,7 @@ impl ArProtocol {
             metrics: Metrics::new(),
             energy: EnergyModel::default(),
             active: Vec::new(),
+            owners,
             next_id: 0,
             initiated: HashSet::new(),
             failed_holes: HashSet::new(),
@@ -205,7 +210,7 @@ impl ArProtocol {
     /// the run ends). Processes whose ask was still in flight count as
     /// [`ProtocolHealth::stalled_repairs`].
     pub fn fail_remaining(&mut self, round: u64) {
-        for p in self.active.drain(..) {
+        for p in std::mem::take(&mut self.active) {
             self.metrics.processes_failed += 1;
             if p.ready_at > round {
                 if let Some(link) = &mut self.link {
@@ -219,7 +224,33 @@ impl ArProtocol {
                     reason: "run ended".into(),
                 },
             );
+            self.retire(p);
         }
+    }
+
+    /// Starts `p` as the owner of its target. This, [`Self::relay`] and
+    /// [`Self::retire`] are the only places that add, re-home or remove
+    /// an owner, so the owner table always matches the cascades alive
+    /// (in `active`, or in hand during a round).
+    fn enlist(&mut self, p: ArProcess) {
+        self.owners.add(p.current_target);
+        self.active.push(p);
+    }
+
+    /// Relays `p` one hop: the cell it asked becomes its target (the
+    /// asked head just moved out of it), and it asks `next`.
+    fn relay(&mut self, p: &mut ArProcess, next: GridCoord) {
+        self.owners.remove(p.current_target);
+        self.owners.add(p.asked);
+        p.visited.insert(p.asked);
+        p.current_target = p.asked;
+        p.asked = next;
+        p.hops += 1;
+    }
+
+    /// Ends `p` (converged or failed), releasing its target.
+    fn retire(&mut self, p: ArProcess) {
+        self.owners.remove(p.current_target);
     }
 
     fn endpoint(&self, cell: GridCoord) -> Endpoint {
@@ -413,6 +444,7 @@ impl ArProtocol {
                 reason: reason.into(),
             },
         );
+        self.retire(p);
     }
 
     /// Whether hole `idx` would trigger a new initiation if a round ran
@@ -426,7 +458,7 @@ impl ArProtocol {
         if self.failed_holes.contains(&g) {
             return false;
         }
-        if self.active.iter().any(|p| p.current_target == g) {
+        if self.owners.is_owned(g) {
             return false;
         }
         self.net
@@ -490,6 +522,7 @@ impl RoundProtocol for ArProtocol {
                         moves: p.hops as u64 + 1,
                     },
                 );
+                self.retire(p);
                 progress = true;
                 continue;
             }
@@ -513,10 +546,7 @@ impl RoundProtocol for ArProtocol {
                         .expect("in bounds")
                         .expect("occupied cells are headed after repair");
                     self.execute_move(p.id, head, p.current_target, round);
-                    p.visited.insert(p.asked);
-                    p.current_target = p.asked;
-                    p.asked = next;
-                    p.hops += 1;
+                    self.relay(&mut p, next);
                     match ask {
                         Some(ready_at) => {
                             p.ready_at = ready_at;
@@ -535,6 +565,7 @@ impl RoundProtocol for ArProtocol {
                                     reason: "cascade ask lost in the network".into(),
                                 },
                             );
+                            self.retire(p);
                         }
                     }
                     progress = true;
@@ -564,7 +595,7 @@ impl RoundProtocol for ArProtocol {
             // relay would spawn up to three fresh processes and the
             // network would storm. The paper's AR redundancy is the
             // multiple *initial* detectors per hole, modeled below.
-            if self.active.iter().any(|p| p.current_target == g) {
+            if self.owners.is_owned(g) {
                 continue;
             }
             if self.failed_holes.contains(&g) {
@@ -603,7 +634,7 @@ impl RoundProtocol for ArProtocol {
                 );
                 let mut visited = HashSet::new();
                 visited.insert(g);
-                self.active.push(ArProcess {
+                self.enlist(ArProcess {
                     id,
                     current_target: g,
                     asked: w,
@@ -615,6 +646,8 @@ impl RoundProtocol for ArProtocol {
             }
         }
         self.detect_buf = buf;
+        self.owners
+            .debug_check(self.active.iter().map(|p| p.current_target));
 
         // An ask in flight is scheduled work: the run must not go
         // quiescent while one is still traveling. Never fires in classic

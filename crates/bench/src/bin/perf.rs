@@ -102,11 +102,14 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), String> {
             .unwrap_or_default()
         {
             let name = entry.get("name").and_then(JsonValue::as_str).unwrap_or("?");
-            let tps = entry
-                .get("trials_per_sec")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0);
-            println!("{name}: {tps:.2} trials/sec");
+            let stat = |key: &str| entry.get(key).and_then(JsonValue::as_f64);
+            match stat("ns_per_round") {
+                Some(ns) => println!("{name}: {ns:.0} ns/round"),
+                None => println!(
+                    "{name}: {:.2} trials/sec",
+                    stat("trials_per_sec").unwrap_or(0.0)
+                ),
+            }
         }
         println!("-> {}", path.display());
         Ok(())

@@ -13,7 +13,11 @@
 //!   256×256 mass-failure journal).
 //! * `BENCH_campaign.json` — end-to-end campaign throughput: the full
 //!   engine (deploy → repair → aggregate) on 64×64 and 256×256
-//!   full-recovery matrices and a 1024×1024 single-replacement trial.
+//!   full-recovery matrices and 1024×1024 and 4096×4096
+//!   single-replacement trials — plus the per-round flatness entries:
+//!   one fixed-length SR cascade on 64×64, 256×256 and 1024×1024, timed
+//!   round loop only and reported as `ns_per_round`, which must not
+//!   grow with the grid.
 //!
 //! Every entry is the criterion stand-in shape `{name, samples, min_ns,
 //! mean_ns, max_ns}` that `replay bench` established for
@@ -32,9 +36,10 @@ use std::fmt;
 use std::path::Path;
 use std::time::Instant;
 
+use wsn_coverage::{SrConfig, SrProtocol};
 use wsn_grid::{deploy, GridNetwork, GridSystem, HoleSet, RegionShape};
-use wsn_hamilton::MaskedCycle;
-use wsn_simcore::{FaultEvent, SimRng};
+use wsn_hamilton::{CycleTopology, MaskedCycle};
+use wsn_simcore::{FaultEvent, RoundProtocol, SimRng};
 use wsn_stats::JsonValue;
 
 use crate::campaign::{
@@ -67,6 +72,11 @@ fn time_ns(samples: usize, mut f: impl FnMut()) -> (f64, f64, f64) {
         f();
         times.push(t0.elapsed().as_nanos() as f64);
     }
+    summarize(&times)
+}
+
+/// (min, mean, max) of a sample of times.
+fn summarize(times: &[f64]) -> (f64, f64, f64) {
     let min = times.iter().copied().fold(f64::INFINITY, f64::min);
     let max = times.iter().copied().fold(0.0, f64::max);
     let mean = times.iter().sum::<f64>() / times.len() as f64;
@@ -250,12 +260,71 @@ fn campaign_entry(name: &str, samples: usize, cfg: &CampaignConfig) -> JsonValue
     entry
 }
 
+/// Hops of the flatness entries' cascade: the same protocol work on
+/// every grid (it fits the 64×64 cycle of 4,096 cells).
+const CASCADE_HOPS: usize = 4_000;
+
+/// One SR cascade of [`CASCADE_HOPS`] hops on a `side × side` grid: one
+/// node per cell, one hole, and the only spare [`CASCADE_HOPS`] cells
+/// backward of it on the Hamilton cycle, so the process relays through
+/// every cell in between. The clock covers the cascade's rounds after
+/// its first relay, and the entry reports their wall time per round.
+/// Outside it: deployment and the initial election (O(cells) set-up),
+/// detection, and the first relay, whose move into the deployment's
+/// hole may grow the member pool once (an O(cells) copy, not per-round
+/// work).
+fn single_cascade_entry(side: u16, samples: usize) -> JsonValue {
+    let sys = GridSystem::for_comm_range(side, side, 10.0).expect("bench grid is valid");
+    let topo = CycleTopology::build(side, side).expect("bench grid has a structure");
+    let CycleTopology::Single(cycle) = &topo else {
+        panic!("even grids carry a single Hamilton cycle");
+    };
+    let (spare_cell, hole) = (cycle.order()[0], cycle.order()[CASCADE_HOPS]);
+    let mut rng = SimRng::seed_from_u64(64_002);
+    let mut pos = deploy::with_holes(&sys, &[hole], 1, &mut rng);
+    pos.push(sys.cell_rect(spare_cell).expect("in bounds").center());
+    let net = GridNetwork::new(sys, &pos);
+    let mut times = Vec::with_capacity(samples);
+    let mut rounds = 0;
+    for _ in 0..samples {
+        let mut sr = SrProtocol::new(net.clone(), topo.clone(), SrConfig::default());
+        sr.execute_round(0);
+        sr.execute_round(1);
+        assert_eq!(sr.metrics().moves, 1, "round 1 makes the first relay");
+        let mut round = 2;
+        let t0 = Instant::now();
+        while sr.active_processes() > 0 {
+            sr.execute_round(round);
+            round += 1;
+        }
+        times.push(t0.elapsed().as_nanos() as f64);
+        assert_eq!(
+            sr.network().vacant_count(),
+            0,
+            "the cascade reaches the spare"
+        );
+        assert_eq!(sr.metrics().moves, CASCADE_HOPS as u64);
+        rounds = round - 2;
+    }
+    let timing = summarize(&times);
+    let mut entry = bench_entry(&format!("sr_single_cascade_{side}x{side}"), samples, timing);
+    if let JsonValue::Obj(pairs) = &mut entry {
+        pairs.push(("rounds".into(), JsonValue::from(rounds)));
+        pairs.push((
+            "ns_per_round".into(),
+            JsonValue::from(timing.0 / rounds as f64),
+        ));
+    }
+    entry
+}
+
 /// Runs the end-to-end campaign throughput benchmarks.
 ///
-/// `smoke` keeps only the 64×64 matrix; the full ledger adds the
-/// 256×256 full-recovery matrix and the 1024×1024 single-replacement
-/// trial (the scale acceptance of the occupancy + kernel work: a
-/// million-cell SR trial must complete inside the campaign engine).
+/// `smoke` keeps only the 64×64 matrix and the 64×64 cascade; the full
+/// ledger adds the 256×256 full-recovery matrix, the 1024×1024 and
+/// 4096×4096 single-replacement trials (the scale acceptance: a
+/// 16-million-cell SR trial completes inside the campaign engine), and
+/// the 256×256 and 1024×1024 cascades.
 pub fn bench_campaign(smoke: bool) -> JsonValue {
     // Fixed worker count: the ledger measures engine cost, not the CI
     // runner's core count.
@@ -293,6 +362,23 @@ pub fn bench_campaign(smoke: bool) -> JsonValue {
             1,
             &xl,
         ));
+        // The same spares per cell as 1024×1024 at N = 100: at N = 100
+        // the expected walk (~166k hops) would exceed the round cap.
+        let xxl = CampaignConfig {
+            grids: vec![(4096, 4096)],
+            targets: vec![1_600],
+            ..xl
+        };
+        entries.push(campaign_entry(
+            "campaign_sr_single_replacement_4096x4096",
+            1,
+            &xxl,
+        ));
+    }
+    entries.push(single_cascade_entry(64, if smoke { 5 } else { 20 }));
+    if !smoke {
+        entries.push(single_cascade_entry(256, 10));
+        entries.push(single_cascade_entry(1024, 5));
     }
     JsonValue::obj([
         ("schema", JsonValue::from("wsn-bench-campaign/1")),

@@ -51,7 +51,7 @@ use crate::protocol::DetectionOutcome;
 use crate::recovery::SrError;
 use crate::scheme::{SchemeDetails, SchemeReport};
 use crate::shortcut::ScRing;
-use crate::{SpareSelection, SrConfig};
+use crate::{OwnerCounts, SpareSelection, SrConfig};
 
 /// Stream tag separating the network-model RNG from the run RNG: links
 /// draw from `derive_stream_seed(config.seed, &[NET_STREAM_TAG])`, so
@@ -92,10 +92,6 @@ struct EventProcess {
     current_vacant: GridCoord,
     asked: GridCoord,
     baton: BatonState,
-    /// Round in which `current_vacant` was vacated by a relay — the
-    /// one-round window in which its monitor may not yet have observed
-    /// the vacancy (so detection does not treat it as unowned).
-    vacated_round: Option<u64>,
 }
 
 /// Internal outcome of resolving the next backward hop (mirrors the
@@ -121,7 +117,19 @@ pub struct EventSrProtocol {
     trace: TraceLog,
     metrics: Metrics,
     energy: EnergyModel,
+    /// Active processes, in id order (ids are issued ascending and
+    /// removals keep order), so deliveries find theirs by binary search.
     active: Vec<EventProcess>,
+    /// Active processes per `current_vacant` cell.
+    owners: OwnerCounts,
+    /// Active processes per `current_vacant` cell whose asked head holds
+    /// the baton.
+    held: OwnerCounts,
+    /// Per cell, `round + 1` of the last relay that vacated it (0 =
+    /// never): the one-round window in which its monitor may not yet
+    /// have observed the vacancy, so detection does not treat it as
+    /// unowned.
+    vacated_at: Vec<u64>,
     summaries: Vec<ProcessSummary>,
     failed_holes: HashSet<GridCoord>,
     pending_holes: HoleSet,
@@ -160,6 +168,8 @@ impl EventSrProtocol {
         pending_holes.assign_vacant(net.occupancy());
         net.clear_changed_cells();
         let link = spec.link(derive_stream_seed(config.seed, &[NET_STREAM_TAG]));
+        let owners = OwnerCounts::new(net.system());
+        let vacated_at = vec![0; net.system().cell_count()];
         EventSrProtocol {
             net,
             topo,
@@ -169,6 +179,9 @@ impl EventSrProtocol {
             metrics: Metrics::new(),
             energy: EnergyModel::default(),
             active: Vec::new(),
+            held: owners.clone(),
+            owners,
+            vacated_at,
             summaries: Vec::new(),
             failed_holes: HashSet::new(),
             pending_holes,
@@ -212,7 +225,7 @@ impl EventSrProtocol {
     /// was in flight or lost when the run ended are additionally
     /// counted as [`ProtocolHealth::stalled_repairs`].
     pub fn fail_remaining(&mut self, round: u64) {
-        for p in self.active.drain(..) {
+        for p in self.retire_all() {
             let s = &mut self.summaries[p.id.raw() as usize];
             s.status = ProcessStatus::Failed;
             s.ended_round = Some(round);
@@ -233,12 +246,64 @@ impl EventSrProtocol {
         }
     }
 
-    fn endpoint(&self, cell: GridCoord) -> Endpoint {
-        let idx = self
-            .net
+    /// Starts `p` as an owner. This, [`Self::update`], [`Self::retire`]
+    /// and [`Self::retire_all`] are the only places that add, change or
+    /// remove a process, so both owner tables always match `active`.
+    fn enlist(&mut self, p: EventProcess) {
+        self.claim(&p);
+        self.active.push(p);
+    }
+
+    /// Applies `change` to process `i` (a relay, or its baton landing),
+    /// moving its entries in the owner tables along with it.
+    fn update(&mut self, i: usize, change: impl FnOnce(&mut EventProcess)) {
+        let before = self.active[i].clone();
+        self.release(&before);
+        change(&mut self.active[i]);
+        let after = self.active[i].clone();
+        self.claim(&after);
+    }
+
+    /// Ends process `i` (converged, failed or superseded), releasing its
+    /// cell.
+    fn retire(&mut self, i: usize) -> EventProcess {
+        let p = self.active.remove(i);
+        self.release(&p);
+        p
+    }
+
+    /// Ends every active process, in id order, releasing their cells.
+    fn retire_all(&mut self) -> Vec<EventProcess> {
+        let all = std::mem::take(&mut self.active);
+        for p in &all {
+            self.release(p);
+        }
+        all
+    }
+
+    fn claim(&mut self, p: &EventProcess) {
+        self.owners.add(p.current_vacant);
+        if p.baton == BatonState::Held {
+            self.held.add(p.current_vacant);
+        }
+    }
+
+    fn release(&mut self, p: &EventProcess) {
+        self.owners.remove(p.current_vacant);
+        if p.baton == BatonState::Held {
+            self.held.remove(p.current_vacant);
+        }
+    }
+
+    fn index(&self, cell: GridCoord) -> usize {
+        self.net
             .system()
             .index_of(cell)
-            .expect("protocol cells are in bounds");
+            .expect("protocol cells are in bounds")
+    }
+
+    fn endpoint(&self, cell: GridCoord) -> Endpoint {
+        let idx = self.index(cell);
         let c = self
             .net
             .system()
@@ -400,7 +465,7 @@ impl EventSrProtocol {
     /// Terminates process `i` because its target vacancy was already
     /// refilled by a duplicate when its baton (re)surfaced.
     fn terminate_superseded(&mut self, i: usize, round: u64) {
-        let p = self.active.remove(i);
+        let p = self.retire(i);
         let s = &mut self.summaries[p.id.raw() as usize];
         s.status = ProcessStatus::Failed;
         s.ended_round = Some(round);
@@ -423,14 +488,14 @@ impl EventSrProtocol {
         while let Some(sched) = self.queue.pop_due(round) {
             match sched.payload {
                 Envelope::HoleAnnounce { process } => {
-                    let Some(i) = self.active.iter().position(|p| p.id.raw() == process) else {
+                    let Ok(i) = self.active.binary_search_by_key(&process, |p| p.id.raw()) else {
                         continue;
                     };
                     if self.is_occupied(self.active[i].current_vacant) {
                         self.terminate_superseded(i, round);
                         progress = true;
                     } else {
-                        self.active[i].baton = BatonState::Held;
+                        self.update(i, |p| p.baton = BatonState::Held);
                     }
                 }
                 Envelope::MoveAck => {}
@@ -482,7 +547,7 @@ impl EventSrProtocol {
                     moves: s.moves,
                 },
             );
-            self.active.remove(idx);
+            self.retire(idx);
             self.send_ack(p.current_vacant, p.asked, round);
             return true;
         }
@@ -540,17 +605,20 @@ impl EventSrProtocol {
                 s.hops += 1;
                 s.moves += 1;
                 s.distance += d;
-                let ap = &mut self.active[idx];
-                ap.current_vacant = p.asked;
-                ap.asked = next_asked;
-                ap.vacated_round = Some(round);
-                ap.baton = match fate {
+                let baton = match fate {
                     Fate::Deliver(_) => BatonState::InFlight,
                     Fate::Drop => {
                         self.link.health.lost_cascades += 1;
                         BatonState::Lost
                     }
                 };
+                self.update(idx, |ap| {
+                    ap.current_vacant = p.asked;
+                    ap.asked = next_asked;
+                    ap.baton = baton;
+                });
+                let vacated = self.index(p.asked);
+                self.vacated_at[vacated] = round + 1;
                 true
             }
             BackwardResolution::Exhausted => {
@@ -566,7 +634,7 @@ impl EventSrProtocol {
                     },
                 );
                 self.failed_holes.insert(p.current_vacant);
-                self.active.remove(idx);
+                self.retire(idx);
                 true
             }
         }
@@ -589,10 +657,7 @@ impl EventSrProtocol {
             if self.failed_holes.contains(&g) {
                 continue;
             }
-            if self.active.iter().any(|p| {
-                p.current_vacant == g
-                    && (p.baton == BatonState::Held || p.vacated_round == Some(round))
-            }) {
+            if self.held.is_owned(g) || self.vacated_at[idx] == round + 1 {
                 continue; // a live cascade owns this cell, observably
             }
             let monitor = self.topo.monitors(g);
@@ -621,7 +686,7 @@ impl EventSrProtocol {
                 outcome.pending += 1;
                 continue;
             }
-            if self.active.iter().any(|p| p.current_vacant == g) {
+            if self.owners.is_owned(g) {
                 // A stale owner exists after all: this initiation
                 // duplicates a cascade the monitor could not observe.
                 self.link.health.duplicate_initiations += 1;
@@ -645,13 +710,12 @@ impl EventSrProtocol {
                 moves: 0,
                 distance: 0.0,
             });
-            self.active.push(EventProcess {
+            self.enlist(EventProcess {
                 id,
                 hole: g,
                 current_vacant: g,
                 asked: monitor,
                 baton: BatonState::Held,
-                vacated_round: None,
             });
             self.metrics.processes_initiated += 1;
             self.trace.record(
@@ -665,6 +729,14 @@ impl EventSrProtocol {
             outcome.initiated += 1;
         }
         self.detect_buf = buf;
+        self.owners
+            .debug_check(self.active.iter().map(|p| p.current_vacant));
+        self.held.debug_check(
+            self.active
+                .iter()
+                .filter(|p| p.baton == BatonState::Held)
+                .map(|p| p.current_vacant),
+        );
         outcome
     }
 }
@@ -880,7 +952,10 @@ pub struct EventScProtocol {
     metrics: Metrics,
     energy: EnergyModel,
     spare_dist: Vec<u32>,
+    /// Active processes, in id order (see [`EventSrProtocol`]).
     active: Vec<EventScProcess>,
+    /// Active processes per `hole`.
+    owners: OwnerCounts,
     summaries: Vec<ProcessSummary>,
     failed_holes: HashSet<GridCoord>,
     pending_holes: HoleSet,
@@ -910,6 +985,7 @@ impl EventScProtocol {
         pending_holes.assign_vacant(net.occupancy());
         net.clear_changed_cells();
         let link = spec.link(derive_stream_seed(config.seed, &[NET_STREAM_TAG]));
+        let owners = OwnerCounts::new(net.system());
         EventScProtocol {
             net,
             cycle,
@@ -920,6 +996,7 @@ impl EventScProtocol {
             energy: EnergyModel::default(),
             spare_dist: vec![u32::MAX; cells],
             active: Vec::new(),
+            owners,
             summaries: Vec::new(),
             failed_holes: HashSet::new(),
             pending_holes,
@@ -957,7 +1034,7 @@ impl EventScProtocol {
     /// Marks still-active processes failed; stranded couriers count as
     /// stalled repairs.
     pub fn fail_remaining(&mut self, round: u64) {
-        for p in self.active.drain(..) {
+        for p in self.retire_all() {
             let s = &mut self.summaries[p.id.raw() as usize];
             s.status = ProcessStatus::Failed;
             s.ended_round = Some(round);
@@ -976,6 +1053,30 @@ impl EventScProtocol {
                 },
             );
         }
+    }
+
+    /// Starts `p` as the owner of its hole. This, [`Self::retire`] and
+    /// [`Self::retire_all`] are the only places that add or remove a
+    /// process, so the owner table always matches `active`.
+    fn enlist(&mut self, p: EventScProcess) {
+        self.owners.add(p.hole);
+        self.active.push(p);
+    }
+
+    /// Ends process `i` (converged or failed), releasing its hole.
+    fn retire(&mut self, i: usize) -> EventScProcess {
+        let p = self.active.remove(i);
+        self.owners.remove(p.hole);
+        p
+    }
+
+    /// Ends every active process, in id order, releasing their holes.
+    fn retire_all(&mut self) -> Vec<EventScProcess> {
+        let all = std::mem::take(&mut self.active);
+        for p in &all {
+            self.owners.remove(p.hole);
+        }
+        all
     }
 
     fn endpoint(&self, cell: GridCoord) -> Endpoint {
@@ -1060,7 +1161,7 @@ impl EventScProtocol {
         while let Some(sched) = self.queue.pop_due(round) {
             match sched.payload {
                 Envelope::HoleAnnounce { process } => {
-                    if let Some(i) = self.active.iter().position(|p| p.id.raw() == process) {
+                    if let Ok(i) = self.active.binary_search_by_key(&process, |p| p.id.raw()) {
                         self.active[i].baton = BatonState::Held;
                     }
                 }
@@ -1119,7 +1220,7 @@ impl EventScProtocol {
                     moves: s.moves,
                 },
             );
-            self.active.remove(i);
+            self.retire(i);
             self.send_ack(p.hole, p.courier, round);
             return true;
         }
@@ -1136,7 +1237,7 @@ impl EventScProtocol {
                 },
             );
             self.failed_holes.insert(p.hole);
-            self.active.remove(i);
+            self.retire(i);
             return true;
         }
         let next = self.cycle.predecessor(p.courier);
@@ -1200,7 +1301,7 @@ impl EventScProtocol {
         let mut outcome = DetectionOutcome::default();
         for &idx in &buf {
             let g = self.net.system().coord_of(idx);
-            if self.failed_holes.contains(&g) || self.active.iter().any(|p| p.hole == g) {
+            if self.failed_holes.contains(&g) || self.owners.is_owned(g) {
                 continue;
             }
             let monitor = self.cycle.predecessor(g);
@@ -1233,7 +1334,7 @@ impl EventScProtocol {
                 moves: 0,
                 distance: 0.0,
             });
-            self.active.push(EventScProcess {
+            self.enlist(EventScProcess {
                 id,
                 hole: g,
                 courier: monitor,
@@ -1252,6 +1353,7 @@ impl EventScProtocol {
             outcome.initiated += 1;
         }
         self.detect_buf = buf;
+        self.owners.debug_check(self.active.iter().map(|p| p.hole));
         outcome
     }
 }

@@ -49,6 +49,7 @@ pub mod actor;
 pub mod analysis;
 mod config;
 pub mod movement;
+mod owners;
 mod process;
 mod protocol;
 mod recovery;
@@ -57,6 +58,7 @@ pub mod shortcut;
 
 pub use actor::{EventScRecovery, EventSrProtocol, EventSrRecovery};
 pub use config::{SpareSelection, SrConfig};
+pub use owners::OwnerCounts;
 pub use process::{ProcessId, ProcessStatus, ProcessSummary};
 pub use protocol::{DetectionOutcome, SrProtocol};
 pub use recovery::{Recovery, SrError};

@@ -41,7 +41,7 @@ use wsn_simcore::{
 
 use crate::movement::movement_target;
 use crate::process::{ProcessId, ProcessStatus, ProcessSummary};
-use crate::{SpareSelection, SrConfig};
+use crate::{OwnerCounts, SpareSelection, SrConfig};
 
 /// Internal outcome of resolving the next backward hop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,6 +137,9 @@ pub struct SrProtocol {
     metrics: Metrics,
     energy: EnergyModel,
     active: Vec<ActiveProcess>,
+    /// Active processes per `current_vacant` cell: detection's "already
+    /// owned" check without scanning `active`.
+    owners: OwnerCounts,
     summaries: Vec<ProcessSummary>,
     /// Holes whose processes exhausted the whole structure without
     /// finding a spare. Spares never increase during a run, so retrying
@@ -181,6 +184,7 @@ impl SrProtocol {
         let mut pending_holes = HoleSet::new(net.system().cell_count());
         pending_holes.assign_vacant(net.occupancy());
         net.clear_changed_cells();
+        let owners = OwnerCounts::new(net.system());
         SrProtocol {
             net,
             topo,
@@ -190,6 +194,7 @@ impl SrProtocol {
             metrics: Metrics::new(),
             energy: EnergyModel::default(),
             active: Vec::new(),
+            owners,
             summaries: Vec::new(),
             failed_holes: HashSet::new(),
             pending_holes,
@@ -236,7 +241,7 @@ impl SrProtocol {
     /// after quiescence/round-cap: anything still active is stuck behind
     /// an unfillable hole).
     pub fn fail_remaining(&mut self, round: u64) {
-        for p in self.active.drain(..) {
+        for p in self.retire_all() {
             let s = &mut self.summaries[p.id.raw() as usize];
             s.status = ProcessStatus::Failed;
             s.ended_round = Some(round);
@@ -249,6 +254,41 @@ impl SrProtocol {
                 },
             );
         }
+    }
+
+    /// Starts `p` as the owner of its vacant cell. This, [`Self::relay`],
+    /// [`Self::retire`] and [`Self::retire_all`] are the only places that
+    /// add, remove or re-home an owner, so the owner table always
+    /// matches `active`.
+    fn enlist(&mut self, p: ActiveProcess) {
+        self.owners.add(p.current_vacant);
+        self.active.push(p);
+    }
+
+    /// Moves process `idx`'s ownership to `vacant`, the cell its relay
+    /// just emptied, and points it at `asked`.
+    fn relay(&mut self, idx: usize, vacant: GridCoord, asked: GridCoord) {
+        let p = &mut self.active[idx];
+        self.owners.remove(p.current_vacant);
+        self.owners.add(vacant);
+        p.current_vacant = vacant;
+        p.asked = asked;
+    }
+
+    /// Ends process `idx` (converged or failed), releasing its cell.
+    fn retire(&mut self, idx: usize) -> ActiveProcess {
+        let p = self.active.remove(idx);
+        self.owners.remove(p.current_vacant);
+        p
+    }
+
+    /// Ends every active process, in start order, releasing their cells.
+    fn retire_all(&mut self) -> Vec<ActiveProcess> {
+        let all = std::mem::take(&mut self.active);
+        for p in &all {
+            self.owners.remove(p.current_vacant);
+        }
+        all
     }
 
     fn spare_count(&self, cell: GridCoord) -> usize {
@@ -419,7 +459,7 @@ impl SrProtocol {
                     moves: s.moves,
                 },
             );
-            self.active.remove(idx);
+            self.retire(idx);
             return true;
         }
         // Algorithm 1 step 3: no spare — notify backward, relay forward.
@@ -448,9 +488,7 @@ impl SrProtocol {
                 s.hops += 1;
                 s.moves += 1;
                 s.distance += d;
-                let ap = &mut self.active[idx];
-                ap.current_vacant = p.asked;
-                ap.asked = next_asked;
+                self.relay(idx, p.asked, next_asked);
                 true
             }
             BackwardResolution::Exhausted => {
@@ -468,7 +506,7 @@ impl SrProtocol {
                 // Spares never increase, so re-detecting this hole would
                 // walk the whole structure again and fail again.
                 self.failed_holes.insert(p.current_vacant);
-                self.active.remove(idx);
+                self.retire(idx);
                 true
             }
         }
@@ -490,7 +528,7 @@ impl SrProtocol {
             if self.failed_holes.contains(&g) {
                 continue; // unfillable until the network changes
             }
-            if self.active.iter().any(|p| p.current_vacant == g) {
+            if self.owners.is_owned(g) {
                 continue; // the cascade for this cell is already running
             }
             let monitor = self.topo.monitors(g);
@@ -526,7 +564,7 @@ impl SrProtocol {
                 moves: 0,
                 distance: 0.0,
             });
-            self.active.push(ActiveProcess {
+            self.enlist(ActiveProcess {
                 id,
                 hole: g,
                 current_vacant: g,
@@ -544,6 +582,8 @@ impl SrProtocol {
             outcome.initiated += 1;
         }
         self.detect_buf = buf;
+        self.owners
+            .debug_check(self.active.iter().map(|p| p.current_vacant));
         outcome
     }
 

@@ -48,7 +48,7 @@ use crate::movement::movement_target;
 use crate::process::{ProcessId, ProcessStatus, ProcessSummary};
 use crate::recovery::SrError;
 use crate::scheme::{SchemeDetails, SchemeReport};
-use crate::SrConfig;
+use crate::{OwnerCounts, SrConfig};
 
 /// The backward ring SR-SC forwards notifications along: either the
 /// paper's single Hamilton cycle or the masked virtual ring. Both give
@@ -110,6 +110,9 @@ pub struct ShortcutProtocol {
     /// unknown/unreachable. Indexed by dense cell index.
     spare_dist: Vec<u32>,
     active: Vec<ScProcess>,
+    /// Active processes per `hole`: detection's "already served" check
+    /// without scanning `active`.
+    owners: OwnerCounts,
     summaries: Vec<ProcessSummary>,
     failed_holes: std::collections::HashSet<GridCoord>,
     /// Current holes (dense indices, row-major), maintained from the
@@ -134,6 +137,7 @@ impl ShortcutProtocol {
         let mut pending_holes = wsn_grid::HoleSet::new(cells);
         pending_holes.assign_vacant(net.occupancy());
         net.clear_changed_cells();
+        let owners = OwnerCounts::new(net.system());
         ShortcutProtocol {
             net,
             cycle,
@@ -144,6 +148,7 @@ impl ShortcutProtocol {
             energy: EnergyModel::default(),
             spare_dist: vec![u32::MAX; cells],
             active: Vec::new(),
+            owners,
             summaries: Vec::new(),
             failed_holes: std::collections::HashSet::new(),
             pending_holes,
@@ -173,7 +178,7 @@ impl ShortcutProtocol {
 
     /// Marks still-active processes failed (driver calls after the run).
     pub fn fail_remaining(&mut self, round: u64) {
-        for p in self.active.drain(..) {
+        for p in self.retire_all() {
             let s = &mut self.summaries[p.id.raw() as usize];
             s.status = ProcessStatus::Failed;
             s.ended_round = Some(round);
@@ -186,6 +191,30 @@ impl ShortcutProtocol {
                 },
             );
         }
+    }
+
+    /// Starts `p` as the owner of its hole. This, [`Self::retire`] and
+    /// [`Self::retire_all`] are the only places that add or remove a
+    /// process, so the owner table always matches `active`.
+    fn enlist(&mut self, p: ScProcess) {
+        self.owners.add(p.hole);
+        self.active.push(p);
+    }
+
+    /// Ends process `i` (converged or failed), releasing its hole.
+    fn retire(&mut self, i: usize) -> ScProcess {
+        let p = self.active.remove(i);
+        self.owners.remove(p.hole);
+        p
+    }
+
+    /// Ends every active process, in start order, releasing their holes.
+    fn retire_all(&mut self) -> Vec<ScProcess> {
+        let all = std::mem::take(&mut self.active);
+        for p in &all {
+            self.owners.remove(p.hole);
+        }
+        all
     }
 
     fn spare_count(&self, cell: GridCoord) -> usize {
@@ -278,7 +307,7 @@ impl ShortcutProtocol {
                     moves: s.moves,
                 },
             );
-            self.active.remove(i);
+            self.retire(i);
             return true;
         }
         if p.forwarded >= self.cycle.max_hops() {
@@ -294,7 +323,7 @@ impl ShortcutProtocol {
                 },
             );
             self.failed_holes.insert(p.hole);
-            self.active.remove(i);
+            self.retire(i);
             return true;
         }
         // Forward the notification one hop backward. The gradient makes
@@ -332,7 +361,7 @@ impl ShortcutProtocol {
         let mut initiated = 0;
         for &idx in &buf {
             let g = self.net.system().coord_of(idx);
-            if self.failed_holes.contains(&g) || self.active.iter().any(|p| p.hole == g) {
+            if self.failed_holes.contains(&g) || self.owners.is_owned(g) {
                 continue;
             }
             let monitor = self.cycle.predecessor(g);
@@ -351,7 +380,7 @@ impl ShortcutProtocol {
                 moves: 0,
                 distance: 0.0,
             });
-            self.active.push(ScProcess {
+            self.enlist(ScProcess {
                 id,
                 hole: g,
                 courier: monitor,
@@ -369,6 +398,7 @@ impl ShortcutProtocol {
             initiated += 1;
         }
         self.detect_buf = buf;
+        self.owners.debug_check(self.active.iter().map(|p| p.hole));
         initiated
     }
 }

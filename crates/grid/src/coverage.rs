@@ -29,13 +29,17 @@ pub const SENSING_RANGE_FACTOR: f64 = std::f64::consts::SQRT_2;
 /// Combined verdict of the coverage/connectivity check.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CoverageVerdict {
-    /// Every cell has an elected head.
+    /// Every enabled cell of the region has an elected head.
     pub all_cells_headed: bool,
-    /// Cells without a head (the paper's holes, plus any occupied cells
-    /// where election has not run).
+    /// Enabled cells without a head (the paper's holes, plus any
+    /// occupied cells where election has not run), row-major. Cells
+    /// masked out of an irregular region are not part of the
+    /// surveillance area and never appear here.
     pub headless_cells: Vec<GridCoord>,
-    /// Fraction of the surveillance area inside at least one head's
-    /// sensing disk (lattice estimate).
+    /// Fraction of the grid's bounding rectangle inside at least one
+    /// head's sensing disk (lattice estimate). On an irregular region
+    /// the masked-out cells count as uncovered area, so a fully headed
+    /// region reads below 1.
     pub geometric_coverage: f64,
     /// The head overlay graph (edges between heads within communication
     /// range) is connected.
@@ -62,16 +66,14 @@ impl fmt::Display for CoverageVerdict {
     }
 }
 
-/// Full verdict: combinatorial coverage, geometric estimate (with sensing
-/// radius `√2·r`), and head connectivity.
+/// Full verdict: combinatorial coverage over the region's enabled cells,
+/// geometric estimate over the bounding rectangle (with sensing radius
+/// `√2·r`), and head connectivity.
 ///
 /// `resolution` controls the geometric lattice estimator (probes per
 /// axis); 100 gives ±1% accuracy, plenty for the repository's assertions.
 pub fn coverage_verdict(net: &GridNetwork, resolution: usize) -> CoverageVerdict {
     let sys = net.system();
-    // The occupancy index bounds the answer from below: every vacant
-    // cell is headless, so it sizes the vector and cross-checks the
-    // head sweep.
     let mut headless = Vec::with_capacity(net.vacant_count());
     let mut disks = Vec::with_capacity(net.occupied_cells());
     let sensing = SENSING_RANGE_FACTOR * sys.cell_side();
@@ -81,12 +83,16 @@ pub fn coverage_verdict(net: &GridNetwork, resolution: usize) -> CoverageVerdict
                 let pos = net.node(id).expect("head is deployed").position();
                 disks.push(Disk::new(pos, sensing).expect("valid sensing radius"));
             }
-            None => headless.push(coord),
+            None if net.mask().is_enabled(coord) => headless.push(coord),
+            None => {}
         }
     }
-    debug_assert!(
-        headless.len() >= net.vacant_count(),
-        "every hole in the occupancy index must be headless"
+    // The headless enabled cells are exactly the holes plus the
+    // occupied cells awaiting election.
+    debug_assert_eq!(
+        headless.len(),
+        net.vacant_count() + net.headless_iter().count(),
+        "head sweep disagrees with the vacancy and headless indexes"
     );
     let geometric_coverage =
         wsn_geometry::coverage_fraction(&sys.area(), &disks, resolution.max(1));
@@ -220,6 +226,40 @@ mod tests {
         // cell geometrically (that is why the paper's verdict is
         // combinatorial), but coverage cannot have improved.
         assert!(v.geometric_coverage > 0.8);
+    }
+
+    #[test]
+    fn masked_region_is_judged_over_its_enabled_cells() {
+        use crate::RegionMask;
+        let sys = GridSystem::new(8, 8, 2.0).unwrap();
+        let mask = RegionMask::l_shape(8, 8);
+        assert_eq!(mask.enabled_count(), 48);
+        let mut rng = SimRng::seed_from_u64(4);
+        let pos = deploy::per_cell_exact_masked(&sys, &mask, 2, &mut rng);
+        let mut net = GridNetwork::with_mask(sys, mask, &pos).unwrap();
+        // Before election every occupied cell is headless; masked-out
+        // cells never are.
+        assert_eq!(coverage_verdict(&net, 40).headless_cells.len(), 48);
+        net.elect_all_heads(HeadElection::FirstId, &mut rng);
+        let v = coverage_verdict(&net, 80);
+        assert!(v.headless_cells.is_empty(), "{:?}", v.headless_cells);
+        assert!(v.all_cells_headed && v.is_complete());
+        // The lattice estimate spans the bounding rectangle: the
+        // masked-out quarter is uncovered area.
+        assert!(
+            v.geometric_coverage > 0.75 && v.geometric_coverage < 0.95,
+            "coverage {}",
+            v.geometric_coverage
+        );
+        // A hole inside the region is still reported.
+        assert_eq!(net.vacant_count(), 0);
+        let victims: Vec<NodeId> = net.members(GridCoord::new(0, 0)).unwrap().to_vec();
+        for id in victims {
+            net.disable_node(id).unwrap();
+        }
+        let v = coverage_verdict(&net, 40);
+        assert_eq!(v.headless_cells, vec![GridCoord::new(0, 0)]);
+        assert!(!v.is_complete());
     }
 
     #[test]

@@ -48,13 +48,17 @@ pub struct NetworkStats {
 /// * a cell's head, when set, is one of its members;
 /// * a cell with no members ("vacant" — the paper's *hole*) has no head;
 /// * the [`VacancySet`] bitset and the enabled counter agree with the
-///   member table (every mutation path maintains them in O(1)).
+///   member table (every mutation path maintains them in O(1));
+/// * the headless index holds exactly the cells with members but no
+///   head (every mutation path maintains it in O(1)).
 ///
 /// Occupancy queries (`stats`, `vacant_count`, `total_spares`,
 /// `spare_count`) are O(1); vacancy enumeration (`vacant_iter`) is
-/// allocation-free; and the change journal ([`GridNetwork::changed_cells`])
+/// allocation-free; the change journal ([`GridNetwork::changed_cells`])
 /// lets round-based protocols track new/filled holes in O(changed) per
-/// round instead of rescanning the grid.
+/// round instead of rescanning the grid; and
+/// [`GridNetwork::repair_heads`] visits only the cells that lost their
+/// head.
 ///
 /// ```
 /// use wsn_grid::{GridNetwork, GridSystem, HeadElection};
@@ -79,6 +83,11 @@ pub struct GridNetwork {
     members: MemberTable,
     /// Elected head per cell.
     heads: Vec<Option<NodeId>>,
+    /// Occupied cells with no head: what the next
+    /// [`GridNetwork::repair_heads`] elects in. Maintained by every
+    /// mutation, so a repair costs O(repaired) word reads instead of a
+    /// scan of every cell.
+    headless: HoleSet,
     /// One bit per deployed node, set ⇔ enabled: the rank/select
     /// surface [`GridNetwork::apply_fault`] samples random victims
     /// from without materializing an id list.
@@ -131,6 +140,7 @@ impl GridNetwork {
             nodes: Vec::new(),
             members: MemberTable::new(cells),
             heads: vec![None; cells],
+            headless: HoleSet::new(cells),
             enabled_bits: Vec::new(),
             occupancy: VacancySet::new(cells),
             enabled: 0,
@@ -207,11 +217,16 @@ impl GridNetwork {
         }
         self.enabled = nodes.len();
         self.occupancy.reset(cells);
+        self.headless.reset(cells);
         for idx in 0..cells {
             // Disabled cells read as occupied forever: no vacancy query
             // or change-journal consumer ever sees them as holes.
             if self.members.len_of(idx) > 0 || !self.mask.index_enabled(idx) {
                 self.occupancy.set_occupied(idx);
+            }
+            // No heads yet: every occupied cell awaits election.
+            if self.members.len_of(idx) > 0 {
+                self.headless.insert(idx);
             }
         }
         // A freshly deployed network starts with a clean journal: the
@@ -499,25 +514,44 @@ impl GridNetwork {
                 .expect("coord_of yields in-bounds coords");
             self.heads[idx] = policy.elect(self.members.cell(idx), &self.nodes, center, rng);
         }
+        // Every cell with members now has a head.
+        self.headless.clear();
     }
 
     /// Re-elects heads only in cells that have members but no head
     /// (after a head was disabled or moved away). Returns how many cells
     /// were repaired.
+    ///
+    /// Walks the headless index in row-major order, so it visits the
+    /// same cells in the same order, and draws the same
+    /// [`HeadElection::Random`] numbers, as a scan of every cell would,
+    /// at O(repaired) cost (plus one word per summary level).
     pub fn repair_heads(&mut self, policy: HeadElection, rng: &mut SimRng) -> usize {
-        let mut repaired = 0;
-        for idx in 0..self.members.cells() {
-            if self.heads[idx].is_none() && self.members.len_of(idx) > 0 {
-                let coord = self.system.coord_of(idx);
-                let center = self
-                    .system
-                    .cell_center(coord)
-                    .expect("coord_of yields in-bounds coords");
-                self.heads[idx] = policy.elect(self.members.cell(idx), &self.nodes, center, rng);
-                repaired += 1;
-            }
-        }
+        let repaired = self.headless.len();
+        self.headless.drain(|idx| {
+            let center = self
+                .system
+                .cell_center(self.system.coord_of(idx))
+                .expect("coord_of yields in-bounds coords");
+            self.heads[idx] = policy.elect(self.members.cell(idx), &self.nodes, center, rng);
+        });
         repaired
+    }
+
+    /// Occupied cells with no elected head, in row-major order: the
+    /// cells the next [`GridNetwork::repair_heads`] elects in.
+    pub fn headless_iter(&self) -> impl Iterator<Item = GridCoord> + '_ {
+        self.headless.iter().map(|i| self.system.coord_of(i))
+    }
+
+    /// Re-derives cell `idx`'s headless bit after a membership or head
+    /// change.
+    fn sync_headless(&mut self, idx: usize) {
+        if self.heads[idx].is_none() && self.members.len_of(idx) > 0 {
+            self.headless.insert(idx);
+        } else {
+            self.headless.remove(idx);
+        }
     }
 
     /// Makes `id` the head of `coord`.
@@ -533,6 +567,7 @@ impl GridNetwork {
             return Err(GridError::UnknownNode { index: id.index() });
         }
         self.heads[idx] = Some(id);
+        self.headless.remove(idx);
         Ok(())
     }
 
@@ -580,6 +615,7 @@ impl GridNetwork {
         self.enabled_bits[id.index() / WORD_BITS] |= 1u64 << (id.index() % WORD_BITS);
         self.enabled += 1;
         self.occupancy.set_occupied(idx);
+        self.sync_headless(idx);
         Ok(id)
     }
 
@@ -615,6 +651,7 @@ impl GridNetwork {
         if self.members.len_of(idx) == 0 {
             self.occupancy.set_vacant(idx);
         }
+        self.sync_headless(idx);
         Ok(Some(cell))
     }
 
@@ -690,6 +727,8 @@ impl GridNetwork {
                 self.occupancy.set_vacant(from_idx);
             }
             self.occupancy.set_occupied(to_idx);
+            self.sync_headless(from_idx);
+            self.sync_headless(to_idx);
         }
         Ok(MoveOutcome {
             from: from_cell,
@@ -838,6 +877,19 @@ impl GridNetwork {
             self.vacant_iter().collect::<Vec<_>>(),
             self.vacant_cells_scan(),
             "indexed vacancy enumeration disagrees with the full scan"
+        );
+        let headless_scan: Vec<usize> = (0..self.members.cells())
+            .filter(|&i| self.heads[i].is_none() && self.members.len_of(i) > 0)
+            .collect();
+        assert_eq!(
+            self.headless.iter().collect::<Vec<_>>(),
+            headless_scan,
+            "headless index disagrees with the head table"
+        );
+        assert_eq!(
+            self.headless.len(),
+            headless_scan.len(),
+            "headless counter out of sync"
         );
     }
 }

@@ -175,35 +175,43 @@ proptest! {
     #[test]
     fn incremental_occupancy_matches_full_scan_after_any_op_sequence(
         (cols, rows) in dims(), count in 0usize..250,
-        seed in 0u64..1000, steps in 1usize..60,
+        seed in 0u64..1000, steps in 1usize..60, policy_idx in 0usize..4,
     ) {
         // The tentpole invariant of the occupancy engine: after ANY
-        // random sequence of deploys, faults, moves, and elections, the
-        // incremental VacancySet / spare counters agree exactly with a
-        // from-scratch full scan of the member table.
+        // random sequence of deploys, arrivals, faults, moves, head
+        // hand-overs and elections, the incremental VacancySet / spare
+        // counters / headless index agree exactly with a from-scratch
+        // full scan of the member and head tables.
+        let policy = [
+            HeadElection::FirstId,
+            HeadElection::MaxEnergy,
+            HeadElection::ClosestToCenter,
+            HeadElection::Random,
+        ][policy_idx];
         let sys = GridSystem::new(cols, rows, 2.0).unwrap();
         let mut rng = SimRng::seed_from_u64(seed);
         let pos = deploy::uniform(&sys, count, &mut rng);
         let mut net = GridNetwork::new(sys, &pos);
         prop_assert!(net.changed_cells().is_empty(), "fresh journal must be clean");
         let area = sys.area();
+        let random_point = |rng: &mut SimRng| Point2::new(
+            rng.uniform_in(area.min().x, area.max().x * 0.9999),
+            rng.uniform_in(area.min().y, area.max().y * 0.9999),
+        );
         for _ in 0..steps {
-            match rng.range_u32(5) {
+            let nodes = net.node_count() as u32;
+            match rng.range_u32(7) {
                 0 => {
                     // Disable a random node (may already be disabled).
-                    if count > 0 {
-                        let id = NodeId::new(rng.range_u32(count as u32));
-                        let _ = net.disable_node(id);
+                    if nodes > 0 {
+                        let _ = net.disable_node(NodeId::new(rng.range_u32(nodes)));
                     }
                 }
                 1 => {
                     // Move a random enabled node anywhere in the area.
-                    if count > 0 {
-                        let id = NodeId::new(rng.range_u32(count as u32));
-                        let target = Point2::new(
-                            rng.uniform_in(area.min().x, area.max().x * 0.9999),
-                            rng.uniform_in(area.min().y, area.max().y * 0.9999),
-                        );
+                    if nodes > 0 {
+                        let id = NodeId::new(rng.range_u32(nodes));
+                        let target = random_point(&mut rng);
                         let _ = net.move_node(id, target);
                     }
                 }
@@ -213,11 +221,47 @@ proptest! {
                         &mut rng,
                     );
                 }
-                3 => net.elect_all_heads(HeadElection::FirstId, &mut rng),
+                3 => net.elect_all_heads(policy, &mut rng),
+                4 => {
+                    // The full scan repair_heads replaced, as the oracle:
+                    // same cells, same order, same RNG draws.
+                    let mut oracle_rng = rng.clone();
+                    let mut expected = Vec::new();
+                    for c in sys.iter_coords() {
+                        let members = net.members(c).unwrap();
+                        if net.head_of(c).unwrap().is_none() && !members.is_empty() {
+                            let center = sys.cell_center(c).unwrap();
+                            let head = policy.elect(members, net.nodes(), center, &mut oracle_rng);
+                            expected.push((c, head));
+                        }
+                    }
+                    prop_assert_eq!(net.repair_heads(policy, &mut rng), expected.len());
+                    for (c, head) in expected {
+                        prop_assert_eq!(net.head_of(c).unwrap(), head);
+                    }
+                    prop_assert_eq!(&rng, &oracle_rng);
+                }
+                5 => {
+                    // Hand a random cell's head role to a random member.
+                    let c = sys.coord_of(rng.range_usize(sys.cell_count()));
+                    let members = net.members(c).unwrap().to_vec();
+                    if !members.is_empty() {
+                        let id = members[rng.range_usize(members.len())];
+                        net.set_head(c, id).unwrap();
+                    }
+                }
                 _ => {
-                    net.repair_heads(HeadElection::FirstId, &mut rng);
+                    let p = random_point(&mut rng);
+                    net.add_node(p).unwrap();
                 }
             }
+            let headless_scan: Vec<GridCoord> = sys
+                .iter_coords()
+                .filter(|&c| {
+                    net.head_of(c).unwrap().is_none() && !net.members(c).unwrap().is_empty()
+                })
+                .collect();
+            prop_assert_eq!(net.headless_iter().collect::<Vec<_>>(), headless_scan);
             // Index vs oracle, every step.
             prop_assert_eq!(net.vacant_iter().collect::<Vec<_>>(), net.vacant_cells_scan());
             prop_assert_eq!(
