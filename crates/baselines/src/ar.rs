@@ -217,13 +217,10 @@ impl ArProtocol {
                     link.health.stalled_repairs += 1;
                 }
             }
-            self.trace.record(
-                round,
-                TraceEvent::ProcessFailed {
-                    process: p.id,
-                    reason: "run ended".into(),
-                },
-            );
+            self.trace.record_with(round, || TraceEvent::ProcessFailed {
+                process: p.id,
+                reason: "run ended".into(),
+            });
             self.retire(p);
         }
     }
@@ -286,15 +283,12 @@ impl ArProtocol {
                 None
             }
         };
-        self.trace.record(
-            round,
-            TraceEvent::NetMessage {
-                msg: "cascade_ask".into(),
-                from: from.into(),
-                to: to.into(),
-                deliver_at,
-            },
-        );
+        self.trace.record_with(round, || TraceEvent::NetMessage {
+            msg: "cascade_ask".into(),
+            from: from.into(),
+            to: to.into(),
+            deliver_at,
+        });
         deliver_at
     }
 
@@ -306,15 +300,12 @@ impl ArProtocol {
             return true;
         };
         let probed = link.sense(ef, et);
-        self.trace.record(
-            round,
-            TraceEvent::NetMessage {
-                msg: "monitor_probe".into(),
-                from: monitor.into(),
-                to: hole.into(),
-                deliver_at: probed.then_some(round),
-            },
-        );
+        self.trace.record_with(round, || TraceEvent::NetMessage {
+            msg: "monitor_probe".into(),
+            from: monitor.into(),
+            to: hole.into(),
+            deliver_at: probed.then_some(round),
+        });
         probed
     }
 
@@ -437,13 +428,10 @@ impl ArProtocol {
     fn fail(&mut self, p: ArProcess, reason: &str, round: u64) {
         self.failed_holes.insert(p.current_target);
         self.metrics.processes_failed += 1;
-        self.trace.record(
-            round,
-            TraceEvent::ProcessFailed {
-                process: p.id,
-                reason: reason.into(),
-            },
-        );
+        self.trace.record_with(round, || TraceEvent::ProcessFailed {
+            process: p.id,
+            reason: reason.into(),
+        });
         self.retire(p);
     }
 
@@ -558,13 +546,10 @@ impl RoundProtocol for ArProtocol {
                             // was weather, not structure, so it is not
                             // blacklisted.
                             self.metrics.processes_failed += 1;
-                            self.trace.record(
-                                round,
-                                TraceEvent::ProcessFailed {
-                                    process: p.id,
-                                    reason: "cascade ask lost in the network".into(),
-                                },
-                            );
+                            self.trace.record_with(round, || TraceEvent::ProcessFailed {
+                                process: p.id,
+                                reason: "cascade ask lost in the network".into(),
+                            });
                             self.retire(p);
                         }
                     }

@@ -320,11 +320,11 @@ fn single_cascade_entry(side: u16, samples: usize) -> JsonValue {
 
 /// Runs the end-to-end campaign throughput benchmarks.
 ///
-/// `smoke` keeps only the 64×64 matrix and the 64×64 cascade; the full
-/// ledger adds the 256×256 full-recovery matrix, the 1024×1024 and
-/// 4096×4096 single-replacement trials (the scale acceptance: a
-/// 16-million-cell SR trial completes inside the campaign engine), and
-/// the 256×256 and 1024×1024 cascades.
+/// `smoke` keeps only the 64×64 SR matrix, the 32×32 SR-SC matrix and
+/// the 64×64 cascade; the full ledger adds the 256×256 full-recovery
+/// matrix, the 1024×1024 and 4096×4096 single-replacement trials (the
+/// scale acceptance: a 16-million-cell SR trial completes inside the
+/// campaign engine), and the 256×256 and 1024×1024 cascades.
 pub fn bench_campaign(smoke: bool) -> JsonValue {
     // Fixed worker count: the ledger measures engine cost, not the CI
     // runner's core count.
@@ -343,6 +343,19 @@ pub fn bench_campaign(smoke: bool) -> JsonValue {
         if smoke { 3 } else { 5 },
         &base,
     )];
+    // SR-SC's classic engine: its per-round cost is the beacon bill plus
+    // the active couriers, never a pass over the grid.
+    let sc = CampaignConfig {
+        schemes: wsn_coverage::scheme::SchemeId::list(&["sr-sc"]),
+        grids: vec![(32, 32)],
+        seeds_per_cell: 8,
+        ..base.clone()
+    };
+    entries.push(campaign_entry(
+        "campaign_sr_sc_full_recovery_32x32",
+        10,
+        &sc,
+    ));
     if !smoke {
         let big = CampaignConfig {
             grids: vec![(256, 256)],
@@ -447,9 +460,10 @@ pub fn bench_avail(smoke: bool) -> JsonValue {
 
 /// Runs the event-engine throughput benchmarks (`BENCH_event.json`):
 /// degraded-mode campaigns driven through the message-passing engine.
-/// The 8×8 four-weather SR matrix always runs; the full ledger adds a
-/// 16×16 matrix over the same weather grid plus a lossy three-scheme
-/// matrix (the queue-drain and RNG-stream cost at AR's fan-out).
+/// The 8×8 four-weather SR matrix and the 32×32 SR-SC matrix under
+/// Ideal and latency-2 weather always run; the full ledger adds a 16×16
+/// matrix over the four-weather grid plus a lossy three-scheme matrix
+/// (the queue-drain and RNG-stream cost at AR's fan-out).
 pub fn bench_event(smoke: bool) -> JsonValue {
     use crate::campaign::DegradedParams;
     let base = CampaignConfig {
@@ -472,6 +486,20 @@ pub fn bench_event(smoke: bool) -> JsonValue {
         if smoke { 5 } else { 7 },
         &base,
     )];
+    // The SR-SC actor under loss-free weather, where a round's beacons
+    // are counted in one call instead of routed one by one.
+    let sc = CampaignConfig {
+        schemes: wsn_coverage::scheme::SchemeId::list(&["sr-sc"]),
+        grids: vec![(32, 32)],
+        targets: vec![100],
+        seeds_per_cell: 8,
+        degraded: DegradedParams {
+            latencies: vec![1, 2],
+            loss_ppms: vec![0],
+        },
+        ..base.clone()
+    };
+    entries.push(campaign_entry("degraded_sr_sc_32x32_ideal_lat2", 10, &sc));
     if !smoke {
         let big = CampaignConfig {
             grids: vec![(16, 16)],

@@ -38,7 +38,7 @@
 
 use std::collections::HashSet;
 
-use wsn_grid::{GridCoord, GridNetwork, HoleSet};
+use wsn_grid::{GridCoord, GridNetwork, GridSystem, HoleSet};
 use wsn_hamilton::{BackwardStep, CycleTopology};
 use wsn_simcore::{
     derive_stream_seed, Endpoint, EnergyModel, EventQueue, Fate, Metrics, NetLink, NetModelSpec,
@@ -60,6 +60,17 @@ use crate::{OwnerCounts, SpareSelection, SrConfig};
 /// that join the event engine derive their link seed the same way, so a
 /// given `(seed, net model)` is the same weather for every scheme.
 pub const NET_STREAM_TAG: u64 = 0x004E_4554; // "NET"
+
+/// The link endpoint of `cell`: its dense index (the fate function's
+/// stream coordinate) and its center (the jammer's geometry).
+fn cell_endpoint(sys: &GridSystem, cell: GridCoord) -> Endpoint {
+    let idx = sys.index_of(cell).expect("protocol cells are in bounds");
+    let c = sys.cell_center(cell).expect("protocol cells are in bounds");
+    Endpoint {
+        cell: idx as u64,
+        pos: (c.x, c.y),
+    }
+}
 
 /// Where a process's notification baton currently is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,13 +247,10 @@ impl EventSrProtocol {
                 self.link.health.stalled_repairs += 1;
                 "notification lost in the network (run ended)"
             };
-            self.trace.record(
-                round,
-                TraceEvent::ProcessFailed {
-                    process: p.id.raw(),
-                    reason: reason.into(),
-                },
-            );
+            self.trace.record_with(round, || TraceEvent::ProcessFailed {
+                process: p.id.raw(),
+                reason: reason.into(),
+            });
         }
     }
 
@@ -303,16 +311,7 @@ impl EventSrProtocol {
     }
 
     fn endpoint(&self, cell: GridCoord) -> Endpoint {
-        let idx = self.index(cell);
-        let c = self
-            .net
-            .system()
-            .cell_center(cell)
-            .expect("protocol cells are in bounds");
-        Endpoint {
-            cell: idx as u64,
-            pos: (c.x, c.y),
-        }
+        cell_endpoint(self.net.system(), cell)
     }
 
     fn spare_count(&self, cell: GridCoord) -> usize {
@@ -451,15 +450,12 @@ impl EventSrProtocol {
             }
             Fate::Drop => None,
         };
-        self.trace.record(
-            round,
-            TraceEvent::NetMessage {
-                msg: "move_ack".into(),
-                from: from.into(),
-                to: to.into(),
-                deliver_at,
-            },
-        );
+        self.trace.record_with(round, || TraceEvent::NetMessage {
+            msg: "move_ack".into(),
+            from: from.into(),
+            to: to.into(),
+            deliver_at,
+        });
     }
 
     /// Terminates process `i` because its target vacancy was already
@@ -471,13 +467,10 @@ impl EventSrProtocol {
         s.ended_round = Some(round);
         self.metrics.processes_failed += 1;
         self.link.health.superseded_repairs += 1;
-        self.trace.record(
-            round,
-            TraceEvent::ProcessFailed {
-                process: p.id.raw(),
-                reason: "superseded by a duplicate repair".into(),
-            },
-        );
+        self.trace.record_with(round, || TraceEvent::ProcessFailed {
+            process: p.id.raw(),
+            reason: "superseded by a duplicate repair".into(),
+        });
     }
 
     /// Delivers every envelope due this round. Returns `true` when a
@@ -583,15 +576,12 @@ impl EventSrProtocol {
                     }
                     Fate::Drop => None,
                 };
-                self.trace.record(
-                    round,
-                    TraceEvent::NetMessage {
-                        msg: "hole_announce".into(),
-                        from: p.asked.into(),
-                        to: next_asked.into(),
-                        deliver_at,
-                    },
-                );
+                self.trace.record_with(round, || TraceEvent::NetMessage {
+                    msg: "hole_announce".into(),
+                    from: p.asked.into(),
+                    to: next_asked.into(),
+                    deliver_at,
+                });
                 // The relaying head moves regardless: it committed the
                 // moment it sent the notification (the honest failure
                 // mode — a lost baton, not a clairvoyant abort).
@@ -626,13 +616,10 @@ impl EventSrProtocol {
                 s.status = ProcessStatus::Failed;
                 s.ended_round = Some(round);
                 self.metrics.processes_failed += 1;
-                self.trace.record(
-                    round,
-                    TraceEvent::ProcessFailed {
-                        process: p.id.raw(),
-                        reason: "walk exhausted without finding a spare".into(),
-                    },
-                );
+                self.trace.record_with(round, || TraceEvent::ProcessFailed {
+                    process: p.id.raw(),
+                    reason: "walk exhausted without finding a spare".into(),
+                });
                 self.failed_holes.insert(p.current_vacant);
                 self.retire(idx);
                 true
@@ -665,15 +652,12 @@ impl EventSrProtocol {
                 continue;
             }
             let probed = self.link.sense(self.endpoint(monitor), self.endpoint(g));
-            self.trace.record(
-                round,
-                TraceEvent::NetMessage {
-                    msg: "monitor_probe".into(),
-                    from: monitor.into(),
-                    to: g.into(),
-                    deliver_at: probed.then_some(round),
-                },
-            );
+            self.trace.record_with(round, || TraceEvent::NetMessage {
+                msg: "monitor_probe".into(),
+                from: monitor.into(),
+                to: g.into(),
+                deliver_at: probed.then_some(round),
+            });
             if !probed {
                 // The weather ate the probe; the monitor retries next
                 // round. Still outstanding work.
@@ -939,9 +923,9 @@ struct EventScProcess {
 ///
 /// A dropped courier forward permanently strands the repair (the hole
 /// stays owned by its process, so — unlike SR — no duplicate rescues
-/// it; the failure mode is [`ProtocolHealth::stalled_repairs`]), and a
-/// dropped gossip beacon leaves the receiving head's spare-distance
-/// entry stale for a round.
+/// it; the failure mode is [`ProtocolHealth::stalled_repairs`]). Beacons
+/// steer nothing: they load the link and, under Bernoulli loss, advance
+/// the pair counters that the monitor probes on the same links share.
 #[derive(Debug, Clone)]
 pub struct EventScProtocol {
     net: GridNetwork,
@@ -951,7 +935,6 @@ pub struct EventScProtocol {
     trace: TraceLog,
     metrics: Metrics,
     energy: EnergyModel,
-    spare_dist: Vec<u32>,
     /// Active processes, in id order (see [`EventSrProtocol`]).
     active: Vec<EventScProcess>,
     /// Active processes per `hole`.
@@ -994,7 +977,6 @@ impl EventScProtocol {
             trace,
             metrics: Metrics::new(),
             energy: EnergyModel::default(),
-            spare_dist: vec![u32::MAX; cells],
             active: Vec::new(),
             owners,
             summaries: Vec::new(),
@@ -1045,13 +1027,10 @@ impl EventScProtocol {
                 self.link.health.stalled_repairs += 1;
                 "notification lost in the network (run ended)"
             };
-            self.trace.record(
-                round,
-                TraceEvent::ProcessFailed {
-                    process: p.id.raw(),
-                    reason: reason.into(),
-                },
-            );
+            self.trace.record_with(round, || TraceEvent::ProcessFailed {
+                process: p.id.raw(),
+                reason: reason.into(),
+            });
         }
     }
 
@@ -1080,59 +1059,43 @@ impl EventScProtocol {
     }
 
     fn endpoint(&self, cell: GridCoord) -> Endpoint {
-        let idx = self
-            .net
-            .system()
-            .index_of(cell)
-            .expect("ring cells are in bounds");
-        let c = self
-            .net
-            .system()
-            .cell_center(cell)
-            .expect("ring cells are in bounds");
-        Endpoint {
-            cell: idx as u64,
-            pos: (c.x, c.y),
-        }
+        cell_endpoint(self.net.system(), cell)
     }
 
     fn spare_count(&self, cell: GridCoord) -> usize {
         self.net.spare_count(cell).unwrap_or(0)
     }
 
-    fn idx(&self, cell: GridCoord) -> usize {
-        self.net
-            .system()
-            .index_of(cell)
-            .expect("cycle cells are in bounds")
-    }
-
-    /// One gossip sweep, each predecessor read riding a real beacon: a
-    /// dropped beacon leaves the stale value in place for a round.
+    /// The round's beacons: every head with no spare of its own hears
+    /// its predecessor's spare status over the link, `pred(c) → c`.
+    /// Nothing reads them back; they are SR-SC's standing traffic, billed
+    /// like the classic engine's exchange plus one routed sense each.
+    /// Their count is the occupied cells minus the spareful ones, so a
+    /// loss-free link accounts the round without visiting a cell.
     fn gossip(&mut self) {
-        let prev = self.spare_dist.clone();
-        let sys = *self.net.system();
         self.metrics.cells_scanned += self.cycle.len() as u64;
-        for coord in sys.iter_coords() {
-            if !self.net.is_cell_enabled(coord).unwrap_or(false) {
-                continue;
-            }
-            let i = self.idx(coord);
-            if self.net.is_vacant(coord).unwrap_or(true) {
-                self.spare_dist[i] = u32::MAX;
-                continue;
-            }
-            if self.spare_count(coord) > 0 {
-                self.spare_dist[i] = 0;
-                continue;
-            }
-            let pred = self.cycle.predecessor(coord);
-            if self.link.sense(self.endpoint(pred), self.endpoint(coord)) {
-                self.spare_dist[i] = prev[self.idx(pred)].saturating_add(1);
-            }
-            // Dropped beacon: keep the stale entry (it refreshes next
-            // round with probability 1 − loss).
-        }
+        let net = &self.net;
+        let spareful: u64 = net
+            .spareful_words()
+            .iter()
+            .map(|w| u64::from(w.count_ones()))
+            .sum();
+        let count = net.occupied_cells() as u64 - spareful;
+        let (sys, cycle) = (net.system(), &self.cycle);
+        let beacons = sys
+            .iter_coords()
+            .filter(|&c| {
+                net.is_cell_enabled(c).unwrap_or(false)
+                    && !net.is_vacant(c).unwrap_or(true)
+                    && net.spare_count(c).unwrap_or(0) == 0
+            })
+            .map(|c| {
+                (
+                    cell_endpoint(sys, cycle.predecessor(c)),
+                    cell_endpoint(sys, c),
+                )
+            });
+        self.link.sense_bulk(count, beacons);
     }
 
     fn send_ack(&mut self, from: GridCoord, to: GridCoord, round: u64) {
@@ -1145,15 +1108,12 @@ impl EventScProtocol {
             }
             Fate::Drop => None,
         };
-        self.trace.record(
-            round,
-            TraceEvent::NetMessage {
-                msg: "move_ack".into(),
-                from: from.into(),
-                to: to.into(),
-                deliver_at,
-            },
-        );
+        self.trace.record_with(round, || TraceEvent::NetMessage {
+            msg: "move_ack".into(),
+            from: from.into(),
+            to: to.into(),
+            deliver_at,
+        });
     }
 
     /// Delivers due envelopes; courier batons become actionable.
@@ -1229,13 +1189,10 @@ impl EventScProtocol {
             s.status = ProcessStatus::Failed;
             s.ended_round = Some(round);
             self.metrics.processes_failed += 1;
-            self.trace.record(
-                round,
-                TraceEvent::ProcessFailed {
-                    process: p.id.raw(),
-                    reason: "notification circled the cycle without finding a spare".into(),
-                },
-            );
+            self.trace.record_with(round, || TraceEvent::ProcessFailed {
+                process: p.id.raw(),
+                reason: "notification circled the cycle without finding a spare".into(),
+            });
             self.failed_holes.insert(p.hole);
             self.retire(i);
             return true;
@@ -1274,15 +1231,12 @@ impl EventScProtocol {
             }
             Fate::Drop => None,
         };
-        self.trace.record(
-            round,
-            TraceEvent::NetMessage {
-                msg: "hole_announce".into(),
-                from: p.courier.into(),
-                to: target.into(),
-                deliver_at,
-            },
-        );
+        self.trace.record_with(round, || TraceEvent::NetMessage {
+            msg: "hole_announce".into(),
+            from: p.courier.into(),
+            to: target.into(),
+            deliver_at,
+        });
         self.active[i].baton = match fate {
             Fate::Deliver(_) => BatonState::InFlight,
             Fate::Drop => {
@@ -1309,15 +1263,12 @@ impl EventScProtocol {
                 continue;
             }
             let probed = self.link.sense(self.endpoint(monitor), self.endpoint(g));
-            self.trace.record(
-                round,
-                TraceEvent::NetMessage {
-                    msg: "monitor_probe".into(),
-                    from: monitor.into(),
-                    to: g.into(),
-                    deliver_at: probed.then_some(round),
-                },
-            );
+            self.trace.record_with(round, || TraceEvent::NetMessage {
+                msg: "monitor_probe".into(),
+                from: monitor.into(),
+                to: g.into(),
+                deliver_at: probed.then_some(round),
+            });
             if !probed {
                 outcome.pending += 1;
                 continue;

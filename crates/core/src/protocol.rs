@@ -246,13 +246,10 @@ impl SrProtocol {
             s.status = ProcessStatus::Failed;
             s.ended_round = Some(round);
             self.metrics.processes_failed += 1;
-            self.trace.record(
-                round,
-                TraceEvent::ProcessFailed {
-                    process: p.id.raw(),
-                    reason: "no reachable spare (run ended)".into(),
-                },
-            );
+            self.trace.record_with(round, || TraceEvent::ProcessFailed {
+                process: p.id.raw(),
+                reason: "no reachable spare (run ended)".into(),
+            });
         }
     }
 
@@ -496,13 +493,10 @@ impl SrProtocol {
                 s.status = ProcessStatus::Failed;
                 s.ended_round = Some(round);
                 self.metrics.processes_failed += 1;
-                self.trace.record(
-                    round,
-                    TraceEvent::ProcessFailed {
-                        process: p.id.raw(),
-                        reason: "walk exhausted without finding a spare".into(),
-                    },
-                );
+                self.trace.record_with(round, || TraceEvent::ProcessFailed {
+                    process: p.id.raw(),
+                    reason: "walk exhausted without finding a spare".into(),
+                });
                 // Spares never increase, so re-detecting this hole would
                 // walk the whole structure again and fail again.
                 self.failed_holes.insert(p.current_vacant);

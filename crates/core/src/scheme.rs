@@ -1036,7 +1036,7 @@ impl SrSc {
         if mode == DriveMode::ChangeDriven {
             return Err(Unsupported::new(
                 self.id(),
-                "SR-SC has no change-driven driver (the gossip gradient needs every round)",
+                "SR-SC cannot run change-driven: its beacon exchange is billed every round",
             ));
         }
         let topo = CycleTopology::build_masked(net.mask())

@@ -8,34 +8,37 @@
 //! This module implements one concrete such construction, staying within
 //! the paper's 1-hop communication model:
 //!
-//! * Every head maintains a **spare-distance gradient** along the
-//!   directed Hamilton cycle: `dist(u) = 0` if `u`'s cell holds a spare,
-//!   else `1 + dist(pred(u))`, refreshed by one gossip exchange with the
-//!   predecessor per round (the same link the replacement notifications
-//!   already use). The field converges in at most `L` rounds and is
-//!   maintained incrementally afterwards.
-//! * When a hole is detected, the notification is forwarded backward
-//!   hop-by-hop exactly `dist` hops — no head needs to *move* to keep the
-//!   search going — and the spare found there travels **straight across
-//!   the grid** to the hole: one movement per replacement instead of
-//!   Theorem 2's `M(L, N)`, and a chord-length distance instead of a
-//!   path-length one.
+//! * When a hole is detected, its monitor starts a **courier
+//!   notification** that is forwarded backward along the directed
+//!   Hamilton cycle, one hop per round, skipping the hole itself. It is
+//!   the same blind backward search as SR's cascade, but no head needs to
+//!   *move* to keep it going.
+//! * The first head on that walk whose cell holds a spare dispatches it
+//!   **straight across the grid** to the hole: one movement per
+//!   replacement instead of Theorem 2's `M(L, N)`, and a chord-length
+//!   distance instead of a path-length one.
+//! * Every round, each head with no spare of its own hears a
+//!   spare-status **beacon** from its predecessor on the ring. Nothing
+//!   steers the walk by it; it is the protocol's standing monitoring
+//!   cost. This engine bills the exchange as one scanned cell per on-ring
+//!   cell per round (`Metrics::cells_scanned`); the event engine also
+//!   routes each beacon through its network link.
 //!
-//! Trade-off (quantified by `bench_ablation` and the `figsc` extension
-//! figure): SR-SC pays `dist` extra notification messages and the gossip
-//! overhead, in exchange for collapsing the movement count; at low `N` —
-//! exactly where the paper predicts — the savings are largest. The
-//! single long straight move also concentrates battery drain on one node
-//! instead of spreading it over the cascade, which is why SR proper
-//! remains the better choice for energy-balanced deployments.
+//! Trade-off (quantified by the `figsc` extension figure): SR-SC pays one
+//! notification message per backward hop and the beacon overhead, in
+//! exchange for collapsing the movement count; at low `N` — exactly
+//! where the paper predicts — the savings are largest. The single long
+//! straight move also concentrates battery drain on one node instead of
+//! spreading it over the cascade, which is why SR proper remains the
+//! better choice for energy-balanced deployments.
 //!
 //! The construction is defined on structures with a unique predecessor
 //! per cell: single Hamilton cycles and the masked virtual ring of
 //! irregular regions ([`wsn_hamilton::MaskedCycle`]) — so SR-SC runs
 //! unchanged on masked grids. Odd×odd (dual-path) grids are rejected
-//! with [`SrError::ShortcutNeedsCycle`]: extending the gradient over the
-//! A/B fork is possible but the paper's future-work remark targets the
-//! plain cycle.
+//! with [`SrError::ShortcutNeedsCycle`]: extending the courier walk over
+//! the A/B fork is possible but the paper's future-work remark targets
+//! the plain cycle.
 
 use wsn_grid::{GridCoord, GridNetwork, NetworkStats};
 use wsn_hamilton::{CycleTopology, HamiltonCycle, MaskedCycle};
@@ -52,8 +55,8 @@ use crate::{OwnerCounts, SrConfig};
 
 /// The backward ring SR-SC forwards notifications along: either the
 /// paper's single Hamilton cycle or the masked virtual ring. Both give
-/// every on-ring cell a unique predecessor, which is all the gradient
-/// and the courier walk need.
+/// every on-ring cell a unique predecessor, which is all the courier
+/// walk and the beacons need.
 #[derive(Debug, Clone)]
 pub(crate) enum ScRing {
     Cycle(HamiltonCycle),
@@ -106,9 +109,6 @@ pub struct ShortcutProtocol {
     trace: TraceLog,
     metrics: Metrics,
     energy: EnergyModel,
-    /// Gossip field: backward hops to the nearest spare, `u32::MAX` when
-    /// unknown/unreachable. Indexed by dense cell index.
-    spare_dist: Vec<u32>,
     active: Vec<ScProcess>,
     /// Active processes per `hole`: detection's "already served" check
     /// without scanning `active`.
@@ -146,7 +146,6 @@ impl ShortcutProtocol {
             trace,
             metrics: Metrics::new(),
             energy: EnergyModel::default(),
-            spare_dist: vec![u32::MAX; cells],
             active: Vec::new(),
             owners,
             summaries: Vec::new(),
@@ -183,13 +182,10 @@ impl ShortcutProtocol {
             s.status = ProcessStatus::Failed;
             s.ended_round = Some(round);
             self.metrics.processes_failed += 1;
-            self.trace.record(
-                round,
-                TraceEvent::ProcessFailed {
-                    process: p.id.raw(),
-                    reason: "no reachable spare (run ended)".into(),
-                },
-            );
+            self.trace.record_with(round, || TraceEvent::ProcessFailed {
+                process: p.id.raw(),
+                reason: "no reachable spare (run ended)".into(),
+            });
         }
     }
 
@@ -221,42 +217,13 @@ impl ShortcutProtocol {
         self.net.spare_count(cell).unwrap_or(0)
     }
 
-    fn idx(&self, cell: GridCoord) -> usize {
-        self.net
-            .system()
-            .index_of(cell)
-            .expect("cycle cells are in bounds")
-    }
-
-    /// One synchronous gossip sweep: every head reads its predecessor's
-    /// distance from the previous round. (Computed from a frozen copy,
-    /// exactly as a real per-round beacon exchange would.)
+    /// The round's beacon exchange along the ring. Nothing reads it
+    /// back; it is SR-SC's standing per-round cost, billed as one
+    /// scanned cell per on-ring cell so the scan-cost comparison against
+    /// SR's O(changed) detection stays honest. The paper does not bill
+    /// monitoring beacons as messages, so neither do we.
     fn gossip(&mut self) {
-        let prev = self.spare_dist.clone();
-        let sys = *self.net.system();
-        // The gradient refresh is SR-SC's inherent full sweep (one beacon
-        // read per on-ring cell per round); bill it so the scan-cost
-        // comparison against SR's O(changed) detection stays honest.
         self.metrics.cells_scanned += self.cycle.len() as u64;
-        for coord in sys.iter_coords() {
-            // Disabled (off-ring) cells have no head and no gradient.
-            if !self.net.is_cell_enabled(coord).unwrap_or(false) {
-                continue;
-            }
-            let i = self.idx(coord);
-            if self.net.is_vacant(coord).unwrap_or(true) {
-                self.spare_dist[i] = u32::MAX;
-                continue;
-            }
-            self.spare_dist[i] = if self.spare_count(coord) > 0 {
-                0
-            } else {
-                let p = prev[self.idx(self.cycle.predecessor(coord))];
-                p.saturating_add(1)
-            };
-        }
-        // Gossip beacons ride the existing per-round head exchange; the
-        // paper does not bill monitoring beacons, so neither do we.
     }
 
     fn step_process(&mut self, i: usize, round: u64) -> bool {
@@ -315,21 +282,16 @@ impl ShortcutProtocol {
             s.status = ProcessStatus::Failed;
             s.ended_round = Some(round);
             self.metrics.processes_failed += 1;
-            self.trace.record(
-                round,
-                TraceEvent::ProcessFailed {
-                    process: p.id.raw(),
-                    reason: "notification circled the cycle without finding a spare".into(),
-                },
-            );
+            self.trace.record_with(round, || TraceEvent::ProcessFailed {
+                process: p.id.raw(),
+                reason: "notification circled the cycle without finding a spare".into(),
+            });
             self.failed_holes.insert(p.hole);
             self.retire(i);
             return true;
         }
-        // Forward the notification one hop backward. The gradient makes
-        // this walk beeline to the nearest spare; when the field is still
-        // cold (MAX) the walk degrades gracefully to SR's blind backward
-        // search — minus the node movements.
+        // Forward the notification one hop backward: SR's blind backward
+        // search, one hop per round, minus the node movements.
         let next = self.cycle.predecessor(p.courier);
         if next == p.hole {
             // Skip over the hole itself (its cell cannot relay or hold
@@ -652,9 +614,10 @@ mod tests {
     }
 
     #[test]
-    fn gradient_guides_messages_not_random_walks() {
-        // With a warm gradient the notification path length equals the
-        // true backward distance to the nearest spare.
+    fn notification_walks_back_to_the_nearest_spare() {
+        // The backward walk forwards once per hop and stops at the first
+        // cell holding a spare, so its message count equals the backward
+        // distance from the hole's monitor to the nearest spare.
         let sys = GridSystem::new(6, 6, 4.4721).unwrap();
         let cycle = match CycleTopology::build(6, 6).unwrap() {
             CycleTopology::Single(c) => c,

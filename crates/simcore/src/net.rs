@@ -13,7 +13,9 @@
 //!   schemes replaying the same trial seed therefore face the identical
 //!   loss pattern on every link ("the weather is scheme-invariant"),
 //!   and campaign workers can route in any order without perturbing
-//!   fates.
+//!   fates. Only [`NetModelSpec::Bernoulli`] reads `n`, so only it keeps
+//!   per-pair counters; every other model's fate is a function of the
+//!   endpoints alone.
 //! * **Separate streams.** Link randomness never touches the
 //!   protocol's run RNG: under [`NetModelSpec::Ideal`] a run draws the
 //!   byte-identical random sequence as the classic round loop, which is
@@ -182,7 +184,8 @@ pub struct NetLink {
     spec: NetModelSpec,
     seed: u64,
     /// Messages routed so far on each directed `(from, to)` pair — the
-    /// `n` of the coordinate-addressed fate function.
+    /// `n` of the coordinate-addressed fate function. Kept only under
+    /// [`NetModelSpec::Bernoulli`], the one model whose fate reads `n`.
     pair_counts: HashMap<(u64, u64), u64>,
     /// Counters the run's `SchemeReport` surfaces as `ProtocolHealth`.
     pub health: ProtocolHealth,
@@ -199,8 +202,19 @@ impl NetLink {
         self.spec == NetModelSpec::Ideal
     }
 
+    /// Whether nothing routed on this link can be dropped (`Ideal` and
+    /// `FixedLatency`): every fate is a delivery after the spec's
+    /// latency, whatever the endpoints.
+    fn is_loss_free(&self) -> bool {
+        matches!(
+            self.spec,
+            NetModelSpec::Ideal | NetModelSpec::FixedLatency { .. }
+        )
+    }
+
     /// The fate of the `n`-th message on a directed pair — pure in
     /// `(seed, from, to, n)`, independent of routing order elsewhere.
+    /// Only `Bernoulli` reads `n`.
     fn fate_at(&self, from: Endpoint, to: Endpoint, n: u64) -> Fate {
         let extra = u64::from(self.spec.latency_ticks()) - 1;
         match self.spec {
@@ -233,12 +247,18 @@ impl NetLink {
         }
     }
 
-    /// Routes one inter-cell envelope, advancing the pair counter and
-    /// the health ledger.
+    /// Routes one inter-cell envelope, advancing the health ledger and,
+    /// under `Bernoulli`, the pair counter.
     pub fn route(&mut self, from: Endpoint, to: Endpoint) -> Fate {
-        let n = *self.pair_counts.get(&(from.cell, to.cell)).unwrap_or(&0);
+        let n = match self.spec {
+            NetModelSpec::Bernoulli { .. } => {
+                let count = self.pair_counts.entry((from.cell, to.cell)).or_insert(0);
+                *count += 1;
+                *count - 1
+            }
+            _ => 0,
+        };
         let fate = self.fate_at(from, to, n);
-        self.pair_counts.insert((from.cell, to.cell), n + 1);
         self.health.messages_sent += 1;
         if fate == Fate::Drop {
             self.health.messages_dropped += 1;
@@ -252,6 +272,37 @@ impl NetLink {
     /// through.
     pub fn sense(&mut self, from: Endpoint, to: Endpoint) -> bool {
         self.route(from, to) != Fate::Drop
+    }
+
+    /// Routes `count` same-tick senses at once, one per `(from, to)` pair
+    /// of `pairs`, with the same effect on the health ledger and on
+    /// every later fate as one [`NetLink::sense`] per pair. A loss-free
+    /// link only adds `count` to `messages_sent` and never draws from
+    /// `pairs`, so callers pass it lazily; `Bernoulli` and `Jammer` route
+    /// each pair.
+    ///
+    /// `pairs` must yield exactly `count` pairs (checked in debug
+    /// builds).
+    pub fn sense_bulk(
+        &mut self,
+        count: u64,
+        pairs: impl IntoIterator<Item = (Endpoint, Endpoint)>,
+    ) {
+        if self.is_loss_free() {
+            self.health.messages_sent += count;
+            debug_assert_eq!(
+                pairs.into_iter().count() as u64,
+                count,
+                "bulk sense count disagrees with its pairs"
+            );
+            return;
+        }
+        let mut routed = 0;
+        for (from, to) in pairs {
+            self.route(from, to);
+            routed += 1;
+        }
+        debug_assert_eq!(routed, count, "bulk sense count disagrees with its pairs");
     }
 
     /// Accounts an intra-cell message (head ↔ co-located spare). The
@@ -490,6 +541,81 @@ mod tests {
         };
         assert!(clean.is_clean(), "message traffic alone is not a failure");
         assert!(clean.to_string().contains("sent 10"));
+    }
+
+    /// One spec of every [`NetModelSpec`] variant, each able to drop
+    /// where it can (the jammer covers cells 0–2 of the `ep` line).
+    fn every_model() -> [NetModelSpec; 4] {
+        [
+            NetModelSpec::Ideal,
+            NetModelSpec::FixedLatency { ticks: 3 },
+            NetModelSpec::Bernoulli {
+                loss_ppm: 300_000,
+                latency: 2,
+            },
+            NetModelSpec::Jammer {
+                x_mm: 1_000,
+                y_mm: 0,
+                radius_mm: 1_500,
+            },
+        ]
+    }
+
+    #[test]
+    fn bulk_sense_matches_one_sense_per_pair() {
+        // A round's beacons, with a repeated pair so Bernoulli counters
+        // advance twice on it within one bulk call.
+        let pairs: Vec<(u64, u64)> = vec![(0, 1), (1, 2), (2, 3), (5, 6), (1, 2), (9, 4)];
+        let endpoints = || pairs.iter().map(|&(f, t)| (ep(f), ep(t)));
+        for spec in every_model() {
+            let mut single = spec.link(17);
+            let mut bulk = spec.link(17);
+            // Earlier traffic on a shared pair, as monitor probes leave.
+            single.sense(ep(1), ep(2));
+            bulk.sense(ep(1), ep(2));
+            for _ in 0..3 {
+                for (from, to) in endpoints() {
+                    single.sense(from, to);
+                }
+                bulk.sense_bulk(pairs.len() as u64, endpoints());
+                assert_eq!(single.health, bulk.health, "{spec}");
+            }
+            // Every later fate on every pair agrees too.
+            for (from, to) in endpoints().chain([(ep(7), ep(8))]) {
+                for _ in 0..8 {
+                    assert_eq!(single.route(from, to), bulk.route(from, to), "{spec}");
+                }
+            }
+            assert_eq!(single.health, bulk.health, "{spec}");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "bulk sense count disagrees")]
+    fn bulk_sense_checks_its_count() {
+        NetModelSpec::Ideal
+            .link(0)
+            .sense_bulk(3, [(ep(0), ep(1)), (ep(1), ep(2))]);
+    }
+
+    #[test]
+    fn only_bernoulli_fates_depend_on_pair_history() {
+        for spec in every_model() {
+            if matches!(spec, NetModelSpec::Bernoulli { .. }) {
+                continue;
+            }
+            let mut fresh = spec.link(5);
+            let mut busy = spec.link(5);
+            for _ in 0..100 {
+                busy.route(ep(0), ep(1));
+                busy.route(ep(3), ep(4));
+            }
+            for (from, to) in [(ep(0), ep(1)), (ep(3), ep(4))] {
+                assert_eq!(fresh.route(from, to), busy.route(from, to), "{spec}");
+            }
+            assert!(busy.pair_counts.is_empty(), "{spec} keeps no pair counters");
+        }
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //! [`reset`] re-arms it (tests and daemon restarts within one process).
 //!
 //! The two `signal(2)` FFI lines below are the only unsafe code in the
-//! workspace; everything else builds under `deny(unsafe_code)`.
+//! workspace's libraries; everything else builds under
+//! `deny(unsafe_code)`. (The allocation-count test's counting global
+//! allocator is the one unsafe impl outside them.)
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

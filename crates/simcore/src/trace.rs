@@ -257,6 +257,19 @@ impl TraceLog {
         }
     }
 
+    /// Appends the event `build` returns at `round`, calling `build` only
+    /// when recording: hot paths whose events own heap data (a
+    /// [`TraceEvent::NetMessage`] token) allocate nothing when disabled.
+    #[inline]
+    pub fn record_with(&mut self, round: Round, build: impl FnOnce() -> TraceEvent) {
+        if self.enabled {
+            self.records.push(TraceRecord {
+                round,
+                event: build(),
+            });
+        }
+    }
+
     /// All records in order.
     pub fn records(&self) -> &[TraceRecord] {
         &self.records
@@ -1133,6 +1146,18 @@ mod tests {
         }
         assert!(log.is_empty());
         assert!(!log.is_enabled());
+    }
+
+    #[test]
+    fn record_with_builds_only_when_enabled() {
+        let mut off = TraceLog::disabled();
+        off.record_with(0, || unreachable!("a disabled log builds no event"));
+        assert!(off.is_empty());
+        let mut on = TraceLog::new();
+        on.record_with(3, sample_event);
+        let mut direct = TraceLog::new();
+        direct.record(3, sample_event());
+        assert_eq!(on, direct);
     }
 
     #[test]

@@ -87,7 +87,7 @@ fn main() {
     for &budget in &[30.0, 120.0] {
         println!("=== battery budget {budget:.0} J per node ===");
         run_scheme("SR  (cascading replacement)", false, budget);
-        run_scheme("SR-SC (gradient shortcut)", true, budget);
+        run_scheme("SR-SC (straight-line shortcut)", true, budget);
     }
     println!("note: under repeated strikes SR's cascades route through the same");
     println!("corridor of cells again and again, re-draining the same movers until");
