@@ -29,13 +29,12 @@ use serde::{Deserialize, Serialize};
 use wsn_geometry::sample;
 use wsn_grid::{Direction, GridCoord, GridNetwork};
 use wsn_simcore::{
-    derive_stream_seed, ChangeDrivenProtocol, Endpoint, EnergyModel, Fate, Metrics, NetLink,
-    NetModelSpec, NodeId, ProtocolHealth, RoundOutcome, RoundProtocol, RoundRunner, SimRng,
-    TraceEvent, TraceLog,
+    derive_stream_seed, Endpoint, EnergyModel, Fate, Metrics, NetLink, NetModelSpec, NodeId,
+    RoundOutcome, RoundProtocol, SimRng, TraceEvent, TraceLog,
 };
 
 use wsn_coverage::actor::NET_STREAM_TAG;
-use wsn_coverage::scheme::{SchemeDetails, SchemeReport};
+use wsn_coverage::scheme::{ProtocolOutcome, SchemeProtocol};
 use wsn_coverage::{OwnerCounts, SpareSelection};
 
 /// Configuration for an AR run.
@@ -51,8 +50,6 @@ pub struct ArConfig {
     pub max_rounds: u64,
     /// Cascade TTL in hops (default `m·n` at run time when 0).
     pub ttl: usize,
-    /// Record a trace.
-    pub trace: bool,
 }
 
 impl Default for ArConfig {
@@ -63,7 +60,6 @@ impl Default for ArConfig {
             spare_selection: SpareSelection::ClosestToTarget,
             max_rounds: 100_000,
             ttl: 0,
-            trace: false,
         }
     }
 }
@@ -73,13 +69,6 @@ impl ArConfig {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enables or disables tracing.
-    #[must_use]
-    pub fn with_trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
         self
     }
 }
@@ -97,10 +86,12 @@ struct ArProcess {
     ready_at: u64,
 }
 
-/// The AR protocol as a round-based state machine.
-#[derive(Debug, Clone)]
-pub struct ArProtocol {
-    net: GridNetwork,
+/// The AR protocol as a round-based state machine over a borrowed
+/// network. [`crate::Ar`] hands it to
+/// [`wsn_coverage::scheme::run_to_quiescence`].
+#[derive(Debug)]
+pub struct ArProtocol<'n> {
+    net: &'n mut GridNetwork,
     config: ArConfig,
     rng: SimRng,
     trace: TraceLog,
@@ -135,16 +126,13 @@ pub struct ArProtocol {
     link: Option<NetLink>,
 }
 
-impl ArProtocol {
-    /// Creates the protocol and elects initial heads.
-    pub fn new(mut net: GridNetwork, config: ArConfig) -> ArProtocol {
+impl<'n> ArProtocol<'n> {
+    /// Creates the protocol and elects initial heads. Events are
+    /// recorded into `trace` (pass [`TraceLog::disabled`] to record
+    /// nothing).
+    pub fn new(net: &'n mut GridNetwork, config: ArConfig, trace: TraceLog) -> ArProtocol<'n> {
         let mut rng = SimRng::seed_from_u64(config.seed);
         net.elect_all_heads(config.election, &mut rng);
-        let trace = if config.trace {
-            TraceLog::new()
-        } else {
-            TraceLog::disabled()
-        };
         let ttl = if config.ttl == 0 {
             net.system().cell_count()
         } else {
@@ -178,38 +166,22 @@ impl ArProtocol {
     /// its own [`derive_stream_seed`]ed stream (tag
     /// [`NET_STREAM_TAG`], shared with the SR/SR-SC event engines), so
     /// under [`NetModelSpec::Ideal`] runs are identical to classic runs.
-    pub fn with_net_model(net: GridNetwork, config: ArConfig, spec: NetModelSpec) -> ArProtocol {
+    pub fn with_net_model(
+        net: &'n mut GridNetwork,
+        config: ArConfig,
+        spec: NetModelSpec,
+        trace: TraceLog,
+    ) -> ArProtocol<'n> {
         let link = spec.link(derive_stream_seed(config.seed, &[NET_STREAM_TAG]));
-        let mut p = ArProtocol::new(net, config);
+        let mut p = ArProtocol::new(net, config, trace);
         p.link = Some(link);
         p
     }
 
-    /// The network state.
-    pub fn network(&self) -> &GridNetwork {
-        &self.net
-    }
-
-    /// Cost counters.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// The event trace.
-    pub fn trace(&self) -> &TraceLog {
-        &self.trace
-    }
-
-    /// The distributed-health ledger accumulated by the network model
-    /// (all-zero in classic mode).
-    pub fn health(&self) -> ProtocolHealth {
-        self.link.as_ref().map(|l| l.health).unwrap_or_default()
-    }
-
-    /// Marks all still-active processes failed (driver calls this after
-    /// the run ends). Processes whose ask was still in flight count as
-    /// [`ProtocolHealth::stalled_repairs`].
-    pub fn fail_remaining(&mut self, round: u64) {
+    /// Marks all still-active processes failed (at the end of the run).
+    /// Processes whose ask was still in flight count as
+    /// [`wsn_simcore::ProtocolHealth::stalled_repairs`].
+    fn fail_remaining(&mut self, round: u64) {
         for p in std::mem::take(&mut self.active) {
             self.metrics.processes_failed += 1;
             if p.ready_at > round {
@@ -434,47 +406,25 @@ impl ArProtocol {
         });
         self.retire(p);
     }
+}
 
-    /// Whether hole `idx` would trigger a new initiation if a round ran
-    /// now: not blacklisted by a dead cascade, and at least one occupied
-    /// neighbor has not yet fired during the hole's current vacancy
-    /// episode. (A hole owned by an active cascade is covered by the
-    /// active-process check in [`ChangeDrivenProtocol::has_pending_work`],
-    /// which runs first.)
-    fn hole_is_actionable(&self, idx: usize) -> bool {
-        let g = self.net.system().coord_of(idx);
-        if self.failed_holes.contains(&g) {
-            return false;
-        }
-        if self.owners.is_owned(g) {
-            return false;
-        }
+impl SchemeProtocol for ArProtocol<'_> {
+    fn network(&self) -> &GridNetwork {
         self.net
-            .system()
-            .neighbors(g)
-            .into_iter()
-            .any(|w| self.is_usable(w) && self.is_occupied(w) && !self.initiated.contains(&(w, g)))
+    }
+
+    fn finish(mut self, rounds: u64) -> ProtocolOutcome {
+        self.fail_remaining(rounds);
+        ProtocolOutcome {
+            metrics: self.metrics,
+            processes: Vec::new(),
+            health: self.link.map(|l| l.health).unwrap_or_default(),
+            trace: self.trace,
+        }
     }
 }
 
-impl ChangeDrivenProtocol for ArProtocol {
-    fn has_pending_work(&self, _round: u64) -> bool {
-        if !self.active.is_empty() {
-            return true;
-        }
-        // Journal entries not yet folded into the pending set.
-        if self.net.changed_cells().iter().any(|&c| {
-            self.net.occupancy().is_vacant(c as usize) && self.hole_is_actionable(c as usize)
-        }) {
-            return true;
-        }
-        self.pending_holes
-            .iter()
-            .any(|idx| self.net.occupancy().is_vacant(idx) && self.hole_is_actionable(idx))
-    }
-}
-
-impl RoundProtocol for ArProtocol {
+impl RoundProtocol for ArProtocol<'_> {
     fn execute_round(&mut self, round: u64) -> RoundOutcome {
         let mut progress = false;
         let repaired = self.net.repair_heads(self.config.election, &mut self.rng);
@@ -648,112 +598,11 @@ impl RoundProtocol for ArProtocol {
     }
 }
 
-/// Drives AR recovery to quiescence.
-#[derive(Debug, Clone)]
-pub struct ArRecovery {
-    protocol: ArProtocol,
-    runner: RoundRunner,
-}
-
-impl ArRecovery {
-    /// Prepares an AR run (initial head election happens here).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`wsn_simcore::EngineError`] for a zero round cap.
-    pub fn new(net: GridNetwork, config: ArConfig) -> Result<ArRecovery, wsn_simcore::EngineError> {
-        let runner = RoundRunner::with_quiescence(config.max_rounds.max(1), 2)?;
-        Ok(ArRecovery {
-            protocol: ArProtocol::new(net, config),
-            runner,
-        })
-    }
-
-    /// Like [`ArRecovery::new`] but driven through `spec`'s network
-    /// model ([`ArProtocol::with_net_model`]): probes and asks can be
-    /// lost or delayed, and [`SchemeReport::health`] reports the damage.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`wsn_simcore::EngineError`] for a zero round cap.
-    pub fn new_event(
-        net: GridNetwork,
-        config: ArConfig,
-        spec: NetModelSpec,
-    ) -> Result<ArRecovery, wsn_simcore::EngineError> {
-        let runner = RoundRunner::with_quiescence(config.max_rounds.max(1), 2)?;
-        Ok(ArRecovery {
-            protocol: ArProtocol::with_net_model(net, config, spec),
-            runner,
-        })
-    }
-
-    /// Runs to quiescence (or the cap) and reports.
-    pub fn run(&mut self) -> SchemeReport {
-        let initial_stats = self.protocol.network().stats();
-        let run = self.runner.run(&mut self.protocol);
-        self.protocol.fail_remaining(run.rounds);
-        let final_stats = self.protocol.network().stats();
-        SchemeReport {
-            run,
-            metrics: *self.protocol.metrics(),
-            initial_stats,
-            final_stats,
-            fully_covered: final_stats.vacant == 0,
-            processes: Vec::new(),
-            health: self.protocol.health(),
-            details: SchemeDetails::none(),
-        }
-    }
-
-    /// Runs using the change-driven quiescence check
-    /// ([`wsn_simcore::ChangeDrivenProtocol`]), the counterpart of
-    /// [`wsn_coverage::Recovery::run_adaptive`]: the run ends the moment
-    /// AR's own bookkeeping (active cascades + actionable pending holes)
-    /// shows nothing outstanding, skipping the idle-confirmation rounds
-    /// [`ArRecovery::run`] burns. Coverage outcomes are identical to
-    /// `run`'s, and on runs that end fully covered so is every cost
-    /// counter except `rounds` (the `wsn-bench` conformance suite pins
-    /// this). When recovery ends *incomplete*, blacklisted holes stay in
-    /// the pending set, so `run`'s trailing idle-confirmation sweeps
-    /// additionally bill `cells_scanned` that this fast path skips.
-    pub fn run_adaptive(&mut self) -> SchemeReport {
-        let initial_stats = self.protocol.network().stats();
-        let run = self.runner.run_change_driven(&mut self.protocol);
-        self.protocol.fail_remaining(run.rounds);
-        let final_stats = self.protocol.network().stats();
-        SchemeReport {
-            run,
-            metrics: *self.protocol.metrics(),
-            initial_stats,
-            final_stats,
-            fully_covered: final_stats.vacant == 0,
-            processes: Vec::new(),
-            health: self.protocol.health(),
-            details: SchemeDetails::none(),
-        }
-    }
-
-    /// The network state.
-    pub fn network(&self) -> &GridNetwork {
-        self.protocol.network()
-    }
-
-    /// Consumes the driver and releases the network (see
-    /// [`wsn_coverage::Recovery::into_network`]).
-    pub fn into_network(self) -> GridNetwork {
-        self.protocol.net
-    }
-
-    /// The event trace.
-    pub fn trace(&self) -> &TraceLog {
-        self.protocol.trace()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Ar;
+    use wsn_coverage::scheme::{DriveMode, ReplacementScheme, SchemeReport};
     use wsn_grid::{deploy, GridSystem};
 
     fn network_with_holes(
@@ -769,12 +618,15 @@ mod tests {
         GridNetwork::new(sys, &pos)
     }
 
+    fn run_ar(net: &mut GridNetwork, seed: u64, mode: DriveMode) -> SchemeReport {
+        Ar::new().run(net, seed, mode).unwrap()
+    }
+
     #[test]
     fn single_hole_recovers_but_with_multiple_processes() {
         let hole = GridCoord::new(2, 2);
-        let net = network_with_holes(6, 6, &[hole], 2, 1);
-        let mut rec = ArRecovery::new(net, ArConfig::default().with_seed(1)).unwrap();
-        let report = rec.run();
+        let mut net = network_with_holes(6, 6, &[hole], 2, 1);
+        let report = run_ar(&mut net, 1, DriveMode::Classic);
         assert!(report.fully_covered);
         // The headline AR defect: an interior hole has 4 occupied
         // neighbors, so 4 processes fire for one hole (SR fires 1).
@@ -782,15 +634,14 @@ mod tests {
         assert!(report.metrics.processes_converged >= 1);
         // Redundant deliveries => more than one movement for one hole.
         assert!(report.metrics.moves >= 1);
-        rec.network().debug_invariants();
+        net.debug_invariants();
     }
 
     #[test]
     fn corner_hole_gets_two_processes() {
         let hole = GridCoord::new(0, 0);
-        let net = network_with_holes(6, 6, &[hole], 2, 3);
-        let mut rec = ArRecovery::new(net, ArConfig::default().with_seed(3)).unwrap();
-        let report = rec.run();
+        let mut net = network_with_holes(6, 6, &[hole], 2, 3);
+        let report = run_ar(&mut net, 3, DriveMode::Classic);
         assert!(report.fully_covered);
         assert_eq!(report.metrics.processes_initiated, 2);
     }
@@ -798,20 +649,24 @@ mod tests {
     #[test]
     fn ar_moves_exceed_sr_moves_on_dense_networks() {
         // The paper's headline comparison at healthy density.
-        use wsn_coverage::{Recovery, SrConfig};
+        use wsn_coverage::Sr;
         let holes = [
             GridCoord::new(1, 1),
             GridCoord::new(4, 2),
             GridCoord::new(2, 4),
         ];
-        let net_ar = network_with_holes(6, 6, &holes, 3, 5);
-        let net_sr = network_with_holes(6, 6, &holes, 3, 5);
-        let ar = ArRecovery::new(net_ar, ArConfig::default().with_seed(5))
-            .unwrap()
-            .run();
-        let sr = Recovery::new(net_sr, SrConfig::default().with_seed(5))
-            .unwrap()
-            .run();
+        let ar = run_ar(
+            &mut network_with_holes(6, 6, &holes, 3, 5),
+            5,
+            DriveMode::Classic,
+        );
+        let sr = Sr::new()
+            .run(
+                &mut network_with_holes(6, 6, &holes, 3, 5),
+                5,
+                DriveMode::Classic,
+            )
+            .unwrap();
         assert!(ar.fully_covered && sr.fully_covered);
         assert!(
             ar.metrics.processes_initiated > sr.metrics.processes_initiated,
@@ -836,9 +691,8 @@ mod tests {
             GridCoord::new(2, 3),
             GridCoord::new(3, 3),
         ];
-        let net = network_with_holes(6, 6, &holes, 2, 7);
-        let mut rec = ArRecovery::new(net, ArConfig::default().with_seed(7)).unwrap();
-        let report = rec.run();
+        let mut net = network_with_holes(6, 6, &holes, 2, 7);
+        let report = run_ar(&mut net, 7, DriveMode::Classic);
         // Recovery may or may not complete, but the run must terminate
         // and account every process.
         assert!(report.run.is_quiescent());
@@ -846,7 +700,7 @@ mod tests {
             report.metrics.processes_initiated,
             report.metrics.processes_converged + report.metrics.processes_failed
         );
-        rec.network().debug_invariants();
+        net.debug_invariants();
     }
 
     #[test]
@@ -856,10 +710,9 @@ mod tests {
         // creating transient "spares" for other cascades (the redundancy
         // defect) — but coverage can never complete, and the run must
         // terminate with every process accounted for.
-        let net = network_with_holes(4, 4, &[GridCoord::new(1, 1)], 1, 9);
+        let mut net = network_with_holes(4, 4, &[GridCoord::new(1, 1)], 1, 9);
         assert_eq!(net.total_spares(), 0);
-        let mut rec = ArRecovery::new(net, ArConfig::default().with_seed(9)).unwrap();
-        let report = rec.run();
+        let report = run_ar(&mut net, 9, DriveMode::Classic);
         assert!(report.run.is_quiescent());
         assert!(!report.fully_covered);
         assert!(report.final_stats.vacant >= 1);
@@ -868,26 +721,7 @@ mod tests {
             report.metrics.processes_initiated,
             report.metrics.processes_converged + report.metrics.processes_failed
         );
-        rec.network().debug_invariants();
-    }
-
-    #[test]
-    fn adaptive_run_matches_classic_run_minus_idle_rounds() {
-        let mk = || network_with_holes(6, 6, &[GridCoord::new(2, 2), GridCoord::new(4, 4)], 3, 21);
-        let classic = ArRecovery::new(mk(), ArConfig::default().with_seed(21))
-            .unwrap()
-            .run();
-        let adaptive = ArRecovery::new(mk(), ArConfig::default().with_seed(21))
-            .unwrap()
-            .run_adaptive();
-        assert!(classic.fully_covered && adaptive.fully_covered);
-        assert!(classic.run.is_quiescent() && adaptive.run.is_quiescent());
-        // Identical work, fewer bookkeeping rounds.
-        assert_eq!(
-            adaptive.metrics.ignoring_rounds(),
-            classic.metrics.ignoring_rounds()
-        );
-        assert!(adaptive.run.rounds < classic.run.rounds);
+        net.debug_invariants();
     }
 
     #[test]
@@ -900,14 +734,12 @@ mod tests {
             let enabled: Vec<GridCoord> = mask.iter_enabled().collect();
             let holes: Vec<GridCoord> = enabled.iter().copied().step_by(13).collect();
             let pos = deploy::with_holes_masked(&sys, &mask, &holes, 2, &mut rng);
-            let net = GridNetwork::with_mask(sys, mask.clone(), &pos).unwrap();
-            let mut rec =
-                ArRecovery::new(net, ArConfig::default().with_seed(40 + i as u64)).unwrap();
-            let report = rec.run();
+            let mut net = GridNetwork::with_mask(sys, mask.clone(), &pos).unwrap();
+            let report = run_ar(&mut net, 40 + i as u64, DriveMode::Classic);
             assert!(report.run.is_quiescent(), "{shape}");
             assert!(report.fully_covered, "{shape}: {report}");
-            rec.network().debug_invariants();
-            for node in rec.network().nodes() {
+            net.debug_invariants();
+            for node in net.nodes() {
                 if node.status().is_enabled() {
                     let cell = sys.cell_of(node.position()).unwrap();
                     assert!(mask.is_enabled(cell), "{shape}: node in disabled {cell}");
@@ -919,27 +751,28 @@ mod tests {
     #[test]
     fn event_ideal_matches_classic() {
         let mk = || network_with_holes(6, 6, &[GridCoord::new(2, 2), GridCoord::new(4, 4)], 2, 31);
-        let classic = ArRecovery::new(mk(), ArConfig::default().with_seed(31))
-            .unwrap()
-            .run();
-        let mut event =
-            ArRecovery::new_event(mk(), ArConfig::default().with_seed(31), NetModelSpec::Ideal)
-                .unwrap();
-        let report = event.run();
+        let classic = run_ar(&mut mk(), 31, DriveMode::Classic);
+        let mut net = mk();
+        let ideal = DriveMode::EventDriven {
+            net: NetModelSpec::Ideal,
+        };
+        let report = run_ar(&mut net, 31, ideal);
         assert_eq!(report, classic);
         assert_eq!(report.metrics, classic.metrics);
         // AR's redundancy, measured: an interior hole spawns 4 processes,
         // 3 of which duplicate a repair already underway.
         assert!(report.health.duplicate_initiations >= 3);
         assert_eq!(report.health.lost_cascades, 0);
-        event.network().debug_invariants();
+        net.debug_invariants();
     }
 
     #[test]
     fn lossy_event_runs_lose_cascades() {
-        let spec = NetModelSpec::Bernoulli {
-            loss_ppm: 300_000,
-            latency: 1,
+        let drive = DriveMode::EventDriven {
+            net: NetModelSpec::Bernoulli {
+                loss_ppm: 300_000,
+                latency: 1,
+            },
         };
         let mut lost = 0u64;
         let mut dropped = 0u64;
@@ -950,10 +783,8 @@ mod tests {
             let mut rng = SimRng::seed_from_u64(seed);
             let mut pos = deploy::with_holes(&sys, &[GridCoord::new(3, 3)], 1, &mut rng);
             pos.push(sys.cell_rect(GridCoord::new(0, 0)).unwrap().center());
-            let net = GridNetwork::new(sys, &pos);
-            let mut rec =
-                ArRecovery::new_event(net, ArConfig::default().with_seed(seed), spec).unwrap();
-            let report = rec.run();
+            let mut net = GridNetwork::new(sys, &pos);
+            let report = run_ar(&mut net, seed, drive);
             lost += report.health.lost_cascades;
             dropped += report.health.messages_dropped;
             assert!(report.run.is_quiescent(), "seed {seed}");
@@ -962,7 +793,7 @@ mod tests {
                 report.metrics.processes_converged + report.metrics.processes_failed,
                 "seed {seed}"
             );
-            rec.network().debug_invariants();
+            net.debug_invariants();
         }
         assert!(dropped > 0, "30% loss must drop something across 16 runs");
         assert!(lost > 0, "some dropped ask must strand a cascade");
@@ -971,19 +802,16 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let run = |seed| {
-            let net = network_with_holes(6, 6, &[GridCoord::new(3, 3)], 2, 11);
-            ArRecovery::new(net, ArConfig::default().with_seed(seed))
-                .unwrap()
-                .run()
+            let mut net = network_with_holes(6, 6, &[GridCoord::new(3, 3)], 2, 11);
+            run_ar(&mut net, seed, DriveMode::Classic)
         };
         assert_eq!(run(4), run(4));
     }
 
     #[test]
     fn report_display_nonempty() {
-        let net = network_with_holes(4, 4, &[], 2, 13);
-        let mut rec = ArRecovery::new(net, ArConfig::default()).unwrap();
-        let report = rec.run();
+        let mut net = network_with_holes(4, 4, &[], 2, 13);
+        let report = run_ar(&mut net, 0, DriveMode::Classic);
         assert!(report.fully_covered);
         assert_eq!(report.metrics.processes_initiated, 0);
         assert!(!report.to_string().is_empty());

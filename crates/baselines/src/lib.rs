@@ -31,7 +31,7 @@ pub mod schemes;
 pub mod smart;
 pub mod vf;
 
-pub use ar::{ArConfig, ArProtocol, ArRecovery};
+pub use ar::{ArConfig, ArProtocol};
 pub use schemes::{builtins, Ar, ArBuilder, Smart, Vf, VfBuilder};
 pub use smart::SmartConfig;
 pub use vf::{VfConfig, VfDetails};

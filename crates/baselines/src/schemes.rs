@@ -8,13 +8,13 @@
 //! here rather than in `wsn_coverage`.
 
 use wsn_coverage::scheme::{
-    detach_network, DriveMode, NetworkSpec, ReplacementScheme, SchemeRegistry, SchemeReport, Sr,
-    SrSc, Unsupported,
+    round_runner, run_to_quiescence, DriveMode, NetworkSpec, ReplacementScheme, SchemeRegistry,
+    SchemeReport, Sr, SrSc, Unsupported,
 };
 use wsn_grid::GridNetwork;
 use wsn_simcore::TraceLog;
 
-use crate::ar::{ArConfig, ArRecovery};
+use crate::ar::{ArConfig, ArProtocol};
 use crate::smart::{self, SmartConfig};
 use crate::vf::{self, VfConfig};
 
@@ -52,7 +52,8 @@ pub fn builtins() -> SchemeRegistry {
 }
 
 /// **AR** — the unsynchronized cascading baseline ([`crate::ar`]) — as a
-/// registrable scheme. Configure via [`Ar::builder`].
+/// registrable scheme: [`ArProtocol`], with or without a network model,
+/// run by [`run_to_quiescence`]. Configure via [`Ar::builder`].
 #[derive(Debug, Clone, Default)]
 pub struct Ar {
     config: ArConfig,
@@ -81,13 +82,27 @@ impl Ar {
         &self.config
     }
 
-    /// `ArRecovery::new` silently clamps a zero round cap; the trait
-    /// path surfaces it as an error instead of rewriting the config.
-    fn check_config(&self) -> Result<(), Unsupported> {
-        if self.config.max_rounds == 0 {
-            return Err(Unsupported::new(self.id(), "max_rounds must be at least 1"));
-        }
-        Ok(())
+    /// The shared driver behind `run` and `run_traced`: the identical
+    /// round sequence either way, recorded into `trace`.
+    fn drive(
+        &self,
+        net: &mut GridNetwork,
+        seed: u64,
+        mode: DriveMode,
+        trace: TraceLog,
+    ) -> Result<(SchemeReport, TraceLog), Unsupported> {
+        let runner = round_runner(self.id(), self.config.max_rounds)?;
+        let config = ArConfig {
+            seed,
+            ..self.config.clone()
+        };
+        let protocol = match mode {
+            DriveMode::Classic => ArProtocol::new(net, config, trace),
+            DriveMode::EventDriven { net: spec } => {
+                ArProtocol::with_net_model(net, config, spec, trace)
+            }
+        };
+        Ok(run_to_quiescence(protocol, runner))
     }
 }
 
@@ -126,13 +141,6 @@ impl ArBuilder {
         self
     }
 
-    /// Enables or disables tracing.
-    #[must_use]
-    pub fn trace(mut self, trace: bool) -> Self {
-        self.config.trace = trace;
-        self
-    }
-
     /// Finishes the build.
     pub fn build(self) -> Ar {
         Ar {
@@ -155,11 +163,7 @@ impl ReplacementScheme for Ar {
         // works (cascades simply fail where the region starves them).
         // Config validity is part of the supports() contract (matrices
         // validate up front), so the round cap is checked here too.
-        self.check_config()
-    }
-
-    fn supports_change_driven(&self) -> bool {
-        true
+        round_runner(self.id(), self.config.max_rounds).map(|_| ())
     }
 
     fn supports_event_driven(&self) -> bool {
@@ -172,21 +176,8 @@ impl ReplacementScheme for Ar {
         seed: u64,
         mode: DriveMode,
     ) -> Result<SchemeReport, Unsupported> {
-        self.check_config()?;
-        let owned = detach_network(net);
-        let mut config = self.config.clone();
-        config.seed = seed;
-        let mut recovery = match mode {
-            DriveMode::EventDriven { net: spec } => ArRecovery::new_event(owned, config, spec),
-            _ => ArRecovery::new(owned, config),
-        }
-        .expect("round cap pre-validated");
-        let report = match mode {
-            DriveMode::ChangeDriven => recovery.run_adaptive(),
-            _ => recovery.run(),
-        };
-        *net = recovery.into_network();
-        Ok(report)
+        self.drive(net, seed, mode, TraceLog::disabled())
+            .map(|(report, _)| report)
     }
 
     fn run_traced(
@@ -195,22 +186,7 @@ impl ReplacementScheme for Ar {
         seed: u64,
         mode: DriveMode,
     ) -> Result<(SchemeReport, TraceLog), Unsupported> {
-        self.check_config()?;
-        let owned = detach_network(net);
-        let mut config = self.config.clone().with_trace(true);
-        config.seed = seed;
-        let mut recovery = match mode {
-            DriveMode::EventDriven { net: spec } => ArRecovery::new_event(owned, config, spec),
-            _ => ArRecovery::new(owned, config),
-        }
-        .expect("round cap pre-validated");
-        let report = match mode {
-            DriveMode::ChangeDriven => recovery.run_adaptive(),
-            _ => recovery.run(),
-        };
-        let trace = recovery.trace().clone();
-        *net = recovery.into_network();
-        Ok((report, trace))
+        self.drive(net, seed, mode, TraceLog::new())
     }
 }
 
@@ -458,24 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn ar_scheme_matches_direct_driver_and_change_driven_conforms() {
-        let ar = Ar::new();
-        let mut net = holed_network(5);
-        let via_trait = ar.run(&mut net, 5, DriveMode::Classic).unwrap();
-        let direct = ArRecovery::new(holed_network(5), ArConfig::default().with_seed(5))
-            .unwrap()
-            .run();
-        assert_eq!(via_trait, direct);
-        assert!(ar.supports_change_driven());
-        let mut net2 = holed_network(5);
-        let adaptive = ar.run(&mut net2, 5, DriveMode::ChangeDriven).unwrap();
-        assert_eq!(
-            adaptive.metrics.ignoring_rounds(),
-            direct.metrics.ignoring_rounds()
-        );
-    }
-
-    #[test]
     fn vf_and_smart_reject_non_classic_modes_without_touching_the_network() {
         use wsn_simcore::NetModelSpec;
         let mut net = holed_network(7);
@@ -483,18 +441,16 @@ mod tests {
         for id in ["vf", "smart"] {
             let reg = builtins();
             let scheme = reg.get(id).unwrap();
-            assert!(!scheme.supports_change_driven());
             assert!(!scheme.supports_event_driven());
-            for mode in [
-                DriveMode::ChangeDriven,
-                DriveMode::EventDriven {
-                    net: NetModelSpec::Ideal,
-                },
-            ] {
-                let err = scheme.run(&mut net, 7, mode).unwrap_err();
-                assert_eq!(err.scheme, id);
-                assert_eq!(net.stats(), before, "{id} must not touch the network");
-            }
+            let mode = DriveMode::EventDriven {
+                net: NetModelSpec::Ideal,
+            };
+            let err = scheme.run(&mut net, 7, mode).unwrap_err();
+            assert_eq!(err.scheme, id);
+            assert_eq!(net.stats(), before, "{id} must not touch the network");
+            let err = scheme.run_traced(&mut net, 7, mode).unwrap_err();
+            assert_eq!(err.scheme, id);
+            assert_eq!(net.stats(), before, "{id} must not touch the network");
         }
     }
 
@@ -513,21 +469,31 @@ mod tests {
                 },
             )
             .unwrap();
-        let direct = ArRecovery::new_event(
-            holed_network(5),
-            ArConfig::default().with_seed(5),
+        let runner = || round_runner("ar", ArConfig::default().max_rounds).unwrap();
+        let config = ArConfig::default().with_seed(5);
+        let mut direct_net = holed_network(5);
+        let protocol = ArProtocol::with_net_model(
+            &mut direct_net,
+            config.clone(),
             NetModelSpec::Ideal,
-        )
-        .unwrap()
-        .run();
+            TraceLog::disabled(),
+        );
+        let (direct, _) = run_to_quiescence(protocol, runner());
         assert_eq!(via_trait, direct);
         assert_eq!(via_trait.health, direct.health);
-        // And Ideal event runs match classic runs (same weather-free axioms).
+        assert_eq!(net.stats(), direct_net.stats());
+        // And Ideal event runs match classic runs (same weather-free
+        // axioms), through the trait and driven directly alike.
         let classic = ar
             .run(&mut holed_network(5), 5, DriveMode::Classic)
             .unwrap();
         assert_eq!(via_trait, classic);
         assert_eq!(via_trait.metrics, classic.metrics);
+        let mut direct_net = holed_network(5);
+        let protocol = ArProtocol::new(&mut direct_net, config, TraceLog::disabled());
+        let (direct, _) = run_to_quiescence(protocol, runner());
+        assert_eq!(classic, direct);
+        assert!(direct.health.is_clean(), "classic runs keep no ledger");
     }
 
     #[test]
@@ -549,11 +515,9 @@ mod tests {
             .spare_selection(wsn_coverage::SpareSelection::FirstId)
             .max_rounds(42)
             .ttl(9)
-            .trace(true)
             .build();
         assert_eq!(ar.config().max_rounds, 42);
         assert_eq!(ar.config().ttl, 9);
-        assert!(ar.config().trace);
         let vf = Vf::builder()
             .spacing_factor(1.5)
             .step_factor(0.25)

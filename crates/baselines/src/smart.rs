@@ -223,16 +223,14 @@ mod tests {
     fn single_hole_costs_grid_wide_movement() {
         // The paper's criticism: one hole, yet the scans shuffle nodes
         // everywhere.
-        use wsn_coverage::{Recovery, SrConfig};
+        use wsn_coverage::{DriveMode, ReplacementScheme, Sr};
         let sys = GridSystem::new(6, 6, 4.4721).unwrap();
         let mut rng = SimRng::seed_from_u64(3);
         let pos = deploy::with_holes(&sys, &[GridCoord::new(3, 3)], 2, &mut rng);
         let mut smart_net = GridNetwork::new(sys, &pos);
-        let sr_net = GridNetwork::new(sys, &pos);
+        let mut sr_net = GridNetwork::new(sys, &pos);
         let smart = run(&mut smart_net, &SmartConfig { seed: 3 });
-        let sr = Recovery::new(sr_net, SrConfig::default().with_seed(3))
-            .unwrap()
-            .run();
+        let sr = Sr::new().run(&mut sr_net, 3, DriveMode::Classic).unwrap();
         assert!(smart.fully_covered && sr.fully_covered);
         assert!(
             smart.metrics.moves > 4 * sr.metrics.moves,

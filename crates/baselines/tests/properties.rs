@@ -1,7 +1,8 @@
 //! Property-based tests for the baseline schemes.
 
 use proptest::prelude::*;
-use wsn_baselines::{smart, vf, ArConfig, ArRecovery, SmartConfig, VfConfig};
+use wsn_baselines::{smart, vf, Ar, SmartConfig, VfConfig};
+use wsn_coverage::{DriveMode, ReplacementScheme};
 use wsn_grid::{deploy, GridNetwork, GridSystem};
 use wsn_simcore::SimRng;
 
@@ -20,15 +21,14 @@ proptest! {
         cols in 3u16..9, rows in 3u16..9,
         count in 0usize..250, seed in 0u64..5_000,
     ) {
-        let net = random_network(cols, rows, count, seed);
-        let mut rec = ArRecovery::new(net, ArConfig::default().with_seed(seed)).unwrap();
-        let report = rec.run();
+        let mut net = random_network(cols, rows, count, seed);
+        let report = Ar::new().run(&mut net, seed, DriveMode::Classic).unwrap();
         prop_assert!(report.run.is_quiescent(), "AR must terminate");
         prop_assert_eq!(
             report.metrics.processes_initiated,
             report.metrics.processes_converged + report.metrics.processes_failed
         );
-        rec.network().debug_invariants();
+        net.debug_invariants();
         // Node conservation: AR never creates or destroys nodes.
         prop_assert_eq!(report.final_stats.enabled, report.initial_stats.enabled);
     }
@@ -47,8 +47,7 @@ proptest! {
         for id in net.members(sys.coord_of(idx)).unwrap().to_vec() {
             net.disable_node(id).unwrap();
         }
-        let mut rec = ArRecovery::new(net, ArConfig::default().with_seed(seed)).unwrap();
-        let report = rec.run();
+        let report = Ar::new().run(&mut net, seed, DriveMode::Classic).unwrap();
         prop_assert!(report.fully_covered, "4/cell density must recover");
         prop_assert!(report.metrics.processes_converged >= 1);
     }

@@ -12,8 +12,9 @@
 //! * `record` re-executes one campaign coordinate traced and saves a
 //!   `replay_<coord>.trace` artifact (`--plan` attaches a fault
 //!   schedule in `round:kill-nodes:1,2` text form, `--drive` picks the
-//!   driver, `--scenario H:P` records a conformance scenario instead of
-//!   a matrix trial).
+//!   drive mode (`classic` or `event-<net model token>`, e.g.
+//!   `event-loss100000-lat2`), `--scenario H:P` records a conformance
+//!   scenario instead of a matrix trial).
 //! * `diff` compares two artifacts event-by-event and prints the first
 //!   divergent record with context; exit code 1 on divergence.
 //! * `verify` re-executes an artifact's spec and diffs the fresh trace
@@ -27,7 +28,7 @@
 //!   round-trips the artifact — exit 0 only if every step holds.
 //! * `bench` times record/replay overhead (untraced run vs traced run
 //!   vs codec round-trip) and writes `BENCH_replay.json` in the
-//!   criterion stand-in min/mean/max shape.
+//!   ledger's min/mean/max shape.
 //!
 //! Artifacts land in `results/` at the workspace root (or
 //! `$WSN_RESULTS_DIR`).
@@ -99,10 +100,9 @@ fn build_spec(mut args: Vec<String>) -> Result<(ReplaySpec, Option<PathBuf>), St
         Some(text) => fault_plan_from_str(&text).map_err(|e| e.to_string())?,
         None => wsn_simcore::FaultPlan::new(),
     };
-    let drive = match take_flag(&mut args, "--drive")?.as_deref() {
-        None | Some("classic") => DriveMode::Classic,
-        Some("change-driven") => DriveMode::ChangeDriven,
-        Some(other) => return Err(format!("bad --drive {other:?}")),
+    let drive = match take_flag(&mut args, "--drive")? {
+        Some(d) => d.parse().map_err(|e| format!("bad --drive: {e}"))?,
+        None => DriveMode::Classic,
     };
     let out = take_flag(&mut args, "--out")?.map(PathBuf::from);
     let scheme = match args.iter().find(|a| !a.starts_with("--")) {
@@ -280,7 +280,7 @@ fn node_ids(raw: &[u32]) -> Vec<wsn_simcore::NodeId> {
 }
 
 /// Times one closure `samples` times and returns (min, mean, max) in
-/// nanoseconds — the criterion stand-in shape. A few untimed warmup
+/// nanoseconds — the ledger's entry shape. A few untimed warmup
 /// iterations stabilize caches first so `min_ns` is comparable across
 /// machines and runs (the perf gate diffs it at 25%).
 fn time_ns(samples: usize, mut f: impl FnMut()) -> (f64, f64, f64) {
@@ -371,7 +371,7 @@ fn cmd_bench(dir: &Path) -> Result<(), String> {
 
 const USAGE: &str = "usage: replay <record|diff|verify|shrink|smoke|bench> [args]
   record <scheme> [--grid CxR] [--n N] [--trial T] [--seed S] [--plan TEXT]
-                  [--drive classic|change-driven] [--scenario H:P] [--out FILE]
+                  [--drive classic|event-<net>] [--scenario H:P] [--out FILE]
   diff <a.trace> <b.trace>
   verify <a.trace>
   shrink <a.trace>

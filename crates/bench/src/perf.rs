@@ -1,5 +1,5 @@
-//! The perf ledger: criterion stand-in benchmarks for the hot paths,
-//! with a checked-in baseline comparison gate.
+//! The perf ledger: min/mean/max wall-clock benchmarks for the hot
+//! paths, with a checked-in baseline comparison gate.
 //!
 //! Two artifacts, written by `cargo run -p wsn-bench --bin perf -- run`:
 //!
@@ -19,8 +19,8 @@
 //!   round loop only and reported as `ns_per_round`, which must not
 //!   grow with the grid.
 //!
-//! Every entry is the criterion stand-in shape `{name, samples, min_ns,
-//! mean_ns, max_ns}` that `replay bench` established for
+//! Every entry is the shape `{name, samples, min_ns, mean_ns,
+//! max_ns}` that `replay bench` established for
 //! `BENCH_replay.json`. `min_ns` is the comparison statistic: it is the
 //! least noisy summary of a loop's cost on a busy machine.
 //!
@@ -36,10 +36,11 @@ use std::fmt;
 use std::path::Path;
 use std::time::Instant;
 
+use wsn_coverage::scheme::SchemeProtocol;
 use wsn_coverage::{SrConfig, SrProtocol};
 use wsn_grid::{deploy, GridNetwork, GridSystem, HoleSet, RegionShape};
 use wsn_hamilton::{CycleTopology, MaskedCycle};
-use wsn_simcore::{FaultEvent, RoundProtocol, SimRng};
+use wsn_simcore::{FaultEvent, RoundProtocol, SimRng, TraceLog};
 use wsn_stats::JsonValue;
 
 use crate::campaign::{
@@ -64,7 +65,7 @@ pub const LEDGER_FILES: [&str; 6] = [
 ];
 
 /// Times one closure `samples` times and returns (min, mean, max) in
-/// nanoseconds — the criterion stand-in shape.
+/// nanoseconds — the ledger's entry shape.
 fn time_ns(samples: usize, mut f: impl FnMut()) -> (f64, f64, f64) {
     let mut times = Vec::with_capacity(samples);
     for _ in 0..samples {
@@ -287,7 +288,13 @@ fn single_cascade_entry(side: u16, samples: usize) -> JsonValue {
     let mut times = Vec::with_capacity(samples);
     let mut rounds = 0;
     for _ in 0..samples {
-        let mut sr = SrProtocol::new(net.clone(), topo.clone(), SrConfig::default());
+        let mut copy = net.clone();
+        let mut sr = SrProtocol::new(
+            &mut copy,
+            topo.clone(),
+            SrConfig::default(),
+            TraceLog::disabled(),
+        );
         sr.execute_round(0);
         sr.execute_round(1);
         assert_eq!(sr.metrics().moves, 1, "round 1 makes the first relay");

@@ -37,12 +37,14 @@ use std::fmt;
 use std::path::Path;
 
 use wsn_baselines::{Ar, Smart, Vf};
-use wsn_coverage::scheme::{DriveMode, ReplacementScheme, SchemeReport, Sr, SrSc, Unsupported};
+use wsn_coverage::scheme::{
+    DriveMode, ReplacementScheme, SchemeReport, Sr, SrSc, UnknownDrive, Unsupported,
+};
 use wsn_coverage::SrConfig;
 use wsn_grid::{deploy, GridNetwork, GridSystem, RegionShape};
 use wsn_simcore::replay::{diff_logs, shrink_fault_plan, ShrinkReport, TraceDiff};
 use wsn_simcore::trace::binary;
-use wsn_simcore::{FaultEvent, FaultPlan, NetModelSpec, NodeId, SimRng, TraceEvent, TraceLog};
+use wsn_simcore::{FaultEvent, FaultPlan, NodeId, SimRng, TraceEvent, TraceLog};
 
 use crate::campaign::{build_trial_network, trial_stream_seed, CampaignConfig, CampaignMode};
 
@@ -104,6 +106,12 @@ impl std::error::Error for ReplayError {}
 impl From<Unsupported> for ReplayError {
     fn from(e: Unsupported) -> Self {
         ReplayError::Run(e.to_string())
+    }
+}
+
+impl From<UnknownDrive> for ReplayError {
+    fn from(e: UnknownDrive) -> Self {
+        ReplayError::BadArtifact(e.to_string())
     }
 }
 
@@ -279,7 +287,7 @@ impl ReplaySpec {
             Deployment::Matrix(_) => format!(
                 "{}_{}_{}_{}x{}_n{}_t{}",
                 self.scheme,
-                drive_str(self.drive),
+                self.drive,
                 self.region.label(),
                 cols,
                 rows,
@@ -288,13 +296,7 @@ impl ReplaySpec {
             ),
             Deployment::Scenario { holes, per_cell } => format!(
                 "{}_{}_scn{}x{}_h{}_p{}_s{}",
-                self.scheme,
-                drive_str(self.drive),
-                cols,
-                rows,
-                holes,
-                per_cell,
-                self.master_seed
+                self.scheme, self.drive, cols, rows, holes, per_cell, self.master_seed
             ),
         }
     }
@@ -325,30 +327,6 @@ impl ReplaySpec {
                 GridNetwork::new(sys, &pos)
             }
         }
-    }
-}
-
-fn drive_str(drive: DriveMode) -> String {
-    match drive {
-        DriveMode::Classic => "classic".into(),
-        DriveMode::ChangeDriven => "change-driven".into(),
-        DriveMode::EventDriven { net } => format!("event-{}", net.token()),
-    }
-}
-
-fn parse_drive(s: &str) -> Result<DriveMode, ReplayError> {
-    if let Some(token) = s.strip_prefix("event-") {
-        let net = NetModelSpec::parse_token(token).ok_or_else(|| {
-            ReplayError::BadArtifact(format!("unknown network model token {token:?}"))
-        })?;
-        return Ok(DriveMode::EventDriven { net });
-    }
-    match s {
-        "classic" => Ok(DriveMode::Classic),
-        "change-driven" => Ok(DriveMode::ChangeDriven),
-        other => Err(ReplayError::BadArtifact(format!(
-            "unknown drive mode {other:?}"
-        ))),
     }
 }
 
@@ -427,11 +405,9 @@ pub fn record(spec: &ReplaySpec) -> Result<Recording, ReplayError> {
 }
 
 /// Whether two recordings disagree: either the traces diverge or the
-/// cost counters (modulo `rounds`, the one legitimately drive-dependent
-/// field) differ.
+/// cost counters (`rounds` included) differ.
 pub fn recordings_diverge(left: &Recording, right: &Recording) -> bool {
-    !diff_logs(&left.trace, &right.trace).is_clean()
-        || left.report.metrics.ignoring_rounds() != right.report.metrics.ignoring_rounds()
+    !diff_logs(&left.trace, &right.trace).is_clean() || left.report.metrics != right.report.metrics
 }
 
 /// Minimizes `left.fault_plan` while the two specs still disagree
@@ -572,7 +548,7 @@ impl ReplayArtifact {
         let mut meta: Vec<(String, String)> = vec![
             ("schema".into(), ARTIFACT_SCHEMA.into()),
             ("scheme".into(), self.spec.scheme.clone()),
-            ("drive".into(), drive_str(self.spec.drive)),
+            ("drive".into(), self.spec.drive.to_string()),
             ("region".into(), self.spec.region.label().into()),
             ("cols".into(), cols.to_string()),
             ("rows".into(), rows.to_string()),
@@ -601,7 +577,7 @@ impl ReplayArtifact {
         ];
         if let Some((scheme, drive)) = &self.baseline {
             meta.push(("baseline".into(), scheme.clone()));
-            meta.push(("baseline_drive".into(), drive_str(*drive)));
+            meta.push(("baseline_drive".into(), drive.to_string()));
         }
         binary::encode(&meta, &self.trace)
     }
@@ -658,12 +634,12 @@ impl ReplayArtifact {
             }
         };
         let baseline = match meta.iter().find(|(k, _)| k == "baseline") {
-            Some((_, scheme)) => Some((scheme.clone(), parse_drive(get("baseline_drive")?)?)),
+            Some((_, scheme)) => Some((scheme.clone(), get("baseline_drive")?.parse()?)),
             None => None,
         };
         let spec = ReplaySpec {
             scheme: get("scheme")?.to_string(),
-            drive: parse_drive(get("drive")?)?,
+            drive: get("drive")?.parse()?,
             region: parse_region(get("region")?)?,
             grid: (parse_num("cols")? as u16, parse_num("rows")? as u16),
             n_target: parse_num("n_target")? as usize,
@@ -777,8 +753,7 @@ impl ReplaySpec {
     /// Slug without the drive-mode segment (shared by the two sides of
     /// a conformance divergence).
     fn spec_slug_base(&self) -> String {
-        self.slug()
-            .replace(&format!("_{}_", drive_str(self.drive)), "_")
+        self.slug().replace(&format!("_{}_", self.drive), "_")
     }
 }
 
@@ -843,10 +818,6 @@ impl ReplacementScheme for SabotagedSr {
 
     fn supports(&self, spec: &wsn_coverage::scheme::NetworkSpec) -> Result<(), Unsupported> {
         self.inner.supports(spec)
-    }
-
-    fn supports_change_driven(&self) -> bool {
-        true
     }
 
     fn run(

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use wsn_baselines::Ar;
 use wsn_coverage::scheme::{DriveMode, ReplacementScheme};
-use wsn_coverage::{Recovery, Sr, SrConfig, SrSc};
+use wsn_coverage::{Sr, SrSc};
 use wsn_grid::{deploy, GridNetwork, GridSystem};
 use wsn_simcore::{Metrics, SimRng};
 use wsn_stats::JsonValue;
@@ -99,9 +99,10 @@ pub fn simulate_single_replacement(cols: u16, rows: u16, n: usize, seed: u64) ->
             rng.uniform_f64(),
         ));
     }
-    let net = GridNetwork::new(sys, &pos);
-    let mut rec = Recovery::new(net, SrConfig::default().with_seed(seed)).expect("valid topology");
-    let report = rec.run();
+    let mut net = GridNetwork::new(sys, &pos);
+    let report = Sr::new()
+        .run(&mut net, seed, DriveMode::Classic)
+        .expect("valid topology");
     assert!(report.fully_covered, "a spare exists, so SR converges");
     report.processes[0].hops
 }

@@ -1,46 +1,30 @@
-//! Differential conformance: for every scheme that implements both
-//! drivers, the classic idle-confirmation loop ([`RoundRunner::run`])
-//! and the change-driven fast path ([`RoundRunner::run_change_driven`])
-//! must do identical work.
+//! Registry conformance: every registered scheme drives generically
+//! through [`ReplacementScheme`], with no per-scheme code in the loop.
+//! Classic runs recover a seeded scenario in place; schemes with an
+//! event engine reproduce their classic report byte for byte under
+//! [`DriveMode::EventDriven`] with ideal weather; schemes without one
+//! refuse that mode without touching the network; and
+//! [`ReplacementScheme::supports`] is honored on masked regions.
 //!
-//! `run` observes quiescence by executing no-op rounds until an idle
-//! window elapses; `run_change_driven` reads the protocol's own
-//! pending-work index ([`wsn_simcore::ChangeDrivenProtocol`]) and stops
-//! the moment it is empty. Because both drivers execute the identical
-//! round prefix (same round indices, same RNG draws), every cost counter
-//! must agree — the *only* legitimate divergence is `Metrics::rounds`,
-//! which by design excludes the trailing no-op rounds on the fast path.
-//! This suite pins that equivalence for SR ([`Recovery`]) and AR
-//! ([`ArRecovery`]) across a seeded grid of recoverable scenarios:
-//! single-cycle and dual-path grids, scattered holes, and mid-run fault
-//! injection.
+//! A classic-vs-event mismatch is reported through
+//! [`replay::divergence_message`]: paired trace artifacts, the first
+//! divergent event, and (when a fault schedule is involved) the shrunk
+//! schedule.
 //!
-//! [`RoundRunner::run`]: wsn_simcore::RoundRunner::run
-//! [`RoundRunner::run_change_driven`]: wsn_simcore::RoundRunner::run_change_driven
+//! [`ReplacementScheme`]: wsn_coverage::scheme::ReplacementScheme
+//! [`ReplacementScheme::supports`]: wsn_coverage::scheme::ReplacementScheme::supports
 
 use std::path::Path;
 
-use wsn_baselines::{builtins, ArConfig, ArRecovery};
+use wsn_baselines::builtins;
 use wsn_bench::replay::{self, ReplaySpec};
 use wsn_coverage::scheme::{DriveMode, NetworkSpec};
-use wsn_coverage::{Recovery, SrConfig};
 use wsn_grid::{deploy, GridCoord, GridNetwork, GridSystem, RegionMask, RegionShape};
-use wsn_simcore::{FaultEvent, FaultPlan, Metrics, SimRng};
+use wsn_simcore::{NetModelSpec, SimRng};
 
-/// The scenario grid: `(cols, rows, holes, per_cell)` per entry, each
-/// run under several seeds. Deployments are dense enough that both
-/// schemes reach full coverage, so the pending-hole index empties and
-/// the comparison covers every counter (including `cells_scanned`).
-fn scenario_grid() -> Vec<(u16, u16, usize, usize)> {
-    vec![
-        (4, 4, 1, 2),
-        (6, 6, 2, 2),
-        (6, 6, 4, 3),
-        (8, 8, 3, 2),
-        (5, 5, 2, 2), // dual-path structure (odd x odd)
-        (7, 5, 3, 3), // dual-path, non-square
-    ]
-}
+const IDEAL: DriveMode = DriveMode::EventDriven {
+    net: NetModelSpec::Ideal,
+};
 
 /// Deterministically punches `holes` distinct cells out of a
 /// `per_cell`-dense deployment.
@@ -56,16 +40,11 @@ fn seeded_network(cols: u16, rows: u16, holes: usize, per_cell: usize, seed: u64
     GridNetwork::new(sys, &pos)
 }
 
-/// Strips the one field the two drivers legitimately disagree on.
-fn costs(m: Metrics) -> Metrics {
-    m.ignoring_rounds()
-}
-
 /// On-divergence reporting: instead of a bare failed assert, re-record
-/// both drivers traced through the replay harness, drop paired
-/// `replay_<coord>.trace` artifacts (plus the ddmin-shrunk fault
-/// schedule when one is involved) into `results/`, and panic with the
-/// first divergent event and the artifact paths.
+/// the classic and the ideal-weather event run traced through the replay
+/// harness, drop paired `replay_<coord>.trace` artifacts into
+/// `results/`, and return the first divergent event and the artifact
+/// paths.
 fn conformance_divergence(
     tag: &str,
     scheme: &str,
@@ -73,155 +52,21 @@ fn conformance_divergence(
     holes: usize,
     per_cell: usize,
     seed: u64,
-    plan: FaultPlan,
 ) -> String {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    let left = ReplaySpec::scenario(scheme, grid, holes, per_cell, seed).with_plan(plan);
-    let right = left.clone().with_drive(DriveMode::ChangeDriven);
+    let left = ReplaySpec::scenario(scheme, grid, holes, per_cell, seed);
+    let right = left.clone().with_drive(IDEAL);
     replay::divergence_message(&dir, tag, &left, &right)
-        .unwrap_or_else(|e| format!("{tag}: drivers diverged (and replay reporting failed: {e})"))
-}
-
-#[test]
-fn sr_change_driven_run_is_conformant_across_the_scenario_grid() {
-    for (cols, rows, holes, per_cell) in scenario_grid() {
-        for seed in [11u64, 47, 1009] {
-            let mk = || seeded_network(cols, rows, holes, per_cell, seed);
-            let classic = Recovery::new(mk(), SrConfig::default().with_seed(seed))
-                .expect("topology exists")
-                .run();
-            let adaptive = Recovery::new(mk(), SrConfig::default().with_seed(seed))
-                .expect("topology exists")
-                .run_adaptive();
-            let tag = format!("SR {cols}x{rows} holes={holes} seed={seed}");
-            assert!(classic.fully_covered, "{tag}: classic must recover");
-            assert!(adaptive.fully_covered, "{tag}: adaptive must recover");
-            if costs(classic.metrics) != costs(adaptive.metrics) {
-                panic!(
-                    "{}",
-                    conformance_divergence(
-                        &tag,
-                        "sr",
-                        (cols, rows),
-                        holes,
-                        per_cell,
-                        seed,
-                        FaultPlan::new()
-                    )
-                );
-            }
-            assert_eq!(
-                classic.processes, adaptive.processes,
-                "{tag}: per-process summaries must be identical"
-            );
-            assert!(
-                adaptive.run.rounds <= classic.run.rounds,
-                "{tag}: the fast path never runs longer"
-            );
-        }
-    }
-}
-
-#[test]
-fn ar_change_driven_run_is_conformant_across_the_scenario_grid() {
-    for (cols, rows, holes, per_cell) in scenario_grid() {
-        for seed in [11u64, 47, 1009] {
-            let mk = || seeded_network(cols, rows, holes, per_cell, seed);
-            let classic = ArRecovery::new(mk(), ArConfig::default().with_seed(seed))
-                .expect("valid round cap")
-                .run();
-            let adaptive = ArRecovery::new(mk(), ArConfig::default().with_seed(seed))
-                .expect("valid round cap")
-                .run_adaptive();
-            let tag = format!("AR {cols}x{rows} holes={holes} seed={seed}");
-            assert!(classic.fully_covered, "{tag}: classic must recover");
-            assert!(adaptive.fully_covered, "{tag}: adaptive must recover");
-            if costs(classic.metrics) != costs(adaptive.metrics) {
-                panic!(
-                    "{}",
-                    conformance_divergence(
-                        &tag,
-                        "ar",
-                        (cols, rows),
-                        holes,
-                        per_cell,
-                        seed,
-                        FaultPlan::new()
-                    )
-                );
-            }
-            assert_eq!(
-                classic.final_stats.vacant, adaptive.final_stats.vacant,
-                "{tag}: final occupancy must agree"
-            );
-            assert!(
-                adaptive.run.rounds <= classic.run.rounds,
-                "{tag}: the fast path never runs longer"
-            );
-        }
-    }
-}
-
-#[test]
-fn sr_conformance_holds_under_mid_run_faults() {
-    // The pending-work check must keep the change-driven run alive
-    // through scheduled faults: killing a whole cell at round 3 (after
-    // the initial holes are already repaired) re-opens recovery, and
-    // both drivers must bill the identical work.
-    for seed in [5u64, 21] {
-        let mk = || {
-            let net = seeded_network(6, 6, 1, 2, seed);
-            let victims = net
-                .members(GridCoord::new(3, 3))
-                .expect("in bounds")
-                .to_vec();
-            (net, victims)
-        };
-        let (net_c, victims_c) = mk();
-        let cfg_c = SrConfig::default()
-            .with_seed(seed)
-            .with_fault_plan(FaultPlan::new().at(3, FaultEvent::KillNodes(victims_c)));
-        let classic = Recovery::new(net_c, cfg_c).expect("topology").run();
-        let (net_a, victims_a) = mk();
-        let cfg_a = SrConfig::default()
-            .with_seed(seed)
-            .with_fault_plan(FaultPlan::new().at(3, FaultEvent::KillNodes(victims_a)));
-        let adaptive = Recovery::new(net_a, cfg_a)
-            .expect("topology")
-            .run_adaptive();
-        assert!(
-            classic.fully_covered && adaptive.fully_covered,
-            "seed {seed}"
-        );
-        if costs(classic.metrics) != costs(adaptive.metrics) {
-            // This comparison involves a fault schedule, so the
-            // divergence report also ships a ddmin-shrunk version of it.
-            let (_, victims) = mk();
-            panic!(
-                "{}",
-                conformance_divergence(
-                    &format!("SR mid-run faults seed={seed}"),
-                    "sr",
-                    (6, 6),
-                    1,
-                    2,
-                    seed,
-                    FaultPlan::new().at(3, FaultEvent::KillNodes(victims))
-                )
-            );
-        }
-        // The fault round itself must have been executed by both.
-        assert!(adaptive.metrics.rounds > 3, "seed {seed}");
-    }
+        .unwrap_or_else(|e| format!("{tag}: drives diverged (and replay reporting failed: {e})"))
 }
 
 #[test]
 fn every_registered_scheme_drives_generically_through_the_registry() {
     // The uniform API: no per-scheme code in this loop at all. Every
-    // registered scheme runs classic on a full region; schemes that
-    // advertise the change-driven driver must do identical work on it,
-    // and schemes that don't must refuse it without touching the
-    // network.
+    // registered scheme runs classic on a full region; schemes with an
+    // event engine must reproduce the classic report under ideal
+    // weather, and schemes without one must refuse it without touching
+    // the network.
     let registry = builtins();
     let ids: Vec<String> = registry.ids().iter().map(ToString::to_string).collect();
     assert_eq!(ids, ["sr", "sr-sc", "ar", "vf", "smart"]);
@@ -243,33 +88,22 @@ fn every_registered_scheme_drives_generically_through_the_registry() {
             assert_eq!(classic.initial_stats, before, "{tag}");
             assert_eq!(classic.final_stats, net.stats(), "{tag}");
             net.debug_invariants();
-            if scheme.supports_change_driven() {
-                let mut net2 = mk();
-                let adaptive = scheme
-                    .run(&mut net2, seed, DriveMode::ChangeDriven)
+            let mut net2 = mk();
+            if scheme.supports_event_driven() {
+                let event = scheme
+                    .run(&mut net2, seed, IDEAL)
                     .unwrap_or_else(|e| panic!("{tag}: {e}"));
-                if costs(classic.metrics) != costs(adaptive.metrics) {
+                if event != classic {
                     panic!(
                         "{}",
-                        conformance_divergence(
-                            &tag,
-                            scheme.id(),
-                            (8, 8),
-                            3,
-                            2,
-                            seed,
-                            FaultPlan::new()
-                        )
+                        conformance_divergence(&tag, scheme.id(), (8, 8), 3, 2, seed)
                     );
                 }
-                assert!(adaptive.run.rounds <= classic.run.rounds, "{tag}");
+                assert_eq!(net2.stats(), net.stats(), "{tag}");
             } else {
-                let mut net2 = mk();
                 let untouched = net2.stats();
                 assert!(
-                    scheme
-                        .run(&mut net2, seed, DriveMode::ChangeDriven)
-                        .is_err(),
+                    scheme.run(&mut net2, seed, IDEAL).is_err(),
                     "{tag}: unsupported mode must be refused"
                 );
                 assert_eq!(net2.stats(), untouched, "{tag}: refusal must not mutate");
@@ -326,23 +160,4 @@ fn supports_is_honored_on_masked_regions() {
             assert!(scheme.supports(&spec).is_ok(), "{id}@{shape}");
         }
     }
-}
-
-#[test]
-fn rounds_is_the_only_divergent_field() {
-    // Document the exact shape of the divergence: put the classic
-    // driver's round count into the adaptive metrics and the two become
-    // fully equal — nothing else drifted.
-    let seed = 47;
-    let mk = || seeded_network(8, 8, 3, 2, seed);
-    let classic = Recovery::new(mk(), SrConfig::default().with_seed(seed))
-        .expect("topology")
-        .run();
-    let adaptive = Recovery::new(mk(), SrConfig::default().with_seed(seed))
-        .expect("topology")
-        .run_adaptive();
-    assert_ne!(classic.metrics, adaptive.metrics, "rounds must differ");
-    let mut patched = adaptive.metrics;
-    patched.rounds = classic.metrics.rounds;
-    assert_eq!(classic.metrics, patched);
 }

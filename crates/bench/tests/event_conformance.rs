@@ -2,32 +2,45 @@
 //!
 //! The engine ([`wsn_coverage::actor`]) re-implements SR and SR-SC as
 //! genuine distributed protocols — typed envelopes through a network
-//! model, a virtual-clock scheduler, per-cell actors. The honesty
+//! model, a virtual-clock scheduler, per-cell actors — and AR routes its
+//! probes and asks through the same network models. The honesty
 //! argument: under [`NetModelSpec::Ideal`] every envelope arrives at
 //! the start of the next round, which is exactly when the classic
 //! lock-step runner would have acted on it, so the event engine must
 //! reproduce the classic runner's reports **byte for byte** — same
 //! metrics (including `rounds`), same per-process summaries, same
-//! RNG draw order. This suite pins that equivalence across the same
-//! scenario grid the change-driven conformance suite uses (single-cycle
-//! and dual-path grids, masked regions, mid-run faults), then pins the
-//! paper's two message-complexity claims as trace-count equalities, and
-//! finally checks the engine is honest about *degraded* weather: a
+//! RNG draw order. This suite pins that equivalence across a seeded
+//! scenario grid (single-cycle and dual-path grids, masked regions,
+//! mid-run faults) on which every classic run fully recovers, then pins
+//! the paper's two message-complexity claims as trace-count equalities,
+//! and finally checks the engine is honest about *degraded* weather: a
 //! seeded 30%-loss run must report the pathologies (duplicate
 //! initiations, lost cascades) that the paper's reliable-channel
 //! assumption defines away.
+//!
+//! A mismatch on a full-region scenario is reported through
+//! [`replay::divergence_message`]: paired trace artifacts of the classic
+//! and the event run, the first divergent event, and — when a fault
+//! schedule is involved — its ddmin-shrunk minimum.
+
+use std::path::Path;
 
 use proptest::prelude::*;
-use wsn_baselines::builtins;
-use wsn_coverage::scheme::{DriveMode, NetworkSpec};
-use wsn_coverage::{EventScRecovery, EventSrRecovery, Recovery, ShortcutRecovery, SrConfig};
+use wsn_baselines::{builtins, Ar};
+use wsn_bench::replay::{self, ReplaySpec};
+use wsn_coverage::scheme::{DriveMode, NetworkSpec, ReplacementScheme, SchemeReport};
+use wsn_coverage::{Sr, SrConfig, SrSc};
 use wsn_grid::{deploy, GridCoord, GridNetwork, GridSystem, RegionMask};
 use wsn_simcore::{FaultEvent, FaultPlan, NetModelSpec, SimRng, TraceEvent};
 
-/// The scenario grid shared with the change-driven conformance suite:
-/// `(cols, rows, holes, per_cell)` per entry, each run under several
-/// seeds. Includes the dual-path structures (odd × odd and odd × odd
-/// non-square) that Algorithm 2 serves.
+const IDEAL: DriveMode = DriveMode::EventDriven {
+    net: NetModelSpec::Ideal,
+};
+
+/// The scenario grid: `(cols, rows, holes, per_cell)` per entry, each
+/// run under several seeds. Deployments are dense enough that SR, SR-SC
+/// and AR all reach full coverage. Includes the dual-path structures
+/// (odd × odd and odd × odd non-square) that Algorithm 2 serves.
 fn scenario_grid() -> Vec<(u16, u16, usize, usize)> {
     vec![
         (4, 4, 1, 2),
@@ -40,7 +53,8 @@ fn scenario_grid() -> Vec<(u16, u16, usize, usize)> {
 }
 
 /// Deterministically punches `holes` distinct cells out of a
-/// `per_cell`-dense deployment.
+/// `per_cell`-dense deployment — the deployment
+/// [`ReplaySpec::scenario`] rebuilds for the same arguments.
 fn seeded_network(cols: u16, rows: u16, holes: usize, per_cell: usize, seed: u64) -> GridNetwork {
     let sys = GridSystem::for_comm_range(cols, rows, 10.0).expect("valid dims");
     let mut rng = SimRng::seed_from_u64(seed);
@@ -67,27 +81,82 @@ fn cascade_network(seed: u64) -> GridNetwork {
     GridNetwork::new(sys, &pos)
 }
 
+/// On-divergence reporting: re-records the classic and the
+/// ideal-weather event run of a scenario traced through the replay
+/// harness, drops paired `replay_<coord>.trace` artifacts (plus the
+/// shrunk fault schedule when one is involved) into `results/`, and
+/// returns the first divergent event and the artifact paths.
+fn divergence(
+    tag: &str,
+    scheme: &str,
+    (cols, rows, holes, per_cell): (u16, u16, usize, usize),
+    seed: u64,
+    plan: FaultPlan,
+) -> String {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let classic = ReplaySpec::scenario(scheme, (cols, rows), holes, per_cell, seed).with_plan(plan);
+    let event = classic.clone().with_drive(IDEAL);
+    replay::divergence_message(&dir, tag, &classic, &event)
+        .unwrap_or_else(|e| format!("{tag}: drives diverged (and replay reporting failed: {e})"))
+}
+
+/// Runs `scheme` classic and under ideal weather on the same scenario
+/// deployment and returns both reports.
+fn classic_and_ideal(
+    scheme: &dyn ReplacementScheme,
+    (cols, rows, holes, per_cell): (u16, u16, usize, usize),
+    seed: u64,
+) -> (SchemeReport, SchemeReport) {
+    let mk = || seeded_network(cols, rows, holes, per_cell, seed);
+    let classic = scheme
+        .run(&mut mk(), seed, DriveMode::Classic)
+        .expect("scheme supports the scenario");
+    let event = scheme
+        .run(&mut mk(), seed, IDEAL)
+        .expect("scheme supports the scenario");
+    (classic, event)
+}
+
 #[test]
 fn sr_event_ideal_reproduces_the_classic_report_across_the_scenario_grid() {
-    for (cols, rows, holes, per_cell) in scenario_grid() {
+    for scenario in scenario_grid() {
+        let (cols, rows, holes, _) = scenario;
         for seed in [11u64, 47, 1009] {
             let tag = format!("SR {cols}x{rows} holes={holes} seed={seed}");
-            let mk = || seeded_network(cols, rows, holes, per_cell, seed);
-            let classic = Recovery::new(mk(), SrConfig::default().with_seed(seed))
-                .expect("topology exists")
-                .run();
-            let event = EventSrRecovery::new(
-                mk(),
-                SrConfig::default().with_seed(seed),
-                NetModelSpec::Ideal,
-            )
-            .expect("topology exists")
-            .run();
+            let (classic, event) = classic_and_ideal(&Sr::new(), scenario, seed);
+            assert!(classic.fully_covered, "{tag}: classic must recover");
             // SchemeReport equality covers metrics (rounds included),
             // coverage verdict, per-process summaries and final stats —
             // the full byte-identical contract.
-            assert_eq!(classic, event, "{tag}");
+            if classic != event {
+                panic!(
+                    "{}",
+                    divergence(&tag, "sr", scenario, seed, FaultPlan::new())
+                );
+            }
             assert!(event.health.is_clean(), "{tag}: ideal weather is clean");
+        }
+    }
+}
+
+#[test]
+fn ar_event_ideal_reproduces_the_classic_report_across_the_scenario_grid() {
+    for scenario in scenario_grid() {
+        let (cols, rows, holes, _) = scenario;
+        for seed in [11u64, 47, 1009] {
+            let tag = format!("AR {cols}x{rows} holes={holes} seed={seed}");
+            let (classic, event) = classic_and_ideal(&Ar::new(), scenario, seed);
+            assert!(classic.fully_covered, "{tag}: classic must recover");
+            if classic != event {
+                panic!(
+                    "{}",
+                    divergence(&tag, "ar", scenario, seed, FaultPlan::new())
+                );
+            }
+            // AR's only ledger entries under ideal weather are its own
+            // redundant initiations; nothing is lost or stalled.
+            assert_eq!(event.health.lost_cascades, 0, "{tag}");
+            assert_eq!(event.health.stalled_repairs, 0, "{tag}");
         }
     }
 }
@@ -96,24 +165,20 @@ fn sr_event_ideal_reproduces_the_classic_report_across_the_scenario_grid() {
 fn sr_sc_event_ideal_reproduces_the_classic_report_on_cycle_grids() {
     // SR-SC needs a single Hamilton cycle (one even side), so the
     // dual-path entries of the grid are out of spec by construction.
-    for (cols, rows, holes, per_cell) in scenario_grid() {
+    for scenario in scenario_grid() {
+        let (cols, rows, holes, _) = scenario;
         if cols % 2 == 1 && rows % 2 == 1 {
             continue;
         }
         for seed in [11u64, 47, 1009] {
             let tag = format!("SR-SC {cols}x{rows} holes={holes} seed={seed}");
-            let mk = || seeded_network(cols, rows, holes, per_cell, seed);
-            let classic = ShortcutRecovery::new(mk(), SrConfig::default().with_seed(seed))
-                .expect("cycle exists")
-                .run();
-            let event = EventScRecovery::new(
-                mk(),
-                SrConfig::default().with_seed(seed),
-                NetModelSpec::Ideal,
-            )
-            .expect("cycle exists")
-            .run();
-            assert_eq!(classic, event, "{tag}");
+            let (classic, event) = classic_and_ideal(&SrSc::new(), scenario, seed);
+            if classic != event {
+                panic!(
+                    "{}",
+                    divergence(&tag, "sr-sc", scenario, seed, FaultPlan::new())
+                );
+            }
             assert!(event.health.is_clean(), "{tag}: ideal weather is clean");
         }
     }
@@ -124,25 +189,24 @@ fn sr_event_ideal_conformance_holds_under_mid_run_faults() {
     // Killing a whole cell at round 3 re-opens recovery after the
     // initial holes are already repaired; the event engine must keep
     // pace with the classic runner through the fault keepalive.
+    let scenario = (6, 6, 1, 2);
     for seed in [5u64, 21] {
-        let mk = || {
-            let net = seeded_network(6, 6, 1, 2, seed);
-            let victims = net
-                .members(GridCoord::new(3, 3))
-                .expect("in bounds")
-                .to_vec();
-            let cfg = SrConfig::default()
-                .with_seed(seed)
-                .with_fault_plan(FaultPlan::new().at(3, FaultEvent::KillNodes(victims)));
-            (net, cfg)
-        };
-        let (net_c, cfg_c) = mk();
-        let classic = Recovery::new(net_c, cfg_c).expect("topology").run();
-        let (net_e, cfg_e) = mk();
-        let event = EventSrRecovery::new(net_e, cfg_e, NetModelSpec::Ideal)
-            .expect("topology")
-            .run();
-        assert_eq!(classic, event, "seed {seed}");
+        let net = seeded_network(6, 6, 1, 2, seed);
+        let victims = net
+            .members(GridCoord::new(3, 3))
+            .expect("in bounds")
+            .to_vec();
+        let plan = FaultPlan::new().at(3, FaultEvent::KillNodes(victims));
+        let sr = Sr::from_config(SrConfig::default().with_fault_plan(plan.clone()));
+        let classic = sr.run(&mut net.clone(), seed, DriveMode::Classic).unwrap();
+        let event = sr.run(&mut net.clone(), seed, IDEAL).unwrap();
+        assert!(classic.fully_covered, "seed {seed}: classic must recover");
+        if classic != event {
+            // This comparison involves a fault schedule, so the report
+            // also ships a ddmin-shrunk version of it.
+            let tag = format!("SR mid-run faults seed={seed}");
+            panic!("{}", divergence(&tag, "sr", scenario, seed, plan));
+        }
         assert!(event.metrics.rounds > 3, "seed {seed}: fault round ran");
     }
 }
@@ -223,18 +287,13 @@ proptest! {
         per_cell in 1usize..3,
         seed in 0u64..1_000_000,
     ) {
-        let mk = || seeded_network(cols, rows, holes, per_cell, seed);
-        let classic = Recovery::new(mk(), SrConfig::default().with_seed(seed))
-            .expect("grids >= 3x4 have a replacement structure")
-            .run();
-        let event = EventSrRecovery::new(
-            mk(),
-            SrConfig::default().with_seed(seed),
-            NetModelSpec::Ideal,
-        )
-        .expect("grids >= 3x4 have a replacement structure")
-        .run();
-        prop_assert_eq!(classic, event);
+        let scenario = (cols, rows, holes, per_cell);
+        let (classic, event) = classic_and_ideal(&Sr::new(), scenario, seed);
+        prop_assert!(
+            classic == event,
+            "{}",
+            divergence(&format!("SR {cols}x{rows} holes={holes} per_cell={per_cell} seed={seed}"), "sr", scenario, seed, FaultPlan::new())
+        );
     }
 }
 
@@ -248,21 +307,14 @@ fn one_message_per_backward_hop_under_ideal_weather() {
     for (cols, rows, holes, per_cell) in scenario_grid() {
         for seed in [11u64, 47] {
             let tag = format!("SR {cols}x{rows} holes={holes} seed={seed}");
-            let classic = Recovery::new(
-                seeded_network(cols, rows, holes, per_cell, seed),
-                SrConfig::default().with_seed(seed),
-            )
-            .expect("topology")
-            .run();
-            let mut event = EventSrRecovery::new(
-                seeded_network(cols, rows, holes, per_cell, seed),
-                SrConfig::default().with_seed(seed).with_trace(true),
-                NetModelSpec::Ideal,
-            )
-            .expect("topology");
-            let report = event.run();
-            let announces = event
-                .trace()
+            let mk = || seeded_network(cols, rows, holes, per_cell, seed);
+            let classic = Sr::new()
+                .run(&mut mk(), seed, DriveMode::Classic)
+                .expect("topology");
+            let (report, trace) = Sr::new()
+                .run_traced(&mut mk(), seed, IDEAL)
+                .expect("topology");
+            let announces = trace
                 .records()
                 .iter()
                 .filter(|r| {
@@ -284,14 +336,14 @@ fn single_initiation_per_hole_under_ideal_weather() {
     for (cols, rows, holes, per_cell) in scenario_grid() {
         for seed in [11u64, 47] {
             let tag = format!("SR {cols}x{rows} holes={holes} seed={seed}");
-            let mut event = EventSrRecovery::new(
-                seeded_network(cols, rows, holes, per_cell, seed),
-                SrConfig::default().with_seed(seed).with_trace(true),
-                NetModelSpec::Ideal,
-            )
-            .expect("topology");
-            let report = event.run();
-            let initiated = event.trace().count_kind("process_initiated") as u64;
+            let (report, trace) = Sr::new()
+                .run_traced(
+                    &mut seeded_network(cols, rows, holes, per_cell, seed),
+                    seed,
+                    IDEAL,
+                )
+                .expect("topology");
+            let initiated = trace.count_kind("process_initiated") as u64;
             assert_eq!(initiated, holes as u64, "{tag}");
             assert_eq!(report.metrics.processes_initiated, holes as u64, "{tag}");
             assert_eq!(report.health.duplicate_initiations, 0, "{tag}");
@@ -304,21 +356,19 @@ fn seeded_lossy_weather_breaks_the_single_initiation_guarantee() {
     // The CI-pinned honesty check: under a seeded Bernoulli 30%-loss
     // model the engine must *report* duplicate initiations and lost
     // cascades instead of silently preserving the paper's guarantees.
-    let spec = NetModelSpec::Bernoulli {
-        loss_ppm: 300_000,
-        latency: 1,
+    let drive = DriveMode::EventDriven {
+        net: NetModelSpec::Bernoulli {
+            loss_ppm: 300_000,
+            latency: 1,
+        },
     };
     let mut duplicates = 0u64;
     let mut lost = 0u64;
     let mut dropped = 0u64;
     for seed in 0..24 {
-        let report = EventSrRecovery::new(
-            cascade_network(seed),
-            SrConfig::default().with_seed(seed),
-            spec,
-        )
-        .expect("topology")
-        .run();
+        let report = Sr::new()
+            .run(&mut cascade_network(seed), seed, drive)
+            .expect("topology");
         duplicates += report.health.duplicate_initiations;
         lost += report.health.lost_cascades;
         dropped += report.health.messages_dropped;

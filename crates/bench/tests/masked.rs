@@ -9,9 +9,9 @@
 //! enabled cells, so each scheme must fill exactly those cells and
 //! nothing else.
 
-use wsn_baselines::{ArConfig, ArRecovery};
+use wsn_baselines::Ar;
 use wsn_bench::scenarios::Scenario;
-use wsn_coverage::{Recovery, ShortcutRecovery, SrConfig};
+use wsn_coverage::{DriveMode, ReplacementScheme, Sr, SrSc};
 use wsn_grid::{GridCoord, GridNetwork, RegionShape};
 use wsn_simcore::{FaultEvent, NodeId};
 
@@ -54,9 +54,10 @@ fn masked_64x64_presets_fully_recover_under_sr() {
         .into_iter()
         .filter(|s| s.cols == 64)
     {
-        let (net, holes) = holed_network(&scenario, 97);
-        let mut rec = Recovery::new(net, SrConfig::default().with_seed(scenario.seed)).unwrap();
-        let report = rec.run();
+        let (mut net, holes) = holed_network(&scenario, 97);
+        let report = Sr::new()
+            .run(&mut net, scenario.seed, DriveMode::Classic)
+            .unwrap();
         assert!(report.fully_covered, "{}: {report}", scenario.name);
         assert_eq!(report.metrics.processes_failed, 0, "{}", scenario.name);
         // One process per hole: synchronization survives the mask.
@@ -66,7 +67,7 @@ fn masked_64x64_presets_fully_recover_under_sr() {
             "{}",
             scenario.name
         );
-        assert_confined(rec.network());
+        assert_confined(&net);
     }
 }
 
@@ -76,10 +77,10 @@ fn masked_64x64_presets_fully_recover_under_sr_sc() {
         .into_iter()
         .filter(|s| s.cols == 64)
     {
-        let (net, holes) = holed_network(&scenario, 131);
-        let mut rec =
-            ShortcutRecovery::new(net, SrConfig::default().with_seed(scenario.seed)).unwrap();
-        let report = rec.run();
+        let (mut net, holes) = holed_network(&scenario, 131);
+        let report = SrSc::new()
+            .run(&mut net, scenario.seed, DriveMode::Classic)
+            .unwrap();
         assert!(report.fully_covered, "{}: {report}", scenario.name);
         // The SR-SC headline survives masking: one movement per hole.
         assert_eq!(
@@ -88,7 +89,7 @@ fn masked_64x64_presets_fully_recover_under_sr_sc() {
             "{}",
             scenario.name
         );
-        assert_confined(rec.network());
+        assert_confined(&net);
     }
 }
 
@@ -98,12 +99,13 @@ fn masked_64x64_presets_fully_recover_under_ar() {
         .into_iter()
         .filter(|s| s.cols == 64)
     {
-        let (net, _) = holed_network(&scenario, 113);
-        let mut rec = ArRecovery::new(net, ArConfig::default().with_seed(scenario.seed)).unwrap();
-        let report = rec.run();
+        let (mut net, _) = holed_network(&scenario, 113);
+        let report = Ar::new()
+            .run(&mut net, scenario.seed, DriveMode::Classic)
+            .unwrap();
         assert!(report.run.is_quiescent(), "{}", scenario.name);
         assert!(report.fully_covered, "{}: {report}", scenario.name);
-        assert_confined(rec.network());
+        assert_confined(&net);
     }
 }
 
@@ -114,10 +116,11 @@ fn masked_128x128_preset_recovers_under_sr() {
         .into_iter()
         .find(|s| s.cols == 128 && s.region == RegionShape::LShape)
         .expect("preset exists");
-    let (net, holes) = holed_network(&scenario, 211);
-    let mut rec = Recovery::new(net, SrConfig::default().with_seed(scenario.seed)).unwrap();
-    let report = rec.run_adaptive();
+    let (mut net, holes) = holed_network(&scenario, 211);
+    let report = Sr::new()
+        .run(&mut net, scenario.seed, DriveMode::Classic)
+        .unwrap();
     assert!(report.fully_covered, "{report}");
     assert_eq!(report.metrics.processes_initiated, holes.len() as u64);
-    assert_confined(rec.network());
+    assert_confined(&net);
 }

@@ -63,7 +63,9 @@ fn fault_plan_text_codec_round_trips() {
 #[test]
 fn artifacts_round_trip_through_the_binary_container() {
     let matrix = ReplaySpec::matrix("sr", (8, 8), 10, 2)
-        .with_drive(DriveMode::ChangeDriven)
+        .with_drive(DriveMode::EventDriven {
+            net: NetModelSpec::FixedLatency { ticks: 2 },
+        })
         .with_plan(armed_plan());
     let scenario = ReplaySpec::scenario("ar", (6, 6), 2, 2, 47);
     for spec in [matrix, scenario] {

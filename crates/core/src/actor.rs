@@ -30,11 +30,16 @@
 //! protocols draw-for-draw: the run RNG sees the identical call
 //! sequence (link randomness lives in a separate
 //! [`derive_stream_seed`]ed stream), rounds make the identical progress
-//! verdicts, and the resulting [`SchemeReport`] metrics are
-//! byte-identical to [`crate::Recovery`] / [`crate::ShortcutRecovery`].
+//! verdicts, and the resulting [`SchemeReport`]s are byte-identical to
+//! the classic drives of [`crate::Sr`] and [`crate::SrSc`].
 //! The conformance battery in the bench crate pins this over a scenario
 //! grid; degraded models then *measure* what the synchronous model
 //! assumes away, in [`SchemeReport::health`].
+//!
+//! [`SchemeReport`]: crate::SchemeReport
+//! [`SchemeReport::health`]: crate::SchemeReport::health
+//! [`ProtocolHealth::lost_cascades`]: wsn_simcore::ProtocolHealth::lost_cascades
+//! [`ProtocolHealth::duplicate_initiations`]: wsn_simcore::ProtocolHealth::duplicate_initiations
 
 use std::collections::HashSet;
 
@@ -42,14 +47,13 @@ use wsn_grid::{GridCoord, GridNetwork, GridSystem, HoleSet};
 use wsn_hamilton::{BackwardStep, CycleTopology};
 use wsn_simcore::{
     derive_stream_seed, Endpoint, EnergyModel, EventQueue, Fate, Metrics, NetLink, NetModelSpec,
-    NodeId, ProtocolHealth, RoundOutcome, RoundProtocol, RoundRunner, SimRng, TraceEvent, TraceLog,
+    NodeId, RoundOutcome, RoundProtocol, SimRng, TraceEvent, TraceLog,
 };
 
 use crate::movement::movement_target;
 use crate::process::{ProcessId, ProcessStatus, ProcessSummary};
 use crate::protocol::DetectionOutcome;
-use crate::recovery::SrError;
-use crate::scheme::{SchemeDetails, SchemeReport};
+use crate::scheme::{ProtocolOutcome, SchemeProtocol};
 use crate::shortcut::ScRing;
 use crate::{OwnerCounts, SpareSelection, SrConfig};
 
@@ -117,11 +121,11 @@ enum BackwardResolution {
 /// Event-driven SR: the classic snake-like replacement re-expressed as
 /// per-cell actors exchanging envelopes through a [`NetLink`].
 ///
-/// Use [`EventSrRecovery`] to drive it; the protocol type is public for
-/// custom drivers, like [`crate::SrProtocol`].
-#[derive(Debug, Clone)]
-pub struct EventSrProtocol {
-    net: GridNetwork,
+/// [`crate::Sr`] drives it under [`crate::DriveMode::EventDriven`]; the
+/// protocol type is public for custom drivers, like [`crate::SrProtocol`].
+#[derive(Debug)]
+pub struct EventSrProtocol<'n> {
+    net: &'n mut GridNetwork,
     topo: CycleTopology,
     config: SrConfig,
     rng: SimRng,
@@ -149,20 +153,22 @@ pub struct EventSrProtocol {
     link: NetLink,
 }
 
-impl EventSrProtocol {
+impl<'n> EventSrProtocol<'n> {
     /// Creates the protocol, electing initial heads in every occupied
     /// cell (the identical initialization sequence to
-    /// [`crate::SrProtocol::new`], so the run RNG streams align).
+    /// [`crate::SrProtocol::new`], so the run RNG streams align), with
+    /// messages routed through `spec` and events recorded into `trace`.
     ///
     /// # Panics
     ///
     /// Panics if `topo` and `net` disagree on grid dimensions.
     pub fn new(
-        mut net: GridNetwork,
+        net: &'n mut GridNetwork,
         topo: CycleTopology,
         config: SrConfig,
         spec: NetModelSpec,
-    ) -> EventSrProtocol {
+        trace: TraceLog,
+    ) -> EventSrProtocol<'n> {
         assert_eq!(
             (topo.cols(), topo.rows()),
             (net.system().cols(), net.system().rows()),
@@ -170,11 +176,6 @@ impl EventSrProtocol {
         );
         let mut rng = SimRng::seed_from_u64(config.seed);
         net.elect_all_heads(config.election, &mut rng);
-        let trace = if config.trace {
-            TraceLog::new()
-        } else {
-            TraceLog::disabled()
-        };
         let mut pending_holes = HoleSet::new(net.system().cell_count());
         pending_holes.assign_vacant(net.occupancy());
         net.clear_changed_cells();
@@ -202,40 +203,10 @@ impl EventSrProtocol {
         }
     }
 
-    /// The network state.
-    pub fn network(&self) -> &GridNetwork {
-        &self.net
-    }
-
-    /// Consumes the protocol and releases its network.
-    pub fn into_network(self) -> GridNetwork {
-        self.net
-    }
-
-    /// Cost counters accumulated so far.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// The event trace.
-    pub fn trace(&self) -> &TraceLog {
-        &self.trace
-    }
-
-    /// Per-process summaries.
-    pub fn process_summaries(&self) -> &[ProcessSummary] {
-        &self.summaries
-    }
-
-    /// The distributed-health ledger (messages, drops, duplicates, …).
-    pub fn health(&self) -> ProtocolHealth {
-        self.link.health
-    }
-
     /// Marks all still-active processes failed. Processes whose baton
     /// was in flight or lost when the run ended are additionally
-    /// counted as [`ProtocolHealth::stalled_repairs`].
-    pub fn fail_remaining(&mut self, round: u64) {
+    /// counted as [`wsn_simcore::ProtocolHealth::stalled_repairs`].
+    fn fail_remaining(&mut self, round: u64) {
         for p in self.retire_all() {
             let s = &mut self.summaries[p.id.raw() as usize];
             s.status = ProcessStatus::Failed;
@@ -631,7 +602,7 @@ impl EventSrProtocol {
     /// process holds the baton or vacated it this very round — a stale
     /// owner (baton in flight or lost) is invisible to the monitor,
     /// which honestly re-initiates
-    /// ([`ProtocolHealth::duplicate_initiations`]).
+    /// ([`wsn_simcore::ProtocolHealth::duplicate_initiations`]).
     fn detect_and_initiate(&mut self, round: u64) -> DetectionOutcome {
         self.net.fold_changed_cells_into(&mut self.pending_holes);
         let mut buf = std::mem::take(&mut self.detect_buf);
@@ -725,7 +696,23 @@ impl EventSrProtocol {
     }
 }
 
-impl RoundProtocol for EventSrProtocol {
+impl SchemeProtocol for EventSrProtocol<'_> {
+    fn network(&self) -> &GridNetwork {
+        self.net
+    }
+
+    fn finish(mut self, rounds: u64) -> ProtocolOutcome {
+        self.fail_remaining(rounds);
+        ProtocolOutcome {
+            metrics: self.metrics,
+            processes: self.summaries,
+            health: self.link.health,
+            trace: self.trace,
+        }
+    }
+}
+
+impl RoundProtocol for EventSrProtocol<'_> {
     fn execute_round(&mut self, round: u64) -> RoundOutcome {
         let mut progress = false;
 
@@ -823,90 +810,6 @@ impl RoundProtocol for EventSrProtocol {
     }
 }
 
-/// Drives event-driven SR to quiescence — the event-engine counterpart
-/// of [`crate::Recovery`], selected by
-/// [`crate::DriveMode::EventDriven`].
-#[derive(Debug, Clone)]
-pub struct EventSrRecovery {
-    protocol: EventSrProtocol,
-    runner: RoundRunner,
-}
-
-impl EventSrRecovery {
-    /// Builds the cycle topology for the network's region and prepares
-    /// the event protocol.
-    ///
-    /// # Errors
-    ///
-    /// [`SrError::Topology`] when the region has no replacement
-    /// structure, [`SrError::Engine`] for invalid round caps.
-    pub fn new(
-        net: GridNetwork,
-        config: SrConfig,
-        spec: NetModelSpec,
-    ) -> Result<EventSrRecovery, SrError> {
-        let topo = CycleTopology::build_masked(net.mask())?;
-        EventSrRecovery::with_topology(net, topo, config, spec)
-    }
-
-    /// Like [`EventSrRecovery::new`] with a pre-built topology.
-    ///
-    /// # Errors
-    ///
-    /// [`SrError::Engine`] for invalid round caps in `config`.
-    pub fn with_topology(
-        net: GridNetwork,
-        topo: CycleTopology,
-        config: SrConfig,
-        spec: NetModelSpec,
-    ) -> Result<EventSrRecovery, SrError> {
-        let runner = RoundRunner::with_quiescence(config.max_rounds, config.quiescent_rounds)?;
-        Ok(EventSrRecovery {
-            protocol: EventSrProtocol::new(net, topo, config, spec),
-            runner,
-        })
-    }
-
-    /// Runs to quiescence (or the round cap) and reports, with the
-    /// health ledger filled in.
-    pub fn run(&mut self) -> SchemeReport {
-        let initial_stats = self.protocol.network().stats();
-        let run = self.runner.run(&mut self.protocol);
-        self.protocol.fail_remaining(run.rounds);
-        let final_stats = self.protocol.network().stats();
-        SchemeReport {
-            run,
-            metrics: *self.protocol.metrics(),
-            initial_stats,
-            final_stats,
-            fully_covered: final_stats.vacant == 0,
-            processes: self.protocol.process_summaries().to_vec(),
-            health: self.protocol.health(),
-            details: SchemeDetails::none(),
-        }
-    }
-
-    /// The network state.
-    pub fn network(&self) -> &GridNetwork {
-        self.protocol.network()
-    }
-
-    /// Consumes the driver and releases the network.
-    pub fn into_network(self) -> GridNetwork {
-        self.protocol.into_network()
-    }
-
-    /// The event trace.
-    pub fn trace(&self) -> &TraceLog {
-        self.protocol.trace()
-    }
-
-    /// The underlying protocol (for custom inspection).
-    pub fn protocol(&self) -> &EventSrProtocol {
-        &self.protocol
-    }
-}
-
 /// One active event-driven SR-SC process: the classic courier walk plus
 /// the baton.
 #[derive(Debug, Clone)]
@@ -923,12 +826,13 @@ struct EventScProcess {
 ///
 /// A dropped courier forward permanently strands the repair (the hole
 /// stays owned by its process, so — unlike SR — no duplicate rescues
-/// it; the failure mode is [`ProtocolHealth::stalled_repairs`]). Beacons
-/// steer nothing: they load the link and, under Bernoulli loss, advance
-/// the pair counters that the monitor probes on the same links share.
-#[derive(Debug, Clone)]
-pub struct EventScProtocol {
-    net: GridNetwork,
+/// it; the failure mode is [`wsn_simcore::ProtocolHealth::stalled_repairs`]).
+/// Beacons steer nothing: they load the link and, under Bernoulli loss,
+/// advance the pair counters that the monitor probes on the same links
+/// share.
+#[derive(Debug)]
+pub struct EventScProtocol<'n> {
+    net: &'n mut GridNetwork,
     cycle: ScRing,
     config: SrConfig,
     rng: SimRng,
@@ -947,22 +851,18 @@ pub struct EventScProtocol {
     link: NetLink,
 }
 
-impl EventScProtocol {
+impl<'n> EventScProtocol<'n> {
     /// Creates the protocol over a unique-predecessor ring (identical
     /// initialization to [`crate::ShortcutProtocol`]).
     pub(crate) fn new(
-        mut net: GridNetwork,
+        net: &'n mut GridNetwork,
         cycle: ScRing,
         config: SrConfig,
         spec: NetModelSpec,
-    ) -> EventScProtocol {
+        trace: TraceLog,
+    ) -> EventScProtocol<'n> {
         let mut rng = SimRng::seed_from_u64(config.seed);
         net.elect_all_heads(config.election, &mut rng);
-        let trace = if config.trace {
-            TraceLog::new()
-        } else {
-            TraceLog::disabled()
-        };
         let cells = net.system().cell_count();
         let mut pending_holes = HoleSet::new(cells);
         pending_holes.assign_vacant(net.occupancy());
@@ -988,34 +888,9 @@ impl EventScProtocol {
         }
     }
 
-    /// The network state.
-    pub fn network(&self) -> &GridNetwork {
-        &self.net
-    }
-
-    /// Cost counters.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// The event trace.
-    pub fn trace(&self) -> &TraceLog {
-        &self.trace
-    }
-
-    /// Per-process summaries.
-    pub fn process_summaries(&self) -> &[ProcessSummary] {
-        &self.summaries
-    }
-
-    /// The distributed-health ledger.
-    pub fn health(&self) -> ProtocolHealth {
-        self.link.health
-    }
-
     /// Marks still-active processes failed; stranded couriers count as
     /// stalled repairs.
-    pub fn fail_remaining(&mut self, round: u64) {
+    fn fail_remaining(&mut self, round: u64) {
         for p in self.retire_all() {
             let s = &mut self.summaries[p.id.raw() as usize];
             s.status = ProcessStatus::Failed;
@@ -1074,7 +949,7 @@ impl EventScProtocol {
     /// loss-free link accounts the round without visiting a cell.
     fn gossip(&mut self) {
         self.metrics.cells_scanned += self.cycle.len() as u64;
-        let net = &self.net;
+        let net = &*self.net;
         let spareful: u64 = net
             .spareful_words()
             .iter()
@@ -1309,7 +1184,23 @@ impl EventScProtocol {
     }
 }
 
-impl RoundProtocol for EventScProtocol {
+impl SchemeProtocol for EventScProtocol<'_> {
+    fn network(&self) -> &GridNetwork {
+        self.net
+    }
+
+    fn finish(mut self, rounds: u64) -> ProtocolOutcome {
+        self.fail_remaining(rounds);
+        ProtocolOutcome {
+            metrics: self.metrics,
+            processes: self.summaries,
+            health: self.link.health,
+            trace: self.trace,
+        }
+    }
+}
+
+impl RoundProtocol for EventScProtocol<'_> {
     fn execute_round(&mut self, round: u64) -> RoundOutcome {
         let mut progress = false;
         self.drain_due(round);
@@ -1347,95 +1238,15 @@ impl RoundProtocol for EventScProtocol {
     }
 }
 
-/// Drives event-driven SR-SC to quiescence — the event-engine
-/// counterpart of [`crate::ShortcutRecovery`].
-#[derive(Debug, Clone)]
-pub struct EventScRecovery {
-    protocol: EventScProtocol,
-    runner: RoundRunner,
-}
-
-impl EventScRecovery {
-    /// Builds the shortcut event recovery over the network's ring.
-    ///
-    /// # Errors
-    ///
-    /// [`SrError::ShortcutNeedsCycle`] on dual-path (odd×odd) grids,
-    /// [`SrError::Topology`] for regions with no structure, and
-    /// [`SrError::Engine`] for invalid round caps.
-    pub fn new(
-        net: GridNetwork,
-        config: SrConfig,
-        spec: NetModelSpec,
-    ) -> Result<EventScRecovery, SrError> {
-        let topo = CycleTopology::build_masked(net.mask())?;
-        EventScRecovery::with_topology(net, topo, config, spec)
-    }
-
-    /// Like [`EventScRecovery::new`] with a pre-built topology.
-    ///
-    /// # Errors
-    ///
-    /// [`SrError::ShortcutNeedsCycle`] when `topo` is the dual-path
-    /// structure, and [`SrError::Engine`] for invalid round caps.
-    pub fn with_topology(
-        net: GridNetwork,
-        topo: CycleTopology,
-        config: SrConfig,
-        spec: NetModelSpec,
-    ) -> Result<EventScRecovery, SrError> {
-        let ring = match topo {
-            CycleTopology::Single(cycle) => ScRing::Cycle(cycle),
-            CycleTopology::Masked(ring) => ScRing::Masked(ring),
-            CycleTopology::Dual(_) => return Err(SrError::ShortcutNeedsCycle),
-        };
-        let runner = RoundRunner::with_quiescence(config.max_rounds, config.quiescent_rounds)?;
-        Ok(EventScRecovery {
-            protocol: EventScProtocol::new(net, ring, config, spec),
-            runner,
-        })
-    }
-
-    /// Runs to quiescence and reports, with the health ledger filled
-    /// in.
-    pub fn run(&mut self) -> SchemeReport {
-        let initial_stats = self.protocol.network().stats();
-        let run = self.runner.run(&mut self.protocol);
-        self.protocol.fail_remaining(run.rounds);
-        let final_stats = self.protocol.network().stats();
-        SchemeReport {
-            run,
-            metrics: *self.protocol.metrics(),
-            initial_stats,
-            final_stats,
-            fully_covered: final_stats.vacant == 0,
-            processes: self.protocol.process_summaries().to_vec(),
-            health: self.protocol.health(),
-            details: SchemeDetails::none(),
-        }
-    }
-
-    /// The network state.
-    pub fn network(&self) -> &GridNetwork {
-        self.protocol.network()
-    }
-
-    /// Consumes the driver and releases the network.
-    pub fn into_network(self) -> GridNetwork {
-        self.protocol.net
-    }
-
-    /// The event trace.
-    pub fn trace(&self) -> &TraceLog {
-        self.protocol.trace()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Recovery, ShortcutRecovery};
+    use crate::scheme::{DriveMode, ReplacementScheme, Sr, SrSc};
     use wsn_grid::{deploy, GridSystem};
+
+    const IDEAL: DriveMode = DriveMode::EventDriven {
+        net: NetModelSpec::Ideal,
+    };
 
     fn network_with_holes(
         cols: u16,
@@ -1475,35 +1286,30 @@ mod tests {
             ),
         ] {
             let net = network_with_holes(6, 6, &holes, 2, seed);
-            let cfg = SrConfig::default().with_seed(seed).with_trace(true);
-            let classic = Recovery::new(net.clone(), cfg.clone()).unwrap().run();
-            let mut event = EventSrRecovery::new(net, cfg, NetModelSpec::Ideal).unwrap();
-            let report = event.run();
+            let (classic, _) = Sr::new()
+                .run_traced(&mut net.clone(), seed, DriveMode::Classic)
+                .unwrap();
+            let mut event_net = net;
+            let (report, _) = Sr::new().run_traced(&mut event_net, seed, IDEAL).unwrap();
             assert_eq!(report, classic, "seed {seed}");
             assert_eq!(report.metrics, classic.metrics, "rounds included");
             assert!(report.health.is_clean());
             assert!(report.health.messages_sent > 0);
-            event.network().debug_invariants();
+            event_net.debug_invariants();
         }
     }
 
     #[test]
     fn ideal_sr_matches_classic_under_faults_and_cascades() {
         use wsn_simcore::fault::{FaultEvent, FaultPlan};
-        let mk = || {
-            let net = cascade_network(3);
-            let victims: Vec<NodeId> = net.members(GridCoord::new(6, 6)).unwrap().to_vec();
-            let cfg = SrConfig::default()
-                .with_seed(3)
-                .with_fault_plan(FaultPlan::new().at(3, FaultEvent::KillNodes(victims)));
-            (net, cfg)
-        };
-        let (net, cfg) = mk();
-        let classic = Recovery::new(net, cfg).unwrap().run();
-        let (net, cfg) = mk();
-        let event = EventSrRecovery::new(net, cfg, NetModelSpec::Ideal)
-            .unwrap()
-            .run();
+        let net = cascade_network(3);
+        let victims: Vec<NodeId> = net.members(GridCoord::new(6, 6)).unwrap().to_vec();
+        let sr = Sr::from_config(
+            SrConfig::default()
+                .with_fault_plan(FaultPlan::new().at(3, FaultEvent::KillNodes(victims))),
+        );
+        let classic = sr.run(&mut net.clone(), 3, DriveMode::Classic).unwrap();
+        let event = sr.run(&mut net.clone(), 3, IDEAL).unwrap();
         assert_eq!(event, classic);
         assert_eq!(event.metrics, classic.metrics);
     }
@@ -1511,11 +1317,10 @@ mod tests {
     #[test]
     fn ideal_sr_matches_classic_on_dual_path_grids() {
         let net = network_with_holes(5, 5, &[GridCoord::new(2, 2), GridCoord::new(4, 0)], 2, 17);
-        let cfg = SrConfig::default().with_seed(17);
-        let classic = Recovery::new(net.clone(), cfg.clone()).unwrap().run();
-        let event = EventSrRecovery::new(net, cfg, NetModelSpec::Ideal)
-            .unwrap()
-            .run();
+        let classic = Sr::new()
+            .run(&mut net.clone(), 17, DriveMode::Classic)
+            .unwrap();
+        let event = Sr::new().run(&mut net.clone(), 17, IDEAL).unwrap();
         assert_eq!(event, classic);
         assert_eq!(event.metrics, classic.metrics);
     }
@@ -1524,13 +1329,10 @@ mod tests {
     fn ideal_sc_matches_classic_byte_for_byte() {
         let holes = [GridCoord::new(2, 2), GridCoord::new(6, 5)];
         let net = network_with_holes(8, 8, &holes, 2, 1);
-        let cfg = SrConfig::default().with_seed(1);
-        let classic = ShortcutRecovery::new(net.clone(), cfg.clone())
-            .unwrap()
-            .run();
-        let event = EventScRecovery::new(net, cfg, NetModelSpec::Ideal)
-            .unwrap()
-            .run();
+        let classic = SrSc::new()
+            .run(&mut net.clone(), 1, DriveMode::Classic)
+            .unwrap();
+        let event = SrSc::new().run(&mut net.clone(), 1, IDEAL).unwrap();
         assert_eq!(event, classic);
         assert_eq!(event.metrics, classic.metrics);
         assert!(event.health.is_clean());
@@ -1538,28 +1340,30 @@ mod tests {
 
     #[test]
     fn fixed_latency_still_recovers() {
-        let net = cascade_network(5);
-        let spec = NetModelSpec::FixedLatency { ticks: 3 };
-        let mut rec = EventSrRecovery::new(net, SrConfig::default().with_seed(5), spec).unwrap();
-        let report = rec.run();
+        let mut net = cascade_network(5);
+        let net_model = NetModelSpec::FixedLatency { ticks: 3 };
+        let report = Sr::new()
+            .run(&mut net, 5, DriveMode::EventDriven { net: net_model })
+            .unwrap();
         assert!(report.fully_covered, "{report}");
         assert_eq!(report.health.messages_dropped, 0);
-        rec.network().debug_invariants();
+        net.debug_invariants();
     }
 
     #[test]
     fn lossy_sr_reports_duplicates_and_lost_cascades() {
-        let spec = NetModelSpec::Bernoulli {
-            loss_ppm: 300_000,
-            latency: 1,
+        let drive = DriveMode::EventDriven {
+            net: NetModelSpec::Bernoulli {
+                loss_ppm: 300_000,
+                latency: 1,
+            },
         };
         let mut duplicates = 0u64;
         let mut lost = 0u64;
         for seed in 0..24 {
-            let net = cascade_network(seed);
-            let report = EventSrRecovery::new(net, SrConfig::default().with_seed(seed), spec)
-                .unwrap()
-                .run();
+            let report = Sr::new()
+                .run(&mut cascade_network(seed), seed, drive)
+                .unwrap();
             duplicates += report.health.duplicate_initiations;
             lost += report.health.lost_cascades;
         }
@@ -1572,15 +1376,16 @@ mod tests {
 
     #[test]
     fn lossy_sc_strands_couriers_as_stalled_repairs() {
-        let spec = NetModelSpec::Bernoulli {
-            loss_ppm: 400_000,
-            latency: 1,
+        let drive = DriveMode::EventDriven {
+            net: NetModelSpec::Bernoulli {
+                loss_ppm: 400_000,
+                latency: 1,
+            },
         };
+        let sc = SrSc::builder().max_rounds(60).build_shortcut();
         let mut stalled = 0u64;
         for seed in 0..24 {
-            let net = cascade_network(seed);
-            let cfg = SrConfig::default().with_seed(seed).with_max_rounds(60);
-            let report = EventScRecovery::new(net, cfg, spec).unwrap().run();
+            let report = sc.run(&mut cascade_network(seed), seed, drive).unwrap();
             stalled += report.health.stalled_repairs;
         }
         assert!(
@@ -1591,13 +1396,15 @@ mod tests {
 
     #[test]
     fn total_loss_prevents_detection_entirely() {
-        let spec = NetModelSpec::Bernoulli {
-            loss_ppm: 1_000_000,
-            latency: 1,
+        let drive = DriveMode::EventDriven {
+            net: NetModelSpec::Bernoulli {
+                loss_ppm: 1_000_000,
+                latency: 1,
+            },
         };
-        let net = network_with_holes(4, 4, &[GridCoord::new(2, 2)], 2, 9);
-        let cfg = SrConfig::default().with_seed(9).with_max_rounds(40);
-        let report = EventSrRecovery::new(net, cfg, spec).unwrap().run();
+        let mut net = network_with_holes(4, 4, &[GridCoord::new(2, 2)], 2, 9);
+        let sr = Sr::builder().max_rounds(40).build();
+        let report = sr.run(&mut net, 9, drive).unwrap();
         assert!(!report.fully_covered);
         assert_eq!(report.metrics.processes_initiated, 0);
         assert!(report.health.messages_dropped > 0);
@@ -1605,12 +1412,10 @@ mod tests {
 
     #[test]
     fn traces_carry_the_message_choreography() {
-        let net = network_with_holes(4, 4, &[GridCoord::new(2, 2)], 2, 11);
-        let cfg = SrConfig::default().with_seed(11).with_trace(true);
-        let mut rec = EventSrRecovery::new(net, cfg, NetModelSpec::Ideal).unwrap();
-        let report = rec.run();
+        let mut net = network_with_holes(4, 4, &[GridCoord::new(2, 2)], 2, 11);
+        let (report, trace) = Sr::new().run_traced(&mut net, 11, IDEAL).unwrap();
         assert!(report.fully_covered);
-        let net_msgs = rec.trace().count_kind("net_message");
+        let net_msgs = trace.count_kind("net_message");
         assert!(net_msgs > 0, "probes and acks must be traced");
     }
 }

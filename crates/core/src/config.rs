@@ -43,8 +43,7 @@ impl fmt::Display for SpareSelection {
 /// let cfg = SrConfig::default()
 ///     .with_seed(42)
 ///     .with_election(HeadElection::MaxEnergy)
-///     .with_spare_selection(SpareSelection::FirstId)
-///     .with_trace(true);
+///     .with_spare_selection(SpareSelection::FirstId);
 /// assert_eq!(cfg.seed, 42);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -58,10 +57,6 @@ pub struct SrConfig {
     /// Round cap for the run (default 100 000 — far above any converging
     /// scenario in the paper's parameter ranges).
     pub max_rounds: u64,
-    /// Consecutive idle rounds required to declare quiescence.
-    pub quiescent_rounds: u64,
-    /// Record a full trace (disable for large Monte-Carlo sweeps).
-    pub trace: bool,
     /// Faults injected during the run (beyond the holes present at
     /// start). Rounds index from the start of the run.
     pub fault_plan: FaultPlan,
@@ -91,8 +86,6 @@ impl Default for SrConfig {
             election: HeadElection::FirstId,
             spare_selection: SpareSelection::ClosestToTarget,
             max_rounds: 100_000,
-            quiescent_rounds: 2,
-            trace: false,
             fault_plan: FaultPlan::new(),
             activation_probability: 1.0,
             battery_dynamics: false,
@@ -127,13 +120,6 @@ impl SrConfig {
     #[must_use]
     pub fn with_max_rounds(mut self, max_rounds: u64) -> Self {
         self.max_rounds = max_rounds;
-        self
-    }
-
-    /// Enables or disables tracing.
-    #[must_use]
-    pub fn with_trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
         self
     }
 
@@ -185,13 +171,11 @@ mod tests {
             .with_election(HeadElection::Random)
             .with_spare_selection(SpareSelection::MaxEnergy)
             .with_max_rounds(50)
-            .with_trace(true)
             .with_fault_plan(FaultPlan::new().at(3, FaultEvent::KillRandomEnabled { count: 2 }));
         assert_eq!(cfg.seed, 9);
         assert_eq!(cfg.election, HeadElection::Random);
         assert_eq!(cfg.spare_selection, SpareSelection::MaxEnergy);
         assert_eq!(cfg.max_rounds, 50);
-        assert!(cfg.trace);
         assert_eq!(cfg.fault_plan.events().len(), 1);
     }
 
@@ -201,7 +185,6 @@ mod tests {
         assert_eq!(cfg.election, HeadElection::FirstId);
         assert_eq!(cfg.spare_selection, SpareSelection::ClosestToTarget);
         assert!(cfg.max_rounds >= 10_000);
-        assert!(!cfg.trace);
         assert!(cfg.fault_plan.is_empty());
     }
 

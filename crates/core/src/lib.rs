@@ -26,7 +26,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use wsn_coverage::{Recovery, SrConfig};
+//! use wsn_coverage::{DriveMode, ReplacementScheme, Sr};
 //! use wsn_grid::{deploy, GridNetwork, GridSystem};
 //! use wsn_simcore::SimRng;
 //!
@@ -34,11 +34,12 @@
 //! let system = GridSystem::for_comm_range(8, 8, 10.0)?;
 //! let mut rng = SimRng::seed_from_u64(7);
 //! let positions = deploy::uniform(&system, 150, &mut rng);
-//! let net = GridNetwork::new(system, &positions);
+//! let mut net = GridNetwork::new(system, &positions);
 //!
-//! let mut recovery = Recovery::new(net, SrConfig::default().with_seed(7))?;
-//! let report = recovery.run();
+//! // Recovery runs in place: afterwards `net` is the recovered network.
+//! let report = Sr::new().run(&mut net, 7, DriveMode::Classic)?;
 //! assert!(report.fully_covered || report.final_stats.spares == 0);
+//! assert_eq!(net.stats(), report.final_stats);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -56,14 +57,13 @@ mod recovery;
 pub mod scheme;
 pub mod shortcut;
 
-pub use actor::{EventScRecovery, EventSrProtocol, EventSrRecovery};
+pub use actor::EventSrProtocol;
 pub use config::{SpareSelection, SrConfig};
 pub use owners::OwnerCounts;
 pub use process::{ProcessId, ProcessStatus, ProcessSummary};
 pub use protocol::{DetectionOutcome, SrProtocol};
-pub use recovery::{Recovery, SrError};
 pub use scheme::{
     DriveMode, NetworkSpec, RegistryError, ReplacementScheme, SchemeDetails, SchemeId,
     SchemeIdError, SchemeRegistry, SchemeReport, Sr, SrBuilder, SrSc, Unsupported,
 };
-pub use shortcut::{ShortcutProtocol, ShortcutRecovery};
+pub use shortcut::ShortcutProtocol;

@@ -35,12 +35,13 @@ use std::collections::HashSet;
 use wsn_grid::{GridCoord, GridError, GridNetwork, HoleSet};
 use wsn_hamilton::{BackwardStep, CycleTopology};
 use wsn_simcore::{
-    ChangeDrivenProtocol, EnergyModel, Metrics, NodeId, RoundOutcome, RoundProtocol, SimRng,
-    TraceEvent, TraceLog,
+    EnergyModel, Metrics, NodeId, ProtocolHealth, RoundOutcome, RoundProtocol, SimRng, TraceEvent,
+    TraceLog,
 };
 
 use crate::movement::movement_target;
 use crate::process::{ProcessId, ProcessStatus, ProcessSummary};
+use crate::scheme::{ProtocolOutcome, SchemeProtocol};
 use crate::{OwnerCounts, SpareSelection, SrConfig};
 
 /// Internal outcome of resolving the next backward hop.
@@ -120,16 +121,15 @@ struct ActiveProcess {
     asked: GridCoord,
 }
 
-/// The SR protocol over a network and cycle topology; drives itself one
-/// round at a time via [`RoundProtocol`].
+/// The SR protocol over a borrowed network and a cycle topology; drives
+/// itself one round at a time via [`RoundProtocol`].
 ///
-/// Most callers use [`crate::Recovery`], which wires this to the round
-/// runner and produces a [`crate::SchemeReport`]; the protocol type is
-/// public for custom drivers (e.g. lock-step comparisons against
-/// baselines).
-#[derive(Debug, Clone)]
-pub struct SrProtocol {
-    net: GridNetwork,
+/// Most callers run SR through [`crate::Sr`], which hands this to
+/// [`crate::scheme::run_to_quiescence`]; the protocol type is public for
+/// custom drivers (e.g. lock-step comparisons against baselines).
+#[derive(Debug)]
+pub struct SrProtocol<'n> {
+    net: &'n mut GridNetwork,
     topo: CycleTopology,
     config: SrConfig,
     rng: SimRng,
@@ -157,15 +157,21 @@ pub struct SrProtocol {
     detect_buf: Vec<usize>,
 }
 
-impl SrProtocol {
+impl<'n> SrProtocol<'n> {
     /// Creates the protocol, electing initial heads in every occupied
-    /// cell.
+    /// cell. Events are recorded into `trace` (pass
+    /// [`TraceLog::disabled`] to record nothing).
     ///
     /// # Panics
     ///
     /// Panics if `topo` and `net` disagree on grid dimensions (they must
     /// be built from the same [`wsn_grid::GridSystem`]).
-    pub fn new(mut net: GridNetwork, topo: CycleTopology, config: SrConfig) -> SrProtocol {
+    pub fn new(
+        net: &'n mut GridNetwork,
+        topo: CycleTopology,
+        config: SrConfig,
+        trace: TraceLog,
+    ) -> SrProtocol<'n> {
         assert_eq!(
             (topo.cols(), topo.rows()),
             (net.system().cols(), net.system().rows()),
@@ -173,11 +179,6 @@ impl SrProtocol {
         );
         let mut rng = SimRng::seed_from_u64(config.seed);
         net.elect_all_heads(config.election, &mut rng);
-        let trace = if config.trace {
-            TraceLog::new()
-        } else {
-            TraceLog::disabled()
-        };
         // Seed the pending-hole set from the index once (a word-level
         // copy of the vacancy bitset); every later round folds in the
         // change journal instead of rescanning.
@@ -202,34 +203,9 @@ impl SrProtocol {
         }
     }
 
-    /// The network state (read access; advanced by rounds).
-    pub fn network(&self) -> &GridNetwork {
-        &self.net
-    }
-
-    /// Consumes the protocol and releases its network.
-    pub fn into_network(self) -> GridNetwork {
-        self.net
-    }
-
-    /// The cycle topology in use.
-    pub fn topology(&self) -> &CycleTopology {
-        &self.topo
-    }
-
     /// Cost counters accumulated so far.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// The event trace (empty unless `config.trace` was set).
-    pub fn trace(&self) -> &TraceLog {
-        &self.trace
-    }
-
-    /// Per-process summaries (all processes, any status).
-    pub fn process_summaries(&self) -> &[ProcessSummary] {
-        &self.summaries
     }
 
     /// Number of processes still active (cascading or waiting).
@@ -237,10 +213,9 @@ impl SrProtocol {
         self.active.len()
     }
 
-    /// Marks all still-active processes failed (called by the driver
-    /// after quiescence/round-cap: anything still active is stuck behind
-    /// an unfillable hole).
-    pub fn fail_remaining(&mut self, round: u64) {
+    /// Marks all still-active processes failed (at the end of the run,
+    /// anything still active is stuck behind an unfillable hole).
+    fn fail_remaining(&mut self, round: u64) {
         for p in self.retire_all() {
             let s = &mut self.summaries[p.id.raw() as usize];
             s.status = ProcessStatus::Failed;
@@ -580,45 +555,25 @@ impl SrProtocol {
             .debug_check(self.active.iter().map(|p| p.current_vacant));
         outcome
     }
+}
 
-    /// Whether hole `idx` could be acted on if a round ran now: not
-    /// blacklisted as unfillable, and monitored by an occupied cell.
-    fn hole_is_actionable(&self, idx: usize) -> bool {
-        let g = self.net.system().coord_of(idx);
-        if self.failed_holes.contains(&g) {
-            return false;
+impl SchemeProtocol for SrProtocol<'_> {
+    fn network(&self) -> &GridNetwork {
+        self.net
+    }
+
+    fn finish(mut self, rounds: u64) -> ProtocolOutcome {
+        self.fail_remaining(rounds);
+        ProtocolOutcome {
+            metrics: self.metrics,
+            processes: self.summaries,
+            health: ProtocolHealth::default(),
+            trace: self.trace,
         }
-        self.is_occupied(self.topo.monitors(g))
     }
 }
 
-impl ChangeDrivenProtocol for SrProtocol {
-    fn has_pending_work(&self, round: u64) -> bool {
-        if !self.active.is_empty() {
-            return true;
-        }
-        if self
-            .config
-            .fault_plan
-            .last_round()
-            .is_some_and(|r| r >= round)
-        {
-            return true;
-        }
-        // Journal entries not yet folded into the pending set (e.g. holes
-        // opened by idle-drain deaths after the last detection sweep).
-        if self.net.changed_cells().iter().any(|&c| {
-            self.net.occupancy().is_vacant(c as usize) && self.hole_is_actionable(c as usize)
-        }) {
-            return true;
-        }
-        self.pending_holes
-            .iter()
-            .any(|idx| self.net.occupancy().is_vacant(idx) && self.hole_is_actionable(idx))
-    }
-}
-
-impl RoundProtocol for SrProtocol {
+impl RoundProtocol for SrProtocol<'_> {
     fn execute_round(&mut self, round: u64) -> RoundOutcome {
         let mut progress = false;
 
@@ -727,50 +682,45 @@ impl RoundProtocol for SrProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::{run_to_quiescence, SchemeReport};
     use wsn_grid::{deploy, GridSystem, HeadElection};
     use wsn_simcore::RoundRunner;
 
-    fn run_protocol(mut p: SrProtocol) -> (SrProtocol, wsn_simcore::RunReport) {
-        let runner = RoundRunner::new(10_000).unwrap();
-        let report = runner.run(&mut p);
-        let rounds = report.rounds;
-        p.fail_remaining(rounds);
-        (p, report)
+    /// Runs SR on `net` over its grid's cycle topology, traced.
+    fn run_sr(net: &mut GridNetwork, config: SrConfig) -> (SchemeReport, TraceLog) {
+        let (cols, rows) = (net.system().cols(), net.system().rows());
+        let topo = CycleTopology::build(cols, rows).unwrap();
+        let protocol = SrProtocol::new(net, topo, config, TraceLog::new());
+        run_to_quiescence(protocol, RoundRunner::new(10_000).unwrap())
     }
 
-    fn protocol_with_holes(
+    fn network_with_holes(
         cols: u16,
         rows: u16,
         holes: &[GridCoord],
         per_cell: usize,
         seed: u64,
-    ) -> SrProtocol {
+    ) -> GridNetwork {
         let sys = GridSystem::new(cols, rows, 4.4721).unwrap();
         let mut rng = SimRng::seed_from_u64(seed);
         let pos = deploy::with_holes(&sys, holes, per_cell, &mut rng);
-        let net = GridNetwork::new(sys, &pos);
-        let topo = CycleTopology::build(cols, rows).unwrap();
-        SrProtocol::new(
-            net,
-            topo,
-            SrConfig::default().with_seed(seed).with_trace(true),
-        )
+        GridNetwork::new(sys, &pos)
     }
 
     #[test]
     fn single_hole_with_spare_in_monitor_converges_in_one_move() {
         let hole = GridCoord::new(2, 2);
-        let p = protocol_with_holes(4, 4, &[hole], 2, 1);
-        let (p, report) = run_protocol(p);
-        assert!(report.is_quiescent());
-        assert_eq!(p.network().vacant_count(), 0);
-        assert_eq!(p.metrics().processes_initiated, 1);
-        assert_eq!(p.metrics().processes_converged, 1);
-        assert_eq!(p.metrics().processes_failed, 0);
+        let mut net = network_with_holes(4, 4, &[hole], 2, 1);
+        let (report, _) = run_sr(&mut net, SrConfig::default().with_seed(1));
+        assert!(report.run.is_quiescent());
+        assert_eq!(net.vacant_count(), 0);
+        assert_eq!(report.metrics.processes_initiated, 1);
+        assert_eq!(report.metrics.processes_converged, 1);
+        assert_eq!(report.metrics.processes_failed, 0);
         // The monitor had a spare: exactly one movement (Theorem 2, i=1).
-        assert_eq!(p.metrics().moves, 1);
-        assert_eq!(p.process_summaries()[0].hops, 1);
-        p.network().debug_invariants();
+        assert_eq!(report.metrics.moves, 1);
+        assert_eq!(report.processes[0].hops, 1);
+        net.debug_invariants();
     }
 
     #[test]
@@ -789,20 +739,18 @@ mod tests {
             rng.uniform_f64(),
             rng.uniform_f64(),
         ));
-        let net = GridNetwork::new(sys, &pos);
+        let mut net = GridNetwork::new(sys, &pos);
         assert_eq!(net.total_spares(), 1);
-        let topo = CycleTopology::build(4, 4).unwrap();
-        let p = SrProtocol::new(net, topo, SrConfig::default().with_seed(3));
-        let (p, report) = run_protocol(p);
-        assert!(report.is_quiescent());
-        assert_eq!(p.network().vacant_count(), 0);
-        assert_eq!(p.metrics().processes_converged, 1);
-        let s = &p.process_summaries()[0];
+        let (report, _) = run_sr(&mut net, SrConfig::default().with_seed(3));
+        assert!(report.run.is_quiescent());
+        assert_eq!(net.vacant_count(), 0);
+        assert_eq!(report.metrics.processes_converged, 1);
+        let s = &report.processes[0];
         assert_eq!(s.moves, s.hops);
         assert!(s.hops >= 1);
         // All moves belong to the single process.
-        assert_eq!(p.metrics().moves, s.moves);
-        p.network().debug_invariants();
+        assert_eq!(report.metrics.moves, s.moves);
+        net.debug_invariants();
     }
 
     #[test]
@@ -813,52 +761,46 @@ mod tests {
             GridCoord::new(1, 3),
             GridCoord::new(2, 2),
         ];
-        let p = protocol_with_holes(4, 4, &holes, 2, 7);
-        let (p, report) = run_protocol(p);
-        assert!(report.is_quiescent());
-        assert_eq!(p.network().vacant_count(), 0, "all holes filled");
-        assert_eq!(p.metrics().processes_failed, 0);
-        assert_eq!(p.metrics().success_rate_percent(), 100.0);
-        p.network().debug_invariants();
+        let mut net = network_with_holes(4, 4, &holes, 2, 7);
+        let (report, _) = run_sr(&mut net, SrConfig::default().with_seed(7));
+        assert!(report.run.is_quiescent());
+        assert_eq!(net.vacant_count(), 0, "all holes filled");
+        assert_eq!(report.metrics.processes_failed, 0);
+        assert_eq!(report.metrics.success_rate_percent(), 100.0);
+        net.debug_invariants();
     }
 
     #[test]
     fn consecutive_vacant_run_fills_sequentially() {
         // A run of holes along the cycle: processes wait on each other
         // and fill one at a time.
-        let sys = GridSystem::new(4, 4, 4.4721).unwrap();
         let topo = CycleTopology::build(4, 4).unwrap();
         let CycleTopology::Single(ref cyc) = topo else {
             panic!()
         };
         // Three consecutive cells on the cycle.
-        let h0 = cyc.order()[5];
-        let h1 = cyc.order()[6];
-        let h2 = cyc.order()[7];
-        let mut rng = SimRng::seed_from_u64(9);
-        let pos = deploy::with_holes(&sys, &[h0, h1, h2], 2, &mut rng);
-        let net = GridNetwork::new(sys, &pos);
-        let p = SrProtocol::new(net, topo, SrConfig::default().with_seed(9));
-        let (p, report) = run_protocol(p);
-        assert!(report.is_quiescent());
-        assert_eq!(p.network().vacant_count(), 0);
-        assert_eq!(p.metrics().processes_failed, 0);
-        p.network().debug_invariants();
+        let holes = [cyc.order()[5], cyc.order()[6], cyc.order()[7]];
+        let mut net = network_with_holes(4, 4, &holes, 2, 9);
+        let (report, _) = run_sr(&mut net, SrConfig::default().with_seed(9));
+        assert!(report.run.is_quiescent());
+        assert_eq!(net.vacant_count(), 0);
+        assert_eq!(report.metrics.processes_failed, 0);
+        net.debug_invariants();
     }
 
     #[test]
     fn no_spares_at_all_processes_fail() {
-        let p = protocol_with_holes(4, 4, &[GridCoord::new(1, 1)], 1, 11);
-        assert_eq!(p.network().total_spares(), 0);
-        let (p, report) = run_protocol(p);
-        assert!(report.is_quiescent());
+        let mut net = network_with_holes(4, 4, &[GridCoord::new(1, 1)], 1, 11);
+        assert_eq!(net.total_spares(), 0);
+        let (report, _) = run_sr(&mut net, SrConfig::default().with_seed(11));
+        assert!(report.run.is_quiescent());
         // The hole moved around the ring but could never be filled;
         // exactly one process was initiated and it failed (the relay
         // chain exhausted L hops).
-        assert!(p.metrics().processes_failed >= 1);
-        assert_eq!(p.metrics().processes_converged, 0);
-        assert_eq!(p.network().vacant_count(), 1);
-        p.network().debug_invariants();
+        assert!(report.metrics.processes_failed >= 1);
+        assert_eq!(report.metrics.processes_converged, 0);
+        assert_eq!(net.vacant_count(), 1);
+        net.debug_invariants();
     }
 
     #[test]
@@ -866,10 +808,10 @@ mod tests {
         // The headline SR property: a single hole triggers exactly one
         // process, never the multiple processes of AR.
         let hole = GridCoord::new(3, 3);
-        let p = protocol_with_holes(6, 6, &[hole], 3, 13);
-        let (p, _) = run_protocol(p);
-        assert_eq!(p.metrics().processes_initiated, 1);
-        assert_eq!(p.trace().count_kind("process_initiated"), 1);
+        let mut net = network_with_holes(6, 6, &[hole], 3, 13);
+        let (report, trace) = run_sr(&mut net, SrConfig::default().with_seed(13));
+        assert_eq!(report.metrics.processes_initiated, 1);
+        assert_eq!(trace.count_kind("process_initiated"), 1);
     }
 
     #[test]
@@ -884,12 +826,13 @@ mod tests {
             .into_iter()
             .enumerate()
         {
-            let p = protocol_with_holes(5, 5, &[hole], 2, 17 + i as u64);
-            let (p, report) = run_protocol(p);
-            assert!(report.is_quiescent(), "hole {hole}");
-            assert_eq!(p.network().vacant_count(), 0, "hole {hole} not filled");
-            assert_eq!(p.metrics().processes_failed, 0, "hole {hole}");
-            p.network().debug_invariants();
+            let seed = 17 + i as u64;
+            let mut net = network_with_holes(5, 5, &[hole], 2, seed);
+            let (report, _) = run_sr(&mut net, SrConfig::default().with_seed(seed));
+            assert!(report.run.is_quiescent(), "hole {hole}");
+            assert_eq!(net.vacant_count(), 0, "hole {hole} not filled");
+            assert_eq!(report.metrics.processes_failed, 0, "hole {hole}");
+            net.debug_invariants();
         }
     }
 
@@ -911,14 +854,13 @@ mod tests {
             rng.uniform_f64(),
             rng.uniform_f64(),
         ));
-        let net = GridNetwork::new(sys, &pos);
+        let mut net = GridNetwork::new(sys, &pos);
         assert_eq!(net.total_spares(), 1);
-        let p = SrProtocol::new(net, topo, SrConfig::default().with_seed(23));
-        let (p, report) = run_protocol(p);
-        assert!(report.is_quiescent());
-        assert_eq!(p.network().vacant_count(), 0);
-        assert_eq!(p.metrics().processes_failed, 0);
-        p.network().debug_invariants();
+        let (report, _) = run_sr(&mut net, SrConfig::default().with_seed(23));
+        assert!(report.run.is_quiescent());
+        assert_eq!(net.vacant_count(), 0);
+        assert_eq!(report.metrics.processes_failed, 0);
+        net.debug_invariants();
     }
 
     #[test]
@@ -927,19 +869,17 @@ mod tests {
         let sys = GridSystem::new(4, 4, 4.4721).unwrap();
         let mut rng = SimRng::seed_from_u64(29);
         let pos = deploy::per_cell_exact(&sys, 2, &mut rng);
-        let net = GridNetwork::new(sys, &pos);
-        let topo = CycleTopology::build(4, 4).unwrap();
+        let mut net = GridNetwork::new(sys, &pos);
         // Kill both nodes of cell (2, 2) at round 3.
         let victims: Vec<NodeId> = net.members(GridCoord::new(2, 2)).unwrap().to_vec();
         let cfg = SrConfig::default()
             .with_seed(29)
             .with_fault_plan(FaultPlan::new().at(3, FaultEvent::KillNodes(victims)));
-        let p = SrProtocol::new(net, topo, cfg);
-        let (p, report) = run_protocol(p);
-        assert!(report.is_quiescent());
-        assert_eq!(p.network().vacant_count(), 0);
-        assert_eq!(p.metrics().processes_converged, 1);
-        p.network().debug_invariants();
+        let (report, _) = run_sr(&mut net, cfg);
+        assert!(report.run.is_quiescent());
+        assert_eq!(net.vacant_count(), 0);
+        assert_eq!(report.metrics.processes_converged, 1);
+        net.debug_invariants();
     }
 
     #[test]
@@ -953,13 +893,11 @@ mod tests {
         net.elect_all_heads(HeadElection::FirstId, &mut rng);
         let head = net.head_of(GridCoord::new(1, 1)).unwrap().unwrap();
         net.disable_node(head).unwrap();
-        let topo = CycleTopology::build(4, 4).unwrap();
-        let p = SrProtocol::new(net, topo, SrConfig::default().with_seed(31));
-        let (p, report) = run_protocol(p);
-        assert!(report.is_quiescent());
-        assert_eq!(p.metrics().processes_initiated, 0);
-        assert_eq!(p.metrics().moves, 0);
-        assert_eq!(p.network().vacant_count(), 0);
+        let (report, _) = run_sr(&mut net, SrConfig::default().with_seed(31));
+        assert!(report.run.is_quiescent());
+        assert_eq!(report.metrics.processes_initiated, 0);
+        assert_eq!(report.metrics.moves, 0);
+        assert_eq!(net.vacant_count(), 0);
     }
 
     #[test]
@@ -967,9 +905,9 @@ mod tests {
         // Theorem 2 accounting: a converged process with i hops makes
         // exactly i movements.
         let holes = [GridCoord::new(0, 3), GridCoord::new(5, 0)];
-        let p = protocol_with_holes(6, 6, &[holes[0], holes[1]], 2, 37);
-        let (p, _) = run_protocol(p);
-        for s in p.process_summaries() {
+        let mut net = network_with_holes(6, 6, &holes, 2, 37);
+        let (report, _) = run_sr(&mut net, SrConfig::default().with_seed(37));
+        for s in &report.processes {
             assert_eq!(s.status, ProcessStatus::Converged);
             assert_eq!(s.moves, s.hops);
         }
@@ -982,33 +920,26 @@ mod tests {
         // only 40% of rounds, recovery takes longer but converges to the
         // same coverage with the same per-process move counts.
         let holes = [GridCoord::new(1, 2), GridCoord::new(3, 0)];
-        let sync = {
-            let p = protocol_with_holes(5, 4, &holes, 2, 41);
-            run_protocol(p).0
-        };
-        let async_run = {
-            let sys = GridSystem::new(5, 4, 4.4721).unwrap();
-            let mut rng = SimRng::seed_from_u64(41);
-            let pos = deploy::with_holes(&sys, &holes, 2, &mut rng);
-            let net = GridNetwork::new(sys, &pos);
-            let topo = CycleTopology::build(5, 4).unwrap();
-            let cfg = SrConfig::default()
-                .with_seed(41)
-                .with_activation_probability(0.4);
-            let p = SrProtocol::new(net, topo, cfg);
-            run_protocol(p).0
-        };
-        assert_eq!(async_run.network().vacant_count(), 0);
-        assert_eq!(async_run.metrics().processes_failed, 0);
+        let (sync, _) = run_sr(
+            &mut network_with_holes(5, 4, &holes, 2, 41),
+            SrConfig::default().with_seed(41),
+        );
+        let mut net = network_with_holes(5, 4, &holes, 2, 41);
+        let cfg = SrConfig::default()
+            .with_seed(41)
+            .with_activation_probability(0.4);
+        let (async_run, _) = run_sr(&mut net, cfg);
+        assert_eq!(net.vacant_count(), 0);
+        assert_eq!(async_run.metrics.processes_failed, 0);
         assert_eq!(
-            async_run.metrics().processes_converged,
-            sync.metrics().processes_converged
+            async_run.metrics.processes_converged,
+            sync.metrics.processes_converged
         );
         assert!(
-            async_run.metrics().rounds >= sync.metrics().rounds,
+            async_run.metrics.rounds >= sync.metrics.rounds,
             "async {} rounds vs sync {}",
-            async_run.metrics().rounds,
-            sync.metrics().rounds
+            async_run.metrics.rounds,
+            sync.metrics.rounds
         );
     }
 
@@ -1019,18 +950,16 @@ mod tests {
         let sys = GridSystem::new(4, 4, 4.4721).unwrap();
         let mut rng = SimRng::seed_from_u64(53);
         let pos = deploy::per_cell_exact(&sys, 3, &mut rng);
-        let net = GridNetwork::new(sys, &pos);
-        let topo = CycleTopology::build(4, 4).unwrap();
+        let mut net = GridNetwork::new(sys, &pos);
         let cfg = SrConfig::default()
             .with_seed(53)
             .with_election(HeadElection::MaxEnergy)
             .with_head_rotation(2);
-        let p = SrProtocol::new(net, topo, cfg);
-        let (p, report) = run_protocol(p);
-        assert!(report.is_quiescent());
-        assert_eq!(p.metrics().moves, 0);
-        assert_eq!(p.metrics().processes_initiated, 0);
-        p.network().debug_invariants();
+        let (report, _) = run_sr(&mut net, cfg);
+        assert!(report.run.is_quiescent());
+        assert_eq!(report.metrics.moves, 0);
+        assert_eq!(report.metrics.processes_initiated, 0);
+        net.debug_invariants();
     }
 
     #[test]
@@ -1044,8 +973,7 @@ mod tests {
             let sys = GridSystem::new(2, 2, 4.4721).unwrap();
             let mut rng = SimRng::seed_from_u64(61);
             let pos = deploy::per_cell_exact(&sys, 2, &mut rng);
-            let net = GridNetwork::new(sys, &pos);
-            let topo = CycleTopology::build(2, 2).unwrap();
+            let mut net = GridNetwork::new(sys, &pos);
             // An empty kill at round 200 keeps the run alive 200 rounds.
             let plan = FaultPlan::new().at(200, FaultEvent::KillNodes(vec![]));
             let mut cfg = SrConfig::default()
@@ -1056,13 +984,12 @@ mod tests {
             if rotate {
                 cfg = cfg.with_head_rotation(1);
             }
-            let p = SrProtocol::new(net, topo, cfg);
-            let (p, _) = run_protocol(p);
+            run_sr(&mut net, cfg);
             // Spread of battery charge within cell (0,0).
-            let members = p.network().members(GridCoord::new(0, 0)).unwrap();
+            let members = net.members(GridCoord::new(0, 0)).unwrap();
             let charges: Vec<f64> = members
                 .iter()
-                .map(|&id| p.network().node(id).unwrap().battery().charge())
+                .map(|&id| net.node(id).unwrap().battery().charge())
                 .collect();
             let max = charges.iter().cloned().fold(f64::MIN, f64::max);
             let min = charges.iter().cloned().fold(f64::MAX, f64::min);
@@ -1079,17 +1006,12 @@ mod tests {
     #[test]
     fn head_rotation_during_recovery_is_harmless() {
         let holes = [GridCoord::new(1, 1), GridCoord::new(2, 3)];
-        let sys = GridSystem::new(4, 4, 4.4721).unwrap();
-        let mut rng = SimRng::seed_from_u64(59);
-        let pos = deploy::with_holes(&sys, &holes, 2, &mut rng);
-        let net = GridNetwork::new(sys, &pos);
-        let topo = CycleTopology::build(4, 4).unwrap();
+        let mut net = network_with_holes(4, 4, &holes, 2, 59);
         let cfg = SrConfig::default().with_seed(59).with_head_rotation(1);
-        let p = SrProtocol::new(net, topo, cfg);
-        let (p, report) = run_protocol(p);
-        assert!(report.is_quiescent());
-        assert_eq!(p.network().vacant_count(), 0);
-        assert_eq!(p.metrics().processes_failed, 0);
+        let (report, _) = run_sr(&mut net, cfg);
+        assert!(report.run.is_quiescent());
+        assert_eq!(net.vacant_count(), 0);
+        assert_eq!(report.metrics.processes_failed, 0);
     }
 
     #[test]
@@ -1109,11 +1031,8 @@ mod tests {
         // too small to survive its own move: the spare dies on arrival,
         // re-opening the hole; the next process must drain a different
         // cell.
-        let sys = GridSystem::new(4, 4, 4.4721).unwrap();
-        let mut rng = SimRng::seed_from_u64(43);
         let hole = GridCoord::new(2, 2);
-        let pos = deploy::with_holes(&sys, &[hole], 2, &mut rng);
-        let mut net = GridNetwork::new(sys, &pos);
+        let mut net = network_with_holes(4, 4, &[hole], 2, 43);
         // Weaken every node of the monitoring cell: any move kills them.
         let topo = CycleTopology::build(4, 4).unwrap();
         let monitor = match &topo {
@@ -1131,43 +1050,35 @@ mod tests {
         let cfg = SrConfig::default()
             .with_seed(43)
             .with_battery_dynamics(true);
-        let p = SrProtocol::new(net, topo, cfg);
-        let (p, report) = run_protocol(p);
-        assert!(report.is_quiescent());
+        let (report, trace) = run_sr(&mut net, cfg);
+        assert!(report.run.is_quiescent());
         // Every mover from the weakened cell died; recovery must have
         // routed around them (or reported failure if spares ran out) —
         // either way invariants hold and the run terminated.
-        p.network().debug_invariants();
-        let depleted_deaths = p.trace().count_kind("node_disabled");
+        net.debug_invariants();
+        let depleted_deaths = trace.count_kind("node_disabled");
         let _ = depleted_deaths;
     }
 
     #[test]
     fn battery_dynamics_drains_movers() {
         let holes = [GridCoord::new(2, 1)];
-        let sys = GridSystem::new(4, 4, 4.4721).unwrap();
-        let mut rng = SimRng::seed_from_u64(47);
-        let pos = deploy::with_holes(&sys, &holes, 2, &mut rng);
-        let net = GridNetwork::new(sys, &pos);
-        let topo = CycleTopology::build(4, 4).unwrap();
+        let mut net = network_with_holes(4, 4, &holes, 2, 47);
         let cfg = SrConfig::default()
             .with_seed(47)
             .with_battery_dynamics(true);
-        let p = SrProtocol::new(net, topo, cfg);
-        let (p, _) = run_protocol(p);
-        assert_eq!(p.network().vacant_count(), 0);
+        run_sr(&mut net, cfg);
+        assert_eq!(net.vacant_count(), 0);
         // Exactly one node paid a movement's worth of energy (heads also
         // pay idle duty, but that is orders of magnitude smaller).
-        let movers = p
-            .network()
+        let movers = net
             .nodes()
             .iter()
             .filter(|n| n.battery().capacity() - n.battery().charge() > 1.0)
             .count();
         assert_eq!(movers, 1);
         // And heads paid their (tiny) idle duty.
-        let idlers = p
-            .network()
+        let idlers = net
             .nodes()
             .iter()
             .filter(|n| n.battery().fraction() < 1.0)
@@ -1179,8 +1090,8 @@ mod tests {
     #[should_panic(expected = "dimensions must match")]
     fn mismatched_topology_panics() {
         let sys = GridSystem::new(4, 4, 1.0).unwrap();
-        let net = GridNetwork::new(sys, &[]);
+        let mut net = GridNetwork::new(sys, &[]);
         let topo = CycleTopology::build(6, 6).unwrap();
-        let _ = SrProtocol::new(net, topo, SrConfig::default());
+        let _ = SrProtocol::new(&mut net, topo, SrConfig::default(), TraceLog::disabled());
     }
 }

@@ -1,203 +1,105 @@
-//! High-level recovery driver: wires the protocol to the round runner and
-//! produces a structured report.
-
-use std::fmt;
+//! The one round driver behind SR, SR-SC and AR: it runs a round
+//! protocol on a borrowed network to quiescence (or its round cap) and
+//! assembles the [`SchemeReport`]. Everything public here is re-exported
+//! from [`crate::scheme`].
 
 use wsn_grid::GridNetwork;
-use wsn_hamilton::{CycleTopology, HamiltonError};
-use wsn_simcore::{EngineError, RoundRunner, TraceLog};
+use wsn_simcore::{Metrics, ProtocolHealth, RoundProtocol, RoundRunner, TraceLog};
 
-use crate::scheme::{SchemeDetails, SchemeReport};
-use crate::{SrConfig, SrProtocol};
+use crate::process::ProcessSummary;
+use crate::scheme::{SchemeDetails, SchemeReport, Unsupported};
 
-/// Errors surfaced when assembling a recovery run.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SrError {
-    /// No Hamilton structure exists for the network's grid dimensions.
-    Topology(HamiltonError),
-    /// Invalid runner configuration (zero round cap or quiescence
-    /// window).
-    Engine(EngineError),
-    /// The SR-SC shortcut variant requires a single Hamilton cycle
-    /// (even-sided grid); see [`crate::shortcut`].
-    ShortcutNeedsCycle,
+/// What a protocol hands over when its run ends: the parts of a
+/// [`SchemeReport`] only the protocol knows, plus its event trace.
+#[derive(Debug)]
+pub struct ProtocolOutcome {
+    /// Cost counters.
+    pub metrics: Metrics,
+    /// Per-process summaries (empty for schemes without processes).
+    pub processes: Vec<ProcessSummary>,
+    /// The distributed-health ledger (all-zero without a network model).
+    pub health: ProtocolHealth,
+    /// The event trace (disabled unless the protocol was built with an
+    /// enabled log).
+    pub trace: TraceLog,
 }
 
-impl fmt::Display for SrError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SrError::Topology(e) => write!(f, "topology: {e}"),
-            SrError::Engine(e) => write!(f, "engine: {e}"),
-            SrError::ShortcutNeedsCycle => write!(
-                f,
-                "the shortcut variant requires a single hamilton cycle (one even grid side)"
-            ),
-        }
-    }
+/// A round protocol [`run_to_quiescence`] can drive: it runs on a
+/// borrowed network and, once the run ends, hands its results over.
+pub trait SchemeProtocol: RoundProtocol {
+    /// The network the protocol runs on.
+    fn network(&self) -> &GridNetwork;
+
+    /// Ends the run after `rounds` rounds: every process still active is
+    /// failed (it is stuck behind an unfillable hole, or its message was
+    /// lost), then the protocol's results are moved out.
+    fn finish(self, rounds: u64) -> ProtocolOutcome;
 }
 
-impl std::error::Error for SrError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SrError::Topology(e) => Some(e),
-            SrError::Engine(e) => Some(e),
-            SrError::ShortcutNeedsCycle => None,
-        }
-    }
-}
-
-impl From<HamiltonError> for SrError {
-    fn from(e: HamiltonError) -> Self {
-        SrError::Topology(e)
-    }
-}
-
-impl From<EngineError> for SrError {
-    fn from(e: EngineError) -> Self {
-        SrError::Engine(e)
-    }
-}
-
-/// Drives SR recovery on a network to quiescence.
+/// Runs `protocol` until `runner` declares quiescence or hits its round
+/// cap, and reports. The network the protocol borrowed is left in its
+/// recovered state; the returned trace is the protocol's own log.
 ///
 /// ```
-/// use wsn_coverage::{Recovery, SrConfig};
+/// use wsn_coverage::scheme::{round_runner, run_to_quiescence};
+/// use wsn_coverage::{SrConfig, SrProtocol};
 /// use wsn_grid::{deploy, GridCoord, GridNetwork, GridSystem};
-/// use wsn_simcore::SimRng;
+/// use wsn_hamilton::CycleTopology;
+/// use wsn_simcore::{SimRng, TraceLog};
 ///
-/// let system = GridSystem::for_comm_range(6, 6, 10.0)?;
+/// let sys = GridSystem::new(6, 6, 4.4721)?;
 /// let mut rng = SimRng::seed_from_u64(3);
-/// let positions = deploy::with_holes(&system, &[GridCoord::new(2, 2)], 2, &mut rng);
-/// let net = GridNetwork::new(system, &positions);
-///
-/// let mut recovery = Recovery::new(net, SrConfig::default())?;
-/// let report = recovery.run();
+/// let pos = deploy::with_holes(&sys, &[GridCoord::new(2, 2)], 2, &mut rng);
+/// let mut net = GridNetwork::new(sys, &pos);
+/// let topo = CycleTopology::build_masked(net.mask())?;
+/// let protocol = SrProtocol::new(&mut net, topo, SrConfig::default(), TraceLog::new());
+/// let (report, trace) = run_to_quiescence(protocol, round_runner("sr", 1_000)?);
 /// assert!(report.fully_covered);
 /// assert_eq!(report.metrics.processes_initiated, 1);
+/// assert_eq!(trace.count_kind("process_initiated"), 1);
+/// assert_eq!(net.stats(), report.final_stats); // recovered in place
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct Recovery {
-    protocol: SrProtocol,
+pub fn run_to_quiescence<P: SchemeProtocol>(
+    mut protocol: P,
     runner: RoundRunner,
+) -> (SchemeReport, TraceLog) {
+    let initial_stats = protocol.network().stats();
+    let run = runner.run(&mut protocol);
+    let final_stats = protocol.network().stats();
+    let outcome = protocol.finish(run.rounds);
+    let report = SchemeReport {
+        run,
+        metrics: outcome.metrics,
+        initial_stats,
+        final_stats,
+        fully_covered: final_stats.vacant == 0,
+        processes: outcome.processes,
+        health: outcome.health,
+        details: SchemeDetails::none(),
+    };
+    (report, outcome.trace)
 }
 
-impl Recovery {
-    /// Builds the cycle topology for the network's region and prepares
-    /// the protocol (initial head election happens here). Networks over
-    /// a full rectangular mask get the paper's exact constructions; a
-    /// network built with [`GridNetwork::with_mask`] over an irregular
-    /// region gets the masked virtual ring
-    /// ([`wsn_hamilton::MaskedCycle`]) — SR runs unchanged on top.
-    ///
-    /// # Errors
-    ///
-    /// [`SrError::Topology`] when the region has no replacement
-    /// structure (any side < 2, odd×odd below 3×3, or fewer than two
-    /// enabled cells), and [`SrError::Engine`] for invalid round caps in
-    /// `config`.
-    pub fn new(net: GridNetwork, config: SrConfig) -> Result<Recovery, SrError> {
-        let topo = CycleTopology::build_masked(net.mask())?;
-        Recovery::with_topology(net, topo, config)
-    }
-
-    /// Like [`Recovery::new`] with a pre-built topology — for callers
-    /// (e.g. the [`crate::scheme::ReplacementScheme`] impls) that have
-    /// already constructed the replacement structure and should not pay
-    /// for it twice. `topo` must have been built for `net`'s region
-    /// (i.e. from its [`wsn_grid::RegionMask`]).
-    ///
-    /// # Errors
-    ///
-    /// [`SrError::Engine`] for invalid round caps in `config`.
-    pub fn with_topology(
-        net: GridNetwork,
-        topo: CycleTopology,
-        config: SrConfig,
-    ) -> Result<Recovery, SrError> {
-        let runner = RoundRunner::with_quiescence(config.max_rounds, config.quiescent_rounds)?;
-        Ok(Recovery {
-            protocol: SrProtocol::new(net, topo, config),
-            runner,
-        })
-    }
-
-    /// Runs to quiescence (or the round cap) and reports.
-    pub fn run(&mut self) -> SchemeReport {
-        let initial_stats = self.protocol.network().stats();
-        let run = self.runner.run(&mut self.protocol);
-        self.protocol.fail_remaining(run.rounds);
-        let final_stats = self.protocol.network().stats();
-        SchemeReport {
-            run,
-            metrics: *self.protocol.metrics(),
-            initial_stats,
-            final_stats,
-            fully_covered: final_stats.vacant == 0,
-            processes: self.protocol.process_summaries().to_vec(),
-            health: wsn_simcore::ProtocolHealth::default(),
-            details: SchemeDetails::none(),
-        }
-    }
-
-    /// Runs using the change-driven quiescence check
-    /// ([`wsn_simcore::ChangeDrivenProtocol`]): the run ends the moment
-    /// the protocol's pending-hole index shows nothing outstanding,
-    /// skipping the idle-confirmation rounds [`Recovery::run`] executes.
-    /// Without battery dynamics (the default), coverage outcomes and
-    /// per-process results are identical to `run`'s and only the round
-    /// accounting differs (no trailing no-op rounds). With
-    /// `battery_dynamics` enabled the skipped rounds are not no-ops —
-    /// heads burn idle energy every round, and a death in a trailing
-    /// round can open a fresh hole — so energy totals (and, at the
-    /// margin, coverage) may diverge from `run`'s. Use `run` when
-    /// comparing round counts or energy against the paper, and
-    /// `run_adaptive` for large-grid scenario harnesses.
-    pub fn run_adaptive(&mut self) -> SchemeReport {
-        let initial_stats = self.protocol.network().stats();
-        let run = self.runner.run_change_driven(&mut self.protocol);
-        self.protocol.fail_remaining(run.rounds);
-        let final_stats = self.protocol.network().stats();
-        SchemeReport {
-            run,
-            metrics: *self.protocol.metrics(),
-            initial_stats,
-            final_stats,
-            fully_covered: final_stats.vacant == 0,
-            processes: self.protocol.process_summaries().to_vec(),
-            health: wsn_simcore::ProtocolHealth::default(),
-            details: SchemeDetails::none(),
-        }
-    }
-
-    /// The network state (before [`Recovery::run`]: as deployed with
-    /// heads elected; after: the recovered state).
-    pub fn network(&self) -> &GridNetwork {
-        self.protocol.network()
-    }
-
-    /// Consumes the driver and releases the network — how the
-    /// [`crate::scheme::ReplacementScheme`] impl hands the recovered
-    /// state back through its `&mut GridNetwork` argument.
-    pub fn into_network(self) -> GridNetwork {
-        self.protocol.into_network()
-    }
-
-    /// The protocol's event trace.
-    pub fn trace(&self) -> &TraceLog {
-        self.protocol.trace()
-    }
-
-    /// The underlying protocol (for custom inspection).
-    pub fn protocol(&self) -> &SrProtocol {
-        &self.protocol
-    }
+/// The round runner for a scheme's round cap: the one configuration
+/// check SR, SR-SC and AR share, in [`crate::ReplacementScheme::supports`]
+/// and before every run. Quiescence takes two consecutive idle rounds,
+/// the paper's one-round notification latency plus one.
+///
+/// # Errors
+///
+/// [`Unsupported`], attributed to `scheme`, when `max_rounds` is zero.
+pub fn round_runner(scheme: &str, max_rounds: u64) -> Result<RoundRunner, Unsupported> {
+    RoundRunner::new(max_rounds).map_err(|e| Unsupported::new(scheme, e.to_string()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::{DriveMode, ReplacementScheme, Sr};
+    use crate::{SrConfig, SrProtocol};
     use wsn_grid::{deploy, GridCoord, GridSystem};
+    use wsn_hamilton::CycleTopology;
     use wsn_simcore::SimRng;
 
     #[test]
@@ -205,45 +107,17 @@ mod tests {
         let sys = GridSystem::new(4, 4, 4.4721).unwrap();
         let mut rng = SimRng::seed_from_u64(5);
         let pos = deploy::with_holes(&sys, &[GridCoord::new(1, 2)], 2, &mut rng);
-        let net = GridNetwork::new(sys, &pos);
-        let mut rec = Recovery::new(net, SrConfig::default().with_trace(true)).unwrap();
-        let report = rec.run();
+        let mut net = GridNetwork::new(sys, &pos);
+        let (report, trace) = Sr::new()
+            .run_traced(&mut net, 0, DriveMode::Classic)
+            .unwrap();
         assert!(report.fully_covered);
         assert_eq!(report.initial_stats.vacant, 1);
         assert_eq!(report.final_stats.vacant, 0);
         assert_eq!(report.processes.len(), 1);
         assert!(report.run.is_quiescent());
         assert!(!report.to_string().is_empty());
-        assert!(!rec.trace().is_empty());
-        assert!(rec.protocol().process_summaries().len() == 1);
-    }
-
-    #[test]
-    fn adaptive_run_matches_classic_run_minus_idle_rounds() {
-        let mk = || {
-            let sys = GridSystem::new(6, 6, 4.4721).unwrap();
-            let mut rng = SimRng::seed_from_u64(8);
-            let pos = deploy::with_holes(
-                &sys,
-                &[GridCoord::new(1, 2), GridCoord::new(4, 4)],
-                2,
-                &mut rng,
-            );
-            GridNetwork::new(sys, &pos)
-        };
-        let classic = Recovery::new(mk(), SrConfig::default().with_seed(8))
-            .unwrap()
-            .run();
-        let adaptive = Recovery::new(mk(), SrConfig::default().with_seed(8))
-            .unwrap()
-            .run_adaptive();
-        assert!(classic.fully_covered && adaptive.fully_covered);
-        assert!(classic.run.is_quiescent() && adaptive.run.is_quiescent());
-        // Identical work, fewer bookkeeping rounds.
-        assert_eq!(adaptive.metrics.moves, classic.metrics.moves);
-        assert_eq!(adaptive.metrics.distance, classic.metrics.distance);
-        assert_eq!(adaptive.processes.len(), classic.processes.len());
-        assert!(adaptive.run.rounds < classic.run.rounds);
+        assert!(!trace.is_empty());
     }
 
     #[test]
@@ -259,12 +133,13 @@ mod tests {
             let enabled: Vec<GridCoord> = mask.iter_enabled().collect();
             let holes: Vec<GridCoord> = enabled.iter().copied().step_by(17).collect();
             let pos = deploy::with_holes_masked(&sys, &mask, &holes, 2, &mut rng);
-            let net = GridNetwork::with_mask(sys, mask.clone(), &pos).unwrap();
+            let mut net = GridNetwork::with_mask(sys, mask.clone(), &pos).unwrap();
             assert_eq!(net.stats().vacant, holes.len(), "{shape}");
-            let mut rec =
-                Recovery::new(net, SrConfig::default().with_seed(100 + i as u64)).unwrap();
-            assert!(rec.protocol().topology().is_masked(), "{shape}");
-            let report = rec.run();
+            let topo = CycleTopology::build_masked(net.mask()).unwrap();
+            assert!(topo.is_masked(), "{shape}");
+            let config = SrConfig::default().with_seed(100 + i as u64);
+            let protocol = SrProtocol::new(&mut net, topo, config, TraceLog::disabled());
+            let (report, _) = run_to_quiescence(protocol, round_runner("sr", 100_000).unwrap());
             assert!(report.fully_covered, "{shape}: {report}");
             assert_eq!(report.metrics.processes_failed, 0, "{shape}");
             // Exactly one process per hole: the masked ring preserves
@@ -274,8 +149,8 @@ mod tests {
                 holes.len() as u64,
                 "{shape}"
             );
-            rec.network().debug_invariants();
-            for node in rec.network().nodes() {
+            net.debug_invariants();
+            for node in net.nodes() {
                 if node.status().is_enabled() {
                     let cell = sys.cell_of(node.position()).unwrap();
                     assert!(mask.is_enabled(cell), "{shape}: node in disabled {cell}");
@@ -292,10 +167,9 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(7);
         let enabled: Vec<GridCoord> = mask.iter_enabled().collect();
         let pos = deploy::with_holes_masked(&sys, &mask, &[enabled[10]], 1, &mut rng);
-        let net = GridNetwork::with_mask(sys, mask, &pos).unwrap();
+        let mut net = GridNetwork::with_mask(sys, mask, &pos).unwrap();
         assert_eq!(net.total_spares(), 0);
-        let mut rec = Recovery::new(net, SrConfig::default()).unwrap();
-        let report = rec.run();
+        let report = Sr::new().run(&mut net, 0, DriveMode::Classic).unwrap();
         assert!(report.run.is_quiescent());
         assert!(!report.fully_covered);
         assert!(report.metrics.processes_failed >= 1);
@@ -306,9 +180,8 @@ mod tests {
         let sys = GridSystem::new(4, 4, 4.4721).unwrap();
         let mut rng = SimRng::seed_from_u64(6);
         let pos = deploy::per_cell_exact(&sys, 2, &mut rng);
-        let net = GridNetwork::new(sys, &pos);
-        let mut rec = Recovery::new(net, SrConfig::default()).unwrap();
-        let report = rec.run();
+        let mut net = GridNetwork::new(sys, &pos);
+        let report = Sr::new().run(&mut net, 0, DriveMode::Classic).unwrap();
         assert!(report.fully_covered);
         assert_eq!(report.metrics.moves, 0);
         assert_eq!(report.metrics.processes_initiated, 0);
@@ -317,29 +190,17 @@ mod tests {
 
     #[test]
     fn error_cases_are_reported() {
+        // No replacement structure on a 1-wide strip.
         let sys = GridSystem::new(1, 4, 1.0).unwrap();
-        let net = GridNetwork::new(sys, &[]);
-        match Recovery::new(net, SrConfig::default()) {
-            Err(SrError::Topology(_)) => {}
-            other => panic!("expected topology error, got {other:?}"),
-        }
+        let mut net = GridNetwork::new(sys, &[]);
+        let err = Sr::new().run(&mut net, 0, DriveMode::Classic).unwrap_err();
+        assert_eq!(err.scheme, "sr");
+        // A zero round cap is refused, up front and at run time alike.
         let sys = GridSystem::new(4, 4, 1.0).unwrap();
-        let net = GridNetwork::new(sys, &[]);
-        let cfg = SrConfig::default().with_max_rounds(0);
-        match Recovery::new(net, cfg) {
-            Err(SrError::Engine(_)) => {}
-            other => panic!("expected engine error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn errors_display_and_source() {
-        use std::error::Error as _;
-        let e = SrError::from(HamiltonError::TooSmall { cols: 1, rows: 1 });
-        assert!(!e.to_string().is_empty());
-        assert!(e.source().is_some());
-        let e = SrError::from(EngineError::ZeroMaxRounds);
-        assert!(!e.to_string().is_empty());
-        assert!(e.source().is_some());
+        let mut net = GridNetwork::new(sys, &[]);
+        let sr = Sr::from_config(SrConfig::default().with_max_rounds(0));
+        let err = sr.run(&mut net, 0, DriveMode::Classic).unwrap_err();
+        assert!(err.reason.contains("max_rounds"), "{err}");
+        assert_eq!(round_runner("sr", 0).unwrap_err(), err);
     }
 }

@@ -2,12 +2,10 @@
 //! SR-SC, AR, virtual force, SMART — behind one object-safe trait plus a
 //! registry of stable string ids.
 //!
-//! Before this layer each scheme had a bespoke entry point
-//! ([`crate::Recovery::run`], `ArRecovery::run`, free `vf::run` /
-//! `smart::run` functions…) and a bespoke report type, and every harness
-//! that compared schemes paid a `match` arm per scheme per call site.
-//! [`ReplacementScheme`] folds all of that into three questions any
-//! scheme can answer:
+//! Every harness that compares schemes (campaigns, sweeps, figures,
+//! CLIs) drives them through [`ReplacementScheme`] instead of paying a
+//! `match` arm per scheme per call site. The trait asks three questions
+//! any scheme can answer:
 //!
 //! * **who are you** — [`ReplacementScheme::id`] (a stable, parseable
 //!   token like `"sr-sc"`, used in CSV/JSON artifacts and on the CLI)
@@ -21,10 +19,10 @@
 //!   [`SchemeReport`]. Passing the network by `&mut` (not by value) is
 //!   what makes paired before/after inspection possible without cloning.
 //!
-//! [`DriveMode`] folds the classic idle-confirmation loop and the
-//! change-driven fast path (`run` vs `run_adaptive` in the old API) into
-//! one parameter; schemes advertise the fast path via
-//! [`ReplacementScheme::supports_change_driven`].
+//! [`DriveMode`] picks the engine: the paper's classic round loop, or
+//! the event engine under a network model. The round schemes (SR, SR-SC
+//! and AR) build their protocol on the borrowed network and hand it to
+//! one driver, [`run_to_quiescence`].
 //!
 //! A [`SchemeRegistry`] maps ids to boxed scheme objects. The five
 //! built-ins are registered by `wsn_baselines::builtins()`; external
@@ -116,34 +114,28 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use wsn_grid::{GridNetwork, GridSystem, NetworkStats, RegionMask};
+use wsn_grid::{GridNetwork, NetworkStats, RegionMask};
 use wsn_hamilton::CycleTopology;
 use wsn_simcore::{Metrics, NetModelSpec, ProtocolHealth, RunReport, TraceLog};
 
-use crate::actor::{EventScRecovery, EventSrRecovery};
+use crate::actor::{EventScProtocol, EventSrProtocol};
 use crate::process::ProcessSummary;
-use crate::recovery::{Recovery, SrError};
-use crate::shortcut::ShortcutRecovery;
-use crate::SrConfig;
+use crate::shortcut::{ScRing, ShortcutProtocol};
+use crate::{SrConfig, SrProtocol};
 
-/// How a scheme's round loop decides it is done.
+pub use crate::recovery::{round_runner, run_to_quiescence, ProtocolOutcome, SchemeProtocol};
+
+/// Which engine drives a scheme's rounds.
 ///
-/// The old API exposed this as two methods per driver (`run` vs
-/// `run_adaptive` / `run_change_driven`); the trait folds it into one
-/// parameter.
+/// Round-trips through its text form (`classic`, `event-<net token>`,
+/// e.g. `event-lat3`) via [`fmt::Display`] and [`FromStr`]: the spelling
+/// replay artifacts and CLIs use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum DriveMode {
-    /// The paper's accounting: quiescence is observed by executing
-    /// idle-confirmation rounds. Use this when comparing round counts or
-    /// energy against the paper.
+    /// The paper's accounting: one synchronous round loop, where
+    /// quiescence is observed by executing idle-confirmation rounds.
     #[default]
     Classic,
-    /// The fast path: the run ends the moment the scheme's own
-    /// pending-work index shows nothing outstanding
-    /// ([`wsn_simcore::ChangeDrivenProtocol`]), skipping trailing no-op
-    /// rounds. Only available where
-    /// [`ReplacementScheme::supports_change_driven`] reports `true`.
-    ChangeDriven,
     /// The discrete-event engine: heads and spares are actors
     /// exchanging typed messages through the given network model
     /// ([`wsn_simcore::net`]), so latency and loss become protocol
@@ -163,11 +155,45 @@ impl fmt::Display for DriveMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DriveMode::Classic => f.write_str("classic"),
-            DriveMode::ChangeDriven => f.write_str("change-driven"),
             DriveMode::EventDriven { net } => write!(f, "event-{net}"),
         }
     }
 }
+
+impl FromStr for DriveMode {
+    type Err = UnknownDrive;
+
+    fn from_str(s: &str) -> Result<DriveMode, UnknownDrive> {
+        if s == "classic" {
+            return Ok(DriveMode::Classic);
+        }
+        s.strip_prefix("event-")
+            .and_then(NetModelSpec::parse_token)
+            .map(|net| DriveMode::EventDriven { net })
+            .ok_or_else(|| UnknownDrive {
+                input: s.to_owned(),
+            })
+    }
+}
+
+/// A string names no [`DriveMode`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownDrive {
+    /// The rejected string.
+    pub input: String,
+}
+
+impl fmt::Display for UnknownDrive {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "unknown drive mode {:?}: expected \"classic\" or \"event-<net model token>\"",
+            self.input
+        )
+    }
+}
+
+impl std::error::Error for UnknownDrive {}
 
 /// A scheme cannot run on the requested region, configuration, or drive
 /// mode.
@@ -347,9 +373,9 @@ pub struct SchemeReport {
     /// Per-process details, for schemes with a replacement-process
     /// notion (SR, SR-SC); empty otherwise.
     pub processes: Vec<ProcessSummary>,
-    /// Distributed-protocol health counters. All-zero for classic and
-    /// change-driven runs (the synchronous model has no network to
-    /// lose messages in); populated by [`DriveMode::EventDriven`].
+    /// Distributed-protocol health counters. All-zero for classic runs
+    /// (the synchronous model has no network to lose messages in);
+    /// populated by [`DriveMode::EventDriven`].
     /// Excluded from equality, like `details`: conformance compares
     /// the classic engine (no envelope accounting) against the event
     /// engine (full accounting) on everything the paper measures.
@@ -416,11 +442,6 @@ pub trait ReplacementScheme: fmt::Debug + Send + Sync {
     /// Hamilton structure, no single cycle, …).
     fn supports(&self, spec: &NetworkSpec) -> Result<(), Unsupported>;
 
-    /// Whether [`DriveMode::ChangeDriven`] is implemented.
-    fn supports_change_driven(&self) -> bool {
-        false
-    }
-
     /// Whether [`DriveMode::EventDriven`] is implemented.
     fn supports_event_driven(&self) -> bool {
         false
@@ -438,7 +459,8 @@ pub trait ReplacementScheme: fmt::Debug + Send + Sync {
     ///
     /// [`Unsupported`] when the network's region fails
     /// [`ReplacementScheme::supports`], or `mode` is
-    /// [`DriveMode::ChangeDriven`] on a scheme without that driver.
+    /// [`DriveMode::EventDriven`] on a scheme without that engine. A
+    /// refusal leaves `net` untouched.
     fn run(
         &self,
         net: &mut GridNetwork,
@@ -469,33 +491,6 @@ pub trait ReplacementScheme: fmt::Debug + Send + Sync {
     ) -> Result<(SchemeReport, TraceLog), Unsupported> {
         self.run(net, seed, mode).map(|r| (r, TraceLog::disabled()))
     }
-}
-
-/// Detaches the network behind `net`, leaving a minimal placeholder —
-/// the bridge between the trait's `&mut GridNetwork` contract and
-/// drivers ([`Recovery`], `ArRecovery`, …) that take ownership. Pair
-/// with writing the driver's final network back:
-///
-/// ```
-/// # use wsn_coverage::scheme::detach_network;
-/// # use wsn_coverage::{Recovery, SrConfig};
-/// # use wsn_grid::{deploy, GridNetwork, GridSystem};
-/// # use wsn_simcore::SimRng;
-/// # let sys = GridSystem::new(4, 4, 4.4721).unwrap();
-/// # let mut rng = SimRng::seed_from_u64(1);
-/// # let pos = deploy::per_cell_exact(&sys, 2, &mut rng);
-/// # let mut owned = GridNetwork::new(sys, &pos);
-/// # let net: &mut GridNetwork = &mut owned;
-/// let mut recovery = Recovery::new(detach_network(net), SrConfig::default()).unwrap();
-/// let report = recovery.run();
-/// *net = recovery.into_network();
-/// ```
-pub fn detach_network(net: &mut GridNetwork) -> GridNetwork {
-    let placeholder = GridNetwork::new(
-        GridSystem::new(1, 1, 1.0).expect("1x1 placeholder grid is valid"),
-        &[],
-    );
-    std::mem::replace(net, placeholder)
 }
 
 /// A validated scheme id: non-empty lowercase ASCII letters, digits and
@@ -729,14 +724,9 @@ impl SchemeRegistry {
     }
 }
 
-impl From<SrError> for Unsupported {
-    fn from(e: SrError) -> Unsupported {
-        Unsupported::new("sr", e.to_string())
-    }
-}
-
 /// **SR** — the paper's synchronized snake-like replacement — as a
-/// registrable scheme. Wraps [`Recovery`]; configure via
+/// registrable scheme: [`SrProtocol`] (classic) or [`EventSrProtocol`]
+/// (event engine) run by [`run_to_quiescence`]. Configure via
 /// [`Sr::builder`].
 ///
 /// ```
@@ -816,13 +806,6 @@ impl SrBuilder {
         self
     }
 
-    /// Enables or disables tracing.
-    #[must_use]
-    pub fn trace(mut self, trace: bool) -> Self {
-        self.config = self.config.with_trace(trace);
-        self
-    }
-
     /// Sets the in-run fault plan.
     #[must_use]
     pub fn fault_plan(mut self, plan: wsn_simcore::fault::FaultPlan) -> Self {
@@ -865,14 +848,10 @@ impl ReplacementScheme for Sr {
         // Config validity is part of the supports() contract, so
         // experiment matrices catch a bad round cap up front instead of
         // panicking on a worker thread.
-        validate_runner_config(self.id(), &self.config)?;
+        round_runner(self.id(), self.config.max_rounds)?;
         CycleTopology::build_masked(spec.mask())
             .map(|_| ())
             .map_err(|e| Unsupported::new(self.id(), e.to_string()))
-    }
-
-    fn supports_change_driven(&self) -> bool {
-        true
     }
 
     fn supports_event_driven(&self) -> bool {
@@ -885,7 +864,8 @@ impl ReplacementScheme for Sr {
         seed: u64,
         mode: DriveMode,
     ) -> Result<SchemeReport, Unsupported> {
-        self.drive(net, seed, mode, false).map(|(report, _)| report)
+        self.drive(net, seed, mode, TraceLog::disabled())
+            .map(|(report, _)| report)
     }
 
     fn run_traced(
@@ -894,63 +874,40 @@ impl ReplacementScheme for Sr {
         seed: u64,
         mode: DriveMode,
     ) -> Result<(SchemeReport, TraceLog), Unsupported> {
-        self.drive(net, seed, mode, true)
+        self.drive(net, seed, mode, TraceLog::new())
     }
 }
 
 impl Sr {
-    /// The shared driver behind `run` and `run_traced`: identical round
-    /// sequence either way, with tracing switched on only when asked.
+    /// The shared driver behind `run` and `run_traced`: the identical
+    /// round sequence either way, recorded into `trace`.
     fn drive(
         &self,
         net: &mut GridNetwork,
         seed: u64,
         mode: DriveMode,
-        traced: bool,
+        trace: TraceLog,
     ) -> Result<(SchemeReport, TraceLog), Unsupported> {
-        // Validate on the borrowed network first: once it is detached, a
-        // failed constructor could not hand it back. The topology built
-        // here is the one the driver runs on — no second construction.
+        let runner = round_runner(self.id(), self.config.max_rounds)?;
         let topo = CycleTopology::build_masked(net.mask())
             .map_err(|e| Unsupported::new(self.id(), e.to_string()))?;
-        validate_runner_config(self.id(), &self.config)?;
-        let owned = detach_network(net);
-        let mut config = self.config.clone().with_seed(seed);
-        if traced {
-            config = config.with_trace(true);
-        }
-        if let DriveMode::EventDriven { net: spec } = mode {
-            let mut recovery = EventSrRecovery::with_topology(owned, topo, config, spec)
-                .expect("round caps pre-validated");
-            let report = recovery.run();
-            let trace = recovery.trace().clone();
-            *net = recovery.into_network();
-            return Ok((report, trace));
-        }
-        let mut recovery =
-            Recovery::with_topology(owned, topo, config).expect("round caps pre-validated");
-        let report = match mode {
-            DriveMode::Classic => recovery.run(),
-            DriveMode::ChangeDriven => recovery.run_adaptive(),
-            DriveMode::EventDriven { .. } => unreachable!("routed above"),
-        };
-        let trace = recovery.trace().clone();
-        *net = recovery.into_network();
-        Ok((report, trace))
+        let config = self.config.clone().with_seed(seed);
+        Ok(match mode {
+            DriveMode::Classic => {
+                run_to_quiescence(SrProtocol::new(net, topo, config, trace), runner)
+            }
+            DriveMode::EventDriven { net: spec } => {
+                run_to_quiescence(EventSrProtocol::new(net, topo, config, spec, trace), runner)
+            }
+        })
     }
 }
 
-/// Rejects round caps the [`wsn_simcore::RoundRunner`] would refuse,
-/// before the network is detached.
-fn validate_runner_config(id: &str, config: &SrConfig) -> Result<(), Unsupported> {
-    wsn_simcore::RoundRunner::with_quiescence(config.max_rounds, config.quiescent_rounds)
-        .map(|_| ())
-        .map_err(|e| Unsupported::new(id, e.to_string()))
-}
-
 /// **SR-SC** — the short-cut extension ([`crate::shortcut`]) — as a
-/// registrable scheme. Requires a unique-predecessor ring: even-sided
-/// full grids or any masked virtual ring.
+/// registrable scheme: [`ShortcutProtocol`] (classic) or
+/// [`EventScProtocol`] (event engine) run by [`run_to_quiescence`].
+/// Requires a unique-predecessor ring: even-sided full grids or any
+/// masked virtual ring.
 #[derive(Debug, Clone, Default)]
 pub struct SrSc {
     config: SrConfig,
@@ -989,15 +946,8 @@ impl ReplacementScheme for SrSc {
     }
 
     fn supports(&self, spec: &NetworkSpec) -> Result<(), Unsupported> {
-        validate_runner_config(self.id(), &self.config)?;
-        match CycleTopology::build_masked(spec.mask()) {
-            Ok(CycleTopology::Dual(_)) => Err(Unsupported::new(
-                self.id(),
-                "SR-SC requires a single Hamilton cycle (one even side)",
-            )),
-            Ok(_) => Ok(()),
-            Err(e) => Err(Unsupported::new(self.id(), e.to_string())),
-        }
+        round_runner(self.id(), self.config.max_rounds)?;
+        self.ring(spec.mask()).map(|_| ())
     }
 
     fn supports_event_driven(&self) -> bool {
@@ -1010,7 +960,8 @@ impl ReplacementScheme for SrSc {
         seed: u64,
         mode: DriveMode,
     ) -> Result<SchemeReport, Unsupported> {
-        self.drive(net, seed, mode, false).map(|(report, _)| report)
+        self.drive(net, seed, mode, TraceLog::disabled())
+            .map(|(report, _)| report)
     }
 
     fn run_traced(
@@ -1019,11 +970,23 @@ impl ReplacementScheme for SrSc {
         seed: u64,
         mode: DriveMode,
     ) -> Result<(SchemeReport, TraceLog), Unsupported> {
-        self.drive(net, seed, mode, true)
+        self.drive(net, seed, mode, TraceLog::new())
     }
 }
 
 impl SrSc {
+    /// The backward ring of `mask`'s replacement structure.
+    fn ring(&self, mask: &RegionMask) -> Result<ScRing, Unsupported> {
+        let topo = CycleTopology::build_masked(mask)
+            .map_err(|e| Unsupported::new(self.id(), e.to_string()))?;
+        ScRing::of(topo).ok_or_else(|| {
+            Unsupported::new(
+                self.id(),
+                "SR-SC requires a single Hamilton cycle (one even side)",
+            )
+        })
+    }
+
     /// The shared driver behind `run` and `run_traced`, mirroring
     /// [`Sr::drive`].
     fn drive(
@@ -1031,49 +994,26 @@ impl SrSc {
         net: &mut GridNetwork,
         seed: u64,
         mode: DriveMode,
-        traced: bool,
+        trace: TraceLog,
     ) -> Result<(SchemeReport, TraceLog), Unsupported> {
-        if mode == DriveMode::ChangeDriven {
-            return Err(Unsupported::new(
-                self.id(),
-                "SR-SC cannot run change-driven: its beacon exchange is billed every round",
-            ));
-        }
-        let topo = CycleTopology::build_masked(net.mask())
-            .map_err(|e| Unsupported::new(self.id(), e.to_string()))?;
-        if matches!(topo, CycleTopology::Dual(_)) {
-            return Err(Unsupported::new(
-                self.id(),
-                "SR-SC requires a single Hamilton cycle (one even side)",
-            ));
-        }
-        validate_runner_config(self.id(), &self.config)?;
-        let owned = detach_network(net);
-        let mut config = self.config.clone().with_seed(seed);
-        if traced {
-            config = config.with_trace(true);
-        }
-        if let DriveMode::EventDriven { net: spec } = mode {
-            let mut recovery = EventScRecovery::with_topology(owned, topo, config, spec)
-                .expect("pre-validated ring and round caps");
-            let report = recovery.run();
-            let trace = recovery.trace().clone();
-            *net = recovery.into_network();
-            return Ok((report, trace));
-        }
-        let mut recovery = ShortcutRecovery::with_topology(owned, topo, config)
-            .expect("pre-validated ring and round caps");
-        let report = recovery.run();
-        let trace = recovery.trace().clone();
-        *net = recovery.into_network();
-        Ok((report, trace))
+        let runner = round_runner(self.id(), self.config.max_rounds)?;
+        let ring = self.ring(net.mask())?;
+        let config = self.config.clone().with_seed(seed);
+        Ok(match mode {
+            DriveMode::Classic => {
+                run_to_quiescence(ShortcutProtocol::new(net, ring, config, trace), runner)
+            }
+            DriveMode::EventDriven { net: spec } => {
+                run_to_quiescence(EventScProtocol::new(net, ring, config, spec, trace), runner)
+            }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsn_grid::{deploy, GridCoord};
+    use wsn_grid::{deploy, GridCoord, GridSystem};
     use wsn_simcore::SimRng;
 
     fn holed_network(cols: u16, rows: u16, seed: u64) -> GridNetwork {
@@ -1173,22 +1113,15 @@ mod tests {
         // The &mut contract: `net` now *is* the recovered network.
         assert_eq!(net.stats(), via_trait.final_stats);
         assert_eq!(before, via_trait.initial_stats);
-        // Byte-identical to the direct driver path.
-        let direct = Recovery::new(
-            holed_network(6, 6, seed),
-            SrConfig::default().with_seed(seed),
-        )
-        .unwrap()
-        .run();
+        // Byte-identical to the protocol built and driven directly.
+        let mut direct_net = holed_network(6, 6, seed);
+        let topo = CycleTopology::build(6, 6).unwrap();
+        let config = SrConfig::default().with_seed(seed);
+        let protocol = SrProtocol::new(&mut direct_net, topo, config, TraceLog::disabled());
+        let (direct, trace) = run_to_quiescence(protocol, round_runner("sr", 100_000).unwrap());
         assert_eq!(via_trait, direct);
-        // Change-driven mode maps to run_adaptive.
-        assert!(sr.supports_change_driven());
-        let mut net2 = holed_network(6, 6, seed);
-        let adaptive = sr.run(&mut net2, seed, DriveMode::ChangeDriven).unwrap();
-        assert_eq!(
-            adaptive.metrics.ignoring_rounds(),
-            direct.metrics.ignoring_rounds()
-        );
+        assert_eq!(direct_net.stats(), net.stats());
+        assert!(!trace.is_enabled(), "a disabled log records nothing");
     }
 
     #[test]
@@ -1211,10 +1144,6 @@ mod tests {
         assert!(sc.run(&mut net, 1, DriveMode::Classic).is_err());
         // ...and the caller's network is still usable afterwards.
         assert_eq!(net.stats().vacant, 0);
-        // No change-driven driver.
-        assert!(!sc.supports_change_driven());
-        let mut net6 = holed_network(6, 6, 2);
-        assert!(sc.run(&mut net6, 2, DriveMode::ChangeDriven).is_err());
     }
 
     #[test]
@@ -1240,12 +1169,10 @@ mod tests {
             .election(wsn_grid::HeadElection::MaxEnergy)
             .spare_selection(crate::SpareSelection::FirstId)
             .max_rounds(500)
-            .trace(true)
             .battery_dynamics(true)
             .build();
         assert_eq!(sr.config().max_rounds, 500);
         assert_eq!(sr.config().spare_selection, crate::SpareSelection::FirstId);
-        assert!(sr.config().trace);
         assert!(sr.config().battery_dynamics);
         let sc = SrSc::builder().max_rounds(123).build_shortcut();
         assert_eq!(sc.config().max_rounds, 123);
@@ -1257,10 +1184,50 @@ mod tests {
     fn drive_mode_and_unsupported_display() {
         assert_eq!(DriveMode::default(), DriveMode::Classic);
         assert_eq!(DriveMode::Classic.to_string(), "classic");
-        assert_eq!(DriveMode::ChangeDriven.to_string(), "change-driven");
         let u = Unsupported::new("vf", "no reason");
         assert!(u.to_string().contains("vf"));
-        let from_sr: Unsupported = SrError::ShortcutNeedsCycle.into();
-        assert_eq!(from_sr.scheme, "sr");
+    }
+
+    #[test]
+    fn drive_modes_round_trip_through_their_text_form() {
+        let drives = [
+            DriveMode::Classic,
+            DriveMode::EventDriven {
+                net: NetModelSpec::Ideal,
+            },
+            DriveMode::EventDriven {
+                net: NetModelSpec::FixedLatency { ticks: 3 },
+            },
+            DriveMode::EventDriven {
+                net: NetModelSpec::Bernoulli {
+                    loss_ppm: 100_000,
+                    latency: 2,
+                },
+            },
+            DriveMode::EventDriven {
+                net: NetModelSpec::Jammer {
+                    x_mm: 2_500,
+                    y_mm: 2_500,
+                    radius_mm: 1_200,
+                },
+            },
+        ];
+        for drive in drives {
+            let text = drive.to_string();
+            assert_eq!(text.parse::<DriveMode>(), Ok(drive), "{text}");
+        }
+        // The retired fast-path token is an unknown drive like any
+        // other; so is an event drive without a valid network model.
+        let retired = concat!("change", "-driven");
+        for bad in [retired, "event-", "event-weather", "Classic", ""] {
+            let err = bad.parse::<DriveMode>().unwrap_err();
+            assert_eq!(
+                err,
+                UnknownDrive {
+                    input: bad.to_owned()
+                }
+            );
+            assert!(err.to_string().contains("unknown drive mode"), "{err}");
+        }
     }
 }

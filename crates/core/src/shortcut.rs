@@ -35,22 +35,19 @@
 //! The construction is defined on structures with a unique predecessor
 //! per cell: single Hamilton cycles and the masked virtual ring of
 //! irregular regions ([`wsn_hamilton::MaskedCycle`]) — so SR-SC runs
-//! unchanged on masked grids. Odd×odd (dual-path) grids are rejected
-//! with [`SrError::ShortcutNeedsCycle`]: extending the courier walk over
-//! the A/B fork is possible but the paper's future-work remark targets
-//! the plain cycle.
+//! unchanged on masked grids. [`crate::SrSc`] refuses odd×odd
+//! (dual-path) grids: extending the courier walk over the A/B fork is
+//! possible but the paper's future-work remark targets the plain cycle.
 
-use wsn_grid::{GridCoord, GridNetwork, NetworkStats};
+use wsn_grid::{GridCoord, GridNetwork};
 use wsn_hamilton::{CycleTopology, HamiltonCycle, MaskedCycle};
 use wsn_simcore::{
-    EnergyModel, Metrics, RoundOutcome, RoundProtocol, RoundRunner, RunReport, SimRng, TraceEvent,
-    TraceLog,
+    EnergyModel, Metrics, ProtocolHealth, RoundOutcome, RoundProtocol, SimRng, TraceEvent, TraceLog,
 };
 
 use crate::movement::movement_target;
 use crate::process::{ProcessId, ProcessStatus, ProcessSummary};
-use crate::recovery::SrError;
-use crate::scheme::{SchemeDetails, SchemeReport};
+use crate::scheme::{ProtocolOutcome, SchemeProtocol};
 use crate::{OwnerCounts, SrConfig};
 
 /// The backward ring SR-SC forwards notifications along: either the
@@ -64,6 +61,16 @@ pub(crate) enum ScRing {
 }
 
 impl ScRing {
+    /// The ring of a replacement structure; `None` for the dual-path
+    /// structure, which has no unique predecessor per cell.
+    pub(crate) fn of(topo: CycleTopology) -> Option<ScRing> {
+        match topo {
+            CycleTopology::Single(cycle) => Some(ScRing::Cycle(cycle)),
+            CycleTopology::Masked(ring) => Some(ScRing::Masked(ring)),
+            CycleTopology::Dual(_) => None,
+        }
+    }
+
     pub(crate) fn predecessor(&self, cell: GridCoord) -> GridCoord {
         match self {
             ScRing::Cycle(c) => c.predecessor(cell),
@@ -99,10 +106,10 @@ struct ScProcess {
     forwarded: usize,
 }
 
-/// The SR-SC protocol (see the module docs).
-#[derive(Debug, Clone)]
-pub struct ShortcutProtocol {
-    net: GridNetwork,
+/// The SR-SC protocol over a borrowed network (see the module docs).
+#[derive(Debug)]
+pub struct ShortcutProtocol<'n> {
+    net: &'n mut GridNetwork,
     cycle: ScRing,
     config: SrConfig,
     rng: SimRng,
@@ -123,16 +130,17 @@ pub struct ShortcutProtocol {
     detect_buf: Vec<usize>,
 }
 
-impl ShortcutProtocol {
-    /// Creates the protocol over a unique-predecessor ring.
-    pub(crate) fn new(mut net: GridNetwork, cycle: ScRing, config: SrConfig) -> Self {
+impl<'n> ShortcutProtocol<'n> {
+    /// Creates the protocol over a unique-predecessor ring, recording
+    /// into `trace`.
+    pub(crate) fn new(
+        net: &'n mut GridNetwork,
+        cycle: ScRing,
+        config: SrConfig,
+        trace: TraceLog,
+    ) -> Self {
         let mut rng = SimRng::seed_from_u64(config.seed);
         net.elect_all_heads(config.election, &mut rng);
-        let trace = if config.trace {
-            TraceLog::new()
-        } else {
-            TraceLog::disabled()
-        };
         let cells = net.system().cell_count();
         let mut pending_holes = wsn_grid::HoleSet::new(cells);
         pending_holes.assign_vacant(net.occupancy());
@@ -155,28 +163,8 @@ impl ShortcutProtocol {
         }
     }
 
-    /// The network state.
-    pub fn network(&self) -> &GridNetwork {
-        &self.net
-    }
-
-    /// Cost counters.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// The event trace.
-    pub fn trace(&self) -> &TraceLog {
-        &self.trace
-    }
-
-    /// Per-process summaries.
-    pub fn process_summaries(&self) -> &[ProcessSummary] {
-        &self.summaries
-    }
-
-    /// Marks still-active processes failed (driver calls after the run).
-    pub fn fail_remaining(&mut self, round: u64) {
+    /// Marks still-active processes failed (at the end of the run).
+    fn fail_remaining(&mut self, round: u64) {
         for p in self.retire_all() {
             let s = &mut self.summaries[p.id.raw() as usize];
             s.status = ProcessStatus::Failed;
@@ -365,7 +353,23 @@ impl ShortcutProtocol {
     }
 }
 
-impl RoundProtocol for ShortcutProtocol {
+impl SchemeProtocol for ShortcutProtocol<'_> {
+    fn network(&self) -> &GridNetwork {
+        self.net
+    }
+
+    fn finish(mut self, rounds: u64) -> ProtocolOutcome {
+        self.fail_remaining(rounds);
+        ProtocolOutcome {
+            metrics: self.metrics,
+            processes: self.summaries,
+            health: ProtocolHealth::default(),
+            trace: self.trace,
+        }
+    }
+}
+
+impl RoundProtocol for ShortcutProtocol<'_> {
     fn execute_round(&mut self, round: u64) -> RoundOutcome {
         let mut progress = false;
         let fault_events: Vec<_> = self.config.fault_plan.events_at(round).cloned().collect();
@@ -401,95 +405,10 @@ impl RoundProtocol for ShortcutProtocol {
     }
 }
 
-/// Drives SR-SC recovery to quiescence (the shortcut counterpart of
-/// [`crate::Recovery`]).
-#[derive(Debug, Clone)]
-pub struct ShortcutRecovery {
-    protocol: ShortcutProtocol,
-    runner: RoundRunner,
-}
-
-impl ShortcutRecovery {
-    /// Builds the shortcut recovery. Full rectangular networks use the
-    /// paper's Hamilton cycle; networks over an irregular
-    /// [`wsn_grid::RegionMask`] use the masked virtual ring, so SR-SC
-    /// runs unchanged on masked grids.
-    ///
-    /// # Errors
-    ///
-    /// [`SrError::ShortcutNeedsCycle`] on full odd×odd grids (only the
-    /// dual-path structure exists there), [`SrError::Topology`] for
-    /// regions with no structure at all, and [`SrError::Engine`] for
-    /// invalid round caps.
-    pub fn new(net: GridNetwork, config: SrConfig) -> Result<ShortcutRecovery, SrError> {
-        let topo = CycleTopology::build_masked(net.mask())?;
-        ShortcutRecovery::with_topology(net, topo, config)
-    }
-
-    /// Like [`ShortcutRecovery::new`] with a pre-built topology (see
-    /// [`crate::Recovery::with_topology`]); `topo` must have been built
-    /// for `net`'s region.
-    ///
-    /// # Errors
-    ///
-    /// [`SrError::ShortcutNeedsCycle`] when `topo` is the dual-path
-    /// structure, and [`SrError::Engine`] for invalid round caps.
-    pub fn with_topology(
-        net: GridNetwork,
-        topo: CycleTopology,
-        config: SrConfig,
-    ) -> Result<ShortcutRecovery, SrError> {
-        let ring = match topo {
-            CycleTopology::Single(cycle) => ScRing::Cycle(cycle),
-            CycleTopology::Masked(ring) => ScRing::Masked(ring),
-            CycleTopology::Dual(_) => return Err(SrError::ShortcutNeedsCycle),
-        };
-        let runner = RoundRunner::with_quiescence(config.max_rounds, config.quiescent_rounds)?;
-        Ok(ShortcutRecovery {
-            protocol: ShortcutProtocol::new(net, ring, config),
-            runner,
-        })
-    }
-
-    /// Runs to quiescence and reports.
-    pub fn run(&mut self) -> SchemeReport {
-        let initial_stats: NetworkStats = self.protocol.network().stats();
-        let run: RunReport = self.runner.run(&mut self.protocol);
-        self.protocol.fail_remaining(run.rounds);
-        let final_stats = self.protocol.network().stats();
-        SchemeReport {
-            run,
-            metrics: *self.protocol.metrics(),
-            initial_stats,
-            final_stats,
-            fully_covered: final_stats.vacant == 0,
-            processes: self.protocol.process_summaries().to_vec(),
-            health: wsn_simcore::ProtocolHealth::default(),
-            details: SchemeDetails::none(),
-        }
-    }
-
-    /// The network state.
-    pub fn network(&self) -> &GridNetwork {
-        self.protocol.network()
-    }
-
-    /// Consumes the driver and releases the network (see
-    /// [`crate::Recovery::into_network`]).
-    pub fn into_network(self) -> GridNetwork {
-        self.protocol.net
-    }
-
-    /// The event trace.
-    pub fn trace(&self) -> &TraceLog {
-        self.protocol.trace()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Recovery;
+    use crate::scheme::{DriveMode, ReplacementScheme, SchemeReport, Sr, SrSc};
     use wsn_grid::{deploy, GridSystem};
 
     fn network_with_holes(holes: &[GridCoord], per_cell: usize, seed: u64) -> GridNetwork {
@@ -499,17 +418,20 @@ mod tests {
         GridNetwork::new(sys, &pos)
     }
 
+    fn run_sc(net: &mut GridNetwork, seed: u64) -> SchemeReport {
+        SrSc::new().run(net, seed, DriveMode::Classic).unwrap()
+    }
+
     #[test]
     fn one_move_per_replacement() {
         let holes = [GridCoord::new(2, 2), GridCoord::new(6, 5)];
-        let net = network_with_holes(&holes, 2, 1);
-        let mut rec = ShortcutRecovery::new(net, SrConfig::default().with_seed(1)).unwrap();
-        let report = rec.run();
+        let mut net = network_with_holes(&holes, 2, 1);
+        let report = run_sc(&mut net, 1);
         assert!(report.fully_covered);
         assert_eq!(report.metrics.processes_converged, 2);
         // The headline property: exactly one movement per hole.
         assert_eq!(report.metrics.moves, 2);
-        rec.network().debug_invariants();
+        net.debug_invariants();
     }
 
     #[test]
@@ -522,12 +444,10 @@ mod tests {
         pos.push(sys.cell_rect(GridCoord::new(0, 0)).unwrap().center());
         let net = GridNetwork::new(sys, &pos);
 
-        let sr = Recovery::new(net.clone(), SrConfig::default().with_seed(2))
-            .unwrap()
-            .run();
-        let sc = ShortcutRecovery::new(net, SrConfig::default().with_seed(2))
-            .unwrap()
-            .run();
+        let sr = Sr::new()
+            .run(&mut net.clone(), 2, DriveMode::Classic)
+            .unwrap();
+        let sc = run_sc(&mut net.clone(), 2);
         assert!(sr.fully_covered && sc.fully_covered);
         assert!(sr.metrics.moves > 1);
         assert_eq!(sc.metrics.moves, 1);
@@ -541,10 +461,9 @@ mod tests {
 
     #[test]
     fn no_spares_fails_cleanly() {
-        let net = network_with_holes(&[GridCoord::new(3, 3)], 1, 3);
+        let mut net = network_with_holes(&[GridCoord::new(3, 3)], 1, 3);
         assert_eq!(net.total_spares(), 0);
-        let mut rec = ShortcutRecovery::new(net, SrConfig::default().with_seed(3)).unwrap();
-        let report = rec.run();
+        let report = run_sc(&mut net, 3);
         assert!(report.run.is_quiescent());
         assert!(!report.fully_covered);
         assert!(report.metrics.processes_failed >= 1);
@@ -560,15 +479,14 @@ mod tests {
         let enabled: Vec<GridCoord> = mask.iter_enabled().collect();
         let holes = [enabled[5], enabled[enabled.len() / 2]];
         let pos = deploy::with_holes_masked(&sys, &mask, &holes, 2, &mut rng);
-        let net = GridNetwork::with_mask(sys, mask.clone(), &pos).unwrap();
-        let mut rec = ShortcutRecovery::new(net, SrConfig::default().with_seed(13)).unwrap();
-        let report = rec.run();
+        let mut net = GridNetwork::with_mask(sys, mask.clone(), &pos).unwrap();
+        let report = run_sc(&mut net, 13);
         assert!(report.fully_covered, "{report}");
         // The SR-SC headline survives masking: one movement per hole.
         assert_eq!(report.metrics.moves, 2);
         assert_eq!(report.metrics.processes_failed, 0);
-        rec.network().debug_invariants();
-        for node in rec.network().nodes() {
+        net.debug_invariants();
+        for node in net.nodes() {
             if node.status().is_enabled() {
                 assert!(mask.is_enabled(sys.cell_of(node.position()).unwrap()));
             }
@@ -578,11 +496,12 @@ mod tests {
     #[test]
     fn dual_path_grids_are_rejected() {
         let sys = GridSystem::new(5, 5, 4.4721).unwrap();
-        let net = GridNetwork::new(sys, &[]);
-        assert!(matches!(
-            ShortcutRecovery::new(net, SrConfig::default()),
-            Err(SrError::ShortcutNeedsCycle)
-        ));
+        let mut net = GridNetwork::new(sys, &[]);
+        let err = SrSc::new()
+            .run(&mut net, 0, DriveMode::Classic)
+            .unwrap_err();
+        assert!(err.reason.contains("single Hamilton cycle"), "{err}");
+        assert!(ScRing::of(CycleTopology::build(5, 5).unwrap()).is_none());
     }
 
     #[test]
@@ -593,23 +512,17 @@ mod tests {
             GridCoord::new(2, 1),
             GridCoord::new(2, 2),
         ];
-        let net = network_with_holes(&holes, 2, 5);
-        let mut rec = ShortcutRecovery::new(net, SrConfig::default().with_seed(5)).unwrap();
-        let report = rec.run();
+        let mut net = network_with_holes(&holes, 2, 5);
+        let report = run_sc(&mut net, 5);
         assert!(report.fully_covered, "{report}");
         assert_eq!(report.metrics.moves, 4);
         assert_eq!(report.metrics.processes_failed, 0);
-        rec.network().debug_invariants();
+        net.debug_invariants();
     }
 
     #[test]
     fn deterministic_per_seed() {
-        let run = |seed| {
-            let net = network_with_holes(&[GridCoord::new(5, 2)], 2, 7);
-            ShortcutRecovery::new(net, SrConfig::default().with_seed(seed))
-                .unwrap()
-                .run()
-        };
+        let run = |seed| run_sc(&mut network_with_holes(&[GridCoord::new(5, 2)], 2, 7), seed);
         assert_eq!(run(4), run(4));
     }
 
@@ -629,9 +542,8 @@ mod tests {
         let spare_cell = cycle.order()[12 - 6];
         let mut pos = deploy::with_holes(&sys, &[hole], 1, &mut rng);
         pos.push(sys.cell_rect(spare_cell).unwrap().center());
-        let net = GridNetwork::new(sys, &pos);
-        let mut rec = ShortcutRecovery::new(net, SrConfig::default().with_seed(11)).unwrap();
-        let report = rec.run();
+        let mut net = GridNetwork::new(sys, &pos);
+        let report = run_sc(&mut net, 11);
         assert!(report.fully_covered);
         assert_eq!(report.processes.len(), 1);
         assert_eq!(report.processes[0].hops, 6, "monitor + 5 forwards");

@@ -3,7 +3,7 @@
 //! hole patterns and grid parities.
 
 use proptest::prelude::*;
-use wsn_coverage::{Recovery, SpareSelection, SrConfig};
+use wsn_coverage::{DriveMode, ReplacementScheme, SpareSelection, Sr, SrConfig};
 use wsn_grid::{deploy, GridNetwork, GridSystem, HeadElection};
 use wsn_simcore::SimRng;
 
@@ -43,13 +43,12 @@ proptest! {
         let holes_before = net.vacant_count();
         prop_assume!(spares_before >= holes_before);
 
-        let mut rec = Recovery::new(net, SrConfig::default().with_seed(seed)).unwrap();
-        let report = rec.run();
+        let report = Sr::new().run(&mut net, seed, DriveMode::Classic).unwrap();
         prop_assert!(report.run.is_quiescent(), "must reach quiescence");
         prop_assert!(report.fully_covered, "all holes must be filled");
         prop_assert_eq!(report.metrics.processes_failed, 0);
         prop_assert_eq!(report.metrics.success_rate_percent(), 100.0);
-        rec.network().debug_invariants();
+        net.debug_invariants();
         // Spare conservation: each filled hole consumed exactly one spare.
         prop_assert_eq!(
             report.final_stats.spares,
@@ -66,9 +65,8 @@ proptest! {
             let sys = GridSystem::new(cols, rows, 4.4721).unwrap();
             let mut rng = SimRng::seed_from_u64(seed);
             let pos = deploy::uniform(&sys, sys.cell_count() * 2, &mut rng);
-            let net = GridNetwork::new(sys, &pos);
-            let mut rec = Recovery::new(net, SrConfig::default().with_seed(seed)).unwrap();
-            rec.run()
+            let mut net = GridNetwork::new(sys, &pos);
+            Sr::new().run(&mut net, seed, DriveMode::Classic).unwrap()
         };
         let a = run(seed);
         let b = run(seed);
@@ -103,11 +101,9 @@ proptest! {
             net.disable_node(id).unwrap();
         }
         let cfg = SrConfig::default()
-            .with_seed(seed)
             .with_election(election)
             .with_spare_selection(spare);
-        let mut rec = Recovery::new(net, cfg).unwrap();
-        let report = rec.run();
+        let report = Sr::from_config(cfg).run(&mut net, seed, DriveMode::Classic).unwrap();
         prop_assert!(report.fully_covered);
         prop_assert_eq!(report.metrics.processes_initiated, 1);
         // The monitor cell always has a spare here (2 per cell), so the
@@ -125,15 +121,10 @@ proptest! {
         let sys = GridSystem::new(cols, rows, r).unwrap();
         let mut rng = SimRng::seed_from_u64(seed);
         let pos = deploy::uniform(&sys, sys.cell_count() * 2, &mut rng);
-        let net = GridNetwork::new(sys, &pos);
-        let mut rec = Recovery::new(
-            net,
-            SrConfig::default().with_seed(seed).with_trace(true),
-        )
-        .unwrap();
-        let report = rec.run();
-        let geom = *rec.network().system().geometry();
-        for rec in rec.trace().of_kind("node_moved") {
+        let mut net = GridNetwork::new(sys, &pos);
+        let (report, trace) = Sr::new().run_traced(&mut net, seed, DriveMode::Classic).unwrap();
+        let geom = *net.system().geometry();
+        for rec in trace.of_kind("node_moved") {
             if let wsn_simcore::TraceEvent::NodeMoved { distance, .. } = &rec.event {
                 // Source nodes start anywhere in their cell (not only the
                 // central area), so the lower bound is 0; the upper bound

@@ -2,7 +2,7 @@
 //! asynchronous extension, battery dynamics, and the SR-SC shortcut.
 
 use proptest::prelude::*;
-use wsn_coverage::{Recovery, ShortcutRecovery, SrConfig};
+use wsn_coverage::{DriveMode, ReplacementScheme, Sr, SrConfig, SrSc};
 use wsn_grid::{deploy, GridNetwork, GridSystem};
 use wsn_simcore::fault::{FaultEvent, FaultPlan};
 use wsn_simcore::SimRng;
@@ -23,16 +23,15 @@ proptest! {
         seed in 0u64..5_000,
         events in proptest::collection::vec((0u64..40, 1usize..12), 0..6),
     ) {
-        let net = dense_network(cols, rows, 3, seed);
+        let mut net = dense_network(cols, rows, 3, seed);
         let mut plan = FaultPlan::new();
         for (round, kills) in events {
             plan = plan.at(round, FaultEvent::KillRandomEnabled { count: kills });
         }
-        let cfg = SrConfig::default().with_seed(seed).with_fault_plan(plan);
-        let mut rec = Recovery::new(net, cfg).unwrap();
-        let report = rec.run();
+        let sr = Sr::from_config(SrConfig::default().with_fault_plan(plan));
+        let report = sr.run(&mut net, seed, DriveMode::Classic).unwrap();
         prop_assert!(report.run.is_quiescent(), "must terminate: {}", report);
-        rec.network().debug_invariants();
+        net.debug_invariants();
         // Process accounting always balances.
         prop_assert_eq!(
             report.metrics.processes_initiated,
@@ -60,14 +59,11 @@ proptest! {
                 net.disable_node(id).unwrap();
             }
         }
-        let cfg = SrConfig::default()
-            .with_seed(seed)
-            .with_activation_probability(p);
-        let mut rec = Recovery::new(net, cfg).unwrap();
-        let report = rec.run();
+        let sr = Sr::from_config(SrConfig::default().with_activation_probability(p));
+        let report = sr.run(&mut net, seed, DriveMode::Classic).unwrap();
         prop_assert!(report.fully_covered, "async SR must still recover");
         prop_assert_eq!(report.metrics.processes_failed, 0);
-        rec.network().debug_invariants();
+        net.debug_invariants();
     }
 
     #[test]
@@ -109,13 +105,10 @@ proptest! {
                 net.disable_node(id).unwrap();
             }
         }
-        let cfg = SrConfig::default()
-            .with_seed(seed)
-            .with_battery_dynamics(true);
-        let mut rec = Recovery::new(net, cfg).unwrap();
-        let report = rec.run();
+        let sr = Sr::builder().battery_dynamics(true).build();
+        let report = sr.run(&mut net, seed, DriveMode::Classic).unwrap();
         prop_assert!(report.run.is_quiescent(), "must terminate");
-        rec.network().debug_invariants();
+        net.debug_invariants();
     }
 
     #[test]
@@ -132,12 +125,8 @@ proptest! {
                 net.disable_node(id).unwrap();
             }
         }
-        let sr = Recovery::new(net.clone(), SrConfig::default().with_seed(seed))
-            .unwrap()
-            .run();
-        let sc = ShortcutRecovery::new(net, SrConfig::default().with_seed(seed))
-            .unwrap()
-            .run();
+        let sr = Sr::new().run(&mut net.clone(), seed, DriveMode::Classic).unwrap();
+        let sc = SrSc::new().run(&mut net, seed, DriveMode::Classic).unwrap();
         prop_assert_eq!(sr.fully_covered, sc.fully_covered);
         prop_assert!(sc.metrics.moves <= sr.metrics.moves);
         // SR-SC makes exactly one move per converged process.

@@ -3,7 +3,7 @@
 //! (the correctness check the paper's §5 performs by overlaying Figures
 //! 7(a)/7(b) and 8(a)/8(b)).
 
-use wsn_coverage::{analysis, Recovery, SrConfig};
+use wsn_coverage::{analysis, DriveMode, ReplacementScheme, Sr};
 use wsn_grid::{deploy, GridNetwork, GridSystem};
 use wsn_simcore::SimRng;
 
@@ -28,10 +28,9 @@ fn simulate_single_replacement(cols: u16, rows: u16, n: usize, seed: u64) -> u64
             rng.uniform_f64(),
         ));
     }
-    let net = GridNetwork::new(sys, &pos);
+    let mut net = GridNetwork::new(sys, &pos);
     assert_eq!(net.total_spares(), n);
-    let mut rec = Recovery::new(net, SrConfig::default().with_seed(seed)).unwrap();
-    let report = rec.run();
+    let report = Sr::new().run(&mut net, seed, DriveMode::Classic).unwrap();
     assert!(report.fully_covered, "a spare exists, so SR must converge");
     assert_eq!(report.metrics.processes_converged, 1);
     report.processes[0].hops
@@ -120,8 +119,7 @@ fn distance_tracks_moves_times_hop_factor() {
                 net.disable_node(id).unwrap();
             }
         }
-        let mut rec = Recovery::new(net, SrConfig::default().with_seed(t)).unwrap();
-        let report = rec.run();
+        let report = Sr::new().run(&mut net, t, DriveMode::Classic).unwrap();
         total_moves += report.metrics.moves;
         total_distance += report.metrics.distance;
     }

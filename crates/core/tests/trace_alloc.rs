@@ -7,10 +7,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use wsn_coverage::{EventSrRecovery, SrConfig};
+use wsn_coverage::scheme::{round_runner, run_to_quiescence};
+use wsn_coverage::{EventSrProtocol, SrConfig};
 use wsn_grid::{deploy, GridCoord, GridNetwork, GridSystem};
 use wsn_hamilton::CycleTopology;
-use wsn_simcore::{NetModelSpec, SimRng};
+use wsn_simcore::{NetModelSpec, SimRng, TraceLog};
 
 /// Counts every allocation, then defers to [`System`]. The trait's
 /// default `alloc_zeroed` and `realloc` go through `alloc`, so they are
@@ -60,13 +61,16 @@ fn untraced_event_runs_allocate_far_less_than_they_route() {
     };
     for spec in [NetModelSpec::Ideal, lossy] {
         let config = SrConfig::default().with_seed(128);
-        assert!(!config.trace, "the default run keeps no trace");
-        let mut rec = EventSrRecovery::new(GridNetwork::new(sys, &pos), config, spec).unwrap();
+        let mut net = GridNetwork::new(sys, &pos);
+        let topo = CycleTopology::build_masked(net.mask()).unwrap();
+        let runner = round_runner("sr", config.max_rounds).unwrap();
+        // An untraced run: the protocol records into a disabled log.
+        let protocol = EventSrProtocol::new(&mut net, topo, config, spec, TraceLog::disabled());
         let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let report = rec.run();
+        let (report, trace) = run_to_quiescence(protocol, runner);
         let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
         let routed = report.health.messages_sent;
-        assert!(rec.trace().is_empty());
+        assert!(trace.is_empty());
         assert!(routed > 5_000, "{spec}: a long run, {routed} messages");
         // Building every `NetMessage` event would cost at least one
         // allocation per routed envelope. What remains is per round, not

@@ -21,7 +21,7 @@ use crate::server::{ServeConfig, Server};
 use crate::ws::{accept_key, decode_frame, encode_frame, Frame};
 
 /// Times one closure `samples` times; `(min, mean, max)` nanoseconds —
-/// the same criterion stand-in shape as `wsn_bench::perf`.
+/// the same entry shape as `wsn_bench::perf`.
 fn time_ns(samples: usize, mut f: impl FnMut()) -> (f64, f64, f64) {
     let mut times = Vec::with_capacity(samples);
     for _ in 0..samples {

@@ -67,10 +67,7 @@ pub mod shutdown;
 pub mod trace;
 
 pub use energy::{Battery, EnergyModel};
-pub use engine::{
-    ChangeDrivenProtocol, EngineError, Quiescence, RoundOutcome, RoundProtocol, RoundRunner,
-    RunReport,
-};
+pub use engine::{EngineError, Quiescence, RoundOutcome, RoundProtocol, RoundRunner, RunReport};
 pub use event::{EventQueue, Scheduled};
 pub use fault::{FaultEvent, FaultPlan, Jammer};
 pub use metrics::Metrics;

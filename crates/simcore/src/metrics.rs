@@ -80,22 +80,6 @@ impl Metrics {
         ]
     }
 
-    /// The same counters with round accounting stripped (`rounds = 0`) —
-    /// what a protocol *did*, independent of how long the driver kept
-    /// confirming quiescence. [`crate::engine::RoundRunner::run`] bills
-    /// its trailing idle-confirmation rounds where
-    /// [`crate::engine::RoundRunner::run_change_driven`] stops the moment
-    /// the protocol's index reads empty, so on runs whose pending-hole
-    /// set empties (full recovery) the two drivers agree on every
-    /// counter except `rounds`; conformance tests compare this view.
-    /// (On *incomplete* recoveries the classic driver's idle sweeps also
-    /// keep billing the still-pending holes to `cells_scanned`.)
-    #[must_use]
-    pub fn ignoring_rounds(mut self) -> Metrics {
-        self.rounds = 0;
-        self
-    }
-
     /// Per-process success rate in percent, the paper's Fig. 6b metric.
     /// Returns 100.0 when no process was initiated (an intact network
     /// counts as fully successful).
@@ -248,23 +232,6 @@ mod tests {
         assert_eq!(lookup("success_rate_percent"), 75.0);
         assert_eq!(lookup("rounds"), 8.0);
         assert_eq!(lookup("cells_scanned"), 9.0);
-    }
-
-    #[test]
-    fn ignoring_rounds_strips_only_round_accounting() {
-        let m = Metrics {
-            moves: 5,
-            rounds: 11,
-            messages: 2,
-            ..Metrics::default()
-        };
-        let n = m.ignoring_rounds();
-        assert_eq!(n.rounds, 0);
-        assert_eq!(n.moves, 5);
-        assert_eq!(n.messages, 2);
-        // Two runs that differ only in idle-round padding compare equal.
-        let padded = Metrics { rounds: 40, ..m };
-        assert_eq!(m.ignoring_rounds(), padded.ignoring_rounds());
     }
 
     #[test]

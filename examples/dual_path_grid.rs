@@ -51,14 +51,11 @@ fn recover_one(hole: GridCoord, extra_spare_in: Option<GridCoord>, seed: u64) {
             positions.extend(more);
         }
     }
-    let network = GridNetwork::new(system, &positions);
+    let mut network = GridNetwork::new(system, &positions);
     let spares = network.stats().spares;
-    let mut recovery = Recovery::new(
-        network,
-        SrConfig::default().with_seed(seed).with_trace(true),
-    )
-    .expect("5x5 has a dual-path topology");
-    let report = recovery.run();
+    let (report, trace) = Sr::new()
+        .run_traced(&mut network, seed, DriveMode::Classic)
+        .expect("5x5 has a dual-path topology");
     println!(
         "hole at {hole} with {spares} spare(s){}:",
         match extra_spare_in {
@@ -66,7 +63,7 @@ fn recover_one(hole: GridCoord, extra_spare_in: Option<GridCoord>, seed: u64) {
             None => String::new(),
         }
     );
-    for line in recovery.trace().render().lines() {
+    for line in trace.render().lines() {
         println!("    {line}");
     }
     assert!(report.fully_covered, "Corollary 1: must recover");

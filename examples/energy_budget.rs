@@ -42,19 +42,17 @@ fn run_scheme(name: &str, shortcut: bool, battery_joules: f64) {
     let center = Point2::new(system.area().width() / 2.0, system.area().height() / 2.0);
     let plan = strike_plan(center, 1.3 * system.cell_side(), 20, 200);
     let cfg = SrConfig::default()
-        .with_seed(99)
         .with_fault_plan(plan)
         .with_battery_dynamics(true);
-
-    let (report, deaths) = if shortcut {
-        let mut rec = ShortcutRecovery::new(network, cfg).expect("even-sided grid");
-        let report = rec.run();
-        (report, count_depleted(rec.network()))
+    let scheme: Box<dyn ReplacementScheme> = if shortcut {
+        Box::new(SrSc::from_config(cfg))
     } else {
-        let mut rec = Recovery::new(network, cfg).expect("valid configuration");
-        let report = rec.run();
-        (report, count_depleted(rec.network()))
+        Box::new(Sr::from_config(cfg))
     };
+    let report = scheme
+        .run(&mut network, 99, DriveMode::Classic)
+        .expect("even-sided grids suit SR and SR-SC");
+    let deaths = count_depleted(&network);
 
     println!("{name}:");
     println!(

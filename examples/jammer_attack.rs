@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Dense deployment: the jammer will consume spares as it moves.
     let positions = deploy::per_cell_exact(&system, 4, &mut rng);
-    let network = GridNetwork::new(system, &positions);
+    let mut network = GridNetwork::new(system, &positions);
     println!("before attack: {network}");
 
     // The jammer enters at the west edge and drives east across the
@@ -33,12 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let plan = jammer.plan(0, 40)?;
 
-    let cfg = SrConfig::default()
-        .with_seed(7)
-        .with_fault_plan(plan)
-        .with_trace(false);
-    let mut recovery = Recovery::new(network, cfg)?;
-    let report = recovery.run();
+    let sr = Sr::from_config(SrConfig::default().with_fault_plan(plan));
+    let report = sr.run(&mut network, 7, DriveMode::Classic)?;
 
     println!("\n--- outcome ---");
     println!("{report}");
@@ -46,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "jammer kills were repaired by {} replacement processes ({} moves, {:.1} m)",
         report.metrics.processes_initiated, report.metrics.moves, report.metrics.distance
     );
-    let verdict = coverage_verdict(recovery.network(), 100);
+    let verdict = coverage_verdict(&network, 100);
     println!("coverage     : {verdict}");
 
     assert!(
@@ -58,6 +54,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Show the per-cell occupancy after the attack: the corridor the
     // jammer burned through (row 6) is thinner but never vacant.
     println!("\noccupancy map after the attack (north up):");
-    print!("{}", render::occupancy_map(recovery.network()));
+    print!("{}", render::occupancy_map(&network));
     Ok(())
 }

@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // SR recovery through the scheme API: build a configured scheme,
     // check the region, and drive the network in place. (The same three
     // lines run any registered scheme — see the baseline_faceoff
-    // example; for protocol traces, drop down to `Recovery::new`.)
+    // example; for protocol traces, call `run_traced` instead.)
     let sr = Sr::builder()
         .spare_selection(SpareSelection::ClosestToTarget)
         .build();

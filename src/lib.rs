@@ -74,8 +74,8 @@ pub use wsn_stats as stats;
 pub mod prelude {
     pub use wsn_baselines::{builtins, Ar, Smart, Vf};
     pub use wsn_coverage::{
-        analysis, DriveMode, NetworkSpec, Recovery, ReplacementScheme, SchemeId, SchemeRegistry,
-        SchemeReport, ShortcutRecovery, SpareSelection, Sr, SrConfig, SrError, SrSc, Unsupported,
+        analysis, DriveMode, NetworkSpec, ReplacementScheme, SchemeId, SchemeRegistry,
+        SchemeReport, SpareSelection, Sr, SrConfig, SrSc, Unsupported,
     };
     pub use wsn_geometry::{Disk, Point2, Rect, Vec2};
     pub use wsn_grid::{

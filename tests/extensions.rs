@@ -2,7 +2,6 @@
 //! the SR-SC shortcut under realistic scenarios, and the empirical
 //! location of the paper's SR/AR crossover via the stats utilities.
 
-use wsn::baselines::{ArConfig, ArRecovery};
 use wsn::prelude::*;
 use wsn::stats::Series;
 
@@ -11,7 +10,7 @@ fn shortcut_handles_the_jammer_scenario() {
     let system = GridSystem::for_comm_range(12, 12, 10.0).unwrap();
     let mut rng = SimRng::seed_from_u64(5);
     let positions = deploy::per_cell_exact(&system, 4, &mut rng);
-    let network = GridNetwork::new(system, &positions);
+    let mut network = GridNetwork::new(system, &positions);
     let r = system.cell_side();
     let jammer = Jammer {
         start: Point2::new(0.0, system.area().height() / 2.0),
@@ -19,9 +18,8 @@ fn shortcut_handles_the_jammer_scenario() {
         radius: 1.2 * r,
     };
     let plan = jammer.plan(0, 40).unwrap();
-    let cfg = SrConfig::default().with_seed(5).with_fault_plan(plan);
-    let mut rec = ShortcutRecovery::new(network, cfg).unwrap();
-    let report = rec.run();
+    let sc = SrSc::from_config(SrConfig::default().with_fault_plan(plan));
+    let report = sc.run(&mut network, 5, DriveMode::Classic).unwrap();
     assert!(report.fully_covered);
     assert_eq!(report.metrics.success_rate_percent(), 100.0);
     // One move per repaired hole, always.
@@ -35,9 +33,10 @@ fn shortcut_distance_stays_within_the_network_diameter() {
     let system = GridSystem::for_comm_range(10, 10, 10.0).unwrap();
     let mut rng = SimRng::seed_from_u64(6);
     let positions = deploy::uniform(&system, 150, &mut rng);
-    let network = GridNetwork::new(system, &positions);
-    let mut rec = ShortcutRecovery::new(network, SrConfig::default().with_seed(6)).unwrap();
-    let report = rec.run();
+    let mut network = GridNetwork::new(system, &positions);
+    let report = SrSc::new()
+        .run(&mut network, 6, DriveMode::Classic)
+        .unwrap();
     let diameter = system.area().min().distance(system.area().max());
     for p in &report.processes {
         assert!(
@@ -63,12 +62,12 @@ fn empirical_crossover_lands_near_the_papers_55() {
             let mut rng = SimRng::seed_from_u64(1000 + n as u64 * 31 + seed);
             let positions = deploy::uniform(&system, n + system.cell_count(), &mut rng);
             let net = GridNetwork::new(system, &positions);
-            let sr = Recovery::new(net.clone(), SrConfig::default().with_seed(seed))
-                .unwrap()
-                .run();
-            let ar = ArRecovery::new(net, ArConfig::default().with_seed(seed))
-                .unwrap()
-                .run();
+            let sr = Sr::new()
+                .run(&mut net.clone(), seed, DriveMode::Classic)
+                .unwrap();
+            let ar = Ar::new()
+                .run(&mut net.clone(), seed, DriveMode::Classic)
+                .unwrap();
             sr_series.push(n as f64, sr.metrics.moves as f64);
             ar_series.push(n as f64, ar.metrics.moves as f64);
         }
@@ -84,18 +83,18 @@ fn empirical_crossover_lands_near_the_papers_55() {
 
 #[test]
 fn shortcut_report_shape_matches_sr_report() {
-    // Every driver reports the unified SchemeReport, so downstream
+    // Every scheme reports the unified SchemeReport, so downstream
     // tooling can swap schemes without code changes.
     let system = GridSystem::for_comm_range(6, 6, 10.0).unwrap();
     let mut rng = SimRng::seed_from_u64(8);
     let positions = deploy::with_holes(&system, &[GridCoord::new(2, 4)], 2, &mut rng);
     let network = GridNetwork::new(system, &positions);
-    let sr: SchemeReport = Recovery::new(network.clone(), SrConfig::default().with_seed(8))
-        .unwrap()
-        .run();
-    let sc: SchemeReport = ShortcutRecovery::new(network, SrConfig::default().with_seed(8))
-        .unwrap()
-        .run();
+    let sr: SchemeReport = Sr::new()
+        .run(&mut network.clone(), 8, DriveMode::Classic)
+        .unwrap();
+    let sc: SchemeReport = SrSc::new()
+        .run(&mut network.clone(), 8, DriveMode::Classic)
+        .unwrap();
     assert_eq!(sr.initial_stats, sc.initial_stats);
     assert!(sr.fully_covered && sc.fully_covered);
     assert!(sc.metrics.moves <= sr.metrics.moves);

@@ -2,7 +2,6 @@
 //! own experimental setup (16×16 virtual grid, `R = 10 m`, uniform
 //! deployment with `N + m·n` enabled nodes).
 
-use wsn::baselines::{ArConfig, ArRecovery};
 use wsn::prelude::*;
 
 fn deployment(n_target: usize, seed: u64) -> GridNetwork {
@@ -12,14 +11,19 @@ fn deployment(n_target: usize, seed: u64) -> GridNetwork {
     GridNetwork::new(system, &positions)
 }
 
+/// Runs `scheme` classic on `net` with the run seed `seed`.
+fn run(scheme: &dyn ReplacementScheme, net: &mut GridNetwork, seed: u64) -> SchemeReport {
+    scheme
+        .run(net, seed, DriveMode::Classic)
+        .expect("the paper's grids suit every scheme")
+}
+
 #[test]
 fn claim_sr_success_rate_is_always_100_percent() {
     // §5: "the success rate is always 100% in SR method".
     for n in [10usize, 55, 300] {
         for seed in 0..3u64 {
-            let mut rec =
-                Recovery::new(deployment(n, seed), SrConfig::default().with_seed(seed)).unwrap();
-            let report = rec.run();
+            let report = run(&Sr::new(), &mut deployment(n, seed), seed);
             assert!(report.fully_covered, "N={n} seed={seed}");
             assert_eq!(
                 report.metrics.success_rate_percent(),
@@ -38,12 +42,8 @@ fn claim_sr_needs_less_than_half_the_processes_of_ar() {
     let mut ar_total = 0u64;
     for seed in 0..4u64 {
         let net = deployment(150, seed);
-        let sr = Recovery::new(net.clone(), SrConfig::default().with_seed(seed))
-            .unwrap()
-            .run();
-        let ar = ArRecovery::new(net, ArConfig::default().with_seed(seed))
-            .unwrap()
-            .run();
+        let sr = run(&Sr::new(), &mut net.clone(), seed);
+        let ar = run(&Ar::new(), &mut net.clone(), seed);
         sr_total += sr.metrics.processes_initiated;
         ar_total += ar.metrics.processes_initiated;
     }
@@ -69,16 +69,12 @@ fn claim_crossover_sr_wins_above_n55_loses_below() {
         }
         (moves / trials as f64, dist / trials as f64)
     };
-    let sr = |net: GridNetwork, seed: u64| {
-        let r = Recovery::new(net, SrConfig::default().with_seed(seed))
-            .unwrap()
-            .run();
+    let sr = |mut net: GridNetwork, seed: u64| {
+        let r = run(&Sr::new(), &mut net, seed);
         (r.metrics.moves as f64, r.metrics.distance)
     };
-    let ar = |net: GridNetwork, seed: u64| {
-        let r = ArRecovery::new(net, ArConfig::default().with_seed(seed))
-            .unwrap()
-            .run();
+    let ar = |mut net: GridNetwork, seed: u64| {
+        let r = run(&Ar::new(), &mut net, seed);
         (r.metrics.moves as f64, r.metrics.distance)
     };
 
@@ -109,12 +105,8 @@ fn claim_ar_fails_processes_at_low_density_sr_does_not() {
     let mut ar_failures = 0u64;
     for seed in 0..3u64 {
         let net = deployment(25, seed);
-        let sr = Recovery::new(net.clone(), SrConfig::default().with_seed(seed))
-            .unwrap()
-            .run();
-        let ar = ArRecovery::new(net, ArConfig::default().with_seed(seed))
-            .unwrap()
-            .run();
+        let sr = run(&Sr::new(), &mut net.clone(), seed);
+        let ar = run(&Ar::new(), &mut net.clone(), seed);
         assert_eq!(sr.metrics.success_rate_percent(), 100.0);
         assert!(ar.metrics.success_rate_percent() < 100.0);
         ar_failures += ar.metrics.processes_failed;
@@ -134,11 +126,10 @@ fn claim_sr_works_with_sparse_deployment_ar_class_needs_4x() {
     let mut positions = deploy::with_holes(&system, &[hole], 1, &mut rng);
     let spare_cell = system.cell_rect(GridCoord::new(0, 0)).unwrap();
     positions.push(spare_cell.center());
-    let net = GridNetwork::new(system, &positions);
+    let mut net = GridNetwork::new(system, &positions);
     assert_eq!(net.stats().spares, 1);
 
-    let mut rec = Recovery::new(net, SrConfig::default().with_seed(99)).unwrap();
-    let report = rec.run();
+    let report = run(&Sr::new(), &mut net, 99);
     assert!(report.fully_covered, "one spare suffices (Theorem 1)");
     assert_eq!(report.final_stats.spares, 0);
 }
@@ -151,11 +142,9 @@ fn claim_analysis_matches_experiment_through_the_sweep() {
         let mut exp = 0.0;
         let mut ana = 0.0;
         for seed in 0..4u64 {
-            let net = deployment(n, 7 + seed);
+            let mut net = deployment(n, 7 + seed);
             let holes = net.stats().vacant;
-            let r = Recovery::new(net, SrConfig::default().with_seed(seed))
-                .unwrap()
-                .run();
+            let r = run(&Sr::new(), &mut net, seed);
             exp += r.metrics.moves as f64;
             ana += holes as f64 * analysis::expected_moves(255, n);
         }
@@ -172,11 +161,10 @@ fn claim_coverage_and_connectivity_are_restored() {
     // Theorem 1's purpose: "network connectivity and coverage can be
     // guaranteed". Verify via the geometric/graph verdicts, not just the
     // combinatorial hole count.
-    let net = deployment(200, 11);
-    let mut rec = Recovery::new(net, SrConfig::default().with_seed(11)).unwrap();
-    let report = rec.run();
+    let mut net = deployment(200, 11);
+    let report = run(&Sr::new(), &mut net, 11);
     assert!(report.fully_covered);
-    let verdict = coverage_verdict(rec.network(), 100);
+    let verdict = coverage_verdict(&net, 100);
     assert!(verdict.is_complete());
     assert!(verdict.geometric_coverage > 0.999);
     assert!(verdict.heads_connected);

@@ -15,9 +15,8 @@ fn recover_everything(cols: u16, rows: u16, seed: u64) -> SchemeReport {
             net.disable_node(id).unwrap();
         }
     }
-    let mut rec = Recovery::new(net, SrConfig::default().with_seed(seed)).unwrap();
-    let report = rec.run();
-    rec.network().debug_invariants();
+    let report = Sr::new().run(&mut net, seed, DriveMode::Classic).unwrap();
+    net.debug_invariants();
     report
 }
 
@@ -51,11 +50,11 @@ fn skinny_grids_recover() {
 #[test]
 fn one_dimensional_grids_are_rejected_cleanly() {
     let system = GridSystem::for_comm_range(1, 8, 10.0).unwrap();
-    let net = GridNetwork::new(system, &[]);
-    assert!(matches!(
-        Recovery::new(net, SrConfig::default()),
-        Err(SrError::Topology(_))
-    ));
+    let mut net = GridNetwork::new(system, &[]);
+    let sr = Sr::new();
+    assert!(sr.supports(&NetworkSpec::of(&net)).is_err());
+    let err = sr.run(&mut net, 0, DriveMode::Classic).unwrap_err();
+    assert_eq!(err.scheme, "sr");
 }
 
 #[test]
@@ -83,9 +82,8 @@ fn worst_case_walk_uses_every_hop() {
     let far = cycle.successor(hole);
     let mut positions = deploy::with_holes(&system, &[hole], 1, &mut rng);
     positions.push(system.cell_rect(far).unwrap().center());
-    let net = GridNetwork::new(system, &positions);
-    let mut rec = Recovery::new(net, SrConfig::default().with_seed(9)).unwrap();
-    let report = rec.run();
+    let mut net = GridNetwork::new(system, &positions);
+    let report = Sr::new().run(&mut net, 9, DriveMode::Classic).unwrap();
     assert!(report.fully_covered);
     assert_eq!(report.processes.len(), 1);
     assert_eq!(
