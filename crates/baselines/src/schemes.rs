@@ -455,6 +455,23 @@ mod tests {
     }
 
     #[test]
+    fn ar_scheme_matches_direct_classic_driver() {
+        let mut net = holed_network(5);
+        let via_trait = Ar::new().run(&mut net, 5, DriveMode::Classic).unwrap();
+        let mut direct_net = holed_network(5);
+        let protocol = ArProtocol::new(
+            &mut direct_net,
+            ArConfig::default().with_seed(5),
+            TraceLog::disabled(),
+        );
+        let runner = round_runner("ar", ArConfig::default().max_rounds).unwrap();
+        let (direct, _) = run_to_quiescence(protocol, runner);
+        assert_eq!(via_trait, direct);
+        assert_eq!(net.stats(), direct_net.stats());
+        assert!(direct.health.is_clean(), "classic runs keep no ledger");
+    }
+
+    #[test]
     fn ar_event_driven_matches_direct_event_driver() {
         use wsn_simcore::NetModelSpec;
         let ar = Ar::new();
@@ -469,31 +486,24 @@ mod tests {
                 },
             )
             .unwrap();
-        let runner = || round_runner("ar", ArConfig::default().max_rounds).unwrap();
-        let config = ArConfig::default().with_seed(5);
         let mut direct_net = holed_network(5);
         let protocol = ArProtocol::with_net_model(
             &mut direct_net,
-            config.clone(),
+            ArConfig::default().with_seed(5),
             NetModelSpec::Ideal,
             TraceLog::disabled(),
         );
-        let (direct, _) = run_to_quiescence(protocol, runner());
+        let runner = round_runner("ar", ArConfig::default().max_rounds).unwrap();
+        let (direct, _) = run_to_quiescence(protocol, runner);
         assert_eq!(via_trait, direct);
         assert_eq!(via_trait.health, direct.health);
         assert_eq!(net.stats(), direct_net.stats());
-        // And Ideal event runs match classic runs (same weather-free
-        // axioms), through the trait and driven directly alike.
+        // And Ideal event runs match classic runs (same weather-free axioms).
         let classic = ar
             .run(&mut holed_network(5), 5, DriveMode::Classic)
             .unwrap();
         assert_eq!(via_trait, classic);
         assert_eq!(via_trait.metrics, classic.metrics);
-        let mut direct_net = holed_network(5);
-        let protocol = ArProtocol::new(&mut direct_net, config, TraceLog::disabled());
-        let (direct, _) = run_to_quiescence(protocol, runner());
-        assert_eq!(classic, direct);
-        assert!(direct.health.is_clean(), "classic runs keep no ledger");
     }
 
     #[test]

@@ -117,6 +117,51 @@ fn classic_and_ideal(
     (classic, event)
 }
 
+/// The kill-a-whole-cell fault schedule of the mid-run tests: cell
+/// (3, 3) of the 6×6 scenario dies at round 3, after the initial hole
+/// is already repaired.
+fn mid_run_fault_plan(net: &GridNetwork) -> FaultPlan {
+    let victims = net
+        .members(GridCoord::new(3, 3))
+        .expect("in bounds")
+        .to_vec();
+    FaultPlan::new().at(3, FaultEvent::KillNodes(victims))
+}
+
+#[test]
+fn sr_classic_run_fully_covers_the_scenario_grid() {
+    // The premise of the conformance grid: every classic SR run on it
+    // recovers, so the event drive is compared on complete repairs.
+    for (cols, rows, holes, per_cell) in scenario_grid() {
+        for seed in [11u64, 47, 1009] {
+            let report = Sr::new()
+                .run(
+                    &mut seeded_network(cols, rows, holes, per_cell, seed),
+                    seed,
+                    DriveMode::Classic,
+                )
+                .expect("topology exists");
+            let tag = format!("SR {cols}x{rows} holes={holes} seed={seed}");
+            assert!(report.fully_covered, "{tag}: classic must recover");
+        }
+    }
+}
+
+#[test]
+fn sr_classic_run_recovers_from_mid_run_faults() {
+    // A whole cell killed at round 3 re-opens recovery; the classic
+    // runner must execute the fault round and repair the new hole.
+    for seed in [5u64, 21] {
+        let mut net = seeded_network(6, 6, 1, 2, seed);
+        let plan = mid_run_fault_plan(&net);
+        let report = Sr::from_config(SrConfig::default().with_fault_plan(plan))
+            .run(&mut net, seed, DriveMode::Classic)
+            .expect("topology");
+        assert!(report.fully_covered, "seed {seed}: classic must recover");
+        assert!(report.metrics.rounds > 3, "seed {seed}: fault round ran");
+    }
+}
+
 #[test]
 fn sr_event_ideal_reproduces_the_classic_report_across_the_scenario_grid() {
     for scenario in scenario_grid() {
@@ -124,7 +169,6 @@ fn sr_event_ideal_reproduces_the_classic_report_across_the_scenario_grid() {
         for seed in [11u64, 47, 1009] {
             let tag = format!("SR {cols}x{rows} holes={holes} seed={seed}");
             let (classic, event) = classic_and_ideal(&Sr::new(), scenario, seed);
-            assert!(classic.fully_covered, "{tag}: classic must recover");
             // SchemeReport equality covers metrics (rounds included),
             // coverage verdict, per-process summaries and final stats —
             // the full byte-identical contract.
@@ -192,15 +236,10 @@ fn sr_event_ideal_conformance_holds_under_mid_run_faults() {
     let scenario = (6, 6, 1, 2);
     for seed in [5u64, 21] {
         let net = seeded_network(6, 6, 1, 2, seed);
-        let victims = net
-            .members(GridCoord::new(3, 3))
-            .expect("in bounds")
-            .to_vec();
-        let plan = FaultPlan::new().at(3, FaultEvent::KillNodes(victims));
+        let plan = mid_run_fault_plan(&net);
         let sr = Sr::from_config(SrConfig::default().with_fault_plan(plan.clone()));
         let classic = sr.run(&mut net.clone(), seed, DriveMode::Classic).unwrap();
         let event = sr.run(&mut net.clone(), seed, IDEAL).unwrap();
-        assert!(classic.fully_covered, "seed {seed}: classic must recover");
         if classic != event {
             // This comparison involves a fault schedule, so the report
             // also ships a ddmin-shrunk version of it.
