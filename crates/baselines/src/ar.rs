@@ -29,11 +29,11 @@ use serde::{Deserialize, Serialize};
 use wsn_geometry::sample;
 use wsn_grid::{Direction, GridCoord, GridNetwork};
 use wsn_simcore::{
-    derive_stream_seed, Endpoint, EnergyModel, Fate, Metrics, NetLink, NetModelSpec, NodeId,
-    RoundOutcome, RoundProtocol, SimRng, TraceEvent, TraceLog,
+    derive_stream_seed, EnergyModel, Fate, Metrics, NetLink, NetModelSpec, NodeId, RoundOutcome,
+    RoundProtocol, SimRng, TraceEvent, TraceLog,
 };
 
-use wsn_coverage::actor::NET_STREAM_TAG;
+use wsn_coverage::actor::{cell_endpoint, NET_STREAM_TAG};
 use wsn_coverage::scheme::{ProtocolOutcome, SchemeProtocol};
 use wsn_coverage::{OwnerCounts, SpareSelection};
 
@@ -222,32 +222,15 @@ impl<'n> ArProtocol<'n> {
         self.owners.remove(p.current_target);
     }
 
-    fn endpoint(&self, cell: GridCoord) -> Endpoint {
-        let idx = self
-            .net
-            .system()
-            .index_of(cell)
-            .expect("cascade cells are in bounds");
-        let c = self
-            .net
-            .system()
-            .cell_center(cell)
-            .expect("cascade cells are in bounds");
-        Endpoint {
-            cell: idx as u64,
-            pos: (c.x, c.y),
-        }
-    }
-
     /// Routes a cascade ask over the network model. Returns the round
     /// the ask becomes actionable, or `None` when the network dropped it
     /// (`0` — immediately actionable — in classic mode).
     fn route_ask(&mut self, from: GridCoord, to: GridCoord, round: u64) -> Option<u64> {
-        let (ef, et) = (self.endpoint(from), self.endpoint(to));
         let Some(link) = &mut self.link else {
             return Some(0);
         };
-        let fate = link.route(ef, et);
+        let sys = self.net.system();
+        let fate = link.route(cell_endpoint(sys, from), cell_endpoint(sys, to));
         let deliver_at = match fate {
             Fate::Deliver(extra) => Some(round + 1 + extra),
             Fate::Drop => {
@@ -267,11 +250,11 @@ impl<'n> ArProtocol<'n> {
     /// A monitor's same-tick occupancy probe of a watched hole. Always
     /// succeeds in classic mode.
     fn probe(&mut self, monitor: GridCoord, hole: GridCoord, round: u64) -> bool {
-        let (ef, et) = (self.endpoint(monitor), self.endpoint(hole));
         let Some(link) = &mut self.link else {
             return true;
         };
-        let probed = link.sense(ef, et);
+        let sys = self.net.system();
+        let probed = link.sense(cell_endpoint(sys, monitor), cell_endpoint(sys, hole));
         self.trace.record_with(round, || TraceEvent::NetMessage {
             msg: "monitor_probe".into(),
             from: monitor.into(),
@@ -292,45 +275,6 @@ impl<'n> ArProtocol<'n> {
     /// them.
     fn is_usable(&self, cell: GridCoord) -> bool {
         self.net.is_cell_enabled(cell).unwrap_or(false)
-    }
-
-    fn select_spare(&self, cell: GridCoord, target: GridCoord) -> Option<NodeId> {
-        if self.net.spare_count(cell).ok()? == 0 {
-            return None;
-        }
-        let spares = self.net.spare_iter(cell).ok()?;
-        let center = self
-            .net
-            .system()
-            .cell_center(target)
-            .expect("targets are cells");
-        match self.config.spare_selection {
-            SpareSelection::FirstId => spares.min(),
-            SpareSelection::ClosestToTarget => spares.min_by(|&a, &b| {
-                let da = self
-                    .net
-                    .node(a)
-                    .expect("deployed")
-                    .position()
-                    .distance_squared(center);
-                let db = self
-                    .net
-                    .node(b)
-                    .expect("deployed")
-                    .position()
-                    .distance_squared(center);
-                da.partial_cmp(&db)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            }),
-            SpareSelection::MaxEnergy => spares.max_by(|&a, &b| {
-                let ea = self.net.node(a).expect("deployed").battery().charge();
-                let eb = self.net.node(b).expect("deployed").battery().charge();
-                ea.partial_cmp(&eb)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(b.cmp(&a))
-            }),
-        }
     }
 
     /// Moves `node` into the central area of `target`; elects it head if
@@ -450,7 +394,11 @@ impl RoundProtocol for ArProtocol<'_> {
                 progress = true;
                 continue;
             }
-            if let Some(spare) = self.select_spare(p.asked, p.current_target) {
+            let spare = self
+                .config
+                .spare_selection
+                .pick(self.net, p.asked, p.current_target);
+            if let Some(spare) = spare {
                 self.execute_move(p.id, spare, p.current_target, round);
                 self.metrics.processes_converged += 1;
                 self.trace.record(
@@ -751,7 +699,9 @@ mod tests {
     #[test]
     fn event_ideal_matches_classic() {
         let mk = || network_with_holes(6, 6, &[GridCoord::new(2, 2), GridCoord::new(4, 4)], 2, 31);
-        let classic = run_ar(&mut mk(), 31, DriveMode::Classic);
+        let (classic, classic_trace) = Ar::new()
+            .run_traced(&mut mk(), 31, DriveMode::Classic)
+            .unwrap();
         let mut net = mk();
         let ideal = DriveMode::EventDriven {
             net: NetModelSpec::Ideal,
@@ -759,6 +709,10 @@ mod tests {
         let report = run_ar(&mut net, 31, ideal);
         assert_eq!(report, classic);
         assert_eq!(report.metrics, classic.metrics);
+        assert!(report.health.messages_sent > 0);
+        // The classic drive has no link: it routes and counts nothing.
+        assert_eq!(classic.health, wsn_simcore::ProtocolHealth::default());
+        assert_eq!(classic_trace.count_kind("net_message"), 0);
         // AR's redundancy, measured: an interior hole spawns 4 processes,
         // 3 of which duplicate a repair already underway.
         assert!(report.health.duplicate_initiations >= 3);

@@ -9,7 +9,7 @@
 //!   redundant processes, unnecessary movements, and outright failures
 //!   when cascades collide. The WSNS'07 paper is not publicly available;
 //!   the model here follows this paper's characterization of AR, with the
-//!   concrete choices documented in DESIGN.md §5.
+//!   concrete choices documented in the [`ar`] module docs.
 //! * [`vf`] — a virtual-force scheme (after Wang et al. \[5\] and Zou &
 //!   Chakrabarty \[10\]): density gradients push nodes from crowded regions
 //!   toward sparse ones. Converges slowly with many small movements —

@@ -626,7 +626,7 @@ fn main() -> ExitCode {
         );
     }
 
-    // Extension figures (not in the paper; see EXPERIMENTS.md).
+    // Extension figures (not in the paper).
     if wanted.iter().any(|w| w.starts_with("figpmf")) {
         let trials = if smoke {
             100

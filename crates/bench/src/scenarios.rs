@@ -19,9 +19,9 @@
 //!   path kept as the baseline.
 //!
 //! All modes make byte-identical repair decisions (the property the
-//! tests pin down); `benches/bench_occupancy.rs` and the `perf` binary
-//! measure the wall-clock gaps, which are the tentpole acceptance
-//! criteria of the occupancy and kernel refactors.
+//! tests pin down); the `perf` binary measures the wall-clock gaps,
+//! which are the tentpole acceptance criteria of the occupancy and
+//! kernel refactors.
 //!
 //! [`VacancySet`]: wsn_grid::VacancySet
 

@@ -1,15 +1,15 @@
-//! Conformance battery for the event-driven message-passing engine.
+//! Conformance battery for the event drive.
 //!
-//! The engine ([`wsn_coverage::actor`]) re-implements SR and SR-SC as
-//! genuine distributed protocols — typed envelopes through a network
-//! model, a virtual-clock scheduler, per-cell actors — and AR routes its
-//! probes and asks through the same network models. The honesty
-//! argument: under [`NetModelSpec::Ideal`] every envelope arrives at
-//! the start of the next round, which is exactly when the classic
-//! lock-step runner would have acted on it, so the event engine must
-//! reproduce the classic runner's reports **byte for byte** — same
-//! metrics (including `rounds`), same per-process summaries, same
-//! RNG draw order. This suite pins that equivalence across a seeded
+//! SR, SR-SC and AR each have one engine. The classic drive runs it
+//! with no link; the event drive gives it a network link, so every
+//! inter-cell exchange becomes a typed envelope ([`wsn_coverage::actor`])
+//! routed through a network model and queued on a virtual clock. The
+//! honesty argument: under [`NetModelSpec::Ideal`] every envelope
+//! arrives at the start of the next round, which is exactly when the
+//! classic drive's axiomatic delivery would have acted on it, so the
+//! link and queue must reproduce the classic reports **byte for byte**
+//! — same metrics (including `rounds`), same per-process summaries,
+//! same RNG draw order. This suite pins that equivalence across a seeded
 //! scenario grid (single-cycle and dual-path grids, masked regions,
 //! mid-run faults) on which every classic run fully recovers, then pins
 //! the paper's two message-complexity claims as trace-count equalities,

@@ -3,14 +3,16 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-use wsn_grid::HeadElection;
+use wsn_grid::{GridCoord, GridNetwork, HeadElection};
 use wsn_simcore::fault::FaultPlan;
+use wsn_simcore::NodeId;
 
 /// Strategy for choosing which spare of a cell moves into the hole.
 ///
 /// The paper only says "find a spare node in the grid of u"; the choice
 /// does not affect the number of movements, only (slightly) the moving
-/// distance — an ablation bench quantifies it (DESIGN.md §6).
+/// distance. [`SpareSelection::pick`] applies a policy: SR and AR choose
+/// through it with their configured policy, SR-SC always with `FirstId`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum SpareSelection {
     /// The spare closest to the target cell's center: minimizes this
@@ -21,6 +23,47 @@ pub enum SpareSelection {
     FirstId,
     /// The spare with the most battery left (spreads movement wear).
     MaxEnergy,
+}
+
+impl SpareSelection {
+    /// The spare of `cell` this policy sends toward `target`'s center,
+    /// or `None` when `cell` holds no spare. Ties go to the lower node
+    /// id. Draws nothing from any RNG.
+    ///
+    /// # Panics
+    ///
+    /// Under `ClosestToTarget`, panics when `target` is outside the
+    /// network's grid.
+    pub fn pick(self, net: &GridNetwork, cell: GridCoord, target: GridCoord) -> Option<NodeId> {
+        if net.spare_count(cell).ok()? == 0 {
+            return None;
+        }
+        let spares = net.spare_iter(cell).ok()?;
+        let node = |id: NodeId| net.node(id).expect("spares are deployed");
+        match self {
+            SpareSelection::FirstId => spares.min(),
+            SpareSelection::ClosestToTarget => {
+                let center = net
+                    .system()
+                    .cell_center(target)
+                    .expect("targets are in-bounds cells");
+                spares.min_by(|&a, &b| {
+                    let da = node(a).position().distance_squared(center);
+                    let db = node(b).position().distance_squared(center);
+                    da.partial_cmp(&db)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(a.cmp(&b))
+                })
+            }
+            SpareSelection::MaxEnergy => spares.max_by(|&a, &b| {
+                let ea = node(a).battery().charge();
+                let eb = node(b).battery().charge();
+                ea.partial_cmp(&eb)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(b.cmp(&a))
+            }),
+        }
+    }
 }
 
 impl fmt::Display for SpareSelection {

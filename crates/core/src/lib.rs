@@ -54,10 +54,10 @@ mod owners;
 mod process;
 mod protocol;
 mod recovery;
+mod run;
 pub mod scheme;
 pub mod shortcut;
 
-pub use actor::EventSrProtocol;
 pub use config::{SpareSelection, SrConfig};
 pub use owners::OwnerCounts;
 pub use process::{ProcessId, ProcessStatus, ProcessSummary};

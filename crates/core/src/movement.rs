@@ -31,8 +31,8 @@ pub fn movement_target(system: &GridSystem, target: GridCoord, rng: &mut SimRng)
 /// Empirical mean per-hop distance between uniform central-area points of
 /// 4-adjacent cells, estimated with `samples` Monte-Carlo draws.
 ///
-/// The paper adopts `1.08·r`; this estimator lets tests and EXPERIMENTS.md
-/// quantify the (small) gap between that constant and the exact model.
+/// The paper adopts `1.08·r`; this estimator lets tests quantify the
+/// (small) gap between that constant and the exact model.
 pub fn empirical_avg_hop_distance(r: f64, samples: usize, rng: &mut SimRng) -> f64 {
     assert!(r.is_finite() && r > 0.0, "cell side must be positive");
     assert!(samples > 0, "need at least one sample");
@@ -88,8 +88,8 @@ mod tests {
         let factor = avg / r;
         // The paper uses 1.08; the exact model (uniform central-area
         // endpoints in 4-adjacent cells) gives about 1.050. We follow the
-        // paper's constant in the analytical overlays and document the 3%
-        // gap in EXPERIMENTS.md.
+        // paper's constant in the analytical overlays and pin the 3% gap
+        // here.
         assert!(
             (factor - 1.050).abs() < 0.01,
             "empirical factor {factor} too far from exact 1.050"

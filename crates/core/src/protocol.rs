@@ -29,20 +29,24 @@
 //! Within a round, processes act in id order; this sequential resolution
 //! is deterministic and only matters in the rare dual-path corner where
 //! two processes share an asked cell (`C` watches both `A` and `B`).
+//!
+//! One engine serves both drives. The classic drive has no link, so a
+//! notification is known the round after it is sent. The event drive
+//! ([`SrProtocol::with_net_model`]) adds a step 0 — envelopes due this
+//! round arrive first — and a process acts only while its asked head
+//! holds the notification baton ([`crate::actor`]).
 
-use std::collections::HashSet;
-
-use wsn_grid::{GridCoord, GridError, GridNetwork, HoleSet};
+use wsn_grid::{GridCoord, GridNetwork};
 use wsn_hamilton::{BackwardStep, CycleTopology};
 use wsn_simcore::{
-    EnergyModel, Metrics, NodeId, ProtocolHealth, RoundOutcome, RoundProtocol, SimRng, TraceEvent,
-    TraceLog,
+    Metrics, NetModelSpec, ProtocolHealth, RoundOutcome, RoundProtocol, TraceEvent, TraceLog,
 };
 
-use crate::movement::movement_target;
-use crate::process::{ProcessId, ProcessStatus, ProcessSummary};
+use crate::actor::{BatonState, Envelope, Wire};
+use crate::process::ProcessId;
+use crate::run::Run;
 use crate::scheme::{ProtocolOutcome, SchemeProtocol};
-use crate::{OwnerCounts, SpareSelection, SrConfig};
+use crate::{OwnerCounts, SrConfig};
 
 /// Internal outcome of resolving the next backward hop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,7 +103,8 @@ pub struct DetectionOutcome {
     /// [`Metrics::processes_initiated`] increments).
     pub initiated: usize,
     /// Holes whose initiation was deferred by asynchronous-mode
-    /// scheduling; still outstanding work.
+    /// scheduling (or, under the event drive, by a dropped probe); still
+    /// outstanding work.
     pub pending: usize,
 }
 
@@ -111,7 +116,7 @@ impl DetectionOutcome {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct ActiveProcess {
     id: ProcessId,
     hole: GridCoord,
@@ -119,48 +124,56 @@ struct ActiveProcess {
     current_vacant: GridCoord,
     /// The cell whose head must act next.
     asked: GridCoord,
+    /// Where the notification to `asked` is; always `Held` without a
+    /// link.
+    baton: BatonState,
+}
+
+/// What SR holds only because a notification can be late or lost.
+#[derive(Debug)]
+struct SrLink {
+    wire: Wire,
+    /// Active processes per `current_vacant` cell whose asked head holds
+    /// the baton.
+    held: OwnerCounts,
+    /// Per cell, `round + 1` of the last relay that vacated it (0 =
+    /// never): the one-round window in which its monitor may not yet
+    /// have observed the vacancy, so detection does not treat it as
+    /// unowned.
+    vacated_at: Vec<u64>,
 }
 
 /// The SR protocol over a borrowed network and a cycle topology; drives
 /// itself one round at a time via [`RoundProtocol`].
+///
+/// [`SrProtocol::new`] runs the classic drive: no link, notifications
+/// known the round after they are sent. [`SrProtocol::with_net_model`]
+/// runs the same rounds with every inter-cell exchange routed through a
+/// network model (the [`crate::actor`] envelopes), so latency and loss
+/// become protocol inputs.
 ///
 /// Most callers run SR through [`crate::Sr`], which hands this to
 /// [`crate::scheme::run_to_quiescence`]; the protocol type is public for
 /// custom drivers (e.g. lock-step comparisons against baselines).
 #[derive(Debug)]
 pub struct SrProtocol<'n> {
-    net: &'n mut GridNetwork,
+    run: Run<'n>,
     topo: CycleTopology,
-    config: SrConfig,
-    rng: SimRng,
-    trace: TraceLog,
-    metrics: Metrics,
-    energy: EnergyModel,
+    /// Active processes, in id order (ids are issued ascending and
+    /// removals keep order), so deliveries find theirs by binary search.
     active: Vec<ActiveProcess>,
     /// Active processes per `current_vacant` cell: detection's "already
     /// owned" check without scanning `active`.
     owners: OwnerCounts,
-    summaries: Vec<ProcessSummary>,
-    /// Holes whose processes exhausted the whole structure without
-    /// finding a spare. Spares never increase during a run, so retrying
-    /// such a hole is futile (and would livelock the protocol in the
-    /// zero-spare regime); the set is cleared when faults change the
-    /// network, the only event that can make a retry meaningful.
-    failed_holes: HashSet<GridCoord>,
-    /// Current holes as dense row-major cell indices, maintained from the
-    /// network's occupancy change journal — detection iterates this in
-    /// O(holes) per round instead of scanning every cell. The word-level
-    /// [`HoleSet`] iterates ascending, so sweeps visit holes exactly as
-    /// the `BTreeSet` (and the full scan before it) did.
-    pending_holes: HoleSet,
-    /// Scratch buffer reused by detection sweeps (no per-round allocs).
-    detect_buf: Vec<usize>,
+    /// The network model under the event drive; `None` in the classic
+    /// drive, which routes, queues and counts nothing.
+    link: Option<SrLink>,
 }
 
 impl<'n> SrProtocol<'n> {
-    /// Creates the protocol, electing initial heads in every occupied
-    /// cell. Events are recorded into `trace` (pass
-    /// [`TraceLog::disabled`] to record nothing).
+    /// Creates the protocol for the classic drive, electing initial
+    /// heads in every occupied cell. Events are recorded into `trace`
+    /// (pass [`TraceLog::disabled`] to record nothing).
     ///
     /// # Panics
     ///
@@ -177,35 +190,44 @@ impl<'n> SrProtocol<'n> {
             (net.system().cols(), net.system().rows()),
             "topology and network dimensions must match"
         );
-        let mut rng = SimRng::seed_from_u64(config.seed);
-        net.elect_all_heads(config.election, &mut rng);
-        // Seed the pending-hole set from the index once (a word-level
-        // copy of the vacancy bitset); every later round folds in the
-        // change journal instead of rescanning.
-        let mut pending_holes = HoleSet::new(net.system().cell_count());
-        pending_holes.assign_vacant(net.occupancy());
-        net.clear_changed_cells();
         let owners = OwnerCounts::new(net.system());
         SrProtocol {
-            net,
+            run: Run::new(net, config, trace),
             topo,
-            config,
-            rng,
-            trace,
-            metrics: Metrics::new(),
-            energy: EnergyModel::default(),
             active: Vec::new(),
             owners,
-            summaries: Vec::new(),
-            failed_holes: HashSet::new(),
-            pending_holes,
-            detect_buf: Vec::new(),
+            link: None,
         }
+    }
+
+    /// Like [`SrProtocol::new`], but with every inter-cell exchange
+    /// routed through `spec`'s network model. The link draws from its
+    /// own stream (tag [`crate::actor::NET_STREAM_TAG`]), so under
+    /// [`NetModelSpec::Ideal`] the run equals the classic one.
+    ///
+    /// # Panics
+    ///
+    /// As [`SrProtocol::new`].
+    pub fn with_net_model(
+        net: &'n mut GridNetwork,
+        topo: CycleTopology,
+        config: SrConfig,
+        spec: NetModelSpec,
+        trace: TraceLog,
+    ) -> SrProtocol<'n> {
+        let wire = Wire::new(spec, config.seed);
+        let mut p = SrProtocol::new(net, topo, config, trace);
+        p.link = Some(SrLink {
+            wire,
+            held: p.owners.clone(),
+            vacated_at: vec![0; p.run.net.system().cell_count()],
+        });
+        p
     }
 
     /// Cost counters accumulated so far.
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.run.metrics
     }
 
     /// Number of processes still active (cascading or waiting).
@@ -213,147 +235,119 @@ impl<'n> SrProtocol<'n> {
         self.active.len()
     }
 
+    /// The health ledger, under the event drive.
+    fn health(&mut self) -> Option<&mut ProtocolHealth> {
+        self.link.as_mut().map(|l| &mut l.wire.link.health)
+    }
+
     /// Marks all still-active processes failed (at the end of the run,
     /// anything still active is stuck behind an unfillable hole).
+    /// Processes whose baton was in flight or lost are additionally
+    /// counted as [`ProtocolHealth::stalled_repairs`].
     fn fail_remaining(&mut self, round: u64) {
         for p in self.retire_all() {
-            let s = &mut self.summaries[p.id.raw() as usize];
-            s.status = ProcessStatus::Failed;
-            s.ended_round = Some(round);
-            self.metrics.processes_failed += 1;
-            self.trace.record_with(round, || TraceEvent::ProcessFailed {
-                process: p.id.raw(),
-                reason: "no reachable spare (run ended)".into(),
-            });
+            let reason = if p.baton == BatonState::Held {
+                "no reachable spare (run ended)"
+            } else {
+                if let Some(health) = self.health() {
+                    health.stalled_repairs += 1;
+                }
+                "notification lost in the network (run ended)"
+            };
+            self.run.fail(p.id, round, reason);
         }
     }
 
-    /// Starts `p` as the owner of its vacant cell. This, [`Self::relay`],
+    /// Starts `p` as an owner. This, [`Self::relay`], [`Self::land`],
     /// [`Self::retire`] and [`Self::retire_all`] are the only places that
-    /// add, remove or re-home an owner, so the owner table always
-    /// matches `active`.
+    /// add, change or remove a process, so the owner tables always match
+    /// `active`.
     fn enlist(&mut self, p: ActiveProcess) {
-        self.owners.add(p.current_vacant);
+        self.claim(p);
         self.active.push(p);
     }
 
-    /// Moves process `idx`'s ownership to `vacant`, the cell its relay
-    /// just emptied, and points it at `asked`.
-    fn relay(&mut self, idx: usize, vacant: GridCoord, asked: GridCoord) {
-        let p = &mut self.active[idx];
+    /// Moves process `i`'s ownership to `vacant`, the cell its relay just
+    /// emptied in `round`, and points it at `asked` with its notification
+    /// `baton`.
+    fn relay(
+        &mut self,
+        i: usize,
+        (vacant, asked): (GridCoord, GridCoord),
+        baton: BatonState,
+        round: u64,
+    ) {
+        let p = &mut self.active[i];
         self.owners.remove(p.current_vacant);
         self.owners.add(vacant);
+        if let Some(link) = &mut self.link {
+            if p.baton == BatonState::Held {
+                link.held.remove(p.current_vacant);
+            }
+            if baton == BatonState::Held {
+                link.held.add(vacant);
+            }
+            let sys = self.run.net.system();
+            link.vacated_at[sys.index_of(vacant).expect("relay cells are in bounds")] = round + 1;
+        }
         p.current_vacant = vacant;
         p.asked = asked;
+        p.baton = baton;
     }
 
-    /// Ends process `idx` (converged or failed), releasing its cell.
-    fn retire(&mut self, idx: usize) -> ActiveProcess {
-        let p = self.active.remove(idx);
-        self.owners.remove(p.current_vacant);
+    /// Hands process `i` its baton: the notification to its asked head
+    /// arrived.
+    fn land(&mut self, i: usize) {
+        let p = &mut self.active[i];
+        if p.baton != BatonState::Held {
+            p.baton = BatonState::Held;
+            if let Some(link) = &mut self.link {
+                link.held.add(p.current_vacant);
+            }
+        }
+    }
+
+    /// Ends process `i` (converged, failed or superseded), releasing its
+    /// cell.
+    fn retire(&mut self, i: usize) -> ActiveProcess {
+        let p = self.active.remove(i);
+        self.release(p);
         p
     }
 
-    /// Ends every active process, in start order, releasing their cells.
+    /// Ends every active process, in id order, releasing their cells.
     fn retire_all(&mut self) -> Vec<ActiveProcess> {
         let all = std::mem::take(&mut self.active);
-        for p in &all {
-            self.owners.remove(p.current_vacant);
+        for &p in &all {
+            self.release(p);
         }
         all
     }
 
+    fn claim(&mut self, p: ActiveProcess) {
+        self.owners.add(p.current_vacant);
+        if let Some(link) = &mut self.link {
+            if p.baton == BatonState::Held {
+                link.held.add(p.current_vacant);
+            }
+        }
+    }
+
+    fn release(&mut self, p: ActiveProcess) {
+        self.owners.remove(p.current_vacant);
+        if let Some(link) = &mut self.link {
+            if p.baton == BatonState::Held {
+                link.held.remove(p.current_vacant);
+            }
+        }
+    }
+
     fn spare_count(&self, cell: GridCoord) -> usize {
-        self.net.spare_count(cell).unwrap_or(0)
+        self.run.net.spare_count(cell).unwrap_or(0)
     }
 
     fn is_occupied(&self, cell: GridCoord) -> bool {
-        !self.net.is_vacant(cell).unwrap_or(true)
-    }
-
-    fn select_spare(&mut self, cell: GridCoord, target: GridCoord) -> Option<NodeId> {
-        if self.net.spare_count(cell).ok()? == 0 {
-            return None;
-        }
-        let spares = self.net.spare_iter(cell).ok()?;
-        let target_center = self
-            .net
-            .system()
-            .cell_center(target)
-            .expect("targets are in-bounds cells");
-        match self.config.spare_selection {
-            SpareSelection::FirstId => spares.min(),
-            SpareSelection::ClosestToTarget => spares.min_by(|&a, &b| {
-                let da = self
-                    .net
-                    .node(a)
-                    .expect("spares are deployed")
-                    .position()
-                    .distance_squared(target_center);
-                let db = self
-                    .net
-                    .node(b)
-                    .expect("spares are deployed")
-                    .position()
-                    .distance_squared(target_center);
-                da.partial_cmp(&db)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            }),
-            SpareSelection::MaxEnergy => spares.max_by(|&a, &b| {
-                let ea = self.net.node(a).expect("deployed").battery().charge();
-                let eb = self.net.node(b).expect("deployed").battery().charge();
-                ea.partial_cmp(&eb)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(b.cmp(&a))
-            }),
-        }
-    }
-
-    /// Moves `node` into the central area of `target`, charges energy,
-    /// and records metrics/trace. Returns the movement distance.
-    fn execute_move(
-        &mut self,
-        process: ProcessId,
-        node: NodeId,
-        target: GridCoord,
-        round: u64,
-    ) -> Result<f64, GridError> {
-        let dest = movement_target(self.net.system(), target, &mut self.rng);
-        let out = self.net.move_node(node, dest)?;
-        self.net.set_head(target, node)?;
-        self.metrics.record_move(out.distance);
-        let cost = self.energy.movement(out.distance);
-        self.metrics.energy += cost;
-        self.trace.record(
-            round,
-            TraceEvent::NodeMoved {
-                process: Some(process.raw()),
-                node,
-                from: out.from.into(),
-                to: out.to.into(),
-                distance: out.distance,
-            },
-        );
-        if self.config.battery_dynamics {
-            let depleted = self.net.draw_battery(node, cost)?;
-            if depleted {
-                // The mover dies on arrival: its destination becomes a
-                // fresh hole for detection to pick up. New energy can
-                // arrive nowhere, so unfillable holes are re-blacklisted
-                // through the normal failure path.
-                self.net.disable_node(node)?;
-                self.failed_holes.clear();
-                self.trace.record(
-                    round,
-                    TraceEvent::NodeDisabled {
-                        node,
-                        cell: out.to.into(),
-                    },
-                );
-            }
-        }
-        Ok(out.distance)
+        !self.run.net.is_vacant(cell).unwrap_or(true)
     }
 
     /// Resolves the next asked cell when `asked` must relay, applying the
@@ -395,52 +389,106 @@ impl<'n> SrProtocol<'n> {
         }
     }
 
-    /// One action for one process. Returns `true` when the process made
-    /// progress (moved or ended), `false` when it waited.
+    /// Terminates process `i` because its target vacancy was already
+    /// refilled by a duplicate when its baton (re)surfaced. Only a late
+    /// or lost notification lets a duplicate start, so this never
+    /// happens without a link, nor under `Ideal`.
+    fn terminate_superseded(&mut self, i: usize, round: u64) {
+        let p = self.retire(i);
+        if let Some(health) = self.health() {
+            health.superseded_repairs += 1;
+        }
+        self.run
+            .fail(p.id, round, "superseded by a duplicate repair");
+    }
+
+    /// Delivers every envelope due this round. Returns `true` when a
+    /// delivery ended a process (a superseded repair).
+    fn drain_due(&mut self, round: u64) -> bool {
+        let mut progress = false;
+        while let Some(envelope) = self.link.as_mut().and_then(|l| l.wire.pop_due(round)) {
+            let Envelope::HoleAnnounce { process } = envelope else {
+                continue;
+            };
+            let Ok(i) = self.active.binary_search_by_key(&process, |p| p.id.raw()) else {
+                continue;
+            };
+            if self.is_occupied(self.active[i].current_vacant) {
+                self.terminate_superseded(i, round);
+                progress = true;
+            } else {
+                self.land(i);
+            }
+        }
+        progress
+    }
+
+    /// One action for one process, gated on holding the baton. Returns
+    /// `true` when the process made progress (moved or ended), `false`
+    /// when it waited.
     fn step_process(&mut self, idx: usize, round: u64) -> bool {
-        let p = self.active[idx].clone();
+        let p = self.active[idx];
+        if self.link.is_some() {
+            if p.baton != BatonState::Held {
+                // The asked head has not received the notification yet
+                // (or never will); nothing to act on.
+                return false;
+            }
+            if self.is_occupied(p.current_vacant) {
+                // A duplicate repair filled the target while the baton
+                // sat here.
+                self.terminate_superseded(idx, round);
+                return true;
+            }
+        }
         // A vacant asked cell means the notification target does not
         // exist yet (paper step 3(b)); wait for that hole's own process.
         if !self.is_occupied(p.asked) {
             return false;
         }
+        let run = &mut self.run;
         // Asynchronous mode: the head that should act may not be
         // scheduled this round. Deferred work is still pending progress
         // (unlike waiting, which resolves only through another process).
-        if self.config.activation_probability < 1.0
-            && !self.rng.bernoulli(self.config.activation_probability)
+        if run.config.activation_probability < 1.0
+            && !run.rng.bernoulli(run.config.activation_probability)
         {
             return true;
         }
-        if let Some(spare) = self.select_spare(p.asked, p.current_vacant) {
+        let spare = run
+            .config
+            .spare_selection
+            .pick(run.net, p.asked, p.current_vacant);
+        if let Some(spare) = spare {
             // Algorithm 1 step 2: a spare fills the vacancy; converge.
-            let d = self
-                .execute_move(p.id, spare, p.current_vacant, round)
-                .expect("spare moves to an in-bounds adjacent cell");
-            let s = &mut self.summaries[p.id.raw() as usize];
-            s.hops += 1;
-            s.moves += 1;
-            s.distance += d;
-            s.status = ProcessStatus::Converged;
-            s.ended_round = Some(round);
-            self.metrics.processes_converged += 1;
-            self.trace.record(
-                round,
-                TraceEvent::ProcessConverged {
-                    process: p.id.raw(),
-                    moves: s.moves,
-                },
-            );
+            // Head → co-located spare: ask, then order the move. One
+            // radio neighborhood, so neither envelope can be lost.
+            if let Some(link) = &mut self.link {
+                link.wire.link.local(); // SpareRequest
+                link.wire.link.local(); // MoveNotify
+            }
+            run.execute_move(p.id, spare, p.current_vacant, round);
+            run.converge(p.id, round);
             self.retire(idx);
+            if let Some(link) = &mut self.link {
+                let (from, to) = (p.current_vacant, p.asked);
+                let sys = self.run.net.system();
+                let trace = &mut self.run.trace;
+                link.wire
+                    .send(sys, from, to, Envelope::MoveAck, round, trace);
+            }
             return true;
         }
         // Algorithm 1 step 3: no spare — notify backward, relay forward.
         match self.resolve_backward(p.asked, p.hole) {
             BackwardResolution::Wait => false,
             BackwardResolution::Next(next_asked) => {
-                self.metrics.record_message();
-                self.metrics.energy += self.energy.message_cost;
-                self.trace.record(
+                let run = &mut self.run;
+                // The sender pays for the transmission whether or not it
+                // arrives …
+                run.metrics.record_message();
+                run.metrics.energy += run.energy.message_cost;
+                run.trace.record(
                     round,
                     TraceEvent::NotificationSent {
                         process: p.id.raw(),
@@ -448,33 +496,45 @@ impl<'n> SrProtocol<'n> {
                         to: next_asked.into(),
                     },
                 );
-                let head = self
+                // … then, over a link, the envelope takes its chances on
+                // the channel.
+                let baton = match &mut self.link {
+                    None => BatonState::Held,
+                    Some(link) => {
+                        let announce = Envelope::HoleAnnounce {
+                            process: p.id.raw(),
+                        };
+                        let sys = run.net.system();
+                        let trace = &mut run.trace;
+                        if link
+                            .wire
+                            .send(sys, p.asked, next_asked, announce, round, trace)
+                        {
+                            BatonState::InFlight
+                        } else {
+                            link.wire.link.health.lost_cascades += 1;
+                            BatonState::Lost
+                        }
+                    }
+                };
+                // The relaying head moves regardless: it committed the
+                // moment it sent the notification (the honest failure
+                // mode — a lost baton, not a clairvoyant abort).
+                let head = run
                     .net
                     .head_of(p.asked)
                     .expect("asked cell is in bounds")
                     .expect("occupied cells are headed after repair");
-                let d = self
-                    .execute_move(p.id, head, p.current_vacant, round)
-                    .expect("relay moves to an in-bounds adjacent cell");
-                let s = &mut self.summaries[p.id.raw() as usize];
-                s.hops += 1;
-                s.moves += 1;
-                s.distance += d;
-                self.relay(idx, p.asked, next_asked);
+                run.execute_move(p.id, head, p.current_vacant, round);
+                self.relay(idx, (p.asked, next_asked), baton, round);
                 true
             }
             BackwardResolution::Exhausted => {
-                let s = &mut self.summaries[p.id.raw() as usize];
-                s.status = ProcessStatus::Failed;
-                s.ended_round = Some(round);
-                self.metrics.processes_failed += 1;
-                self.trace.record_with(round, || TraceEvent::ProcessFailed {
-                    process: p.id.raw(),
-                    reason: "walk exhausted without finding a spare".into(),
-                });
+                self.run
+                    .fail(p.id, round, "walk exhausted without finding a spare");
                 // Spares never increase, so re-detecting this hole would
                 // walk the whole structure again and fail again.
-                self.failed_holes.insert(p.current_vacant);
+                self.run.failed_holes.insert(p.current_vacant);
                 self.retire(idx);
                 true
             }
@@ -483,21 +543,28 @@ impl<'n> SrProtocol<'n> {
 
     /// Detection + initiation (Algorithm 1 step 1): every vacant cell not
     /// already owned by an active process is detected by its unique
-    /// monitoring head. Sweeps the journal-maintained pending-hole set
-    /// (row-major, like the full scan it replaced) rather than the grid.
+    /// monitoring head. Sweeps the journal-maintained hole index
+    /// (row-major, like a full scan) rather than the grid.
+    ///
+    /// Over a link, ownership must be observable: a hole is owned only
+    /// while its process holds the baton or vacated it this very round.
+    /// A stale owner (baton in flight or lost) is invisible to the
+    /// monitor, which probes the hole and honestly re-initiates
+    /// ([`ProtocolHealth::duplicate_initiations`]).
     fn detect_and_initiate(&mut self, round: u64) -> DetectionOutcome {
-        self.net.fold_changed_cells_into(&mut self.pending_holes);
-        let mut buf = std::mem::take(&mut self.detect_buf);
-        buf.clear();
-        buf.extend(self.pending_holes.iter());
-        self.metrics.cells_scanned += buf.len() as u64;
+        let buf = self.run.sweep();
+        self.run.metrics.cells_scanned += buf.len() as u64;
         let mut outcome = DetectionOutcome::default();
         for &idx in &buf {
-            let g = self.net.system().coord_of(idx);
-            if self.failed_holes.contains(&g) {
+            let g = self.run.net.system().coord_of(idx);
+            if self.run.failed_holes.contains(&g) {
                 continue; // unfillable until the network changes
             }
-            if self.owners.is_owned(g) {
+            let owned = match &self.link {
+                None => self.owners.is_owned(g),
+                Some(link) => link.held.is_owned(g) || link.vacated_at[idx] == round + 1,
+            };
+            if owned {
                 continue; // the cascade for this cell is already running
             }
             let monitor = self.topo.monitors(g);
@@ -506,93 +573,101 @@ impl<'n> SrProtocol<'n> {
                 // is repaired (sequential recovery of hole runs).
                 continue;
             }
-            if self.config.activation_probability < 1.0
-                && !self.rng.bernoulli(self.config.activation_probability)
+            let run = &mut self.run;
+            if let Some(link) = &mut self.link {
+                let sys = run.net.system();
+                if !link.wire.probe(sys, monitor, g, round, &mut run.trace) {
+                    // The weather ate the probe; the monitor retries next
+                    // round. Still outstanding work.
+                    outcome.pending += 1;
+                    continue;
+                }
+            }
+            if run.config.activation_probability < 1.0
+                && !run.rng.bernoulli(run.config.activation_probability)
             {
                 // Asynchronous mode: this monitor was not scheduled this
                 // round; the vacancy is deferred, not initiated.
                 outcome.pending += 1;
                 continue;
             }
-            self.trace.record(
+            run.trace.record(
                 round,
                 TraceEvent::VacancyDetected {
                     cell: g.into(),
                     detector: monitor.into(),
                 },
             );
-            let id = ProcessId::new(self.summaries.len() as u64);
-            self.summaries.push(ProcessSummary {
-                id,
-                hole: g,
-                initiator: monitor,
-                initiated_round: round,
-                ended_round: None,
-                status: ProcessStatus::Active,
-                hops: 0,
-                moves: 0,
-                distance: 0.0,
-            });
+            let id = run.initiate(g, monitor, round);
+            if let Some(link) = &mut self.link {
+                if self.owners.is_owned(g) {
+                    // A stale owner exists after all: this initiation
+                    // duplicates a cascade the monitor could not observe.
+                    link.wire.link.health.duplicate_initiations += 1;
+                }
+            }
             self.enlist(ActiveProcess {
                 id,
                 hole: g,
                 current_vacant: g,
                 asked: monitor,
+                baton: BatonState::Held,
             });
-            self.metrics.processes_initiated += 1;
-            self.trace.record(
-                round,
-                TraceEvent::ProcessInitiated {
-                    process: id.raw(),
-                    hole: g.into(),
-                    initiator: monitor.into(),
-                },
-            );
             outcome.initiated += 1;
         }
-        self.detect_buf = buf;
+        self.run.end_sweep(buf);
         self.owners
             .debug_check(self.active.iter().map(|p| p.current_vacant));
+        if let Some(link) = &self.link {
+            link.held.debug_check(
+                self.active
+                    .iter()
+                    .filter(|p| p.baton == BatonState::Held)
+                    .map(|p| p.current_vacant),
+            );
+        }
         outcome
     }
 }
 
 impl SchemeProtocol for SrProtocol<'_> {
     fn network(&self) -> &GridNetwork {
-        self.net
+        self.run.net
     }
 
     fn finish(mut self, rounds: u64) -> ProtocolOutcome {
         self.fail_remaining(rounds);
         ProtocolOutcome {
-            metrics: self.metrics,
-            processes: self.summaries,
-            health: ProtocolHealth::default(),
-            trace: self.trace,
+            metrics: self.run.metrics,
+            processes: self.run.summaries,
+            health: self.link.map(|l| l.wire.link.health).unwrap_or_default(),
+            trace: self.run.trace,
         }
     }
 }
 
 impl RoundProtocol for SrProtocol<'_> {
     fn execute_round(&mut self, round: u64) -> RoundOutcome {
-        let mut progress = false;
+        // 0. Due envelopes arrive before anyone acts this round.
+        let mut progress = self.drain_due(round);
+        let run = &mut self.run;
 
         // 1. Scheduled faults fire at the start of the round.
-        let fault_events: Vec<_> = self.config.fault_plan.events_at(round).cloned().collect();
+        let fault_events: Vec<_> = run.config.fault_plan.events_at(round).cloned().collect();
         for ev in fault_events {
-            let killed = self.net.apply_fault(&ev, &mut self.rng);
+            let killed = run.net.apply_fault(&ev, &mut run.rng);
             if !killed.is_empty() {
                 // The network changed; previously unfillable holes are
                 // worth re-detecting (conservative but safe).
-                self.failed_holes.clear();
+                run.failed_holes.clear();
             }
             for id in &killed {
-                let cell = self
+                let cell = run
                     .net
                     .system()
-                    .cell_of(self.net.node(*id).expect("deployed").position())
+                    .cell_of(run.net.node(*id).expect("deployed").position())
                     .expect("positions stay in the area");
-                self.trace.record(
+                run.trace.record(
                     round,
                     TraceEvent::NodeDisabled {
                         node: *id,
@@ -609,13 +684,12 @@ impl RoundProtocol for SrProtocol<'_> {
         //    as protocol progress: elections are free local actions, and
         //    treating rotation as progress would keep an otherwise idle
         //    network from ever reaching quiescence.
-        if let Some(period) = self.config.head_rotation_period {
+        if let Some(period) = run.config.head_rotation_period {
             if round > 0 && round.is_multiple_of(period) {
-                self.net
-                    .elect_all_heads(self.config.election, &mut self.rng);
+                run.net.elect_all_heads(run.config.election, &mut run.rng);
             }
         }
-        self.net.repair_heads(self.config.election, &mut self.rng);
+        run.net.repair_heads(run.config.election, &mut run.rng);
 
         // 3. Process steps, in id order; iterate by position, careful
         //    with removals.
@@ -631,46 +705,26 @@ impl RoundProtocol for SrProtocol<'_> {
         }
 
         // 4. Detection and initiation for unowned holes. A deferred
-        //    (async-mode) initiation is still scheduled work, so both
-        //    halves of the outcome keep the round from going quiescent.
+        //    (async-mode or lost-probe) initiation is still scheduled
+        //    work, so both halves of the outcome keep the round from
+        //    going quiescent.
         progress |= self.detect_and_initiate(round).any_activity();
 
-        // 5. Surveillance duty: heads burn idle energy every round (the
-        //    GAF rationale for rotating the role). Only modeled when
-        //    battery dynamics are on; a head that dies of idle drain is
-        //    replaced locally next round, or leaves a hole if it was the
-        //    cell's last node.
-        if self.config.battery_dynamics {
-            let idle = self.energy.idle_cost_per_round;
-            let heads: Vec<NodeId> = self
-                .net
-                .system()
-                .iter_coords()
-                .filter_map(|c| self.net.head_of(c).expect("in bounds"))
-                .collect();
-            for head in heads {
-                self.metrics.energy += idle;
-                if self
-                    .net
-                    .draw_battery(head, idle)
-                    .expect("heads are deployed")
-                {
-                    self.net.disable_node(head).expect("heads are deployed");
-                    self.failed_holes.clear();
-                    progress = true;
-                }
-            }
-        }
+        // 5. Surveillance duty (battery dynamics only).
+        progress |= self.run.drain_idle_heads();
 
         // The run must not go quiescent while scheduled faults are still
-        // pending — an idle network can be re-holed at any planned round.
+        // pending — an idle network can be re-holed at any planned round
+        // — nor while envelopes are in flight.
         progress |= self
+            .run
             .config
             .fault_plan
             .last_round()
             .is_some_and(|r| r > round);
+        progress |= self.link.as_ref().is_some_and(|l| l.wire.in_flight());
 
-        self.metrics.rounds = round + 1;
+        self.run.metrics.rounds = round + 1;
         if progress {
             RoundOutcome::Progress
         } else {
@@ -683,8 +737,9 @@ impl RoundProtocol for SrProtocol<'_> {
 mod tests {
     use super::*;
     use crate::scheme::{run_to_quiescence, SchemeReport};
+    use crate::ProcessStatus;
     use wsn_grid::{deploy, GridSystem, HeadElection};
-    use wsn_simcore::RoundRunner;
+    use wsn_simcore::{NodeId, RoundRunner, SimRng};
 
     /// Runs SR on `net` over its grid's cycle topology, traced.
     fn run_sr(net: &mut GridNetwork, config: SrConfig) -> (SchemeReport, TraceLog) {

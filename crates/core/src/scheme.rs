@@ -118,7 +118,6 @@ use wsn_grid::{GridNetwork, NetworkStats, RegionMask};
 use wsn_hamilton::CycleTopology;
 use wsn_simcore::{Metrics, NetModelSpec, ProtocolHealth, RunReport, TraceLog};
 
-use crate::actor::{EventScProtocol, EventSrProtocol};
 use crate::process::ProcessSummary;
 use crate::shortcut::{ScRing, ShortcutProtocol};
 use crate::{SrConfig, SrProtocol};
@@ -725,9 +724,9 @@ impl SchemeRegistry {
 }
 
 /// **SR** — the paper's synchronized snake-like replacement — as a
-/// registrable scheme: [`SrProtocol`] (classic) or [`EventSrProtocol`]
-/// (event engine) run by [`run_to_quiescence`]. Configure via
-/// [`Sr::builder`].
+/// registrable scheme: [`SrProtocol`], with no link (classic) or over a
+/// network model (event drive), run by [`run_to_quiescence`]. Configure
+/// via [`Sr::builder`].
 ///
 /// ```
 /// use wsn_coverage::scheme::{DriveMode, ReplacementScheme, Sr};
@@ -896,18 +895,25 @@ impl Sr {
             DriveMode::Classic => {
                 run_to_quiescence(SrProtocol::new(net, topo, config, trace), runner)
             }
-            DriveMode::EventDriven { net: spec } => {
-                run_to_quiescence(EventSrProtocol::new(net, topo, config, spec, trace), runner)
-            }
+            DriveMode::EventDriven { net: spec } => run_to_quiescence(
+                SrProtocol::with_net_model(net, topo, config, spec, trace),
+                runner,
+            ),
         })
     }
 }
 
 /// **SR-SC** — the short-cut extension ([`crate::shortcut`]) — as a
-/// registrable scheme: [`ShortcutProtocol`] (classic) or
-/// [`EventScProtocol`] (event engine) run by [`run_to_quiescence`].
+/// registrable scheme: [`ShortcutProtocol`], with no link (classic) or
+/// over a network model (event drive), run by [`run_to_quiescence`].
 /// Requires a unique-predecessor ring: even-sided full grids or any
 /// masked virtual ring.
+///
+/// SR-SC implements the synchronous round model only:
+/// [`ReplacementScheme::supports`] and [`ReplacementScheme::run`]
+/// refuse an [`SrConfig`] with `activation_probability < 1` or a
+/// `head_rotation_period`. It always dispatches the courier cell's
+/// lowest-id spare, whatever `spare_selection` says.
 #[derive(Debug, Clone, Default)]
 pub struct SrSc {
     config: SrConfig,
@@ -947,6 +953,7 @@ impl ReplacementScheme for SrSc {
 
     fn supports(&self, spec: &NetworkSpec) -> Result<(), Unsupported> {
         round_runner(self.id(), self.config.max_rounds)?;
+        self.check_config()?;
         self.ring(spec.mask()).map(|_| ())
     }
 
@@ -975,6 +982,23 @@ impl ReplacementScheme for SrSc {
 }
 
 impl SrSc {
+    /// Refuses the [`SrConfig`] knobs SR-SC does not implement.
+    fn check_config(&self) -> Result<(), Unsupported> {
+        if self.config.activation_probability < 1.0 {
+            return Err(Unsupported::new(
+                self.id(),
+                "SR-SC runs the synchronous round model only (activation_probability must be 1)",
+            ));
+        }
+        if self.config.head_rotation_period.is_some() {
+            return Err(Unsupported::new(
+                self.id(),
+                "SR-SC does not rotate heads (head_rotation_period must be unset)",
+            ));
+        }
+        Ok(())
+    }
+
     /// The backward ring of `mask`'s replacement structure.
     fn ring(&self, mask: &RegionMask) -> Result<ScRing, Unsupported> {
         let topo = CycleTopology::build_masked(mask)
@@ -997,15 +1021,17 @@ impl SrSc {
         trace: TraceLog,
     ) -> Result<(SchemeReport, TraceLog), Unsupported> {
         let runner = round_runner(self.id(), self.config.max_rounds)?;
+        self.check_config()?;
         let ring = self.ring(net.mask())?;
         let config = self.config.clone().with_seed(seed);
         Ok(match mode {
             DriveMode::Classic => {
                 run_to_quiescence(ShortcutProtocol::new(net, ring, config, trace), runner)
             }
-            DriveMode::EventDriven { net: spec } => {
-                run_to_quiescence(EventScProtocol::new(net, ring, config, spec, trace), runner)
-            }
+            DriveMode::EventDriven { net: spec } => run_to_quiescence(
+                ShortcutProtocol::with_net_model(net, ring, config, spec, trace),
+                runner,
+            ),
         })
     }
 }
@@ -1144,6 +1170,35 @@ mod tests {
         assert!(sc.run(&mut net, 1, DriveMode::Classic).is_err());
         // ...and the caller's network is still usable afterwards.
         assert_eq!(net.stats().vacant, 0);
+        // SR-SC refuses the asynchronous model and head rotation, up front
+        // and at run time, leaving the network untouched.
+        let full = NetworkSpec::full(6, 6);
+        for (config, knob) in [
+            (
+                SrConfig::default().with_activation_probability(0.5),
+                "activation_probability",
+            ),
+            (
+                SrConfig::default().with_head_rotation(3),
+                "head_rotation_period",
+            ),
+        ] {
+            let sc = SrSc::from_config(config);
+            let err = sc.supports(&full).unwrap_err();
+            assert!(err.reason.contains(knob), "{err}");
+            let mut net = holed_network(6, 6, 1);
+            let before = net.clone();
+            for mode in [
+                DriveMode::Classic,
+                DriveMode::EventDriven {
+                    net: NetModelSpec::Ideal,
+                },
+            ] {
+                assert_eq!(sc.run(&mut net, 1, mode).unwrap_err(), err);
+            }
+            assert_eq!(net.stats(), before.stats());
+            assert_eq!(net.nodes(), before.nodes());
+        }
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //! * Every round, each head with no spare of its own hears a
 //!   spare-status **beacon** from its predecessor on the ring. Nothing
 //!   steers the walk by it; it is the protocol's standing monitoring
-//!   cost. This engine bills the exchange as one scanned cell per on-ring
-//!   cell per round (`Metrics::cells_scanned`); the event engine also
-//!   routes each beacon through its network link.
+//!   cost, billed as one scanned cell per on-ring cell per round
+//!   (`Metrics::cells_scanned`); under the event drive each beacon is
+//!   also routed through the network link.
 //!
 //! Trade-off (quantified by the `figsc` extension figure): SR-SC pays one
 //! notification message per backward hop and the beacon overhead, in
@@ -41,14 +41,13 @@
 
 use wsn_grid::{GridCoord, GridNetwork};
 use wsn_hamilton::{CycleTopology, HamiltonCycle, MaskedCycle};
-use wsn_simcore::{
-    EnergyModel, Metrics, ProtocolHealth, RoundOutcome, RoundProtocol, SimRng, TraceEvent, TraceLog,
-};
+use wsn_simcore::{NetModelSpec, RoundOutcome, RoundProtocol, TraceEvent, TraceLog};
 
-use crate::movement::movement_target;
-use crate::process::{ProcessId, ProcessStatus, ProcessSummary};
+use crate::actor::{cell_endpoint, BatonState, Envelope, Wire};
+use crate::process::ProcessId;
+use crate::run::Run;
 use crate::scheme::{ProtocolOutcome, SchemeProtocol};
-use crate::{OwnerCounts, SrConfig};
+use crate::{DetectionOutcome, OwnerCounts, SpareSelection, SrConfig};
 
 /// The backward ring SR-SC forwards notifications along: either the
 /// paper's single Hamilton cycle or the masked virtual ring. Both give
@@ -96,7 +95,7 @@ impl ScRing {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct ScProcess {
     id: ProcessId,
     hole: GridCoord,
@@ -104,76 +103,81 @@ struct ScProcess {
     courier: GridCoord,
     /// Hops forwarded so far.
     forwarded: usize,
+    /// Where the notification is; always `Held` without a link.
+    baton: BatonState,
 }
 
 /// The SR-SC protocol over a borrowed network (see the module docs).
+///
+/// Like [`crate::SrProtocol`], one engine serves both drives: built by
+/// `new` it runs the classic drive with no link; built by
+/// `with_net_model` it routes courier forwards, probes, acks and
+/// beacons through a network model. A dropped courier forward
+/// permanently strands the repair (the hole stays owned by its process,
+/// so — unlike SR — no duplicate rescues it; the failure mode is
+/// [`wsn_simcore::ProtocolHealth::stalled_repairs`]).
 #[derive(Debug)]
 pub struct ShortcutProtocol<'n> {
-    net: &'n mut GridNetwork,
+    run: Run<'n>,
     cycle: ScRing,
-    config: SrConfig,
-    rng: SimRng,
-    trace: TraceLog,
-    metrics: Metrics,
-    energy: EnergyModel,
+    /// Active processes, in id order, so deliveries find theirs by
+    /// binary search.
     active: Vec<ScProcess>,
     /// Active processes per `hole`: detection's "already served" check
     /// without scanning `active`.
     owners: OwnerCounts,
-    summaries: Vec<ProcessSummary>,
-    failed_holes: std::collections::HashSet<GridCoord>,
-    /// Current holes (dense indices, row-major), maintained from the
-    /// occupancy change journal — same word-level O(changed) detection
-    /// as SR ([`wsn_grid::HoleSet`]).
-    pending_holes: wsn_grid::HoleSet,
-    /// Scratch buffer reused by detection sweeps.
-    detect_buf: Vec<usize>,
+    /// The network model under the event drive; `None` in the classic
+    /// drive, which routes, queues and counts nothing.
+    link: Option<Wire>,
 }
 
 impl<'n> ShortcutProtocol<'n> {
-    /// Creates the protocol over a unique-predecessor ring, recording
-    /// into `trace`.
+    /// Creates the protocol for the classic drive over a
+    /// unique-predecessor ring, recording into `trace`.
     pub(crate) fn new(
         net: &'n mut GridNetwork,
         cycle: ScRing,
         config: SrConfig,
         trace: TraceLog,
     ) -> Self {
-        let mut rng = SimRng::seed_from_u64(config.seed);
-        net.elect_all_heads(config.election, &mut rng);
-        let cells = net.system().cell_count();
-        let mut pending_holes = wsn_grid::HoleSet::new(cells);
-        pending_holes.assign_vacant(net.occupancy());
-        net.clear_changed_cells();
         let owners = OwnerCounts::new(net.system());
         ShortcutProtocol {
-            net,
+            run: Run::new(net, config, trace),
             cycle,
-            config,
-            rng,
-            trace,
-            metrics: Metrics::new(),
-            energy: EnergyModel::default(),
             active: Vec::new(),
             owners,
-            summaries: Vec::new(),
-            failed_holes: std::collections::HashSet::new(),
-            pending_holes,
-            detect_buf: Vec::new(),
+            link: None,
         }
     }
 
-    /// Marks still-active processes failed (at the end of the run).
+    /// Like [`ShortcutProtocol::new`], with every inter-cell exchange
+    /// routed through `spec`'s network model.
+    pub(crate) fn with_net_model(
+        net: &'n mut GridNetwork,
+        cycle: ScRing,
+        config: SrConfig,
+        spec: NetModelSpec,
+        trace: TraceLog,
+    ) -> Self {
+        let wire = Wire::new(spec, config.seed);
+        let mut p = ShortcutProtocol::new(net, cycle, config, trace);
+        p.link = Some(wire);
+        p
+    }
+
+    /// Marks still-active processes failed (at the end of the run);
+    /// stranded couriers count as stalled repairs.
     fn fail_remaining(&mut self, round: u64) {
         for p in self.retire_all() {
-            let s = &mut self.summaries[p.id.raw() as usize];
-            s.status = ProcessStatus::Failed;
-            s.ended_round = Some(round);
-            self.metrics.processes_failed += 1;
-            self.trace.record_with(round, || TraceEvent::ProcessFailed {
-                process: p.id.raw(),
-                reason: "no reachable spare (run ended)".into(),
-            });
+            let reason = if p.baton == BatonState::Held {
+                "no reachable spare (run ended)"
+            } else {
+                if let Some(wire) = &mut self.link {
+                    wire.link.health.stalled_repairs += 1;
+                }
+                "notification lost in the network (run ended)"
+            };
+            self.run.fail(p.id, round, reason);
         }
     }
 
@@ -201,170 +205,172 @@ impl<'n> ShortcutProtocol<'n> {
         all
     }
 
-    fn spare_count(&self, cell: GridCoord) -> usize {
-        self.net.spare_count(cell).unwrap_or(0)
+    /// The round's beacon exchange along the ring: every head with no
+    /// spare of its own hears its predecessor's spare status,
+    /// `pred(c) → c`. Nothing reads it back; it is SR-SC's standing
+    /// per-round cost, billed as one scanned cell per on-ring cell so the
+    /// scan-cost comparison against SR's O(changed) detection stays
+    /// honest. The paper does not bill monitoring beacons as messages,
+    /// so neither do we; over a link each beacon is also one routed
+    /// sense. Their count is the occupied cells minus the spareful ones,
+    /// so a loss-free link accounts the round without visiting a cell.
+    fn gossip(&mut self) {
+        self.run.metrics.cells_scanned += self.cycle.len() as u64;
+        let Some(wire) = &mut self.link else {
+            return;
+        };
+        let net = &*self.run.net;
+        let spareful: u64 = net
+            .spareful_words()
+            .iter()
+            .map(|w| u64::from(w.count_ones()))
+            .sum();
+        let count = net.occupied_cells() as u64 - spareful;
+        let (sys, cycle) = (net.system(), &self.cycle);
+        let beacons = sys
+            .iter_coords()
+            .filter(|&c| {
+                net.is_cell_enabled(c).unwrap_or(false)
+                    && !net.is_vacant(c).unwrap_or(true)
+                    && net.spare_count(c).unwrap_or(0) == 0
+            })
+            .map(|c| {
+                (
+                    cell_endpoint(sys, cycle.predecessor(c)),
+                    cell_endpoint(sys, c),
+                )
+            });
+        wire.link.sense_bulk(count, beacons);
     }
 
-    /// The round's beacon exchange along the ring. Nothing reads it
-    /// back; it is SR-SC's standing per-round cost, billed as one
-    /// scanned cell per on-ring cell so the scan-cost comparison against
-    /// SR's O(changed) detection stays honest. The paper does not bill
-    /// monitoring beacons as messages, so neither do we.
-    fn gossip(&mut self) {
-        self.metrics.cells_scanned += self.cycle.len() as u64;
+    /// Delivers due envelopes; courier batons become actionable.
+    fn drain_due(&mut self, round: u64) {
+        while let Some(envelope) = self.link.as_mut().and_then(|w| w.pop_due(round)) {
+            if let Envelope::HoleAnnounce { process } = envelope {
+                if let Ok(i) = self.active.binary_search_by_key(&process, |p| p.id.raw()) {
+                    self.active[i].baton = BatonState::Held;
+                }
+            }
+        }
     }
 
     fn step_process(&mut self, i: usize, round: u64) -> bool {
-        let p = self.active[i].clone();
-        if self.net.is_vacant(p.courier).unwrap_or(true) {
-            // Courier cell lost its head (hole run); wait for its repair.
+        let p = self.active[i];
+        let run = &mut self.run;
+        if p.baton != BatonState::Held || run.net.is_vacant(p.courier).unwrap_or(true) {
+            // No notification to act on yet, or the courier cell lost its
+            // head (hole run); wait for its repair.
             return false;
         }
-        if self.spare_count(p.courier) > 0 {
-            // Dispatch: the spare flies straight to the hole.
-            let spare = self
-                .net
-                .spare_iter(p.courier)
-                .expect("in bounds")
-                .min()
-                .expect("non-empty by spare_count");
-            let dest = movement_target(self.net.system(), p.hole, &mut self.rng);
-            let out = self
-                .net
-                .move_node(spare, dest)
-                .expect("targets inside the area");
-            self.net
-                .set_head(p.hole, spare)
-                .expect("spare just arrived");
-            self.metrics.record_move(out.distance);
-            self.metrics.energy += self.energy.movement(out.distance);
-            self.trace.record(
-                round,
-                TraceEvent::NodeMoved {
-                    process: Some(p.id.raw()),
-                    node: spare,
-                    from: out.from.into(),
-                    to: out.to.into(),
-                    distance: out.distance,
-                },
-            );
-            let s = &mut self.summaries[p.id.raw() as usize];
-            s.hops = p.forwarded as u64 + 1;
-            s.moves += 1;
-            s.distance += out.distance;
-            s.status = ProcessStatus::Converged;
-            s.ended_round = Some(round);
-            self.metrics.processes_converged += 1;
-            self.trace.record(
-                round,
-                TraceEvent::ProcessConverged {
-                    process: p.id.raw(),
-                    moves: s.moves,
-                },
-            );
+        // Dispatch: the courier cell's lowest-id spare flies straight to
+        // the hole. The walk's hops are its forwards plus the dispatch.
+        if let Some(spare) = SpareSelection::FirstId.pick(run.net, p.courier, p.hole) {
+            if let Some(wire) = &mut self.link {
+                wire.link.local(); // SpareRequest to the co-located spare
+            }
+            run.execute_move(p.id, spare, p.hole, round);
+            run.summaries[p.id.raw() as usize].hops = p.forwarded as u64 + 1;
+            run.converge(p.id, round);
             self.retire(i);
+            if let Some(wire) = &mut self.link {
+                let sys = self.run.net.system();
+                let trace = &mut self.run.trace;
+                wire.send(sys, p.hole, p.courier, Envelope::MoveAck, round, trace);
+            }
             return true;
         }
         if p.forwarded >= self.cycle.max_hops() {
-            let s = &mut self.summaries[p.id.raw() as usize];
-            s.status = ProcessStatus::Failed;
-            s.ended_round = Some(round);
-            self.metrics.processes_failed += 1;
-            self.trace.record_with(round, || TraceEvent::ProcessFailed {
-                process: p.id.raw(),
-                reason: "notification circled the cycle without finding a spare".into(),
-            });
-            self.failed_holes.insert(p.hole);
+            let reason = "notification circled the cycle without finding a spare";
+            run.fail(p.id, round, reason);
+            run.failed_holes.insert(p.hole);
             self.retire(i);
             return true;
         }
         // Forward the notification one hop backward: SR's blind backward
-        // search, one hop per round, minus the node movements.
+        // search, one hop per round, minus the node movements. Skip over
+        // the hole itself (its cell cannot relay or hold the spare we
+        // are looking for).
         let next = self.cycle.predecessor(p.courier);
-        if next == p.hole {
-            // Skip over the hole itself (its cell cannot relay or hold
-            // the spare we are looking for).
-            let beyond = self.cycle.predecessor(next);
-            self.active[i].courier = beyond;
+        let target = if next == p.hole {
+            self.cycle.predecessor(next)
         } else {
-            self.active[i].courier = next;
-        }
+            next
+        };
+        self.active[i].courier = target;
         self.active[i].forwarded += 1;
-        self.metrics.record_message();
-        self.metrics.energy += self.energy.message_cost;
-        self.trace.record(
+        run.metrics.record_message();
+        run.metrics.energy += run.energy.message_cost;
+        run.trace.record(
             round,
             TraceEvent::NotificationSent {
                 process: p.id.raw(),
                 from: p.courier.into(),
-                to: self.active[i].courier.into(),
+                to: target.into(),
             },
         );
+        if let Some(wire) = &mut self.link {
+            let announce = Envelope::HoleAnnounce {
+                process: p.id.raw(),
+            };
+            let (sys, trace) = (run.net.system(), &mut run.trace);
+            self.active[i].baton = if wire.send(sys, p.courier, target, announce, round, trace) {
+                BatonState::InFlight
+            } else {
+                wire.link.health.lost_cascades += 1;
+                BatonState::Lost
+            };
+        }
         true
     }
 
-    fn detect_and_initiate(&mut self, round: u64) -> usize {
-        self.net.fold_changed_cells_into(&mut self.pending_holes);
-        let mut buf = std::mem::take(&mut self.detect_buf);
-        buf.clear();
-        buf.extend(self.pending_holes.iter());
-        let mut initiated = 0;
+    fn detect_and_initiate(&mut self, round: u64) -> DetectionOutcome {
+        let buf = self.run.sweep();
+        let mut outcome = DetectionOutcome::default();
         for &idx in &buf {
-            let g = self.net.system().coord_of(idx);
-            if self.failed_holes.contains(&g) || self.owners.is_owned(g) {
+            let run = &mut self.run;
+            let g = run.net.system().coord_of(idx);
+            if run.failed_holes.contains(&g) || self.owners.is_owned(g) {
                 continue;
             }
             let monitor = self.cycle.predecessor(g);
-            if self.net.is_vacant(monitor).unwrap_or(true) {
+            if run.net.is_vacant(monitor).unwrap_or(true) {
                 continue;
             }
-            let id = ProcessId::new(self.summaries.len() as u64);
-            self.summaries.push(ProcessSummary {
-                id,
-                hole: g,
-                initiator: monitor,
-                initiated_round: round,
-                ended_round: None,
-                status: ProcessStatus::Active,
-                hops: 0,
-                moves: 0,
-                distance: 0.0,
-            });
+            if let Some(wire) = &mut self.link {
+                let sys = run.net.system();
+                if !wire.probe(sys, monitor, g, round, &mut run.trace) {
+                    outcome.pending += 1;
+                    continue;
+                }
+            }
+            let id = run.initiate(g, monitor, round);
             self.enlist(ScProcess {
                 id,
                 hole: g,
                 courier: monitor,
                 forwarded: 0,
+                baton: BatonState::Held,
             });
-            self.metrics.processes_initiated += 1;
-            self.trace.record(
-                round,
-                TraceEvent::ProcessInitiated {
-                    process: id.raw(),
-                    hole: g.into(),
-                    initiator: monitor.into(),
-                },
-            );
-            initiated += 1;
+            outcome.initiated += 1;
         }
-        self.detect_buf = buf;
+        self.run.end_sweep(buf);
         self.owners.debug_check(self.active.iter().map(|p| p.hole));
-        initiated
+        outcome
     }
 }
 
 impl SchemeProtocol for ShortcutProtocol<'_> {
     fn network(&self) -> &GridNetwork {
-        self.net
+        self.run.net
     }
 
     fn finish(mut self, rounds: u64) -> ProtocolOutcome {
         self.fail_remaining(rounds);
         ProtocolOutcome {
-            metrics: self.metrics,
-            processes: self.summaries,
-            health: ProtocolHealth::default(),
-            trace: self.trace,
+            metrics: self.run.metrics,
+            processes: self.run.summaries,
+            health: self.link.map(|w| w.link.health).unwrap_or_default(),
+            trace: self.run.trace,
         }
     }
 }
@@ -372,15 +378,17 @@ impl SchemeProtocol for ShortcutProtocol<'_> {
 impl RoundProtocol for ShortcutProtocol<'_> {
     fn execute_round(&mut self, round: u64) -> RoundOutcome {
         let mut progress = false;
-        let fault_events: Vec<_> = self.config.fault_plan.events_at(round).cloned().collect();
+        self.drain_due(round);
+        let run = &mut self.run;
+        let fault_events: Vec<_> = run.config.fault_plan.events_at(round).cloned().collect();
         for ev in fault_events {
-            let killed = self.net.apply_fault(&ev, &mut self.rng);
+            let killed = run.net.apply_fault(&ev, &mut run.rng);
             if !killed.is_empty() {
-                self.failed_holes.clear();
+                run.failed_holes.clear();
                 progress = true;
             }
         }
-        progress |= self.net.repair_heads(self.config.election, &mut self.rng) > 0;
+        progress |= run.net.repair_heads(run.config.election, &mut run.rng) > 0;
         self.gossip();
         let mut i = 0;
         while i < self.active.len() {
@@ -390,13 +398,17 @@ impl RoundProtocol for ShortcutProtocol<'_> {
                 i += 1;
             }
         }
-        progress |= self.detect_and_initiate(round) > 0;
+        progress |= self.detect_and_initiate(round).any_activity();
+        // Surveillance duty (battery dynamics only), as SR's heads pay it.
+        progress |= self.run.drain_idle_heads();
         progress |= self
+            .run
             .config
             .fault_plan
             .last_round()
             .is_some_and(|r| r > round);
-        self.metrics.rounds = round + 1;
+        progress |= self.link.as_ref().is_some_and(Wire::in_flight);
+        self.run.metrics.rounds = round + 1;
         if progress {
             RoundOutcome::Progress
         } else {
@@ -410,6 +422,7 @@ mod tests {
     use super::*;
     use crate::scheme::{DriveMode, ReplacementScheme, SchemeReport, Sr, SrSc};
     use wsn_grid::{deploy, GridSystem};
+    use wsn_simcore::{NodeId, SimRng};
 
     fn network_with_holes(holes: &[GridCoord], per_cell: usize, seed: u64) -> GridNetwork {
         let sys = GridSystem::new(8, 8, 4.4721).unwrap();
@@ -524,6 +537,30 @@ mod tests {
     fn deterministic_per_seed() {
         let run = |seed| run_sc(&mut network_with_holes(&[GridCoord::new(5, 2)], 2, 7), seed);
         assert_eq!(run(4), run(4));
+    }
+
+    #[test]
+    fn battery_dynamics_disable_a_mover_the_dispatch_depletes() {
+        // One spare in the far corner with 1 J left: the ~25 m chord to
+        // the hole costs ~25 J, so the spare dies on arrival.
+        let sys = GridSystem::new(8, 8, 4.4721).unwrap();
+        let mut rng = SimRng::seed_from_u64(2);
+        let mut pos = deploy::with_holes(&sys, &[GridCoord::new(4, 4)], 1, &mut rng);
+        pos.push(sys.cell_rect(GridCoord::new(0, 0)).unwrap().center());
+        let mut net = GridNetwork::new(sys, &pos);
+        let spare = NodeId::new(pos.len() as u32 - 1);
+        let full = net.node(spare).unwrap().battery().charge();
+        net.draw_battery(spare, full - 1.0).unwrap();
+        let sc = SrSc::builder().battery_dynamics(true).build_shortcut();
+        let (report, trace) = sc.run_traced(&mut net, 2, DriveMode::Classic).unwrap();
+        assert!(report.run.is_quiescent());
+        assert_eq!(report.metrics.moves, 1, "the one dispatch happens");
+        assert!(!net.node(spare).unwrap().status().is_enabled());
+        assert_eq!(trace.count_kind("node_disabled"), 1);
+        // The hole reopens and no spare is left to refill it.
+        assert!(!report.fully_covered);
+        assert!(report.metrics.energy > 20.0, "the chord is billed");
+        net.debug_invariants();
     }
 
     #[test]

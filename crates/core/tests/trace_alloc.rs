@@ -1,6 +1,6 @@
 //! An untraced event-driven run must not pay for the trace it does not
 //! keep: every routed envelope has a `NetMessage` trace event, and under
-//! loss the SR actor can retire a duplicate per hop, each with a
+//! loss the event-driven SR can retire a duplicate per hop, each with a
 //! `ProcessFailed` event. Both own heap-allocated strings. This binary holds a single test, so
 //! its counting global allocator sees no other test's allocations.
 
@@ -8,7 +8,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use wsn_coverage::scheme::{round_runner, run_to_quiescence};
-use wsn_coverage::{EventSrProtocol, SrConfig};
+use wsn_coverage::{SrConfig, SrProtocol};
 use wsn_grid::{deploy, GridCoord, GridNetwork, GridSystem};
 use wsn_hamilton::CycleTopology;
 use wsn_simcore::{NetModelSpec, SimRng, TraceLog};
@@ -65,7 +65,8 @@ fn untraced_event_runs_allocate_far_less_than_they_route() {
         let topo = CycleTopology::build_masked(net.mask()).unwrap();
         let runner = round_runner("sr", config.max_rounds).unwrap();
         // An untraced run: the protocol records into a disabled log.
-        let protocol = EventSrProtocol::new(&mut net, topo, config, spec, TraceLog::disabled());
+        let protocol =
+            SrProtocol::with_net_model(&mut net, topo, config, spec, TraceLog::disabled());
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         let (report, trace) = run_to_quiescence(protocol, runner);
         let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;

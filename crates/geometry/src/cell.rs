@@ -49,9 +49,9 @@ impl CellGeometry {
     /// Average per-hop movement distance as a multiple of `r`, for moves
     /// between uniformly distributed points in the central areas of
     /// 4-adjacent cells. The paper adopts `1.08` (its §4); Monte-Carlo
-    /// integration of the exact model gives `≈ 1.050` — the ~3% gap is
-    /// noted in EXPERIMENTS.md and does not affect any comparison shape,
-    /// since both SR and AR use the same model. We follow the paper's
+    /// integration of the exact model gives `≈ 1.050` — the ~3% gap does
+    /// not affect any comparison shape, since both SR and AR use the same
+    /// model. We follow the paper's
     /// constant so analytical overlays reproduce Figures 5 and 8.
     pub const AVG_MOVE_FACTOR: f64 = 1.08;
 

@@ -5,7 +5,7 @@
 //! rotated within the grid". Which node wins is a policy choice that does
 //! not affect the replacement algorithms' correctness, but it does affect
 //! secondary metrics (movement distance, battery drain), so the policy is
-//! explicit and benchable (see DESIGN.md §6, ablations).
+//! explicit and benchable.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

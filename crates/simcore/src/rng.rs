@@ -1,8 +1,8 @@
 //! Deterministic pseudo-random number generation.
 //!
 //! Implemented in-repo (xoshiro256++ with splitmix64 seeding) rather than
-//! depending on an external RNG crate, so that every figure in
-//! EXPERIMENTS.md is reproducible byte-for-byte regardless of platform or
+//! depending on an external RNG crate, so that every figure and golden
+//! artifact is reproducible byte-for-byte regardless of platform or
 //! dependency updates. The generators here are for *simulation*, not
 //! cryptography.
 //!
@@ -266,8 +266,8 @@ mod tests {
 
     #[test]
     fn known_answer_regression() {
-        // Pin the exact output stream: if this changes, every figure in
-        // EXPERIMENTS.md changes. Values captured from this implementation.
+        // Pin the exact output stream: if this changes, every figure and
+        // golden changes. Values captured from this implementation.
         let mut rng = SimRng::seed_from_u64(0);
         let first: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
         let mut again = SimRng::seed_from_u64(0);

@@ -311,8 +311,8 @@ impl TraceLog {
     /// external tooling: each line carries `round`, `kind` and the
     /// event's fields flattened into simple keys. Hand-rolled on purpose
     /// — the values are rounds, ids, cell pairs and distances, so a JSON
-    /// dependency would buy nothing (DESIGN.md keeps the dependency set
-    /// minimal).
+    /// dependency would buy nothing (the workspace keeps its dependency
+    /// set minimal).
     ///
     /// Floats are written in Rust's shortest round-trip notation, so
     /// [`TraceLog::from_json_lines`] inverts this exactly:

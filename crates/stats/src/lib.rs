@@ -8,7 +8,7 @@
 //! * [`plot::AsciiPlot`] — terminal line/scatter plots (what
 //!   `wsn-bench`'s `figures` binary prints),
 //! * [`csv`] — CSV files for any external plotting tool,
-//! * [`table::TextTable`] — aligned tables for EXPERIMENTS.md.
+//! * [`table::TextTable`] — aligned tables for terminal reports.
 //!
 //! Plus the numeric machinery: [`Summary`] (Welford online moments),
 //! [`ci`] (normal-approximation confidence intervals), [`Series`]

@@ -1,4 +1,4 @@
-//! Aligned plain-text tables (for EXPERIMENTS.md and terminal reports).
+//! Aligned plain-text tables for terminal reports.
 
 use std::fmt;
 

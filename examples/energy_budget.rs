@@ -87,9 +87,11 @@ fn main() {
         run_scheme("SR  (cascading replacement)", false, budget);
         run_scheme("SR-SC (straight-line shortcut)", true, budget);
     }
-    println!("note: under repeated strikes SR's cascades route through the same");
-    println!("corridor of cells again and again, re-draining the same movers until");
-    println!("they die mid-recovery; SR-SC's one straight move per hole stays within");
-    println!("even the small budget. This is the quantitative case for the paper's");
-    println!("future-work short-cut (see EXPERIMENTS.md, extension experiments).");
+    println!("note: both schemes pay for every move and every head's idle duty.");
+    println!("Under repeated strikes SR's cascades route through the same corridor");
+    println!("of cells again and again, re-draining the same movers until they die");
+    println!("mid-recovery on the small budget. SR-SC fills each hole with one");
+    println!("straight move that costs less than even the small budget, so none of");
+    println!("its nodes runs dry and its two rows match. This is the quantitative");
+    println!("case for the paper's future-work short-cut.");
 }

@@ -1,4 +1,4 @@
-//! Integration tests for the implemented extensions (DESIGN.md §6b):
+//! Integration tests for the implemented extensions:
 //! the SR-SC shortcut under realistic scenarios, and the empirical
 //! location of the paper's SR/AR crossover via the stats utilities.
 
@@ -53,7 +53,7 @@ fn shortcut_distance_stays_within_the_network_diameter() {
 fn empirical_crossover_lands_near_the_papers_55() {
     // Sweep SR and AR movement costs over N and locate where SR drops
     // below AR — the paper reports N ≈ 55 (we accept the band [25, 200]
-    // for a 4-seed estimate; see EXPERIMENTS.md).
+    // for a 4-seed estimate).
     let system = GridSystem::for_comm_range(16, 16, 10.0).unwrap();
     let mut sr_series = Series::new("SR");
     let mut ar_series = Series::new("AR");

@@ -99,8 +99,8 @@ fn claim_crossover_sr_wins_above_n55_loses_below() {
 fn claim_ar_fails_processes_at_low_density_sr_does_not() {
     // §5: "the AR method has 10%~20% failures in replacement processes
     // while the success rate is always 100% in SR" (N < 55). Our AR
-    // re-implementation fails somewhat more often at the very low end
-    // (see EXPERIMENTS.md); the claim checked here is the ordering and
+    // re-implementation fails somewhat more often at the very low end;
+    // the claim checked here is the ordering and
     // the existence of AR failures below the crossover.
     let mut ar_failures = 0u64;
     for seed in 0..3u64 {
