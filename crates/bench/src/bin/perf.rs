@@ -11,9 +11,7 @@
 //!   event-engine benchmarks and writes `BENCH_core.json`,
 //!   `BENCH_campaign.json`, `BENCH_avail.json` and `BENCH_event.json`
 //!   into `results/` (or `--out`/`$WSN_RESULTS_DIR`).
-//!   `--smoke` is the CI profile: seconds, 64×64 only. The full run also
-//!   asserts the kernel acceptance ratio (word fold ≥ 5× the `BTreeSet`
-//!   fold on the 256×256 mass-failure journal).
+//!   `--smoke` is the CI profile: seconds, 64×64 only.
 //! * `compare` is the regression gate: every `BENCH_*.json` present in
 //!   both the baseline directory (default `baselines/`) and the fresh
 //!   results directory (default `results/`) is matched benchmark by
@@ -75,23 +73,9 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), String> {
     }
     std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
 
-    let core = bench_core(smoke);
-    let speedup = core
-        .get("kernel_speedup_min")
-        .and_then(JsonValue::as_f64)
-        .expect("core ledger carries the speedup");
     let core_path = dir.join("BENCH_core.json");
-    std::fs::write(&core_path, core.to_file_string()).map_err(|e| e.to_string())?;
-    println!(
-        "word kernel {speedup:.1}x over BTreeSet journal fold -> {}",
-        core_path.display()
-    );
-    if !smoke && speedup < 5.0 {
-        return Err(format!(
-            "kernel acceptance failed: word fold only {speedup:.1}x over the BTreeSet fold \
-             (need >= 5x on the 256x256 mass-failure journal)"
-        ));
-    }
+    std::fs::write(&core_path, bench_core(smoke).to_file_string()).map_err(|e| e.to_string())?;
+    println!("core kernels -> {}", core_path.display());
 
     let write_throughput = |file: &str, doc: &JsonValue| -> Result<(), String> {
         let path = dir.join(file);

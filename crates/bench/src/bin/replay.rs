@@ -35,8 +35,8 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Instant;
 
+use wsn_bench::perf;
 use wsn_bench::replay::{
     self, fault_plan_from_str, fault_plan_to_string, record, shrink_between, Recording,
     ReplayArtifact, ReplaySpec, PLANTED_SCHEME_ID,
@@ -279,34 +279,14 @@ fn node_ids(raw: &[u32]) -> Vec<wsn_simcore::NodeId> {
     raw.iter().copied().map(wsn_simcore::NodeId::new).collect()
 }
 
-/// Times one closure `samples` times and returns (min, mean, max) in
-/// nanoseconds — the ledger's entry shape. A few untimed warmup
-/// iterations stabilize caches first so `min_ns` is comparable across
-/// machines and runs (the perf gate diffs it at 25%).
-fn time_ns(samples: usize, mut f: impl FnMut()) -> (f64, f64, f64) {
+/// [`perf::time_ns`] after three untimed warm-up calls, which stabilize
+/// caches first so `min_ns` is comparable across machines and runs (the
+/// perf gate diffs it at 25%).
+fn time_warm_ns(samples: usize, mut f: impl FnMut()) -> (f64, f64, f64) {
     for _ in 0..3 {
         f();
     }
-    let mut times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        f();
-        times.push(t0.elapsed().as_nanos() as f64);
-    }
-    let min = times.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = times.iter().copied().fold(0.0, f64::max);
-    let mean = times.iter().sum::<f64>() / times.len() as f64;
-    (min, mean, max)
-}
-
-fn bench_entry(name: &str, samples: usize, (min, mean, max): (f64, f64, f64)) -> JsonValue {
-    JsonValue::obj([
-        ("name", JsonValue::from(name)),
-        ("samples", JsonValue::from(samples as u64)),
-        ("min_ns", JsonValue::from(min)),
-        ("mean_ns", JsonValue::from(mean)),
-        ("max_ns", JsonValue::from(max)),
-    ])
+    perf::time_ns(samples, f)
 }
 
 /// Measures trace record/replay overhead and writes `BENCH_replay.json`.
@@ -322,18 +302,18 @@ fn cmd_bench(dir: &Path) -> Result<(), String> {
     };
     let run_traced = || -> Recording { record(&spec).expect("sr records the bench spec") };
 
-    let untraced = time_ns(SAMPLES, run_untraced);
-    let traced = time_ns(SAMPLES, || {
+    let untraced = time_warm_ns(SAMPLES, run_untraced);
+    let traced = time_warm_ns(SAMPLES, || {
         run_traced();
     });
     let rec = run_traced();
     let artifact = ReplayArtifact::from_recording(&rec, None);
     let bytes = artifact.to_bytes();
-    let codec = time_ns(SAMPLES, || {
+    let codec = time_warm_ns(SAMPLES, || {
         let round = ReplayArtifact::from_bytes(&artifact.to_bytes()).expect("self round-trip");
         assert_eq!(round.trace.len(), rec.trace.len());
     });
-    let replayed = time_ns(SAMPLES, || {
+    let replayed = time_warm_ns(SAMPLES, || {
         assert!(artifact.verify().expect("bench spec replays").is_clean());
     });
 
@@ -351,10 +331,10 @@ fn cmd_bench(dir: &Path) -> Result<(), String> {
         (
             "benchmarks",
             JsonValue::Arr(vec![
-                bench_entry("run_untraced_sr_16x16", SAMPLES, untraced),
-                bench_entry("run_traced_sr_16x16", SAMPLES, traced),
-                bench_entry("artifact_codec_round_trip", SAMPLES, codec),
-                bench_entry("replay_and_diff", SAMPLES, replayed),
+                perf::bench_entry("run_untraced_sr_16x16", SAMPLES, untraced),
+                perf::bench_entry("run_traced_sr_16x16", SAMPLES, traced),
+                perf::bench_entry("artifact_codec_round_trip", SAMPLES, codec),
+                perf::bench_entry("replay_and_diff", SAMPLES, replayed),
             ]),
         ),
     ]);

@@ -1,12 +1,13 @@
 //! The parallel campaign engine: experiment matrices with streaming
 //! statistics.
 //!
-//! [`sweep`](crate::sweep) reproduces the paper's §5 comparison on one
-//! grid with a hand-rolled seed loop; a **campaign** generalizes it to a
-//! full experiment matrix — scheme × grid size × spare target `N` ×
-//! seed — sized for the grids the occupancy engine was built for
-//! (256×256+) and for enough seeds per cell that every curve carries a
-//! confidence interval. Three properties are load-bearing:
+//! A **campaign** runs the paper's §5 comparison as a full experiment
+//! matrix — scheme × grid size × spare target `N` × seed — sized for
+//! the grids the occupancy engine was built for (256×256+) and for
+//! enough seeds per cell that every curve carries a confidence
+//! interval. It is the only Monte-Carlo path: every figure, golden,
+//! the `served` daemon and the repository benchmark run through it.
+//! Three properties are load-bearing:
 //!
 //! * **Lazy expansion.** The matrix is never materialized: a trial is
 //!   addressed by a single dense index, decoded on demand into
@@ -30,8 +31,8 @@
 //! matrix over irregular surveillance regions (L-shape, annulus,
 //! corridor, random obstacles): each non-full region masks the grid,
 //! deployment confines itself to enabled cells, and SR/AR/SR-SC run on
-//! the masked replacement structures — `figures --campaign --masked`
-//! emits the SR-vs-AR comparison across shapes.
+//! the masked replacement structures — `figures --masked` emits the
+//! SR-vs-AR comparison across shapes.
 //!
 //! Execution uses a work-stealing pool of scoped threads: the trial
 //! index space is split into per-worker ranges; a worker that drains its
@@ -39,7 +40,7 @@
 //! export through [`CampaignResult::save`] as
 //! `results/campaign_<name>.json` + `.csv`, and
 //! [`crate::figures`] regenerates Figures 6–8 with CI whiskers from a
-//! campaign via `figures --campaign`.
+//! campaign.
 //!
 //! # Example
 //!
@@ -394,7 +395,7 @@ impl CampaignConfig {
     }
 
     /// The irregular-region comparison matrix behind
-    /// `figures --campaign --masked`: SR vs AR on a 16×16 grid over all
+    /// `figures --masked`: SR vs AR on a 16×16 grid over all
     /// four irregular shapes, with the full region as the rectangular
     /// reference.
     pub fn masked() -> CampaignConfig {
@@ -2387,6 +2388,17 @@ mod tests {
             let ar = result.cell("ar", 6, 6, n).unwrap();
             assert_eq!(sr.holes, ar.holes, "N={n}");
             assert_eq!(sr.spares, ar.spares, "N={n}");
+        }
+        // §5's deployment invariant: `N + m·n` nodes leave exactly
+        // `N + holes` spares in every trial, so the per-cell extremes
+        // shift by `N` exactly and the means agree.
+        for cell in &result.cells {
+            let (holes, spares) = (cell.holes.summary(), cell.spares.summary());
+            let n = cell.n_target as f64;
+            let at = format!("{} N={}", cell.scheme, cell.n_target);
+            assert_eq!(spares.min(), holes.min().map(|h| n + h), "{at}");
+            assert_eq!(spares.max(), holes.max().map(|h| n + h), "{at}");
+            assert!((spares.mean() - (n + holes.mean())).abs() < 1e-9, "{at}");
         }
     }
 

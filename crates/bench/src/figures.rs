@@ -4,19 +4,19 @@ use std::io;
 use std::path::Path;
 
 use wsn_coverage::analysis;
+use wsn_coverage::scheme::{DriveMode, ReplacementScheme};
+use wsn_coverage::Sr;
+use wsn_grid::RegionShape;
 use wsn_stats::{csv, plot::AsciiPlot, Series};
 
-use crate::campaign::CampaignResult;
+use crate::campaign::{build_trial_network, trial_stream_seed, CampaignMode, CampaignResult};
 use crate::steady::SteadySummary;
-use crate::sweep::TrialResult;
 use wsn_stats::StreamingStat;
 
 /// `L` for the paper's 4×5 grid (Figure 3(a)).
 pub const L_4X5: usize = 19;
 /// `L` for the paper's 16×16 grid (Figure 3(b)).
 pub const L_16X16: usize = 255;
-/// Cell side used by Figures 5–8 overlays (`r = R/√5`, `R = 10 m`).
-pub const R_16X16: f64 = 10.0 / 2.236_067_977_499_79;
 
 /// Figure 3: analytical number of movements per replacement vs `N`.
 /// Returns `(fig3a, fig3b)` — the 4×5 (`L = 19`, N ≤ 140) and 16×16
@@ -57,79 +57,6 @@ pub fn fig5() -> (Vec<Series>, Vec<Series>) {
             .collect(),
     );
     (vec![a], vec![b])
-}
-
-fn mean_by_target<F: Fn(&TrialResult) -> f64>(
-    results: &[TrialResult],
-    label: &str,
-    f: F,
-) -> Series {
-    let mut raw = Series::new(label);
-    for r in results {
-        raw.push(r.n_target as f64, f(r));
-    }
-    raw.aggregate_mean()
-}
-
-/// Figure 6(a): number of replacement processes initiated, AR vs SR.
-pub fn fig6a(results: &[TrialResult]) -> Vec<Series> {
-    vec![
-        mean_by_target(results, "AR", |r| r.ar.processes_initiated as f64),
-        mean_by_target(results, "SR", |r| r.sr.processes_initiated as f64),
-    ]
-}
-
-/// Figure 6(b): per-process success rate (%), AR vs SR.
-pub fn fig6b(results: &[TrialResult]) -> Vec<Series> {
-    vec![
-        mean_by_target(results, "AR", |r| r.ar.success_rate_percent()),
-        mean_by_target(results, "SR", |r| r.sr.success_rate_percent()),
-    ]
-}
-
-/// The Theorem-2 overlay for one trial, as the paper plots it
-/// (Figure 7(b)): each of the `holes` replacements costs `M(L, N)`
-/// movements at the trial's spare level `N`, so the expected total is
-/// `holes · M(L, N)`.
-///
-/// This is an upper-ish estimate: during recovery the live spare count
-/// ranges from `N + holes` down to `N`, so experimental totals sit
-/// somewhat below the overlay at low `N` — the same relationship visible
-/// between the paper's Figures 7(a) and 7(b).
-pub fn analytical_total_moves(l: usize, n_target: usize, holes: usize) -> f64 {
-    if holes == 0 {
-        return 0.0;
-    }
-    holes as f64 * analysis::expected_moves(l, n_target.max(1))
-}
-
-/// Figure 7: total number of node movements vs `N` — experimental AR and
-/// SR (7(a)) plus the analytical SR overlay (7(b)).
-pub fn fig7(results: &[TrialResult]) -> Vec<Series> {
-    let l = L_16X16;
-    vec![
-        mean_by_target(results, "AR", |r| r.ar.moves as f64),
-        mean_by_target(results, "SR", |r| r.sr.moves as f64),
-        mean_by_target(results, "SR analytical", |r| {
-            analytical_total_moves(l, r.n_target, r.holes)
-        }),
-    ]
-}
-
-/// Figure 8: total moving distance (meters) vs `N` — experimental AR and
-/// SR (8(a)) plus the analytical SR overlay (8(b),
-/// `1.08 · r · Σ M`).
-pub fn fig8(results: &[TrialResult]) -> Vec<Series> {
-    let l = L_16X16;
-    vec![
-        mean_by_target(results, "AR", |r| r.ar.distance),
-        mean_by_target(results, "SR", |r| r.sr.distance),
-        mean_by_target(results, "SR analytical", |r| {
-            wsn_geometry::CellGeometry::AVG_MOVE_FACTOR
-                * R_16X16
-                * analytical_total_moves(l, r.n_target, r.holes)
-        }),
-    ]
 }
 
 /// One metric of one grid of a completed campaign as figure series: per
@@ -187,24 +114,31 @@ pub fn campaign_series(
     out
 }
 
-/// Figure 6(a) from a campaign: processes initiated, with CI whiskers.
-/// Uses the campaign's first grid (the paper's 16×16 for
+/// Figure 6(a): processes initiated per scheme, with CI whiskers. Uses
+/// the campaign's first grid (the paper's 16×16 for
 /// [`crate::campaign::CampaignConfig::paper`]).
-pub fn fig6a_campaign(res: &CampaignResult) -> Vec<Series> {
+pub fn fig6a(res: &CampaignResult) -> Vec<Series> {
     let (cols, rows) = res.config.grids[0];
     campaign_series(res, cols, rows, "processes_initiated", true)
 }
 
-/// Figure 6(b) from a campaign: success rate (%), with CI whiskers.
-pub fn fig6b_campaign(res: &CampaignResult) -> Vec<Series> {
+/// Figure 6(b): per-process success rate (%), with CI whiskers.
+pub fn fig6b(res: &CampaignResult) -> Vec<Series> {
     let (cols, rows) = res.config.grids[0];
     campaign_series(res, cols, rows, "success_rate_percent", true)
 }
 
-/// The Theorem-2 overlay for a campaign cell: `mean_holes · M(L, N)`
-/// with `L = cols·rows − 1` (each replacement walks the single Hamilton
-/// cycle minus its own hole). `None` when the campaign has no SR cells
-/// to anchor the overlay (Theorem 2 is SR's closed form).
+/// The Theorem-2 overlay, as the paper plots it (Figure 7(b)): each of
+/// a cell's mean `holes` replacements costs `M(L, N)` movements at the
+/// cell's spare target `N`, with `L = cols·rows − 1` (each replacement
+/// walks the single Hamilton cycle minus its own hole). `None` when the
+/// campaign has no SR cells to anchor the overlay (Theorem 2 is SR's
+/// closed form).
+///
+/// This is an upper-ish estimate: during recovery the live spare count
+/// ranges from `N + holes` down to `N`, so experimental totals sit
+/// somewhat below the overlay at low `N` — the same relationship
+/// visible between the paper's Figures 7(a) and 7(b).
 fn campaign_analytical_moves(res: &CampaignResult, cols: u16, rows: u16) -> Option<Series> {
     let l = cols as usize * rows as usize - 1;
     if !res.config.schemes.iter().any(|s| s.as_str() == "sr") {
@@ -219,19 +153,19 @@ fn campaign_analytical_moves(res: &CampaignResult, cols: u16, rows: u16) -> Opti
     Some(overlay)
 }
 
-/// Figure 7 from a campaign: total node movements with CI whiskers,
-/// plus the analytical SR overlay when SR is in the matrix.
-pub fn fig7_campaign(res: &CampaignResult) -> Vec<Series> {
+/// Figure 7: total node movements with CI whiskers (7(a)), plus the
+/// analytical SR overlay (7(b)) when SR is in the matrix.
+pub fn fig7(res: &CampaignResult) -> Vec<Series> {
     let (cols, rows) = res.config.grids[0];
     let mut series = campaign_series(res, cols, rows, "moves", true);
     series.extend(campaign_analytical_moves(res, cols, rows));
     series
 }
 
-/// Figure 8 from a campaign: total moving distance with CI whiskers,
-/// plus the analytical SR overlay (`1.08 · r · Σ M`) when SR is in the
-/// matrix.
-pub fn fig8_campaign(res: &CampaignResult) -> Vec<Series> {
+/// Figure 8: total moving distance in meters with CI whiskers (8(a)),
+/// plus the analytical SR overlay (`1.08 · r · Σ M`, 8(b)) when SR is
+/// in the matrix.
+pub fn fig8(res: &CampaignResult) -> Vec<Series> {
     let (cols, rows) = res.config.grids[0];
     let mut series = campaign_series(res, cols, rows, "distance", true);
     let r = res.config.comm_range / 5f64.sqrt();
@@ -476,14 +410,34 @@ pub fn campaign_region_series(res: &CampaignResult, metric: &str) -> Vec<Series>
 }
 
 /// Extension figure `figpmf`: the *distribution* of movement counts, not
-/// just the mean — empirical hop frequencies over single replacements on
-/// the paper's 4×5 grid with `N = 12`, against Theorem 2's `P(i)`.
-pub fn fig_pmf(trials: u64, base_seed: u64) -> Vec<Series> {
-    let (l, n) = (L_4X5, 12usize);
+/// just the mean — empirical hop frequencies over `trials` single
+/// replacements on the paper's 4×5 grid with `N = 12`, against Theorem
+/// 2's `P(i)`. Each trial is the campaign's own
+/// [`CampaignMode::SingleReplacement`] deployment (one hole, one node in
+/// every other cell, `N` uniform spares), addressed by its stream seed
+/// under `master_seed`.
+///
+/// The hop counts come straight from SR's converged process, not from a
+/// campaign's `moves` histogram: on 4×5 that histogram's bins are 5
+/// moves wide.
+pub fn fig_pmf(trials: u64, master_seed: u64) -> Vec<Series> {
+    let (l, n, grid) = (L_4X5, 12usize, (4, 5));
     let mut counts = vec![0u64; l + 1];
     for t in 0..trials {
-        let hops = crate::sweep::simulate_single_replacement(4, 5, n, base_seed + t) as usize;
-        counts[hops.min(l)] += 1;
+        let seed = trial_stream_seed(master_seed, RegionShape::Full, grid, n, t);
+        let mut net = build_trial_network(
+            CampaignMode::SingleReplacement,
+            10.0,
+            RegionShape::Full,
+            grid,
+            n,
+            seed,
+        );
+        let report = Sr::new()
+            .run(&mut net, seed, DriveMode::Classic)
+            .expect("the 4x5 grid has a Hamilton cycle");
+        assert!(report.fully_covered, "a spare exists, so SR converges");
+        counts[(report.processes[0].hops as usize).min(l)] += 1;
     }
     let mut empirical = Series::new("simulated frequency");
     for (i, &c) in counts.iter().enumerate().skip(1) {
@@ -498,28 +452,16 @@ pub fn fig_pmf(trials: u64, base_seed: u64) -> Vec<Series> {
     vec![empirical, analytical]
 }
 
-/// Extension figure `figsc`: the paper's future-work short-cut. SR vs
-/// SR-SC total node movements (and messages) across the sweep targets —
-/// the prediction being that SR-SC "reduce\[s\] the cost of SR greatly in
-/// the cases when N < 55".
-pub fn fig_shortcut(cfg: &crate::sweep::SweepConfig) -> (Vec<Series>, Vec<Series>) {
-    let mut sr_moves = Series::new("SR moves");
-    let mut sc_moves = Series::new("SR-SC moves");
-    let mut sr_dist = Series::new("SR distance");
-    let mut sc_dist = Series::new("SR-SC distance");
-    for (i, &t) in cfg.targets.iter().enumerate() {
-        for trial in 0..cfg.trials {
-            let seed = cfg.base_seed + i as u64 * 10_000 + trial;
-            let (sr, sc) = crate::sweep::run_trial_with_shortcut(cfg, t, seed);
-            sr_moves.push(t as f64, sr.sr.moves as f64);
-            sc_moves.push(t as f64, sc.moves as f64);
-            sr_dist.push(t as f64, sr.sr.distance);
-            sc_dist.push(t as f64, sc.distance);
-        }
-    }
+/// Extension figure `figsc`: the paper's future-work short-cut. Mean
+/// total node movements and moving distance per scheme over the spare
+/// targets of an `sr,sr-sc` campaign, returned as `(moves, distance)` —
+/// the prediction being that SR-SC "reduce\[s\] the cost of SR greatly
+/// in the cases when N < 55". Uses the campaign's first grid.
+pub fn fig_shortcut(res: &CampaignResult) -> (Vec<Series>, Vec<Series>) {
+    let (cols, rows) = res.config.grids[0];
     (
-        vec![sr_moves.aggregate_mean(), sc_moves.aggregate_mean()],
-        vec![sr_dist.aggregate_mean(), sc_dist.aggregate_mean()],
+        campaign_series(res, cols, rows, "moves", false),
+        campaign_series(res, cols, rows, "distance", false),
     )
 }
 
@@ -549,7 +491,13 @@ pub fn render(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{run_sweep, SweepConfig};
+    use crate::campaign::{run_campaign, CampaignConfig};
+    use wsn_coverage::SchemeId;
+
+    /// Index of a scheme's mean curve in a whiskered figure: each
+    /// scheme contributes `(mean, lo, hi)` in campaign scheme order.
+    const AR: usize = 0;
+    const SR: usize = 3;
 
     #[test]
     fn fig3_shapes_match_paper() {
@@ -578,46 +526,48 @@ mod tests {
 
     #[test]
     fn monte_carlo_figures_have_expected_relations() {
-        let results = run_sweep(&SweepConfig::quick());
-        let f6a = fig6a(&results);
-        let f6b = fig6b(&results);
-        let f7 = fig7(&results);
-        let f8 = fig8(&results);
+        let res = run_campaign(&CampaignConfig::quick()).unwrap();
+        let f6a = fig6a(&res);
+        let f6b = fig6b(&res);
+        let f7 = fig7(&res);
+        let f8 = fig8(&res);
         // Series order and labels.
-        assert_eq!(f6a[0].label(), "AR");
-        assert_eq!(f6a[1].label(), "SR");
-        assert_eq!(f7[2].label(), "SR analytical");
+        assert_eq!(f6a[AR].label(), "AR");
+        assert_eq!(f6a[SR].label(), "SR");
+        assert_eq!(f7[6].label(), "SR analytical");
         // SR initiates fewer processes than AR at every swept N.
-        for (ar, sr) in f6a[0].points().iter().zip(f6a[1].points()) {
+        for (ar, sr) in f6a[AR].points().iter().zip(f6a[SR].points()) {
             assert!(sr.1 <= ar.1, "SR {} vs AR {} at N={}", sr.1, ar.1, sr.0);
         }
         // SR success rate is 100% everywhere; AR's never exceeds it.
-        for (ar, sr) in f6b[0].points().iter().zip(f6b[1].points()) {
+        for (ar, sr) in f6b[AR].points().iter().zip(f6b[SR].points()) {
             assert_eq!(sr.1, 100.0);
             assert!(ar.1 <= 100.0);
         }
         // Moves and distance decrease with N for SR (more spares =>
         // shorter walks).
-        let srm = f7[1].points();
+        let srm = f7[SR].points();
         assert!(srm.first().unwrap().1 >= srm.last().unwrap().1);
-        // Distance ~ 1.05-1.08 r per move.
-        for (m, d) in f7[1].points().iter().zip(f8[1].points()) {
-            if m.1 > 0.0 {
-                let per_hop = d.1 / m.1 / R_16X16;
-                assert!((0.9..=1.2).contains(&per_hop), "per-hop {per_hop}");
-            }
-        }
+        // Distance ~ 1.05-1.08 r per move, over all of SR's moves. Per
+        // target the ratio falls below the band where spares abound: at
+        // N = 1000 a trial makes about two moves, each by the spare
+        // closest to its target out of ~5 per cell.
+        let r = res.config.comm_range / 5f64.sqrt();
+        let total = |s: &Series| s.points().iter().map(|p| p.1).sum::<f64>();
+        let per_hop = total(&f8[SR]) / total(&f7[SR]) / r;
+        assert!((0.9..=1.2).contains(&per_hop), "per-hop {per_hop}");
     }
 
     #[test]
     fn analytical_overlay_tracks_experiment() {
-        let results = run_sweep(&SweepConfig {
+        let res = run_campaign(&CampaignConfig {
             targets: vec![200, 600],
-            trials: 6,
-            ..SweepConfig::default()
-        });
-        let f7 = fig7(&results);
-        let (sr, overlay) = (f7[1].points(), f7[2].points());
+            seeds_per_cell: 6,
+            ..CampaignConfig::quick()
+        })
+        .unwrap();
+        let f7 = fig7(&res);
+        let (sr, overlay) = (f7[SR].points(), f7[6].points());
         for (s, o) in sr.iter().zip(overlay) {
             let rel = (s.1 - o.1).abs() / o.1.max(1.0);
             assert!(
@@ -648,12 +598,14 @@ mod tests {
 
     #[test]
     fn shortcut_extension_wins_on_moves_everywhere() {
-        let cfg = SweepConfig {
+        let res = run_campaign(&CampaignConfig {
+            schemes: SchemeId::list(&["sr", "sr-sc"]),
             targets: vec![10, 200],
-            trials: 2,
-            ..SweepConfig::default()
-        };
-        let (moves, dist) = fig_shortcut(&cfg);
+            seeds_per_cell: 2,
+            ..CampaignConfig::quick()
+        })
+        .unwrap();
+        let (moves, dist) = fig_shortcut(&res);
         for (sr, sc) in moves[0].points().iter().zip(moves[1].points()) {
             assert!(
                 sc.1 < sr.1,
@@ -667,12 +619,12 @@ mod tests {
         let gain_low = moves[0].points()[0].1 / moves[1].points()[0].1.max(1.0);
         let gain_high = moves[0].points()[1].1 / moves[1].points()[1].1.max(1.0);
         assert!(gain_low > gain_high, "gain {gain_low} vs {gain_high}");
-        assert_eq!(dist[0].label(), "SR distance");
+        assert_eq!(moves[1].label(), "SR-SC");
+        assert_eq!(dist[0].label(), "SR");
     }
 
     #[test]
     fn campaign_figures_carry_ci_whiskers() {
-        use crate::campaign::{run_campaign, CampaignConfig};
         let cfg = CampaignConfig {
             name: "figtest".into(),
             grids: vec![(6, 6)],
@@ -681,7 +633,7 @@ mod tests {
             ..CampaignConfig::paper()
         };
         let res = run_campaign(&cfg).unwrap();
-        let f6a = fig6a_campaign(&res);
+        let f6a = fig6a(&res);
         // 2 schemes × (mean, lo, hi).
         assert_eq!(f6a.len(), 6);
         assert_eq!(f6a[0].label(), "AR");
@@ -700,10 +652,10 @@ mod tests {
             }
         }
         // Figures 7/8 add the analytical overlay as the final series.
-        let f7 = fig7_campaign(&res);
+        let f7 = fig7(&res);
         assert_eq!(f7.len(), 7);
         assert_eq!(f7.last().unwrap().label(), "SR analytical");
-        let f8 = fig8_campaign(&res);
+        let f8 = fig8(&res);
         let r = cfg.comm_range / 5f64.sqrt();
         for (m, d) in f7
             .last()
@@ -715,7 +667,7 @@ mod tests {
             assert!((d.1 - 1.08 * r * m.1).abs() < 1e-9);
         }
         // Success rate: SR pinned at 100 with zero-width whiskers.
-        let f6b = fig6b_campaign(&res);
+        let f6b = fig6b(&res);
         for p in f6b[3].points() {
             assert_eq!(p.1, 100.0);
         }
@@ -723,7 +675,6 @@ mod tests {
 
     #[test]
     fn region_series_cover_every_scheme_shape_pair() {
-        use crate::campaign::{run_campaign, CampaignConfig};
         let cfg = CampaignConfig {
             seeds_per_cell: 2,
             ..CampaignConfig::masked_smoke()
@@ -745,7 +696,6 @@ mod tests {
 
     #[test]
     fn avail_figures_cover_every_scheme() {
-        use crate::campaign::{run_campaign, CampaignConfig};
         use crate::steady::SteadyParams;
         let cfg = CampaignConfig {
             steady: SteadyParams {

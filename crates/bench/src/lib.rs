@@ -18,17 +18,18 @@
 //! Deployment methodology (from the paper): with `(N + m·n)` enabled
 //! nodes dropped uniformly, the network holds `N + holes` spares and
 //! `holes` vacant cells; each replacement consumes exactly one spare, so
-//! `N` spares remain after full recovery. [`sweep::run_sweep`] executes
-//! the Monte-Carlo trials (in parallel across seeds via scoped threads) and
-//! both schemes see byte-identical deployments.
+//! `N` spares remain after full recovery.
 //!
-//! [`campaign`] scales the same methodology to full experiment matrices
-//! (scheme × region shape × grid × `N` × seed) with streaming per-cell
-//! statistics and confidence intervals — `figures --campaign`
-//! regenerates Figures 6–8 from a ≥30-seed campaign with 95% CI
-//! whiskers, and `figures --campaign --masked` adds the
-//! irregular-region comparison over [`wsn_grid::RegionShape`]
-//! ([`scenarios`] holds the matching 64×64/128×128 masked presets).
+//! Every Monte-Carlo figure runs on one engine, [`campaign`]: it expands
+//! the experiment matrix (scheme × region shape × grid × `N` × seed)
+//! onto a work-stealing thread pool, gives every scheme byte-identical
+//! deployments, and folds trials into streaming per-cell statistics with
+//! confidence intervals. Figures 6–8 plot a
+//! [`CampaignConfig::paper`](campaign::CampaignConfig::paper) campaign
+//! (or its `quick`/`smoke` reductions) with 95% CI whiskers, and
+//! `figures --masked` adds the irregular-region comparison over
+//! [`wsn_grid::RegionShape`] ([`scenarios`] holds the matching
+//! 64×64/128×128 masked presets).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +40,6 @@ pub mod perf;
 pub mod replay;
 pub mod scenarios;
 pub mod steady;
-pub mod sweep;
 
 pub use campaign::{
     run_campaign, run_campaign_resumable, run_campaign_resumable_with, run_campaign_with,
@@ -49,6 +49,5 @@ pub use campaign::{
 pub use replay::{
     record, scheme_with_plan, shrink_between, Recording, ReplayArtifact, ReplayError, ReplaySpec,
 };
-pub use scenarios::{run_greedy_repair, OccupancyMode, RepairOutcome, Scenario};
+pub use scenarios::Scenario;
 pub use steady::{run_steady_trial, SpareRotation, SteadyOutcome, SteadyParams, SteadySummary};
-pub use sweep::{run_sweep, SweepConfig, TrialResult};

@@ -4,13 +4,9 @@
 //! Two artifacts, written by `cargo run -p wsn-bench --bin perf -- run`:
 //!
 //! * `BENCH_core.json` — micro benchmarks of the word-level kernels and
-//!   the arena reset: journal fold into a `BTreeSet` (the PR 2 pending
-//!   set) vs the [`HoleSet`] word kernel, full `O(cells)` hole scans vs
-//!   the bulk word copy, the masked-ring successor walk over the flat
+//!   the arena reset: the [`HoleSet`] journal fold and bulk word copy
+//!   after a mass failure, the masked-ring successor walk over the flat
 //!   tables, and [`GridNetwork::reset_into`] vs a from-scratch build.
-//!   The file also carries `kernel_speedup_min`, the acceptance ratio of
-//!   the kernel refactor (word kernel ≥ 5× the `BTreeSet` fold on a
-//!   256×256 mass-failure journal).
 //! * `BENCH_campaign.json` — end-to-end campaign throughput: the full
 //!   engine (deploy → repair → aggregate) on 64×64 and 256×256
 //!   full-recovery matrices and 1024×1024 and 4096×4096
@@ -20,8 +16,9 @@
 //!   grow with the grid.
 //!
 //! Every entry is the shape `{name, samples, min_ns, mean_ns,
-//! max_ns}` that `replay bench` established for
-//! `BENCH_replay.json`. `min_ns` is the comparison statistic: it is the
+//! max_ns}` that [`time_ns`] and [`bench_entry`] produce; `replay bench`
+//! (`BENCH_replay.json`) and `served bench` (`BENCH_serve.json`) time
+//! with the same pair. `min_ns` is the comparison statistic: it is the
 //! least noisy summary of a loop's cost on a busy machine.
 //!
 //! The **compare gate** (`perf compare`) parses a fresh `results/`
@@ -31,7 +28,6 @@
 //! heavy grids that `--smoke` skips) are reported but never fail the
 //! gate, so one baseline file serves both the full and the smoke run.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::path::Path;
 use std::time::Instant;
@@ -66,7 +62,7 @@ pub const LEDGER_FILES: [&str; 6] = [
 
 /// Times one closure `samples` times and returns (min, mean, max) in
 /// nanoseconds — the ledger's entry shape.
-fn time_ns(samples: usize, mut f: impl FnMut()) -> (f64, f64, f64) {
+pub fn time_ns(samples: usize, mut f: impl FnMut()) -> (f64, f64, f64) {
     let mut times = Vec::with_capacity(samples);
     for _ in 0..samples {
         let t0 = Instant::now();
@@ -84,7 +80,9 @@ fn summarize(times: &[f64]) -> (f64, f64, f64) {
     (min, mean, max)
 }
 
-fn bench_entry(name: &str, samples: usize, (min, mean, max): (f64, f64, f64)) -> JsonValue {
+/// One ledger entry, `{name, samples, min_ns, mean_ns, max_ns}`, from a
+/// [`time_ns`] result.
+pub fn bench_entry(name: &str, samples: usize, (min, mean, max): (f64, f64, f64)) -> JsonValue {
     JsonValue::obj([
         ("name", JsonValue::from(name)),
         ("samples", JsonValue::from(samples as u64)),
@@ -108,41 +106,20 @@ fn mass_failure_state(cols: u16, rows: u16) -> GridNetwork {
     net
 }
 
-/// The kernel duel on one grid: journal fold and bulk scan, each as the
-/// PR 2 `BTreeSet` representation vs the word kernel. Returns the four
-/// ledger entries plus the fold speedup (`btree min / kernel min`).
-fn kernel_benches(cols: u16, rows: u16, samples: usize) -> (Vec<JsonValue>, f64) {
+/// The word kernel on one grid's mass-failure journal: fold plus sweep,
+/// and bulk discovery from scratch.
+fn kernel_benches(cols: u16, rows: u16, samples: usize) -> Vec<JsonValue> {
     let tag = format!("{cols}x{rows}");
     let net = mass_failure_state(cols, rows);
     let occ = net.occupancy();
-    let cells = net.system().cell_count();
     assert!(
         !occ.changed_cells().is_empty(),
         "mass failure must journal changes"
     );
 
-    // PR 2's hole detection: fold the change journal into a BTreeSet
-    // pending set, then sweep it in ascending order.
-    let journal_fold = time_ns(samples, || {
-        let mut pending: BTreeSet<usize> = BTreeSet::new();
-        for &c in occ.changed_cells() {
-            let c = c as usize;
-            if occ.is_vacant(c) {
-                pending.insert(c);
-            } else {
-                pending.remove(&c);
-            }
-        }
-        let mut acc = 0usize;
-        for &c in &pending {
-            acc = acc.wrapping_add(c);
-        }
-        assert!(acc > 0);
-    });
-
-    // This PR's hole detection: fold the same journal into the word
-    // bitset, then sweep it with u64-block iteration.
-    let mut holes = HoleSet::new(cells);
+    // Fold the journal into the word bitset, then sweep it with u64-block
+    // iteration.
+    let mut holes = HoleSet::new(net.system().cell_count());
     let word_fold = time_ns(samples, || {
         holes.clear();
         holes.fold_changes(occ);
@@ -152,49 +129,30 @@ fn kernel_benches(cols: u16, rows: u16, samples: usize) -> (Vec<JsonValue>, f64)
         }
         assert!(acc > 0);
     });
-
-    // Bulk discovery from scratch: ordered set rebuild vs word copy.
-    let scan_btree = time_ns(samples, || {
-        let pending: BTreeSet<usize> = occ.iter_vacant().collect();
-        assert!(!pending.is_empty());
-    });
+    // Bulk discovery from scratch: a word copy off the vacancy set.
     let scan_words = time_ns(samples, || {
         holes.assign_vacant(occ);
         assert!(!holes.is_empty());
     });
-
-    let speedup = if word_fold.0 > 0.0 {
-        journal_fold.0 / word_fold.0
-    } else {
-        f64::INFINITY
-    };
-    let entries = vec![
-        bench_entry(&format!("hole_fold_btree_{tag}"), samples, journal_fold),
+    vec![
         bench_entry(&format!("hole_fold_word_kernel_{tag}"), samples, word_fold),
-        bench_entry(&format!("hole_scan_btree_{tag}"), samples, scan_btree),
         bench_entry(&format!("hole_scan_word_kernel_{tag}"), samples, scan_words),
-    ];
-    (entries, speedup)
+    ]
 }
 
 /// Runs the core (kernel + arena) benchmarks.
 ///
-/// The 64×64 kernel duel always runs, so the smoke profile shares every
-/// benchmark name with the full baseline; the full run adds the 256×256
-/// duel, whose fold speedup is the acceptance ratio the file reports as
-/// `kernel_speedup_min`.
+/// The 64×64 kernel entries always run, so the smoke profile shares
+/// every benchmark name with the full baseline; the full run adds the
+/// 256×256 ones and reports that grid's journal size.
 pub fn bench_core(smoke: bool) -> JsonValue {
     let samples = if smoke { 20 } else { 60 };
-    let (mut entries, mut speedup) = kernel_benches(64, 64, samples);
-    // The acceptance grid: full runs report the 256×256 ratio and
-    // journal size; smoke reports the 64×64 ones.
-    let acceptance_grid = if smoke { (64, 64) } else { (256, 256) };
+    let mut entries = kernel_benches(64, 64, samples);
+    let journal_grid = if smoke { (64, 64) } else { (256, 256) };
     if !smoke {
-        let (big, big_speedup) = kernel_benches(256, 256, samples);
-        entries.extend(big);
-        speedup = big_speedup;
+        entries.extend(kernel_benches(256, 256, samples));
     }
-    let journal_entries = mass_failure_state(acceptance_grid.0, acceptance_grid.1)
+    let journal_entries = mass_failure_state(journal_grid.0, journal_grid.1)
         .changed_cells()
         .len();
 
@@ -237,7 +195,6 @@ pub fn bench_core(smoke: bool) -> JsonValue {
             JsonValue::from(if smoke { "smoke" } else { "full" }),
         ),
         ("journal_entries", JsonValue::from(journal_entries)),
-        ("kernel_speedup_min", JsonValue::from(speedup)),
         ("benchmarks", JsonValue::Arr(entries)),
     ])
 }
@@ -807,23 +764,27 @@ mod tests {
             doc.get("schema").and_then(JsonValue::as_str),
             Some("wsn-bench-core/1")
         );
-        let speedup = doc
-            .get("kernel_speedup_min")
+        let journal = doc
+            .get("journal_entries")
             .and_then(JsonValue::as_f64)
-            .expect("speedup field");
-        // Unoptimized test builds still show the word kernel ahead; the
-        // ≥5x acceptance figure is asserted on release runs (see the
-        // perf binary), not here where the compiler hobbles both sides.
-        assert!(speedup > 0.0, "speedup {speedup}");
+            .expect("journal size");
+        assert!(journal > 0.0);
+        // Every smoke entry is a word-kernel or arena entry the full
+        // baseline also carries, in the baseline's order.
         let names: Vec<_> = benchmarks_of(&doc)
             .iter()
             .map(|(n, _)| n.to_string())
             .collect();
-        assert!(
-            names.contains(&"hole_fold_word_kernel_64x64".to_owned()),
-            "{names:?}"
+        assert_eq!(
+            names,
+            [
+                "hole_fold_word_kernel_64x64",
+                "hole_scan_word_kernel_64x64",
+                "masked_ring_walk_64x64",
+                "trial_build_64x64",
+                "trial_reset_64x64",
+            ]
         );
-        assert!(names.contains(&"trial_reset_64x64".to_owned()), "{names:?}");
         // Parses back: the gate can read what the ledger writes.
         let parsed = JsonValue::parse(&doc.to_file_string()).unwrap();
         assert_eq!(parsed, doc);

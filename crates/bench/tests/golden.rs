@@ -1,13 +1,13 @@
 //! Golden-file regression for the machine-readable result artifacts.
 //!
-//! Two fixtures are checked in under `tests/golden/`:
+//! Four campaign fixtures are checked in under `tests/golden/`:
 //!
-//! * `sweep_16x16.json` — the quick-config sweep artifact (the same
-//!   bytes as the repository's `results/sweep_16x16.json`), pinning the
-//!   sweep schema *and* the simulation outcomes behind it: any change
-//!   to the RNG stream, deployment, SR/AR behavior or JSON rendering
-//!   shows up as a diff here before it silently rewrites history in
-//!   `results/`.
+//! * `campaign_quick16.json` — the artifact behind `figures --quick`
+//!   Figures 6–8 (SR and AR on the paper's 16×16 grid, 4 targets, 10
+//!   seeds), pinning the simulation outcomes the paper figures plot:
+//!   any change to the RNG stream, deployment, SR/AR behavior or JSON
+//!   rendering shows up as a diff here before it silently rewrites
+//!   history in `results/`.
 //! * `campaign_smoke8.json` — the smoke campaign artifact, pinning the
 //!   `wsn-campaign/3` schema (scheme axis as registry *ids*, all five
 //!   built-ins): config echo (without the worker count, which must
@@ -30,21 +30,19 @@
 //! review artifact.
 
 use wsn_bench::campaign::{run_campaign, CampaignConfig};
-use wsn_bench::sweep::{run_sweep, sweep_to_json, SweepConfig};
 
-const SWEEP_GOLDEN: &str = include_str!("golden/sweep_16x16.json");
+const QUICK_GOLDEN: &str = include_str!("golden/campaign_quick16.json");
 const CAMPAIGN_GOLDEN: &str = include_str!("golden/campaign_smoke8.json");
 const MASKED_GOLDEN: &str = include_str!("golden/campaign_masked8.json");
 const EVENT_GOLDEN: &str = include_str!("golden/event_smoke8.json");
 
 #[test]
-fn quick_sweep_reproduces_the_checked_in_artifact() {
-    let cfg = SweepConfig::quick();
-    let results = run_sweep(&cfg);
-    let rendered = sweep_to_json(&cfg, &results).to_file_string();
+fn quick_campaign_reproduces_the_checked_in_artifact() {
+    let result = run_campaign(&CampaignConfig::quick()).expect("quick matrix is valid");
+    let rendered = result.to_json().to_file_string();
     assert_eq!(
-        rendered, SWEEP_GOLDEN,
-        "sweep_16x16.json drifted; regenerate the fixture if intentional"
+        rendered, QUICK_GOLDEN,
+        "campaign_quick16.json drifted; regenerate the fixture if intentional"
     );
 }
 
@@ -147,10 +145,9 @@ fn campaign_schema_has_the_advertised_shape() {
         assert!(MASKED_GOLDEN.contains(key), "missing {key}");
     }
     // Floats are normalized: no NaN/Infinity tokens, newline-terminated.
-    for golden in [CAMPAIGN_GOLDEN, MASKED_GOLDEN] {
+    for golden in [QUICK_GOLDEN, CAMPAIGN_GOLDEN, MASKED_GOLDEN] {
         assert!(!golden.contains("NaN"));
         assert!(!golden.contains("inf"));
         assert!(golden.ends_with("}\n"));
     }
-    assert!(SWEEP_GOLDEN.ends_with("}\n"));
 }

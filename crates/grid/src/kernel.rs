@@ -317,16 +317,14 @@ impl HoleSet {
     /// bit write per changed cell, no allocation. A journal with at
     /// least one entry per two words (a mass failure) writes its bits
     /// raw and rebuilds the summaries in one pass; a shorter one (a
-    /// round's few moves) keeps them current bit by bit. The word-level
-    /// counterpart of [`GridNetwork::drain_changed_cells_into`]; the
-    /// caller clears the journal afterwards (or uses
+    /// round's few moves) keeps them current bit by bit. The caller
+    /// clears the journal afterwards (or uses
     /// [`GridNetwork::fold_changed_cells_into`], which does both).
     ///
     /// # Panics
     ///
     /// Panics when the domains disagree.
     ///
-    /// [`GridNetwork::drain_changed_cells_into`]: crate::GridNetwork::drain_changed_cells_into
     /// [`GridNetwork::fold_changed_cells_into`]: crate::GridNetwork::fold_changed_cells_into
     pub fn fold_changes(&mut self, occupancy: &VacancySet) {
         assert_eq!(self.cells, occupancy.len(), "cell domain mismatch");

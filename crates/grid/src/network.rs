@@ -315,25 +315,10 @@ impl GridNetwork {
 
     /// Folds the change journal into a consumer's pending-hole set —
     /// cells that became vacant are inserted, filled cells removed —
-    /// then clears the journal. O(changed). This is the canonical way a
-    /// round-based protocol keeps its hole set current; current vacancy
-    /// is read from the index, per the journal's hint semantics.
-    pub fn drain_changed_cells_into(&mut self, pending: &mut std::collections::BTreeSet<usize>) {
-        for &c in self.occupancy.changed_cells() {
-            if self.occupancy.is_vacant(c as usize) {
-                pending.insert(c as usize);
-            } else {
-                pending.remove(&(c as usize));
-            }
-        }
-        self.occupancy.clear_changes();
-    }
-
-    /// Folds the change journal into a word-level pending-hole set and
-    /// clears the journal — the [`HoleSet`] counterpart of
-    /// [`GridNetwork::drain_changed_cells_into`]: one bit write per
-    /// changed cell, no allocation, identical membership and sweep
-    /// order.
+    /// then clears the journal. One bit write per changed cell, no
+    /// allocation. This is the canonical way a round-based protocol
+    /// keeps its hole set current; current vacancy is read from the
+    /// index, per the journal's hint semantics.
     pub fn fold_changed_cells_into(&mut self, pending: &mut HoleSet) {
         pending.fold_changes(&self.occupancy);
         self.occupancy.clear_changes();
@@ -398,8 +383,7 @@ impl GridNetwork {
     /// All vacant cells recomputed by a full scan of the member table,
     /// bypassing the incremental index. This is the pre-index O(cells)
     /// code path, kept as the correctness oracle for `debug_invariants`
-    /// and the property tests, and as the baseline the occupancy bench
-    /// measures the index against.
+    /// and the property tests.
     pub fn vacant_cells_scan(&self) -> Vec<GridCoord> {
         (0..self.members.cells())
             .filter(|&i| self.members.len_of(i) == 0 && self.mask.index_enabled(i))

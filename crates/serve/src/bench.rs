@@ -9,9 +9,9 @@
 //! `wsn_bench::perf::LEDGER_FILES`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 use wsn_bench::campaign::CampaignConfig;
+use wsn_bench::perf::{bench_entry, time_ns};
 use wsn_simcore::shutdown;
 use wsn_stats::JsonValue;
 
@@ -19,31 +19,6 @@ use crate::client;
 use crate::http::read_request;
 use crate::server::{ServeConfig, Server};
 use crate::ws::{accept_key, decode_frame, encode_frame, Frame};
-
-/// Times one closure `samples` times; `(min, mean, max)` nanoseconds —
-/// the same entry shape as `wsn_bench::perf`.
-fn time_ns(samples: usize, mut f: impl FnMut()) -> (f64, f64, f64) {
-    let mut times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        f();
-        times.push(t0.elapsed().as_nanos() as f64);
-    }
-    let min = times.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = times.iter().copied().fold(0.0, f64::max);
-    let mean = times.iter().sum::<f64>() / times.len() as f64;
-    (min, mean, max)
-}
-
-fn bench_entry(name: &str, samples: usize, (min, mean, max): (f64, f64, f64)) -> JsonValue {
-    JsonValue::obj([
-        ("name", JsonValue::from(name)),
-        ("samples", JsonValue::from(samples as u64)),
-        ("min_ns", JsonValue::from(min)),
-        ("mean_ns", JsonValue::from(mean)),
-        ("max_ns", JsonValue::from(max)),
-    ])
-}
 
 /// Runs the serve benchmarks, returning the `wsn-serve-bench/1`
 /// document for `BENCH_serve.json`. The smoke profile shares every
