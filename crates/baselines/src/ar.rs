@@ -33,7 +33,7 @@ use wsn_simcore::{
     RoundProtocol, SimRng, TraceEvent, TraceLog,
 };
 
-use wsn_coverage::actor::{cell_endpoint, NET_STREAM_TAG};
+use wsn_coverage::actor::{cell_center, cell_endpoint, NET_STREAM_TAG};
 use wsn_coverage::scheme::{ProtocolOutcome, SchemeProtocol};
 use wsn_coverage::{OwnerCounts, SpareSelection};
 
@@ -230,7 +230,11 @@ impl<'n> ArProtocol<'n> {
             return Some(0);
         };
         let sys = self.net.system();
-        let fate = link.route(cell_endpoint(sys, from), cell_endpoint(sys, to));
+        let fate = link.route(
+            cell_endpoint(sys, from),
+            cell_endpoint(sys, to),
+            cell_center(sys),
+        );
         let deliver_at = match fate {
             Fate::Deliver(extra) => Some(round + 1 + extra),
             Fate::Drop => {
@@ -254,7 +258,11 @@ impl<'n> ArProtocol<'n> {
             return true;
         };
         let sys = self.net.system();
-        let probed = link.sense(cell_endpoint(sys, monitor), cell_endpoint(sys, hole));
+        let probed = link.sense(
+            cell_endpoint(sys, monitor),
+            cell_endpoint(sys, hole),
+            cell_center(sys),
+        );
         self.trace.record_with(round, || TraceEvent::NetMessage {
             msg: "monitor_probe".into(),
             from: monitor.into(),

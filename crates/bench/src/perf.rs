@@ -425,9 +425,10 @@ pub fn bench_avail(smoke: bool) -> JsonValue {
 /// Runs the event-engine throughput benchmarks (`BENCH_event.json`):
 /// degraded-mode campaigns driven through the message-passing engine.
 /// The 8×8 four-weather SR matrix and the 32×32 SR-SC matrix under
-/// Ideal and latency-2 weather always run; the full ledger adds a 16×16
-/// matrix over the four-weather grid plus a lossy three-scheme matrix
-/// (the queue-drain and RNG-stream cost at AR's fan-out).
+/// Ideal and latency-2 weather, loss-free and at 10% loss, always run;
+/// the full ledger adds a 16×16 matrix over the four-weather grid plus
+/// a lossy three-scheme matrix (the queue-drain and RNG-stream cost at
+/// AR's fan-out).
 pub fn bench_event(smoke: bool) -> JsonValue {
     use crate::campaign::DegradedParams;
     let base = CampaignConfig {
@@ -464,6 +465,16 @@ pub fn bench_event(smoke: bool) -> JsonValue {
         ..base.clone()
     };
     entries.push(campaign_entry("degraded_sr_sc_32x32_ideal_lat2", 10, &sc));
+    // The same matrix at 10% loss, where every beacon is routed: one
+    // addressed fate per spareless head per round.
+    let sc_lossy = CampaignConfig {
+        degraded: DegradedParams {
+            latencies: vec![1, 2],
+            loss_ppms: vec![100_000],
+        },
+        ..sc
+    };
+    entries.push(campaign_entry("degraded_sr_sc_32x32_loss10", 10, &sc_lossy));
     if !smoke {
         let big = CampaignConfig {
             grids: vec![(16, 16)],

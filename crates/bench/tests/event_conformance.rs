@@ -422,3 +422,78 @@ fn seeded_lossy_weather_breaks_the_single_initiation_guarantee() {
         "a lost baton must provoke at least one duplicate initiation"
     );
 }
+
+/// Runs registered scheme `id` on the event drive under the weather
+/// `token`, on `seed`'s uniform deployment of `enabled + 12` nodes over
+/// `mask`'s region.
+fn event_report(id: &str, token: &str, mask: &RegionMask, seed: u64) -> SchemeReport {
+    let net = NetModelSpec::parse_token(token).expect("valid token");
+    let sys = GridSystem::for_comm_range(mask.cols(), mask.rows(), 10.0).unwrap();
+    let mut rng = SimRng::seed_from_u64(seed);
+    let pos = deploy::uniform_masked(&sys, mask, mask.enabled_count() + 12, &mut rng);
+    let mut grid = GridNetwork::with_mask(sys, mask.clone(), &pos).unwrap();
+    builtins()
+        .get(id)
+        .expect("registered")
+        .run(&mut grid, seed, DriveMode::EventDriven { net })
+        .unwrap_or_else(|e| panic!("{id} {token}: {e}"))
+}
+
+#[test]
+fn lossy_and_jammed_reports_hold_past_one_bitset_word() {
+    // SR-SC routes one beacon per spareless head every round under
+    // lossy weather, enumerated from the grid's 64-cell bitset words.
+    // 8×8 is exactly one word; 10×13 (130 cells) ends in a partial word
+    // and the masked L-shape clears bits inside and across words, so a
+    // word-boundary slip or a mask leak changes the routed beacons and
+    // with them these reports. The values are pinned.
+    let expected = [
+        "10x13 sr loss300000-lat2: Metrics { moves: 315, distance: 1508.7300691574858, processes_initiated: 250, processes_converged: 42, processes_failed: 208, messages: 273, energy: 1509.0030691574802, rounds: 113, cells_scanned: 692 } | sent 747 dropped 197 duplicates 208 lost 80 stalled 80 superseded 128",
+        "10x13 sr jam6708x42484r1000: Metrics { moves: 315, distance: 1524.481401160377, processes_initiated: 42, processes_converged: 42, processes_failed: 0, messages: 273, energy: 1524.7544011603716, rounds: 53, cells_scanned: 336 } | sent 441 dropped 0 duplicates 0 lost 0 stalled 0 superseded 0",
+        "10x13 sr-sc loss300000-lat2: Metrics { moves: 24, distance: 162.52598588453128, processes_initiated: 38, processes_converged: 24, processes_failed: 14, messages: 36, energy: 162.5619858845314, rounds: 19, cells_scanned: 2470 } | sent 1745 dropped 492 duplicates 0 lost 12 stalled 12 superseded 0",
+        "10x13 sr-sc jam6708x42484r1000: Metrics { moves: 42, distance: 590.3122399770765, processes_initiated: 42, processes_converged: 42, processes_failed: 0, messages: 273, energy: 590.5852399770719, rounds: 200, cells_scanned: 26000 } | sent 23364 dropped 395 duplicates 0 lost 0 stalled 0 superseded 0",
+        "10x13 ar loss300000-lat2: Metrics { moves: 237, distance: 1072.3544052190916, processes_initiated: 167, processes_converged: 110, processes_failed: 57, messages: 127, energy: 1072.4814052190895, rounds: 21, cells_scanned: 506 } | sent 350 dropped 90 duplicates 92 lost 34 stalled 0 superseded 0",
+        "10x13 ar jam6708x42484r1000: Metrics { moves: 151, distance: 693.1103646943153, processes_initiated: 108, processes_converged: 73, processes_failed: 35, messages: 78, energy: 693.1883646943141, rounds: 9, cells_scanned: 229 } | sent 188 dropped 2 duplicates 66 lost 0 stalled 0 superseded 0",
+        "l-shape 12x12 sr loss300000-lat2: Metrics { moves: 341, distance: 1593.9916121164717, processes_initiated: 267, processes_converged: 37, processes_failed: 230, messages: 304, energy: 1594.2956121164657, rounds: 163, cells_scanned: 745 } | sent 790 dropped 209 duplicates 230 lost 90 stalled 90 superseded 140",
+        "l-shape 12x12 sr jam6708x42484r1000: Metrics { moves: 341, distance: 1608.7448648981483, processes_initiated: 37, processes_converged: 37, processes_failed: 0, messages: 304, energy: 1609.048864898142, rounds: 77, cells_scanned: 364 } | sent 452 dropped 0 duplicates 0 lost 0 stalled 0 superseded 0",
+        "l-shape 12x12 sr-sc loss300000-lat2: Metrics { moves: 21, distance: 158.1856613725565, processes_initiated: 31, processes_converged: 21, processes_failed: 10, messages: 45, energy: 158.23066137255663, rounds: 24, cells_scanned: 2592 } | sent 1720 dropped 497 duplicates 0 lost 7 stalled 7 superseded 0",
+        "l-shape 12x12 sr-sc jam6708x42484r1000: Metrics { moves: 37, distance: 483.5636223210618, processes_initiated: 37, processes_converged: 37, processes_failed: 0, messages: 304, energy: 483.8676223210568, rounds: 218, cells_scanned: 23544 } | sent 20907 dropped 436 duplicates 0 lost 0 stalled 0 superseded 0",
+        "l-shape 12x12 ar loss300000-lat2: Metrics { moves: 154, distance: 688.7214359041195, processes_initiated: 107, processes_converged: 67, processes_failed: 40, messages: 87, energy: 688.8084359041184, rounds: 22, cells_scanned: 424 } | sent 236 dropped 62 duplicates 51 lost 20 stalled 0 superseded 0",
+        "l-shape 12x12 ar jam6708x42484r1000: Metrics { moves: 116, distance: 552.154092234165, processes_initiated: 87, processes_converged: 54, processes_failed: 33, messages: 62, energy: 552.2160922341643, rounds: 11, cells_scanned: 198 } | sent 151 dropped 2 duplicates 50 lost 0 stalled 0 superseded 0",
+    ];
+    let regions = [
+        ("10x13", RegionMask::full(10, 13)),
+        ("l-shape 12x12", RegionMask::l_shape(12, 12)),
+    ];
+    let mut got = Vec::new();
+    for (region, mask) in &regions {
+        for id in ["sr", "sr-sc", "ar"] {
+            for token in ["loss300000-lat2", "jam6708x42484r1000"] {
+                let report = event_report(id, token, mask, 5);
+                got.push(format!(
+                    "{region} {id} {token}: {:?} | {}",
+                    report.metrics, report.health
+                ));
+            }
+        }
+    }
+    for (got, expected) in got.iter().zip(expected) {
+        assert_eq!(got, expected);
+    }
+    assert_eq!(got.len(), expected.len());
+}
+
+#[test]
+fn zero_loss_bernoulli_reports_equal_fixed_latency() {
+    // `loss0-lat2` cannot drop a message, so it is the `lat2` weather:
+    // the same report and the same health counters, for every scheme
+    // on the event drive, on a grid past one bitset word.
+    let mask = RegionMask::full(10, 13);
+    for id in ["sr", "sr-sc", "ar"] {
+        let zero_loss = event_report(id, "loss0-lat2", &mask, 5);
+        let fixed = event_report(id, "lat2", &mask, 5);
+        assert_eq!(zero_loss, fixed, "{id}");
+        assert_eq!(zero_loss.health, fixed.health, "{id}");
+        assert!(zero_loss.health.messages_sent > 0, "{id}");
+    }
+}

@@ -46,7 +46,7 @@
 
 use wsn_grid::{GridCoord, GridSystem};
 use wsn_simcore::{
-    derive_stream_seed, Endpoint, EventQueue, Fate, NetLink, NetModelSpec, TraceEvent, TraceLog,
+    derive_stream_seed, EventQueue, Fate, NetLink, NetModelSpec, TraceEvent, TraceLog,
 };
 
 /// Stream tag separating the network-model RNG from the run RNG: links
@@ -57,18 +57,31 @@ use wsn_simcore::{
 /// `(seed, net model)` is the same weather for every scheme.
 pub const NET_STREAM_TAG: u64 = 0x004E_4554; // "NET"
 
-/// The link endpoint of `cell`: its dense index (the fate function's
-/// stream coordinate) and its center (the jammer's geometry).
+/// The link endpoint of `cell`: its dense row-major index, the fate
+/// function's stream coordinate. Positions are not part of it; a link
+/// asks [`cell_center`] for them, and only under the jammer.
 ///
 /// # Panics
 ///
 /// Panics when `cell` is outside `sys`.
-pub fn cell_endpoint(sys: &GridSystem, cell: GridCoord) -> Endpoint {
-    let idx = sys.index_of(cell).expect("protocol cells are in bounds");
-    let c = sys.cell_center(cell).expect("protocol cells are in bounds");
-    Endpoint {
-        cell: idx as u64,
-        pos: (c.x, c.y),
+pub fn cell_endpoint(sys: &GridSystem, cell: GridCoord) -> u64 {
+    sys.index_of(cell).expect("protocol cells are in bounds") as u64
+}
+
+/// The position function a [`NetLink`] routes with: the center, in
+/// meters, of the cell at link endpoint `index`. Only
+/// [`NetModelSpec::Jammer`] calls it, so no other model builds a cell
+/// rectangle.
+///
+/// # Panics
+///
+/// The returned function panics on an index outside `sys`.
+pub fn cell_center(sys: &GridSystem) -> impl Fn(u64) -> (f64, f64) + '_ {
+    move |index| {
+        let c = sys
+            .cell_center(sys.coord_of(index as usize))
+            .expect("protocol cells are in bounds");
+        (c.x, c.y)
     }
 }
 
@@ -136,9 +149,11 @@ impl Wire {
         trace: &mut TraceLog,
     ) -> bool {
         let msg = envelope.name();
-        let fate = self
-            .link
-            .route(cell_endpoint(sys, from), cell_endpoint(sys, to));
+        let fate = self.link.route(
+            cell_endpoint(sys, from),
+            cell_endpoint(sys, to),
+            cell_center(sys),
+        );
         let deliver_at = match fate {
             Fate::Deliver(extra) => {
                 let at = round + 1 + extra;
@@ -166,9 +181,11 @@ impl Wire {
         round: u64,
         trace: &mut TraceLog,
     ) -> bool {
-        let probed = self
-            .link
-            .sense(cell_endpoint(sys, monitor), cell_endpoint(sys, hole));
+        let probed = self.link.sense(
+            cell_endpoint(sys, monitor),
+            cell_endpoint(sys, hole),
+            cell_center(sys),
+        );
         trace.record_with(round, || TraceEvent::NetMessage {
             msg: "monitor_probe".into(),
             from: monitor.into(),

@@ -39,11 +39,12 @@
 //! (dual-path) grids: extending the courier walk over the A/B fork is
 //! possible but the paper's future-work remark targets the plain cycle.
 
+use wsn_grid::kernel::ones;
 use wsn_grid::{GridCoord, GridNetwork};
 use wsn_hamilton::{CycleTopology, HamiltonCycle, MaskedCycle};
 use wsn_simcore::{NetModelSpec, RoundOutcome, RoundProtocol, TraceEvent, TraceLog};
 
-use crate::actor::{cell_endpoint, BatonState, Envelope, Wire};
+use crate::actor::{cell_center, cell_endpoint, BatonState, Envelope, Wire};
 use crate::process::ProcessId;
 use crate::run::Run;
 use crate::scheme::{ProtocolOutcome, SchemeProtocol};
@@ -212,35 +213,36 @@ impl<'n> ShortcutProtocol<'n> {
     /// scan-cost comparison against SR's O(changed) detection stays
     /// honest. The paper does not bill monitoring beacons as messages,
     /// so neither do we; over a link each beacon is also one routed
-    /// sense. Their count is the occupied cells minus the spareful ones,
+    /// sense.
+    ///
+    /// The beacon cells are the set bits of the words `enabled &
+    /// !vacant & !spareful`. Their popcount is the round's beacon count,
     /// so a loss-free link accounts the round without visiting a cell.
+    /// A lossy link enumerates the same words in ascending cell order,
+    /// and never touches a cell that sends no beacon.
     fn gossip(&mut self) {
         self.run.metrics.cells_scanned += self.cycle.len() as u64;
         let Some(wire) = &mut self.link else {
             return;
         };
         let net = &*self.run.net;
-        let spareful: u64 = net
-            .spareful_words()
-            .iter()
-            .map(|w| u64::from(w.count_ones()))
-            .sum();
-        let count = net.occupied_cells() as u64 - spareful;
         let (sys, cycle) = (net.system(), &self.cycle);
-        let beacons = sys
-            .iter_coords()
-            .filter(|&c| {
-                net.is_cell_enabled(c).unwrap_or(false)
-                    && !net.is_vacant(c).unwrap_or(true)
-                    && net.spare_count(c).unwrap_or(0) == 0
-            })
+        let words = net
+            .mask()
+            .enabled_words()
+            .iter()
+            .zip(net.occupancy().vacant_words())
+            .zip(net.spareful_words())
+            .map(|((&enabled, &vacant), &spareful)| enabled & !vacant & !spareful);
+        let count = words.clone().map(|w| u64::from(w.count_ones())).sum();
+        let beacons = words
+            .enumerate()
+            .flat_map(|(w, word)| ones(word, w * 64))
             .map(|c| {
-                (
-                    cell_endpoint(sys, cycle.predecessor(c)),
-                    cell_endpoint(sys, c),
-                )
+                let pred = cycle.predecessor(sys.coord_of(c));
+                (cell_endpoint(sys, pred), c as u64)
             });
-        wire.link.sense_bulk(count, beacons);
+        wire.link.sense_bulk(count, beacons, cell_center(sys));
     }
 
     /// Delivers due envelopes; courier batons become actionable.

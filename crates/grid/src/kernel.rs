@@ -92,8 +92,10 @@ fn nonzero_bits(chunk: &[u64]) -> u64 {
     }
 }
 
-/// The indices of the set bits of `word`, ascending, offset by `base`.
-fn ones(word: u64, base: usize) -> impl Iterator<Item = usize> {
+/// The indices of the set bits of `word`, ascending, offset by `base`:
+/// the cells a bitset word of the grid's layout (cell `i` at bit
+/// `i % 64` of word `i / 64`) names, given `base = 64 · word index`.
+pub fn ones(word: u64, base: usize) -> impl Iterator<Item = usize> {
     std::iter::successors((word != 0).then_some(word), |&rest| {
         let next = rest & (rest - 1);
         (next != 0).then_some(next)

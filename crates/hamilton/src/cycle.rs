@@ -122,8 +122,8 @@ impl HamiltonCycle {
     ///
     /// Panics if `cell` is outside the grid.
     pub fn successor(&self, cell: GridCoord) -> GridCoord {
-        let k = self.position(cell);
-        self.order[(k + 1) % self.order.len()]
+        let k = self.position(cell) + 1;
+        self.order[if k == self.order.len() { 0 } else { k }]
     }
 
     /// The cell whose head monitors `cell` (previous along the cycle).
@@ -133,7 +133,7 @@ impl HamiltonCycle {
     /// Panics if `cell` is outside the grid.
     pub fn predecessor(&self, cell: GridCoord) -> GridCoord {
         let k = self.position(cell);
-        self.order[(k + self.order.len() - 1) % self.order.len()]
+        self.order[if k == 0 { self.order.len() } else { k } - 1]
     }
 
     /// Forward hop count from `from` to `to` along the cycle direction

@@ -178,6 +178,10 @@ mod tests {
             grids: vec![(6, 6)],
             targets: vec![5],
             seeds_per_cell: 3,
+            // One worker: it checks the budget before each trial, so the
+            // run stops after the first fold. With more, in-flight trials
+            // can finish and fold the whole campaign.
+            workers: Some(1),
             ..CampaignConfig::paper()
         };
         match run_campaign_resumable(&cfg, None, &CancelAfter::new(1)).unwrap() {

@@ -13,9 +13,14 @@
 //!   schemes replaying the same trial seed therefore face the identical
 //!   loss pattern on every link ("the weather is scheme-invariant"),
 //!   and campaign workers can route in any order without perturbing
-//!   fates. Only [`NetModelSpec::Bernoulli`] reads `n`, so only it keeps
-//!   per-pair counters; every other model's fate is a function of the
-//!   endpoints alone.
+//!   fates. Only a lossy [`NetModelSpec::Bernoulli`] reads `n`, so only
+//!   it keeps per-pair counters; every other model's fate is a function
+//!   of the endpoints alone.
+//! * **Cheap fates.** Endpoints are cell indices. The Bernoulli draw is
+//!   the first output of the pair's stream, computed from the two
+//!   generator words it reads; the pair counters hash with a seedless
+//!   multiply. Cell positions are computed only for the jammer, the one
+//!   model that reads geometry.
 //! * **Separate streams.** Link randomness never touches the
 //!   protocol's run RNG: under [`NetModelSpec::Ideal`] a run draws the
 //!   byte-identical random sequence as the classic round loop, which is
@@ -32,8 +37,9 @@
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::rng::SimRng;
+use crate::rng::StreamRoot;
 
 /// The fate of one routed envelope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,8 +159,8 @@ impl NetModelSpec {
     pub fn link(self, seed: u64) -> NetLink {
         NetLink {
             spec: self,
-            seed,
-            pair_counts: HashMap::new(),
+            root: StreamRoot::new(seed),
+            pair_counts: HashMap::default(),
             health: ProtocolHealth::default(),
         }
     }
@@ -166,27 +172,49 @@ impl fmt::Display for NetModelSpec {
     }
 }
 
-/// One endpoint of a routed envelope: the dense cell index (the RNG
-/// stream coordinate) plus the cell-center position in meters (the
-/// geometry the jammer model tests).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Endpoint {
-    /// Dense row-major cell index.
-    pub cell: u64,
-    /// Cell-center position in meters.
-    pub pos: (f64, f64),
+/// A fixed, seedless multiplicative hasher for the link's pair
+/// counters. Their keys are small cell-index pairs the simulation
+/// chooses itself, so SipHash's flooding resistance buys nothing; this
+/// costs one multiply per word. The final fold mixes the product's high
+/// bits into the low ones, which pick the table slot.
+#[derive(Debug, Clone, Copy, Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
 }
 
 /// A live network link: the model plus its per-directed-pair message
 /// counters and the health ledger. One per run.
+///
+/// Messages are addressed by cell index alone. The one model that
+/// reads geometry, [`NetModelSpec::Jammer`], asks a caller-supplied
+/// `center` function for the two endpoints' positions; every other
+/// model never calls it, so routing under them builds no geometry.
 #[derive(Debug, Clone)]
 pub struct NetLink {
     spec: NetModelSpec,
-    seed: u64,
+    /// The link seed with the first hashing step of its streams taken.
+    root: StreamRoot,
     /// Messages routed so far on each directed `(from, to)` pair — the
-    /// `n` of the coordinate-addressed fate function. Kept only under
-    /// [`NetModelSpec::Bernoulli`], the one model whose fate reads `n`.
-    pair_counts: HashMap<(u64, u64), u64>,
+    /// `n` of the coordinate-addressed fate function. Kept only under a
+    /// lossy [`NetModelSpec::Bernoulli`], the one model whose fate
+    /// reads `n`.
+    pair_counts: HashMap<(u64, u64), u64, BuildHasherDefault<PairHasher>>,
     /// Counters the run's `SchemeReport` surfaces as `ProtocolHealth`.
     pub health: ProtocolHealth,
 }
@@ -202,30 +230,32 @@ impl NetLink {
         self.spec == NetModelSpec::Ideal
     }
 
-    /// Whether nothing routed on this link can be dropped (`Ideal` and
-    /// `FixedLatency`): every fate is a delivery after the spec's
-    /// latency, whatever the endpoints.
+    /// Whether nothing routed on this link can be dropped (`Ideal`,
+    /// `FixedLatency` and a zero-loss `Bernoulli`): every fate is a
+    /// delivery after the spec's latency, whatever the endpoints.
     fn is_loss_free(&self) -> bool {
-        matches!(
-            self.spec,
-            NetModelSpec::Ideal | NetModelSpec::FixedLatency { .. }
-        )
+        match self.spec {
+            NetModelSpec::Ideal | NetModelSpec::FixedLatency { .. } => true,
+            NetModelSpec::Bernoulli { loss_ppm, .. } => loss_ppm == 0,
+            NetModelSpec::Jammer { .. } => false,
+        }
     }
 
-    /// The fate of the `n`-th message on a directed pair — pure in
-    /// `(seed, from, to, n)`, independent of routing order elsewhere.
-    /// Only `Bernoulli` reads `n`.
-    fn fate_at(&self, from: Endpoint, to: Endpoint, n: u64) -> Fate {
-        let extra = u64::from(self.spec.latency_ticks()) - 1;
-        match self.spec {
-            NetModelSpec::Ideal | NetModelSpec::FixedLatency { .. } => Fate::Deliver(extra),
+    /// The fate of the `n`-th message on the directed pair `from → to`
+    /// — pure in `(seed, from, to, n)`, independent of routing order
+    /// elsewhere. Only a lossy `Bernoulli` reads `n`: it drops when the
+    /// first output of the pair's stream `SimRng::for_stream(seed,
+    /// &[from, to, n])`, reduced mod 10^6, falls below `loss_ppm`. That
+    /// output is computed from the two generator words it reads, with
+    /// the seed's own hashing step taken once per link. Only `Jammer`
+    /// calls `center`.
+    fn fate_at(&self, from: u64, to: u64, n: u64, center: impl Fn(u64) -> (f64, f64)) -> Fate {
+        let dropped = match self.spec {
+            NetModelSpec::Ideal | NetModelSpec::FixedLatency { .. } => false,
             NetModelSpec::Bernoulli { loss_ppm, .. } => {
-                let mut rng = SimRng::for_stream(self.seed, &[from.cell, to.cell, n]);
-                if rng.next_u64() % 1_000_000 < u64::from(loss_ppm.min(1_000_000)) {
-                    Fate::Drop
-                } else {
-                    Fate::Deliver(extra)
-                }
+                loss_ppm > 0
+                    && self.root.first_u64(&[from, to, n]) % 1_000_000
+                        < u64::from(loss_ppm.min(1_000_000))
             }
             NetModelSpec::Jammer {
                 x_mm,
@@ -238,27 +268,30 @@ impl NetLink {
                     let (dx, dy) = (p.0 - c.0, p.1 - c.1);
                     dx * dx + dy * dy < r * r
                 };
-                if inside(from.pos) || inside(to.pos) {
-                    Fate::Drop
-                } else {
-                    Fate::Deliver(extra)
-                }
+                inside(center(from)) || inside(center(to))
             }
+        };
+        if dropped {
+            Fate::Drop
+        } else {
+            Fate::Deliver(u64::from(self.spec.latency_ticks()) - 1)
         }
     }
 
-    /// Routes one inter-cell envelope, advancing the health ledger and,
-    /// under `Bernoulli`, the pair counter.
-    pub fn route(&mut self, from: Endpoint, to: Endpoint) -> Fate {
+    /// Routes one inter-cell envelope from cell `from` to cell `to`
+    /// (dense row-major indices), advancing the health ledger and, under
+    /// a lossy `Bernoulli`, the pair counter. `center` maps a cell index
+    /// to its center in meters; only the jammer calls it.
+    pub fn route(&mut self, from: u64, to: u64, center: impl Fn(u64) -> (f64, f64)) -> Fate {
         let n = match self.spec {
-            NetModelSpec::Bernoulli { .. } => {
-                let count = self.pair_counts.entry((from.cell, to.cell)).or_insert(0);
+            NetModelSpec::Bernoulli { loss_ppm, .. } if loss_ppm > 0 => {
+                let count = self.pair_counts.entry((from, to)).or_insert(0);
                 *count += 1;
                 *count - 1
             }
             _ => 0,
         };
-        let fate = self.fate_at(from, to, n);
+        let fate = self.fate_at(from, to, n, center);
         self.health.messages_sent += 1;
         if fate == Fate::Drop {
             self.health.messages_dropped += 1;
@@ -270,23 +303,25 @@ impl NetLink {
     /// either comes back clean or is jammed/lost — there is no latency
     /// to a failed carrier sense. Returns `true` when the probe got
     /// through.
-    pub fn sense(&mut self, from: Endpoint, to: Endpoint) -> bool {
-        self.route(from, to) != Fate::Drop
+    pub fn sense(&mut self, from: u64, to: u64, center: impl Fn(u64) -> (f64, f64)) -> bool {
+        self.route(from, to, center) != Fate::Drop
     }
 
     /// Routes `count` same-tick senses at once, one per `(from, to)` pair
     /// of `pairs`, with the same effect on the health ledger and on
     /// every later fate as one [`NetLink::sense`] per pair. A loss-free
-    /// link only adds `count` to `messages_sent` and never draws from
-    /// `pairs`, so callers pass it lazily; `Bernoulli` and `Jammer` route
-    /// each pair.
+    /// link (zero-loss `Bernoulli` included) only adds `count` to
+    /// `messages_sent` and never draws from `pairs`, so callers pass it
+    /// lazily. A lossy `Bernoulli` and `Jammer` route each pair: each one
+    /// is still its own coordinate-addressed fate, by contract.
     ///
     /// `pairs` must yield exactly `count` pairs (checked in debug
     /// builds).
     pub fn sense_bulk(
         &mut self,
         count: u64,
-        pairs: impl IntoIterator<Item = (Endpoint, Endpoint)>,
+        pairs: impl IntoIterator<Item = (u64, u64)>,
+        center: impl Fn(u64) -> (f64, f64),
     ) {
         if self.is_loss_free() {
             self.health.messages_sent += count;
@@ -299,7 +334,7 @@ impl NetLink {
         }
         let mut routed = 0;
         for (from, to) in pairs {
-            self.route(from, to);
+            self.route(from, to, &center);
             routed += 1;
         }
         debug_assert_eq!(routed, count, "bulk sense count disagrees with its pairs");
@@ -380,12 +415,12 @@ impl fmt::Display for ProtocolHealth {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
+    use proptest::prelude::*;
 
-    fn ep(cell: u64) -> Endpoint {
-        Endpoint {
-            cell,
-            pos: (cell as f64, 0.0),
-        }
+    /// Cells on a line, one meter apart: cell `i` sits at `(i, 0)`.
+    fn line(cell: u64) -> (f64, f64) {
+        (cell as f64, 0.0)
     }
 
     #[test]
@@ -393,8 +428,8 @@ mod tests {
         let mut ideal = NetModelSpec::Ideal.link(1);
         let mut fixed = NetModelSpec::FixedLatency { ticks: 4 }.link(1);
         for i in 0..100 {
-            assert_eq!(ideal.route(ep(i), ep(i + 1)), Fate::Deliver(0));
-            assert_eq!(fixed.route(ep(i), ep(i + 1)), Fate::Deliver(3));
+            assert_eq!(ideal.route(i, i + 1, line), Fate::Deliver(0));
+            assert_eq!(fixed.route(i, i + 1, line), Fate::Deliver(3));
         }
         assert_eq!(ideal.health.messages_dropped, 0);
         assert_eq!(fixed.health.messages_sent, 100);
@@ -412,7 +447,7 @@ mod tests {
             1
         );
         let mut link = NetModelSpec::FixedLatency { ticks: 0 }.link(9);
-        assert_eq!(link.route(ep(0), ep(1)), Fate::Deliver(0));
+        assert_eq!(link.route(0, 1, line), Fate::Deliver(0));
     }
 
     #[test]
@@ -426,18 +461,45 @@ mod tests {
         let mut a = spec.link(7);
         let mut b = spec.link(7);
         for i in 0..50 {
-            b.route(ep(90 + i), ep(91 + i)); // unrelated traffic
+            b.route(90 + i, 91 + i, line); // unrelated traffic
         }
-        let fates_a: Vec<Fate> = (0..64).map(|_| a.route(ep(3), ep(4))).collect();
-        let fates_b: Vec<Fate> = (0..64).map(|_| b.route(ep(3), ep(4))).collect();
+        let fates_a: Vec<Fate> = (0..64).map(|_| a.route(3, 4, line)).collect();
+        let fates_b: Vec<Fate> = (0..64).map(|_| b.route(3, 4, line)).collect();
         assert_eq!(fates_a, fates_b);
-        // A 30% model drops some but not all of 64 messages.
-        let drops = fates_a.iter().filter(|f| **f == Fate::Drop).count();
-        assert!(drops > 0 && drops < 64, "drops = {drops}");
+        // The weather itself is pinned: these are the messages a 30%
+        // model drops among the first 64 on this pair.
+        let drops: Vec<usize> = (0..64).filter(|&n| fates_a[n] == Fate::Drop).collect();
+        assert_eq!(
+            drops,
+            [
+                4, 5, 10, 12, 14, 15, 17, 19, 25, 26, 31, 33, 34, 35, 37, 39, 40, 46, 48, 50, 57,
+                58
+            ]
+        );
         // Different seeds shift the weather.
         let mut c = spec.link(8);
-        let fates_c: Vec<Fate> = (0..64).map(|_| c.route(ep(3), ep(4))).collect();
+        let fates_c: Vec<Fate> = (0..64).map(|_| c.route(3, 4, line)).collect();
         assert_ne!(fates_a, fates_c);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The fate kernel's draw is the first output of the pair's
+        /// stream generator, which stays here as the reference.
+        #[test]
+        fn fate_draw_is_the_pair_streams_first_output(
+            seed in 0u64..u64::MAX,
+            from in 0u64..u64::MAX,
+            to in 0u64..u64::MAX,
+            n in 0u64..u64::MAX,
+        ) {
+            let link = NetModelSpec::Bernoulli { loss_ppm: 1, latency: 1 }.link(seed);
+            prop_assert_eq!(
+                link.root.first_u64(&[from, to, n]),
+                SimRng::for_stream(seed, &[from, to, n]).next_u64()
+            );
+        }
     }
 
     #[test]
@@ -459,9 +521,9 @@ mod tests {
         }
         .link(3);
         for i in 0..32 {
-            assert_eq!(never.route(ep(0), ep(i)), Fate::Deliver(1));
-            assert_eq!(always.route(ep(0), ep(i)), Fate::Drop);
-            assert_eq!(over.route(ep(0), ep(i)), Fate::Drop);
+            assert_eq!(never.route(0, i, line), Fate::Deliver(1));
+            assert_eq!(always.route(0, i, line), Fate::Drop);
+            assert_eq!(over.route(0, i, line), Fate::Drop);
         }
     }
 
@@ -473,23 +535,33 @@ mod tests {
             radius_mm: 5_000,
         };
         let mut link = spec.link(1);
-        let inside = Endpoint {
-            cell: 0,
-            pos: (10.0, 12.0),
+        let (inside, rim, outside) = (0, 1, 2);
+        let center = |cell: u64| match cell {
+            0 => (10.0, 12.0),
+            1 => (10.0, 15.0), // exactly on the rim: outside (strict disk)
+            _ => (30.0, 30.0),
         };
-        let rim = Endpoint {
-            cell: 1,
-            pos: (10.0, 15.0), // exactly on the rim: outside (strict disk)
-        };
-        let outside = Endpoint {
-            cell: 2,
-            pos: (30.0, 30.0),
-        };
-        assert_eq!(link.route(inside, outside), Fate::Drop);
-        assert_eq!(link.route(outside, inside), Fate::Drop);
-        assert_eq!(link.route(outside, rim), Fate::Deliver(0));
-        assert_eq!(link.route(rim, outside), Fate::Deliver(0));
+        assert_eq!(link.route(inside, outside, center), Fate::Drop);
+        assert_eq!(link.route(outside, inside, center), Fate::Drop);
+        assert_eq!(link.route(outside, rim, center), Fate::Deliver(0));
+        assert_eq!(link.route(rim, outside, center), Fate::Deliver(0));
         assert_eq!(link.health.messages_dropped, 2);
+    }
+
+    #[test]
+    fn only_the_jammer_asks_for_positions() {
+        let no_geometry = |cell: u64| -> (f64, f64) { panic!("position of cell {cell} asked") };
+        for spec in every_model() {
+            if matches!(spec, NetModelSpec::Jammer { .. }) {
+                continue;
+            }
+            let mut link = spec.link(4);
+            for i in 0..16 {
+                link.route(i, i + 1, no_geometry);
+                link.sense(i + 1, i, no_geometry);
+            }
+            link.sense_bulk(2, [(0, 1), (1, 2)], no_geometry);
+        }
     }
 
     #[test]
@@ -544,13 +616,18 @@ mod tests {
     }
 
     /// One spec of every [`NetModelSpec`] variant, each able to drop
-    /// where it can (the jammer covers cells 0–2 of the `ep` line).
-    fn every_model() -> [NetModelSpec; 4] {
+    /// where it can (the jammer covers cells 0–2 of the `line`), plus
+    /// the zero-loss `Bernoulli`, which cannot.
+    fn every_model() -> [NetModelSpec; 5] {
         [
             NetModelSpec::Ideal,
             NetModelSpec::FixedLatency { ticks: 3 },
             NetModelSpec::Bernoulli {
                 loss_ppm: 300_000,
+                latency: 2,
+            },
+            NetModelSpec::Bernoulli {
+                loss_ppm: 0,
                 latency: 2,
             },
             NetModelSpec::Jammer {
@@ -566,27 +643,38 @@ mod tests {
         // A round's beacons, with a repeated pair so Bernoulli counters
         // advance twice on it within one bulk call.
         let pairs: Vec<(u64, u64)> = vec![(0, 1), (1, 2), (2, 3), (5, 6), (1, 2), (9, 4)];
-        let endpoints = || pairs.iter().map(|&(f, t)| (ep(f), ep(t)));
         for spec in every_model() {
             let mut single = spec.link(17);
             let mut bulk = spec.link(17);
             // Earlier traffic on a shared pair, as monitor probes leave.
-            single.sense(ep(1), ep(2));
-            bulk.sense(ep(1), ep(2));
+            single.sense(1, 2, line);
+            bulk.sense(1, 2, line);
             for _ in 0..3 {
-                for (from, to) in endpoints() {
-                    single.sense(from, to);
+                for &(from, to) in &pairs {
+                    single.sense(from, to, line);
                 }
-                bulk.sense_bulk(pairs.len() as u64, endpoints());
+                bulk.sense_bulk(pairs.len() as u64, pairs.iter().copied(), line);
                 assert_eq!(single.health, bulk.health, "{spec}");
             }
             // Every later fate on every pair agrees too.
-            for (from, to) in endpoints().chain([(ep(7), ep(8))]) {
+            for &(from, to) in pairs.iter().chain(&[(7, 8)]) {
                 for _ in 0..8 {
-                    assert_eq!(single.route(from, to), bulk.route(from, to), "{spec}");
+                    assert_eq!(
+                        single.route(from, to, line),
+                        bulk.route(from, to, line),
+                        "{spec}"
+                    );
                 }
             }
             assert_eq!(single.health, bulk.health, "{spec}");
+            // Only a lossy link routes the bulk pairs one by one, and
+            // only a lossy Bernoulli link counts them per pair.
+            let lossy_bernoulli = spec.loss_ppm() > 0;
+            assert_eq!(
+                !bulk.pair_counts.is_empty(),
+                lossy_bernoulli,
+                "{spec} pair counters"
+            );
         }
     }
 
@@ -596,32 +684,72 @@ mod tests {
     fn bulk_sense_checks_its_count() {
         NetModelSpec::Ideal
             .link(0)
-            .sense_bulk(3, [(ep(0), ep(1)), (ep(1), ep(2))]);
+            .sense_bulk(3, [(0, 1), (1, 2)], line);
     }
 
     #[test]
     fn only_bernoulli_fates_depend_on_pair_history() {
         for spec in every_model() {
-            if matches!(spec, NetModelSpec::Bernoulli { .. }) {
+            if spec.loss_ppm() > 0 {
                 continue;
             }
             let mut fresh = spec.link(5);
             let mut busy = spec.link(5);
             for _ in 0..100 {
-                busy.route(ep(0), ep(1));
-                busy.route(ep(3), ep(4));
+                busy.route(0, 1, line);
+                busy.route(3, 4, line);
             }
-            for (from, to) in [(ep(0), ep(1)), (ep(3), ep(4))] {
-                assert_eq!(fresh.route(from, to), busy.route(from, to), "{spec}");
+            for (from, to) in [(0, 1), (3, 4)] {
+                assert_eq!(
+                    fresh.route(from, to, line),
+                    busy.route(from, to, line),
+                    "{spec}"
+                );
             }
             assert!(busy.pair_counts.is_empty(), "{spec} keeps no pair counters");
         }
     }
 
     #[test]
+    fn zero_loss_bernoulli_is_loss_free() {
+        let mut zero = NetModelSpec::Bernoulli {
+            loss_ppm: 0,
+            latency: 2,
+        }
+        .link(1);
+        assert!(zero.is_loss_free());
+        let lossy = NetModelSpec::Bernoulli {
+            loss_ppm: 1,
+            latency: 2,
+        };
+        assert!(!lossy.link(1).is_loss_free());
+        // It routes exactly as the fixed latency it reduces to.
+        let mut fixed = NetModelSpec::FixedLatency { ticks: 2 }.link(1);
+        for i in 0..32 {
+            assert_eq!(zero.route(0, i, line), fixed.route(0, i, line));
+        }
+        zero.sense_bulk(2, [(0, 1), (1, 2)], line);
+        fixed.sense_bulk(2, [(0, 1), (1, 2)], line);
+        assert_eq!(zero.health, fixed.health);
+    }
+
+    #[test]
+    fn pair_hasher_spreads_beacon_pairs_over_table_slots() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<PairHasher>::default();
+        // The low bits pick a hash-table slot. A round's beacon pairs
+        // `(c - 1, c)` on a 64×64 grid must not crowd into a few slots
+        // of a 4096-slot table (a uniform hash fills about 63%).
+        let slots: std::collections::HashSet<u64> = (1..=4096u64)
+            .map(|c| build.hash_one((c - 1, c)) & 4095)
+            .collect();
+        assert!(slots.len() > 2048, "{} of 4096 slots", slots.len());
+    }
+
+    #[test]
     fn sense_and_local_feed_the_ledger() {
         let mut link = NetModelSpec::Ideal.link(0);
-        assert!(link.sense(ep(1), ep(2)));
+        assert!(link.sense(1, 2, line));
         link.local();
         assert_eq!(link.health.messages_sent, 2);
         assert_eq!(link.health.messages_dropped, 0);

@@ -31,13 +31,21 @@ pub struct SimRng {
     state: [u64; 4],
 }
 
+/// The splitmix64 increment (the 64-bit golden ratio).
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The splitmix64 output finalizer.
 #[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+#[inline]
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(GOLDEN);
+    mix64(*state)
 }
 
 impl SimRng {
@@ -233,14 +241,45 @@ impl SimRng {
 /// finalizer, so nearby coordinates yield decorrelated seeds and the
 /// mapping is order-sensitive (`[1, 2]` and `[2, 1]` differ).
 pub fn derive_stream_seed(master: u64, path: &[u64]) -> u64 {
-    // Domain-separate from plain `seed_from_u64(master)` streams.
-    let mut state = master ^ 0xA076_1D64_78BD_642F;
-    let mut out = splitmix64(&mut state);
-    for &component in path {
-        state = out ^ component.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        out = splitmix64(&mut state);
+    StreamRoot::new(master).seed(path)
+}
+
+/// A master seed with the first step of [`derive_stream_seed`] already
+/// taken. That step reads only the master, so a holder that addresses
+/// many substreams of one master (a network link draws one per routed
+/// message) takes it once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct StreamRoot(u64);
+
+impl StreamRoot {
+    /// The root of `master`'s substreams.
+    pub(crate) fn new(master: u64) -> StreamRoot {
+        // Domain-separate from plain `seed_from_u64(master)` streams.
+        let mut state = master ^ 0xA076_1D64_78BD_642F;
+        StreamRoot(splitmix64(&mut state))
     }
-    out
+
+    /// `derive_stream_seed(master, path)`.
+    #[inline]
+    pub(crate) fn seed(self, path: &[u64]) -> u64 {
+        path.iter().fold(self.0, |out, &component| {
+            let mut state = out ^ component.wrapping_mul(GOLDEN);
+            splitmix64(&mut state)
+        })
+    }
+
+    /// `SimRng::for_stream(master, path).next_u64()`, without building
+    /// the generator. The first xoshiro256++ output reads only the state
+    /// words `s0` and `s3`, which seeding sets to the first and fourth
+    /// splitmix64 outputs of the stream seed; the other two are never
+    /// computed.
+    #[inline]
+    pub(crate) fn first_u64(self, path: &[u64]) -> u64 {
+        let seed = self.seed(path);
+        let s0 = mix64(seed.wrapping_add(GOLDEN));
+        let s3 = mix64(seed.wrapping_add(GOLDEN.wrapping_mul(4)));
+        s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0)
+    }
 }
 
 #[cfg(test)]
