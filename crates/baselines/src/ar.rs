@@ -23,14 +23,15 @@
 //!   measures spare-finding, not usefulness.
 
 use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 
 use serde::{Deserialize, Serialize};
 
 use wsn_geometry::sample;
 use wsn_grid::{Direction, GridCoord, GridNetwork};
 use wsn_simcore::{
-    derive_stream_seed, EnergyModel, Fate, Metrics, NetLink, NetModelSpec, NodeId, RoundOutcome,
-    RoundProtocol, SimRng, TraceEvent, TraceLog,
+    derive_stream_seed, EnergyModel, Fate, Metrics, NetLink, NetModelSpec, NodeId, PairHasher,
+    RoundOutcome, RoundProtocol, SimRng, TraceEvent, TraceLog,
 };
 
 use wsn_coverage::actor::{cell_center, cell_endpoint, NET_STREAM_TAG};
@@ -73,12 +74,18 @@ impl ArConfig {
     }
 }
 
+/// A set of cells (or cell pairs) hashed with the seedless
+/// [`PairHasher`]. AR only inserts, probes and `retain`s these sets;
+/// nothing iterates them, so their order reaches no report.
+type CellSet<T> = HashSet<T, BuildHasherDefault<PairHasher>>;
+
 #[derive(Debug, Clone)]
 struct ArProcess {
     id: u64,
     current_target: GridCoord,
     asked: GridCoord,
-    visited: HashSet<GridCoord>,
+    /// Cells this cascade has relayed through (and its hole).
+    visited: CellSet<GridCoord>,
     hops: usize,
     /// First round in which the asked head may act — the in-flight ask's
     /// arrival time under the event engine's network model. Always 0 in
@@ -98,19 +105,23 @@ pub struct ArProtocol<'n> {
     metrics: Metrics,
     energy: EnergyModel,
     active: Vec<ArProcess>,
+    /// The round loop's second process buffer: each round drains
+    /// `active` and refills this one with the survivors, then the two
+    /// swap, so no round allocates a fresh list.
+    survivors: Vec<ArProcess>,
     /// Active cascades per `current_target` cell: detection's "owned by
     /// a cascade" check without scanning `active`.
     owners: OwnerCounts,
     next_id: u64,
     /// (initiator, hole) pairs that already fired during the current
     /// vacancy episode of the hole; cleared when the hole fills.
-    initiated: HashSet<(GridCoord, GridCoord)>,
+    initiated: CellSet<(GridCoord, GridCoord)>,
     /// Cells where a cascade died. Re-detecting them would retry the
     /// same doomed walk (AR has no mechanism that could do better on a
     /// second attempt), so they stay blacklisted — this is also what
     /// bounds AR in the under-provisioned regime the paper excludes
     /// ("requires at least 4×m×n deployed nodes").
-    failed_holes: HashSet<GridCoord>,
+    failed_holes: CellSet<GridCoord>,
     ttl: usize,
     /// Current holes (dense row-major indices), maintained from the
     /// network's occupancy change journal — detection walks this in
@@ -150,10 +161,11 @@ impl<'n> ArProtocol<'n> {
             metrics: Metrics::new(),
             energy: EnergyModel::default(),
             active: Vec::new(),
+            survivors: Vec::new(),
             owners,
             next_id: 0,
-            initiated: HashSet::new(),
-            failed_holes: HashSet::new(),
+            initiated: CellSet::default(),
+            failed_holes: CellSet::default(),
             ttl,
             pending_holes,
             detect_buf: Vec::new(),
@@ -323,30 +335,34 @@ impl<'n> ArProtocol<'n> {
     /// the straight-line continuation away from the target, then any
     /// occupied unvisited neighbor. A cascade with no occupied unvisited
     /// neighbor is dead-ended.
+    ///
+    /// Candidates are visited in one pass, straight continuation first
+    /// and then [`Direction::ALL`] order, so the first candidate with a
+    /// spare wins and the first occupied one is the fallback. Nothing is
+    /// collected, so a step allocates nothing.
     fn next_cell(&self, p: &ArProcess) -> Option<GridCoord> {
         let sys = self.net.system();
         let straight = p
             .current_target
             .direction_to(p.asked)
             .and_then(|d| sys.neighbor(p.asked, d));
-        let mut candidates: Vec<GridCoord> = Vec::with_capacity(4);
-        if let Some(s) = straight {
-            candidates.push(s);
-        }
-        for d in Direction::ALL {
-            if let Some(c) = sys.neighbor(p.asked, d) {
-                if !candidates.contains(&c) {
-                    candidates.push(c);
-                }
+        let around = Direction::ALL
+            .iter()
+            .filter_map(|&d| sys.neighbor(p.asked, d))
+            .filter(|&c| Some(c) != straight);
+        let mut occupied = None;
+        for c in straight.into_iter().chain(around) {
+            if !self.is_usable(c) || p.visited.contains(&c) || c == p.current_target {
+                continue;
+            }
+            if self.net.spare_count(c).is_ok_and(|n| n > 0) {
+                return Some(c);
+            }
+            if occupied.is_none() && self.is_occupied(c) {
+                occupied = Some(c);
             }
         }
-        candidates
-            .retain(|c| self.is_usable(*c) && !p.visited.contains(c) && *c != p.current_target);
-        candidates
-            .iter()
-            .copied()
-            .find(|&c| self.net.spare_count(c).map(|n| n > 0).unwrap_or(false))
-            .or_else(|| candidates.iter().copied().find(|&c| self.is_occupied(c)))
+        occupied
     }
 
     fn fail(&mut self, p: ArProcess, reason: &str, round: u64) {
@@ -385,9 +401,9 @@ impl RoundProtocol for ArProtocol<'_> {
         // Processes execute in id order within the round; conflicts are
         // emergent — a cascade whose cell was drained by an earlier
         // cascade this round finds it vacant and fails.
-        let mut still_active = Vec::with_capacity(self.active.len());
-        let processes = std::mem::take(&mut self.active);
-        for mut p in processes {
+        let mut processes = std::mem::take(&mut self.active);
+        let mut still_active = std::mem::take(&mut self.survivors);
+        for mut p in processes.drain(..) {
             if round < p.ready_at {
                 // The ask is still in flight; the asked head does not
                 // yet know it has been drafted.
@@ -468,6 +484,7 @@ impl RoundProtocol for ArProtocol<'_> {
             }
         }
         self.active = still_active;
+        self.survivors = processes;
 
         // Detection: every occupied neighbor of a vacant cell initiates,
         // once per vacancy episode. Episodes reset when the hole fills.
@@ -493,7 +510,10 @@ impl RoundProtocol for ArProtocol<'_> {
                 continue; // a cascade already died here; see field docs
             }
             let mut spawned_for_hole = 0u64;
-            for w in self.net.system().neighbors(g) {
+            for &d in &Direction::ALL {
+                let Some(w) = self.net.system().neighbor(g, d) else {
+                    continue;
+                };
                 if !self.is_usable(w) || !self.is_occupied(w) || self.initiated.contains(&(w, g)) {
                     continue;
                 }
@@ -523,7 +543,7 @@ impl RoundProtocol for ArProtocol<'_> {
                         initiator: w.into(),
                     },
                 );
-                let mut visited = HashSet::new();
+                let mut visited = CellSet::default();
                 visited.insert(g);
                 self.enlist(ArProcess {
                     id,

@@ -1649,68 +1649,31 @@ fn run_matrix_trial(
     }
 }
 
-/// Work-stealing deque over the dense trial index space: each worker
-/// owns a contiguous range; an empty worker steals the back half of the
-/// largest remaining range. Index *assignment* is scheduling-dependent,
-/// which is fine — aggregation reorders per cell (see [`Folder`]).
+/// The dense trial index space behind one shared cursor: every worker
+/// takes the next unclaimed index, so trials start in index order and a
+/// worker that frees up always takes the oldest trial left. Contiguous
+/// per-worker ranges would line a matrix's long cells up behind one
+/// worker. Which worker runs a trial is scheduling-dependent, which is
+/// fine — aggregation reorders per cell (see [`Folder`]).
 struct WorkQueue {
-    ranges: Vec<Mutex<(u64, u64)>>,
+    next: std::sync::atomic::AtomicU64,
+    total: u64,
 }
 
 impl WorkQueue {
-    fn new(total: u64, workers: usize) -> WorkQueue {
-        let workers = workers.max(1) as u64;
-        let chunk = total.div_ceil(workers);
-        let ranges = (0..workers)
-            .map(|w| {
-                let start = (w * chunk).min(total);
-                let end = ((w + 1) * chunk).min(total);
-                Mutex::new((start, end))
-            })
-            .collect();
-        WorkQueue { ranges }
+    fn new(total: u64) -> WorkQueue {
+        WorkQueue {
+            next: std::sync::atomic::AtomicU64::new(0),
+            total,
+        }
     }
 
-    fn pop(&self, me: usize) -> Option<u64> {
-        {
-            let mut own = self.ranges[me].lock().expect("queue lock");
-            if own.0 < own.1 {
-                let i = own.0;
-                own.0 += 1;
-                return Some(i);
-            }
-        }
-        // Steal: take the back half of the largest remaining range.
-        loop {
-            let mut best: Option<(usize, u64)> = None;
-            for (j, m) in self.ranges.iter().enumerate() {
-                if j == me {
-                    continue;
-                }
-                let r = m.lock().expect("queue lock");
-                let len = r.1 - r.0;
-                if len > 0 && best.is_none_or(|(_, l)| len > l) {
-                    best = Some((j, len));
-                }
-            }
-            let (victim, _) = best?;
-            let (start, end) = {
-                let mut v = self.ranges[victim].lock().expect("queue lock");
-                let len = v.1 - v.0;
-                if len == 0 {
-                    continue; // raced with another thief; rescan
-                }
-                let mid = v.1 - len.div_ceil(2);
-                let stolen = (mid, v.1);
-                v.1 = mid;
-                stolen
-            };
-            let mut own = self.ranges[me].lock().expect("queue lock");
-            *own = (start, end);
-            let i = own.0;
-            own.0 += 1;
-            return Some(i);
-        }
+    /// The next unclaimed trial index, or `None` once all are claimed.
+    fn pop(&self) -> Option<u64> {
+        // Relaxed: the cursor publishes no data; the read-modify-write
+        // alone hands each index out once.
+        let i = self.next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        (i < self.total).then_some(i)
     }
 }
 
@@ -2097,10 +2060,10 @@ pub fn run_campaign_resumable_with(
         })
         .clamp(1, 256)
         .min(total.max(1) as usize);
-    let queue = WorkQueue::new(total, workers);
+    let queue = WorkQueue::new(total);
     let folder = Mutex::new(folder);
     std::thread::scope(|scope| {
-        for w in 0..workers {
+        for _ in 0..workers {
             let queue = &queue;
             let folder = &folder;
             let done0 = &done0;
@@ -2109,7 +2072,7 @@ pub fn run_campaign_resumable_with(
                 // across every trial the worker runs on the same
                 // (region, grid) key.
                 let mut arena = TrialArena::new();
-                while let Some(idx) = queue.pop(w) {
+                while let Some(idx) = queue.pop() {
                     let cell = (idx / cfg.seeds_per_cell) as usize;
                     let trial = idx % cfg.seeds_per_cell;
                     if trial < done0[cell] {
@@ -2727,14 +2690,36 @@ mod tests {
 
     #[test]
     fn work_queue_hands_out_every_index_once() {
-        let q = WorkQueue::new(100, 3);
-        let mut seen = [false; 100];
-        // Drain from a single "worker" (forces stealing from the others).
-        while let Some(i) = q.pop(1) {
-            assert!(!seen[i as usize], "index {i} handed out twice");
-            seen[i as usize] = true;
+        let q = WorkQueue::new(10_000);
+        // Four concurrent poppers race over one cursor.
+        let taken: Vec<Vec<u64>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut mine = Vec::new();
+                        while let Some(i) = q.pop() {
+                            mine.push(i);
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("popper joins"))
+                .collect()
+        });
+        let mut seen = vec![false; 10_000];
+        for mine in &taken {
+            // Each popper sees its indices in increasing order.
+            assert!(mine.windows(2).all(|w| w[0] < w[1]));
+            for &i in mine {
+                assert!(!seen[i as usize], "index {i} handed out twice");
+                seen[i as usize] = true;
+            }
         }
         assert!(seen.iter().all(|&s| s));
-        assert!(q.pop(0).is_none());
+        assert!(q.pop().is_none());
+        assert!(WorkQueue::new(0).pop().is_none());
     }
 }

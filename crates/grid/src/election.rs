@@ -33,15 +33,21 @@ pub enum HeadElection {
 
 impl HeadElection {
     /// Elects a head among `candidates` (ids of enabled nodes in one
-    /// cell). `nodes` is the backing node table, `center` the cell
-    /// center, `rng` the deterministic stream for [`HeadElection::Random`].
+    /// cell). `nodes` is the backing node table, `center` yields the
+    /// cell center, `rng` the deterministic stream for
+    /// [`HeadElection::Random`].
+    ///
+    /// Only [`HeadElection::ClosestToCenter`] reads the center, so
+    /// `center` is called for that policy alone, once, and only when
+    /// there are candidates; the other policies build no geometry.
     ///
     /// Returns `None` when `candidates` is empty.
+    #[inline]
     pub fn elect(
         self,
         candidates: &[NodeId],
         nodes: &[SensorNode],
-        center: Point2,
+        center: impl FnOnce() -> Point2,
         rng: &mut SimRng,
     ) -> Option<NodeId> {
         if candidates.is_empty() {
@@ -57,13 +63,16 @@ impl HeadElection {
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then(b.cmp(&a))
             }),
-            HeadElection::ClosestToCenter => candidates.iter().copied().min_by(|&a, &b| {
-                let da = nodes[a.index()].position().distance_squared(center);
-                let db = nodes[b.index()].position().distance_squared(center);
-                da.partial_cmp(&db)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            }),
+            HeadElection::ClosestToCenter => {
+                let center = center();
+                candidates.iter().copied().min_by(|&a, &b| {
+                    let da = nodes[a.index()].position().distance_squared(center);
+                    let db = nodes[b.index()].position().distance_squared(center);
+                    da.partial_cmp(&db)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(a.cmp(&b))
+                })
+            }
             HeadElection::Random => rng.pick(candidates).copied(),
         }
     }
@@ -104,7 +113,10 @@ mod tests {
             HeadElection::ClosestToCenter,
             HeadElection::Random,
         ] {
-            assert_eq!(p.elect(&[], &nodes, Point2::ORIGIN, &mut rng), None);
+            assert_eq!(
+                p.elect(&[], &nodes, || unreachable!("no candidates"), &mut rng),
+                None
+            );
         }
     }
 
@@ -114,7 +126,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(0);
         let c = [NodeId::new(2), NodeId::new(0), NodeId::new(1)];
         assert_eq!(
-            HeadElection::FirstId.elect(&c, &nodes, Point2::ORIGIN, &mut rng),
+            HeadElection::FirstId.elect(&c, &nodes, || unreachable!("unread"), &mut rng),
             Some(NodeId::new(0))
         );
     }
@@ -125,7 +137,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(0);
         let c = [NodeId::new(0), NodeId::new(1), NodeId::new(2)];
         assert_eq!(
-            HeadElection::MaxEnergy.elect(&c, &nodes, Point2::ORIGIN, &mut rng),
+            HeadElection::MaxEnergy.elect(&c, &nodes, || unreachable!("unread"), &mut rng),
             Some(NodeId::new(1))
         );
     }
@@ -137,7 +149,7 @@ mod tests {
         let c = [NodeId::new(0), NodeId::new(1), NodeId::new(2)];
         let center = Point2::new(1.0, 1.0);
         assert_eq!(
-            HeadElection::ClosestToCenter.elect(&c, &nodes, center, &mut rng),
+            HeadElection::ClosestToCenter.elect(&c, &nodes, || center, &mut rng),
             Some(NodeId::new(1))
         );
     }
@@ -149,8 +161,8 @@ mod tests {
         let mut rng1 = SimRng::seed_from_u64(7);
         let mut rng2 = SimRng::seed_from_u64(7);
         for _ in 0..20 {
-            let a = HeadElection::Random.elect(&c, &nodes, Point2::ORIGIN, &mut rng1);
-            let b = HeadElection::Random.elect(&c, &nodes, Point2::ORIGIN, &mut rng2);
+            let a = HeadElection::Random.elect(&c, &nodes, || unreachable!("unread"), &mut rng1);
+            let b = HeadElection::Random.elect(&c, &nodes, || unreachable!("unread"), &mut rng2);
             assert_eq!(a, b);
             assert!(c.contains(&a.unwrap()));
         }

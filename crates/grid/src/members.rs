@@ -9,9 +9,9 @@
 //! * **reads** are one slab load plus a contiguous slice — cache-dense
 //!   row-major sweeps instead of a pointer chase per cell;
 //! * **rebuilds** ([`MemberTable::rebuild_with`]) are two counting
-//!   passes over the node list into the reused pool — zero per-cell
-//!   allocations, which is what makes the per-trial arena
-//!   (`GridNetwork::reset_into`) cheap;
+//!   passes over the nodes' precomputed cell indices into the reused
+//!   pool — zero per-cell allocations and no geometry, which is what
+//!   makes the per-trial arena (`GridNetwork::reset_into`) cheap;
 //! * **moves** append in place while the slab has headroom; an
 //!   overflowing cell relocates to a larger span taken from an intrusive
 //!   free list of retired slabs (first-fit with split), so long repair
@@ -151,25 +151,23 @@ impl MemberTable {
         true
     }
 
-    /// Rebuilds the table in place for `node_count` nodes over `cells`
-    /// cells: `cell_of(i)` names node `i`'s cell. Two counting passes
-    /// lay out exact-fit contiguous slabs in the reused pool — no
-    /// per-cell allocation, empty free list. Node order within a cell is
+    /// Rebuilds the table in place over `cells` cells from
+    /// `node_cells`, the dense cell index of each node in id order (node
+    /// `i` lives in cell `node_cells[i]`). The caller located every node
+    /// once while validating the deployment; this reads those indices
+    /// and never recomputes a cell. Two counting passes lay out
+    /// exact-fit contiguous slabs in the reused pool — no per-cell
+    /// allocation, empty free list. Node order within a cell is
     /// ascending id, identical to pushing nodes in id order.
-    pub(crate) fn rebuild_with(
-        &mut self,
-        cells: usize,
-        node_count: usize,
-        mut cell_of: impl FnMut(usize) -> usize,
-    ) {
+    pub(crate) fn rebuild_with(&mut self, cells: usize, node_cells: &[u32]) {
         self.slabs.clear();
         self.slabs.resize(cells, Slab::default());
         self.free.clear();
         self.multi.clear();
         self.multi.resize(cells.div_ceil(WORD_BITS), 0u64);
         // Pass 1: count members per cell (cap doubles as the counter).
-        for i in 0..node_count {
-            self.slabs[cell_of(i)].cap += 1;
+        for &cell in node_cells {
+            self.slabs[cell as usize].cap += 1;
         }
         // Exact-fit prefix layout.
         let mut offset = 0u32;
@@ -181,10 +179,10 @@ impl MemberTable {
             }
         }
         self.pool.clear();
-        self.pool.resize(node_count, POOL_SENTINEL);
+        self.pool.resize(node_cells.len(), POOL_SENTINEL);
         // Pass 2: fill in node-id order.
-        for i in 0..node_count {
-            let slab = &mut self.slabs[cell_of(i)];
+        for (i, &cell) in node_cells.iter().enumerate() {
+            let slab = &mut self.slabs[cell as usize];
             self.pool[(slab.start + slab.len) as usize] = NodeId::new(i as u32);
             slab.len += 1;
         }
@@ -314,7 +312,7 @@ mod tests {
             t.push(2, NodeId::new(i)); // dirty state to overwrite
         }
         // Nodes 0..6 alternate between cells 0 and 2.
-        t.rebuild_with(3, 6, |i| if i % 2 == 0 { 0 } else { 2 });
+        t.rebuild_with(3, &[0, 2, 0, 2, 0, 2]);
         assert_eq!(t.cell(0), ids(&[0, 2, 4]).as_slice());
         assert_eq!(t.cell(1), &[] as &[NodeId]);
         assert_eq!(t.cell(2), ids(&[1, 3, 5]).as_slice());
@@ -330,7 +328,7 @@ mod tests {
         for i in 0..6 {
             a.push(0, NodeId::new(i)); // relocated layout with headroom
         }
-        b.rebuild_with(2, 6, |_| 0); // exact-fit layout
+        b.rebuild_with(2, &[0; 6]); // exact-fit layout
         assert_eq!(a, b);
         b.push(1, NodeId::new(9));
         assert_ne!(a, b);

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-use wsn_geometry::Point2;
+use wsn_geometry::{Point2, Rect};
 use wsn_simcore::{FaultEvent, NodeId, SensorNode, SimRng};
 
 use crate::members::MemberTable;
@@ -35,6 +35,14 @@ pub struct NetworkStats {
     pub vacant: usize,
     /// Spare nodes (`enabled − occupied`): the paper's `N`.
     pub spares: usize,
+}
+
+/// The center of dense cell `idx`: what [`HeadElection::ClosestToCenter`]
+/// measures candidates against.
+fn cell_center(system: &GridSystem, idx: usize) -> Point2 {
+    system
+        .cell_center(system.coord_of(idx))
+        .expect("coord_of yields in-bounds coords")
 }
 
 /// The deployed network over a [`GridSystem`]: node table, per-cell
@@ -102,6 +110,40 @@ pub struct GridNetwork {
     /// counted in occupancy statistics. [`RegionMask::is_full`] for the
     /// paper's rectangular setting.
     mask: RegionMask,
+    /// Where [`GridNetwork::reset_into`] builds the next deployment
+    /// before committing it.
+    staging: Staging,
+}
+
+/// The buffers [`GridNetwork::reset_into`] stages a deployment in: the
+/// clamped nodes and the dense cell index of each, written by the one
+/// pass that also validates them against the mask. A commit swaps the
+/// node buffer with the network's own, so both allocations are reused
+/// trial after trial. They hold no network state between resets, so
+/// they take no part in equality or debug output, and a clone starts
+/// them empty.
+#[derive(Default)]
+struct Staging {
+    nodes: Vec<SensorNode>,
+    cells: Vec<u32>,
+}
+
+impl Clone for Staging {
+    fn clone(&self) -> Staging {
+        Staging::default()
+    }
+}
+
+impl PartialEq for Staging {
+    fn eq(&self, _: &Staging) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for Staging {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Staging")
+    }
 }
 
 impl GridNetwork {
@@ -145,16 +187,17 @@ impl GridNetwork {
             occupancy: VacancySet::new(cells),
             enabled: 0,
             mask,
+            staging: Staging::default(),
         };
         net.reset_into(positions)?;
         Ok(net)
     }
 
-    /// Clamps `raw` into the surveillance area and names its cell. The
-    /// area rect is half-open per cell mapping; points on the top/right
-    /// boundary are nudged inwards so they land in the last cell.
-    fn clamp_position(system: &GridSystem, raw: Point2) -> (Point2, GridCoord) {
-        let area = system.area();
+    /// Clamps `raw` into `area` (the system's surveillance area) and
+    /// names its cell. The area rect is half-open per cell mapping;
+    /// points on the top/right boundary are nudged inwards by one `f32`
+    /// ulp so they land in the last cell.
+    fn clamp_position(system: &GridSystem, area: &Rect, raw: Point2) -> (Point2, GridCoord) {
         let mut p = area.clamp_point(raw);
         if p.x >= area.max().x {
             p.x = f64::from(f32::from_bits((p.x as f32).to_bits() - 1));
@@ -174,48 +217,55 @@ impl GridNetwork {
     /// `GridNetwork::with_mask(system, mask, positions)` with the same
     /// system and mask — fresh nodes, no heads, clean change journal —
     /// but a campaign trial pays zero per-cell allocations to get there
-    /// (the property tests pin the equality).
+    /// (the property tests pin the equality, and an independent oracle
+    /// pins placement).
+    ///
+    /// One pass over `positions` clamps and locates each node exactly
+    /// once and checks its cell against the mask, staging the node and
+    /// its cell index off to the side; the member table is then rebuilt
+    /// from those indices (`MemberTable::rebuild_with`) without
+    /// locating anything again. The area rectangle is built once per
+    /// call, not once per node.
     ///
     /// # Errors
     ///
     /// [`GridError::CellDisabled`] when any (clamped) position lands in
     /// a disabled cell; the network is left unchanged in that case.
     pub fn reset_into(&mut self, positions: &[Point2]) -> Result<()> {
-        // Validate first so a rejected deployment leaves the current
-        // trial's state intact.
-        for &raw in positions {
-            let (_, cell) = GridNetwork::clamp_position(&self.system, raw);
-            if !self.mask.is_enabled(cell) {
+        // Validate while staging, so a rejected deployment returns before
+        // the current trial's state is touched.
+        let area = self.system.area();
+        let staging = &mut self.staging;
+        staging.nodes.clear();
+        staging.cells.clear();
+        for (i, &raw) in positions.iter().enumerate() {
+            let (p, cell) = GridNetwork::clamp_position(&self.system, &area, raw);
+            let idx = self
+                .system
+                .index_of(cell)
+                .expect("cell_of returns in-bounds coords");
+            if !self.mask.index_enabled(idx) {
                 return Err(GridError::CellDisabled { coord: cell });
             }
+            staging
+                .nodes
+                .push(SensorNode::new(NodeId::new(i as u32), p));
+            staging.cells.push(idx as u32);
         }
+        std::mem::swap(&mut self.nodes, &mut staging.nodes);
         let cells = self.system.cell_count();
-        self.nodes.clear();
-        for (i, &raw) in positions.iter().enumerate() {
-            let (p, _) = GridNetwork::clamp_position(&self.system, raw);
-            self.nodes.push(SensorNode::new(NodeId::new(i as u32), p));
-        }
-        let system = &self.system;
-        let nodes = &self.nodes;
-        self.members.rebuild_with(cells, nodes.len(), |i| {
-            let cell = system
-                .cell_of(nodes[i].position())
-                .expect("clamped position must be inside the area");
-            system
-                .index_of(cell)
-                .expect("cell_of returns in-bounds coords")
-        });
+        let count = self.nodes.len();
+        self.members.rebuild_with(cells, &staging.cells);
         self.heads.clear();
         self.heads.resize(cells, None);
         self.enabled_bits.clear();
-        self.enabled_bits
-            .resize(nodes.len().div_ceil(WORD_BITS), !0u64);
-        if !nodes.len().is_multiple_of(WORD_BITS) {
+        self.enabled_bits.resize(count.div_ceil(WORD_BITS), !0u64);
+        if !count.is_multiple_of(WORD_BITS) {
             if let Some(last) = self.enabled_bits.last_mut() {
-                *last = (1u64 << (nodes.len() % WORD_BITS)) - 1;
+                *last = (1u64 << (count % WORD_BITS)) - 1;
             }
         }
-        self.enabled = nodes.len();
+        self.enabled = count;
         self.occupancy.reset(cells);
         self.headless.reset(cells);
         for idx in 0..cells {
@@ -488,14 +538,15 @@ impl GridNetwork {
         }
     }
 
-    /// Elects a head in every occupied cell using `policy`.
+    /// Elects a head in every occupied cell using `policy`, in
+    /// row-major order (so [`HeadElection::Random`] draws in cell
+    /// order). A cell's center is computed only when the policy reads it
+    /// — [`HeadElection::ClosestToCenter`] — so the other policies cost
+    /// one member-slice read per cell.
     pub fn elect_all_heads(&mut self, policy: HeadElection, rng: &mut SimRng) {
+        let system = &self.system;
         for idx in 0..self.members.cells() {
-            let coord = self.system.coord_of(idx);
-            let center = self
-                .system
-                .cell_center(coord)
-                .expect("coord_of yields in-bounds coords");
+            let center = || cell_center(system, idx);
             self.heads[idx] = policy.elect(self.members.cell(idx), &self.nodes, center, rng);
         }
         // Every cell with members now has a head.
@@ -509,14 +560,14 @@ impl GridNetwork {
     /// Walks the headless index in row-major order, so it visits the
     /// same cells in the same order, and draws the same
     /// [`HeadElection::Random`] numbers, as a scan of every cell would,
-    /// at O(repaired) cost (plus one word per summary level).
+    /// at O(repaired) cost (plus one word per summary level). Like
+    /// [`GridNetwork::elect_all_heads`], it builds a cell center only
+    /// for [`HeadElection::ClosestToCenter`].
     pub fn repair_heads(&mut self, policy: HeadElection, rng: &mut SimRng) -> usize {
         let repaired = self.headless.len();
+        let system = &self.system;
         self.headless.drain(|idx| {
-            let center = self
-                .system
-                .cell_center(self.system.coord_of(idx))
-                .expect("coord_of yields in-bounds coords");
+            let center = || cell_center(system, idx);
             self.heads[idx] = policy.elect(self.members.cell(idx), &self.nodes, center, rng);
         });
         repaired
@@ -582,7 +633,7 @@ impl GridNetwork {
         raw: Point2,
         battery: wsn_simcore::Battery,
     ) -> Result<NodeId> {
-        let (p, cell) = GridNetwork::clamp_position(&self.system, raw);
+        let (p, cell) = GridNetwork::clamp_position(&self.system, &self.system.area(), raw);
         if !self.mask.is_enabled(cell) {
             return Err(GridError::CellDisabled { coord: cell });
         }

@@ -4,7 +4,8 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use wsn_geometry::Point2;
 use wsn_grid::{
-    deploy, GridCoord, GridNetwork, GridSystem, HeadElection, HoleSet, RegionMask, RegionShape,
+    deploy, GridCoord, GridError, GridNetwork, GridSystem, HeadElection, HoleSet, RegionMask,
+    RegionShape,
 };
 use wsn_simcore::{FaultEvent, NodeId, SimRng};
 
@@ -30,6 +31,64 @@ fn random_mask(cols: u16, rows: u16, seed: u64) -> RegionMask {
         mask = mask.union_rect(x, y, x, y);
     }
     mask
+}
+
+/// The arena reset's placement rule, restated without `GridNetwork` or
+/// `GridSystem::cell_of`: clamp into the closed area `[0, cols·r] ×
+/// [0, rows·r]`, pull a coordinate that sits on the top or right edge one
+/// `f32` ulp inside (cells are half-open, so the edge belongs to no
+/// cell), and bucket by `floor(coordinate / r)`.
+fn oracle_place(cols: u16, rows: u16, side: f64, raw: Point2) -> (Point2, GridCoord) {
+    let pull_in = |v: f64, edge: f64| {
+        let v = v.clamp(0.0, edge);
+        if v < edge {
+            v
+        } else {
+            f64::from(f32::from_bits((edge as f32).to_bits() - 1))
+        }
+    };
+    let p = Point2::new(
+        pull_in(raw.x, f64::from(cols) * side),
+        pull_in(raw.y, f64::from(rows) * side),
+    );
+    let cell = GridCoord::new((p.x / side).floor() as u16, (p.y / side).floor() as u16);
+    (p, cell)
+}
+
+/// A raw generator position of one of the shapes a reset must handle:
+/// inside the area, outside it, exactly on its top or right edge or
+/// corner, or (when `into_disabled`) inside a masked-out cell.
+fn raw_position(
+    sys: &GridSystem,
+    mask: &RegionMask,
+    into_disabled: bool,
+    rng: &mut SimRng,
+) -> Point2 {
+    let area = sys.area();
+    let (w, h) = (area.width(), area.height());
+    match rng.range_u32(10) {
+        0 => Point2::new(rng.uniform_in(-w, 2.0 * w), -1e-3 - rng.uniform_in(0.0, h)),
+        1 => Point2::new(
+            w + 1e-3 + rng.uniform_in(0.0, w),
+            rng.uniform_in(-h, 2.0 * h),
+        ),
+        2 => Point2::new(
+            -1e-3 - rng.uniform_in(0.0, w),
+            h + 1e-3 + rng.uniform_in(0.0, h),
+        ),
+        3 => Point2::new(w, rng.uniform_in(0.0, h)),
+        4 => Point2::new(rng.uniform_in(0.0, w), h),
+        5 => Point2::new(w, h),
+        6 if into_disabled && mask.disabled_count() > 0 => {
+            let disabled: Vec<GridCoord> =
+                sys.iter_coords().filter(|&c| !mask.is_enabled(c)).collect();
+            let rect = sys
+                .cell_rect(disabled[rng.range_usize(disabled.len())])
+                .unwrap();
+            wsn_geometry::sample::point_in_rect(&rect, rng.uniform_f64(), rng.uniform_f64())
+        }
+        _ => Point2::new(rng.uniform_in(0.0, w), rng.uniform_in(0.0, h)),
+    }
 }
 
 proptest! {
@@ -231,7 +290,7 @@ proptest! {
                         let members = net.members(c).unwrap();
                         if net.head_of(c).unwrap().is_none() && !members.is_empty() {
                             let center = sys.cell_center(c).unwrap();
-                            let head = policy.elect(members, net.nodes(), center, &mut oracle_rng);
+                            let head = policy.elect(members, net.nodes(), || center, &mut oracle_rng);
                             expected.push((c, head));
                         }
                     }
@@ -434,6 +493,113 @@ proptest! {
         let fresh = GridNetwork::with_mask(sys, mask, &pos_b).unwrap();
         prop_assert_eq!(&net, &fresh);
         prop_assert!(net.changed_cells().is_empty());
+        net.debug_invariants();
+    }
+
+    #[test]
+    fn reset_into_places_nodes_where_an_independent_oracle_does(
+        (cols, rows) in (2u16..10, 2u16..10), count_a in 0usize..120,
+        count in 0usize..120, seed in 0u64..1000, shape_idx in 0usize..5,
+        poison in 0usize..3,
+    ) {
+        // `reset_into_equals_freshly_built` compares the reset with
+        // `with_mask`, which is itself a reset; this checks placement
+        // against the rule, on raw positions outside the area, on its
+        // top and right edges, and inside masked-out cells. The side is
+        // the paper's irrational r, so edge coordinates are not exact
+        // in f32.
+        let sys = GridSystem::for_comm_range(cols, rows, 10.0).unwrap();
+        let mask = if shape_idx == 0 {
+            RegionMask::full(cols, rows)
+        } else {
+            RegionShape::IRREGULAR[shape_idx - 1].build_mask(cols, rows)
+        };
+        let mut rng = SimRng::seed_from_u64(seed);
+        // A used network: heads elected, nodes killed.
+        let pos_a = deploy::uniform_masked(&sys, &mask, count_a, &mut rng);
+        let mut net = GridNetwork::with_mask(sys, mask.clone(), &pos_a).unwrap();
+        net.elect_all_heads(HeadElection::FirstId, &mut rng);
+        net.apply_fault(&FaultEvent::KillRandomEnabled { count: 3 }, &mut rng);
+        let raw: Vec<Point2> = (0..count)
+            .map(|_| raw_position(&sys, &mask, poison == 0, &mut rng))
+            .collect();
+        let placed: Vec<(Point2, GridCoord)> = raw
+            .iter()
+            .map(|&p| oracle_place(cols, rows, sys.cell_side(), p))
+            .collect();
+        let before = net.clone();
+        if let Some(&(_, coord)) = placed.iter().find(|(_, c)| !mask.is_enabled(*c)) {
+            // The first node in a disabled cell names the error, and the
+            // network keeps its previous state.
+            prop_assert_eq!(net.reset_into(&raw), Err(GridError::CellDisabled { coord }));
+            prop_assert_eq!(&net, &before);
+            net.debug_invariants();
+            return Ok(());
+        }
+        net.reset_into(&raw).unwrap();
+        prop_assert_eq!(net.node_count(), count);
+        let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); sys.cell_count()];
+        for (i, &(p, cell)) in placed.iter().enumerate() {
+            let id = NodeId::new(i as u32);
+            let node = net.node(id).unwrap();
+            prop_assert_eq!(node.position(), p);
+            prop_assert!(node.status().is_enabled());
+            prop_assert_eq!(net.cell_of_node(id), Some(cell));
+            members[cell.y as usize * cols as usize + cell.x as usize].push(id);
+        }
+        for (c, want) in sys.iter_coords().zip(&members) {
+            prop_assert_eq!(net.members(c).unwrap(), want.as_slice());
+            prop_assert_eq!(net.head_of(c).unwrap(), None);
+        }
+        prop_assert!(net.changed_cells().is_empty());
+        net.debug_invariants();
+    }
+
+    #[test]
+    fn elect_all_heads_matches_a_per_cell_oracle_under_every_policy(
+        (cols, rows) in (1u16..10, 1u16..10), count in 0usize..200,
+        seed in 0u64..1000, policy_idx in 0usize..4, moves in 0usize..20,
+    ) {
+        let policy = [
+            HeadElection::FirstId,
+            HeadElection::MaxEnergy,
+            HeadElection::ClosestToCenter,
+            HeadElection::Random,
+        ][policy_idx];
+        let sys = GridSystem::for_comm_range(cols, rows, 10.0).unwrap();
+        let mut rng = SimRng::seed_from_u64(seed);
+        let pos = deploy::uniform(&sys, count, &mut rng);
+        let mut net = GridNetwork::new(sys, &pos);
+        // Uneven batteries for MaxEnergy, and moves so that member lists
+        // are no longer in id order.
+        for i in 0..count {
+            if rng.bernoulli(0.5) {
+                net.draw_battery(NodeId::new(i as u32), rng.uniform_in(0.0, 5.0)).unwrap();
+            }
+        }
+        let area = sys.area();
+        for _ in 0..moves.min(count) {
+            let id = NodeId::new(rng.range_usize(count) as u32);
+            let target = Point2::new(
+                rng.uniform_in(0.0, area.max().x * 0.9999),
+                rng.uniform_in(0.0, area.max().y * 0.9999),
+            );
+            net.move_node(id, target).unwrap();
+        }
+        // The oracle always hands the election its cell's center.
+        let mut oracle_rng = rng.clone();
+        let expected: Vec<Option<NodeId>> = sys
+            .iter_coords()
+            .map(|c| {
+                let center = sys.cell_center(c).unwrap();
+                policy.elect(net.members(c).unwrap(), net.nodes(), || center, &mut oracle_rng)
+            })
+            .collect();
+        net.elect_all_heads(policy, &mut rng);
+        for (c, head) in sys.iter_coords().zip(expected) {
+            prop_assert_eq!(net.head_of(c).unwrap(), head);
+        }
+        prop_assert_eq!(&rng, &oracle_rng);
         net.debug_invariants();
     }
 

@@ -13,14 +13,18 @@
 //! | `GET`    | `/jobs/<id>/result`  | final artifact (`409` until done)        |
 //! | `GET`    | `/jobs/<id>/stream`  | WebSocket: `wsn-serve/1` lines, replayed |
 //!
-//! The accept loop is non-blocking and polls the process-wide
-//! [`wsn_simcore::shutdown`] flag between accepts, so SIGINT/SIGTERM
-//! wind the daemon down cleanly: runners checkpoint their jobs back to
-//! queued, streams close, and the listener stops accepting.
+//! The accept loop blocks in `accept`, so a request is picked up the
+//! moment it arrives. Shutdown stays a flag: SIGINT/SIGTERM only set the
+//! process-wide [`wsn_simcore::shutdown`] flag, and a waker thread that
+//! watches it connects once to the listener's own address, which
+//! returns the blocked `accept`. The loop drops that connection unserved
+//! and stops; runners checkpoint their jobs back to queued and streams
+//! close.
 
 use std::io::{self, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -108,32 +112,29 @@ impl Server {
     /// and a thread per connection; returns once the accept loop stops
     /// and the runner has suspended its job (if any).
     ///
+    /// The loop blocks in `accept`, so no request waits on a poll
+    /// interval. A shutdown request — a trapped signal or
+    /// [`shutdown::request`] — is noticed by a waker thread, whose one
+    /// connection to this listener returns the blocked `accept`; that
+    /// connection is dropped, never handed to a connection thread.
+    ///
     /// # Errors
     ///
-    /// Listener configuration failures; per-connection errors are
-    /// contained to their threads.
+    /// Listener failures; per-connection errors are contained to their
+    /// threads.
     pub fn serve(self) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
         let runner = {
             let queue = Arc::clone(&self.queue);
             std::thread::spawn(move || queue.run_until_shutdown())
         };
         let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !shutdown::requested() {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let queue = Arc::clone(&self.queue);
-                    conns.push(std::thread::spawn(move || {
-                        let _unused = handle_connection(stream, &queue);
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                Err(e) => return Err(e),
-            }
+        accept_until(&self.listener, &shutdown::requested, |stream| {
             conns.retain(|h| !h.is_finished());
-        }
+            let queue = Arc::clone(&self.queue);
+            conns.push(std::thread::spawn(move || {
+                let _unused = handle_connection(stream, &queue);
+            }));
+        })?;
         runner
             .join()
             .map_err(|_| io::Error::other("runner thread panicked"))?;
@@ -145,6 +146,61 @@ impl Server {
         }
         Ok(())
     }
+}
+
+/// How often the waker checks the stop predicate. Signal handlers can
+/// only set a flag, so some thread has to look at it; this one does so
+/// off the request path, and the interval only bounds how long a
+/// shutdown takes to start.
+const WAKER_POLL: Duration = Duration::from_millis(10);
+
+/// How long the waker's connection may take. On loopback it completes
+/// at once; the bound only matters if the listener's backlog is full,
+/// in which case the loop is busy accepting and sees the stop anyway.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Hands every connection `listener` accepts to `serve_one` until
+/// `stop` returns true, blocking in `accept` in between. A waker thread
+/// polls `stop` and, once it turns true, connects to the listener's
+/// own address so the blocked `accept` returns; any connection
+/// accepted once `stop` holds, the waker's included, is dropped
+/// unserved. Returns after the waker has exited.
+fn accept_until(
+    listener: &TcpListener,
+    stop: &(dyn Fn() -> bool + Sync),
+    mut serve_one: impl FnMut(TcpStream),
+) -> io::Result<()> {
+    let mut wake_addr = listener.local_addr()?;
+    if wake_addr.ip().is_unspecified() {
+        // A wildcard bind is reachable on loopback.
+        wake_addr.set_ip(match wake_addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    // Set when the loop fails, so the waker does not outlive it waiting
+    // for a stop that may never come.
+    let failed = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !stop() {
+                if failed.load(Ordering::SeqCst) {
+                    return;
+                }
+                std::thread::sleep(WAKER_POLL);
+            }
+            let _unused = TcpStream::connect_timeout(&wake_addr, WAKE_TIMEOUT);
+        });
+        let result = loop {
+            match listener.accept() {
+                Ok(_) if stop() => break Ok(()),
+                Ok((stream, _peer)) => serve_one(stream),
+                Err(e) => break Err(e),
+            }
+        };
+        failed.store(result.is_err(), Ordering::SeqCst);
+        result
+    })
 }
 
 fn json_error(status: u16, message: &str) -> (u16, String) {
@@ -334,5 +390,79 @@ fn serve_stream(
             writer.write_all(&encode_frame(&close, None))?;
             return writer.flush();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Instant;
+
+    // These drive `accept_until` with a local stop flag: the process-wide
+    // shutdown flag would stop every other daemon test in this binary.
+
+    #[test]
+    fn an_idle_accept_loop_stops_promptly_and_serves_nothing() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("loopback binds");
+        let stop = AtomicBool::new(false);
+        let served = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            let looping = scope.spawn(|| {
+                accept_until(&listener, &|| stop.load(Ordering::SeqCst), |_| {
+                    served.fetch_add(1, Ordering::SeqCst);
+                })
+            });
+            // Let the loop block in `accept` before stopping it.
+            std::thread::sleep(Duration::from_millis(50));
+            stop.store(true, Ordering::SeqCst);
+            let t0 = Instant::now();
+            looping
+                .join()
+                .expect("accept loop joins")
+                .expect("accept loop ends cleanly");
+            assert!(
+                t0.elapsed() < Duration::from_secs(1),
+                "stop took {:?}",
+                t0.elapsed()
+            );
+        });
+        assert_eq!(
+            served.load(Ordering::SeqCst),
+            0,
+            "the waker's connection was served"
+        );
+    }
+
+    #[test]
+    fn the_accept_loop_serves_clients_but_never_the_wake_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("loopback binds");
+        let addr = listener.local_addr().expect("bound address");
+        let stop = AtomicBool::new(false);
+        let served = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            let looping = scope.spawn(|| {
+                accept_until(&listener, &|| stop.load(Ordering::SeqCst), |_| {
+                    served.fetch_add(1, Ordering::SeqCst);
+                })
+            });
+            let clients: Vec<TcpStream> = (0..3)
+                .map(|_| TcpStream::connect(addr).expect("client connects"))
+                .collect();
+            let t0 = Instant::now();
+            while served.load(Ordering::SeqCst) < clients.len() {
+                assert!(
+                    t0.elapsed() < Duration::from_secs(10),
+                    "clients never served"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            stop.store(true, Ordering::SeqCst);
+            looping
+                .join()
+                .expect("accept loop joins")
+                .expect("accept loop ends cleanly");
+        });
+        assert_eq!(served.load(Ordering::SeqCst), 3);
     }
 }

@@ -344,11 +344,14 @@ fn submissions_are_validated_and_cancellation_is_served() {
         let response = client::request(&daemon.addr, "POST", "/jobs", Some(body)).expect("post");
         assert_eq!(response.status, 400, "{body:?} was accepted");
     }
-    // A job heavy enough (~thousands of trials) that cancelling it
-    // mid-run cannot race its completion.
+    // A job that cannot finish within DEADLINE at any plausible trial
+    // rate: 40 million 16×16 trials on the daemon's two workers would
+    // take minutes even at 100,000 trials/s. So the cancel below always
+    // lands mid-run, and since cancellation stops the job at the next
+    // trial boundary, the test itself stays fast.
     let big = CampaignConfig {
         name: "e2e-cancel".into(),
-        seeds_per_cell: 400,
+        seeds_per_cell: 10_000_000,
         ..long_config()
     };
     let running_id = submit(&daemon.addr, &big);

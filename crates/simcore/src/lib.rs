@@ -71,7 +71,7 @@ pub use engine::{EngineError, Quiescence, RoundOutcome, RoundProtocol, RoundRunn
 pub use event::{EventQueue, Scheduled};
 pub use fault::{FaultEvent, FaultPlan, Jammer};
 pub use metrics::Metrics;
-pub use net::{Fate, NetLink, NetModelSpec, ProtocolHealth};
+pub use net::{Fate, NetLink, NetModelSpec, PairHasher, ProtocolHealth};
 pub use node::{NodeId, NodeStatus, SensorNode};
 pub use replay::{diff_logs, shrink_fault_plan, Divergence, ShrinkReport, TraceDiff};
 pub use rng::{derive_stream_seed, SimRng};

@@ -172,13 +172,30 @@ impl fmt::Display for NetModelSpec {
     }
 }
 
-/// A fixed, seedless multiplicative hasher for the link's pair
-/// counters. Their keys are small cell-index pairs the simulation
-/// chooses itself, so SipHash's flooding resistance buys nothing; this
-/// costs one multiply per word. The final fold mixes the product's high
-/// bits into the low ones, which pick the table slot.
+/// A fixed, seedless multiplicative hasher for keys the simulation
+/// chooses itself: the link's pair counters here, and cell sets such as
+/// AR's visited, initiated and failed-hole sets in `wsn-baselines`.
+/// Such keys are small cell coordinates or indices, never adversarial
+/// input, so SipHash's flooding resistance buys nothing; this costs one
+/// multiply per word (per byte for integers narrower than `u64`). The
+/// final fold mixes the product's high bits into the low ones, which
+/// pick the table slot.
+///
+/// Use it through [`BuildHasherDefault`]. Like any hasher it gives no
+/// meaningful iteration order, so keep it to maps and sets whose order
+/// no output depends on.
+///
+/// ```
+/// use std::collections::HashSet;
+/// use std::hash::BuildHasherDefault;
+/// use wsn_simcore::PairHasher;
+///
+/// let mut seen: HashSet<(u16, u16), BuildHasherDefault<PairHasher>> = HashSet::default();
+/// assert!(seen.insert((3, 4)));
+/// assert!(!seen.insert((3, 4)));
+/// ```
 #[derive(Debug, Clone, Copy, Default)]
-struct PairHasher(u64);
+pub struct PairHasher(u64);
 
 impl Hasher for PairHasher {
     fn write(&mut self, bytes: &[u8]) {
