@@ -27,7 +27,6 @@ use std::hash::BuildHasherDefault;
 
 use serde::{Deserialize, Serialize};
 
-use wsn_geometry::sample;
 use wsn_grid::{Direction, GridCoord, GridNetwork};
 use wsn_simcore::{
     derive_stream_seed, EnergyModel, Fate, Metrics, NetLink, NetModelSpec, NodeId, PairHasher,
@@ -298,22 +297,14 @@ impl<'n> ArProtocol<'n> {
     }
 
     /// Moves `node` into the central area of `target`; elects it head if
-    /// the target was headless.
+    /// the target was headless. Unlike SR's, the target may already be
+    /// occupied (a redundant delivery), and then its head stays.
     fn execute_move(&mut self, process: u64, node: NodeId, target: GridCoord, round: u64) -> f64 {
-        let rect = self
-            .net
-            .system()
-            .cell_rect(target)
-            .expect("targets are cells");
-        let dest =
-            sample::point_in_central_area(&rect, self.rng.uniform_f64(), self.rng.uniform_f64());
+        let (u, v) = (self.rng.uniform_f64(), self.rng.uniform_f64());
         let out = self
             .net
-            .move_node(node, dest)
-            .expect("AR moves stay inside the area");
-        if self.net.head_of(target).expect("in bounds").is_none() {
-            self.net.set_head(target, node).expect("node just arrived");
-        }
+            .move_into_cell(node, target, u, v)
+            .expect("AR moves into enabled cells");
         self.metrics.record_move(out.distance);
         self.metrics.energy += self.energy.movement(out.distance);
         self.trace.record(

@@ -16,7 +16,6 @@
 use serde::{Deserialize, Serialize};
 
 use wsn_coverage::scheme::{SchemeDetails, SchemeReport};
-use wsn_geometry::sample;
 use wsn_grid::{GridCoord, GridNetwork};
 use wsn_simcore::{Metrics, NodeId, Quiescence, RunReport, SimRng, TraceEvent, TraceLog};
 
@@ -74,8 +73,11 @@ fn balance_line(
                 .iter()
                 .max()
                 .expect("flow feasibility guarantees a node is available");
-            let rect = net.system().cell_rect(to).expect("in bounds");
-            let dest = sample::point_in_central_area(&rect, rng.uniform_f64(), rng.uniform_f64());
+            let (u, v) = (rng.uniform_f64(), rng.uniform_f64());
+            let dest =
+                net.system()
+                    .geometry()
+                    .central_point(u32::from(to.x), u32::from(to.y), u, v);
             let out = net.move_node(node, dest).expect("targets inside area");
             metrics.record_move(out.distance);
             trace.record(

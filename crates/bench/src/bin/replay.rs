@@ -282,7 +282,7 @@ fn node_ids(raw: &[u32]) -> Vec<wsn_simcore::NodeId> {
 /// [`perf::time_ns`] after three untimed warm-up calls, which stabilize
 /// caches first so `min_ns` is comparable across machines and runs (the
 /// perf gate diffs it at 25%).
-fn time_warm_ns(samples: usize, mut f: impl FnMut()) -> (f64, f64, f64) {
+fn time_warm_ns(samples: usize, mut f: impl FnMut()) -> perf::Timing {
     for _ in 0..3 {
         f();
     }
@@ -317,8 +317,8 @@ fn cmd_bench(dir: &Path) -> Result<(), String> {
         assert!(artifact.verify().expect("bench spec replays").is_clean());
     });
 
-    let overhead_percent = if untraced.1 > 0.0 {
-        (traced.1 / untraced.1 - 1.0) * 100.0
+    let overhead_percent = if untraced.mean > 0.0 {
+        (traced.mean / untraced.mean - 1.0) * 100.0
     } else {
         0.0
     };

@@ -15,11 +15,14 @@
 //!   round loop only and reported as `ns_per_round`, which must not
 //!   grow with the grid.
 //!
-//! Every entry is the shape `{name, samples, min_ns, mean_ns,
-//! max_ns}` that [`time_ns`] and [`bench_entry`] produce; `replay bench`
-//! (`BENCH_replay.json`) and `served bench` (`BENCH_serve.json`) time
-//! with the same pair. `min_ns` is the comparison statistic: it is the
-//! least noisy summary of a loop's cost on a busy machine.
+//! Every entry is the shape `{name, samples, min_ns, mean_ns, max_ns,
+//! p50_ns}` plus, when the sample is large enough, `tail_ns` and
+//! `tail_pct` (see [`Timing::tail`]), as [`time_ns`] and [`bench_entry`]
+//! produce it; `replay bench` (`BENCH_replay.json`) and `served bench`
+//! (`BENCH_serve.json`) time with the same pair. `min_ns` is the
+//! comparison statistic: it is the least noisy summary of a loop's cost
+//! on a busy machine. The median and the tail say how far a typical and
+//! a slow sample sit above it.
 //!
 //! The **compare gate** (`perf compare`) parses a fresh `results/`
 //! directory against the checked-in `baselines/` directory and fails
@@ -60,9 +63,34 @@ pub const LEDGER_FILES: [&str; 6] = [
     "BENCH_serve.json",
 ];
 
-/// Times one closure `samples` times and returns (min, mean, max) in
-/// nanoseconds — the ledger's entry shape.
-pub fn time_ns(samples: usize, mut f: impl FnMut()) -> (f64, f64, f64) {
+/// A sample of times in nanoseconds, summarized as a ledger entry
+/// reports it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Timing {
+    /// The fastest sample: what `perf compare` gates on.
+    pub min: f64,
+    /// The mean.
+    pub mean: f64,
+    /// The slowest sample.
+    pub max: f64,
+    /// The nearest-rank median.
+    pub p50: f64,
+    /// `(percentile, value)` at the highest of p99, p95, p90 and p75
+    /// (nearest rank) that leaves at least ten samples above its rank,
+    /// so the tail rests on more than a few outliers. `None` when none
+    /// does, which is every sample of fewer than 40.
+    pub tail: Option<(f64, f64)>,
+}
+
+/// Candidate tail percentiles, highest first.
+const TAIL_PERCENTILES: [f64; 4] = [99.0, 95.0, 90.0, 75.0];
+
+/// Samples a tail percentile must leave above its rank.
+const TAIL_BEYOND: usize = 10;
+
+/// Times one closure `samples` times (at least one): the ledger's entry
+/// statistics.
+pub fn time_ns(samples: usize, mut f: impl FnMut()) -> Timing {
     let mut times = Vec::with_capacity(samples);
     for _ in 0..samples {
         let t0 = Instant::now();
@@ -72,24 +100,43 @@ pub fn time_ns(samples: usize, mut f: impl FnMut()) -> (f64, f64, f64) {
     summarize(&times)
 }
 
-/// (min, mean, max) of a sample of times.
-fn summarize(times: &[f64]) -> (f64, f64, f64) {
-    let min = times.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = times.iter().copied().fold(0.0, f64::max);
-    let mean = times.iter().sum::<f64>() / times.len() as f64;
-    (min, mean, max)
+/// The [`Timing`] of a non-empty sample of times.
+fn summarize(times: &[f64]) -> Timing {
+    assert!(!times.is_empty(), "a timing needs at least one sample");
+    let mut sorted = times.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let n = sorted.len();
+    // Nearest rank: the smallest sample with at least p% at or below it.
+    let rank = |p: f64| ((p / 100.0 * n as f64).ceil() as usize).max(1);
+    Timing {
+        min: sorted[0],
+        mean: times.iter().sum::<f64>() / n as f64,
+        max: sorted[n - 1],
+        p50: sorted[rank(50.0) - 1],
+        tail: TAIL_PERCENTILES
+            .iter()
+            .find(|&&p| n - rank(p) >= TAIL_BEYOND)
+            .map(|&p| (p, sorted[rank(p) - 1])),
+    }
 }
 
-/// One ledger entry, `{name, samples, min_ns, mean_ns, max_ns}`, from a
+/// One ledger entry, `{name, samples, min_ns, mean_ns, max_ns, p50_ns}`
+/// plus `tail_ns` and `tail_pct` when the timing has a tail, from a
 /// [`time_ns`] result.
-pub fn bench_entry(name: &str, samples: usize, (min, mean, max): (f64, f64, f64)) -> JsonValue {
-    JsonValue::obj([
+pub fn bench_entry(name: &str, samples: usize, timing: Timing) -> JsonValue {
+    let mut pairs = vec![
         ("name", JsonValue::from(name)),
         ("samples", JsonValue::from(samples as u64)),
-        ("min_ns", JsonValue::from(min)),
-        ("mean_ns", JsonValue::from(mean)),
-        ("max_ns", JsonValue::from(max)),
-    ])
+        ("min_ns", JsonValue::from(timing.min)),
+        ("mean_ns", JsonValue::from(timing.mean)),
+        ("max_ns", JsonValue::from(timing.max)),
+        ("p50_ns", JsonValue::from(timing.p50)),
+    ];
+    if let Some((pct, ns)) = timing.tail {
+        pairs.push(("tail_ns", JsonValue::from(ns)));
+        pairs.push(("tail_pct", JsonValue::from(pct)));
+    }
+    JsonValue::obj(pairs)
 }
 
 /// A deployment one node per cell, then a 15% random mass failure with
@@ -212,7 +259,7 @@ fn campaign_entry(name: &str, samples: usize, cfg: &CampaignConfig) -> JsonValue
         pairs.push(("trials".into(), JsonValue::from(trials)));
         pairs.push((
             "trials_per_sec".into(),
-            JsonValue::from(trials as f64 / (timing.1 / 1e9)),
+            JsonValue::from(trials as f64 / (timing.mean / 1e9)),
         ));
     }
     entry
@@ -276,7 +323,7 @@ fn single_cascade_entry(side: u16, samples: usize) -> JsonValue {
         pairs.push(("rounds".into(), JsonValue::from(rounds)));
         pairs.push((
             "ns_per_round".into(),
-            JsonValue::from(timing.0 / rounds as f64),
+            JsonValue::from(timing.min / rounds as f64),
         ));
     }
     entry
@@ -680,11 +727,35 @@ mod tests {
                 JsonValue::Arr(
                     entries
                         .iter()
-                        .map(|&(name, min)| bench_entry(name, 3, (min, min, min)))
+                        .map(|&(name, min)| bench_entry(name, 3, summarize(&[min; 3])))
                         .collect(),
                 ),
             ),
         ])
+    }
+
+    #[test]
+    fn timings_report_the_median_and_a_tail_with_ten_samples_beyond() {
+        let timing = |n: u32| summarize(&(1..=n).rev().map(f64::from).collect::<Vec<_>>());
+        let t = timing(1000);
+        assert_eq!((t.min, t.max, t.p50, t.mean), (1.0, 1000.0, 500.0, 500.5));
+        // p99 leaves exactly ten samples above rank 990.
+        assert_eq!(t.tail, Some((99.0, 990.0)));
+        // p99 would leave two, p95 leaves ten.
+        assert_eq!(timing(200).tail, Some((95.0, 190.0)));
+        assert_eq!(timing(100).tail, Some((90.0, 90.0)));
+        assert_eq!(timing(40).tail, Some((75.0, 30.0)));
+        assert_eq!(timing(39).tail, None);
+        assert_eq!(timing(1).p50, 1.0);
+        assert_eq!(timing(2).p50, 1.0);
+        // The entry carries the tail only when there is one.
+        let keys = |t: Timing| match bench_entry("k", 1, t) {
+            JsonValue::Obj(pairs) => pairs.into_iter().map(|(k, _)| k).collect::<Vec<_>>(),
+            _ => unreachable!("entries are objects"),
+        };
+        let base = ["name", "samples", "min_ns", "mean_ns", "max_ns", "p50_ns"];
+        assert_eq!(keys(timing(39)), base);
+        assert_eq!(keys(timing(40))[6..], ["tail_ns", "tail_pct"]);
     }
 
     #[test]

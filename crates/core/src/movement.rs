@@ -8,7 +8,7 @@
 //! averages ≈ `1.08·r` (see [`wsn_geometry::CellGeometry`] for the
 //! derivation).
 
-use wsn_geometry::{sample, Point2};
+use wsn_geometry::Point2;
 use wsn_grid::{GridCoord, GridSystem};
 use wsn_simcore::SimRng;
 
@@ -17,15 +17,26 @@ use wsn_simcore::SimRng;
 /// neighbor will randomly select the destination location in the central
 /// area of the target grid").
 ///
+/// Draws `u` and then `v` uniformly and returns
+/// [`CellGeometry::central_point`](wsn_geometry::CellGeometry::central_point)
+/// of `target` at `(u, v)`. The replacement protocols make the same two
+/// draws in the same order and hand them to
+/// [`GridNetwork::move_into_cell`](wsn_grid::GridNetwork::move_into_cell),
+/// which computes this point itself while it moves the node.
+///
 /// # Panics
 ///
 /// Panics when `target` is outside `system` (protocol and network are
 /// built from the same dimensions, so this indicates a wiring bug).
 pub fn movement_target(system: &GridSystem, target: GridCoord, rng: &mut SimRng) -> Point2 {
-    let rect = system
-        .cell_rect(target)
-        .expect("movement target must be a grid cell");
-    sample::point_in_central_area(&rect, rng.uniform_f64(), rng.uniform_f64())
+    assert!(
+        system.contains(target),
+        "movement target must be a grid cell"
+    );
+    let (u, v) = (rng.uniform_f64(), rng.uniform_f64());
+    system
+        .geometry()
+        .central_point(u32::from(target.x), u32::from(target.y), u, v)
 }
 
 /// Empirical mean per-hop distance between uniform central-area points of
@@ -37,12 +48,10 @@ pub fn empirical_avg_hop_distance(r: f64, samples: usize, rng: &mut SimRng) -> f
     assert!(r.is_finite() && r > 0.0, "cell side must be positive");
     assert!(samples > 0, "need at least one sample");
     let geom = wsn_geometry::CellGeometry::new(Point2::ORIGIN, r).expect("valid side");
-    let from_cell = geom.cell_rect(0, 0);
-    let to_cell = geom.cell_rect(1, 0);
     let mut total = 0.0;
     for _ in 0..samples {
-        let a = sample::point_in_central_area(&from_cell, rng.uniform_f64(), rng.uniform_f64());
-        let b = sample::point_in_central_area(&to_cell, rng.uniform_f64(), rng.uniform_f64());
+        let a = geom.central_point(0, 0, rng.uniform_f64(), rng.uniform_f64());
+        let b = geom.central_point(1, 0, rng.uniform_f64(), rng.uniform_f64());
         total += a.distance(b);
     }
     total / samples as f64

@@ -72,7 +72,15 @@ impl OwnerCounts {
 
     /// Whether any active process owns `cell`.
     pub fn is_owned(&self, cell: GridCoord) -> bool {
-        self.counts[self.index(cell)] > 0
+        self.is_owned_at(self.index(cell))
+    }
+
+    /// Whether any active process owns the cell at dense row-major
+    /// index `index` (as a [`wsn_grid::HoleSet`] sweep yields it), so a
+    /// sweep can skip owned holes before it converts the index to a
+    /// coordinate.
+    pub fn is_owned_at(&self, index: usize) -> bool {
+        self.counts[index] > 0
     }
 
     /// In debug builds, asserts that the counts equal a recount of

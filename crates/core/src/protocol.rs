@@ -556,16 +556,18 @@ impl<'n> SrProtocol<'n> {
         self.run.metrics.cells_scanned += buf.len() as u64;
         let mut outcome = DetectionOutcome::default();
         for &idx in &buf {
-            let g = self.run.net.system().coord_of(idx);
-            if self.run.failed_holes.contains(&g) {
-                continue; // unfillable until the network changes
-            }
+            // Ownership first: it is one array read by index, and most
+            // pending holes are the vacancies running cascades own.
             let owned = match &self.link {
-                None => self.owners.is_owned(g),
-                Some(link) => link.held.is_owned(g) || link.vacated_at[idx] == round + 1,
+                None => self.owners.is_owned_at(idx),
+                Some(link) => link.held.is_owned_at(idx) || link.vacated_at[idx] == round + 1,
             };
             if owned {
                 continue; // the cascade for this cell is already running
+            }
+            let g = self.run.net.system().coord_of(idx);
+            if self.run.failed_holes.contains(&g) {
+                continue; // unfillable until the network changes
             }
             let monitor = self.topo.monitors(g);
             if !self.is_occupied(monitor) {
@@ -600,7 +602,7 @@ impl<'n> SrProtocol<'n> {
             );
             let id = run.initiate(g, monitor, round);
             if let Some(link) = &mut self.link {
-                if self.owners.is_owned(g) {
+                if self.owners.is_owned_at(idx) {
                     // A stale owner exists after all: this initiation
                     // duplicates a cascade the monitor could not observe.
                     link.wire.link.health.duplicate_initiations += 1;

@@ -9,7 +9,6 @@ use std::collections::HashSet;
 use wsn_grid::{GridCoord, GridNetwork, HoleSet};
 use wsn_simcore::{EnergyModel, Metrics, NodeId, SimRng, TraceEvent, TraceLog};
 
-use crate::movement::movement_target;
 use crate::process::{ProcessId, ProcessStatus, ProcessSummary};
 use crate::SrConfig;
 
@@ -141,6 +140,13 @@ impl<'n> Run<'n> {
     /// Moves `node` into the central area of `target` as its head, bills
     /// and traces the move, and books it as one hop of `process`.
     ///
+    /// `target` is always vacant: SR moves into the vacancy its process
+    /// owns, SR-SC into the hole it serves (debug builds assert it). So
+    /// [`GridNetwork::move_into_cell`]'s "head when headless" makes the
+    /// mover the head, as the protocol requires. The destination draws
+    /// `u` then `v` from the run's RNG, as
+    /// [`movement_target`](crate::movement::movement_target) does.
+    ///
     /// Under battery dynamics the mover pays the move's energy. A mover
     /// that dies on arrival leaves a fresh hole for detection to pick up;
     /// new energy can arrive nowhere, so unfillable holes are
@@ -152,12 +158,16 @@ impl<'n> Run<'n> {
         target: GridCoord,
         round: u64,
     ) {
-        let dest = movement_target(self.net.system(), target, &mut self.rng);
+        debug_assert_eq!(
+            self.net.is_vacant(target),
+            Ok(true),
+            "SR and SR-SC move only into vacancies"
+        );
+        let (u, v) = (self.rng.uniform_f64(), self.rng.uniform_f64());
         let out = self
             .net
-            .move_node(node, dest)
-            .expect("targets are in-bounds cells");
-        self.net.set_head(target, node).expect("node just arrived");
+            .move_into_cell(node, target, u, v)
+            .expect("targets are enabled cells");
         self.metrics.record_move(out.distance);
         let cost = self.energy.movement(out.distance);
         self.metrics.energy += cost;

@@ -329,9 +329,14 @@ impl<'n> ShortcutProtocol<'n> {
         let buf = self.run.sweep();
         let mut outcome = DetectionOutcome::default();
         for &idx in &buf {
+            // Ownership first, by index: most pending holes are served by
+            // a running courier, and the coordinate costs a division.
+            if self.owners.is_owned_at(idx) {
+                continue;
+            }
             let run = &mut self.run;
             let g = run.net.system().coord_of(idx);
-            if run.failed_holes.contains(&g) || self.owners.is_owned(g) {
+            if run.failed_holes.contains(&g) {
                 continue;
             }
             let monitor = self.cycle.predecessor(g);

@@ -118,14 +118,37 @@ impl CellGeometry {
             .expect("central area from valid geometry")
     }
 
-    /// Integer cell index containing point `p` (floor division; points
-    /// left/below the origin map to negative indices, which this returns
-    /// as saturating-to-zero is *not* applied — callers holding the grid
-    /// bounds should use their own bounds check first).
+    /// The point at unit coordinates `(u, v)` of cell `(x, y)`'s central
+    /// area: `u = v = 0` is its minimum corner, `u = v = 1` its maximum.
+    ///
+    /// Bit for bit the point
+    /// `sample::point_in_rect(&self.central_area(x, y), u, v)` (and
+    /// `sample::point_in_central_area(&self.cell_rect(x, y), u, v)`): it
+    /// performs the same float operations in the same order, but builds
+    /// no [`Rect`] and validates nothing, so a movement target costs a
+    /// few multiply-adds.
+    #[inline]
+    pub fn central_point(&self, x: u32, y: u32, u: f64, v: f64) -> Point2 {
+        Point2::new(
+            central_coord(self.origin.x + x as f64 * self.side, self.side, u),
+            central_coord(self.origin.y + y as f64 * self.side, self.side, v),
+        )
+    }
+
+    /// Integer cell index containing point `p`, by floor division, so
+    /// the cells are half-open like [`Rect::contains`]. Points left of or
+    /// below the origin map to negative indices; nothing is clamped, so
+    /// callers holding the grid bounds check the result against them.
+    ///
+    /// The division rounds down with [`floor_to_i64`], which equals
+    /// `f64::floor` followed by `as i64` on every input but needs no
+    /// rounding instruction (the baseline x86-64 target has none, and
+    /// `f64::floor` becomes a library call there).
+    #[inline]
     pub fn cell_index_of(&self, p: Point2) -> (i64, i64) {
         (
-            ((p.x - self.origin.x) / self.side).floor() as i64,
-            ((p.y - self.origin.y) / self.side).floor() as i64,
+            floor_to_i64((p.x - self.origin.x) / self.side),
+            floor_to_i64((p.y - self.origin.y) / self.side),
         )
     }
 
@@ -147,6 +170,42 @@ impl CellGeometry {
     pub fn avg_move_distance(&self) -> f64 {
         Self::AVG_MOVE_FACTOR * self.side
     }
+}
+
+/// One axis of [`CellGeometry::central_point`]: the cell spans
+/// `[min, min + side)`, and this is the float sequence of
+/// `Rect::from_size`, `Rect::shrunk` and `sample::point_in_rect` on that
+/// axis.
+#[inline]
+fn central_coord(min: f64, side: f64, t: f64) -> f64 {
+    let width = (min + side) - min;
+    let center = min + width * 0.5;
+    let half = width * CENTRAL_FRACTION / 2.0;
+    let (lo, hi) = (center - half, center + half);
+    lo + t * (hi - lo)
+}
+
+/// `x.floor() as i64` for every `f64`, without a rounding instruction:
+/// truncate toward zero, then step down once when truncation rounded a
+/// negative non-integer up. Like the `as` cast it saturates at
+/// `i64::MIN`/`i64::MAX` (so ±∞ and `|x| ≥ 2⁶³` clamp) and maps NaN to 0;
+/// `−0.0` and `(−1, 0)` give 0 and −1 as `floor` does.
+///
+/// ```
+/// use wsn_geometry::cell::floor_to_i64;
+///
+/// assert_eq!(floor_to_i64(2.7), 2);
+/// assert_eq!(floor_to_i64(-0.25), -1);
+/// assert_eq!(floor_to_i64(-0.0), 0);
+/// assert_eq!(floor_to_i64(f64::NAN), 0);
+/// assert_eq!(floor_to_i64(f64::NEG_INFINITY), i64::MIN);
+/// ```
+#[inline]
+pub fn floor_to_i64(x: f64) -> i64 {
+    let t = x as i64;
+    // `t` rounds toward zero, so it lies above `x` exactly when `x` is a
+    // negative non-integer or below `i64::MIN`; the latter saturates.
+    t.saturating_sub(i64::from((t as f64) > x))
 }
 
 #[cfg(test)]

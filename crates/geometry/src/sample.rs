@@ -29,6 +29,11 @@ pub fn point_in_rect(rect: &Rect, u: f64, v: f64) -> Point2 {
 /// This is the paper's movement-target distribution: "each movement of
 /// node *u* from one grid to its neighbor will randomly select the
 /// destination location in the central area of the target grid" (§5).
+///
+/// The movers call [`CellGeometry::central_point`](crate::CellGeometry::central_point),
+/// which yields the same bits for a grid cell without building or
+/// validating rectangles; this function is the reference the property
+/// tests hold it to.
 #[inline]
 pub fn point_in_central_area(cell: &Rect, u: f64, v: f64) -> Point2 {
     let central = cell

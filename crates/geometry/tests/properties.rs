@@ -1,7 +1,8 @@
 //! Property-based tests for the geometry substrate.
 
 use proptest::prelude::*;
-use wsn_geometry::{cell::CENTRAL_FRACTION, sample, CellGeometry, Disk, Point2, Rect, Vec2};
+use wsn_geometry::cell::{floor_to_i64, CENTRAL_FRACTION};
+use wsn_geometry::{sample, CellGeometry, Disk, Point2, Rect, Vec2};
 
 fn finite_coord() -> impl Strategy<Value = f64> {
     // Keep magnitudes modest so squared distances stay well inside f64.
@@ -140,6 +141,72 @@ proptest! {
         let (ix, iy) = g.cell_index_of(p);
         prop_assert!((ix - x as i64).abs() <= 0);
         prop_assert!((iy - y as i64).abs() <= 0);
+    }
+
+    #[test]
+    fn floor_to_i64_equals_floor_cast_on_any_bits(
+        bits in 0u64..u64::MAX, near in -1e6..1e6f64, frac in 0u64..(1 << 20),
+    ) {
+        // Uniform bit patterns are mostly huge, tiny or NaN; `near` and
+        // `near ± frac/2²⁰` keep the cases where the fraction matters.
+        let x = f64::from_bits(bits);
+        prop_assert_eq!(floor_to_i64(x), x.floor() as i64, "bits {:#x}", bits);
+        for y in [near, near.trunc() + frac as f64 / (1 << 20) as f64, near.trunc() - frac as f64 / (1 << 20) as f64] {
+            prop_assert_eq!(floor_to_i64(y), y.floor() as i64, "y = {:e}", y);
+        }
+    }
+
+    #[test]
+    fn central_point_is_bit_identical_to_the_central_area_sample(
+        ox in -1e3..1e3f64, oy in -1e3..1e3f64, r in 0.01..50.0f64,
+        x in 0u32..4096, y in 0u32..4096, u in unit(), v in unit(),
+    ) {
+        let g = CellGeometry::new(Point2::new(ox, oy), r).unwrap();
+        let want = sample::point_in_rect(&g.central_area(x, y), u, v);
+        let got = g.central_point(x, y, u, v);
+        prop_assert_eq!(got.x.to_bits(), want.x.to_bits());
+        prop_assert_eq!(got.y.to_bits(), want.y.to_bits());
+        let oracle = sample::point_in_central_area(&g.cell_rect(x, y), u, v);
+        prop_assert_eq!((got.x.to_bits(), got.y.to_bits()), (oracle.x.to_bits(), oracle.y.to_bits()));
+    }
+}
+
+#[test]
+fn floor_to_i64_equals_floor_cast_at_the_edges() {
+    let two63 = 2f64.powi(63);
+    let mut edges = vec![
+        0.0,
+        -0.0,
+        -0.5,
+        -1.0,
+        1.0,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        f64::from_bits(1),
+        -f64::from_bits(1),
+        2f64.powi(52),
+        -(2f64.powi(52)),
+        two63,
+        -two63,
+        f64::MAX,
+        f64::MIN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+    ];
+    // Each edge's neighbours: (−1, 0) from both ends, the last fractions
+    // below 2⁵², and the last values inside and first outside ±2⁶³.
+    for x in edges.clone() {
+        edges.extend([x.next_up(), x.next_down()]);
+    }
+    for x in edges {
+        assert_eq!(
+            floor_to_i64(x),
+            x.floor() as i64,
+            "x = {x:e} ({:#x})",
+            x.to_bits()
+        );
     }
 }
 

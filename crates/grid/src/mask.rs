@@ -23,6 +23,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
+use wsn_geometry::cell::floor_to_i64;
 use wsn_geometry::Point2;
 use wsn_simcore::SimRng;
 
@@ -346,7 +347,7 @@ impl RegionMask {
         let (ax, ay) = (a.x / cell_side, a.y / cell_side);
         let (bx, by) = (b.x / cell_side, b.y / cell_side);
         let cell_at = |x: f64, y: f64| -> Option<GridCoord> {
-            let (cx, cy) = (x.floor() as i64, y.floor() as i64);
+            let (cx, cy) = (floor_to_i64(x), floor_to_i64(y));
             (cx >= 0 && cy >= 0 && cx < self.cols as i64 && cy < self.rows as i64)
                 .then(|| GridCoord::new(cx as u16, cy as u16))
         };

@@ -53,6 +53,8 @@ fn cell_center(system: &GridSystem, idx: usize) -> Point2 {
 ///
 /// * a node appears in exactly one cell's member list iff it is enabled,
 ///   and that cell contains its position;
+/// * the per-node cell index names that cell for every enabled node, so
+///   no query or move locates a node by dividing its position;
 /// * a cell's head, when set, is one of its members;
 /// * a cell with no members ("vacant" — the paper's *hole*) has no head;
 /// * the [`VacancySet`] bitset and the enabled counter agree with the
@@ -86,6 +88,12 @@ fn cell_center(system: &GridSystem, idx: usize) -> Point2 {
 pub struct GridNetwork {
     system: GridSystem,
     nodes: Vec<SensorNode>,
+    /// The cell of each node, by id: where it was deployed or last
+    /// moved. For an enabled node this is `system.cell_of(position)`; a
+    /// disabled node keeps the cell it was disabled in. Kept as a
+    /// coordinate because a move reports it and indexes by it, and the
+    /// dense index is one multiply-add away, not a division.
+    node_cells: Vec<GridCoord>,
     /// Enabled members per cell, dense row-major by cell index, packed
     /// into a flat struct-of-arrays pool (see [`crate::members`]).
     members: MemberTable,
@@ -116,15 +124,16 @@ pub struct GridNetwork {
 }
 
 /// The buffers [`GridNetwork::reset_into`] stages a deployment in: the
-/// clamped nodes and the dense cell index of each, written by the one
-/// pass that also validates them against the mask. A commit swaps the
-/// node buffer with the network's own, so both allocations are reused
-/// trial after trial. They hold no network state between resets, so
-/// they take no part in equality or debug output, and a clone starts
-/// them empty.
+/// clamped nodes, the cell of each, and its dense index, written by the
+/// one pass that also validates them against the mask. A commit swaps
+/// the node and cell buffers with the network's own, so every
+/// allocation is reused trial after trial. They hold no network state
+/// between resets, so they take no part in equality or debug output,
+/// and a clone starts them empty.
 #[derive(Default)]
 struct Staging {
     nodes: Vec<SensorNode>,
+    coords: Vec<GridCoord>,
     cells: Vec<u32>,
 }
 
@@ -180,6 +189,7 @@ impl GridNetwork {
         let mut net = GridNetwork {
             system,
             nodes: Vec::new(),
+            node_cells: Vec::new(),
             members: MemberTable::new(cells),
             heads: vec![None; cells],
             headless: HoleSet::new(cells),
@@ -221,10 +231,11 @@ impl GridNetwork {
     /// pins placement).
     ///
     /// One pass over `positions` clamps and locates each node exactly
-    /// once and checks its cell against the mask, staging the node and
-    /// its cell index off to the side; the member table is then rebuilt
-    /// from those indices (`MemberTable::rebuild_with`) without
-    /// locating anything again. The area rectangle is built once per
+    /// once and checks its cell against the mask, staging the node, its
+    /// cell and the cell's dense index off to the side; the per-node cell
+    /// index is the staged cells, and the member table is rebuilt from
+    /// the staged indices (`MemberTable::rebuild_with`) without locating
+    /// anything again. The area rectangle is built once per
     /// call, not once per node.
     ///
     /// # Errors
@@ -237,6 +248,7 @@ impl GridNetwork {
         let area = self.system.area();
         let staging = &mut self.staging;
         staging.nodes.clear();
+        staging.coords.clear();
         staging.cells.clear();
         for (i, &raw) in positions.iter().enumerate() {
             let (p, cell) = GridNetwork::clamp_position(&self.system, &area, raw);
@@ -250,9 +262,11 @@ impl GridNetwork {
             staging
                 .nodes
                 .push(SensorNode::new(NodeId::new(i as u32), p));
+            staging.coords.push(cell);
             staging.cells.push(idx as u32);
         }
         std::mem::swap(&mut self.nodes, &mut staging.nodes);
+        std::mem::swap(&mut self.node_cells, &mut staging.coords);
         let cells = self.system.cell_count();
         let count = self.nodes.len();
         self.members.rebuild_with(cells, &staging.cells);
@@ -375,13 +389,14 @@ impl GridNetwork {
     }
 
     /// The cell currently containing enabled node `id`, or `None` when
-    /// the node is disabled or unknown.
+    /// the node is disabled or unknown. O(1): one read of the per-node
+    /// cell index, which every placement and move keeps current, so the
+    /// position is never divided by the cell side.
     pub fn cell_of_node(&self, id: NodeId) -> Option<GridCoord> {
         let node = self.nodes.get(id.index())?;
-        if !node.status().is_enabled() {
-            return None;
-        }
-        self.system.cell_of(node.position())
+        node.status()
+            .is_enabled()
+            .then(|| self.node_cells[id.index()])
     }
 
     /// Enabled members of `coord`.
@@ -643,6 +658,7 @@ impl GridNetwork {
             .index_of(cell)
             .expect("clamped position cell is in bounds");
         self.nodes.push(SensorNode::with_battery(id, p, battery));
+        self.node_cells.push(cell);
         self.members.push(idx, id);
         if self.enabled_bits.len() * WORD_BITS < self.nodes.len() {
             self.enabled_bits.push(0);
@@ -671,11 +687,7 @@ impl GridNetwork {
             return Ok(None);
         }
         node.disable();
-        let pos = node.position();
-        let cell = self
-            .system
-            .cell_of(pos)
-            .expect("enabled node positions stay in the area");
+        let cell = self.node_cells[id.index()];
         let idx = self.system.index_of(cell)?;
         self.members.remove(idx, id);
         if self.heads[idx] == Some(id) {
@@ -693,8 +705,17 @@ impl GridNetwork {
     /// Moves enabled node `id` to `target` (which must be inside the
     /// surveillance area and in an enabled cell), updating membership.
     /// If the node was its source cell's head, the source head slot is
-    /// cleared; the caller decides the destination head (protocols set
-    /// the arriving spare as the new head explicitly).
+    /// cleared; the destination's head is left as it was, so a node that
+    /// lands in an empty cell leaves it headless until
+    /// [`GridNetwork::set_head`] or [`GridNetwork::repair_heads`]. This
+    /// is the move for arbitrary points (VF's virtual forces, SMART's
+    /// balancing flow); a repair hop into a cell's central area is
+    /// [`GridNetwork::move_into_cell`], which skips locating the target
+    /// and heads the cell in the same pass. Both keep the network's
+    /// indexes through one shared bookkeeping step.
+    ///
+    /// The destination cell is located from `target` (one division per
+    /// axis); the source cell is read from the per-node cell index.
     ///
     /// **Obstacle-aware distance.** On masked networks, when the straight
     /// segment between the old and new position crosses a disabled cell,
@@ -712,47 +733,108 @@ impl GridNetwork {
     ///
     /// # Errors
     ///
-    /// [`GridError::UnknownNode`] for undeployed ids,
-    /// [`GridError::NodeDisabled`] for disabled nodes,
     /// [`GridError::TargetOutsideArea`] when `target` falls outside the
-    /// grid, and [`GridError::CellDisabled`] when it falls in a
-    /// masked-out cell.
+    /// grid, [`GridError::CellDisabled`] when it falls in a masked-out
+    /// cell, [`GridError::UnknownNode`] for undeployed ids and
+    /// [`GridError::NodeDisabled`] for disabled nodes (checked in that
+    /// order; the network is unchanged on error).
     pub fn move_node(&mut self, id: NodeId, target: Point2) -> Result<MoveOutcome> {
-        let to_cell = self
+        let to = self
             .system
             .cell_of(target)
             .ok_or(GridError::TargetOutsideArea)?;
-        if !self.mask.is_enabled(to_cell) {
-            return Err(GridError::CellDisabled { coord: to_cell });
+        let to_idx = self.enabled_index(to)?;
+        self.relocate(id, target, to, to_idx, false)
+    }
+
+    /// One repair hop: moves enabled node `id` to the point at unit
+    /// coordinates `(u, v)` of cell `to`'s central area
+    /// ([`CellGeometry::central_point`](wsn_geometry::CellGeometry::central_point)),
+    /// and makes it `to`'s head when `to` has none. Callers draw `u` and
+    /// then `v` uniformly from `[0, 1)`, the paper's movement target (§4).
+    ///
+    /// The result, network state and [`MoveOutcome`] included, is
+    /// exactly that of [`GridNetwork::move_node`] to the same point
+    /// followed by [`GridNetwork::set_head`] when `to` was headless (a
+    /// property test holds the two paths equal on full and masked
+    /// regions). It is cheaper because the cell is given: nothing is
+    /// located by division, no rectangle is built or validated, no member
+    /// list is searched, and a vacant `to` never enters the headless
+    /// index only to leave it again.
+    ///
+    /// # Errors
+    ///
+    /// [`GridError::OutOfBounds`] when `to` is not a cell of the grid,
+    /// [`GridError::CellDisabled`] when it is masked out,
+    /// [`GridError::UnknownNode`] for undeployed ids and
+    /// [`GridError::NodeDisabled`] for disabled nodes (checked in that
+    /// order; the network is unchanged on error).
+    pub fn move_into_cell(
+        &mut self,
+        id: NodeId,
+        to: GridCoord,
+        u: f64,
+        v: f64,
+    ) -> Result<MoveOutcome> {
+        let to_idx = self.enabled_index(to)?;
+        let target = self
+            .system
+            .geometry()
+            .central_point(u32::from(to.x), u32::from(to.y), u, v);
+        self.relocate(id, target, to, to_idx, true)
+    }
+
+    /// The dense index of `coord`, which must be an enabled cell.
+    fn enabled_index(&self, coord: GridCoord) -> Result<usize> {
+        let idx = self.system.index_of(coord)?;
+        if !self.mask.index_enabled(idx) {
+            return Err(GridError::CellDisabled { coord });
         }
+        Ok(idx)
+    }
+
+    /// The bookkeeping of every move, shared by
+    /// [`GridNetwork::move_node`] and [`GridNetwork::move_into_cell`]:
+    /// moves enabled node `id` to `target`, which lies in enabled cell
+    /// `to` (dense index `to_idx`), and keeps the per-node cell index,
+    /// member lists, head slots, occupancy plus its journal, and the
+    /// headless index in step. With `take_head`, the mover also heads
+    /// `to` when `to` has no head.
+    fn relocate(
+        &mut self,
+        id: NodeId,
+        target: Point2,
+        to: GridCoord,
+        to_idx: usize,
+        take_head: bool,
+    ) -> Result<MoveOutcome> {
         let node = self
             .nodes
-            .get(id.index())
+            .get_mut(id.index())
             .ok_or(GridError::UnknownNode { index: id.index() })?;
         if !node.status().is_enabled() {
             return Err(GridError::NodeDisabled { index: id.index() });
         }
-        let from_cell = self
-            .system
-            .cell_of(node.position())
-            .expect("enabled node positions stay in the area");
-        let from_idx = self.system.index_of(from_cell)?;
-        let to_idx = self.system.index_of(to_cell)?;
         let from_pos = node.position();
-        let mut distance = self.nodes[id.index()].move_to(target);
-        if !self.mask.is_full()
-            && from_idx != to_idx
-            && !self
-                .mask
-                .segment_clear(self.system.cell_side(), from_pos, target)
-        {
-            // The chord crosses an obstacle: bill the detour through
-            // enabled cells instead (never less than the chord).
-            if let Some(hops) = self.mask.grid_distance(from_cell, to_cell) {
-                distance = distance.max(hops as f64 * self.system.cell_side());
-            }
-        }
+        let mut distance = node.move_to(target);
+        let from = std::mem::replace(&mut self.node_cells[id.index()], to);
+        let from_idx = self
+            .system
+            .index_of(from)
+            .expect("the cell index holds in-bounds cells");
+        let was_vacant = from_idx != to_idx && self.members.len_of(to_idx) == 0;
         if from_idx != to_idx {
+            if !self.mask.is_full()
+                && !self
+                    .mask
+                    .segment_clear(self.system.cell_side(), from_pos, target)
+            {
+                // The chord crosses an obstacle: bill the detour through
+                // enabled cells instead (never less than the chord).
+                if let Some(hops) = self.mask.grid_distance(from, to) {
+                    distance = distance.max(hops as f64 * self.system.cell_side());
+                }
+            }
             self.members.remove(from_idx, id);
             self.members.push(to_idx, id);
             if self.heads[from_idx] == Some(id) {
@@ -763,13 +845,20 @@ impl GridNetwork {
             }
             self.occupancy.set_occupied(to_idx);
             self.sync_headless(from_idx);
-            self.sync_headless(to_idx);
         }
-        Ok(MoveOutcome {
-            from: from_cell,
-            to: to_cell,
-            distance,
-        })
+        // `to` was in the headless index iff it had members but no head;
+        // it belongs there now iff it still has no head.
+        if self.heads[to_idx].is_none() {
+            if take_head {
+                self.heads[to_idx] = Some(id);
+                if !was_vacant {
+                    self.headless.remove(to_idx);
+                }
+            } else if was_vacant {
+                self.headless.insert(to_idx);
+            }
+        }
+        Ok(MoveOutcome { from, to, distance })
     }
 
     /// Draws `amount` joules from a node's battery, returning `true`
@@ -875,12 +964,23 @@ impl GridNetwork {
                 assert!(m.contains(&h), "head {h} of {coord} not a member");
             }
         }
+        assert_eq!(
+            self.node_cells.len(),
+            self.nodes.len(),
+            "cell index length out of sync with the node table"
+        );
         for node in &self.nodes {
             let i = node.id().index();
             if node.status().is_enabled() {
                 assert!(
                     seen[i],
                     "enabled node {} missing from member lists",
+                    node.id()
+                );
+                assert_eq!(
+                    Some(self.node_cells[i]),
+                    self.system.cell_of(node.position()),
+                    "cell index of node {} disagrees with its position",
                     node.id()
                 );
             }

@@ -213,10 +213,44 @@ pub fn write_upgrade(w: &mut impl Write, accept: &str) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::BufReader;
 
     fn parse(text: &str) -> io::Result<Option<Request>> {
         read_request(&mut BufReader::new(text.as_bytes()))
+    }
+
+    fn bytes() -> impl Strategy<Value = Vec<u8>> {
+        prop::collection::vec((0u16..256).prop_map(|b| b as u8), 0..512)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_bytes_yield_ok_or_err_never_a_panic(raw in bytes()) {
+            // Either outcome is fine; a panic fails the case.
+            let _ = read_request(&mut BufReader::new(raw.as_slice()));
+            let mut after_line = b"POST /jobs?x=1 HTTP/1.1\r\n".to_vec();
+            after_line.extend_from_slice(&raw);
+            let _ = read_request(&mut BufReader::new(after_line.as_slice()));
+        }
+
+        #[test]
+        fn oversized_content_length_is_refused_before_the_body_is_allocated(
+            small in 1u64..4096, huge in 1u64..u64::MAX - MAX_BODY_BYTES as u64,
+        ) {
+            for excess in [small, huge] {
+                let len = MAX_BODY_BYTES as u64 + excess;
+                // No body follows the head: reading one would end in
+                // `UnexpectedEof`, and allocating `len` bytes would fail,
+                // so only a check made before both gives this error.
+                let err = parse(&format!("PUT /x HTTP/1.1\r\ncontent-length: {len}\r\n\r\n"))
+                    .unwrap_err();
+                prop_assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                prop_assert_eq!(err.to_string(), "request body too large");
+            }
+        }
     }
 
     #[test]
