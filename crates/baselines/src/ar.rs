@@ -22,15 +22,12 @@
 //!   counted) and the processes still count as converged — Figure 6(b)
 //!   measures spare-finding, not usefulness.
 
-use std::collections::HashSet;
-use std::hash::BuildHasherDefault;
-
 use serde::{Deserialize, Serialize};
 
 use wsn_grid::{Direction, GridCoord, GridNetwork};
 use wsn_simcore::{
-    derive_stream_seed, EnergyModel, Fate, Metrics, NetLink, NetModelSpec, NodeId, PairHasher,
-    RoundOutcome, RoundProtocol, SimRng, TraceEvent, TraceLog,
+    derive_stream_seed, EnergyModel, Fate, Metrics, NetLink, NetModelSpec, NodeId, RoundOutcome,
+    RoundProtocol, SimRng, TraceEvent, TraceLog,
 };
 
 use wsn_coverage::actor::{cell_center, cell_endpoint, NET_STREAM_TAG};
@@ -73,18 +70,16 @@ impl ArConfig {
     }
 }
 
-/// A set of cells (or cell pairs) hashed with the seedless
-/// [`PairHasher`]. AR only inserts, probes and `retain`s these sets;
-/// nothing iterates them, so their order reaches no report.
-type CellSet<T> = HashSet<T, BuildHasherDefault<PairHasher>>;
-
 #[derive(Debug, Clone)]
 struct ArProcess {
     id: u64,
     current_target: GridCoord,
     asked: GridCoord,
-    /// Cells this cascade has relayed through (and its hole).
-    visited: CellSet<GridCoord>,
+    /// The cascade's path: its hole first, then every cell it has
+    /// relayed through. Searched linearly: a cascade relays at most one
+    /// hop per round, so the path holds at most one cell more than the
+    /// rounds the cascade has lived, and a check reads no more than that.
+    visited: Vec<GridCoord>,
     hops: usize,
     /// First round in which the asked head may act — the in-flight ask's
     /// arrival time under the event engine's network model. Always 0 in
@@ -112,15 +107,20 @@ pub struct ArProtocol<'n> {
     /// a cascade" check without scanning `active`.
     owners: OwnerCounts,
     next_id: u64,
-    /// (initiator, hole) pairs that already fired during the current
-    /// vacancy episode of the hole; cleared when the hole fills.
-    initiated: CellSet<(GridCoord, GridCoord)>,
-    /// Cells where a cascade died. Re-detecting them would retry the
-    /// same doomed walk (AR has no mechanism that could do better on a
-    /// second attempt), so they stay blacklisted — this is also what
-    /// bounds AR in the under-provisioned regime the paper excludes
-    /// ("requires at least 4×m×n deployed nodes").
-    failed_holes: CellSet<GridCoord>,
+    /// The monitors that already fired during the current vacancy
+    /// episode of each hole: per dense cell index, bit `i` stands for
+    /// the hole's neighbour in direction `Direction::ALL[i]`. Cleared
+    /// when the hole fills.
+    initiated: Vec<u8>,
+    /// The holes with any `initiated` bit set, so the per-round episode
+    /// reset visits only them.
+    initiated_holes: Vec<usize>,
+    /// Cells where a cascade died (dense indices). Re-detecting them
+    /// would retry the same doomed walk (AR has no mechanism that could
+    /// do better on a second attempt), so they stay blacklisted — this
+    /// is also what bounds AR in the under-provisioned regime the paper
+    /// excludes ("requires at least 4×m×n deployed nodes").
+    failed_holes: wsn_grid::HoleSet,
     ttl: usize,
     /// Current holes (dense row-major indices), maintained from the
     /// network's occupancy change journal — detection walks this in
@@ -148,7 +148,8 @@ impl<'n> ArProtocol<'n> {
         } else {
             config.ttl
         };
-        let mut pending_holes = wsn_grid::HoleSet::new(net.system().cell_count());
+        let cells = net.system().cell_count();
+        let mut pending_holes = wsn_grid::HoleSet::new(cells);
         pending_holes.assign_vacant(net.occupancy());
         net.clear_changed_cells();
         let owners = OwnerCounts::new(net.system());
@@ -163,8 +164,9 @@ impl<'n> ArProtocol<'n> {
             survivors: Vec::new(),
             owners,
             next_id: 0,
-            initiated: CellSet::default(),
-            failed_holes: CellSet::default(),
+            initiated: vec![0; cells],
+            initiated_holes: Vec::new(),
+            failed_holes: wsn_grid::HoleSet::new(cells),
             ttl,
             pending_holes,
             detect_buf: Vec::new(),
@@ -222,7 +224,7 @@ impl<'n> ArProtocol<'n> {
     fn relay(&mut self, p: &mut ArProcess, next: GridCoord) {
         self.owners.remove(p.current_target);
         self.owners.add(p.asked);
-        p.visited.insert(p.asked);
+        p.visited.push(p.asked);
         p.current_target = p.asked;
         p.asked = next;
         p.hops += 1;
@@ -357,7 +359,9 @@ impl<'n> ArProtocol<'n> {
     }
 
     fn fail(&mut self, p: ArProcess, reason: &str, round: u64) {
-        self.failed_holes.insert(p.current_target);
+        let sys = self.net.system();
+        let hole = sys.index_of(p.current_target).expect("in bounds");
+        self.failed_holes.insert(hole);
         self.metrics.processes_failed += 1;
         self.trace.record_with(round, || TraceEvent::ProcessFailed {
             process: p.id,
@@ -479,9 +483,14 @@ impl RoundProtocol for ArProtocol<'_> {
 
         // Detection: every occupied neighbor of a vacant cell initiates,
         // once per vacancy episode. Episodes reset when the hole fills.
-        let mut initiated = std::mem::take(&mut self.initiated);
-        initiated.retain(|(_, hole)| !self.is_occupied(*hole));
-        self.initiated = initiated;
+        let (occupancy, initiated) = (self.net.occupancy(), &mut self.initiated);
+        self.initiated_holes.retain(|&hole| {
+            let vacant = occupancy.is_vacant(hole);
+            if !vacant {
+                initiated[hole] = 0;
+            }
+            vacant
+        });
         self.net.fold_changed_cells_into(&mut self.pending_holes);
         let mut buf = std::mem::take(&mut self.detect_buf);
         buf.clear();
@@ -497,23 +506,30 @@ impl RoundProtocol for ArProtocol<'_> {
             if self.owners.is_owned(g) {
                 continue;
             }
-            if self.failed_holes.contains(&g) {
+            if self.failed_holes.contains(hole_idx) {
                 continue; // a cascade already died here; see field docs
             }
             let mut spawned_for_hole = 0u64;
-            for &d in &Direction::ALL {
+            for (bit, &d) in Direction::ALL.iter().enumerate() {
                 let Some(w) = self.net.system().neighbor(g, d) else {
                     continue;
                 };
-                if !self.is_usable(w) || !self.is_occupied(w) || self.initiated.contains(&(w, g)) {
+                let monitor = 1u8 << bit;
+                if !self.is_usable(w)
+                    || !self.is_occupied(w)
+                    || self.initiated[hole_idx] & monitor != 0
+                {
                     continue;
                 }
                 if !self.probe(w, g, round) {
                     // The probe drowned; this monitor retries next round
-                    // (its (w, g) pair stays unfired).
+                    // (its bit for this hole stays clear).
                     continue;
                 }
-                self.initiated.insert((w, g));
+                if self.initiated[hole_idx] == 0 {
+                    self.initiated_holes.push(hole_idx);
+                }
+                self.initiated[hole_idx] |= monitor;
                 if spawned_for_hole > 0 {
                     if let Some(link) = &mut self.link {
                         // AR's defining defect, now measured: every
@@ -534,13 +550,11 @@ impl RoundProtocol for ArProtocol<'_> {
                         initiator: w.into(),
                     },
                 );
-                let mut visited = CellSet::default();
-                visited.insert(g);
                 self.enlist(ArProcess {
                     id,
                     current_target: g,
                     asked: w,
-                    visited,
+                    visited: vec![g],
                     hops: 0,
                     ready_at: 0,
                 });
@@ -688,6 +702,39 @@ mod tests {
             report.metrics.processes_initiated,
             report.metrics.processes_converged + report.metrics.processes_failed
         );
+        net.debug_invariants();
+    }
+
+    #[test]
+    fn cascade_never_reenters_a_cell_it_relayed_through() {
+        // A 4x4 grid masked down to seven cells, one node in each but
+        // the hole H and two in S:
+        //
+        //   y=2  H 1 2 .     H: the hole; 1-4: the cascade's relays in
+        //   y=1  . 4 3 .        order; X: the way out; S: the only
+        //   y=0  S X . .        spare's cell; row y=3 is all disabled.
+        //
+        // H's one usable neighbour, 1, starts the only process, and each
+        // relay has a single way on until 4. There the north neighbour
+        // is 1 again: refilled by 2's head, so occupied, and first in
+        // `Direction::ALL` order ahead of X in the south. Only the record
+        // of 1 in the cascade's path sends it to X and on to S; without
+        // it the cascade circles 1-2-3-4 until its TTL runs out and
+        // strands a hole.
+        let enabled = [(0, 2), (1, 2), (2, 2), (2, 1), (1, 1), (1, 0), (0, 0)];
+        let sys = GridSystem::new(4, 4, 4.4721).unwrap();
+        let mask = wsn_grid::RegionMask::from_fn(4, 4, |c| enabled.contains(&(c.x, c.y)));
+        let hole = GridCoord::new(0, 2);
+        let mut rng = SimRng::seed_from_u64(17);
+        let mut pos = deploy::with_holes_masked(&sys, &mask, &[hole], 1, &mut rng);
+        pos.push(sys.cell_center(GridCoord::new(0, 0)).unwrap());
+        let mut net = GridNetwork::with_mask(sys, mask, &pos).unwrap();
+        let report = run_ar(&mut net, 17, DriveMode::Classic);
+        assert!(report.fully_covered, "{report}");
+        assert_eq!(report.metrics.processes_initiated, 1);
+        assert_eq!(report.metrics.processes_converged, 1);
+        // Five relays (1, 2, 3, 4, X) and the spare's move into X.
+        assert_eq!(report.metrics.moves, 6);
         net.debug_invariants();
     }
 

@@ -9,10 +9,10 @@
 //! the `served` daemon and the repository benchmark run through it.
 //! Three properties are load-bearing:
 //!
-//! * **Lazy expansion.** The matrix is never materialized: a trial is
-//!   addressed by a single dense index, decoded on demand into
-//!   `(scheme, grid, N, trial)`. A million-trial campaign costs a
-//!   counter, not a job vector.
+//! * **Lazy expansion.** The matrix is never materialized: work is
+//!   addressed by a single dense deployment index, decoded on demand
+//!   into `(region, grid, N, trial)` and the cells that share it. A
+//!   million-trial campaign costs a counter, not a job vector.
 //! * **Deterministic RNG streams.** Trial `(cols, rows, N, t)` draws its
 //!   seed from [`wsn_simcore::derive_stream_seed`] — addressed by
 //!   coordinates, not by draw order — so any worker may run any trial
@@ -34,10 +34,13 @@
 //! the masked replacement structures — `figures --masked` emits the
 //! SR-vs-AR comparison across shapes.
 //!
-//! Execution uses a work-stealing pool of scoped threads: the trial
-//! index space is split into per-worker ranges; a worker that drains its
-//! range steals the back half of the largest remaining one. Results
-//! export through [`CampaignResult::save`] as
+//! Execution runs on scoped threads that share one cursor over the
+//! matrix's **deployments**. A deployment is one `(region, grid, N,
+//! trial)` coordinate; every scheme and network combination of that
+//! coordinate runs the same trial on it. A worker takes the next
+//! unclaimed deployment, builds its network once, and runs each of its
+//! cells on a clone of that network, so no scheme sees another's moves.
+//! Results export through [`CampaignResult::save`] as
 //! `results/campaign_<name>.json` + `.csv`, and
 //! [`crate::figures`] regenerates Figures 6–8 with CI whiskers from a
 //! campaign.
@@ -104,7 +107,7 @@ use serde::{Deserialize, Serialize};
 use crate::steady::{run_steady_trial, SteadyOutcome, SteadyParams, SteadySummary};
 use wsn_baselines::builtins;
 use wsn_coverage::scheme::{DriveMode, NetworkSpec, ReplacementScheme, SchemeId, SchemeRegistry};
-use wsn_grid::{deploy, GridNetwork, GridSystem, RegionMask, RegionShape};
+use wsn_grid::{deploy, GridNetwork, GridSystem, NetworkStats, RegionMask, RegionShape};
 use wsn_simcore::{derive_stream_seed, Metrics, NetModelSpec, ProtocolHealth, SimRng};
 use wsn_stats::{Histogram, JsonValue, StreamingStat};
 
@@ -568,6 +571,27 @@ impl CampaignConfig {
             return NetModelSpec::Ideal;
         }
         self.degraded.spec(cell % self.net_combo_count())
+    }
+
+    /// Number of deployments: one per `(region, grid, target, trial)`.
+    pub(crate) fn deployment_count(&self) -> u64 {
+        (self.regions.len() * self.grids.len() * self.targets.len()) as u64 * self.seeds_per_cell
+    }
+
+    /// Decodes a dense deployment index into its trial and the cells
+    /// that run that trial on it, ascending. Deployments are ordered by
+    /// region, grid and target with the trial innermost — below the
+    /// scheme axis, the cell index's own order. The cells of a
+    /// deployment are its first cell plus `s · stride + k` for scheme
+    /// `s` and network combination `k`, where the stride is one scheme's
+    /// cell count, `regions · grids · targets · net combos`.
+    pub(crate) fn deployment(&self, index: u64) -> (u64, impl Iterator<Item = usize>) {
+        let nets = self.net_combo_count();
+        let first = (index / self.seeds_per_cell) as usize * nets;
+        let stride = self.regions.len() * self.grids.len() * self.targets.len() * nets;
+        let cells = (0..self.schemes.len())
+            .flat_map(move |s| (0..nets).map(move |k| first + s * stride + k));
+        (index % self.seeds_per_cell, cells)
     }
 
     /// Validates the matrix against `registry` — the same gate
@@ -1444,8 +1468,6 @@ impl CampaignResult {
     }
 }
 
-/// Runs one trial, addressed purely by matrix coordinates (any worker,
-/// any order — same outcome).
 /// The deterministic stream seed of a matrix trial — the address half of
 /// the record/replay contract ([`crate::replay`] re-derives the identical
 /// seed from a coordinate alone).
@@ -1544,12 +1566,14 @@ pub(crate) fn build_trial_network(
 }
 
 /// Per-worker trial arena: one cached [`GridNetwork`] rebuilt in place
-/// via [`GridNetwork::reset_into`] while consecutive trials share a
+/// via [`GridNetwork::reset_into`] while consecutive deployments share a
 /// `(region, grid)` key, so the node vector, member pool, occupancy
 /// words and head table are allocated once per worker instead of once
-/// per trial. Trials on a new key rebuild the cache from scratch;
-/// either way the network handed out is observation-equivalent to
-/// [`build_trial_network`]'s (the `reset_into` proptest pins equality).
+/// per deployment. Deployments on a new key rebuild the cache from
+/// scratch; either way the network handed out is observation-equivalent
+/// to [`build_trial_network`]'s (the `reset_into` proptest pins
+/// equality). Schemes never run on it: each runs on a clone, so the
+/// cached network stays the pristine deployment every cell copies.
 pub(crate) struct TrialArena {
     key: Option<(RegionShape, u16, u16)>,
     net: Option<GridNetwork>,
@@ -1563,7 +1587,7 @@ impl TrialArena {
         }
     }
 
-    /// The trial network for the given matrix coordinates, reusing the
+    /// The deployment for the given matrix coordinates, reusing the
     /// cached allocations whenever the `(region, grid)` key matches.
     pub(crate) fn network(
         &mut self,
@@ -1573,7 +1597,7 @@ impl TrialArena {
         (cols, rows): (u16, u16),
         n_target: usize,
         seed: u64,
-    ) -> &mut GridNetwork {
+    ) -> &GridNetwork {
         let reusable = self.key == Some((region, cols, rows)) && self.net.is_some();
         if reusable {
             let net = self.net.as_mut().expect("key implies cached network");
@@ -1591,34 +1615,24 @@ impl TrialArena {
             ));
             self.key = Some((region, cols, rows));
         }
-        self.net.as_mut().expect("cached or just built")
+        self.net.as_ref().expect("cached or just built")
     }
 }
 
+/// Runs one cell's scheme on `net`, a copy of its deployment whose
+/// pristine occupancy is `stats`, under the deployment's stream `seed`.
 fn run_matrix_trial(
     cfg: &CampaignConfig,
     scheme: &dyn ReplacementScheme,
-    arena: &mut TrialArena,
-    (region, (cols, rows), n_target, net_spec): (RegionShape, (u16, u16), usize, NetModelSpec),
-    trial: u64,
+    mut net: GridNetwork,
+    stats: NetworkStats,
+    net_spec: NetModelSpec,
+    seed: u64,
 ) -> TrialOutcome {
-    // The network axes are deliberately absent from the stream seed:
-    // every weather condition (and every scheme) replays the identical
-    // deployment — the paired methodology, extended to the link layer.
-    let seed = trial_stream_seed(cfg.master_seed, region, (cols, rows), n_target, trial);
-    let net = arena.network(
-        cfg.mode,
-        cfg.comm_range,
-        region,
-        (cols, rows),
-        n_target,
-        seed,
-    );
-    let stats = net.stats();
     if cfg.mode == CampaignMode::SteadyState {
         // Open-system workload: the scheme repairs every tick while
         // faults, arrivals and weather evolve the deployment.
-        let outcome = run_steady_trial(&cfg.steady, scheme, net, seed);
+        let outcome = run_steady_trial(&cfg.steady, scheme, &mut net, seed);
         return TrialOutcome {
             holes: stats.vacant,
             spares: stats.spares,
@@ -1637,7 +1651,7 @@ fn run_matrix_trial(
     // One uniform dispatch for every scheme in the registry — this is
     // the line the closed `match scheme` used to be.
     let report = scheme
-        .run(net, seed, drive)
+        .run(&mut net, seed, drive)
         .expect("validation proved every scheme supports every matrix cell");
     TrialOutcome {
         holes: stats.vacant,
@@ -1649,12 +1663,13 @@ fn run_matrix_trial(
     }
 }
 
-/// The dense trial index space behind one shared cursor: every worker
-/// takes the next unclaimed index, so trials start in index order and a
-/// worker that frees up always takes the oldest trial left. Contiguous
-/// per-worker ranges would line a matrix's long cells up behind one
-/// worker. Which worker runs a trial is scheduling-dependent, which is
-/// fine — aggregation reorders per cell (see [`Folder`]).
+/// The dense deployment index space behind one shared cursor: every
+/// worker takes the next unclaimed index, so deployments start in index
+/// order and a worker that frees up always takes the oldest one left.
+/// Contiguous per-worker ranges would line a matrix's long cells up
+/// behind one worker. Which worker runs a deployment is
+/// scheduling-dependent, which is fine — aggregation reorders per cell
+/// (see [`Folder`]).
 struct WorkQueue {
     next: std::sync::atomic::AtomicU64,
     total: u64,
@@ -1668,13 +1683,30 @@ impl WorkQueue {
         }
     }
 
-    /// The next unclaimed trial index, or `None` once all are claimed.
+    /// The next unclaimed deployment index, or `None` once all are
+    /// claimed.
     fn pop(&self) -> Option<u64> {
         // Relaxed: the cursor publishes no data; the read-modify-write
         // alone hands each index out once.
         let i = self.next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         (i < self.total).then_some(i)
     }
+}
+
+/// Fills `cells` with the cells of deployment `index` that have not
+/// folded its trial yet — those at or above their resume watermark in
+/// `done` — ascending, and returns that trial; `None` when every cell
+/// folded it before the checkpoint, so the deployment is never built.
+fn unfolded_cells(
+    cfg: &CampaignConfig,
+    done: &[u64],
+    index: u64,
+    cells: &mut Vec<usize>,
+) -> Option<u64> {
+    let (trial, all) = cfg.deployment(index);
+    cells.clear();
+    cells.extend(all.filter(|&c| trial >= done[c]));
+    (!cells.is_empty()).then_some(trial)
 }
 
 /// In-order folder: completed trials enter per-cell reorder buffers and
@@ -1956,8 +1988,10 @@ pub enum CampaignRun {
 }
 
 /// Expands and executes the campaign matrix against the built-in scheme
-/// registry ([`wsn_baselines::builtins`]) on a work-stealing pool of
-/// scoped threads, streaming trial outcomes into per-cell aggregates.
+/// registry ([`wsn_baselines::builtins`]) on scoped threads that take
+/// deployments from one shared cursor, deploy each once and run every
+/// scheme and network combination of it on a clone, streaming trial
+/// outcomes into per-cell aggregates.
 ///
 /// # Errors
 ///
@@ -2050,7 +2084,7 @@ pub fn run_campaign_resumable_with(
     // folded. Workers must consult this frozen copy, never the live
     // `next_trial` (which advances as they fold).
     let done0 = folder.next_trial.clone();
-    let total = cfg.trial_count();
+    let deployments = cfg.deployment_count();
     let workers = cfg
         .workers
         .unwrap_or_else(|| {
@@ -2059,8 +2093,8 @@ pub fn run_campaign_resumable_with(
                 .unwrap_or(4)
         })
         .clamp(1, 256)
-        .min(total.max(1) as usize);
-    let queue = WorkQueue::new(total);
+        .min(deployments.max(1) as usize);
+    let queue = WorkQueue::new(deployments);
     let folder = Mutex::new(folder);
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -2069,34 +2103,44 @@ pub fn run_campaign_resumable_with(
             let done0 = &done0;
             scope.spawn(move || {
                 // One arena per worker: network allocations are reused
-                // across every trial the worker runs on the same
+                // across every deployment the worker builds on the same
                 // (region, grid) key.
                 let mut arena = TrialArena::new();
-                while let Some(idx) = queue.pop() {
-                    let cell = (idx / cfg.seeds_per_cell) as usize;
-                    let trial = idx % cfg.seeds_per_cell;
-                    if trial < done0[cell] {
-                        continue; // folded before the checkpoint
+                let mut cells = Vec::new();
+                'deployments: while let Some(d) = queue.pop() {
+                    let Some(trial) = unfolded_cells(cfg, done0, d, &mut cells) else {
+                        continue; // every cell folded it before the checkpoint
+                    };
+                    // The scheme and network axes are deliberately absent
+                    // from the stream seed: every scheme and weather
+                    // condition replays the identical deployment — the
+                    // paired methodology, extended to the link layer.
+                    let (_, region, grid, n) = cfg.cell_params(cells[0]);
+                    let seed = trial_stream_seed(cfg.master_seed, region, grid, n, trial);
+                    let pristine = arena.network(cfg.mode, cfg.comm_range, region, grid, n, seed);
+                    let stats = pristine.stats();
+                    for &cell in &cells {
+                        if observer.cancel_requested() {
+                            break 'deployments;
+                        }
+                        let scheme = registry
+                            .get(cfg.cell_params(cell).0.as_str())
+                            .expect("validated ids");
+                        let outcome = run_matrix_trial(
+                            cfg,
+                            scheme,
+                            pristine.clone(),
+                            stats,
+                            cfg.cell_net(cell),
+                            seed,
+                        );
+                        folder.lock().expect("no poisoned folds").fold(
+                            cell as u64 * cfg.seeds_per_cell + trial,
+                            cfg.seeds_per_cell,
+                            outcome,
+                            observer,
+                        );
                     }
-                    if observer.cancel_requested() {
-                        break;
-                    }
-                    let (scheme, region, grid, n) = cfg.cell_params(cell);
-                    let net_spec = cfg.cell_net(cell);
-                    let scheme = registry.get(scheme.as_str()).expect("validated ids");
-                    let outcome = run_matrix_trial(
-                        cfg,
-                        scheme,
-                        &mut arena,
-                        (region, grid, n, net_spec),
-                        trial,
-                    );
-                    folder.lock().expect("no poisoned folds").fold(
-                        idx,
-                        cfg.seeds_per_cell,
-                        outcome,
-                        observer,
-                    );
                 }
             });
         }
@@ -2122,6 +2166,8 @@ pub fn run_campaign_resumable_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wsn_coverage::scheme::{SchemeDetails, SchemeReport, Unsupported};
+    use wsn_simcore::{Quiescence, RunReport};
 
     fn tiny() -> CampaignConfig {
         CampaignConfig {
@@ -2538,8 +2584,9 @@ mod tests {
             assert_eq!(*reused, fresh, "{region} {grid:?} N={n} t={trial}");
             reused.debug_invariants();
             // Dirty the cached network so the next reset has real work.
-            let any = reused.nodes().first().expect("nonempty deployment").id();
-            reused.disable_node(any).unwrap();
+            let cached = arena.net.as_mut().expect("just handed out");
+            let any = cached.nodes().first().expect("nonempty deployment").id();
+            cached.disable_node(any).unwrap();
         }
     }
 
@@ -2686,6 +2733,183 @@ mod tests {
         let mut cfg = tiny();
         cfg.degraded.latencies.clear();
         assert!(run_campaign(&cfg).is_ok());
+    }
+
+    #[test]
+    fn deployments_cover_every_cell_trial_once_on_a_shared_network() {
+        let ideal = CampaignConfig {
+            schemes: SchemeId::list(&["ar", "sr", "sr-sc"]),
+            regions: vec![RegionShape::Full, RegionShape::LShape],
+            grids: vec![(8, 8), (6, 6)],
+            targets: vec![10, 55, 100],
+            seeds_per_cell: 3,
+            ..CampaignConfig::paper()
+        };
+        let degraded = CampaignConfig {
+            mode: CampaignMode::Degraded,
+            degraded: DegradedParams {
+                latencies: vec![1, 2],
+                loss_ppms: vec![0, 100_000],
+            },
+            ..ideal.clone()
+        };
+        for cfg in [ideal, degraded] {
+            let nets = cfg.net_combo_count();
+            // Deployments run by region, grid and target, trial innermost.
+            let mut coords = Vec::new();
+            for &region in &cfg.regions {
+                for &grid in &cfg.grids {
+                    for &n in &cfg.targets {
+                        coords.extend((0..cfg.seeds_per_cell).map(|t| (region, grid, n, t)));
+                    }
+                }
+            }
+            let deployments = cfg.deployment_count();
+            assert_eq!(deployments, coords.len() as u64);
+            let mut seen = vec![false; cfg.trial_count() as usize];
+            for (d, &(region, grid, n, t)) in (0..deployments).zip(&coords) {
+                let (trial, cells) = cfg.deployment(d);
+                assert_eq!(trial, t, "deployment {d}");
+                let seed = trial_stream_seed(cfg.master_seed, region, grid, n, trial);
+                let cells: Vec<usize> = cells.collect();
+                assert_eq!(cells.len(), cfg.schemes.len() * nets);
+                assert!(cells.windows(2).all(|w| w[0] < w[1]), "{cells:?}");
+                for (i, &cell) in cells.iter().enumerate() {
+                    let (scheme, r, g, t) = cfg.cell_params(cell);
+                    assert_eq!((r, g, t), (region, grid, n), "deployment {d} cell {cell}");
+                    assert_eq!(trial_stream_seed(cfg.master_seed, r, g, t, trial), seed);
+                    assert_eq!(scheme, &cfg.schemes[i / nets]);
+                    let index = cell * cfg.seeds_per_cell as usize + trial as usize;
+                    assert!(!seen[index], "cell {cell} trial {trial} handed out twice");
+                    seen[index] = true;
+                }
+            }
+            assert!(
+                seen.iter().all(|&s| s),
+                "some (cell, trial) never handed out"
+            );
+
+            // The resume skip map: a deployment runs exactly the cells
+            // whose watermark has not passed its trial, and one whose
+            // every cell folded that trial is never built. Watermarks
+            // vary by coordinate, and the second scheme's first network
+            // combination lags one trial behind, so some deployments are
+            // fully folded, some partly, some not at all.
+            let stride = cfg.cell_count() / cfg.schemes.len();
+            let done: Vec<u64> = (0..cfg.cell_count())
+                .map(|c| {
+                    let base = (c % stride / nets) as u64 % (cfg.seeds_per_cell + 1);
+                    let lags = c / stride == 1 && c % nets == 0;
+                    base.saturating_sub(u64::from(lags))
+                })
+                .collect();
+            let mut cells = Vec::new();
+            let (mut skipped, mut partial) = (0, 0);
+            let mut unfolded = vec![false; cfg.trial_count() as usize];
+            for d in 0..deployments {
+                let Some(trial) = unfolded_cells(&cfg, &done, d, &mut cells) else {
+                    let (trial, mut all) = cfg.deployment(d);
+                    assert!(all.all(|c| trial < done[c]), "deployment {d}");
+                    skipped += 1;
+                    continue;
+                };
+                assert_eq!(trial, cfg.deployment(d).0);
+                partial += usize::from(cells.len() < cfg.schemes.len() * nets);
+                for &cell in &cells {
+                    unfolded[cell * cfg.seeds_per_cell as usize + trial as usize] = true;
+                }
+            }
+            let seeds = cfg.seeds_per_cell as usize;
+            for (index, &ran) in unfolded.iter().enumerate() {
+                let (cell, trial) = (index / seeds, (index % seeds) as u64);
+                assert_eq!(ran, trial >= done[cell], "cell {cell} trial {trial}");
+            }
+            assert!(
+                skipped > 0,
+                "the watermarks must fold some deployment fully"
+            );
+            assert!(
+                partial > 0,
+                "the watermarks must fold some deployment partly"
+            );
+            let full = vec![cfg.seeds_per_cell; cfg.cell_count()];
+            assert!((0..deployments).all(|d| unfolded_cells(&cfg, &full, d, &mut cells).is_none()));
+        }
+    }
+
+    /// A plugin that disables every node it is handed: if any other
+    /// cell of its deployment saw its network, that cell's results
+    /// would change.
+    #[derive(Debug)]
+    struct Vandal;
+
+    impl ReplacementScheme for Vandal {
+        fn id(&self) -> &str {
+            "vandal"
+        }
+        fn label(&self) -> &str {
+            "Vandal"
+        }
+        fn supports(&self, _spec: &NetworkSpec) -> Result<(), Unsupported> {
+            Ok(())
+        }
+        fn supports_event_driven(&self) -> bool {
+            true
+        }
+        fn run(
+            &self,
+            net: &mut GridNetwork,
+            _seed: u64,
+            _mode: DriveMode,
+        ) -> Result<SchemeReport, Unsupported> {
+            let initial_stats = net.stats();
+            let ids: Vec<_> = net.nodes().iter().map(|n| n.id()).collect();
+            for id in ids {
+                net.disable_node(id).expect("deployed nodes start enabled");
+            }
+            let final_stats = net.stats();
+            Ok(SchemeReport {
+                run: RunReport {
+                    rounds: 1,
+                    termination: Quiescence::Reached,
+                },
+                metrics: Metrics::new(),
+                initial_stats,
+                fully_covered: final_stats.vacant == 0,
+                final_stats,
+                processes: Vec::new(),
+                health: ProtocolHealth::default(),
+                details: SchemeDetails::none(),
+            })
+        }
+    }
+
+    #[test]
+    fn every_cell_of_a_deployment_runs_on_its_own_copy() {
+        let mut registry = builtins();
+        registry.register(Vandal).unwrap();
+        for cfg in [tiny(), degraded_tiny()] {
+            let paired = CampaignConfig {
+                schemes: SchemeId::list(&["sr", "ar"]),
+                ..cfg.clone()
+            };
+            let vandalized = CampaignConfig {
+                schemes: SchemeId::list(&["vandal", "sr", "ar"]),
+                ..cfg
+            };
+            for workers in [1, 2] {
+                let expected =
+                    run_campaign_with(&paired.clone().with_workers(workers), &registry).unwrap();
+                let with = run_campaign_with(&vandalized.clone().with_workers(workers), &registry)
+                    .unwrap();
+                let (vandal, rest): (Vec<_>, Vec<_>) = with
+                    .cells
+                    .into_iter()
+                    .partition(|c| c.scheme.as_str() == "vandal");
+                assert!(vandal.iter().all(|c| c.covered_trials == 0 && c.trials > 0));
+                assert_eq!(rest, expected.cells, "workers={workers}");
+            }
+        }
     }
 
     #[test]

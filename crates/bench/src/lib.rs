@@ -22,9 +22,10 @@
 //!
 //! Every Monte-Carlo figure runs on one engine, [`campaign`]: it expands
 //! the experiment matrix (scheme × region shape × grid × `N` × seed)
-//! onto a work-stealing thread pool, gives every scheme byte-identical
-//! deployments, and folds trials into streaming per-cell statistics with
-//! confidence intervals. Figures 6–8 plot a
+//! lazily, hands its deployments to worker threads through one shared
+//! cursor, runs every scheme on its own copy of the same deployment, and
+//! folds trials into streaming per-cell statistics with confidence
+//! intervals. Figures 6–8 plot a
 //! [`CampaignConfig::paper`](campaign::CampaignConfig::paper) campaign
 //! (or its `quick`/`smoke` reductions) with 95% CI whiskers, and
 //! `figures --masked` adds the irregular-region comparison over

@@ -201,8 +201,11 @@ impl DualPathCycle {
         (p != u32::MAX).then_some(p as usize)
     }
 
-    /// Corollary 2's walk-length parameter: the replacement process can
-    /// stretch `m·n − 2` hops (the shared chain) before the final fork.
+    /// Corollary 2's walk-length parameter `L = m·n − 2`: the shared
+    /// chain's length. It is the paper's parameter, not the longest
+    /// walk. A hole at `A` whose only spare is in `B` (or the reverse)
+    /// walks `m·n − 1` hops: to `C`, back along the whole chain to `D`,
+    /// then to the other special cell.
     pub fn corollary_hops(&self) -> usize {
         self.chain.len()
     }

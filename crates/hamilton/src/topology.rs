@@ -249,11 +249,12 @@ impl CycleTopology {
         }
     }
 
-    /// Theorem 2's `L`: the maximum number of hops a replacement walk can
-    /// stretch. `m·n − 1` for a single cycle; `m·n − 2` for dual paths
-    /// (Corollary 2 — the walk traverses the shared chain and resolves
-    /// the `A`/`B` fork by notification, not traversal); `enabled − 1`
-    /// for a masked ring.
+    /// Theorem 2's walk-length parameter `L`. On a single cycle it is
+    /// `m·n − 1` and on a masked ring `enabled − 1`: the most hops a
+    /// replacement walk can take. On dual paths it is Corollary 2's
+    /// `L = m·n − 2`, the shared chain's length, which is the paper's
+    /// parameter and not a bound: a walk from `A` or `B` can take one
+    /// hop more (see [`DualPathCycle::corollary_hops`]).
     pub fn max_walk_hops(&self) -> usize {
         match self {
             CycleTopology::Single(c) => c.deduced_path_hops(),

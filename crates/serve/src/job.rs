@@ -343,33 +343,33 @@ impl JobQueue {
     /// one or more dedicated runner threads.
     pub fn run_until_shutdown(&self) {
         while !shutdown::requested() {
-            match self.claim_next() {
-                Some(id) => self.run_job(&id),
-                None => {
-                    // Nothing queued: block until a submit/recover wakes
-                    // us, re-polling the shutdown flag periodically.
-                    let inner = self.inner.lock().expect("job queue lock");
-                    let _unused = self
-                        .wake
-                        .wait_timeout(inner, Duration::from_millis(100))
-                        .expect("job queue lock");
-                }
+            // Waiting gives up every 100 ms to re-poll the shutdown flag.
+            if let Some(id) = self.claim_or_wait(Duration::from_millis(100)) {
+                self.run_job(&id);
             }
         }
     }
 
-    /// Claims the oldest queued job, marking it running.
-    fn claim_next(&self) -> Option<String> {
-        let mut inner = self.inner.lock().expect("job queue lock");
-        let inner = &mut *inner;
-        for id in &inner.order {
-            let job = inner.jobs.get_mut(id).expect("ordered ids exist");
-            if job.state == JobState::Queued {
-                job.state = JobState::Running;
-                return Some(id.clone());
-            }
-        }
-        None
+    /// Claims the oldest queued job, marking it running; with none
+    /// queued, first waits up to `timeout` for a submit or recover to
+    /// queue one. The check and the wait hold one lock acquisition, so a
+    /// submit cannot land between them unseen.
+    fn claim_or_wait(&self, timeout: Duration) -> Option<String> {
+        let oldest_queued = |inner: &QueueInner| {
+            inner
+                .order
+                .iter()
+                .find(|id| inner.jobs[*id].state == JobState::Queued)
+                .cloned()
+        };
+        let inner = self.inner.lock().expect("job queue lock");
+        let (mut inner, _) = self
+            .wake
+            .wait_timeout_while(inner, timeout, |inner| oldest_queued(inner).is_none())
+            .expect("job queue lock");
+        let id = oldest_queued(&inner)?;
+        inner.jobs.get_mut(&id).expect("queued ids exist").state = JobState::Running;
+        Some(id)
     }
 
     /// Executes one claimed job to a terminal state (or suspension).
@@ -572,5 +572,59 @@ impl CampaignObserver for RunObserver<'_> {
         self.budget.load(Ordering::SeqCst) == 0
             || self.cancel.load(Ordering::SeqCst)
             || shutdown::requested()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+    use wsn_coverage::SchemeId;
+
+    fn queue(tag: &str) -> JobQueue {
+        let dir = std::env::temp_dir().join(format!("wsn-serve-job-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::open(&dir).expect("temp dir is writable");
+        JobQueue::new(store, wsn_baselines::builtins(), 0, Some(1))
+    }
+
+    fn job() -> CampaignConfig {
+        CampaignConfig {
+            name: "claim".into(),
+            schemes: SchemeId::list(&["sr"]),
+            grids: vec![(6, 6)],
+            targets: vec![5],
+            seeds_per_cell: 1,
+            ..CampaignConfig::paper()
+        }
+    }
+
+    #[test]
+    fn a_queued_job_is_claimed_at_once() {
+        let q = queue("queued");
+        let id = q.submit(job()).unwrap();
+        let t0 = Instant::now();
+        assert_eq!(q.claim_or_wait(Duration::from_secs(30)), Some(id.clone()));
+        assert!(t0.elapsed() < Duration::from_secs(10), "{:?}", t0.elapsed());
+        assert_eq!(q.get(&id).unwrap().state, JobState::Running);
+        // Claimed jobs are not handed out twice.
+        assert_eq!(q.claim_or_wait(Duration::from_millis(1)), None);
+    }
+
+    #[test]
+    fn a_waiting_runner_wakes_for_a_submit() {
+        // The submit lands about 20 ms into the wait; a runner that
+        // missed its notification would sleep out the whole timeout.
+        let q = queue("wake");
+        let timeout = Duration::from_secs(30);
+        let t0 = Instant::now();
+        let (claimed, id) = std::thread::scope(|scope| {
+            let runner = scope.spawn(|| q.claim_or_wait(timeout));
+            std::thread::sleep(Duration::from_millis(20));
+            let id = q.submit(job()).unwrap();
+            (runner.join().expect("runner joins"), id)
+        });
+        assert_eq!(claimed, Some(id));
+        assert!(t0.elapsed() < timeout / 3, "{:?}", t0.elapsed());
     }
 }

@@ -92,3 +92,58 @@ fn worst_case_walk_uses_every_hop() {
         "the walk must stretch the full deduced path"
     );
 }
+
+/// Hops of SR's one process on a `cols × rows` grid with one node in
+/// every cell but `hole` and a second node in `spare`.
+fn single_spare_walk(cols: u16, rows: u16, hole: GridCoord, spare: GridCoord) -> u64 {
+    let system = GridSystem::for_comm_range(cols, rows, 10.0).unwrap();
+    let mut rng = SimRng::seed_from_u64(11);
+    let mut positions = deploy::with_holes(&system, &[hole], 1, &mut rng);
+    positions.push(system.cell_rect(spare).unwrap().center());
+    let mut net = GridNetwork::new(system, &positions);
+    let report = Sr::new().run(&mut net, 11, DriveMode::Classic).unwrap();
+    assert!(
+        report.fully_covered,
+        "{cols}x{rows} hole {hole} spare {spare}"
+    );
+    assert_eq!(report.processes.len(), 1, "{cols}x{rows} hole {hole}");
+    report.processes[0].hops
+}
+
+#[test]
+fn dual_path_walk_from_a_special_cell_takes_one_hop_more_than_l() {
+    // Corollary 2's L = m*n - 2 is the shared chain. A hole at A = (0, 0)
+    // whose only spare is in B = (1, 1) walks back through C, the whole
+    // chain to D, and then to B: m*n - 1 hops.
+    let topo = CycleTopology::build(5, 5).unwrap();
+    let (a, b) = (GridCoord::new(0, 0), GridCoord::new(1, 1));
+    assert_eq!(single_spare_walk(5, 5, a, b), 24);
+    assert_eq!(single_spare_walk(5, 5, b, a), 24);
+    assert_eq!(topo.max_walk_hops() + 1, 24);
+}
+
+#[test]
+fn dual_path_walks_peak_at_one_hop_past_l() {
+    // Every single-hole, single-spare placement (72 runs on 3x3, 600 on
+    // 5x5): the longest walk is m*n - 1, one hop past Corollary 2's L.
+    for side in [3u16, 5] {
+        let system = GridSystem::for_comm_range(side, side, 10.0).unwrap();
+        let cells: Vec<GridCoord> = system.iter_coords().collect();
+        let (mut longest, mut total) = (0, 0);
+        for &hole in &cells {
+            for &spare in cells.iter().filter(|&&s| s != hole) {
+                let hops = single_spare_walk(side, side, hole, spare);
+                longest = longest.max(hops);
+                total += hops;
+            }
+        }
+        assert_eq!(longest as usize, cells.len() - 1, "{side}x{side}");
+        let topo = CycleTopology::build(side, side).unwrap();
+        assert_eq!(longest as usize, topo.max_walk_hops() + 1, "{side}x{side}");
+        if side == 5 {
+            // The exact N = 1 mean, 12.0433 hops, against Corollary 2's
+            // M(23, 1) = 12.
+            assert_eq!(total, 7226);
+        }
+    }
+}
