@@ -26,19 +26,80 @@ use serde::{Deserialize, Serialize};
 
 use wsn_grid::{Direction, GridCoord, GridNetwork};
 use wsn_simcore::{
-    derive_stream_seed, EnergyModel, Fate, Metrics, NetLink, NetModelSpec, NodeId, RoundOutcome,
-    RoundProtocol, SimRng, TraceEvent, TraceLog,
+    derive_stream_seed, EnergyModel, Fate, Metrics, NetLink, NodeId, RoundOutcome, RoundProtocol,
+    SimRng, TraceEvent, TraceLog,
 };
 
 use wsn_coverage::actor::{cell_center, cell_endpoint, NET_STREAM_TAG};
-use wsn_coverage::scheme::{ProtocolOutcome, SchemeProtocol};
+use wsn_coverage::scheme::{
+    round_runner, run_to_quiescence, DriveMode, NetworkSpec, ProtocolOutcome, ReplacementScheme,
+    SchemeProtocol, SchemeReport, Unsupported,
+};
 use wsn_coverage::{OwnerCounts, SpareSelection};
 
-/// Configuration for an AR run.
+/// **AR** as a registrable scheme: [`ArProtocol`], with or without a
+/// network model, run by [`run_to_quiescence`]. Configure via
+/// [`Ar::from_config`].
+#[derive(Debug, Clone, Default)]
+pub struct Ar {
+    config: ArConfig,
+}
+
+impl Ar {
+    /// AR with the default configuration.
+    pub fn new() -> Ar {
+        Ar::default()
+    }
+
+    /// AR over an explicit config.
+    pub fn from_config(config: ArConfig) -> Ar {
+        Ar { config }
+    }
+
+    /// The configuration this scheme runs with.
+    pub fn config(&self) -> &ArConfig {
+        &self.config
+    }
+}
+
+impl ReplacementScheme for Ar {
+    fn id(&self) -> &str {
+        "ar"
+    }
+
+    fn label(&self) -> &str {
+        "AR"
+    }
+
+    fn supports(&self, _spec: &NetworkSpec) -> Result<(), Unsupported> {
+        // AR needs no global structure: any region with a 4-neighborhood
+        // works (cascades simply fail where the region starves them).
+        // Config validity is part of the supports() contract (matrices
+        // validate up front), so the round cap is checked here too.
+        round_runner(self.id(), self.config.max_rounds).map(|_| ())
+    }
+
+    fn supports_event_driven(&self) -> bool {
+        true
+    }
+
+    fn run_with(
+        &self,
+        net: &mut GridNetwork,
+        seed: u64,
+        mode: DriveMode,
+        trace: TraceLog,
+    ) -> Result<(SchemeReport, TraceLog), Unsupported> {
+        let runner = round_runner(self.id(), self.config.max_rounds)?;
+        let protocol = ArProtocol::new(net, self.config.clone(), seed, mode, trace);
+        Ok(run_to_quiescence(protocol, runner))
+    }
+}
+
+/// The policy of an AR run. The run's seed is not part of it:
+/// [`ReplacementScheme::run`] takes it per trial.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ArConfig {
-    /// Seed for the run's deterministic RNG.
-    pub seed: u64,
     /// Head-election policy (same role as in SR).
     pub election: wsn_grid::HeadElection,
     /// Spare-selection policy within a cell.
@@ -52,21 +113,11 @@ pub struct ArConfig {
 impl Default for ArConfig {
     fn default() -> Self {
         ArConfig {
-            seed: 0,
             election: wsn_grid::HeadElection::FirstId,
             spare_selection: SpareSelection::ClosestToTarget,
             max_rounds: 100_000,
             ttl: 0,
         }
-    }
-}
-
-impl ArConfig {
-    /// Sets the RNG seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 }
 
@@ -88,8 +139,7 @@ struct ArProcess {
 }
 
 /// The AR protocol as a round-based state machine over a borrowed
-/// network. [`crate::Ar`] hands it to
-/// [`wsn_coverage::scheme::run_to_quiescence`].
+/// network. [`Ar`] hands it to [`run_to_quiescence`].
 #[derive(Debug)]
 pub struct ArProtocol<'n> {
     net: &'n mut GridNetwork,
@@ -130,18 +180,36 @@ pub struct ArProtocol<'n> {
     pending_holes: wsn_grid::HoleSet,
     /// Scratch buffer reused by detection sweeps.
     detect_buf: Vec<usize>,
-    /// The network model, when driven by the event engine
-    /// ([`ArProtocol::with_net_model`]); `None` in classic mode, where
-    /// detection and asks are axiomatic.
+    /// The network model under [`DriveMode::EventDriven`]; `None` in
+    /// classic mode, where detection and asks are axiomatic.
     link: Option<NetLink>,
 }
 
 impl<'n> ArProtocol<'n> {
-    /// Creates the protocol and elects initial heads. Events are
-    /// recorded into `trace` (pass [`TraceLog::disabled`] to record
-    /// nothing).
-    pub fn new(net: &'n mut GridNetwork, config: ArConfig, trace: TraceLog) -> ArProtocol<'n> {
-        let mut rng = SimRng::seed_from_u64(config.seed);
+    /// Creates the protocol for `drive` and elects initial heads with
+    /// the run RNG seeded from `seed`. Events are recorded into `trace`
+    /// (pass [`TraceLog::disabled`] to record nothing).
+    ///
+    /// Under [`DriveMode::EventDriven`] every monitor probe and cascade
+    /// ask is routed through the network model, whose link draws from
+    /// its own [`derive_stream_seed`]ed stream of `seed` (tag
+    /// [`NET_STREAM_TAG`], shared with the SR/SR-SC event engines), so
+    /// under [`wsn_simcore::NetModelSpec::Ideal`] runs are identical to
+    /// classic runs.
+    pub fn new(
+        net: &'n mut GridNetwork,
+        config: ArConfig,
+        seed: u64,
+        drive: DriveMode,
+        trace: TraceLog,
+    ) -> ArProtocol<'n> {
+        let link = match drive {
+            DriveMode::Classic => None,
+            DriveMode::EventDriven { net: spec } => {
+                Some(spec.link(derive_stream_seed(seed, &[NET_STREAM_TAG])))
+            }
+        };
+        let mut rng = SimRng::seed_from_u64(seed);
         net.elect_all_heads(config.election, &mut rng);
         let ttl = if config.ttl == 0 {
             net.system().cell_count()
@@ -170,25 +238,8 @@ impl<'n> ArProtocol<'n> {
             ttl,
             pending_holes,
             detect_buf: Vec::new(),
-            link: None,
+            link,
         }
-    }
-
-    /// Like [`ArProtocol::new`] but with every monitor probe and cascade
-    /// ask routed through `spec`'s network model. The link draws from
-    /// its own [`derive_stream_seed`]ed stream (tag
-    /// [`NET_STREAM_TAG`], shared with the SR/SR-SC event engines), so
-    /// under [`NetModelSpec::Ideal`] runs are identical to classic runs.
-    pub fn with_net_model(
-        net: &'n mut GridNetwork,
-        config: ArConfig,
-        spec: NetModelSpec,
-        trace: TraceLog,
-    ) -> ArProtocol<'n> {
-        let link = spec.link(derive_stream_seed(config.seed, &[NET_STREAM_TAG]));
-        let mut p = ArProtocol::new(net, config, trace);
-        p.link = Some(link);
-        p
     }
 
     /// Marks all still-active processes failed (at the end of the run).
@@ -582,9 +633,8 @@ impl RoundProtocol for ArProtocol<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Ar;
-    use wsn_coverage::scheme::{DriveMode, ReplacementScheme, SchemeReport};
     use wsn_grid::{deploy, GridSystem};
+    use wsn_simcore::NetModelSpec;
 
     fn network_with_holes(
         cols: u16,

@@ -13,19 +13,9 @@
 //! providing the coverage for a single hole" — the comparison benches
 //! quantify exactly that against SR.
 
-use serde::{Deserialize, Serialize};
-
-use wsn_coverage::scheme::{SchemeDetails, SchemeReport};
+use wsn_coverage::scheme::{DriveMode, NetworkSpec, ReplacementScheme, SchemeReport, Unsupported};
 use wsn_grid::{GridCoord, GridNetwork};
 use wsn_simcore::{Metrics, NodeId, Quiescence, RunReport, SimRng, TraceEvent, TraceLog};
-
-/// Configuration for the SMART-style balancer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
-pub struct SmartConfig {
-    /// Seed for the deterministic RNG (destination sampling within
-    /// cells).
-    pub seed: u64,
-}
 
 /// Balanced per-cell targets for a line of `loads`: each cell gets
 /// `⌊avg⌋` or `⌈avg⌉`, with the remainder spread from the front.
@@ -124,60 +114,83 @@ fn enabled_runs(net: &GridNetwork, line: &[GridCoord]) -> Vec<Vec<GridCoord>> {
     runs
 }
 
-/// Runs the two-scan balance (rows, then columns), re-elects heads, and
-/// reports. On masked networks each maximal enabled interval of a line
-/// balances independently (flow cannot cross disabled cells). The
-/// network is updated in place, so callers can compare before/after
-/// state without cloning.
-pub fn run(net: &mut GridNetwork, config: &SmartConfig) -> SchemeReport {
-    run_with(net, config, &mut TraceLog::disabled())
-}
+/// **SMART** as a registrable scheme: runs the two-scan balance (rows,
+/// then columns), re-elects heads, and reports. It has no policy to
+/// configure; the run's seed drives destination sampling within cells.
+/// On masked networks each maximal enabled interval of a line balances
+/// independently (flow cannot cross disabled cells). The network is
+/// updated in place, so callers can compare before/after state without
+/// cloning.
+///
+/// A traced run records one [`TraceEvent::NodeMoved`] (with `process:
+/// None` — scan flow belongs to no replacement process) per cascaded
+/// hop, stamped with the scan number as the round (row scan = round 0,
+/// column scan = round 1).
+#[derive(Debug, Clone, Copy)]
+pub struct Smart;
 
-/// [`run`], additionally capturing the event trace: one
-/// [`TraceEvent::NodeMoved`] (with `process: None` — scan flow belongs
-/// to no replacement process) per cascaded hop, stamped with the scan
-/// number as the round (row scan = round 0, column scan = round 1). The
-/// RNG draws and report are identical to an untraced run.
-pub fn run_traced(net: &mut GridNetwork, config: &SmartConfig) -> (SchemeReport, TraceLog) {
-    let mut trace = TraceLog::new();
-    let report = run_with(net, config, &mut trace);
-    (report, trace)
-}
+impl ReplacementScheme for Smart {
+    fn id(&self) -> &str {
+        "smart"
+    }
 
-fn run_with(net: &mut GridNetwork, config: &SmartConfig, trace: &mut TraceLog) -> SchemeReport {
-    let mut rng = SimRng::seed_from_u64(config.seed);
-    let initial_stats = net.stats();
-    let mut metrics = Metrics::new();
-    let sys = *net.system();
-    // Scan 1: every row.
-    for y in 0..sys.rows() {
-        let cells: Vec<GridCoord> = (0..sys.cols()).map(|x| GridCoord::new(x, y)).collect();
-        for run in enabled_runs(net, &cells) {
-            balance_line(net, &run, &mut metrics, &mut rng, 0, trace);
-        }
+    fn label(&self) -> &str {
+        "SMART"
     }
-    // Scan 2: every column.
-    for x in 0..sys.cols() {
-        let cells: Vec<GridCoord> = (0..sys.rows()).map(|y| GridCoord::new(x, y)).collect();
-        for run in enabled_runs(net, &cells) {
-            balance_line(net, &run, &mut metrics, &mut rng, 1, trace);
-        }
+
+    fn supports(&self, _spec: &NetworkSpec) -> Result<(), Unsupported> {
+        // Scan lines split at obstacles into independent runs; any
+        // region works.
+        Ok(())
     }
-    metrics.rounds = 2; // two global scans
-    net.elect_all_heads(wsn_grid::HeadElection::FirstId, &mut rng);
-    let final_stats = net.stats();
-    SchemeReport {
-        run: RunReport {
-            rounds: 2,
-            termination: Quiescence::Reached,
-        },
-        metrics,
-        initial_stats,
-        fully_covered: final_stats.vacant == 0,
-        final_stats,
-        processes: Vec::new(),
-        health: wsn_simcore::ProtocolHealth::default(),
-        details: SchemeDetails::none(),
+
+    fn run_with(
+        &self,
+        net: &mut GridNetwork,
+        seed: u64,
+        mode: DriveMode,
+        mut trace: TraceLog,
+    ) -> Result<(SchemeReport, TraceLog), Unsupported> {
+        if mode != DriveMode::Classic {
+            return Err(Unsupported::new(
+                self.id(),
+                "SMART supports only the classic drive (scans are one-shot and global)",
+            ));
+        }
+        let mut rng = SimRng::seed_from_u64(seed);
+        let initial_stats = net.stats();
+        let mut metrics = Metrics::new();
+        let sys = *net.system();
+        // Scan 1: every row.
+        for y in 0..sys.rows() {
+            let cells: Vec<GridCoord> = (0..sys.cols()).map(|x| GridCoord::new(x, y)).collect();
+            for run in enabled_runs(net, &cells) {
+                balance_line(net, &run, &mut metrics, &mut rng, 0, &mut trace);
+            }
+        }
+        // Scan 2: every column.
+        for x in 0..sys.cols() {
+            let cells: Vec<GridCoord> = (0..sys.rows()).map(|y| GridCoord::new(x, y)).collect();
+            for run in enabled_runs(net, &cells) {
+                balance_line(net, &run, &mut metrics, &mut rng, 1, &mut trace);
+            }
+        }
+        metrics.rounds = 2; // two global scans
+        net.elect_all_heads(wsn_grid::HeadElection::FirstId, &mut rng);
+        let final_stats = net.stats();
+        let report = SchemeReport {
+            run: RunReport {
+                rounds: 2,
+                termination: Quiescence::Reached,
+            },
+            metrics,
+            initial_stats,
+            fully_covered: final_stats.vacant == 0,
+            final_stats,
+            processes: Vec::new(),
+            health: wsn_simcore::ProtocolHealth::default(),
+        };
+        Ok((report, trace))
     }
 }
 
@@ -185,6 +198,10 @@ fn run_with(net: &mut GridNetwork, config: &SmartConfig, trace: &mut TraceLog) -
 mod tests {
     use super::*;
     use wsn_grid::{deploy, GridSystem};
+
+    fn run(net: &mut GridNetwork, seed: u64) -> SchemeReport {
+        Smart.run(net, seed, DriveMode::Classic).unwrap()
+    }
 
     #[test]
     fn line_targets_spread_remainder() {
@@ -201,7 +218,7 @@ mod tests {
         // Clustered deployment with >= one node per cell available.
         let pos = deploy::clustered(&sys, 2 * sys.cell_count(), 2, 4.0, &mut rng);
         let mut net = GridNetwork::new(sys, &pos);
-        let report = run(&mut net, &SmartConfig::default());
+        let report = run(&mut net, 0);
         assert!(report.fully_covered, "{report}");
         // Perfect balance: every cell within floor/ceil of the average.
         assert_eq!(report.final_stats.vacant, 0);
@@ -214,7 +231,7 @@ mod tests {
         let pos = deploy::clustered(&sys, 32, 1, 2.0, &mut rng);
         let mut net = GridNetwork::new(sys, &pos);
         let total = net.enabled_count();
-        let report = run(&mut net, &SmartConfig { seed: 2 });
+        let report = run(&mut net, 2);
         let avg = total as f64 / 16.0;
         // After balancing, occupancy equals cell count when avg >= 1.
         assert!(avg >= 1.0);
@@ -225,13 +242,13 @@ mod tests {
     fn single_hole_costs_grid_wide_movement() {
         // The paper's criticism: one hole, yet the scans shuffle nodes
         // everywhere.
-        use wsn_coverage::{DriveMode, ReplacementScheme, Sr};
+        use wsn_coverage::Sr;
         let sys = GridSystem::new(6, 6, 4.4721).unwrap();
         let mut rng = SimRng::seed_from_u64(3);
         let pos = deploy::with_holes(&sys, &[GridCoord::new(3, 3)], 2, &mut rng);
         let mut smart_net = GridNetwork::new(sys, &pos);
         let mut sr_net = GridNetwork::new(sys, &pos);
-        let smart = run(&mut smart_net, &SmartConfig { seed: 3 });
+        let smart = run(&mut smart_net, 3);
         let sr = Sr::new().run(&mut sr_net, 3, DriveMode::Classic).unwrap();
         assert!(smart.fully_covered && sr.fully_covered);
         assert!(
@@ -248,7 +265,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(4);
         let pos = deploy::per_cell_exact(&sys, 2, &mut rng);
         let mut net = GridNetwork::new(sys, &pos);
-        let report = run(&mut net, &SmartConfig { seed: 4 });
+        let report = run(&mut net, 4);
         assert_eq!(report.metrics.moves, 0);
         assert!(report.fully_covered);
     }
@@ -259,7 +276,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(5);
         let pos = deploy::uniform(&sys, 10, &mut rng);
         let mut net = GridNetwork::new(sys, &pos);
-        let report = run(&mut net, &SmartConfig { seed: 5 });
+        let report = run(&mut net, 5);
         assert!(!report.fully_covered);
         // Still balanced: at most one node per cell when total < cells.
         assert_eq!(report.final_stats.occupied, 10);
@@ -277,7 +294,7 @@ mod tests {
         let holes: Vec<GridCoord> = enabled.iter().copied().step_by(9).collect();
         let pos = deploy::with_holes_masked(&sys, &mask, &holes, 2, &mut rng);
         let mut net = GridNetwork::with_mask(sys, mask.clone(), &pos).unwrap();
-        let report = run(&mut net, &SmartConfig { seed: 11 });
+        let report = run(&mut net, 11);
         assert!(report.fully_covered, "{report}");
         assert_eq!(report.final_stats.enabled, report.initial_stats.enabled);
     }
@@ -290,10 +307,7 @@ mod tests {
             let pos = deploy::uniform(&sys, 60, &mut rng);
             GridNetwork::new(sys, &pos)
         };
-        assert_eq!(
-            run(&mut mk(), &SmartConfig { seed: 1 }),
-            run(&mut mk(), &SmartConfig { seed: 1 })
-        );
+        assert_eq!(run(&mut mk(), 1), run(&mut mk(), 1));
     }
 
     #[test]
@@ -303,7 +317,7 @@ mod tests {
         let pos = deploy::clustered(&sys, 50, 2, 3.0, &mut rng);
         let mut net = GridNetwork::new(sys, &pos);
         let before = net.enabled_count();
-        let report = run(&mut net, &SmartConfig { seed: 7 });
+        let report = run(&mut net, 7);
         assert_eq!(report.final_stats.enabled, before);
     }
 }

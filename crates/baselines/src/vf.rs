@@ -12,16 +12,16 @@
 
 use serde::{Deserialize, Serialize};
 
-use wsn_coverage::scheme::{SchemeDetails, SchemeReport};
+use wsn_coverage::scheme::{DriveMode, NetworkSpec, ReplacementScheme, SchemeReport, Unsupported};
 use wsn_geometry::{Point2, Vec2};
 use wsn_grid::GridNetwork;
 use wsn_simcore::{Metrics, Quiescence, RunReport, SimRng, TraceEvent, TraceLog};
 
-/// Configuration for the virtual-force baseline.
+/// The policy of a virtual-force run. The run's seed (used only for
+/// symmetry breaking) is not part of it: [`ReplacementScheme::run`]
+/// takes it per trial.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VfConfig {
-    /// Seed for the deterministic RNG (used only for symmetry breaking).
-    pub seed: u64,
     /// Preferred inter-node spacing, as a multiple of the cell side
     /// (nodes closer than this repel; default √2, the spacing that
     /// tiles one node per cell).
@@ -38,7 +38,6 @@ pub struct VfConfig {
 impl Default for VfConfig {
     fn default() -> Self {
         VfConfig {
-            seed: 0,
             spacing_factor: std::f64::consts::SQRT_2,
             step_factor: 0.5,
             min_step_factor: 0.05,
@@ -47,149 +46,186 @@ impl Default for VfConfig {
     }
 }
 
-/// VF-specific extras attached to the report's
-/// [`details`](SchemeReport::details) — the exemplar for the typed
-/// extension mechanism:
+/// **VF** as a registrable scheme: runs the virtual-force protocol to
+/// force-equilibrium (no node wants to move) or the round cap, then
+/// re-elects heads and reports. The network is updated in place, so
+/// callers can compare before/after state without cloning. A traced run
+/// records one [`TraceEvent::NodeMoved`] (with `process: None` — force
+/// steps belong to no replacement process) per executed movement.
+///
+/// VF's equilibrium — the force field settled (no node moved above the
+/// jitter threshold in the last round) before the round cap — is
+/// exactly `report.run.is_quiescent()`:
 ///
 /// ```
-/// # use wsn_baselines::vf::{self, VfConfig, VfDetails};
-/// # use wsn_grid::{deploy, GridNetwork, GridSystem};
-/// # use wsn_simcore::SimRng;
-/// # let sys = GridSystem::new(3, 3, 4.4721).unwrap();
-/// # let mut rng = SimRng::seed_from_u64(1);
-/// # let pos = deploy::uniform(&sys, 20, &mut rng);
-/// # let mut net = GridNetwork::new(sys, &pos);
-/// let report = vf::run(&mut net, &VfConfig::default());
-/// let details = report.details.get::<VfDetails>().expect("VF attaches details");
-/// assert_eq!(details.equilibrium, report.run.is_quiescent());
+/// use wsn_baselines::Vf;
+/// use wsn_coverage::scheme::{DriveMode, ReplacementScheme};
+/// use wsn_grid::{deploy, GridNetwork, GridSystem};
+/// use wsn_simcore::SimRng;
+///
+/// let sys = GridSystem::new(3, 3, 4.4721)?;
+/// let mut rng = SimRng::seed_from_u64(1);
+/// let pos = deploy::uniform(&sys, 20, &mut rng);
+/// let mut net = GridNetwork::new(sys, &pos);
+/// let (report, trace) = Vf::new().run_traced(&mut net, 0, DriveMode::Classic)?;
+/// let last = report.run.rounds - 1;
+/// let equilibrium = trace.records().iter().all(|r| r.round < last);
+/// assert_eq!(equilibrium, report.run.is_quiescent());
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VfDetails {
-    /// `true` when the force field settled (no node above the jitter
-    /// threshold) before the round cap.
-    pub equilibrium: bool,
+#[derive(Debug, Clone, Default)]
+pub struct Vf {
+    config: VfConfig,
 }
 
-/// Runs the virtual-force protocol to force-equilibrium (no node wants to
-/// move) or the round cap, then re-elects heads and reports. The network
-/// is updated in place, so callers can compare before/after state
-/// without cloning.
-pub fn run(net: &mut GridNetwork, config: &VfConfig) -> SchemeReport {
-    run_with(net, config, &mut TraceLog::disabled())
-}
-
-/// [`run`], additionally capturing the event trace: one
-/// [`TraceEvent::NodeMoved`] (with `process: None` — force steps belong
-/// to no replacement process) per executed movement. The round
-/// sequence, RNG draws and report are identical to an untraced run.
-pub fn run_traced(net: &mut GridNetwork, config: &VfConfig) -> (SchemeReport, TraceLog) {
-    let mut trace = TraceLog::new();
-    let report = run_with(net, config, &mut trace);
-    (report, trace)
-}
-
-fn run_with(net: &mut GridNetwork, config: &VfConfig, trace: &mut TraceLog) -> SchemeReport {
-    let mut rng = SimRng::seed_from_u64(config.seed);
-    let initial_stats = net.stats();
-    let mut metrics = Metrics::new();
-    let r = net.system().cell_side();
-    let spacing = config.spacing_factor * r;
-    let cutoff = net.system().comm_range();
-    let max_step = config.step_factor * r;
-    let min_step = config.min_step_factor * r;
-    let area = net.system().area();
-
-    let mut rounds = 0;
-    let mut equilibrium = false;
-    for round in 0..config.max_rounds {
-        rounds = round + 1;
-        // Gather enabled ids and positions (forces computed on a frozen
-        // snapshot — synchronous rounds).
-        let enabled: Vec<(wsn_simcore::NodeId, Point2)> = net
-            .nodes()
-            .iter()
-            .filter(|n| n.status().is_enabled())
-            .map(|n| (n.id(), n.position()))
-            .collect();
-        // VF recomputes the whole force field every round — the global
-        // per-round scan the paper criticizes; bill it so the comparison
-        // against SR's O(changed) detection is quantified.
-        metrics.cells_scanned += enabled.len() as u64;
-        let mut moved_any = false;
-        for (i, &(id, pos)) in enabled.iter().enumerate() {
-            let mut force = Vec2::ZERO;
-            for (j, &(_, other)) in enabled.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                let d = pos.distance(other);
-                if d >= cutoff || d <= f64::EPSILON {
-                    continue;
-                }
-                let dir = match (pos - other).normalized() {
-                    Some(v) => v,
-                    None => continue,
-                };
-                if d < spacing {
-                    // Repulsion grows as the overlap deepens.
-                    force = force + dir * ((spacing - d) / spacing);
-                } else {
-                    // Mild attraction keeps the network connected.
-                    force = force - dir * (0.2 * (d - spacing) / cutoff);
-                }
-            }
-            let mag = force.length();
-            if mag * r < min_step {
-                continue;
-            }
-            let step = force * (max_step / mag.max(1.0));
-            let mut target = pos + step;
-            // Tiny deterministic jitter breaks symmetric stalemates.
-            target.x += (rng.uniform_f64() - 0.5) * 1e-3 * r;
-            target.y += (rng.uniform_f64() - 0.5) * 1e-3 * r;
-            let target = area.clamp_point(target);
-            if let Ok(out) = net.move_node(id, target) {
-                if out.distance >= min_step {
-                    metrics.record_move(out.distance);
-                    moved_any = true;
-                    trace.record(
-                        round,
-                        TraceEvent::NodeMoved {
-                            process: None,
-                            node: id,
-                            from: out.from.into(),
-                            to: out.to.into(),
-                            distance: out.distance,
-                        },
-                    );
-                }
-            }
-        }
-        if !moved_any {
-            equilibrium = true;
-            break;
-        }
+impl Vf {
+    /// VF with the default configuration.
+    pub fn new() -> Vf {
+        Vf::default()
     }
-    metrics.rounds = rounds;
-    let mut rng2 = SimRng::seed_from_u64(config.seed.wrapping_add(1));
-    net.elect_all_heads(wsn_grid::HeadElection::FirstId, &mut rng2);
-    let final_stats = net.stats();
-    SchemeReport {
-        run: RunReport {
-            rounds,
-            termination: if equilibrium {
-                Quiescence::Reached
-            } else {
-                Quiescence::MaxRoundsExceeded
+
+    /// VF over an explicit config.
+    pub fn from_config(config: VfConfig) -> Vf {
+        Vf { config }
+    }
+
+    /// The configuration this scheme runs with.
+    pub fn config(&self) -> &VfConfig {
+        &self.config
+    }
+}
+
+impl ReplacementScheme for Vf {
+    fn id(&self) -> &str {
+        "vf"
+    }
+
+    fn label(&self) -> &str {
+        "VF"
+    }
+
+    fn supports(&self, _spec: &NetworkSpec) -> Result<(), Unsupported> {
+        // Forces are geometric; any region works (moves into disabled
+        // cells are rejected by the network itself).
+        Ok(())
+    }
+
+    fn run_with(
+        &self,
+        net: &mut GridNetwork,
+        seed: u64,
+        mode: DriveMode,
+        mut trace: TraceLog,
+    ) -> Result<(SchemeReport, TraceLog), Unsupported> {
+        if mode != DriveMode::Classic {
+            return Err(Unsupported::new(
+                self.id(),
+                "VF supports only the classic drive (the force field is global and recomputed every round)",
+            ));
+        }
+        let config = &self.config;
+        let mut rng = SimRng::seed_from_u64(seed);
+        let initial_stats = net.stats();
+        let mut metrics = Metrics::new();
+        let r = net.system().cell_side();
+        let spacing = config.spacing_factor * r;
+        let cutoff = net.system().comm_range();
+        let max_step = config.step_factor * r;
+        let min_step = config.min_step_factor * r;
+        let area = net.system().area();
+
+        let mut rounds = 0;
+        let mut equilibrium = false;
+        for round in 0..config.max_rounds {
+            rounds = round + 1;
+            // Gather enabled ids and positions (forces computed on a frozen
+            // snapshot — synchronous rounds).
+            let enabled: Vec<(wsn_simcore::NodeId, Point2)> = net
+                .nodes()
+                .iter()
+                .filter(|n| n.status().is_enabled())
+                .map(|n| (n.id(), n.position()))
+                .collect();
+            // VF recomputes the whole force field every round — the global
+            // per-round scan the paper criticizes; bill it so the comparison
+            // against SR's O(changed) detection is quantified.
+            metrics.cells_scanned += enabled.len() as u64;
+            let mut moved_any = false;
+            for (i, &(id, pos)) in enabled.iter().enumerate() {
+                let mut force = Vec2::ZERO;
+                for (j, &(_, other)) in enabled.iter().enumerate() {
+                    if i == j {
+                        continue;
+                    }
+                    let d = pos.distance(other);
+                    if d >= cutoff || d <= f64::EPSILON {
+                        continue;
+                    }
+                    let dir = match (pos - other).normalized() {
+                        Some(v) => v,
+                        None => continue,
+                    };
+                    if d < spacing {
+                        // Repulsion grows as the overlap deepens.
+                        force = force + dir * ((spacing - d) / spacing);
+                    } else {
+                        // Mild attraction keeps the network connected.
+                        force = force - dir * (0.2 * (d - spacing) / cutoff);
+                    }
+                }
+                let mag = force.length();
+                if mag * r < min_step {
+                    continue;
+                }
+                let step = force * (max_step / mag.max(1.0));
+                let mut target = pos + step;
+                // Tiny deterministic jitter breaks symmetric stalemates.
+                target.x += (rng.uniform_f64() - 0.5) * 1e-3 * r;
+                target.y += (rng.uniform_f64() - 0.5) * 1e-3 * r;
+                let target = area.clamp_point(target);
+                if let Ok(out) = net.move_node(id, target) {
+                    if out.distance >= min_step {
+                        metrics.record_move(out.distance);
+                        moved_any = true;
+                        trace.record(
+                            round,
+                            TraceEvent::NodeMoved {
+                                process: None,
+                                node: id,
+                                from: out.from.into(),
+                                to: out.to.into(),
+                                distance: out.distance,
+                            },
+                        );
+                    }
+                }
+            }
+            if !moved_any {
+                equilibrium = true;
+                break;
+            }
+        }
+        metrics.rounds = rounds;
+        let mut rng2 = SimRng::seed_from_u64(seed.wrapping_add(1));
+        net.elect_all_heads(wsn_grid::HeadElection::FirstId, &mut rng2);
+        let final_stats = net.stats();
+        let report = SchemeReport {
+            run: RunReport {
+                rounds,
+                termination: if equilibrium {
+                    Quiescence::Reached
+                } else {
+                    Quiescence::MaxRoundsExceeded
+                },
             },
-        },
-        metrics,
-        initial_stats,
-        fully_covered: final_stats.vacant == 0,
-        final_stats,
-        processes: Vec::new(),
-        health: wsn_simcore::ProtocolHealth::default(),
-        details: SchemeDetails::new(VfDetails { equilibrium }),
+            metrics,
+            initial_stats,
+            fully_covered: final_stats.vacant == 0,
+            final_stats,
+            processes: Vec::new(),
+            health: wsn_simcore::ProtocolHealth::default(),
+        };
+        Ok((report, trace))
     }
 }
 
@@ -197,6 +233,10 @@ fn run_with(net: &mut GridNetwork, config: &VfConfig, trace: &mut TraceLog) -> S
 mod tests {
     use super::*;
     use wsn_grid::{deploy, GridCoord, GridSystem};
+
+    fn run(net: &mut GridNetwork) -> SchemeReport {
+        Vf::new().run(net, 0, DriveMode::Classic).unwrap()
+    }
 
     #[test]
     fn spreads_clustered_deployment_toward_coverage() {
@@ -206,7 +246,7 @@ mod tests {
         let pos = deploy::clustered(&sys, 72, 1, 3.0, &mut rng);
         let mut net = GridNetwork::new(sys, &pos);
         let before = net.stats().occupied;
-        let report = run(&mut net, &VfConfig::default());
+        let report = run(&mut net);
         assert!(
             report.final_stats.occupied > before,
             "VF must improve occupancy: {} -> {}",
@@ -224,7 +264,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(3);
         let pos = deploy::with_holes(&sys, &[GridCoord::new(3, 3)], 2, &mut rng);
         let mut net = GridNetwork::new(sys, &pos);
-        let report = run(&mut net, &VfConfig::default());
+        let report = run(&mut net);
         // Dozens of nodes jostle, far more than SR's 1-2 moves.
         assert!(
             report.metrics.moves > 10,
@@ -243,14 +283,13 @@ mod tests {
             .map(|c| sys.cell_center(c).unwrap())
             .collect();
         let mut net = GridNetwork::new(sys, &pos);
-        let report = run(&mut net, &VfConfig::default());
+        let report = run(&mut net);
         assert!(
             report.metrics.rounds < 50,
             "should settle fast, took {}",
             report.metrics.rounds
         );
         assert!(report.run.is_quiescent());
-        assert!(report.details.get::<VfDetails>().unwrap().equilibrium);
     }
 
     #[test]
@@ -261,7 +300,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(21);
         let pos = deploy::uniform_masked(&sys, &mask, 100, &mut rng);
         let mut net = GridNetwork::with_mask(sys, mask.clone(), &pos).unwrap();
-        let report = run(&mut net, &VfConfig::default());
+        let report = run(&mut net);
         assert!(report.metrics.moves > 0);
         // Moves into obstacles are rejected by the network, so stats
         // stay confined to the enabled region throughout.
@@ -280,8 +319,8 @@ mod tests {
             let pos = deploy::uniform(&sys, 50, &mut rng);
             GridNetwork::new(sys, &pos)
         };
-        let a = run(&mut mk(), &VfConfig::default());
-        let b = run(&mut mk(), &VfConfig::default());
+        let a = run(&mut mk());
+        let b = run(&mut mk());
         assert_eq!(a, b);
     }
 
@@ -289,7 +328,7 @@ mod tests {
     fn report_display() {
         let sys = GridSystem::new(3, 3, 1.0).unwrap();
         let mut net = GridNetwork::new(sys, &[]);
-        let report = run(&mut net, &VfConfig::default());
+        let report = run(&mut net);
         assert!(!report.fully_covered);
         assert!(!report.to_string().is_empty());
     }

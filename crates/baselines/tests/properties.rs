@@ -1,7 +1,7 @@
 //! Property-based tests for the baseline schemes.
 
 use proptest::prelude::*;
-use wsn_baselines::{smart, vf, Ar, SmartConfig, VfConfig};
+use wsn_baselines::{Ar, Smart, Vf, VfConfig};
 use wsn_coverage::{DriveMode, ReplacementScheme};
 use wsn_grid::{deploy, GridNetwork, GridSystem};
 use wsn_simcore::SimRng;
@@ -63,7 +63,7 @@ proptest! {
         // below 1 node/cell they never can.
         let mut net = random_network(cols, rows, count, seed);
         let cells = net.system().cell_count();
-        let report = smart::run(&mut net, &SmartConfig { seed });
+        let report = Smart.run(&mut net, seed, DriveMode::Classic).unwrap();
         prop_assert_eq!(report.final_stats.enabled, count);
         if count >= 2 * cells {
             prop_assert!(report.fully_covered, "2x density must cover");
@@ -81,7 +81,7 @@ proptest! {
         // Each unit of flow crosses each row boundary at most once per
         // scan; total moves are bounded by count * (cols + rows) hops.
         let mut net = random_network(cols, rows, count, seed);
-        let report = smart::run(&mut net, &SmartConfig { seed });
+        let report = Smart.run(&mut net, seed, DriveMode::Classic).unwrap();
         prop_assert!(
             report.metrics.moves <= (count * (cols as usize + rows as usize)) as u64,
             "moves {} exceed the scan bound",
@@ -95,8 +95,8 @@ proptest! {
         count in 0usize..120, seed in 0u64..2_000,
     ) {
         let mut net = random_network(cols, rows, count, seed);
-        let cfg = VfConfig { seed, max_rounds: 80, ..VfConfig::default() };
-        let report = vf::run(&mut net, &cfg);
+        let vf = Vf::from_config(VfConfig { max_rounds: 80, ..VfConfig::default() });
+        let report = vf.run(&mut net, seed, DriveMode::Classic).unwrap();
         prop_assert!(report.metrics.rounds <= 80);
         prop_assert_eq!(report.final_stats.enabled, count);
         // VF never tears a node out of the surveillance area.
@@ -111,7 +111,8 @@ proptest! {
         // collapse (allow small jitter-induced dips).
         let mut net = random_network(6, 6, 100, seed);
         let before = net.stats().occupied;
-        let report = vf::run(&mut net, &VfConfig { seed, max_rounds: 80, ..VfConfig::default() });
+        let vf = Vf::from_config(VfConfig { max_rounds: 80, ..VfConfig::default() });
+        let report = vf.run(&mut net, seed, DriveMode::Classic).unwrap();
         prop_assert!(
             report.final_stats.occupied + 3 >= before,
             "occupancy collapsed {} -> {}",

@@ -2166,8 +2166,8 @@ pub fn run_campaign_resumable_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsn_coverage::scheme::{SchemeDetails, SchemeReport, Unsupported};
-    use wsn_simcore::{Quiescence, RunReport};
+    use wsn_coverage::scheme::{SchemeReport, Unsupported};
+    use wsn_simcore::{Quiescence, RunReport, TraceLog};
 
     fn tiny() -> CampaignConfig {
         CampaignConfig {
@@ -2856,19 +2856,20 @@ mod tests {
         fn supports_event_driven(&self) -> bool {
             true
         }
-        fn run(
+        fn run_with(
             &self,
             net: &mut GridNetwork,
             _seed: u64,
             _mode: DriveMode,
-        ) -> Result<SchemeReport, Unsupported> {
+            trace: TraceLog,
+        ) -> Result<(SchemeReport, TraceLog), Unsupported> {
             let initial_stats = net.stats();
             let ids: Vec<_> = net.nodes().iter().map(|n| n.id()).collect();
             for id in ids {
                 net.disable_node(id).expect("deployed nodes start enabled");
             }
             let final_stats = net.stats();
-            Ok(SchemeReport {
+            let report = SchemeReport {
                 run: RunReport {
                     rounds: 1,
                     termination: Quiescence::Reached,
@@ -2879,8 +2880,8 @@ mod tests {
                 final_stats,
                 processes: Vec::new(),
                 health: ProtocolHealth::default(),
-                details: SchemeDetails::none(),
-            })
+            };
+            Ok((report, trace))
         }
     }
 

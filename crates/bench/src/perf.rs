@@ -35,7 +35,7 @@ use std::fmt;
 use std::path::Path;
 use std::time::Instant;
 
-use wsn_coverage::scheme::SchemeProtocol;
+use wsn_coverage::scheme::{DriveMode, SchemeProtocol};
 use wsn_coverage::{SrConfig, SrProtocol};
 use wsn_grid::{deploy, GridNetwork, GridSystem, HoleSet, RegionShape};
 use wsn_hamilton::{CycleTopology, MaskedCycle};
@@ -297,6 +297,8 @@ fn single_cascade_entry(side: u16, samples: usize) -> JsonValue {
             &mut copy,
             topo.clone(),
             SrConfig::default(),
+            0,
+            DriveMode::Classic,
             TraceLog::disabled(),
         );
         sr.execute_round(0);

@@ -366,7 +366,7 @@ pub fn scheme_with_plan(
             Ok(match id {
                 "ar" => Box::new(Ar::new()),
                 "vf" => Box::new(Vf::new()),
-                _ => Box::new(Smart::new()),
+                _ => Box::new(Smart),
             })
         }
         other => Err(ReplayError::UnknownScheme(other.to_string())),
@@ -820,20 +820,14 @@ impl ReplacementScheme for SabotagedSr {
         self.inner.supports(spec)
     }
 
-    fn run(
+    /// Always traces the inner run, whatever `trace` it is handed: the
+    /// planted bug rewrites the recorded events.
+    fn run_with(
         &self,
         net: &mut GridNetwork,
         seed: u64,
         mode: DriveMode,
-    ) -> Result<SchemeReport, Unsupported> {
-        self.run_traced(net, seed, mode).map(|(report, _)| report)
-    }
-
-    fn run_traced(
-        &self,
-        net: &mut GridNetwork,
-        seed: u64,
-        mode: DriveMode,
+        _trace: TraceLog,
     ) -> Result<(SchemeReport, TraceLog), Unsupported> {
         let (mut report, trace) = self.inner.run_traced(net, seed, mode)?;
         if !self.triggered() {

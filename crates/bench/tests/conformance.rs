@@ -3,8 +3,10 @@
 //! Classic runs recover a seeded scenario in place; schemes with an
 //! event engine reproduce their classic report byte for byte under
 //! [`DriveMode::EventDriven`] with ideal weather; schemes without one
-//! refuse that mode without touching the network; and
-//! [`ReplacementScheme::supports`] is honored on masked regions.
+//! refuse that mode without touching the network; under every drive a
+//! scheme runs, a traced run returns the untraced report and network
+//! and records a non-empty trace; and [`ReplacementScheme::supports`]
+//! is honored on masked regions.
 //!
 //! A classic-vs-event mismatch is reported through
 //! [`replay::divergence_message`]: paired trace artifacts, the first
@@ -18,7 +20,7 @@ use std::path::Path;
 
 use wsn_baselines::builtins;
 use wsn_bench::replay::{self, ReplaySpec};
-use wsn_coverage::scheme::{DriveMode, NetworkSpec};
+use wsn_coverage::scheme::{DriveMode, NetworkSpec, ReplacementScheme, SchemeReport};
 use wsn_grid::{deploy, GridCoord, GridNetwork, GridSystem, RegionMask, RegionShape};
 use wsn_simcore::{NetModelSpec, SimRng};
 
@@ -60,6 +62,30 @@ fn conformance_divergence(
         .unwrap_or_else(|e| format!("{tag}: drives diverged (and replay reporting failed: {e})"))
 }
 
+/// Tracing is observation, never perturbation: `run_traced` from
+/// `start` returns the `untraced` report (health included), leaves a
+/// network equal to `after`, and records a non-empty trace.
+fn assert_traced_run_matches(
+    scheme: &dyn ReplacementScheme,
+    mut start: GridNetwork,
+    seed: u64,
+    drive: DriveMode,
+    untraced: &SchemeReport,
+    after: &GridNetwork,
+    tag: &str,
+) {
+    let (report, trace) = scheme
+        .run_traced(&mut start, seed, drive)
+        .unwrap_or_else(|e| panic!("{tag} {drive}: {e}"));
+    assert_eq!(&report, untraced, "{tag} {drive}: traced report differs");
+    assert_eq!(report.health, untraced.health, "{tag} {drive}: health");
+    assert!(start == *after, "{tag} {drive}: traced network differs");
+    assert!(
+        !trace.is_empty(),
+        "{tag} {drive}: traced run recorded nothing"
+    );
+}
+
 #[test]
 fn every_registered_scheme_drives_generically_through_the_registry() {
     // The uniform API: no per-scheme code in this loop at all. Every
@@ -88,6 +114,7 @@ fn every_registered_scheme_drives_generically_through_the_registry() {
             assert_eq!(classic.initial_stats, before, "{tag}");
             assert_eq!(classic.final_stats, net.stats(), "{tag}");
             net.debug_invariants();
+            assert_traced_run_matches(scheme, mk(), seed, DriveMode::Classic, &classic, &net, &tag);
             let mut net2 = mk();
             if scheme.supports_event_driven() {
                 let event = scheme
@@ -100,6 +127,7 @@ fn every_registered_scheme_drives_generically_through_the_registry() {
                     );
                 }
                 assert_eq!(net2.stats(), net.stats(), "{tag}");
+                assert_traced_run_matches(scheme, mk(), seed, IDEAL, &event, &net2, &tag);
             } else {
                 let untouched = net2.stats();
                 assert!(

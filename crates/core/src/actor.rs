@@ -50,7 +50,8 @@ use wsn_simcore::{
 };
 
 /// Stream tag separating the network-model RNG from the run RNG: links
-/// draw from `derive_stream_seed(config.seed, &[NET_STREAM_TAG])`, so
+/// of a run seeded `seed` draw from
+/// `derive_stream_seed(seed, &[NET_STREAM_TAG])`, so
 /// under `Ideal` (no link draws at all) the run RNG sees the
 /// byte-identical sequence the classic drive does. Every scheme that
 /// joins the event drive derives its link seed the same way, so a given
@@ -362,7 +363,7 @@ mod tests {
                 latency: 1,
             },
         };
-        let sc = SrSc::builder().max_rounds(60).build_shortcut();
+        let sc = SrSc::from_config(SrConfig::default().with_max_rounds(60));
         let mut stalled = 0u64;
         for seed in 0..24 {
             let report = sc.run(&mut cascade_network(seed), seed, drive).unwrap();
@@ -383,7 +384,7 @@ mod tests {
             },
         };
         let mut net = network_with_holes(4, 4, &[GridCoord::new(2, 2)], 2, 9);
-        let sr = Sr::builder().max_rounds(40).build();
+        let sr = Sr::from_config(SrConfig::default().with_max_rounds(40));
         let report = sr.run(&mut net, 9, drive).unwrap();
         assert!(!report.fully_covered);
         assert_eq!(report.metrics.processes_initiated, 0);

@@ -77,22 +77,21 @@ impl fmt::Display for SpareSelection {
     }
 }
 
-/// Configuration for an SR recovery run (builder style).
+/// The policy of an SR or SR-SC recovery run (builder style). The run's
+/// seed is not part of it: [`crate::ReplacementScheme::run`] takes it
+/// per trial.
 ///
 /// ```
 /// use wsn_coverage::{SpareSelection, SrConfig};
 /// use wsn_grid::HeadElection;
 ///
 /// let cfg = SrConfig::default()
-///     .with_seed(42)
 ///     .with_election(HeadElection::MaxEnergy)
 ///     .with_spare_selection(SpareSelection::FirstId);
-/// assert_eq!(cfg.seed, 42);
+/// assert_eq!(cfg.election, HeadElection::MaxEnergy);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SrConfig {
-    /// Seed for the run's deterministic RNG.
-    pub seed: u64,
     /// Head-election policy (initial election and local repairs).
     pub election: HeadElection,
     /// Spare-selection policy within a cell.
@@ -125,7 +124,6 @@ pub struct SrConfig {
 impl Default for SrConfig {
     fn default() -> Self {
         SrConfig {
-            seed: 0,
             election: HeadElection::FirstId,
             spare_selection: SpareSelection::ClosestToTarget,
             max_rounds: 100_000,
@@ -138,13 +136,6 @@ impl Default for SrConfig {
 }
 
 impl SrConfig {
-    /// Sets the RNG seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Sets the head-election policy.
     #[must_use]
     pub fn with_election(mut self, election: HeadElection) -> Self {
@@ -210,12 +201,10 @@ mod tests {
     #[test]
     fn builder_chains() {
         let cfg = SrConfig::default()
-            .with_seed(9)
             .with_election(HeadElection::Random)
             .with_spare_selection(SpareSelection::MaxEnergy)
             .with_max_rounds(50)
             .with_fault_plan(FaultPlan::new().at(3, FaultEvent::KillRandomEnabled { count: 2 }));
-        assert_eq!(cfg.seed, 9);
         assert_eq!(cfg.election, HeadElection::Random);
         assert_eq!(cfg.spare_selection, SpareSelection::MaxEnergy);
         assert_eq!(cfg.max_rounds, 50);

@@ -63,7 +63,7 @@ pub use owners::OwnerCounts;
 pub use process::{ProcessId, ProcessStatus, ProcessSummary};
 pub use protocol::{DetectionOutcome, SrProtocol};
 pub use scheme::{
-    DriveMode, NetworkSpec, RegistryError, ReplacementScheme, SchemeDetails, SchemeId,
-    SchemeIdError, SchemeRegistry, SchemeReport, Sr, SrBuilder, SrSc, Unsupported,
+    DriveMode, NetworkSpec, RegistryError, ReplacementScheme, SchemeId, SchemeIdError,
+    SchemeRegistry, SchemeReport, Sr, SrSc, Unsupported,
 };
 pub use shortcut::ShortcutProtocol;

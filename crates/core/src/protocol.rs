@@ -32,20 +32,18 @@
 //!
 //! One engine serves both drives. The classic drive has no link, so a
 //! notification is known the round after it is sent. The event drive
-//! ([`SrProtocol::with_net_model`]) adds a step 0 — envelopes due this
+//! ([`DriveMode::EventDriven`]) adds a step 0 — envelopes due this
 //! round arrive first — and a process acts only while its asked head
 //! holds the notification baton ([`crate::actor`]).
 
 use wsn_grid::{GridCoord, GridNetwork};
 use wsn_hamilton::{BackwardStep, CycleTopology};
-use wsn_simcore::{
-    Metrics, NetModelSpec, ProtocolHealth, RoundOutcome, RoundProtocol, TraceEvent, TraceLog,
-};
+use wsn_simcore::{Metrics, ProtocolHealth, RoundOutcome, RoundProtocol, TraceEvent, TraceLog};
 
 use crate::actor::{BatonState, Envelope, Wire};
 use crate::process::ProcessId;
 use crate::run::Run;
-use crate::scheme::{ProtocolOutcome, SchemeProtocol};
+use crate::scheme::{DriveMode, ProtocolOutcome, SchemeProtocol};
 use crate::{OwnerCounts, SrConfig};
 
 /// Internal outcome of resolving the next backward hop.
@@ -146,11 +144,11 @@ struct SrLink {
 /// The SR protocol over a borrowed network and a cycle topology; drives
 /// itself one round at a time via [`RoundProtocol`].
 ///
-/// [`SrProtocol::new`] runs the classic drive: no link, notifications
-/// known the round after they are sent. [`SrProtocol::with_net_model`]
-/// runs the same rounds with every inter-cell exchange routed through a
-/// network model (the [`crate::actor`] envelopes), so latency and loss
-/// become protocol inputs.
+/// Under [`DriveMode::Classic`] it has no link: notifications are known
+/// the round after they are sent. Under [`DriveMode::EventDriven`] the
+/// same rounds route every inter-cell exchange through a network model
+/// (the [`crate::actor`] envelopes), so latency and loss become
+/// protocol inputs.
 ///
 /// Most callers run SR through [`crate::Sr`], which hands this to
 /// [`crate::scheme::run_to_quiescence`]; the protocol type is public for
@@ -171,9 +169,15 @@ pub struct SrProtocol<'n> {
 }
 
 impl<'n> SrProtocol<'n> {
-    /// Creates the protocol for the classic drive, electing initial
-    /// heads in every occupied cell. Events are recorded into `trace`
-    /// (pass [`TraceLog::disabled`] to record nothing).
+    /// Creates the protocol for `drive`, electing initial heads in every
+    /// occupied cell with the run RNG seeded from `seed`. Events are
+    /// recorded into `trace` (pass [`TraceLog::disabled`] to record
+    /// nothing).
+    ///
+    /// Under [`DriveMode::EventDriven`] the link draws from its own
+    /// stream of `seed` (tag [`crate::actor::NET_STREAM_TAG`]), so under
+    /// [`wsn_simcore::NetModelSpec::Ideal`] the run equals the classic
+    /// one.
     ///
     /// # Panics
     ///
@@ -183,6 +187,8 @@ impl<'n> SrProtocol<'n> {
         net: &'n mut GridNetwork,
         topo: CycleTopology,
         config: SrConfig,
+        seed: u64,
+        drive: DriveMode,
         trace: TraceLog,
     ) -> SrProtocol<'n> {
         assert_eq!(
@@ -191,38 +197,21 @@ impl<'n> SrProtocol<'n> {
             "topology and network dimensions must match"
         );
         let owners = OwnerCounts::new(net.system());
+        let link = match drive {
+            DriveMode::Classic => None,
+            DriveMode::EventDriven { net: spec } => Some(SrLink {
+                wire: Wire::new(spec, seed),
+                held: owners.clone(),
+                vacated_at: vec![0; net.system().cell_count()],
+            }),
+        };
         SrProtocol {
-            run: Run::new(net, config, trace),
+            run: Run::new(net, config, seed, trace),
             topo,
             active: Vec::new(),
             owners,
-            link: None,
+            link,
         }
-    }
-
-    /// Like [`SrProtocol::new`], but with every inter-cell exchange
-    /// routed through `spec`'s network model. The link draws from its
-    /// own stream (tag [`crate::actor::NET_STREAM_TAG`]), so under
-    /// [`NetModelSpec::Ideal`] the run equals the classic one.
-    ///
-    /// # Panics
-    ///
-    /// As [`SrProtocol::new`].
-    pub fn with_net_model(
-        net: &'n mut GridNetwork,
-        topo: CycleTopology,
-        config: SrConfig,
-        spec: NetModelSpec,
-        trace: TraceLog,
-    ) -> SrProtocol<'n> {
-        let wire = Wire::new(spec, config.seed);
-        let mut p = SrProtocol::new(net, topo, config, trace);
-        p.link = Some(SrLink {
-            wire,
-            held: p.owners.clone(),
-            vacated_at: vec![0; p.run.net.system().cell_count()],
-        });
-        p
     }
 
     /// Cost counters accumulated so far.
@@ -534,7 +523,9 @@ impl<'n> SrProtocol<'n> {
                     .fail(p.id, round, "walk exhausted without finding a spare");
                 // Spares never increase, so re-detecting this hole would
                 // walk the whole structure again and fail again.
-                self.run.failed_holes.insert(p.current_vacant);
+                let run = &mut self.run;
+                let cell = run.net.system().index_of(p.current_vacant);
+                run.failed_holes.insert(cell.expect("in bounds"));
                 self.retire(idx);
                 true
             }
@@ -565,10 +556,10 @@ impl<'n> SrProtocol<'n> {
             if owned {
                 continue; // the cascade for this cell is already running
             }
-            let g = self.run.net.system().coord_of(idx);
-            if self.run.failed_holes.contains(&g) {
+            if self.run.failed_holes.contains(idx) {
                 continue; // unfillable until the network changes
             }
+            let g = self.run.net.system().coord_of(idx);
             let monitor = self.topo.monitors(g);
             if !self.is_occupied(monitor) {
                 // The monitor is itself a hole; detection resumes once it
@@ -744,10 +735,11 @@ mod tests {
     use wsn_simcore::{NodeId, RoundRunner, SimRng};
 
     /// Runs SR on `net` over its grid's cycle topology, traced.
-    fn run_sr(net: &mut GridNetwork, config: SrConfig) -> (SchemeReport, TraceLog) {
+    fn run_sr(net: &mut GridNetwork, config: SrConfig, seed: u64) -> (SchemeReport, TraceLog) {
         let (cols, rows) = (net.system().cols(), net.system().rows());
         let topo = CycleTopology::build(cols, rows).unwrap();
-        let protocol = SrProtocol::new(net, topo, config, TraceLog::new());
+        let protocol =
+            SrProtocol::new(net, topo, config, seed, DriveMode::Classic, TraceLog::new());
         run_to_quiescence(protocol, RoundRunner::new(10_000).unwrap())
     }
 
@@ -768,7 +760,7 @@ mod tests {
     fn single_hole_with_spare_in_monitor_converges_in_one_move() {
         let hole = GridCoord::new(2, 2);
         let mut net = network_with_holes(4, 4, &[hole], 2, 1);
-        let (report, _) = run_sr(&mut net, SrConfig::default().with_seed(1));
+        let (report, _) = run_sr(&mut net, SrConfig::default(), 1);
         assert!(report.run.is_quiescent());
         assert_eq!(net.vacant_count(), 0);
         assert_eq!(report.metrics.processes_initiated, 1);
@@ -798,7 +790,7 @@ mod tests {
         ));
         let mut net = GridNetwork::new(sys, &pos);
         assert_eq!(net.total_spares(), 1);
-        let (report, _) = run_sr(&mut net, SrConfig::default().with_seed(3));
+        let (report, _) = run_sr(&mut net, SrConfig::default(), 3);
         assert!(report.run.is_quiescent());
         assert_eq!(net.vacant_count(), 0);
         assert_eq!(report.metrics.processes_converged, 1);
@@ -819,7 +811,7 @@ mod tests {
             GridCoord::new(2, 2),
         ];
         let mut net = network_with_holes(4, 4, &holes, 2, 7);
-        let (report, _) = run_sr(&mut net, SrConfig::default().with_seed(7));
+        let (report, _) = run_sr(&mut net, SrConfig::default(), 7);
         assert!(report.run.is_quiescent());
         assert_eq!(net.vacant_count(), 0, "all holes filled");
         assert_eq!(report.metrics.processes_failed, 0);
@@ -838,7 +830,7 @@ mod tests {
         // Three consecutive cells on the cycle.
         let holes = [cyc.order()[5], cyc.order()[6], cyc.order()[7]];
         let mut net = network_with_holes(4, 4, &holes, 2, 9);
-        let (report, _) = run_sr(&mut net, SrConfig::default().with_seed(9));
+        let (report, _) = run_sr(&mut net, SrConfig::default(), 9);
         assert!(report.run.is_quiescent());
         assert_eq!(net.vacant_count(), 0);
         assert_eq!(report.metrics.processes_failed, 0);
@@ -849,7 +841,7 @@ mod tests {
     fn no_spares_at_all_processes_fail() {
         let mut net = network_with_holes(4, 4, &[GridCoord::new(1, 1)], 1, 11);
         assert_eq!(net.total_spares(), 0);
-        let (report, _) = run_sr(&mut net, SrConfig::default().with_seed(11));
+        let (report, _) = run_sr(&mut net, SrConfig::default(), 11);
         assert!(report.run.is_quiescent());
         // The hole moved around the ring but could never be filled;
         // exactly one process was initiated and it failed (the relay
@@ -866,7 +858,7 @@ mod tests {
         // process, never the multiple processes of AR.
         let hole = GridCoord::new(3, 3);
         let mut net = network_with_holes(6, 6, &[hole], 3, 13);
-        let (report, trace) = run_sr(&mut net, SrConfig::default().with_seed(13));
+        let (report, trace) = run_sr(&mut net, SrConfig::default(), 13);
         assert_eq!(report.metrics.processes_initiated, 1);
         assert_eq!(trace.count_kind("process_initiated"), 1);
     }
@@ -885,7 +877,7 @@ mod tests {
         {
             let seed = 17 + i as u64;
             let mut net = network_with_holes(5, 5, &[hole], 2, seed);
-            let (report, _) = run_sr(&mut net, SrConfig::default().with_seed(seed));
+            let (report, _) = run_sr(&mut net, SrConfig::default(), seed);
             assert!(report.run.is_quiescent(), "hole {hole}");
             assert_eq!(net.vacant_count(), 0, "hole {hole} not filled");
             assert_eq!(report.metrics.processes_failed, 0, "hole {hole}");
@@ -913,7 +905,7 @@ mod tests {
         ));
         let mut net = GridNetwork::new(sys, &pos);
         assert_eq!(net.total_spares(), 1);
-        let (report, _) = run_sr(&mut net, SrConfig::default().with_seed(23));
+        let (report, _) = run_sr(&mut net, SrConfig::default(), 23);
         assert!(report.run.is_quiescent());
         assert_eq!(net.vacant_count(), 0);
         assert_eq!(report.metrics.processes_failed, 0);
@@ -930,9 +922,8 @@ mod tests {
         // Kill both nodes of cell (2, 2) at round 3.
         let victims: Vec<NodeId> = net.members(GridCoord::new(2, 2)).unwrap().to_vec();
         let cfg = SrConfig::default()
-            .with_seed(29)
             .with_fault_plan(FaultPlan::new().at(3, FaultEvent::KillNodes(victims)));
-        let (report, _) = run_sr(&mut net, cfg);
+        let (report, _) = run_sr(&mut net, cfg, 29);
         assert!(report.run.is_quiescent());
         assert_eq!(net.vacant_count(), 0);
         assert_eq!(report.metrics.processes_converged, 1);
@@ -950,7 +941,7 @@ mod tests {
         net.elect_all_heads(HeadElection::FirstId, &mut rng);
         let head = net.head_of(GridCoord::new(1, 1)).unwrap().unwrap();
         net.disable_node(head).unwrap();
-        let (report, _) = run_sr(&mut net, SrConfig::default().with_seed(31));
+        let (report, _) = run_sr(&mut net, SrConfig::default(), 31);
         assert!(report.run.is_quiescent());
         assert_eq!(report.metrics.processes_initiated, 0);
         assert_eq!(report.metrics.moves, 0);
@@ -963,7 +954,7 @@ mod tests {
         // exactly i movements.
         let holes = [GridCoord::new(0, 3), GridCoord::new(5, 0)];
         let mut net = network_with_holes(6, 6, &holes, 2, 37);
-        let (report, _) = run_sr(&mut net, SrConfig::default().with_seed(37));
+        let (report, _) = run_sr(&mut net, SrConfig::default(), 37);
         for s in &report.processes {
             assert_eq!(s.status, ProcessStatus::Converged);
             assert_eq!(s.moves, s.hops);
@@ -979,13 +970,12 @@ mod tests {
         let holes = [GridCoord::new(1, 2), GridCoord::new(3, 0)];
         let (sync, _) = run_sr(
             &mut network_with_holes(5, 4, &holes, 2, 41),
-            SrConfig::default().with_seed(41),
+            SrConfig::default(),
+            41,
         );
         let mut net = network_with_holes(5, 4, &holes, 2, 41);
-        let cfg = SrConfig::default()
-            .with_seed(41)
-            .with_activation_probability(0.4);
-        let (async_run, _) = run_sr(&mut net, cfg);
+        let cfg = SrConfig::default().with_activation_probability(0.4);
+        let (async_run, _) = run_sr(&mut net, cfg, 41);
         assert_eq!(net.vacant_count(), 0);
         assert_eq!(async_run.metrics.processes_failed, 0);
         assert_eq!(
@@ -1009,10 +999,9 @@ mod tests {
         let pos = deploy::per_cell_exact(&sys, 3, &mut rng);
         let mut net = GridNetwork::new(sys, &pos);
         let cfg = SrConfig::default()
-            .with_seed(53)
             .with_election(HeadElection::MaxEnergy)
             .with_head_rotation(2);
-        let (report, _) = run_sr(&mut net, cfg);
+        let (report, _) = run_sr(&mut net, cfg, 53);
         assert!(report.run.is_quiescent());
         assert_eq!(report.metrics.moves, 0);
         assert_eq!(report.metrics.processes_initiated, 0);
@@ -1034,14 +1023,13 @@ mod tests {
             // An empty kill at round 200 keeps the run alive 200 rounds.
             let plan = FaultPlan::new().at(200, FaultEvent::KillNodes(vec![]));
             let mut cfg = SrConfig::default()
-                .with_seed(61)
                 .with_battery_dynamics(true)
                 .with_election(HeadElection::MaxEnergy)
                 .with_fault_plan(plan);
             if rotate {
                 cfg = cfg.with_head_rotation(1);
             }
-            run_sr(&mut net, cfg);
+            run_sr(&mut net, cfg, 61);
             // Spread of battery charge within cell (0,0).
             let members = net.members(GridCoord::new(0, 0)).unwrap();
             let charges: Vec<f64> = members
@@ -1064,8 +1052,8 @@ mod tests {
     fn head_rotation_during_recovery_is_harmless() {
         let holes = [GridCoord::new(1, 1), GridCoord::new(2, 3)];
         let mut net = network_with_holes(4, 4, &holes, 2, 59);
-        let cfg = SrConfig::default().with_seed(59).with_head_rotation(1);
-        let (report, _) = run_sr(&mut net, cfg);
+        let cfg = SrConfig::default().with_head_rotation(1);
+        let (report, _) = run_sr(&mut net, cfg, 59);
         assert!(report.run.is_quiescent());
         assert_eq!(net.vacant_count(), 0);
         assert_eq!(report.metrics.processes_failed, 0);
@@ -1104,10 +1092,8 @@ mod tests {
             net.draw_battery(*id, f64::MAX).unwrap();
             let _ = Battery::new(0.01);
         }
-        let cfg = SrConfig::default()
-            .with_seed(43)
-            .with_battery_dynamics(true);
-        let (report, trace) = run_sr(&mut net, cfg);
+        let cfg = SrConfig::default().with_battery_dynamics(true);
+        let (report, trace) = run_sr(&mut net, cfg, 43);
         assert!(report.run.is_quiescent());
         // Every mover from the weakened cell died; recovery must have
         // routed around them (or reported failure if spares ran out) —
@@ -1121,10 +1107,8 @@ mod tests {
     fn battery_dynamics_drains_movers() {
         let holes = [GridCoord::new(2, 1)];
         let mut net = network_with_holes(4, 4, &holes, 2, 47);
-        let cfg = SrConfig::default()
-            .with_seed(47)
-            .with_battery_dynamics(true);
-        run_sr(&mut net, cfg);
+        let cfg = SrConfig::default().with_battery_dynamics(true);
+        run_sr(&mut net, cfg, 47);
         assert_eq!(net.vacant_count(), 0);
         // Exactly one node paid a movement's worth of energy (heads also
         // pay idle duty, but that is orders of magnitude smaller).
@@ -1149,6 +1133,13 @@ mod tests {
         let sys = GridSystem::new(4, 4, 1.0).unwrap();
         let mut net = GridNetwork::new(sys, &[]);
         let topo = CycleTopology::build(6, 6).unwrap();
-        let _ = SrProtocol::new(&mut net, topo, SrConfig::default(), TraceLog::disabled());
+        let _ = SrProtocol::new(
+            &mut net,
+            topo,
+            SrConfig::default(),
+            0,
+            DriveMode::Classic,
+            TraceLog::disabled(),
+        );
     }
 }

@@ -7,7 +7,7 @@ use wsn_grid::GridNetwork;
 use wsn_simcore::{Metrics, ProtocolHealth, RoundProtocol, RoundRunner, TraceLog};
 
 use crate::process::ProcessSummary;
-use crate::scheme::{SchemeDetails, SchemeReport, Unsupported};
+use crate::scheme::{SchemeReport, Unsupported};
 
 /// What a protocol hands over when its run ends: the parts of a
 /// [`SchemeReport`] only the protocol knows, plus its event trace.
@@ -41,7 +41,7 @@ pub trait SchemeProtocol: RoundProtocol {
 /// recovered state; the returned trace is the protocol's own log.
 ///
 /// ```
-/// use wsn_coverage::scheme::{round_runner, run_to_quiescence};
+/// use wsn_coverage::scheme::{round_runner, run_to_quiescence, DriveMode};
 /// use wsn_coverage::{SrConfig, SrProtocol};
 /// use wsn_grid::{deploy, GridCoord, GridNetwork, GridSystem};
 /// use wsn_hamilton::CycleTopology;
@@ -52,7 +52,14 @@ pub trait SchemeProtocol: RoundProtocol {
 /// let pos = deploy::with_holes(&sys, &[GridCoord::new(2, 2)], 2, &mut rng);
 /// let mut net = GridNetwork::new(sys, &pos);
 /// let topo = CycleTopology::build_masked(net.mask())?;
-/// let protocol = SrProtocol::new(&mut net, topo, SrConfig::default(), TraceLog::new());
+/// let protocol = SrProtocol::new(
+///     &mut net,
+///     topo,
+///     SrConfig::default(),
+///     0,
+///     DriveMode::Classic,
+///     TraceLog::new(),
+/// );
 /// let (report, trace) = run_to_quiescence(protocol, round_runner("sr", 1_000)?);
 /// assert!(report.fully_covered);
 /// assert_eq!(report.metrics.processes_initiated, 1);
@@ -76,7 +83,6 @@ pub fn run_to_quiescence<P: SchemeProtocol>(
         fully_covered: final_stats.vacant == 0,
         processes: outcome.processes,
         health: outcome.health,
-        details: SchemeDetails::none(),
     };
     (report, outcome.trace)
 }
@@ -137,8 +143,14 @@ mod tests {
             assert_eq!(net.stats().vacant, holes.len(), "{shape}");
             let topo = CycleTopology::build_masked(net.mask()).unwrap();
             assert!(topo.is_masked(), "{shape}");
-            let config = SrConfig::default().with_seed(100 + i as u64);
-            let protocol = SrProtocol::new(&mut net, topo, config, TraceLog::disabled());
+            let protocol = SrProtocol::new(
+                &mut net,
+                topo,
+                SrConfig::default(),
+                100 + i as u64,
+                DriveMode::Classic,
+                TraceLog::disabled(),
+            );
             let (report, _) = run_to_quiescence(protocol, round_runner("sr", 100_000).unwrap());
             assert!(report.fully_covered, "{shape}: {report}");
             assert_eq!(report.metrics.processes_failed, 0, "{shape}");

@@ -4,8 +4,6 @@
 //! only its structure (cycle or ring), its process type and, under the
 //! event drive, its link.
 
-use std::collections::HashSet;
-
 use wsn_grid::{GridCoord, GridNetwork, HoleSet};
 use wsn_simcore::{EnergyModel, Metrics, NodeId, SimRng, TraceEvent, TraceLog};
 
@@ -26,8 +24,8 @@ pub(crate) struct Run<'n> {
     /// such a hole is futile (and would livelock the protocol in the
     /// zero-spare regime); the set is cleared when faults or battery
     /// deaths change the network, the only events that can make a retry
-    /// meaningful.
-    pub(crate) failed_holes: HashSet<GridCoord>,
+    /// meaningful. Dense row-major cell indices.
+    pub(crate) failed_holes: HoleSet,
     /// Current holes as dense row-major cell indices, maintained from the
     /// network's occupancy change journal — detection iterates this in
     /// O(holes) per round instead of scanning every cell. The word-level
@@ -39,14 +37,20 @@ pub(crate) struct Run<'n> {
 }
 
 impl<'n> Run<'n> {
-    /// Seeds the run RNG from `config.seed`, elects initial heads in
-    /// every occupied cell, and seeds the hole index from the network's
+    /// Seeds the run RNG from `seed`, elects initial heads in every
+    /// occupied cell, and seeds the hole index from the network's
     /// vacancy bitset (every later round folds in the change journal
     /// instead of rescanning).
-    pub(crate) fn new(net: &'n mut GridNetwork, config: SrConfig, trace: TraceLog) -> Run<'n> {
-        let mut rng = SimRng::seed_from_u64(config.seed);
+    pub(crate) fn new(
+        net: &'n mut GridNetwork,
+        config: SrConfig,
+        seed: u64,
+        trace: TraceLog,
+    ) -> Run<'n> {
+        let mut rng = SimRng::seed_from_u64(seed);
         net.elect_all_heads(config.election, &mut rng);
-        let mut pending_holes = HoleSet::new(net.system().cell_count());
+        let cells = net.system().cell_count();
+        let mut pending_holes = HoleSet::new(cells);
         pending_holes.assign_vacant(net.occupancy());
         net.clear_changed_cells();
         Run {
@@ -57,7 +61,7 @@ impl<'n> Run<'n> {
             metrics: Metrics::new(),
             energy: EnergyModel::default(),
             summaries: Vec::new(),
-            failed_holes: HashSet::new(),
+            failed_holes: HoleSet::new(cells),
             pending_holes,
             detect_buf: Vec::new(),
         }

@@ -14,10 +14,13 @@
 //!   region ([`NetworkSpec`]) *before* any deployment happens, so
 //!   experiment matrices validate up front instead of panicking on a
 //!   worker thread;
-//! * **run** — [`ReplacementScheme::run`] drives the scheme on a
-//!   `&mut GridNetwork` to completion and returns the unified
-//!   [`SchemeReport`]. Passing the network by `&mut` (not by value) is
-//!   what makes paired before/after inspection possible without cloning.
+//! * **run** — [`ReplacementScheme::run_with`] drives the scheme on a
+//!   `&mut GridNetwork` to completion, recording into the trace it is
+//!   handed, and returns the unified [`SchemeReport`]. Passing the
+//!   network by `&mut` (not by value) is what makes paired before/after
+//!   inspection possible without cloning. Callers use its two provided
+//!   forms: [`ReplacementScheme::run`] (untraced) and
+//!   [`ReplacementScheme::run_traced`].
 //!
 //! [`DriveMode`] picks the engine: the paper's classic round loop, or
 //! the event engine under a network model. The round schemes (SR, SR-SC
@@ -30,11 +33,10 @@
 //!
 //! ```
 //! use wsn_coverage::scheme::{
-//!     DriveMode, NetworkSpec, ReplacementScheme, SchemeDetails, SchemeReport,
-//!     SchemeRegistry, Unsupported,
+//!     DriveMode, NetworkSpec, ReplacementScheme, SchemeReport, SchemeRegistry, Unsupported,
 //! };
 //! use wsn_grid::{deploy, GridCoord, GridNetwork, GridSystem};
-//! use wsn_simcore::{Metrics, Quiescence, RunReport, SimRng};
+//! use wsn_simcore::{Metrics, Quiescence, RunReport, SimRng, TraceLog};
 //!
 //! /// A third-party scheme: an omniscient dispatcher that teleports the
 //! /// lowest-id spare straight into each hole (physically impossible —
@@ -52,12 +54,13 @@
 //!     fn supports(&self, _spec: &NetworkSpec) -> Result<(), Unsupported> {
 //!         Ok(()) // runs on any region
 //!     }
-//!     fn run(
+//!     fn run_with(
 //!         &self,
 //!         net: &mut GridNetwork,
 //!         _seed: u64,
 //!         mode: DriveMode,
-//!     ) -> Result<SchemeReport, Unsupported> {
+//!         trace: TraceLog, // teleports are not traced: returned as handed in
+//!     ) -> Result<(SchemeReport, TraceLog), Unsupported> {
 //!         if mode != DriveMode::Classic {
 //!             return Err(Unsupported::new(self.id(), "only the classic driver exists"));
 //!         }
@@ -77,7 +80,7 @@
 //!         }
 //!         metrics.rounds = 1;
 //!         let final_stats = net.stats();
-//!         Ok(SchemeReport {
+//!         let report = SchemeReport {
 //!             run: RunReport { rounds: 1, termination: Quiescence::Reached },
 //!             metrics,
 //!             initial_stats,
@@ -85,8 +88,8 @@
 //!             final_stats,
 //!             processes: Vec::new(),
 //!             health: wsn_simcore::ProtocolHealth::default(),
-//!             details: SchemeDetails::none(),
-//!         })
+//!         };
+//!         Ok((report, trace))
 //!     }
 //! }
 //!
@@ -107,7 +110,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::any::Any;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -276,85 +278,11 @@ impl NetworkSpec {
     }
 }
 
-/// A scheme-specific value a report can carry without widening the
-/// shared [`SchemeReport`] shape — the typed extension point.
-///
-/// Values are stored behind `Arc<dyn Any>` and recovered by type:
-///
-/// ```
-/// use wsn_coverage::scheme::SchemeDetails;
-///
-/// #[derive(Debug, PartialEq)]
-/// struct GossipStats {
-///     beacons: u64,
-/// }
-///
-/// let details = SchemeDetails::new(GossipStats { beacons: 12 });
-/// assert_eq!(details.get::<GossipStats>().unwrap().beacons, 12);
-/// assert!(details.get::<String>().is_none()); // wrong type: no value
-/// assert!(SchemeDetails::none().get::<GossipStats>().is_none());
-/// ```
-#[derive(Clone, Default)]
-pub struct SchemeDetails(Option<Arc<dyn DetailValue>>);
-
-/// The bound a detail payload must satisfy. Blanket-implemented for
-/// every eligible type; implement nothing yourself.
-pub trait DetailValue: Any + fmt::Debug + Send + Sync {
-    /// The payload as `Any`, for downcasting.
-    fn as_any(&self) -> &dyn Any;
-}
-
-impl<T: Any + fmt::Debug + Send + Sync> DetailValue for T {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-impl SchemeDetails {
-    /// No extra details (the common case).
-    pub fn none() -> SchemeDetails {
-        SchemeDetails(None)
-    }
-
-    /// Wraps a scheme-specific payload.
-    pub fn new<T: DetailValue>(value: T) -> SchemeDetails {
-        SchemeDetails(Some(Arc::new(value)))
-    }
-
-    /// The payload, if one of type `T` is present.
-    pub fn get<T: Any>(&self) -> Option<&T> {
-        self.0.as_deref().and_then(|v| v.as_any().downcast_ref())
-    }
-
-    /// `true` when no payload is attached.
-    pub fn is_none(&self) -> bool {
-        self.0.is_none()
-    }
-}
-
-impl fmt::Debug for SchemeDetails {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.0 {
-            None => f.write_str("SchemeDetails(none)"),
-            Some(v) => write!(f, "SchemeDetails({v:?})"),
-        }
-    }
-}
-
 /// The unified result of driving any replacement scheme to completion —
 /// one shape for SR, SR-SC, AR, VF, and SMART (and any plugin), so
 /// harnesses compare schemes without per-scheme report plumbing.
 ///
-/// Scheme-specific extras (VF's equilibrium flag, gossip statistics, …)
-/// ride in [`SchemeReport::details`]; everything a faceoff or figure
-/// needs is in the shared fields.
-///
-/// Equality ignores `details` (payloads are type-erased); all other
-/// fields compare structurally. Unlike the per-scheme reports it
-/// replaces, this type deliberately does **not** derive serde traits:
-/// `details` is an `Any`-backed payload with no serde story, and the
-/// workspace's offline serde stand-in never serialized the old reports
-/// anyway.
+/// Equality ignores `health`; all other fields compare structurally.
 #[derive(Debug, Clone)]
 pub struct SchemeReport {
     /// How the round loop terminated.
@@ -375,12 +303,10 @@ pub struct SchemeReport {
     /// Distributed-protocol health counters. All-zero for classic runs
     /// (the synchronous model has no network to lose messages in);
     /// populated by [`DriveMode::EventDriven`].
-    /// Excluded from equality, like `details`: conformance compares
-    /// the classic engine (no envelope accounting) against the event
-    /// engine (full accounting) on everything the paper measures.
+    /// Excluded from equality: conformance compares the classic engine
+    /// (no envelope accounting) against the event engine (full
+    /// accounting) on everything the paper measures.
     pub health: ProtocolHealth,
-    /// Scheme-specific extras (excluded from equality).
-    pub details: SchemeDetails,
 }
 
 impl PartialEq for SchemeReport {
@@ -414,10 +340,10 @@ impl fmt::Display for SchemeReport {
 /// A hole-replacement scheme drivable through the uniform API.
 ///
 /// Implementations are cheap, immutable *descriptions* of a configured
-/// scheme (typically a config struct behind a builder); all run state
-/// lives inside [`ReplacementScheme::run`]. That is what makes one
-/// instance safely shareable across the worker threads of an experiment
-/// matrix — the trait requires `Send + Sync` for exactly that reason.
+/// scheme (typically a config struct); all run state lives inside
+/// [`ReplacementScheme::run_with`]. That is what makes one instance
+/// safely shareable across the worker threads of an experiment matrix —
+/// the trait requires `Send + Sync` for exactly that reason.
 ///
 /// See the [module docs](self) for a complete third-party
 /// implementation.
@@ -446,13 +372,17 @@ pub trait ReplacementScheme: fmt::Debug + Send + Sync {
         false
     }
 
-    /// Drives the scheme on `net` to completion, in place: afterwards
-    /// `net` is the recovered network, so callers can inspect paired
-    /// before/after state without cloning.
+    /// Drives the scheme on `net` to completion, in place, recording its
+    /// events into `trace` and handing the log back with the report:
+    /// afterwards `net` is the recovered network, so callers can inspect
+    /// paired before/after state without cloning.
     ///
-    /// `seed` addresses the run's deterministic RNG stream (it overrides
-    /// any seed carried by the scheme's own config), so one configured
-    /// scheme instance can replay many trials.
+    /// `seed` addresses the run's deterministic RNG streams, so one
+    /// configured scheme instance can replay many trials. A run records
+    /// into `trace` without perturbing it: an enabled and a
+    /// [`TraceLog::disabled`] log execute the identical round sequence
+    /// and RNG draws, so a trial recorded by its campaign coordinate
+    /// re-executes byte-identically.
     ///
     /// # Errors
     ///
@@ -460,35 +390,43 @@ pub trait ReplacementScheme: fmt::Debug + Send + Sync {
     /// [`ReplacementScheme::supports`], or `mode` is
     /// [`DriveMode::EventDriven`] on a scheme without that engine. A
     /// refusal leaves `net` untouched.
+    fn run_with(
+        &self,
+        net: &mut GridNetwork,
+        seed: u64,
+        mode: DriveMode,
+        trace: TraceLog,
+    ) -> Result<(SchemeReport, TraceLog), Unsupported>;
+
+    /// [`ReplacementScheme::run_with`] recording nothing.
+    ///
+    /// # Errors
+    ///
+    /// Exactly as [`ReplacementScheme::run_with`].
     fn run(
         &self,
         net: &mut GridNetwork,
         seed: u64,
         mode: DriveMode,
-    ) -> Result<SchemeReport, Unsupported>;
+    ) -> Result<SchemeReport, Unsupported> {
+        self.run_with(net, seed, mode, TraceLog::disabled())
+            .map(|(report, _)| report)
+    }
 
-    /// Like [`ReplacementScheme::run`], but additionally captures the
-    /// scheme's full event trace — the record half of the
-    /// record/replay tooling ([`wsn_simcore::replay`]). A traced run
-    /// must execute the *identical* round sequence and RNG draws as the
-    /// untraced one (tracing is observation, never perturbation), so a
-    /// trial recorded by its campaign coordinate re-executes
-    /// byte-identically.
-    ///
-    /// The default implementation runs untraced and returns a
-    /// [`TraceLog::disabled`] log; schemes with event instrumentation
-    /// override it. All five built-ins do.
+    /// [`ReplacementScheme::run_with`] into a fresh enabled log — the
+    /// record half of the record/replay tooling
+    /// ([`wsn_simcore::replay`]).
     ///
     /// # Errors
     ///
-    /// Exactly as [`ReplacementScheme::run`].
+    /// Exactly as [`ReplacementScheme::run_with`].
     fn run_traced(
         &self,
         net: &mut GridNetwork,
         seed: u64,
         mode: DriveMode,
     ) -> Result<(SchemeReport, TraceLog), Unsupported> {
-        self.run(net, seed, mode).map(|r| (r, TraceLog::disabled()))
+        self.run_with(net, seed, mode, TraceLog::new())
     }
 }
 
@@ -726,17 +664,15 @@ impl SchemeRegistry {
 /// **SR** — the paper's synchronized snake-like replacement — as a
 /// registrable scheme: [`SrProtocol`], with no link (classic) or over a
 /// network model (event drive), run by [`run_to_quiescence`]. Configure
-/// via [`Sr::builder`].
+/// via [`Sr::from_config`].
 ///
 /// ```
 /// use wsn_coverage::scheme::{DriveMode, ReplacementScheme, Sr};
-/// use wsn_coverage::SpareSelection;
+/// use wsn_coverage::{SpareSelection, SrConfig};
 /// use wsn_grid::{deploy, GridCoord, GridNetwork, GridSystem};
 /// use wsn_simcore::SimRng;
 ///
-/// let sr = Sr::builder()
-///     .spare_selection(SpareSelection::FirstId)
-///     .build();
+/// let sr = Sr::from_config(SrConfig::default().with_spare_selection(SpareSelection::FirstId));
 /// let sys = GridSystem::new(4, 4, 4.4721)?;
 /// let mut rng = SimRng::seed_from_u64(3);
 /// let pos = deploy::with_holes(&sys, &[GridCoord::new(1, 2)], 2, &mut rng);
@@ -757,15 +693,7 @@ impl Sr {
         Sr::default()
     }
 
-    /// Starts a builder over the default configuration.
-    pub fn builder() -> SrBuilder {
-        SrBuilder {
-            config: SrConfig::default(),
-        }
-    }
-
-    /// SR over an explicit config. The config's `seed` is overridden by
-    /// the seed passed to [`ReplacementScheme::run`].
+    /// SR over an explicit config.
     pub fn from_config(config: SrConfig) -> Sr {
         Sr { config }
     }
@@ -773,64 +701,6 @@ impl Sr {
     /// The configuration this scheme runs with.
     pub fn config(&self) -> &SrConfig {
         &self.config
-    }
-}
-
-/// Builder for [`Sr`] (and, via [`SrSc::builder`], for the shortcut
-/// variant — the two share [`SrConfig`]).
-#[derive(Debug, Clone)]
-pub struct SrBuilder {
-    config: SrConfig,
-}
-
-impl SrBuilder {
-    /// Sets the head-election policy.
-    #[must_use]
-    pub fn election(mut self, election: wsn_grid::HeadElection) -> Self {
-        self.config = self.config.with_election(election);
-        self
-    }
-
-    /// Sets the spare-selection policy.
-    #[must_use]
-    pub fn spare_selection(mut self, selection: crate::SpareSelection) -> Self {
-        self.config = self.config.with_spare_selection(selection);
-        self
-    }
-
-    /// Sets the round cap.
-    #[must_use]
-    pub fn max_rounds(mut self, max_rounds: u64) -> Self {
-        self.config = self.config.with_max_rounds(max_rounds);
-        self
-    }
-
-    /// Sets the in-run fault plan.
-    #[must_use]
-    pub fn fault_plan(mut self, plan: wsn_simcore::fault::FaultPlan) -> Self {
-        self.config = self.config.with_fault_plan(plan);
-        self
-    }
-
-    /// Enables battery dynamics.
-    #[must_use]
-    pub fn battery_dynamics(mut self, enabled: bool) -> Self {
-        self.config = self.config.with_battery_dynamics(enabled);
-        self
-    }
-
-    /// Finishes as SR.
-    pub fn build(self) -> Sr {
-        Sr {
-            config: self.config,
-        }
-    }
-
-    /// Finishes as SR-SC (the shortcut variant over the same config).
-    pub fn build_shortcut(self) -> SrSc {
-        SrSc {
-            config: self.config,
-        }
     }
 }
 
@@ -857,30 +727,7 @@ impl ReplacementScheme for Sr {
         true
     }
 
-    fn run(
-        &self,
-        net: &mut GridNetwork,
-        seed: u64,
-        mode: DriveMode,
-    ) -> Result<SchemeReport, Unsupported> {
-        self.drive(net, seed, mode, TraceLog::disabled())
-            .map(|(report, _)| report)
-    }
-
-    fn run_traced(
-        &self,
-        net: &mut GridNetwork,
-        seed: u64,
-        mode: DriveMode,
-    ) -> Result<(SchemeReport, TraceLog), Unsupported> {
-        self.drive(net, seed, mode, TraceLog::new())
-    }
-}
-
-impl Sr {
-    /// The shared driver behind `run` and `run_traced`: the identical
-    /// round sequence either way, recorded into `trace`.
-    fn drive(
+    fn run_with(
         &self,
         net: &mut GridNetwork,
         seed: u64,
@@ -890,16 +737,8 @@ impl Sr {
         let runner = round_runner(self.id(), self.config.max_rounds)?;
         let topo = CycleTopology::build_masked(net.mask())
             .map_err(|e| Unsupported::new(self.id(), e.to_string()))?;
-        let config = self.config.clone().with_seed(seed);
-        Ok(match mode {
-            DriveMode::Classic => {
-                run_to_quiescence(SrProtocol::new(net, topo, config, trace), runner)
-            }
-            DriveMode::EventDriven { net: spec } => run_to_quiescence(
-                SrProtocol::with_net_model(net, topo, config, spec, trace),
-                runner,
-            ),
-        })
+        let protocol = SrProtocol::new(net, topo, self.config.clone(), seed, mode, trace);
+        Ok(run_to_quiescence(protocol, runner))
     }
 }
 
@@ -925,13 +764,7 @@ impl SrSc {
         SrSc::default()
     }
 
-    /// Starts a builder (shared with [`Sr`]; finish with
-    /// [`SrBuilder::build_shortcut`]).
-    pub fn builder() -> SrBuilder {
-        Sr::builder()
-    }
-
-    /// SR-SC over an explicit config (`seed` is overridden per run).
+    /// SR-SC over an explicit config.
     pub fn from_config(config: SrConfig) -> SrSc {
         SrSc { config }
     }
@@ -961,23 +794,18 @@ impl ReplacementScheme for SrSc {
         true
     }
 
-    fn run(
+    fn run_with(
         &self,
         net: &mut GridNetwork,
         seed: u64,
         mode: DriveMode,
-    ) -> Result<SchemeReport, Unsupported> {
-        self.drive(net, seed, mode, TraceLog::disabled())
-            .map(|(report, _)| report)
-    }
-
-    fn run_traced(
-        &self,
-        net: &mut GridNetwork,
-        seed: u64,
-        mode: DriveMode,
+        trace: TraceLog,
     ) -> Result<(SchemeReport, TraceLog), Unsupported> {
-        self.drive(net, seed, mode, TraceLog::new())
+        let runner = round_runner(self.id(), self.config.max_rounds)?;
+        self.check_config()?;
+        let ring = self.ring(net.mask())?;
+        let protocol = ShortcutProtocol::new(net, ring, self.config.clone(), seed, mode, trace);
+        Ok(run_to_quiescence(protocol, runner))
     }
 }
 
@@ -1008,30 +836,6 @@ impl SrSc {
                 self.id(),
                 "SR-SC requires a single Hamilton cycle (one even side)",
             )
-        })
-    }
-
-    /// The shared driver behind `run` and `run_traced`, mirroring
-    /// [`Sr::drive`].
-    fn drive(
-        &self,
-        net: &mut GridNetwork,
-        seed: u64,
-        mode: DriveMode,
-        trace: TraceLog,
-    ) -> Result<(SchemeReport, TraceLog), Unsupported> {
-        let runner = round_runner(self.id(), self.config.max_rounds)?;
-        self.check_config()?;
-        let ring = self.ring(net.mask())?;
-        let config = self.config.clone().with_seed(seed);
-        Ok(match mode {
-            DriveMode::Classic => {
-                run_to_quiescence(ShortcutProtocol::new(net, ring, config, trace), runner)
-            }
-            DriveMode::EventDriven { net: spec } => run_to_quiescence(
-                ShortcutProtocol::with_net_model(net, ring, config, spec, trace),
-                runner,
-            ),
         })
     }
 }
@@ -1113,12 +917,13 @@ mod tests {
             fn supports(&self, _spec: &NetworkSpec) -> Result<(), Unsupported> {
                 Ok(())
             }
-            fn run(
+            fn run_with(
                 &self,
                 _net: &mut GridNetwork,
                 _seed: u64,
                 _mode: DriveMode,
-            ) -> Result<SchemeReport, Unsupported> {
+                _trace: TraceLog,
+            ) -> Result<(SchemeReport, TraceLog), Unsupported> {
                 Err(Unsupported::new("bad", "never runs"))
             }
         }
@@ -1142,8 +947,14 @@ mod tests {
         // Byte-identical to the protocol built and driven directly.
         let mut direct_net = holed_network(6, 6, seed);
         let topo = CycleTopology::build(6, 6).unwrap();
-        let config = SrConfig::default().with_seed(seed);
-        let protocol = SrProtocol::new(&mut direct_net, topo, config, TraceLog::disabled());
+        let protocol = SrProtocol::new(
+            &mut direct_net,
+            topo,
+            SrConfig::default(),
+            seed,
+            DriveMode::Classic,
+            TraceLog::disabled(),
+        );
         let (direct, trace) = run_to_quiescence(protocol, round_runner("sr", 100_000).unwrap());
         assert_eq!(via_trait, direct);
         assert_eq!(direct_net.stats(), net.stats());
@@ -1199,40 +1010,6 @@ mod tests {
             assert_eq!(net.stats(), before.stats());
             assert_eq!(net.nodes(), before.nodes());
         }
-    }
-
-    #[test]
-    fn details_downcast_and_report_equality_ignores_them() {
-        #[derive(Debug)]
-        struct Extra(u32);
-        let sr = Sr::new();
-        let mut a_net = holed_network(4, 4, 9);
-        let mut b_net = holed_network(4, 4, 9);
-        let a = sr.run(&mut a_net, 9, DriveMode::Classic).unwrap();
-        let mut b = sr.run(&mut b_net, 9, DriveMode::Classic).unwrap();
-        assert!(a.details.is_none());
-        b.details = SchemeDetails::new(Extra(7));
-        assert_eq!(b.details.get::<Extra>().unwrap().0, 7);
-        assert_eq!(a, b, "details are excluded from report equality");
-        assert!(format!("{:?}", b.details).contains("Extra"));
-        assert!(!b.to_string().is_empty());
-    }
-
-    #[test]
-    fn builders_fold_config() {
-        let sr = Sr::builder()
-            .election(wsn_grid::HeadElection::MaxEnergy)
-            .spare_selection(crate::SpareSelection::FirstId)
-            .max_rounds(500)
-            .battery_dynamics(true)
-            .build();
-        assert_eq!(sr.config().max_rounds, 500);
-        assert_eq!(sr.config().spare_selection, crate::SpareSelection::FirstId);
-        assert!(sr.config().battery_dynamics);
-        let sc = SrSc::builder().max_rounds(123).build_shortcut();
-        assert_eq!(sc.config().max_rounds, 123);
-        assert_eq!(SrSc::from_config(sc.config().clone()).id(), "sr-sc");
-        assert_eq!(Sr::from_config(SrConfig::default()).label(), "SR");
     }
 
     #[test]

@@ -42,12 +42,12 @@
 use wsn_grid::kernel::ones;
 use wsn_grid::{GridCoord, GridNetwork};
 use wsn_hamilton::{CycleTopology, HamiltonCycle, MaskedCycle};
-use wsn_simcore::{NetModelSpec, RoundOutcome, RoundProtocol, TraceEvent, TraceLog};
+use wsn_simcore::{RoundOutcome, RoundProtocol, TraceEvent, TraceLog};
 
 use crate::actor::{cell_center, cell_endpoint, BatonState, Envelope, Wire};
 use crate::process::ProcessId;
 use crate::run::Run;
-use crate::scheme::{ProtocolOutcome, SchemeProtocol};
+use crate::scheme::{DriveMode, ProtocolOutcome, SchemeProtocol};
 use crate::{DetectionOutcome, OwnerCounts, SpareSelection, SrConfig};
 
 /// The backward ring SR-SC forwards notifications along: either the
@@ -110,10 +110,10 @@ struct ScProcess {
 
 /// The SR-SC protocol over a borrowed network (see the module docs).
 ///
-/// Like [`crate::SrProtocol`], one engine serves both drives: built by
-/// `new` it runs the classic drive with no link; built by
-/// `with_net_model` it routes courier forwards, probes, acks and
-/// beacons through a network model. A dropped courier forward
+/// Like [`crate::SrProtocol`], one engine serves both drives: under
+/// [`DriveMode::Classic`] it has no link; under
+/// [`DriveMode::EventDriven`] it routes courier forwards, probes, acks
+/// and beacons through a network model. A dropped courier forward
 /// permanently strands the repair (the hole stays owned by its process,
 /// so — unlike SR — no duplicate rescues it; the failure mode is
 /// [`wsn_simcore::ProtocolHealth::stalled_repairs`]).
@@ -133,37 +133,30 @@ pub struct ShortcutProtocol<'n> {
 }
 
 impl<'n> ShortcutProtocol<'n> {
-    /// Creates the protocol for the classic drive over a
-    /// unique-predecessor ring, recording into `trace`.
+    /// Creates the protocol for `drive` over a unique-predecessor ring,
+    /// seeding the run RNG (and, under the event drive, the link) from
+    /// `seed` as [`crate::SrProtocol::new`] does, recording into
+    /// `trace`.
     pub(crate) fn new(
         net: &'n mut GridNetwork,
         cycle: ScRing,
         config: SrConfig,
+        seed: u64,
+        drive: DriveMode,
         trace: TraceLog,
     ) -> Self {
         let owners = OwnerCounts::new(net.system());
+        let link = match drive {
+            DriveMode::Classic => None,
+            DriveMode::EventDriven { net: spec } => Some(Wire::new(spec, seed)),
+        };
         ShortcutProtocol {
-            run: Run::new(net, config, trace),
+            run: Run::new(net, config, seed, trace),
             cycle,
             active: Vec::new(),
             owners,
-            link: None,
+            link,
         }
-    }
-
-    /// Like [`ShortcutProtocol::new`], with every inter-cell exchange
-    /// routed through `spec`'s network model.
-    pub(crate) fn with_net_model(
-        net: &'n mut GridNetwork,
-        cycle: ScRing,
-        config: SrConfig,
-        spec: NetModelSpec,
-        trace: TraceLog,
-    ) -> Self {
-        let wire = Wire::new(spec, config.seed);
-        let mut p = ShortcutProtocol::new(net, cycle, config, trace);
-        p.link = Some(wire);
-        p
     }
 
     /// Marks still-active processes failed (at the end of the run);
@@ -284,7 +277,8 @@ impl<'n> ShortcutProtocol<'n> {
         if p.forwarded >= self.cycle.max_hops() {
             let reason = "notification circled the cycle without finding a spare";
             run.fail(p.id, round, reason);
-            run.failed_holes.insert(p.hole);
+            let idx = run.net.system().index_of(p.hole);
+            run.failed_holes.insert(idx.expect("holes are in bounds"));
             self.retire(i);
             return true;
         }
@@ -335,10 +329,10 @@ impl<'n> ShortcutProtocol<'n> {
                 continue;
             }
             let run = &mut self.run;
-            let g = run.net.system().coord_of(idx);
-            if run.failed_holes.contains(&g) {
+            if run.failed_holes.contains(idx) {
                 continue;
             }
+            let g = run.net.system().coord_of(idx);
             let monitor = self.cycle.predecessor(g);
             if run.net.is_vacant(monitor).unwrap_or(true) {
                 continue;
@@ -558,7 +552,7 @@ mod tests {
         let spare = NodeId::new(pos.len() as u32 - 1);
         let full = net.node(spare).unwrap().battery().charge();
         net.draw_battery(spare, full - 1.0).unwrap();
-        let sc = SrSc::builder().battery_dynamics(true).build_shortcut();
+        let sc = SrSc::from_config(SrConfig::default().with_battery_dynamics(true));
         let (report, trace) = sc.run_traced(&mut net, 2, DriveMode::Classic).unwrap();
         assert!(report.run.is_quiescent());
         assert_eq!(report.metrics.moves, 1, "the one dispatch happens");

@@ -8,9 +8,10 @@ use wsn_coverage::scheme::{
     SchemeReport, Unsupported,
 };
 use wsn_grid::GridNetwork;
+use wsn_simcore::TraceLog;
 
 /// A do-nothing scheme carrying an arbitrary id, for registry-shape
-/// tests (its `run` is never called here).
+/// tests (it is never run here).
 #[derive(Debug)]
 struct Named {
     id: String,
@@ -26,12 +27,13 @@ impl ReplacementScheme for Named {
     fn supports(&self, _spec: &NetworkSpec) -> Result<(), Unsupported> {
         Ok(())
     }
-    fn run(
+    fn run_with(
         &self,
         _net: &mut GridNetwork,
         _seed: u64,
         _mode: DriveMode,
-    ) -> Result<SchemeReport, Unsupported> {
+        _trace: TraceLog,
+    ) -> Result<(SchemeReport, TraceLog), Unsupported> {
         Err(Unsupported::new(self.id(), "test stub never runs"))
     }
 }

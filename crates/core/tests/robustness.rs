@@ -105,7 +105,7 @@ proptest! {
                 net.disable_node(id).unwrap();
             }
         }
-        let sr = Sr::builder().battery_dynamics(true).build();
+        let sr = Sr::from_config(SrConfig::default().with_battery_dynamics(true));
         let report = sr.run(&mut net, seed, DriveMode::Classic).unwrap();
         prop_assert!(report.run.is_quiescent(), "must terminate");
         net.debug_invariants();

@@ -7,7 +7,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use wsn_coverage::scheme::{round_runner, run_to_quiescence};
+use wsn_coverage::scheme::{round_runner, run_to_quiescence, DriveMode};
 use wsn_coverage::{SrConfig, SrProtocol};
 use wsn_grid::{deploy, GridCoord, GridNetwork, GridSystem};
 use wsn_hamilton::CycleTopology;
@@ -60,13 +60,13 @@ fn untraced_event_runs_allocate_far_less_than_they_route() {
         latency: 2,
     };
     for spec in [NetModelSpec::Ideal, lossy] {
-        let config = SrConfig::default().with_seed(128);
+        let config = SrConfig::default();
         let mut net = GridNetwork::new(sys, &pos);
         let topo = CycleTopology::build_masked(net.mask()).unwrap();
         let runner = round_runner("sr", config.max_rounds).unwrap();
         // An untraced run: the protocol records into a disabled log.
-        let protocol =
-            SrProtocol::with_net_model(&mut net, topo, config, spec, TraceLog::disabled());
+        let drive = DriveMode::EventDriven { net: spec };
+        let protocol = SrProtocol::new(&mut net, topo, config, 128, drive, TraceLog::disabled());
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         let (report, trace) = run_to_quiescence(protocol, runner);
         let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;

@@ -7,11 +7,10 @@
 //! implements [`RoundProtocol::execute_round`] with exactly those
 //! semantics; [`RoundRunner`] drives it until quiescence or a round cap.
 //!
-//! Quiescence is declared after a configurable number of consecutive
-//! rounds report [`RoundOutcome::Quiescent`]; the default of 2 rounds
-//! absorbs the one-round notification latency of the paper's scheme (a
-//! head that just sent a notification has no visible action in flight, but
-//! the system is not yet stable).
+//! Quiescence is declared after two consecutive rounds report
+//! [`RoundOutcome::Quiescent`], which absorbs the one-round notification
+//! latency of the paper's scheme (a head that just sent a notification
+//! has no visible action in flight, but the system is not yet stable).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -75,22 +74,21 @@ impl fmt::Display for RunReport {
     }
 }
 
+/// Consecutive idle rounds after which [`RoundRunner`] declares
+/// quiescence: the paper's one-round notification latency plus one.
+const QUIESCENT_ROUNDS: Round = 2;
+
 /// Configuration error for [`RoundRunner`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// `max_rounds` must be at least 1.
     ZeroMaxRounds,
-    /// `quiescent_rounds` must be at least 1.
-    ZeroQuiescentRounds,
 }
 
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineError::ZeroMaxRounds => write!(f, "max_rounds must be at least 1"),
-            EngineError::ZeroQuiescentRounds => {
-                write!(f, "quiescent_rounds must be at least 1")
-            }
         }
     }
 }
@@ -117,40 +115,20 @@ impl std::error::Error for EngineError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RoundRunner {
     max_rounds: Round,
-    quiescent_rounds: Round,
 }
 
 impl RoundRunner {
-    /// A runner with the given round cap and the default quiescence
-    /// window of 2 consecutive idle rounds.
+    /// A runner with the given round cap, declaring quiescence after two
+    /// consecutive idle rounds.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::ZeroMaxRounds`] when `max_rounds == 0`.
     pub fn new(max_rounds: Round) -> Result<RoundRunner, EngineError> {
-        RoundRunner::with_quiescence(max_rounds, 2)
-    }
-
-    /// A runner requiring `quiescent_rounds` consecutive idle rounds.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::ZeroMaxRounds`] or
-    /// [`EngineError::ZeroQuiescentRounds`] on zero arguments.
-    pub fn with_quiescence(
-        max_rounds: Round,
-        quiescent_rounds: Round,
-    ) -> Result<RoundRunner, EngineError> {
         if max_rounds == 0 {
             return Err(EngineError::ZeroMaxRounds);
         }
-        if quiescent_rounds == 0 {
-            return Err(EngineError::ZeroQuiescentRounds);
-        }
-        Ok(RoundRunner {
-            max_rounds,
-            quiescent_rounds,
-        })
+        Ok(RoundRunner { max_rounds })
     }
 
     /// The configured round cap.
@@ -167,7 +145,7 @@ impl RoundRunner {
                 RoundOutcome::Progress => idle_streak = 0,
                 RoundOutcome::Quiescent => {
                     idle_streak += 1;
-                    if idle_streak >= self.quiescent_rounds {
+                    if idle_streak >= QUIESCENT_ROUNDS {
                         return RunReport {
                             rounds: round + 1,
                             termination: Quiescence::Reached,
@@ -200,17 +178,13 @@ mod tests {
     #[test]
     fn config_validation() {
         assert_eq!(RoundRunner::new(0).unwrap_err(), EngineError::ZeroMaxRounds);
-        assert_eq!(
-            RoundRunner::with_quiescence(10, 0).unwrap_err(),
-            EngineError::ZeroQuiescentRounds
-        );
         assert!(RoundRunner::new(1).is_ok());
     }
 
     #[test]
     fn stops_after_quiescence_window() {
         use RoundOutcome::{Progress as P, Quiescent as Q};
-        let runner = RoundRunner::with_quiescence(100, 2).unwrap();
+        let runner = RoundRunner::new(100).unwrap();
         let report = runner.run(&mut Script(vec![P, P, Q, Q]));
         assert_eq!(report.rounds, 4);
         assert!(report.is_quiescent());
@@ -219,7 +193,7 @@ mod tests {
     #[test]
     fn idle_streak_resets_on_progress() {
         use RoundOutcome::{Progress as P, Quiescent as Q};
-        let runner = RoundRunner::with_quiescence(100, 2).unwrap();
+        let runner = RoundRunner::new(100).unwrap();
         // Q P Q Q -> streak broken at round 1, quiescent at round 4.
         let report = runner.run(&mut Script(vec![Q, P, Q, Q]));
         assert_eq!(report.rounds, 4);
@@ -242,18 +216,8 @@ mod tests {
     }
 
     #[test]
-    fn single_quiescent_round_window() {
-        use RoundOutcome::Quiescent as Q;
-        let runner = RoundRunner::with_quiescence(100, 1).unwrap();
-        let report = runner.run(&mut Script(vec![Q]));
-        assert_eq!(report.rounds, 1);
-        assert!(report.is_quiescent());
-    }
-
-    #[test]
     fn error_and_report_display() {
         assert!(!EngineError::ZeroMaxRounds.to_string().is_empty());
-        assert!(!EngineError::ZeroQuiescentRounds.to_string().is_empty());
         let r = RunReport {
             rounds: 3,
             termination: Quiescence::Reached,

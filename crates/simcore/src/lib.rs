@@ -14,7 +14,8 @@
 //!   every experiment is byte-for-byte reproducible on every platform.
 //! * [`node`] — sensor nodes with positions, enabled/disabled status and
 //!   battery state.
-//! * [`engine`] — the synchronous round loop with quiescence detection.
+//! * [`engine`] — the synchronous round loop, quiescent after two idle
+//!   rounds.
 //! * [`event`] — the virtual-clock binary-heap scheduler behind the
 //!   event-driven engine, with deterministic `(time, seq)` FIFO
 //!   tie-breaking.
@@ -32,7 +33,8 @@
 //!   flag every long-running binary polls so checkpoints and ledgers
 //!   flush instead of dying mid-write.
 //! * [`trace`] — structured event log for debugging and for the
-//!   examples, with lossless JSON-Lines and versioned binary codecs.
+//!   examples, with a lossless versioned binary codec (the replay
+//!   artifact format).
 //! * [`replay`] — event-log diffing and delta-debugging fault-schedule
 //!   shrinking over those logs.
 //!

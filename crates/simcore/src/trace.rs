@@ -307,132 +307,6 @@ impl TraceLog {
         out
     }
 
-    /// Serializes the log as JSON Lines (one object per record) for
-    /// external tooling: each line carries `round`, `kind` and the
-    /// event's fields flattened into simple keys. Hand-rolled on purpose
-    /// — the values are rounds, ids, cell pairs and distances, so a JSON
-    /// dependency would buy nothing (the workspace keeps its dependency
-    /// set minimal).
-    ///
-    /// Floats are written in Rust's shortest round-trip notation, so
-    /// [`TraceLog::from_json_lines`] inverts this exactly:
-    /// `from_json_lines(log.to_json_lines()) == log` for every enabled
-    /// log, bit-for-bit including distances.
-    pub fn to_json_lines(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for r in &self.records {
-            let mut fields: Vec<(&str, String)> = vec![("round", r.round.to_string())];
-            let kind = r.event.kind();
-            match &r.event {
-                TraceEvent::NodeDisabled { node, cell } => {
-                    fields.push(("node", node.raw().to_string()));
-                    fields.push(("cell", format!("[{},{}]", cell.0, cell.1)));
-                }
-                TraceEvent::VacancyDetected { cell, detector } => {
-                    fields.push(("cell", format!("[{},{}]", cell.0, cell.1)));
-                    fields.push(("detector", format!("[{},{}]", detector.0, detector.1)));
-                }
-                TraceEvent::ProcessInitiated {
-                    process,
-                    hole,
-                    initiator,
-                } => {
-                    fields.push(("process", process.to_string()));
-                    fields.push(("hole", format!("[{},{}]", hole.0, hole.1)));
-                    fields.push(("initiator", format!("[{},{}]", initiator.0, initiator.1)));
-                }
-                TraceEvent::NotificationSent { process, from, to } => {
-                    fields.push(("process", process.to_string()));
-                    fields.push(("from", format!("[{},{}]", from.0, from.1)));
-                    fields.push(("to", format!("[{},{}]", to.0, to.1)));
-                }
-                TraceEvent::NodeMoved {
-                    process,
-                    node,
-                    from,
-                    to,
-                    distance,
-                } => {
-                    if let Some(p) = process {
-                        fields.push(("process", p.to_string()));
-                    }
-                    fields.push(("node", node.raw().to_string()));
-                    fields.push(("from", format!("[{},{}]", from.0, from.1)));
-                    fields.push(("to", format!("[{},{}]", to.0, to.1)));
-                    fields.push(("distance", json_f64(*distance)));
-                }
-                TraceEvent::ProcessConverged { process, moves } => {
-                    fields.push(("process", process.to_string()));
-                    fields.push(("moves", moves.to_string()));
-                }
-                TraceEvent::ProcessFailed { process, reason } => {
-                    fields.push(("process", process.to_string()));
-                    fields.push(("reason", format!("\"{}\"", json_escape(reason))));
-                }
-                TraceEvent::HeadElected { cell, node } => {
-                    fields.push(("cell", format!("[{},{}]", cell.0, cell.1)));
-                    fields.push(("node", node.raw().to_string()));
-                }
-                TraceEvent::NodeRepositioned { node, to, distance } => {
-                    fields.push(("node", node.raw().to_string()));
-                    fields.push(("x", json_f64(to.x)));
-                    fields.push(("y", json_f64(to.y)));
-                    fields.push(("distance", json_f64(*distance)));
-                }
-                TraceEvent::NetMessage {
-                    msg,
-                    from,
-                    to,
-                    deliver_at,
-                } => {
-                    fields.push(("msg", format!("\"{}\"", json_escape(msg))));
-                    fields.push(("from", format!("[{},{}]", from.0, from.1)));
-                    fields.push(("to", format!("[{},{}]", to.0, to.1)));
-                    if let Some(t) = deliver_at {
-                        fields.push(("deliver_at", t.to_string()));
-                    }
-                }
-            }
-            let _ = write!(out, "{{\"kind\":\"{kind}\"");
-            for (k, v) in fields {
-                let _ = write!(out, ",\"{k}\":{v}");
-            }
-            let _ = writeln!(out, "}}");
-        }
-        out
-    }
-}
-
-impl TraceLog {
-    /// Parses the JSON-Lines form produced by [`TraceLog::to_json_lines`]
-    /// back into a log. Blank lines are skipped; key order inside each
-    /// object does not matter. The parser accepts exactly the value
-    /// shapes the writer emits (numbers, strings, two-element arrays),
-    /// which keeps it dependency-free while still round-tripping every
-    /// log bit-for-bit.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceCodecError::Json`] naming the 1-based line and the reason
-    /// when a line is not one of the ten known record shapes.
-    pub fn from_json_lines(s: &str) -> Result<TraceLog, TraceCodecError> {
-        let mut log = TraceLog::new();
-        for (i, line) in s.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (round, event) =
-                json::parse_record(line).map_err(|reason| TraceCodecError::Json {
-                    line: i + 1,
-                    reason,
-                })?;
-            log.record(round, event);
-        }
-        Ok(log)
-    }
-
     /// Encodes the log in the compact versioned binary form (magic
     /// `WSNT`, format version 1, varint-packed records; see the module
     /// docs of [`binary`]). The inverse is [`TraceLog::from_binary`];
@@ -453,8 +327,7 @@ impl TraceLog {
     }
 }
 
-/// Errors from the trace codecs ([`TraceLog::from_json_lines`],
-/// [`binary::decode`]).
+/// Errors from the binary trace codec ([`binary::decode`]).
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum TraceCodecError {
@@ -470,13 +343,6 @@ pub enum TraceCodecError {
     BadVarint,
     /// A string field held invalid UTF-8.
     BadUtf8,
-    /// A JSON line failed to parse.
-    Json {
-        /// 1-based line number.
-        line: usize,
-        /// What went wrong.
-        reason: String,
-    },
 }
 
 impl fmt::Display for TraceCodecError {
@@ -488,26 +354,11 @@ impl fmt::Display for TraceCodecError {
             TraceCodecError::BadTag(t) => write!(f, "unknown trace event tag {t}"),
             TraceCodecError::BadVarint => write!(f, "malformed varint in trace stream"),
             TraceCodecError::BadUtf8 => write!(f, "invalid UTF-8 in trace string field"),
-            TraceCodecError::Json { line, reason } => {
-                write!(f, "trace JSON line {line}: {reason}")
-            }
         }
     }
 }
 
 impl std::error::Error for TraceCodecError {}
-
-/// Formats an `f64` losslessly for JSON: Rust's shortest round-trip
-/// notation, with a `.0` suffix forced onto integral values so the token
-/// is unambiguously a float.
-fn json_f64(v: f64) -> String {
-    let s = v.to_string();
-    if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
-        s
-    } else {
-        format!("{s}.0")
-    }
-}
 
 /// The compact binary trace container: `WSNT` magic, a format-version
 /// byte, a string-pair metadata block, then varint-packed
@@ -844,265 +695,6 @@ pub mod binary {
     }
 }
 
-/// The minimal JSON-subset reader behind [`TraceLog::from_json_lines`]:
-/// flat objects whose values are numbers, strings or two-element arrays
-/// — exactly what the writer emits. Numbers are kept as source tokens so
-/// `u64` fields never round-trip through `f64`.
-mod json {
-    use super::TraceEvent;
-    use crate::node::NodeId;
-    use crate::Round;
-    use std::collections::BTreeMap;
-    use wsn_geometry::Point2;
-
-    enum Value {
-        Num(String),
-        Str(String),
-        Pair(String, String),
-    }
-
-    struct Scanner<'a> {
-        chars: std::iter::Peekable<std::str::Chars<'a>>,
-    }
-
-    impl Scanner<'_> {
-        fn skip_ws(&mut self) {
-            while matches!(self.chars.peek(), Some(' ' | '\t')) {
-                self.chars.next();
-            }
-        }
-
-        fn expect(&mut self, c: char) -> Result<(), String> {
-            self.skip_ws();
-            match self.chars.next() {
-                Some(got) if got == c => Ok(()),
-                Some(got) => Err(format!("expected '{c}', found '{got}'")),
-                None => Err(format!("expected '{c}', found end of line")),
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect('"')?;
-            let mut out = String::new();
-            loop {
-                match self.chars.next() {
-                    Some('"') => return Ok(out),
-                    Some('\\') => match self.chars.next() {
-                        Some('"') => out.push('"'),
-                        Some('\\') => out.push('\\'),
-                        Some('n') => out.push('\n'),
-                        Some('r') => out.push('\r'),
-                        Some('t') => out.push('\t'),
-                        Some('u') => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let d = self
-                                    .chars
-                                    .next()
-                                    .and_then(|c| c.to_digit(16))
-                                    .ok_or("bad \\u escape")?;
-                                code = code * 16 + d;
-                            }
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    },
-                    Some(c) => out.push(c),
-                    None => return Err("unterminated string".into()),
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<String, String> {
-            self.skip_ws();
-            let mut out = String::new();
-            while let Some(&c) = self.chars.peek() {
-                if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E') {
-                    out.push(c);
-                    self.chars.next();
-                } else {
-                    break;
-                }
-            }
-            if out.is_empty() {
-                Err("expected a number".into())
-            } else {
-                Ok(out)
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            self.skip_ws();
-            match self.chars.peek() {
-                Some('"') => Ok(Value::Str(self.string()?)),
-                Some('[') => {
-                    self.expect('[')?;
-                    let a = self.number()?;
-                    self.expect(',')?;
-                    let b = self.number()?;
-                    self.expect(']')?;
-                    Ok(Value::Pair(a, b))
-                }
-                _ => Ok(Value::Num(self.number()?)),
-            }
-        }
-    }
-
-    fn parse_object(line: &str) -> Result<BTreeMap<String, Value>, String> {
-        let mut s = Scanner {
-            chars: line.chars().peekable(),
-        };
-        let mut map = BTreeMap::new();
-        s.expect('{')?;
-        s.skip_ws();
-        if s.chars.peek() == Some(&'}') {
-            s.chars.next();
-            return Ok(map);
-        }
-        loop {
-            let key = s.string()?;
-            s.expect(':')?;
-            let value = s.value()?;
-            map.insert(key, value);
-            s.skip_ws();
-            match s.chars.next() {
-                Some(',') => continue,
-                Some('}') => break,
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
-            }
-        }
-        s.skip_ws();
-        if s.chars.next().is_some() {
-            return Err("trailing characters after object".into());
-        }
-        Ok(map)
-    }
-
-    fn get<'m>(map: &'m BTreeMap<String, Value>, key: &str) -> Result<&'m Value, String> {
-        map.get(key).ok_or_else(|| format!("missing field {key:?}"))
-    }
-
-    fn get_u64(map: &BTreeMap<String, Value>, key: &str) -> Result<u64, String> {
-        match get(map, key)? {
-            Value::Num(s) => s.parse().map_err(|_| format!("field {key:?}: bad integer")),
-            _ => Err(format!("field {key:?}: expected an integer")),
-        }
-    }
-
-    fn get_f64(map: &BTreeMap<String, Value>, key: &str) -> Result<f64, String> {
-        match get(map, key)? {
-            Value::Num(s) => s.parse().map_err(|_| format!("field {key:?}: bad float")),
-            _ => Err(format!("field {key:?}: expected a float")),
-        }
-    }
-
-    fn get_cell(map: &BTreeMap<String, Value>, key: &str) -> Result<(u16, u16), String> {
-        match get(map, key)? {
-            Value::Pair(a, b) => {
-                let x = a.parse().map_err(|_| format!("field {key:?}: bad cell"))?;
-                let y = b.parse().map_err(|_| format!("field {key:?}: bad cell"))?;
-                Ok((x, y))
-            }
-            _ => Err(format!("field {key:?}: expected [x,y]")),
-        }
-    }
-
-    fn get_node(map: &BTreeMap<String, Value>, key: &str) -> Result<NodeId, String> {
-        let raw = get_u64(map, key)?;
-        let raw = u32::try_from(raw).map_err(|_| format!("field {key:?}: id too large"))?;
-        Ok(NodeId::new(raw))
-    }
-
-    fn get_str(map: &BTreeMap<String, Value>, key: &str) -> Result<String, String> {
-        match get(map, key)? {
-            Value::Str(s) => Ok(s.clone()),
-            _ => Err(format!("field {key:?}: expected a string")),
-        }
-    }
-
-    pub(super) fn parse_record(line: &str) -> Result<(Round, TraceEvent), String> {
-        let map = parse_object(line)?;
-        let kind = get_str(&map, "kind")?;
-        let round = get_u64(&map, "round")?;
-        let event = match kind.as_str() {
-            "node_disabled" => TraceEvent::NodeDisabled {
-                node: get_node(&map, "node")?,
-                cell: get_cell(&map, "cell")?,
-            },
-            "vacancy_detected" => TraceEvent::VacancyDetected {
-                cell: get_cell(&map, "cell")?,
-                detector: get_cell(&map, "detector")?,
-            },
-            "process_initiated" => TraceEvent::ProcessInitiated {
-                process: get_u64(&map, "process")?,
-                hole: get_cell(&map, "hole")?,
-                initiator: get_cell(&map, "initiator")?,
-            },
-            "notification_sent" => TraceEvent::NotificationSent {
-                process: get_u64(&map, "process")?,
-                from: get_cell(&map, "from")?,
-                to: get_cell(&map, "to")?,
-            },
-            "node_moved" => TraceEvent::NodeMoved {
-                process: match map.get("process") {
-                    Some(_) => Some(get_u64(&map, "process")?),
-                    None => None,
-                },
-                node: get_node(&map, "node")?,
-                from: get_cell(&map, "from")?,
-                to: get_cell(&map, "to")?,
-                distance: get_f64(&map, "distance")?,
-            },
-            "process_converged" => TraceEvent::ProcessConverged {
-                process: get_u64(&map, "process")?,
-                moves: get_u64(&map, "moves")?,
-            },
-            "process_failed" => TraceEvent::ProcessFailed {
-                process: get_u64(&map, "process")?,
-                reason: get_str(&map, "reason")?,
-            },
-            "head_elected" => TraceEvent::HeadElected {
-                cell: get_cell(&map, "cell")?,
-                node: get_node(&map, "node")?,
-            },
-            "node_repositioned" => TraceEvent::NodeRepositioned {
-                node: get_node(&map, "node")?,
-                to: Point2::new(get_f64(&map, "x")?, get_f64(&map, "y")?),
-                distance: get_f64(&map, "distance")?,
-            },
-            "net_message" => TraceEvent::NetMessage {
-                msg: get_str(&map, "msg")?,
-                from: get_cell(&map, "from")?,
-                to: get_cell(&map, "to")?,
-                deliver_at: match map.get("deliver_at") {
-                    Some(_) => Some(get_u64(&map, "deliver_at")?),
-                    None => None,
-                },
-            },
-            other => return Err(format!("unknown event kind {other:?}")),
-        };
-        Ok((round, event))
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Default for TraceLog {
     fn default() -> Self {
         TraceLog::new()
@@ -1253,43 +845,6 @@ mod tests {
         assert!(s.lines().count() == 1);
     }
 
-    #[test]
-    fn json_lines_one_object_per_record() {
-        let mut log = TraceLog::new();
-        log.record(0, sample_event());
-        log.record(
-            1,
-            TraceEvent::NodeMoved {
-                process: Some(1),
-                node: NodeId::new(5),
-                from: (0, 0),
-                to: (0, 1),
-                distance: 4.5,
-            },
-        );
-        log.record(
-            2,
-            TraceEvent::ProcessFailed {
-                process: 2,
-                reason: "said \"no\"\nnewline".into(),
-            },
-        );
-        let jsonl = log.to_json_lines();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 3);
-        for line in &lines {
-            assert!(line.starts_with("{\"kind\":\""));
-            assert!(line.ends_with('}'));
-            // Balanced quotes (escapes handled): even count of unescaped ".
-            let unescaped = line.replace("\\\"", "");
-            assert_eq!(unescaped.matches('"').count() % 2, 0, "{line}");
-        }
-        assert!(lines[0].contains("\"round\":0"));
-        assert!(lines[1].contains("\"distance\":4.5"));
-        assert!(lines[2].contains("\\\"no\\\""));
-        assert!(lines[2].contains("\\n"));
-    }
-
     fn one_of_each_kind() -> Vec<TraceEvent> {
         vec![
             TraceEvent::NodeDisabled {
@@ -1361,45 +916,6 @@ mod tests {
     }
 
     #[test]
-    fn json_lines_round_trip_every_kind() {
-        let log = log_of_each_kind();
-        let decoded = TraceLog::from_json_lines(&log.to_json_lines()).expect("parses");
-        assert_eq!(decoded, log);
-        // Second generation is textually identical (canonical form).
-        assert_eq!(decoded.to_json_lines(), log.to_json_lines());
-    }
-
-    #[test]
-    fn json_lines_parser_reports_line_and_reason() {
-        let err = TraceLog::from_json_lines("{\"kind\":\"process_converged\",\"round\":0,\"process\":0,\"moves\":1}\n{\"kind\":\"nope\",\"round\":1}").unwrap_err();
-        match err {
-            TraceCodecError::Json { line, reason } => {
-                assert_eq!(line, 2);
-                assert!(reason.contains("nope"), "{reason}");
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
-        assert!(TraceLog::from_json_lines("not json").is_err());
-        assert!(TraceLog::from_json_lines("{\"kind\":\"head_elected\",\"round\":0}").is_err());
-    }
-
-    #[test]
-    fn json_lines_parser_skips_blank_lines_and_ignores_key_order() {
-        let parsed = TraceLog::from_json_lines(
-            "\n{\"round\":3,\"moves\":2,\"process\":1,\"kind\":\"process_converged\"}\n\n",
-        )
-        .expect("parses");
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(
-            parsed.records()[0].event,
-            TraceEvent::ProcessConverged {
-                process: 1,
-                moves: 2
-            }
-        );
-    }
-
-    #[test]
     fn binary_round_trip_every_kind() {
         let log = log_of_each_kind();
         let bytes = log.to_binary();
@@ -1464,75 +980,5 @@ mod tests {
         assert!(!TraceCodecError::BadVarint.to_string().is_empty());
         assert!(!TraceCodecError::BadUtf8.to_string().is_empty());
         assert!(!TraceCodecError::BadTag(42).to_string().is_empty());
-    }
-
-    #[test]
-    fn json_lines_covers_every_event_kind() {
-        let mut log = TraceLog::new();
-        let events = vec![
-            TraceEvent::NodeDisabled {
-                node: NodeId::new(0),
-                cell: (0, 0),
-            },
-            TraceEvent::VacancyDetected {
-                cell: (1, 1),
-                detector: (1, 0),
-            },
-            sample_event(),
-            TraceEvent::NotificationSent {
-                process: 0,
-                from: (0, 0),
-                to: (0, 1),
-            },
-            TraceEvent::NodeMoved {
-                process: None,
-                node: NodeId::new(1),
-                from: (0, 0),
-                to: (1, 0),
-                distance: 1.0,
-            },
-            TraceEvent::ProcessConverged {
-                process: 0,
-                moves: 1,
-            },
-            TraceEvent::ProcessFailed {
-                process: 0,
-                reason: "x".into(),
-            },
-            TraceEvent::HeadElected {
-                cell: (0, 0),
-                node: NodeId::new(2),
-            },
-            TraceEvent::NodeRepositioned {
-                node: NodeId::new(3),
-                to: Point2::new(1.0, 2.0),
-                distance: 2.0,
-            },
-            TraceEvent::NetMessage {
-                msg: "monitor_probe".into(),
-                from: (1, 0),
-                to: (1, 1),
-                deliver_at: None,
-            },
-        ];
-        for (i, e) in events.into_iter().enumerate() {
-            log.record(i as u64, e);
-        }
-        let jsonl = log.to_json_lines();
-        assert_eq!(jsonl.lines().count(), 10);
-        for kind in [
-            "node_disabled",
-            "vacancy_detected",
-            "process_initiated",
-            "notification_sent",
-            "node_moved",
-            "process_converged",
-            "process_failed",
-            "head_elected",
-            "node_repositioned",
-            "net_message",
-        ] {
-            assert!(jsonl.contains(&format!("\"kind\":\"{kind}\"")), "{kind}");
-        }
     }
 }

@@ -1,13 +1,14 @@
-//! Property tests for the trace codecs: the binary and JSON-Lines
-//! encodings must round-trip arbitrary event sequences byte-identically
-//! in both directions (decode∘encode is the identity on logs,
-//! encode∘decode is the identity on accepted byte streams).
+//! Property tests for the binary trace codec: it must round-trip
+//! arbitrary event sequences byte-identically in both directions
+//! (decode∘encode is the identity on logs, encode∘decode is the identity
+//! on accepted byte streams).
 
 use proptest::prelude::*;
 use wsn_simcore::trace::{binary, TraceLog};
 use wsn_simcore::{NodeId, Round, TraceEvent};
 
-/// Strings that exercise every escape path of the JSON writer.
+/// Failure reasons with quotes, control characters and multi-byte
+/// UTF-8.
 const REASONS: [&str; 7] = [
     "",
     "no spare",
@@ -122,15 +123,6 @@ proptest! {
         prop_assert_eq!(&meta2, &meta);
         prop_assert_eq!(&log2, &log);
         prop_assert_eq!(binary::encode(&meta2, &log2), bytes);
-    }
-
-    #[test]
-    fn json_lines_decode_inverts_encode(log in log()) {
-        let text = log.to_json_lines();
-        let decoded = TraceLog::from_json_lines(&text).expect("own output parses");
-        prop_assert_eq!(&decoded, &log);
-        // Canonical text: a second generation is byte-identical.
-        prop_assert_eq!(decoded.to_json_lines(), text);
     }
 
     #[test]

@@ -34,9 +34,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // check the region, and drive the network in place. (The same three
     // lines run any registered scheme — see the baseline_faceoff
     // example; for protocol traces, call `run_traced` instead.)
-    let sr = Sr::builder()
-        .spare_selection(SpareSelection::ClosestToTarget)
-        .build();
+    let selection = SpareSelection::ClosestToTarget;
+    let sr = Sr::from_config(SrConfig::default().with_spare_selection(selection));
     sr.supports(&NetworkSpec::of(&network))?;
     let report = sr.run(&mut network, 2008, DriveMode::Classic)?;
 

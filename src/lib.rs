@@ -41,9 +41,8 @@
 //!
 //! // SR recovery through the scheme API: exactly one replacement
 //! // process, hole filled, network recovered in place.
-//! let sr = Sr::builder()
-//!     .spare_selection(SpareSelection::ClosestToTarget)
-//!     .build();
+//! let selection = SpareSelection::ClosestToTarget;
+//! let sr = Sr::from_config(SrConfig::default().with_spare_selection(selection));
 //! sr.supports(&NetworkSpec::of(&network))?;
 //! let report = sr.run(&mut network, 42, DriveMode::Classic)?;
 //! assert!(report.fully_covered);
@@ -69,6 +68,11 @@ pub use wsn_grid as grid;
 pub use wsn_hamilton as hamilton;
 pub use wsn_simcore as simcore;
 pub use wsn_stats as stats;
+
+/// The Rust blocks of `README.md`, compiled and run as doc-tests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
 
 /// The names almost every user of the library needs.
 pub mod prelude {
