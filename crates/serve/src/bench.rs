@@ -2,15 +2,16 @@
 //! to talk to the daemon?
 //!
 //! Entries cover the CPU-bound codecs (handshake hash, frame codec,
-//! request parsing) and the two loopback round trips that dominate real
-//! use — a status request, and a full submit-job-and-stream-to-completion
+//! request parsing, and rendering and parsing the smoke campaign's
+//! artifact) and the two loopback round trips that dominate real use —
+//! a status request, and a full submit-job-and-stream-to-completion
 //! cycle over the smoke matrix. `perf compare` gates the file with the
 //! same >25% `min_ns` threshold as every other ledger (see
 //! `wsn_bench::perf::LEDGER_FILES`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use wsn_bench::campaign::CampaignConfig;
+use wsn_bench::campaign::{run_campaign, CampaignConfig};
 use wsn_bench::perf::{bench_entry, time_ns};
 use wsn_simcore::shutdown;
 use wsn_stats::JsonValue;
@@ -72,6 +73,30 @@ pub fn bench_serve(smoke: bool) -> JsonValue {
                 .expect("well-formed request parses")
                 .expect("non-empty request parses");
             sink.fetch_add(request.body.len() as u64, Ordering::Relaxed);
+        }),
+    ));
+
+    // The artifact's JSON text: the daemon renders one per completed job
+    // and parses every one on its disk when it starts, so a per-`char`
+    // renderer or a quadratic parser shows up here.
+    let artifact = run_campaign(&CampaignConfig::smoke())
+        .expect("the smoke campaign runs")
+        .to_json();
+    let artifact_text = artifact.to_file_string();
+    entries.push(bench_entry(
+        "json_render_campaign_artifact",
+        samples,
+        time_ns(samples, || {
+            sink.fetch_add(artifact.to_string().len() as u64, Ordering::Relaxed);
+        }),
+    ));
+    entries.push(bench_entry(
+        "json_parse_campaign_artifact",
+        samples,
+        time_ns(samples, || {
+            let parsed = JsonValue::parse(&artifact_text).expect("the artifact parses");
+            assert!(parsed.get("config").is_some());
+            sink.fetch_add(1, Ordering::Relaxed);
         }),
     ));
 

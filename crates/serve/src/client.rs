@@ -58,12 +58,14 @@ pub fn request(addr: &str, method: &str, path: &str, body: Option<&str>) -> io::
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
     let body = body.unwrap_or("");
-    write!(
-        stream,
+    // One write: a daemon at its connection cap answers `503` and closes
+    // without reading, so a request split over several writes could meet
+    // a reset before its answer is read.
+    let request = format!(
         "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ncontent-length: {}\r\n\r\n{body}",
         body.len()
-    )?;
-    stream.flush()?;
+    );
+    stream.write_all(request.as_bytes())?;
     let mut reader = BufReader::new(stream);
     let (status, headers) = read_head(&mut reader)?;
     let length = headers
@@ -84,76 +86,117 @@ pub fn request(addr: &str, method: &str, path: &str, body: Option<&str>) -> io::
     Ok(Response { status, body })
 }
 
+/// An open WebSocket subscription: the upgraded connection and the
+/// bytes read past the last whole frame.
+pub struct Subscriber {
+    stream: TcpStream,
+    reader: BufReader<TcpStream>,
+    inbuf: Vec<u8>,
+}
+
+impl Subscriber {
+    /// Opens a WebSocket subscription to `path` and checks the server's
+    /// `Sec-WebSocket-Accept`.
+    ///
+    /// # Errors
+    ///
+    /// Connection failures, a refused upgrade (its JSON body is in the
+    /// message), or a wrong `Sec-WebSocket-Accept`.
+    pub fn open(addr: &str, path: &str) -> io::Result<Subscriber> {
+        // A fixed nonce is fine: the handshake hash is deterministic and
+        // we verify the echo, which is all the key is for.
+        let key = base64::encode(b"wsn-serve-client");
+        let mut stream = TcpStream::connect(addr)?;
+        stream.set_read_timeout(Some(Duration::from_secs(60)))?;
+        let request = format!(
+            "GET {path} HTTP/1.1\r\nhost: {addr}\r\nupgrade: websocket\r\nconnection: Upgrade\r\nsec-websocket-key: {key}\r\nsec-websocket-version: 13\r\n\r\n"
+        );
+        stream.write_all(request.as_bytes())?;
+        let mut reader = BufReader::new(stream.try_clone()?);
+        let (status, headers) = read_head(&mut reader)?;
+        if status != 101 {
+            // The refusal body is JSON; surface it.
+            let mut body = String::new();
+            let _unused = reader.read_to_string(&mut body);
+            return Err(invalid(format!("upgrade refused ({status}): {body}")));
+        }
+        let echoed = headers
+            .iter()
+            .find(|(k, _)| k == "sec-websocket-accept")
+            .map(|(_, v)| v.as_str());
+        if echoed != Some(accept_key(&key).as_str()) {
+            return Err(invalid("bad sec-websocket-accept".into()));
+        }
+        Ok(Subscriber {
+            stream,
+            reader,
+            inbuf: Vec::new(),
+        })
+    }
+
+    /// The next frame the server sends, or `None` once it has closed
+    /// the connection.
+    ///
+    /// # Errors
+    ///
+    /// Read failures and malformed server frames.
+    pub fn next_frame(&mut self) -> io::Result<Option<Frame>> {
+        let mut chunk = [0u8; 4096];
+        loop {
+            match decode_frame(&self.inbuf) {
+                Ok(Some((frame, used))) => {
+                    self.inbuf.drain(..used);
+                    return Ok(Some(frame));
+                }
+                Ok(None) => {}
+                Err(e) => return Err(invalid(format!("bad server frame: {e}"))),
+            }
+            match self.reader.read(&mut chunk)? {
+                0 => return Ok(None),
+                n => self.inbuf.extend_from_slice(&chunk[..n]),
+            }
+        }
+    }
+
+    /// Sends one frame, masked as RFC 6455 requires of clients.
+    ///
+    /// # Errors
+    ///
+    /// Write failures.
+    pub fn send(&mut self, frame: &Frame) -> io::Result<()> {
+        self.stream
+            .write_all(&encode_frame(frame, Some([0x13, 0x37, 0xab, 0xcd])))
+    }
+}
+
 /// Opens a WebSocket subscription to `path` and collects every text
-/// line until the server's close frame (or EOF). Client frames are
-/// masked, as RFC 6455 requires of clients.
+/// line until the server's close frame (or EOF). Pings are answered and
+/// the close is mirrored.
 ///
 /// # Errors
 ///
 /// Connection failures, a refused upgrade, a wrong `Sec-WebSocket-Accept`,
 /// or malformed server frames.
 pub fn stream_lines(addr: &str, path: &str) -> io::Result<Vec<String>> {
-    // A fixed nonce is fine: the handshake hash is deterministic and we
-    // verify the echo, which is all the key is for.
-    let key = base64::encode(b"wsn-serve-client");
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(60)))?;
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nhost: {addr}\r\nupgrade: websocket\r\nconnection: Upgrade\r\nsec-websocket-key: {key}\r\nsec-websocket-version: 13\r\n\r\n"
-    )?;
-    stream.flush()?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let (status, headers) = read_head(&mut reader)?;
-    if status != 101 {
-        // The refusal body is JSON; surface it.
-        let mut body = String::new();
-        let _unused = reader.read_to_string(&mut body);
-        return Err(invalid(format!("upgrade refused ({status}): {body}")));
-    }
-    let echoed = headers
-        .iter()
-        .find(|(k, _)| k == "sec-websocket-accept")
-        .map(|(_, v)| v.as_str());
-    if echoed != Some(accept_key(&key).as_str()) {
-        return Err(invalid("bad sec-websocket-accept".into()));
-    }
+    let mut subscriber = Subscriber::open(addr, path)?;
     let mut lines = Vec::new();
-    let mut inbuf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        match decode_frame(&inbuf) {
-            Ok(Some((frame, used))) => {
-                inbuf.drain(..used);
-                match frame.opcode {
-                    Opcode::Text => lines.push(
-                        String::from_utf8(frame.payload)
-                            .map_err(|_| invalid("non-UTF-8 text frame".into()))?,
-                    ),
-                    Opcode::Close => {
-                        // Mirror the close (masked — we are the client).
-                        let reply = encode_frame(&frame, Some([0x13, 0x37, 0xab, 0xcd]));
-                        let _unused = stream.write_all(&reply);
-                        return Ok(lines);
-                    }
-                    Opcode::Ping => {
-                        let pong = Frame {
-                            fin: true,
-                            opcode: Opcode::Pong,
-                            payload: frame.payload,
-                        };
-                        stream.write_all(&encode_frame(&pong, Some([1, 2, 3, 4])))?;
-                    }
-                    _ => {}
-                }
-                continue;
+    while let Some(frame) = subscriber.next_frame()? {
+        match frame.opcode {
+            Opcode::Text => lines.push(
+                String::from_utf8(frame.payload)
+                    .map_err(|_| invalid("non-UTF-8 text frame".into()))?,
+            ),
+            Opcode::Close => {
+                let _unused = subscriber.send(&frame);
+                break;
             }
-            Ok(None) => {}
-            Err(e) => return Err(invalid(format!("bad server frame: {e}"))),
-        }
-        match reader.read(&mut chunk)? {
-            0 => return Ok(lines), // server closed the socket
-            n => inbuf.extend_from_slice(&chunk[..n]),
+            Opcode::Ping => subscriber.send(&Frame {
+                fin: true,
+                opcode: Opcode::Pong,
+                payload: frame.payload,
+            })?,
+            _ => {}
         }
     }
+    Ok(lines)
 }

@@ -163,11 +163,13 @@ fn reason(status: u16) -> &'static str {
         405 => "Method Not Allowed",
         409 => "Conflict",
         500 => "Internal Server Error",
+        503 => "Service Unavailable",
         _ => "Unknown",
     }
 }
 
-/// Writes a complete response with a body.
+/// Writes a complete response with a body, head and body in one
+/// write.
 ///
 /// # Errors
 ///
@@ -178,13 +180,14 @@ pub fn write_response(
     content_type: &str,
     body: &[u8],
 ) -> io::Result<()> {
-    write!(
-        w,
+    let mut response = format!(
         "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
         reason(status),
         body.len()
-    )?;
-    w.write_all(body)?;
+    )
+    .into_bytes();
+    response.extend_from_slice(body);
+    w.write_all(&response)?;
     w.flush()
 }
 
@@ -203,10 +206,10 @@ pub fn write_json(w: &mut impl Write, status: u16, body: &str) -> io::Result<()>
 ///
 /// Propagates writer errors.
 pub fn write_upgrade(w: &mut impl Write, accept: &str) -> io::Result<()> {
-    write!(
-        w,
+    let response = format!(
         "HTTP/1.1 101 Switching Protocols\r\nupgrade: websocket\r\nconnection: Upgrade\r\nsec-websocket-accept: {accept}\r\n\r\n"
-    )?;
+    );
+    w.write_all(response.as_bytes())?;
     w.flush()
 }
 

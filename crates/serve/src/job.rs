@@ -19,6 +19,7 @@
 //! suspended one re-queues on restart.
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -29,6 +30,7 @@ use wsn_bench::campaign::{
 };
 use wsn_coverage::scheme::SchemeRegistry;
 use wsn_simcore::shutdown;
+use wsn_stats::json::write_escaped;
 use wsn_stats::JsonValue;
 
 use crate::checkpoint::CheckpointStore;
@@ -523,6 +525,79 @@ fn event_line(job: &str, event: &str, extra: &[(&str, JsonValue)]) -> JsonValue 
     JsonValue::obj(fields)
 }
 
+/// What one `delta` line reports: the folded cell's identity and
+/// running means after fold number `done`.
+#[derive(Debug, Clone, Copy)]
+struct Delta<'a> {
+    cell: usize,
+    done: u64,
+    scheme: &'a str,
+    region: &'a str,
+    n: usize,
+    trials: u64,
+    covered_trials: u64,
+    holes_mean: f64,
+    /// `None` renders as `null`, as does a non-finite mean.
+    moves_mean: Option<f64>,
+    distance_mean: Option<f64>,
+}
+
+impl<'a> Delta<'a> {
+    fn of(cell: usize, done: u64, stats: &'a CellStats) -> Delta<'a> {
+        let mean = |metric: &str| stats.metric(metric).map(|s| s.summary().mean());
+        Delta {
+            cell,
+            done,
+            scheme: stats.scheme.as_str(),
+            region: stats.region.label(),
+            n: stats.n_target,
+            trials: stats.trials,
+            covered_trials: stats.covered_trials,
+            holes_mean: stats.holes.summary().mean(),
+            moves_mean: mean("moves"),
+            distance_mean: mean("distance"),
+        }
+    }
+
+    /// The `wsn-serve/1` delta line of job `job`, written straight into
+    /// one `String`: the bytes of `event_line(job, "delta", ..)` with
+    /// these fields, without building its value tree. Numbers render
+    /// through [`JsonValue::Num`], strings through the JSON escaper.
+    fn line(&self, job: &str) -> String {
+        let mut out = String::with_capacity(256);
+        self.write(&mut out, job)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    fn write(&self, out: &mut String, job: &str) -> fmt::Result {
+        let mean = |m: Option<f64>| m.map_or(JsonValue::Null, JsonValue::Num);
+        out.push_str("{\"schema\":");
+        write_escaped(out, STREAM_SCHEMA)?;
+        out.push_str(",\"event\":\"delta\",\"job\":");
+        write_escaped(out, job)?;
+        write!(
+            out,
+            ",\"cell\":{},\"done\":{},\"scheme\":",
+            JsonValue::from(self.cell),
+            JsonValue::from(self.done),
+        )?;
+        write_escaped(out, self.scheme)?;
+        out.push_str(",\"region\":");
+        write_escaped(out, self.region)?;
+        write!(
+            out,
+            ",\"n\":{},\"trials\":{},\"covered_trials\":{},\"holes_mean\":{},\"moves_mean\":{},\"distance_mean\":{}}}",
+            JsonValue::from(self.n),
+            JsonValue::from(self.trials),
+            JsonValue::from(self.covered_trials),
+            JsonValue::from(self.holes_mean),
+            mean(self.moves_mean),
+            mean(self.distance_mean),
+        )
+    }
+}
+
 /// The per-chunk observer: streams a delta line per fold, counts the
 /// chunk budget down, and winds the engine down on budget exhaustion,
 /// job cancellation, or process shutdown.
@@ -542,30 +617,7 @@ impl CampaignObserver for RunObserver<'_> {
                 Some(b.saturating_sub(1))
             })
             .expect("fetch_update closure never returns None");
-        let mean = |metric: &str| {
-            stats
-                .metric(metric)
-                .map_or(JsonValue::Null, |s| JsonValue::from(s.summary().mean()))
-        };
-        self.log.append(
-            event_line(
-                self.job,
-                "delta",
-                &[
-                    ("cell", JsonValue::from(cell)),
-                    ("done", JsonValue::from(done)),
-                    ("scheme", JsonValue::from(stats.scheme.as_str())),
-                    ("region", JsonValue::from(stats.region.label())),
-                    ("n", JsonValue::from(stats.n_target)),
-                    ("trials", JsonValue::from(stats.trials)),
-                    ("covered_trials", JsonValue::from(stats.covered_trials)),
-                    ("holes_mean", JsonValue::from(stats.holes.summary().mean())),
-                    ("moves_mean", mean("moves")),
-                    ("distance_mean", mean("distance")),
-                ],
-            )
-            .to_string(),
-        );
+        self.log.append(Delta::of(cell, done, stats).line(self.job));
     }
 
     fn cancel_requested(&self) -> bool {
@@ -596,6 +648,117 @@ mod tests {
             targets: vec![5],
             seeds_per_cell: 1,
             ..CampaignConfig::paper()
+        }
+    }
+
+    /// The line `event_line` renders from a value tree: what the direct
+    /// delta writer must reproduce byte for byte.
+    fn tree_line(job: &str, d: &Delta) -> String {
+        let mean = |m: Option<f64>| m.map_or(JsonValue::Null, JsonValue::from);
+        event_line(
+            job,
+            "delta",
+            &[
+                ("cell", JsonValue::from(d.cell)),
+                ("done", JsonValue::from(d.done)),
+                ("scheme", JsonValue::from(d.scheme)),
+                ("region", JsonValue::from(d.region)),
+                ("n", JsonValue::from(d.n)),
+                ("trials", JsonValue::from(d.trials)),
+                ("covered_trials", JsonValue::from(d.covered_trials)),
+                ("holes_mean", JsonValue::from(d.holes_mean)),
+                ("moves_mean", mean(d.moves_mean)),
+                ("distance_mean", mean(d.distance_mean)),
+            ],
+        )
+        .to_string()
+    }
+
+    #[test]
+    fn delta_lines_equal_the_value_tree_rendering() {
+        let empty = Delta {
+            cell: 0,
+            done: 0,
+            scheme: "sr",
+            region: "full",
+            n: 10,
+            trials: 0,
+            covered_trials: 0,
+            holes_mean: 0.0,
+            moves_mean: Some(0.0),
+            distance_mean: Some(0.0),
+        };
+        let cases = [
+            empty,
+            Delta {
+                moves_mean: None,
+                distance_mean: None,
+                ..empty
+            },
+            Delta {
+                holes_mean: f64::NAN,
+                moves_mean: Some(f64::INFINITY),
+                distance_mean: Some(f64::NEG_INFINITY),
+                ..empty
+            },
+            Delta {
+                cell: 4_199,
+                done: 100,
+                scheme: "sr-sc",
+                region: "l-shape",
+                n: 1000,
+                trials: 100,
+                covered_trials: 99,
+                holes_mean: 57.0,
+                moves_mean: Some(-3.25),
+                distance_mean: Some(0.1 + 0.2),
+            },
+            Delta {
+                cell: usize::MAX,
+                done: u64::MAX,
+                n: (1 << 53) + 1,
+                holes_mean: 1e-7,
+                moves_mean: Some(1e21),
+                distance_mean: Some(f64::MIN_POSITIVE),
+                ..empty
+            },
+            Delta {
+                scheme: "a\"b\\c",
+                region: "\t\u{1}\u{1f}é😀",
+                ..empty
+            },
+        ];
+        for job in ["job-1", "job-\"7\"\\\n\u{0}é😀/"] {
+            for d in &cases {
+                assert_eq!(d.line(job), tree_line(job, d), "{d:?}");
+            }
+        }
+        assert!(cases[2]
+            .line("job-1")
+            .contains("\"holes_mean\":null,\"moves_mean\":null,\"distance_mean\":null}"));
+    }
+
+    #[test]
+    fn a_campaign_s_delta_lines_equal_the_value_tree_rendering() {
+        struct Lines(Mutex<Vec<(String, String)>>);
+        impl CampaignObserver for Lines {
+            fn trial_folded(&self, cell: usize, done: u64, stats: &CellStats) {
+                let d = Delta::of(cell, done, stats);
+                let pair = (d.line("job-3"), tree_line("job-3", &d));
+                self.0.lock().expect("lines lock").push(pair);
+            }
+        }
+        let cfg = CampaignConfig {
+            workers: Some(1),
+            ..CampaignConfig::smoke()
+        };
+        let lines = Lines(Mutex::new(Vec::new()));
+        run_campaign_resumable_with(&cfg, &wsn_baselines::builtins(), None, &lines)
+            .expect("smoke campaign runs");
+        let lines = lines.0.into_inner().expect("lines lock");
+        assert_eq!(lines.len() as u64, cfg.trial_count());
+        for (direct, tree) in lines {
+            assert_eq!(direct, tree);
         }
     }
 

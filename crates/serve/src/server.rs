@@ -13,6 +13,12 @@
 //! | `GET`    | `/jobs/<id>/result`  | final artifact (`409` until done)        |
 //! | `GET`    | `/jobs/<id>/stream`  | WebSocket: `wsn-serve/1` lines, replayed |
 //!
+//! Each connection gets a thread, at most [`MAX_CONNECTIONS`] at once;
+//! the accept loop answers one past the cap with `503` itself. A stream
+//! thread sends its job's log in batches, one socket write each, and
+//! sleeps on the log between them: its close wakes the thread at once,
+//! so the close frame follows the job's last line without a wait.
+//!
 //! The accept loop blocks in `accept`, so a request is picked up the
 //! moment it arrives. Shutdown stays a flag: SIGINT/SIGTERM only set the
 //! process-wide [`wsn_simcore::shutdown`] flag, and a waker thread that
@@ -36,7 +42,7 @@ use wsn_stats::JsonValue;
 use crate::checkpoint::CheckpointStore;
 use crate::http::{read_request, write_json, write_upgrade, Request};
 use crate::job::{JobQueue, JobState};
-use crate::ws::{accept_key, decode_frame, encode_frame, Frame, Opcode};
+use crate::ws::{accept_key, decode_frame, encode_frame_into, Frame, Opcode};
 
 /// How the daemon is wired up.
 #[derive(Debug, Clone)]
@@ -109,8 +115,10 @@ impl Server {
     }
 
     /// Serves until [`shutdown::requested`]. Spawns one runner thread
-    /// and a thread per connection; returns once the accept loop stops
-    /// and the runner has suspended its job (if any).
+    /// and a thread per connection, at most [`MAX_CONNECTIONS`] live at
+    /// once; returns once the accept loop stops and the runner has
+    /// suspended its job (if any). A connection past the cap is
+    /// answered `503` by the accept loop itself and closed unread.
     ///
     /// The loop blocks in `accept`, so no request waits on a poll
     /// interval. A shutdown request — a trapped signal or
@@ -128,8 +136,13 @@ impl Server {
             std::thread::spawn(move || queue.run_until_shutdown())
         };
         let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        accept_until(&self.listener, &shutdown::requested, |stream| {
+        accept_until(&self.listener, &shutdown::requested, |mut stream| {
             conns.retain(|h| !h.is_finished());
+            if conns.len() >= MAX_CONNECTIONS {
+                let (status, body) = json_error(503, "too many connections");
+                let _unused = write_json(&mut stream, status, &body);
+                return;
+            }
             let queue = Arc::clone(&self.queue);
             conns.push(std::thread::spawn(move || {
                 let _unused = handle_connection(stream, &queue);
@@ -147,6 +160,12 @@ impl Server {
         Ok(())
     }
 }
+
+/// Most connections served at once. Each one holds a thread, blocked
+/// in `read_request` or following a stream, so the cap bounds the
+/// daemon's threads against idle or hostile clients. It is far above
+/// what one client uses (a stream, a status probe and a request).
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// How often the waker checks the stop predicate. Signal handlers can
 /// only set a flag, so some thread has to look at it; this one does so
@@ -301,9 +320,27 @@ fn route(request: &Request, queue: &JobQueue) -> (u16, String) {
     }
 }
 
+/// How long a stream sleeps between batches while its job runs. The
+/// lines appended meanwhile go out together in one socket write; the
+/// log's close cuts the sleep short, so the last batch and the close
+/// frame follow the job's end at once.
+const STREAM_BATCH_INTERVAL: Duration = Duration::from_millis(10);
+
+/// Most lines one batch sends (about 1 MiB of `delta` lines). A
+/// subscriber that joins a long job late catches up in batches of
+/// bounded size, back to back, instead of one copy of the whole log.
+const STREAM_BATCH_LINES: usize = 4096;
+
 /// Completes the WebSocket handshake and streams the job's log from
 /// line zero: every subscriber — however late — replays the identical
 /// ordered sequence, then receives a close frame once the log closes.
+///
+/// Each batch answers the client frames that have arrived (ping → pong,
+/// close → mirror and stop), then sends every line appended since the
+/// last batch (at most [`STREAM_BATCH_LINES`]), all in one write. The
+/// first batch goes out at once, as does a batch that follows a full
+/// one; the others after [`STREAM_BATCH_INTERVAL`] or the log's close,
+/// whichever comes first.
 fn serve_stream(
     request: &Request,
     mut reader: BufReader<TcpStream>,
@@ -324,41 +361,27 @@ fn serve_stream(
         return write_json(&mut writer, status, &body);
     };
     write_upgrade(&mut writer, &accept_key(key))?;
-    // Short read timeout: the loop alternates between draining client
-    // control frames and tailing the log.
-    reader
-        .get_ref()
-        .set_read_timeout(Some(Duration::from_millis(10)))?;
+    // The daemon sends final, unmasked frames only.
+    let push = |batch: &mut Vec<u8>, opcode: Opcode, payload: &[u8]| {
+        encode_frame_into(batch, true, opcode, payload, None);
+    };
     let mut inbuf: Vec<u8> = Vec::new();
+    let mut batch: Vec<u8> = Vec::new();
     let mut cursor = 0usize;
     loop {
-        // Client frames first (ping → pong, close → mirror and stop).
-        let mut chunk = [0u8; 4096];
-        match reader.read(&mut chunk) {
-            Ok(0) => return Ok(()), // client went away
-            Ok(n) => inbuf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            }
-            Err(e) => return Err(e),
+        batch.clear();
+        if !read_arrived(&mut reader, &mut inbuf)? {
+            return Ok(()); // client went away
         }
         loop {
             match decode_frame(&inbuf) {
                 Ok(Some((frame, used))) => {
                     inbuf.drain(..used);
                     match frame.opcode {
-                        Opcode::Ping => {
-                            let pong = Frame {
-                                fin: true,
-                                opcode: Opcode::Pong,
-                                payload: frame.payload,
-                            };
-                            writer.write_all(&encode_frame(&pong, None))?;
-                            writer.flush()?;
-                        }
+                        Opcode::Ping => push(&mut batch, Opcode::Pong, &frame.payload),
                         Opcode::Close => {
-                            writer.write_all(&encode_frame(&frame, None))?;
-                            return writer.flush();
+                            push(&mut batch, Opcode::Close, &frame.payload);
+                            return writer.write_all(&batch);
                         }
                         _ => {} // subscribers only listen
                     }
@@ -366,30 +389,54 @@ fn serve_stream(
                 Ok(None) => break,
                 Err(_) => {
                     let close = Frame::close(1002, "protocol error");
-                    writer.write_all(&encode_frame(&close, None))?;
-                    return writer.flush();
+                    push(&mut batch, Opcode::Close, &close.payload);
+                    return writer.write_all(&batch);
                 }
             }
         }
         if shutdown::requested() {
             let close = Frame::close(1001, "server shutting down");
-            writer.write_all(&encode_frame(&close, None))?;
-            return writer.flush();
+            push(&mut batch, Opcode::Close, &close.payload);
+            return writer.write_all(&batch);
         }
-        let (lines, done) = log.read_from(cursor, Duration::from_millis(100));
+        let (lines, done) = log.read_from(cursor, STREAM_BATCH_LINES);
+        cursor += lines.len();
         for line in &lines {
-            let frame = Frame::text(line.as_ref());
-            writer.write_all(&encode_frame(&frame, None))?;
+            push(&mut batch, Opcode::Text, line.as_bytes());
         }
-        if !lines.is_empty() {
-            writer.flush()?;
-            cursor += lines.len();
-        }
-        if done && cursor >= log.len() {
+        if done {
             let close = Frame::close(1000, "stream complete");
-            writer.write_all(&encode_frame(&close, None))?;
-            return writer.flush();
+            push(&mut batch, Opcode::Close, &close.payload);
         }
+        if !batch.is_empty() {
+            writer.write_all(&batch)?;
+        }
+        if done {
+            return Ok(());
+        }
+        if lines.len() < STREAM_BATCH_LINES {
+            log.wait_closed(STREAM_BATCH_INTERVAL);
+        }
+    }
+}
+
+/// Appends the client bytes that have already arrived to `inbuf`,
+/// without waiting for more; `false` once the client has closed its
+/// end. The socket is non-blocking only for this one read: the stream's
+/// writes share the socket and stay blocking.
+fn read_arrived(reader: &mut BufReader<TcpStream>, inbuf: &mut Vec<u8>) -> io::Result<bool> {
+    let mut chunk = [0u8; 4096];
+    reader.get_ref().set_nonblocking(true)?;
+    let read = reader.read(&mut chunk);
+    reader.get_ref().set_nonblocking(false)?;
+    match read {
+        Ok(0) => Ok(false),
+        Ok(n) => {
+            inbuf.extend_from_slice(&chunk[..n]);
+            Ok(true)
+        }
+        Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(true),
+        Err(e) => Err(e),
     }
 }
 

@@ -148,9 +148,24 @@ pub const MAX_FRAME_PAYLOAD: u64 = 16 * 1024 * 1024;
 /// RFC requires clients to mask and servers not to); the daemon always
 /// passes `None`, the test client a key.
 pub fn encode_frame(frame: &Frame, mask: Option<[u8; 4]>) -> Vec<u8> {
-    let len = frame.payload.len() as u64;
     let mut out = Vec::with_capacity(frame.payload.len() + 14);
-    out.push(u8::from(frame.fin) << 7 | frame.opcode.bits());
+    encode_frame_into(&mut out, frame.fin, frame.opcode, &frame.payload, mask);
+    out
+}
+
+/// Appends one frame — header, then the (masked) payload — to `out`,
+/// byte for byte what [`encode_frame`] returns for the same parts. The
+/// daemon batches a stream's frames this way into one buffer, so a
+/// batch costs one socket write and no per-line `Frame` copy.
+pub fn encode_frame_into(
+    out: &mut Vec<u8>,
+    fin: bool,
+    opcode: Opcode,
+    payload: &[u8],
+    mask: Option<[u8; 4]>,
+) {
+    let len = payload.len() as u64;
+    out.push(u8::from(fin) << 7 | opcode.bits());
     let mask_bit = u8::from(mask.is_some()) << 7;
     // Minimal length encoding: 7-bit, then 16-bit, then 64-bit.
     if len < 126 {
@@ -165,17 +180,10 @@ pub fn encode_frame(frame: &Frame, mask: Option<[u8; 4]>) -> Vec<u8> {
     match mask {
         Some(key) => {
             out.extend_from_slice(&key);
-            out.extend(
-                frame
-                    .payload
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &b)| b ^ key[i % 4]),
-            );
+            out.extend(payload.iter().enumerate().map(|(i, &b)| b ^ key[i % 4]));
         }
-        None => out.extend_from_slice(&frame.payload),
+        None => out.extend_from_slice(payload),
     }
-    out
 }
 
 /// Decodes one frame from the front of `buf`.

@@ -10,105 +10,24 @@
 //! * a daemon killed with SIGKILL mid-job resumes from its checkpoint
 //!   on restart and still produces the byte-identical artifact;
 //! * SIGTERM is graceful: the daemon exits 0 with the running job
-//!   checkpointed and re-queued.
+//!   checkpointed and re-queued;
+//! * connections past the cap are answered `503` until one closes.
 
-use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+mod common;
+
+use std::net::TcpStream;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use wsn_bench::campaign::{run_campaign, CampaignConfig};
 use wsn_coverage::SchemeId;
 use wsn_serve::client;
+use wsn_serve::server::MAX_CONNECTIONS;
 use wsn_stats::JsonValue;
 
+use common::{submit, temp_state, Daemon};
+
 const DEADLINE: Duration = Duration::from_secs(120);
-
-/// A `served` process bound to an ephemeral port.
-struct Daemon {
-    child: Child,
-    addr: String,
-    /// Kept open so the daemon's own prints never hit a closed pipe.
-    _stdout: BufReader<std::process::ChildStdout>,
-}
-
-impl Daemon {
-    /// Spawns `served serve` on port 0 and parses the bound address
-    /// from its startup line.
-    fn start(state_dir: &Path, checkpoint_every: u64) -> Daemon {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_served"))
-            .args([
-                "serve",
-                "--addr",
-                "127.0.0.1:0",
-                "--state-dir",
-                state_dir.to_str().expect("utf-8 state dir"),
-                "--checkpoint-every",
-                &checkpoint_every.to_string(),
-                "--workers",
-                "2",
-            ])
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()
-            .expect("served spawns");
-        let stdout = child.stdout.take().expect("stdout piped");
-        let mut reader = BufReader::new(stdout);
-        let mut line = String::new();
-        reader
-            .read_line(&mut line)
-            .expect("served announces its address");
-        // "served: listening on 127.0.0.1:PORT (state: ...)"
-        let addr = line
-            .split_whitespace()
-            .find(|w| w.starts_with("127.0.0.1:"))
-            .unwrap_or_else(|| panic!("no address in startup line {line:?}"))
-            .to_owned();
-        Daemon {
-            child,
-            addr,
-            _stdout: reader,
-        }
-    }
-
-    fn kill9(&mut self) {
-        self.child.kill().expect("SIGKILL delivered");
-        self.child.wait().expect("killed daemon reaped");
-    }
-
-    /// SIGTERM, then wait; returns whether the exit was clean.
-    fn terminate(&mut self) -> bool {
-        let status = Command::new("kill")
-            .args(["-TERM", &self.child.id().to_string()])
-            .status()
-            .expect("kill runs");
-        assert!(status.success(), "kill -TERM failed");
-        self.child.wait().expect("daemon reaped").success()
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _unused = self.child.kill();
-        let _unused = self.child.wait();
-    }
-}
-
-fn temp_state(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("wsn-serve-e2e-{tag}-{}", std::process::id()));
-    let _unused = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn submit(addr: &str, cfg: &CampaignConfig) -> String {
-    let body = cfg.to_json().to_string();
-    let response = client::request(addr, "POST", "/jobs", Some(&body)).expect("submit");
-    assert_eq!(response.status, 201, "{}", response.body);
-    JsonValue::parse(&response.body)
-        .ok()
-        .and_then(|v| v.get("id").and_then(|id| id.as_str().map(str::to_owned)))
-        .expect("submit response carries the id")
-}
 
 fn job_state(addr: &str, id: &str) -> (String, u64) {
     let response = client::request(addr, "GET", &format!("/jobs/{id}"), None).expect("status");
@@ -198,6 +117,42 @@ fn smoke_job_streams_to_completion_and_matches_the_direct_run() {
     // Unknown routes and premature result fetches answer properly.
     let missing = client::request(&daemon.addr, "GET", "/jobs/job-99", None).expect("404 route");
     assert_eq!(missing.status, 404);
+    let _unused = std::fs::remove_dir_all(&state);
+}
+
+#[test]
+fn connections_past_the_cap_get_503_until_one_closes() {
+    let state = temp_state("cap");
+    let daemon = Daemon::start(&state, 0);
+    // Idle connections: each holds a daemon thread blocked reading a
+    // request that never comes. The daemon accepts in arrival order,
+    // so all of them hold a thread before the request below is read.
+    let mut idle: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| TcpStream::connect(&daemon.addr).expect("idle client connects"))
+        .collect();
+    let refused = client::request(&daemon.addr, "GET", "/healthz", None).expect("503 answer");
+    assert_eq!(refused.status, 503, "{}", refused.body);
+    assert_eq!(
+        JsonValue::parse(&refused.body)
+            .expect("503 body is JSON")
+            .get("error")
+            .and_then(JsonValue::as_str),
+        Some("too many connections")
+    );
+    // One idle client leaves; once its thread has ended, requests are
+    // served again.
+    drop(idle.pop());
+    let t0 = Instant::now();
+    loop {
+        let response = client::request(&daemon.addr, "GET", "/healthz", None).expect("healthz");
+        if response.status == 200 {
+            break;
+        }
+        assert_eq!(response.status, 503, "{}", response.body);
+        assert!(t0.elapsed() < DEADLINE, "the freed slot was never reused");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    drop(idle);
     let _unused = std::fs::remove_dir_all(&state);
 }
 

@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 use wsn_serve::ws::{
-    accept_key, decode_frame, encode_frame, Frame, Message, MessageAssembler, Opcode, WsError,
+    accept_key, decode_frame, encode_frame, encode_frame_into, Frame, Message, MessageAssembler,
+    Opcode, WsError,
 };
 
 #[test]
@@ -41,6 +42,33 @@ fn rfc_masked_hello_vector() {
     let (frame, used) = decode_frame(&wire).unwrap().unwrap();
     assert_eq!(used, wire.len());
     assert_eq!(frame, Frame::text("Hello"));
+}
+
+#[test]
+fn a_batch_buffer_holds_each_frame_as_encode_frame_writes_it() {
+    // The daemon's stream batches: frames appended to one buffer are
+    // the concatenation of their single encodings, and decode in order.
+    let frames = [
+        Frame::text("{\"event\":\"job_started\"}"),
+        Frame::text("x".repeat(300)),
+        Frame::close(1000, "stream complete"),
+    ];
+    let mut batch = b"kept".to_vec();
+    for frame in &frames {
+        encode_frame_into(&mut batch, frame.fin, frame.opcode, &frame.payload, None);
+    }
+    let mut want = b"kept".to_vec();
+    for frame in &frames {
+        want.extend_from_slice(&encode_frame(frame, None));
+    }
+    assert_eq!(batch, want);
+    let mut at = 4;
+    for frame in &frames {
+        let (decoded, used) = decode_frame(&batch[at..]).unwrap().unwrap();
+        assert_eq!(&decoded, frame);
+        at += used;
+    }
+    assert_eq!(at, batch.len());
 }
 
 #[test]

@@ -6,11 +6,18 @@
 //! Construction is by value tree; [`JsonValue`]'s `Display` renders
 //! RFC 8259-conformant text with escaped strings and finite numbers
 //! (non-finite floats render as `null`, the interoperable convention).
+//! [`write_escaped`] is the string escaper on its own, for writers that
+//! emit a fixed-shape line without building a tree (the `served`
+//! daemon's per-trial delta lines).
+//!
 //! [`JsonValue::parse`] is the inverse — a recursive-descent reader for
-//! the artifacts this workspace itself writes (the perf ledger compares
-//! fresh `BENCH_*.json` runs against checked-in baselines).
+//! the artifacts this workspace itself writes: the perf ledger compares
+//! fresh `BENCH_*.json` runs against checked-in baselines, and the
+//! daemon reads its checkpoints and completed artifacts back on start.
+//! Both directions run in time linear in the text: a string is scanned
+//! and copied, or escaped and written, one unescaped run at a time.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,6 +65,7 @@ impl JsonValue {
     /// including trailing non-whitespace after the top-level value.
     pub fn parse(text: &str) -> Result<JsonValue, JsonParseError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -132,6 +140,8 @@ impl fmt::Display for JsonParseError {
 impl std::error::Error for JsonParseError {}
 
 struct Parser<'a> {
+    /// The input; string runs are copied out of it as slices.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Current container nesting, checked against
@@ -317,14 +327,17 @@ impl Parser<'_> {
                 }
                 Some(&b) if b < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (multi-byte sequences arrive
-                    // from a &str, so they are valid by construction).
+                    // Copy the run up to the next quote, backslash or
+                    // control byte in one slice. Both ends sit on ASCII
+                    // bytes (or the end of the input), so they are char
+                    // boundaries of the `&str` the parse started from.
                     let start = self.pos;
-                    let text = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = text.chars().next().expect("non-empty by match");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .map_or(self.bytes.len(), |n| start + n);
+                    out.push_str(&self.text[start..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -371,8 +384,7 @@ impl Parser<'_> {
             }
             self.digits("expected a digit in the exponent")?;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII by construction");
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(JsonValue::Num)
             .map_err(|_| JsonParseError {
@@ -424,20 +436,41 @@ impl<T: Into<JsonValue>> From<Vec<T>> for JsonValue {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(f, "\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            '\r' => write!(f, "\\r")?,
-            '\t' => write!(f, "\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// Writes `s` as a JSON string literal: quoted, with the quote, the
+/// backslash, newline, carriage return and tab escaped as `\"`, `\\`,
+/// `\n`, `\r` and `\t`, and every other character below U+0020 as
+/// `\u00XX` (lowercase hex). Everything else, multi-byte characters
+/// included, passes through unescaped, one run per write.
+///
+/// This is how [`JsonValue::Str`] and object keys render; writers that
+/// assemble a line by hand call it directly.
+///
+/// # Errors
+///
+/// Propagates `out`'s errors (a `String` never fails).
+pub fn write_escaped<W: fmt::Write + ?Sized>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let shorthand = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        // A byte below 0x80 is a whole char, so `i` is a char boundary.
+        out.write_str(&s[run..i])?;
+        match shorthand {
+            Some(escape) => out.write_str(escape)?,
+            None => write!(out, "\\u{b:04x}")?,
         }
+        run = i + 1;
     }
-    write!(f, "\"")
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 impl fmt::Display for JsonValue {
@@ -456,25 +489,26 @@ impl fmt::Display for JsonValue {
             }
             JsonValue::Str(s) => write_escaped(f, s),
             JsonValue::Arr(items) => {
-                write!(f, "[")?;
+                f.write_char('[')?;
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ",")?;
+                        f.write_char(',')?;
                     }
-                    write!(f, "{v}")?;
+                    fmt::Display::fmt(v, f)?;
                 }
-                write!(f, "]")
+                f.write_char(']')
             }
             JsonValue::Obj(pairs) => {
-                write!(f, "{{")?;
+                f.write_char('{')?;
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ",")?;
+                        f.write_char(',')?;
                     }
                     write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
+                    f.write_char(':')?;
+                    fmt::Display::fmt(v, f)?;
                 }
-                write!(f, "}}")
+                f.write_char('}')
             }
         }
     }

@@ -8,8 +8,11 @@
 //! binned estimate must never drift more than one bin width from the
 //! exact answer.
 
+use std::time::{Duration, Instant};
+
 use proptest::prelude::*;
-use wsn_stats::{percentile_sorted, Histogram, StreamingStat};
+use wsn_stats::json::write_escaped;
+use wsn_stats::{percentile_sorted, Histogram, JsonValue, StreamingStat};
 
 /// Exact sort-based oracle: linear interpolation over the order
 /// statistics, independent of the library implementation.
@@ -205,4 +208,159 @@ fn state_codecs_reject_malformed_input() {
     assert!(!text.contains("histogram"));
     let v = JsonValue::parse(&text).unwrap();
     assert_eq!(StreamingStat::from_state_json(&v).unwrap(), s);
+}
+
+// --- JSON text: render/parse round trips, the escaper, linear time ---
+//
+// Checkpoints, artifacts and every streamed line go through
+// `JsonValue`'s renderer and parser. Trees are built from a vector of
+// random draws: each draw picks a node kind, a length or a character.
+
+/// A cursor over a case's random draws (zeros once they run out).
+struct Draws<'a>(std::slice::Iter<'a, u64>);
+
+impl Draws<'_> {
+    fn next(&mut self) -> u64 {
+        self.0.next().copied().unwrap_or(0)
+    }
+
+    /// One character: a control character, printable ASCII (quote,
+    /// backslash and DEL among them), a multi-byte character, or any
+    /// scalar value at all.
+    fn char(&mut self) -> char {
+        let d = self.next();
+        let pick = d >> 2;
+        match d % 4 {
+            0 => char::from(u8::try_from(pick % 0x20).expect("below 0x20")),
+            1 => char::from(u8::try_from(0x20 + pick % 0x60).expect("below 0x80")),
+            2 => ['é', '€', '😀', '\u{2028}', '\u{feff}'][(pick % 5) as usize],
+            _ => char::from_u32((pick % 0x11_0000) as u32).unwrap_or('\u{fffd}'),
+        }
+    }
+
+    fn string(&mut self) -> String {
+        let len = self.next() % 12;
+        (0..len).map(|_| self.char()).collect()
+    }
+
+    /// A finite number: an integer, a fraction, or any finite bit
+    /// pattern (subnormals and extreme exponents included).
+    fn number(&mut self) -> f64 {
+        let d = self.next();
+        match d % 3 {
+            0 => (d >> 2) as f64 - (1u64 << 61) as f64,
+            1 => (d >> 11) as f64 / 1024.0,
+            _ => Some(f64::from_bits(d))
+                .filter(|x| x.is_finite())
+                .unwrap_or(0.5),
+        }
+    }
+
+    fn leaf(&mut self) -> JsonValue {
+        match self.next() % 4 {
+            0 => JsonValue::Null,
+            1 => JsonValue::Bool(self.next().is_multiple_of(2)),
+            2 => JsonValue::Num(self.number()),
+            _ => JsonValue::Str(self.string()),
+        }
+    }
+
+    /// A container nesting `depth` levels along one spine child; its
+    /// other children are leaves or shallow containers.
+    fn tree(&mut self, depth: usize) -> JsonValue {
+        if depth == 0 {
+            return self.leaf();
+        }
+        let width = (self.next() % 4) as usize;
+        let spine = (self.next() % (width as u64 + 1)) as usize;
+        let mut children = Vec::new();
+        for i in 0..=width {
+            children.push(match (i == spine, self.next() % 3) {
+                (true, _) => self.tree(depth - 1),
+                (false, 0) => self.tree(1),
+                _ => self.leaf(),
+            });
+        }
+        if self.next().is_multiple_of(2) {
+            JsonValue::Arr(children)
+        } else {
+            JsonValue::Obj(children.into_iter().map(|c| (self.string(), c)).collect())
+        }
+    }
+}
+
+/// The string renderer as it was written first, one `char` at a time:
+/// the oracle the run-based escaper must match byte for byte.
+fn escaped_per_char(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn json_trees_round_trip_through_text(
+        draws in prop::collection::vec(0u64..u64::MAX, 64..1024),
+        depth in 4usize..9,
+    ) {
+        let tree = Draws(draws.iter()).tree(depth);
+        let text = tree.to_string();
+        prop_assert_eq!(JsonValue::parse(&text).unwrap(), tree.clone());
+        prop_assert_eq!(JsonValue::parse(&tree.to_file_string()).unwrap(), tree);
+    }
+
+    #[test]
+    fn strings_render_as_the_per_char_escaper_did(
+        draws in prop::collection::vec(0u64..u64::MAX, 0..96),
+    ) {
+        let mut d = Draws(draws.iter());
+        let s: String = (0..draws.len()).map(|_| d.char()).collect();
+        let want = escaped_per_char(&s);
+        prop_assert_eq!(JsonValue::Str(s.clone()).to_string(), want.clone());
+        prop_assert_eq!(
+            JsonValue::obj([(s.clone(), JsonValue::Null)]).to_string(),
+            format!("{{{want}:null}}")
+        );
+        let mut direct = String::new();
+        write_escaped(&mut direct, &s).unwrap();
+        prop_assert_eq!(direct, want);
+    }
+}
+
+#[test]
+fn parsing_takes_time_linear_in_the_text() {
+    // A parser that re-reads the rest of the input per character needs
+    // minutes for either document; a linear one, milliseconds.
+    let bound = Duration::from_secs(1);
+    let long = "é€😀ab\\n\\\"".repeat(72 * 1024);
+    let one_string = format!("\"{long}\"");
+    assert!(one_string.len() > 1 << 20);
+    let t0 = Instant::now();
+    let parsed = JsonValue::parse(&one_string).unwrap();
+    let took = t0.elapsed();
+    assert_eq!(
+        parsed.as_str().map(|s| s.chars().count()),
+        Some(7 * 72 * 1024)
+    );
+    assert!(took < bound, "one 1 MiB string took {took:?}");
+
+    let many = format!("[{}]", vec!["\"cell-é\\t\""; 100_000].join(","));
+    let t0 = Instant::now();
+    let parsed = JsonValue::parse(&many).unwrap();
+    let took = t0.elapsed();
+    assert_eq!(parsed.as_arr().map(<[_]>::len), Some(100_000));
+    assert!(took < bound, "100,000 short strings took {took:?}");
 }
