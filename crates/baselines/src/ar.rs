@@ -21,6 +21,11 @@
 //!   hole, the extra spares still travel (unnecessary node movements,
 //!   counted) and the processes still count as converged — Figure 6(b)
 //!   measures spare-finding, not usefulness.
+//!
+//! Hole discovery works as in SR: each round sweeps the network's
+//! vacancy index ([`GridNetwork::vacancies`]) in place, in ascending
+//! cell order, at O(holes) rather than O(cells). AR keeps its redundant
+//! multi-initiation *per hole*; only finding the holes is indexed.
 
 use serde::{Deserialize, Serialize};
 
@@ -172,13 +177,9 @@ pub struct ArProtocol<'n> {
     /// excludes ("requires at least 4×m×n deployed nodes").
     failed_holes: wsn_grid::HoleSet,
     ttl: usize,
-    /// Current holes (dense row-major indices), maintained from the
-    /// network's occupancy change journal — detection walks this in
-    /// O(holes) instead of scanning every cell (word-level
-    /// [`wsn_grid::HoleSet`], ascending order). AR keeps its redundant
-    /// multi-initiation *per hole*; only hole discovery is indexed.
-    pending_holes: wsn_grid::HoleSet,
-    /// Scratch buffer reused by detection sweeps.
+    /// Scratch buffer reused by detection sweeps: the holes of the
+    /// network's vacancy index, copied so the sweep can update the
+    /// protocol while it walks them.
     detect_buf: Vec<usize>,
     /// The network model under [`DriveMode::EventDriven`]; `None` in
     /// classic mode, where detection and asks are axiomatic.
@@ -217,9 +218,6 @@ impl<'n> ArProtocol<'n> {
             config.ttl
         };
         let cells = net.system().cell_count();
-        let mut pending_holes = wsn_grid::HoleSet::new(cells);
-        pending_holes.assign_vacant(net.occupancy());
-        net.clear_changed_cells();
         let owners = OwnerCounts::new(net.system());
         ArProtocol {
             net,
@@ -236,7 +234,6 @@ impl<'n> ArProtocol<'n> {
             initiated_holes: Vec::new(),
             failed_holes: wsn_grid::HoleSet::new(cells),
             ttl,
-            pending_holes,
             detect_buf: Vec::new(),
             link,
         }
@@ -534,18 +531,17 @@ impl RoundProtocol for ArProtocol<'_> {
 
         // Detection: every occupied neighbor of a vacant cell initiates,
         // once per vacancy episode. Episodes reset when the hole fills.
-        let (occupancy, initiated) = (self.net.occupancy(), &mut self.initiated);
+        let (vacancies, initiated) = (self.net.vacancies(), &mut self.initiated);
         self.initiated_holes.retain(|&hole| {
-            let vacant = occupancy.is_vacant(hole);
+            let vacant = vacancies.contains(hole);
             if !vacant {
                 initiated[hole] = 0;
             }
             vacant
         });
-        self.net.fold_changed_cells_into(&mut self.pending_holes);
         let mut buf = std::mem::take(&mut self.detect_buf);
         buf.clear();
-        buf.extend(self.pending_holes.iter());
+        buf.extend(self.net.vacancies().iter());
         self.metrics.cells_scanned += buf.len() as u64;
         for &hole_idx in &buf {
             let g = self.net.system().coord_of(hole_idx);

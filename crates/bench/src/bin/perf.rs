@@ -6,7 +6,7 @@
 //!     [--results DIR] [--threshold PCT]
 //! ```
 //!
-//! * `run` executes the core (word kernel + arena), campaign
+//! * `run` executes the core (hole sweep + arena), campaign
 //!   (end-to-end throughput), steady-state availability and
 //!   event-engine benchmarks and writes `BENCH_core.json`,
 //!   `BENCH_campaign.json`, `BENCH_avail.json` and `BENCH_event.json`

@@ -4,9 +4,11 @@
 //! Two artifacts, written by `cargo run -p wsn-bench --bin perf -- run`:
 //!
 //! * `BENCH_core.json` — micro benchmarks of the word-level kernels and
-//!   the arena reset: the [`HoleSet`] journal fold and bulk word copy
-//!   after a mass failure, the masked-ring successor walk over the flat
-//!   tables, and [`GridNetwork::reset_into`] vs a from-scratch build.
+//!   the arena reset: one ascending sweep of the network's vacancy
+//!   index (a [`HoleSet`](wsn_grid::HoleSet)) after a mass failure, as a
+//!   detection sweep copies it, the masked-ring successor walk over the
+//!   flat tables, and [`GridNetwork::reset_into`] vs a from-scratch
+//!   build.
 //! * `BENCH_campaign.json` — end-to-end campaign throughput: the full
 //!   engine (deploy → repair → aggregate) on 64×64 and 256×256
 //!   full-recovery matrices and 1024×1024 and 4096×4096
@@ -37,7 +39,7 @@ use std::time::Instant;
 
 use wsn_coverage::scheme::{DriveMode, SchemeProtocol};
 use wsn_coverage::{SrConfig, SrProtocol};
-use wsn_grid::{deploy, GridNetwork, GridSystem, HoleSet, RegionShape};
+use wsn_grid::{deploy, GridNetwork, GridSystem, RegionShape};
 use wsn_hamilton::{CycleTopology, MaskedCycle};
 use wsn_simcore::{FaultEvent, RoundProtocol, SimRng, TraceLog};
 use wsn_stats::JsonValue;
@@ -139,69 +141,47 @@ pub fn bench_entry(name: &str, samples: usize, timing: Timing) -> JsonValue {
     JsonValue::obj(pairs)
 }
 
-/// A deployment one node per cell, then a 15% random mass failure with
-/// the change journal left hot — the post-fault state every hole
-/// detector in the ledger folds.
+/// A deployment one node per cell, then a 15% random mass failure: the
+/// post-fault state whose vacancy index the sweep entries read.
 fn mass_failure_state(cols: u16, rows: u16) -> GridNetwork {
     let sys = GridSystem::for_comm_range(cols, rows, 10.0).expect("bench grid is valid");
     let mut rng = SimRng::seed_from_u64(64_001);
     let pos = deploy::per_cell_exact(&sys, 1, &mut rng);
     let mut net = GridNetwork::new(sys, &pos);
-    net.clear_changed_cells();
     let kill = net.nodes().len() * 15 / 100;
     net.apply_fault(&FaultEvent::KillRandomEnabled { count: kill }, &mut rng);
     net
 }
 
-/// The word kernel on one grid's mass-failure journal: fold plus sweep,
-/// and bulk discovery from scratch.
-fn kernel_benches(cols: u16, rows: u16, samples: usize) -> Vec<JsonValue> {
-    let tag = format!("{cols}x{rows}");
+/// One ascending pass over the vacancy index of one grid's mass-failure
+/// state, copied into a reused buffer as SR's, SR-SC's and AR's
+/// detection sweeps copy it.
+fn sweep_bench(cols: u16, rows: u16, samples: usize) -> JsonValue {
     let net = mass_failure_state(cols, rows);
-    let occ = net.occupancy();
-    assert!(
-        !occ.changed_cells().is_empty(),
-        "mass failure must journal changes"
-    );
-
-    // Fold the journal into the word bitset, then sweep it with u64-block
-    // iteration.
-    let mut holes = HoleSet::new(net.system().cell_count());
-    let word_fold = time_ns(samples, || {
-        holes.clear();
-        holes.fold_changes(occ);
-        let mut acc = 0usize;
-        for c in holes.iter() {
-            acc = acc.wrapping_add(c);
-        }
-        assert!(acc > 0);
+    let holes = net.vacancies();
+    assert!(!holes.is_empty(), "mass failure must open holes");
+    let mut buf = Vec::with_capacity(holes.len());
+    let sweep = time_ns(samples, || {
+        buf.clear();
+        buf.extend(holes.iter());
+        assert_eq!(buf.len(), holes.len());
     });
-    // Bulk discovery from scratch: a word copy off the vacancy set.
-    let scan_words = time_ns(samples, || {
-        holes.assign_vacant(occ);
-        assert!(!holes.is_empty());
-    });
-    vec![
-        bench_entry(&format!("hole_fold_word_kernel_{tag}"), samples, word_fold),
-        bench_entry(&format!("hole_scan_word_kernel_{tag}"), samples, scan_words),
-    ]
+    bench_entry(&format!("hole_sweep_{cols}x{rows}"), samples, sweep)
 }
 
-/// Runs the core (kernel + arena) benchmarks.
+/// Runs the core (hole sweep + arena) benchmarks.
 ///
-/// The 64×64 kernel entries always run, so the smoke profile shares
-/// every benchmark name with the full baseline; the full run adds the
-/// 256×256 ones and reports that grid's journal size.
+/// The 64×64 sweep always runs, so the smoke profile shares every
+/// benchmark name with the full ledger; the full run adds the 256×256
+/// sweep and reports that grid's hole count.
 pub fn bench_core(smoke: bool) -> JsonValue {
     let samples = if smoke { 20 } else { 60 };
-    let mut entries = kernel_benches(64, 64, samples);
-    let journal_grid = if smoke { (64, 64) } else { (256, 256) };
+    let mut entries = vec![sweep_bench(64, 64, samples)];
+    let swept_grid = if smoke { (64, 64) } else { (256, 256) };
     if !smoke {
-        entries.extend(kernel_benches(256, 256, samples));
+        entries.push(sweep_bench(256, 256, samples));
     }
-    let journal_entries = mass_failure_state(journal_grid.0, journal_grid.1)
-        .changed_cells()
-        .len();
+    let swept_holes = mass_failure_state(swept_grid.0, swept_grid.1).vacant_count();
 
     // Masked-ring successor queries over the flat tables: one full lap.
     let mask = RegionShape::Annulus.build_mask(64, 64);
@@ -241,7 +221,7 @@ pub fn bench_core(smoke: bool) -> JsonValue {
             "mode",
             JsonValue::from(if smoke { "smoke" } else { "full" }),
         ),
-        ("journal_entries", JsonValue::from(journal_entries)),
+        ("swept_holes", JsonValue::from(swept_holes)),
         ("benchmarks", JsonValue::Arr(entries)),
     ])
 }
@@ -848,13 +828,14 @@ mod tests {
             doc.get("schema").and_then(JsonValue::as_str),
             Some("wsn-bench-core/1")
         );
-        let journal = doc
-            .get("journal_entries")
+        // The 64×64 mass failure kills 15% of its 4,096 one-node cells.
+        let holes = doc
+            .get("swept_holes")
             .and_then(JsonValue::as_f64)
-            .expect("journal size");
-        assert!(journal > 0.0);
-        // Every smoke entry is a word-kernel or arena entry the full
-        // baseline also carries, in the baseline's order.
+            .expect("swept hole count");
+        assert_eq!(holes, 614.0);
+        // Every smoke entry is a sweep or arena entry the full ledger
+        // also carries, in the full ledger's order.
         let names: Vec<_> = benchmarks_of(&doc)
             .iter()
             .map(|(n, _)| n.to_string())
@@ -862,8 +843,7 @@ mod tests {
         assert_eq!(
             names,
             [
-                "hole_fold_word_kernel_64x64",
-                "hole_scan_word_kernel_64x64",
+                "hole_sweep_64x64",
                 "masked_ring_walk_64x64",
                 "trial_build_64x64",
                 "trial_reset_64x64",

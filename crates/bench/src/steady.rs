@@ -458,13 +458,9 @@ pub fn run_steady_trial(
         out.metrics += report.metrics;
         // 6. Credit closures: an observed hole whose cell is occupied
         //    again lived `tick - opened` ticks (0 = same-tick repair).
-        let occupancy = net.occupancy();
         let closed: Vec<GridCoord> = open_since
             .iter()
-            .filter(|(c, _)| {
-                let idx = net.system().index_of(**c).expect("tracked holes in bounds");
-                !occupancy.is_vacant(idx)
-            })
+            .filter(|(c, _)| !net.is_vacant(**c).expect("tracked holes in bounds"))
             .map(|(c, _)| *c)
             .collect();
         for coord in closed {

@@ -27,7 +27,6 @@ fn holed_network(scenario: &Scenario, stride: usize) -> (GridNetwork, Vec<GridCo
         .flat_map(|&h| net.members(h).expect("in bounds").to_vec())
         .collect();
     net.apply_fault(&FaultEvent::KillNodes(victims), &mut rng);
-    net.clear_changed_cells();
     assert_eq!(net.stats().vacant, holes.len());
     (net, holes)
 }

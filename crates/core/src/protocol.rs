@@ -534,8 +534,9 @@ impl<'n> SrProtocol<'n> {
 
     /// Detection + initiation (Algorithm 1 step 1): every vacant cell not
     /// already owned by an active process is detected by its unique
-    /// monitoring head. Sweeps the journal-maintained hole index
-    /// (row-major, like a full scan) rather than the grid.
+    /// monitoring head. Sweeps the network's vacancy index in ascending
+    /// (row-major) order, like a full scan, at O(holes) rather than
+    /// O(cells).
     ///
     /// Over a link, ownership must be observable: a hole is owned only
     /// while its process holds the baton or vacated it this very round.

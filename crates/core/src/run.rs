@@ -1,8 +1,8 @@
 //! The run state SR and SR-SC share: the borrowed network, the run's
 //! RNG, cost counters and trace, the per-process summaries, and the
-//! journal-fed hole index their detection sweeps. Each protocol adds
-//! only its structure (cycle or ring), its process type and, under the
-//! event drive, its link.
+//! sweep of the network's vacancy index their detection reads. Each
+//! protocol adds only its structure (cycle or ring), its process type
+//! and, under the event drive, its link.
 
 use wsn_grid::{GridCoord, GridNetwork, HoleSet};
 use wsn_simcore::{EnergyModel, Metrics, NodeId, SimRng, TraceEvent, TraceLog};
@@ -26,21 +26,13 @@ pub(crate) struct Run<'n> {
     /// deaths change the network, the only events that can make a retry
     /// meaningful. Dense row-major cell indices.
     pub(crate) failed_holes: HoleSet,
-    /// Current holes as dense row-major cell indices, maintained from the
-    /// network's occupancy change journal — detection iterates this in
-    /// O(holes) per round instead of scanning every cell. The word-level
-    /// [`HoleSet`] iterates ascending, so sweeps visit holes exactly as
-    /// a full row-major scan would.
-    pending_holes: HoleSet,
     /// Scratch buffer reused by detection sweeps (no per-round allocs).
     detect_buf: Vec<usize>,
 }
 
 impl<'n> Run<'n> {
-    /// Seeds the run RNG from `seed`, elects initial heads in every
-    /// occupied cell, and seeds the hole index from the network's
-    /// vacancy bitset (every later round folds in the change journal
-    /// instead of rescanning).
+    /// Seeds the run RNG from `seed` and elects initial heads in every
+    /// occupied cell.
     pub(crate) fn new(
         net: &'n mut GridNetwork,
         config: SrConfig,
@@ -50,9 +42,6 @@ impl<'n> Run<'n> {
         let mut rng = SimRng::seed_from_u64(seed);
         net.elect_all_heads(config.election, &mut rng);
         let cells = net.system().cell_count();
-        let mut pending_holes = HoleSet::new(cells);
-        pending_holes.assign_vacant(net.occupancy());
-        net.clear_changed_cells();
         Run {
             net,
             config,
@@ -62,18 +51,18 @@ impl<'n> Run<'n> {
             energy: EnergyModel::default(),
             summaries: Vec::new(),
             failed_holes: HoleSet::new(cells),
-            pending_holes,
             detect_buf: Vec::new(),
         }
     }
 
-    /// The current holes, ascending, in the reused scratch buffer; hand
-    /// it back with [`Run::end_sweep`].
+    /// The current holes, ascending, copied off the network's vacancy
+    /// index into the reused scratch buffer, so detection can update the
+    /// run while it walks them; hand it back with [`Run::end_sweep`].
+    /// O(holes + levels), not O(cells).
     pub(crate) fn sweep(&mut self) -> Vec<usize> {
-        self.net.fold_changed_cells_into(&mut self.pending_holes);
         let mut buf = std::mem::take(&mut self.detect_buf);
         buf.clear();
-        buf.extend(self.pending_holes.iter());
+        buf.extend(self.net.vacancies().iter());
         buf
     }
 

@@ -224,7 +224,7 @@ impl<'n> ShortcutProtocol<'n> {
             .mask()
             .enabled_words()
             .iter()
-            .zip(net.occupancy().vacant_words())
+            .zip(net.vacancies().words())
             .zip(net.spareful_words())
             .map(|((&enabled, &vacant), &spareful)| enabled & !vacant & !spareful);
         let count = words.clone().map(|w| u64::from(w.count_ones())).sum();

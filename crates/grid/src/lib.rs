@@ -49,7 +49,6 @@ pub mod kernel;
 pub mod mask;
 mod members;
 mod network;
-pub mod occupancy;
 pub mod render;
 mod system;
 
@@ -60,7 +59,6 @@ pub use error::GridError;
 pub use kernel::HoleSet;
 pub use mask::{RegionMask, RegionShape};
 pub use network::{GridNetwork, MoveOutcome, NetworkStats};
-pub use occupancy::VacancySet;
 pub use system::{GridSystem, COMM_RANGE_FACTOR, DIAGONAL_RANGE_FACTOR};
 
 /// Result alias for grid-layer errors.

@@ -7,9 +7,7 @@ use wsn_geometry::{Point2, Rect};
 use wsn_simcore::{FaultEvent, NodeId, SensorNode, SimRng};
 
 use crate::members::MemberTable;
-use crate::{
-    GridCoord, GridError, GridSystem, HeadElection, HoleSet, RegionMask, Result, VacancySet,
-};
+use crate::{GridCoord, GridError, GridSystem, HeadElection, HoleSet, RegionMask, Result};
 
 const WORD_BITS: usize = u64::BITS as usize;
 
@@ -46,8 +44,8 @@ fn cell_center(system: &GridSystem, idx: usize) -> Point2 {
 }
 
 /// The deployed network over a [`GridSystem`]: node table, per-cell
-/// membership of enabled nodes, elected heads, and the incremental
-/// occupancy index.
+/// membership of enabled nodes, elected heads, and the vacancy and
+/// headless indexes.
 ///
 /// Invariants (checked by `debug_invariants` in tests):
 ///
@@ -57,16 +55,17 @@ fn cell_center(system: &GridSystem, idx: usize) -> Point2 {
 ///   no query or move locates a node by dividing its position;
 /// * a cell's head, when set, is one of its members;
 /// * a cell with no members ("vacant" — the paper's *hole*) has no head;
-/// * the [`VacancySet`] bitset and the enabled counter agree with the
-///   member table (every mutation path maintains them in O(1));
+/// * the vacancy index holds exactly the enabled cells with no
+///   members, and the enabled counter agrees with the member table
+///   (every mutation path maintains both in O(1));
 /// * the headless index holds exactly the cells with members but no
 ///   head (every mutation path maintains it in O(1)).
 ///
 /// Occupancy queries (`stats`, `vacant_count`, `total_spares`,
-/// `spare_count`) are O(1); vacancy enumeration (`vacant_iter`) is
-/// allocation-free; the change journal ([`GridNetwork::changed_cells`])
-/// lets round-based protocols track new/filled holes in O(changed) per
-/// round instead of rescanning the grid; and
+/// `spare_count`) are O(1). The vacancy index
+/// ([`GridNetwork::vacancies`]) is the one record of which cells are
+/// holes: round-based protocols sweep it in place, in O(holes + levels)
+/// per round rather than a scan of the grid, and
 /// [`GridNetwork::repair_heads`] visits only the cells that lost their
 /// head.
 ///
@@ -108,10 +107,11 @@ pub struct GridNetwork {
     /// surface [`GridNetwork::apply_fault`] samples random victims
     /// from without materializing an id list.
     enabled_bits: Vec<u64>,
-    /// Vacancy bitset + change journal, maintained by every mutation.
-    /// Disabled (masked-out) cells are permanently marked occupied here,
-    /// so they never surface as holes through any vacancy query.
-    occupancy: VacancySet,
+    /// The holes: enabled cells with no members. Maintained by every
+    /// mutation and swept in place by the round protocols. Disabled
+    /// (masked-out) cells are never members, so no vacancy query ever
+    /// sees them as holes.
+    vacancies: HoleSet,
     /// Enabled-node counter, maintained by every mutation.
     enabled: usize,
     /// The surveillance region: disabled cells hold no nodes and are not
@@ -194,7 +194,7 @@ impl GridNetwork {
             heads: vec![None; cells],
             headless: HoleSet::new(cells),
             enabled_bits: Vec::new(),
-            occupancy: VacancySet::new(cells),
+            vacancies: HoleSet::new(cells),
             enabled: 0,
             mask,
             staging: Staging::default(),
@@ -222,13 +222,12 @@ impl GridNetwork {
     }
 
     /// Re-deploys the network at `positions` **in place**, reusing every
-    /// allocation (node table, member pool, head slots, occupancy
-    /// words): the per-trial arena. The result is indistinguishable from
+    /// allocation (node table, member pool, head slots, index words):
+    /// the per-trial arena. The result is indistinguishable from
     /// `GridNetwork::with_mask(system, mask, positions)` with the same
-    /// system and mask — fresh nodes, no heads, clean change journal —
-    /// but a campaign trial pays zero per-cell allocations to get there
-    /// (the property tests pin the equality, and an independent oracle
-    /// pins placement).
+    /// system and mask — fresh nodes, no heads — but a campaign trial
+    /// pays zero per-cell allocations to get there (the property tests
+    /// pin the equality, and an independent oracle pins placement).
     ///
     /// One pass over `positions` clamps and locates each node exactly
     /// once and checks its cell against the mask, staging the node, its
@@ -280,22 +279,16 @@ impl GridNetwork {
             }
         }
         self.enabled = count;
-        self.occupancy.reset(cells);
+        self.vacancies.reset(cells);
         self.headless.reset(cells);
         for idx in 0..cells {
-            // Disabled cells read as occupied forever: no vacancy query
-            // or change-journal consumer ever sees them as holes.
-            if self.members.len_of(idx) > 0 || !self.mask.index_enabled(idx) {
-                self.occupancy.set_occupied(idx);
-            }
-            // No heads yet: every occupied cell awaits election.
             if self.members.len_of(idx) > 0 {
+                // No heads yet: every occupied cell awaits election.
                 self.headless.insert(idx);
+            } else if self.mask.index_enabled(idx) {
+                self.vacancies.insert(idx);
             }
         }
-        // A freshly deployed network starts with a clean journal: the
-        // initial state is the consumer's baseline, not a change.
-        self.occupancy.clear_changes();
         Ok(())
     }
 
@@ -353,39 +346,13 @@ impl GridNetwork {
         self.enabled
     }
 
-    /// The incremental occupancy index (vacancy bitset + change
-    /// journal). Most callers use the convenience accessors
-    /// ([`GridNetwork::vacant_iter`], [`GridNetwork::changed_cells`]);
-    /// the raw index is exposed for index-level consumers.
+    /// The vacancy index: the dense row-major indices of the holes
+    /// (enabled cells with no enabled node), kept current by every
+    /// mutation. Round protocols sweep it in place, in ascending order,
+    /// and word-level consumers read its [`HoleSet::words`].
     #[inline]
-    pub fn occupancy(&self) -> &VacancySet {
-        &self.occupancy
-    }
-
-    /// Cells whose occupancy toggled since the last
-    /// [`GridNetwork::clear_changed_cells`], as dense row-major indices,
-    /// deduplicated. Protocols use this to maintain pending-hole sets in
-    /// O(changed) per round; read current vacancy from the index, not
-    /// from the entry ordering.
-    #[inline]
-    pub fn changed_cells(&self) -> &[u32] {
-        self.occupancy.changed_cells()
-    }
-
-    /// Empties the occupancy change journal (the consumer caught up).
-    pub fn clear_changed_cells(&mut self) {
-        self.occupancy.clear_changes();
-    }
-
-    /// Folds the change journal into a consumer's pending-hole set —
-    /// cells that became vacant are inserted, filled cells removed —
-    /// then clears the journal. One bit write per changed cell, no
-    /// allocation. This is the canonical way a round-based protocol
-    /// keeps its hole set current; current vacancy is read from the
-    /// index, per the journal's hint semantics.
-    pub fn fold_changed_cells_into(&mut self, pending: &mut HoleSet) {
-        pending.fold_changes(&self.occupancy);
-        self.occupancy.clear_changes();
+    pub fn vacancies(&self) -> &HoleSet {
+        &self.vacancies
     }
 
     /// The cell currently containing enabled node `id`, or `None` when
@@ -428,27 +395,26 @@ impl GridNetwork {
     /// Returns [`GridError::OutOfBounds`] for coordinates outside the
     /// grid.
     pub fn is_vacant(&self, coord: GridCoord) -> Result<bool> {
-        Ok(self.occupancy.is_vacant(self.system.index_of(coord)?))
+        Ok(self.vacancies.contains(self.system.index_of(coord)?))
     }
 
     /// Iterates the vacant cells in row-major order without allocating,
-    /// skipping fully-occupied 64-cell blocks via the vacancy bitset.
+    /// reaching each block that holds a hole through the vacancy
+    /// index's summary levels: O(holes + levels).
     pub fn vacant_iter(&self) -> impl Iterator<Item = GridCoord> + '_ {
-        self.occupancy
-            .iter_vacant()
-            .map(|i| self.system.coord_of(i))
+        self.vacancies.iter().map(|i| self.system.coord_of(i))
     }
 
     /// Number of vacant cells — O(1), maintained incrementally.
     #[inline]
     pub fn vacant_count(&self) -> usize {
-        self.occupancy.vacant_count()
+        self.vacancies.len()
     }
 
     /// All vacant cells recomputed by a full scan of the member table,
-    /// bypassing the incremental index. This is the pre-index O(cells)
-    /// code path, kept as the correctness oracle for `debug_invariants`
-    /// and the property tests.
+    /// bypassing the vacancy index. This is the pre-index O(cells) code
+    /// path, kept as the oracle the property tests hold the index to
+    /// (`debug_invariants` runs the same scan).
     pub fn vacant_cells_scan(&self) -> Vec<GridCoord> {
         (0..self.members.cells())
             .filter(|&i| self.members.len_of(i) == 0 && self.mask.index_enabled(i))
@@ -457,11 +423,9 @@ impl GridNetwork {
     }
 
     /// Number of enabled cells with at least one enabled node — O(1).
-    /// Disabled cells are excluded even though the underlying bitset
-    /// marks them occupied.
     #[inline]
     pub fn occupied_cells(&self) -> usize {
-        self.occupancy.occupied_count() - self.mask.disabled_count()
+        self.mask.enabled_count() - self.vacancies.len()
     }
 
     /// Spares in `coord`: enabled members that are not the head. When no
@@ -505,7 +469,7 @@ impl GridNetwork {
     /// The raw spare-availability words: one bit per cell, set ⇔ the
     /// cell holds ≥ 2 enabled members (at least one spare under the
     /// paper's occupancy accounting), same layout as
-    /// [`VacancySet::vacant_words`]. Maintained incrementally by every
+    /// [`HoleSet::words`]. Maintained incrementally by every
     /// membership mutation, so word-level spare scans cost `cells/64`
     /// word reads instead of a per-cell member-count probe.
     #[inline]
@@ -548,7 +512,7 @@ impl GridNetwork {
         NetworkStats {
             enabled,
             occupied,
-            vacant: self.mask.enabled_count() - occupied,
+            vacant: self.vacancies.len(),
             spares: enabled - occupied,
         }
     }
@@ -625,8 +589,8 @@ impl GridNetwork {
     /// surveillance area like [`GridNetwork::new`]) and returns its id.
     /// This is the open-system arrival path of the steady-state
     /// workloads: ids keep growing densely past the initial deployment,
-    /// and every incremental index (members, enabled bitset, occupancy,
-    /// change journal) is maintained in O(1).
+    /// and every incremental index (members, enabled bitset, vacancy and
+    /// headless indexes) is maintained in O(1).
     ///
     /// # Errors
     ///
@@ -665,7 +629,7 @@ impl GridNetwork {
         }
         self.enabled_bits[id.index() / WORD_BITS] |= 1u64 << (id.index() % WORD_BITS);
         self.enabled += 1;
-        self.occupancy.set_occupied(idx);
+        self.vacancies.remove(idx);
         self.sync_headless(idx);
         Ok(id)
     }
@@ -696,7 +660,7 @@ impl GridNetwork {
         self.enabled -= 1;
         self.enabled_bits[id.index() / WORD_BITS] &= !(1u64 << (id.index() % WORD_BITS));
         if self.members.len_of(idx) == 0 {
-            self.occupancy.set_vacant(idx);
+            self.vacancies.insert(idx);
         }
         self.sync_headless(idx);
         Ok(Some(cell))
@@ -797,9 +761,9 @@ impl GridNetwork {
     /// [`GridNetwork::move_node`] and [`GridNetwork::move_into_cell`]:
     /// moves enabled node `id` to `target`, which lies in enabled cell
     /// `to` (dense index `to_idx`), and keeps the per-node cell index,
-    /// member lists, head slots, occupancy plus its journal, and the
-    /// headless index in step. With `take_head`, the mover also heads
-    /// `to` when `to` has no head.
+    /// member lists, head slots, and the vacancy and headless indexes in
+    /// step. With `take_head`, the mover also heads `to` when `to` has
+    /// no head.
     fn relocate(
         &mut self,
         id: NodeId,
@@ -841,9 +805,9 @@ impl GridNetwork {
                 self.heads[from_idx] = None;
             }
             if self.members.len_of(from_idx) == 0 {
-                self.occupancy.set_vacant(from_idx);
+                self.vacancies.insert(from_idx);
             }
-            self.occupancy.set_occupied(to_idx);
+            self.vacancies.remove(to_idx);
             self.sync_headless(from_idx);
         }
         // `to` was in the headless index iff it had members but no head;
@@ -991,10 +955,6 @@ impl GridNetwork {
                 node.id()
             );
         }
-        // The incremental index must agree with a full member-table scan
-        // (disabled cells read as permanently occupied).
-        self.occupancy
-            .verify(|i| self.mask.index_enabled(i) && self.members.len_of(i) == 0);
         assert_eq!(
             self.enabled,
             self.members.total_members(),
@@ -1008,23 +968,27 @@ impl GridNetwork {
                 .sum::<usize>(),
             "enabled counter out of sync with the enabled-node bitset"
         );
-        assert_eq!(
-            self.vacant_iter().collect::<Vec<_>>(),
-            self.vacant_cells_scan(),
-            "indexed vacancy enumeration disagrees with the full scan"
+        // Both indexes must equal the sets a member-table scan builds,
+        // summary levels included.
+        let cells = self.members.cells();
+        let mut vacant_scan = HoleSet::new(cells);
+        let mut headless_scan = HoleSet::new(cells);
+        for i in 0..cells {
+            if self.members.len_of(i) == 0 {
+                if self.mask.index_enabled(i) {
+                    vacant_scan.insert(i);
+                }
+            } else if self.heads[i].is_none() {
+                headless_scan.insert(i);
+            }
+        }
+        assert!(
+            self.vacancies == vacant_scan,
+            "vacancy index disagrees with the member table"
         );
-        let headless_scan: Vec<usize> = (0..self.members.cells())
-            .filter(|&i| self.heads[i].is_none() && self.members.len_of(i) > 0)
-            .collect();
-        assert_eq!(
-            self.headless.iter().collect::<Vec<_>>(),
-            headless_scan,
+        assert!(
+            self.headless == headless_scan,
             "headless index disagrees with the head table"
-        );
-        assert_eq!(
-            self.headless.len(),
-            headless_scan.len(),
-            "headless counter out of sync"
         );
     }
 }
@@ -1285,37 +1249,31 @@ mod tests {
     }
 
     #[test]
-    fn fresh_network_has_clean_journal_and_consistent_index() {
+    fn fresh_network_has_a_consistent_vacancy_index() {
         let (net, _) = two_by_two();
-        assert!(net.changed_cells().is_empty());
         assert_eq!(net.vacant_count(), 2);
         assert_eq!(
             net.vacant_iter().collect::<Vec<_>>(),
             net.vacant_cells_scan()
         );
-        assert_eq!(net.vacant_iter().count(), 2);
-        assert_eq!(net.occupancy().occupied_count(), 2);
+        // Dense indices: (0,0) = 0, (1,0) = 1, (0,1) = 2, (1,1) = 3.
+        assert_eq!(net.vacancies().iter().collect::<Vec<_>>(), vec![2, 3]);
+        assert_eq!(net.occupied_cells(), 2);
     }
 
     #[test]
-    fn mutations_feed_the_change_journal() {
+    fn mutations_keep_the_vacancy_index_current() {
         let (mut net, _) = two_by_two();
-        // Disabling the lone member of (1,0) opens a hole -> journaled.
+        // Disabling the lone member of (1,0) opens a hole.
         net.disable_node(NodeId::new(2)).unwrap();
-        let idx_10 = net.system().index_of(GridCoord::new(1, 0)).unwrap() as u32;
-        assert_eq!(net.changed_cells(), &[idx_10]);
+        assert_eq!(net.vacancies().iter().collect::<Vec<_>>(), vec![1, 2, 3]);
         // Disabling one of two members of (0,0) changes nothing.
         net.disable_node(NodeId::new(0)).unwrap();
-        assert_eq!(net.changed_cells(), &[idx_10]);
-        net.clear_changed_cells();
-        // Moving the last member of (0,0) into (0,1) journals both ends.
+        assert_eq!(net.vacant_count(), 3);
+        // Moving the last member of (0,0) into (0,1) updates both ends.
         net.move_node(NodeId::new(1), Point2::new(0.5, 1.5))
             .unwrap();
-        let idx_00 = net.system().index_of(GridCoord::new(0, 0)).unwrap() as u32;
-        let idx_01 = net.system().index_of(GridCoord::new(0, 1)).unwrap() as u32;
-        let mut changed = net.changed_cells().to_vec();
-        changed.sort_unstable();
-        assert_eq!(changed, vec![idx_00, idx_01]);
+        assert_eq!(net.vacancies().iter().collect::<Vec<_>>(), vec![0, 1, 3]);
         assert!(net.is_vacant(GridCoord::new(0, 0)).unwrap());
         assert!(!net.is_vacant(GridCoord::new(0, 1)).unwrap());
         net.debug_invariants();
@@ -1352,10 +1310,8 @@ mod tests {
         assert_eq!(net.enabled_count(), 4);
         assert!(!net.is_vacant(GridCoord::new(0, 1)).unwrap());
         assert_eq!(net.members(GridCoord::new(0, 1)).unwrap(), &[id]);
-        // The journal records the fill for the round engines, whose
-        // detection folds it into their pending-hole sets.
-        let idx_01 = net.system().index_of(GridCoord::new(0, 1)).unwrap() as u32;
-        assert!(net.changed_cells().contains(&idx_01));
+        // The round engines' sweep no longer finds the filled cell.
+        assert_eq!(net.vacancies().iter().collect::<Vec<_>>(), vec![3]);
         net.debug_invariants();
         // Arrival into an occupied cell adds a spare.
         let spare = net.add_node(Point2::new(0.4, 0.4)).unwrap();

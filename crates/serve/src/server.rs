@@ -17,7 +17,10 @@
 //! the accept loop answers one past the cap with `503` itself. A stream
 //! thread sends its job's log in batches, one socket write each, and
 //! sleeps on the log between them: its close wakes the thread at once,
-//! so the close frame follows the job's last line without a wait.
+//! so the close frame follows the job's last line without a wait. A
+//! subscriber that stops reading loses its stream once a socket send
+//! has blocked for [`STREAM_WRITE_TIMEOUT`] without sending a byte,
+//! which ends the thread and frees its slot.
 //!
 //! The accept loop blocks in `accept`, so a request is picked up the
 //! moment it arrives. Shutdown stays a flag: SIGINT/SIGTERM only set the
@@ -162,9 +165,11 @@ impl Server {
 }
 
 /// Most connections served at once. Each one holds a thread, blocked
-/// in `read_request` or following a stream, so the cap bounds the
-/// daemon's threads against idle or hostile clients. It is far above
-/// what one client uses (a stream, a status probe and a request).
+/// in `read_request` (for at most the 10 s read timeout) or following a
+/// stream (whose writes give up after [`STREAM_WRITE_TIMEOUT`]), so the
+/// cap bounds the daemon's threads against idle or hostile clients. It
+/// is far above what one client uses (a stream, a status probe and a
+/// request).
 pub const MAX_CONNECTIONS: usize = 64;
 
 /// How often the waker checks the stop predicate. Signal handlers can
@@ -326,6 +331,15 @@ fn route(request: &Request, queue: &JobQueue) -> (u16, String) {
 /// frame follow the job's end at once.
 const STREAM_BATCH_INTERVAL: Duration = Duration::from_millis(10);
 
+/// How long one socket send of a stream may block, the same bound as a
+/// request's read timeout. A send that times out after some bytes went
+/// out returns them and is retried, so a subscriber that reads slowly
+/// keeps its stream; one that sends nothing fails the stream. A
+/// subscriber that stops reading fills the socket buffers and is
+/// dropped, its thread and connection slot freed, two or three
+/// timeouts later, not when it disconnects.
+pub const STREAM_WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Most lines one batch sends (about 1 MiB of `delta` lines). A
 /// subscriber that joins a long job late catches up in batches of
 /// bounded size, back to back, instead of one copy of the whole log.
@@ -340,7 +354,9 @@ const STREAM_BATCH_LINES: usize = 4096;
 /// last batch (at most [`STREAM_BATCH_LINES`]), all in one write. The
 /// first batch goes out at once, as does a batch that follows a full
 /// one; the others after [`STREAM_BATCH_INTERVAL`] or the log's close,
-/// whichever comes first.
+/// whichever comes first. A socket send that moves nothing within
+/// [`STREAM_WRITE_TIMEOUT`] fails the stream with the socket's timeout
+/// error (`WouldBlock` or `TimedOut`, by platform).
 fn serve_stream(
     request: &Request,
     mut reader: BufReader<TcpStream>,
@@ -360,6 +376,7 @@ fn serve_stream(
         let (status, body) = json_error(400, "missing sec-websocket-key");
         return write_json(&mut writer, status, &body);
     };
+    writer.set_write_timeout(Some(STREAM_WRITE_TIMEOUT))?;
     write_upgrade(&mut writer, &accept_key(key))?;
     // The daemon sends final, unmasked frames only.
     let push = |batch: &mut Vec<u8>, opcode: Opcode, payload: &[u8]| {
@@ -444,7 +461,10 @@ fn read_arrived(reader: &mut BufReader<TcpStream>, inbuf: &mut Vec<u8>) -> io::R
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
     use std::time::Instant;
+
+    use crate::client::Subscriber;
 
     // These drive `accept_until` with a local stop flag: the process-wide
     // shutdown flag would stop every other daemon test in this binary.
@@ -511,5 +531,53 @@ mod tests {
                 .expect("accept loop ends cleanly");
         });
         assert_eq!(served.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn a_subscriber_that_stops_reading_loses_its_stream() {
+        let dir = std::env::temp_dir().join(format!("wsn-serve-stall-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::open(&dir).expect("temp dir is writable");
+        let queue = JobQueue::new(store, builtins(), 0, Some(1));
+        // No runner: the job stays queued and its log never closes, so
+        // only the write timeout can end the stream.
+        let id = queue
+            .submit(CampaignConfig::smoke())
+            .expect("smoke config is valid");
+        // 64 MiB of lines, far more than loopback socket buffers hold
+        // for a reader that never reads. One shared 1 KiB line, so the
+        // log stays small and each batch is 4 MiB.
+        let line: Arc<str> = "x".repeat(1024).into();
+        let log = queue.log(&id).expect("submitted job has a log");
+        for _ in 0..64 * 1024 {
+            log.append(Arc::clone(&line));
+        }
+        let listener = TcpListener::bind("127.0.0.1:0").expect("loopback binds");
+        let addr = listener.local_addr().expect("bound address").to_string();
+        let (done, finished) = mpsc::channel();
+        let stream_thread = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("subscriber connects");
+            let t0 = Instant::now();
+            let result = handle_connection(stream, &queue);
+            let _unused = done.send(());
+            (result, t0.elapsed())
+        });
+        // Completes the handshake, then never reads a frame.
+        let _stalled =
+            Subscriber::open(&addr, &format!("/jobs/{id}/stream")).expect("the stream upgrades");
+        finished
+            .recv_timeout(STREAM_WRITE_TIMEOUT * 6)
+            .expect("the stalled stream ends");
+        let (result, elapsed) = stream_thread.join().expect("stream thread joins");
+        let err = result.expect_err("a stalled write fails the stream");
+        assert!(
+            matches!(
+                err.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ),
+            "expected a write timeout, got {err:?}"
+        );
+        assert!(elapsed >= STREAM_WRITE_TIMEOUT, "gave up after {elapsed:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

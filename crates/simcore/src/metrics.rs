@@ -33,8 +33,9 @@ pub struct Metrics {
     /// Cells (or nodes, for node-centric schemes) examined by occupancy
     /// scans: hole-detection sweeps, global balancing scans, force-field
     /// snapshots. Quantifies the paper's §1 criticism of global schemes —
-    /// SR's change-journal detection keeps this O(changed) per round
-    /// while scan-based baselines accumulate full-grid counts.
+    /// SR's detection, a sweep of the network's vacancy index, keeps
+    /// this O(holes) per round while scan-based baselines accumulate
+    /// full-grid counts.
     pub cells_scanned: u64,
 }
 

@@ -173,13 +173,12 @@ impl fmt::Display for NetModelSpec {
 }
 
 /// A fixed, seedless multiplicative hasher for keys the simulation
-/// chooses itself: the link's pair counters here, and cell sets such as
-/// AR's visited, initiated and failed-hole sets in `wsn-baselines`.
-/// Such keys are small cell coordinates or indices, never adversarial
-/// input, so SipHash's flooding resistance buys nothing; this costs one
-/// multiply per word (per byte for integers narrower than `u64`). The
-/// final fold mixes the product's high bits into the low ones, which
-/// pick the table slot.
+/// chooses itself. Its one user is [`NetLink`]'s per-pair message
+/// counters, keyed by `(from, to)` cell endpoints. Such keys are small
+/// cell indices, never adversarial input, so SipHash's flooding
+/// resistance buys nothing; this costs one multiply per word (per byte
+/// for integers narrower than `u64`). The final fold mixes the
+/// product's high bits into the low ones, which pick the table slot.
 ///
 /// Use it through [`BuildHasherDefault`]. Like any hasher it gives no
 /// meaningful iteration order, so keep it to maps and sets whose order
