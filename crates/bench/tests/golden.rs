@@ -1,6 +1,6 @@
 //! Golden-file regression for the machine-readable result artifacts.
 //!
-//! Four campaign fixtures are checked in under `tests/golden/`:
+//! Five campaign fixtures are checked in under `tests/golden/`:
 //!
 //! * `campaign_quick16.json` — the artifact behind `figures --quick`
 //!   Figures 6–8 (SR and AR on the paper's 16×16 grid, 4 targets, 10
@@ -24,17 +24,24 @@
 //!   network models' coordinate-addressed RNG streams, the per-cell
 //!   `net` and `health` blocks, and the Ideal-weather cells'
 //!   byte-equality with the classic engine.
+//! * `recover256.json` — SR and AR full recovery on 256×256 at N = 100
+//!   and N = 1000, one trial per cell: the repair hop at the scale of
+//!   the repository benchmark's `recover-256` workload, where one SR
+//!   trial makes millions of moves. Ignored by default (about 2 s in a
+//!   release build, far longer in debug); CI's release step runs it.
 //!
 //! When a change is *intentional* (new metric field, schema bump),
 //! regenerate the fixture and say so in the commit: the diff is the
 //! review artifact.
 
 use wsn_bench::campaign::{run_campaign, CampaignConfig};
+use wsn_coverage::SchemeId;
 
 const QUICK_GOLDEN: &str = include_str!("golden/campaign_quick16.json");
 const CAMPAIGN_GOLDEN: &str = include_str!("golden/campaign_smoke8.json");
 const MASKED_GOLDEN: &str = include_str!("golden/campaign_masked8.json");
 const EVENT_GOLDEN: &str = include_str!("golden/event_smoke8.json");
+const RECOVER_GOLDEN: &str = include_str!("golden/recover256.json");
 
 #[test]
 fn quick_campaign_reproduces_the_checked_in_artifact() {
@@ -73,6 +80,25 @@ fn degraded_campaign_reproduces_the_checked_in_artifact() {
     assert_eq!(
         rendered, EVENT_GOLDEN,
         "event_smoke8.json drifted; regenerate the fixture if intentional"
+    );
+}
+
+#[test]
+#[ignore = "about 2 s in release, far longer in debug; CI runs it with --include-ignored"]
+fn recover256_campaign_reproduces_the_checked_in_artifact() {
+    let cfg = CampaignConfig {
+        name: "recover256".into(),
+        schemes: SchemeId::list(&["sr", "ar"]),
+        grids: vec![(256, 256)],
+        targets: vec![100, 1000],
+        seeds_per_cell: 1,
+        ..CampaignConfig::paper()
+    };
+    let result = run_campaign(&cfg).expect("recover256 matrix is valid");
+    let rendered = result.to_json().to_file_string();
+    assert_eq!(
+        rendered, RECOVER_GOLDEN,
+        "recover256.json drifted; regenerate the fixture if intentional"
     );
 }
 
