@@ -45,7 +45,8 @@ use wsn_simcore::{FaultEvent, RoundProtocol, SimRng, TraceLog};
 use wsn_stats::JsonValue;
 
 use crate::campaign::{
-    build_trial_network, run_campaign, trial_stream_seed, CampaignConfig, CampaignMode, TrialArena,
+    build_trial_network, run_campaign, trial_stream_seed, CampaignConfig, CampaignMode,
+    CampaignResult, TrialArena,
 };
 
 /// Default regression threshold of the compare gate, in percent on
@@ -227,12 +228,17 @@ pub fn bench_core(smoke: bool) -> JsonValue {
 }
 
 /// One end-to-end campaign measurement: run the matrix, report total
-/// wall time plus derived trial throughput.
+/// wall time plus derived trial throughput, and the work it did: the
+/// campaign's total `moves` (the same count on every run) and
+/// `ns_per_move`, the mean wall time over them. A campaign that moves
+/// nothing reports `ns_per_move` as `null`.
 fn campaign_entry(name: &str, samples: usize, cfg: &CampaignConfig) -> JsonValue {
     let trials = cfg.trial_count();
+    let mut moves = 0;
     let timing = time_ns(samples, || {
         let result = run_campaign(cfg).expect("ledger matrices are valid");
         assert_eq!(result.cells.len(), cfg.cell_count());
+        moves = campaign_moves(&result);
     });
     let mut entry = bench_entry(name, samples, timing);
     if let JsonValue::Obj(pairs) = &mut entry {
@@ -241,8 +247,28 @@ fn campaign_entry(name: &str, samples: usize, cfg: &CampaignConfig) -> JsonValue
             "trials_per_sec".into(),
             JsonValue::from(trials as f64 / (timing.mean / 1e9)),
         ));
+        pairs.push(("moves".into(), JsonValue::from(moves)));
+        let per_move = if moves == 0 {
+            JsonValue::Null
+        } else {
+            JsonValue::from(timing.mean / moves as f64)
+        };
+        pairs.push(("ns_per_move".into(), per_move));
     }
     entry
+}
+
+/// Every move a campaign's trials made: each cell's mean times its
+/// trial count, rounded back to the integer it was folded from.
+fn campaign_moves(result: &CampaignResult) -> u64 {
+    result
+        .cells
+        .iter()
+        .map(|cell| {
+            let summary = cell.metric("moves").expect("moves is a metric").summary();
+            (summary.mean() * summary.count() as f64).round() as u64
+        })
+        .sum()
 }
 
 /// Hops of the flatness entries' cascade: the same protocol work on
@@ -264,7 +290,7 @@ fn single_cascade_entry(side: u16, samples: usize) -> JsonValue {
     let CycleTopology::Single(cycle) = &topo else {
         panic!("even grids carry a single Hamilton cycle");
     };
-    let (spare_cell, hole) = (cycle.order()[0], cycle.order()[CASCADE_HOPS]);
+    let (spare_cell, hole) = (cycle.cell_at(0), cycle.cell_at(CASCADE_HOPS));
     let mut rng = SimRng::seed_from_u64(64_002);
     let mut pos = deploy::with_holes(&sys, &[hole], 1, &mut rng);
     pos.push(sys.cell_rect(spare_cell).expect("in bounds").center());
@@ -738,6 +764,33 @@ mod tests {
         let base = ["name", "samples", "min_ns", "mean_ns", "max_ns", "p50_ns"];
         assert_eq!(keys(timing(39)), base);
         assert_eq!(keys(timing(40))[6..], ["tail_ns", "tail_pct"]);
+    }
+
+    #[test]
+    fn campaign_entries_record_their_moves_and_the_time_per_move() {
+        let cfg = CampaignConfig {
+            name: "perf-test".into(),
+            schemes: wsn_coverage::scheme::SchemeId::list(&["sr"]),
+            grids: vec![(8, 8)],
+            targets: vec![10],
+            seeds_per_cell: 2,
+            workers: Some(1),
+            ..CampaignConfig::paper()
+        };
+        let moves = campaign_moves(&run_campaign(&cfg).unwrap());
+        assert!(moves > 0, "an 8x8 recovery moves nodes");
+        let entry = campaign_entry("k", 2, &cfg);
+        // The count repeats exactly, run after run.
+        assert_eq!(
+            entry.get("moves").and_then(JsonValue::as_f64),
+            Some(moves as f64)
+        );
+        let mean = entry.get("mean_ns").and_then(JsonValue::as_f64).unwrap();
+        let per_move = entry
+            .get("ns_per_move")
+            .and_then(JsonValue::as_f64)
+            .unwrap();
+        assert!((per_move - mean / moves as f64).abs() <= 1e-9 * per_move);
     }
 
     #[test]

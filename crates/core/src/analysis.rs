@@ -29,13 +29,19 @@
 //! average") — pinned by a unit test below.
 //!
 //! **Corollary 2.** On an odd×odd grid with the dual-path cycle,
-//! `M ≅ M(m·n − 2)`.
+//! `M ≅ M(m·n − 2)`. The approximation is the paper's own: the walk
+//! forks at the special cells, so some cells share a backward distance
+//! and walks from `A` or `B` take one hop more.
+//! [`expected_moves_dual_exact`] computes the exact mean from the
+//! structure itself; THEORY.md tabulates the gap.
 //!
 //! **Distance estimate** (paper §4): each hop covers on average
 //! `1.08·r` meters, so a replacement moves `1.08·r·M` meters in total
 //! (Figures 5 and 8's analytical series).
 
 use wsn_geometry::CellGeometry;
+use wsn_grid::GridCoord;
+use wsn_hamilton::{BackwardStep, CycleTopology};
 
 /// Probability that a converged replacement needs exactly `i` movements,
 /// in the paper's product form (Equation 1).
@@ -103,6 +109,92 @@ pub fn expected_moves_dual(cols: u16, rows: u16, n: usize) -> f64 {
     );
     assert!(cols >= 3 && rows >= 3, "grid too small: {cols}x{rows}");
     expected_moves(cols as usize * rows as usize - 2, n)
+}
+
+/// The exact expected movements of one SR replacement on the dual-path
+/// structure of an odd×odd `cols × rows` grid: one node in every cell
+/// but the hole, which is uniform over the grid, and `n` spares placed
+/// independently and uniformly over the other `m·n − 1` cells.
+///
+/// A replacement's move count is `D`, the backward distance of the
+/// nearest cell holding a spare: the monitor is at distance 1, and each
+/// relay adds one. On the dual path some cells share a distance (the
+/// `A`/`B` fork, and `A` beside path one's next cell when `C` recovers
+/// `D`), so each hole has its own multiset of distances. With
+/// `c_j` of its `K = m·n − 1` cells closer than `j`,
+/// `P(D ≥ j) = ((K − c_j)/K)^n` and `E = Σ_{j ≥ 1} P(D ≥ j)`; the
+/// result is the mean of `E` over the holes. Corollary 2 approximates it
+/// by [`expected_moves_dual`].
+///
+/// # Panics
+///
+/// As for [`expected_moves_dual`].
+pub fn expected_moves_dual_exact(cols: u16, rows: u16, n: usize) -> f64 {
+    assert!(
+        cols % 2 == 1 && rows % 2 == 1,
+        "corollary 2 applies to odd-by-odd grids, got {cols}x{rows}"
+    );
+    assert!(cols >= 3 && rows >= 3, "grid too small: {cols}x{rows}");
+    validate(cols as usize * rows as usize - 2, n);
+    let topo = CycleTopology::build(cols, rows).expect("odd grids of 3x3 or more have a dual path");
+    let cells = cols as usize * rows as usize;
+    let others = (cells - 1) as f64;
+    let mut total = 0.0;
+    for y in 0..rows {
+        for x in 0..cols {
+            let at = backward_distance_counts(&topo, GridCoord::new(x, y));
+            let mut closer = 0;
+            let mut expected = 0.0;
+            for count in at {
+                expected += ((others - closer as f64) / others).powi(n as i32);
+                closer += count;
+            }
+            total += expected;
+        }
+    }
+    total / cells as f64
+}
+
+/// How many cells lie at each backward distance `1, 2, …` from `hole`:
+/// the cells SR's walk asks for a spare at that step. A fork asks both
+/// specials and a probe asks `A` beside the next cell, so a step can
+/// count two cells; the walk relays through `A` (or `next`), as SR does
+/// when no asked cell holds a spare. Every cell but the hole is counted
+/// once.
+fn backward_distance_counts(topo: &CycleTopology, hole: GridCoord) -> Vec<usize> {
+    let others = topo.cell_count() - 1;
+    let mut seen = vec![hole];
+    let mut counts = Vec::new();
+    let mut step = |cells: &[GridCoord], seen: &mut Vec<GridCoord>| {
+        let fresh: Vec<GridCoord> = cells
+            .iter()
+            .copied()
+            .filter(|c| !seen.contains(c))
+            .collect();
+        seen.extend(&fresh);
+        counts.push(fresh.len());
+    };
+    let mut asked = topo.monitors(hole);
+    step(&[asked], &mut seen);
+    while seen.len() <= others {
+        asked = match topo.backward_from(asked, hole) {
+            Some(BackwardStep::One(p)) => {
+                step(&[p], &mut seen);
+                p
+            }
+            Some(BackwardStep::ForkAB { a, b }) => {
+                step(&[a, b], &mut seen);
+                a
+            }
+            Some(BackwardStep::ProbeThen { probe, next }) => {
+                step(&[probe, next], &mut seen);
+                next
+            }
+            None => break,
+        };
+    }
+    debug_assert_eq!(seen.len(), others + 1, "the walk reaches every cell");
+    counts
 }
 
 /// The paper's estimate of the total moving distance of a replacement:
@@ -361,6 +453,29 @@ mod tests {
     #[should_panic(expected = "L must be at least 2")]
     fn tiny_l_panics() {
         expected_moves(1, 5);
+    }
+
+    #[test]
+    fn exact_dual_expectation_matches_the_single_spare_walks() {
+        // N = 1: the mean single-spare walk. Over every hole and spare
+        // cell of 5x5, SR's walks total 7,226 hops in 600 runs.
+        let one = expected_moves_dual_exact(5, 5, 1);
+        assert!((one - 7226.0 / 600.0).abs() < 1e-12, "{one}");
+        // Corollary 2 reads 12.0 and 8.1739 here.
+        assert!((expected_moves_dual(5, 5, 1) - 12.0).abs() < 1e-12);
+        let two = expected_moves_dual_exact(5, 5, 2);
+        assert!((two - 8.2128).abs() < 5e-5, "{two}");
+        // The exact mean is larger: shared distances and the one-hop-
+        // longer walks from A and B.
+        for n in [1, 2, 5, 20] {
+            assert!(expected_moves_dual_exact(7, 5, n) > expected_moves_dual(7, 5, n));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "odd-by-odd")]
+    fn exact_dual_rejects_even_side() {
+        expected_moves_dual_exact(4, 5, 10);
     }
 
     #[test]

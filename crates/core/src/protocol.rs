@@ -125,6 +125,8 @@ struct ActiveProcess {
     /// Where the notification to `asked` is; always `Held` without a
     /// link.
     baton: BatonState,
+    /// Ended this round: a tombstone until the round's one compaction.
+    retired: bool,
 }
 
 /// What SR holds only because a notification can be late or lost.
@@ -158,7 +160,9 @@ pub struct SrProtocol<'n> {
     run: Run<'n>,
     topo: CycleTopology,
     /// Active processes, in id order (ids are issued ascending and
-    /// removals keep order), so deliveries find theirs by binary search.
+    /// compaction keeps order), so deliveries find theirs by binary
+    /// search. A process that ends mid-round stays as a tombstone until
+    /// [`Self::compact`] at the end of the round's steps.
     active: Vec<ActiveProcess>,
     /// Active processes per `current_vacant` cell: detection's "already
     /// owned" check without scanning `active`.
@@ -249,8 +253,8 @@ impl<'n> SrProtocol<'n> {
 
     /// Starts `p` as an owner. This, [`Self::relay`], [`Self::land`],
     /// [`Self::retire`] and [`Self::retire_all`] are the only places that
-    /// add, change or remove a process, so the owner tables always match
-    /// `active`.
+    /// add, change or end a process, so the owner tables always match
+    /// the live entries of `active`.
     fn enlist(&mut self, p: ActiveProcess) {
         self.claim(p);
         self.active.push(p);
@@ -297,14 +301,23 @@ impl<'n> SrProtocol<'n> {
     }
 
     /// Ends process `i` (converged, failed or superseded), releasing its
-    /// cell.
+    /// cell. Its entry stays as a tombstone, so ending a process shifts
+    /// nothing; [`Self::compact`] drops it.
     fn retire(&mut self, i: usize) -> ActiveProcess {
-        let p = self.active.remove(i);
+        let p = self.active[i];
+        self.active[i].retired = true;
         self.release(p);
         p
     }
 
+    /// Drops the round's tombstones in one ordered pass: a round that
+    /// ends k of n processes touches each entry once, not k·n times.
+    fn compact(&mut self) {
+        self.active.retain(|p| !p.retired);
+    }
+
     /// Ends every active process, in id order, releasing their cells.
+    /// Runs between rounds, when `active` holds no tombstone.
     fn retire_all(&mut self) -> Vec<ActiveProcess> {
         let all = std::mem::take(&mut self.active);
         for &p in &all {
@@ -402,6 +415,9 @@ impl<'n> SrProtocol<'n> {
             let Ok(i) = self.active.binary_search_by_key(&process, |p| p.id.raw()) else {
                 continue;
             };
+            if self.active[i].retired {
+                continue;
+            }
             if self.is_occupied(self.active[i].current_vacant) {
                 self.terminate_superseded(i, round);
                 progress = true;
@@ -417,6 +433,10 @@ impl<'n> SrProtocol<'n> {
     /// when it waited.
     fn step_process(&mut self, idx: usize, round: u64) -> bool {
         let p = self.active[idx];
+        if p.retired {
+            // A delivery this round superseded it.
+            return false;
+        }
         if self.link.is_some() {
             if p.baton != BatonState::Held {
                 // The asked head has not received the notification yet
@@ -477,14 +497,12 @@ impl<'n> SrProtocol<'n> {
                 // arrives …
                 run.metrics.record_message();
                 run.metrics.energy += run.energy.message_cost;
-                run.trace.record(
-                    round,
-                    TraceEvent::NotificationSent {
+                run.trace
+                    .record_with(round, || TraceEvent::NotificationSent {
                         process: p.id.raw(),
                         from: p.asked.into(),
                         to: next_asked.into(),
-                    },
-                );
+                    });
                 // … then, over a link, the envelope takes its chances on
                 // the channel.
                 let baton = match &mut self.link {
@@ -606,6 +624,7 @@ impl<'n> SrProtocol<'n> {
                 current_vacant: g,
                 asked: monitor,
                 baton: BatonState::Held,
+                retired: false,
             });
             outcome.initiated += 1;
         }
@@ -685,18 +704,12 @@ impl RoundProtocol for SrProtocol<'_> {
         }
         run.net.repair_heads(run.config.election, &mut run.rng);
 
-        // 3. Process steps, in id order; iterate by position, careful
-        //    with removals.
-        let mut i = 0;
-        while i < self.active.len() {
-            let before = self.active.len();
-            let acted = self.step_process(i, round);
-            progress |= acted;
-            if self.active.len() == before {
-                i += 1; // process still active (moved or waiting)
-            }
-            // On removal the next process shifted into position i.
+        // 3. Process steps, in id order. A step ends at most its own
+        //    process, whose tombstone the one compaction drops.
+        for i in 0..self.active.len() {
+            progress |= self.step_process(i, round);
         }
+        self.compact();
 
         // 4. Detection and initiation for unowned holes. A deferred
         //    (async-mode or lost-probe) initiation is still scheduled
@@ -829,7 +842,7 @@ mod tests {
             panic!()
         };
         // Three consecutive cells on the cycle.
-        let holes = [cyc.order()[5], cyc.order()[6], cyc.order()[7]];
+        let holes = [cyc.cell_at(5), cyc.cell_at(6), cyc.cell_at(7)];
         let mut net = network_with_holes(4, 4, &holes, 2, 9);
         let (report, _) = run_sr(&mut net, SrConfig::default(), 9);
         assert!(report.run.is_quiescent());

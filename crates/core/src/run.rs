@@ -164,16 +164,13 @@ impl<'n> Run<'n> {
         self.metrics.record_move(out.distance);
         let cost = self.energy.movement(out.distance);
         self.metrics.energy += cost;
-        self.trace.record(
-            round,
-            TraceEvent::NodeMoved {
-                process: Some(process.raw()),
-                node,
-                from: out.from.into(),
-                to: out.to.into(),
-                distance: out.distance,
-            },
-        );
+        self.trace.record_with(round, || TraceEvent::NodeMoved {
+            process: Some(process.raw()),
+            node,
+            from: out.from.into(),
+            to: out.to.into(),
+            distance: out.distance,
+        });
         let s = &mut self.summaries[process.raw() as usize];
         s.hops += 1;
         s.moves += 1;

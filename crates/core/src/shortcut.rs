@@ -106,6 +106,8 @@ struct ScProcess {
     forwarded: usize,
     /// Where the notification is; always `Held` without a link.
     baton: BatonState,
+    /// Ended this round: a tombstone until the round's one compaction.
+    retired: bool,
 }
 
 /// The SR-SC protocol over a borrowed network (see the module docs).
@@ -122,7 +124,8 @@ pub struct ShortcutProtocol<'n> {
     run: Run<'n>,
     cycle: ScRing,
     /// Active processes, in id order, so deliveries find theirs by
-    /// binary search.
+    /// binary search. A process that ends during the round's steps stays
+    /// as a tombstone until [`Self::compact`].
     active: Vec<ScProcess>,
     /// Active processes per `hole`: detection's "already served" check
     /// without scanning `active`.
@@ -183,14 +186,21 @@ impl<'n> ShortcutProtocol<'n> {
         self.active.push(p);
     }
 
-    /// Ends process `i` (converged or failed), releasing its hole.
-    fn retire(&mut self, i: usize) -> ScProcess {
-        let p = self.active.remove(i);
-        self.owners.remove(p.hole);
-        p
+    /// Ends process `i` (converged or failed), releasing its hole. Its
+    /// entry stays as a tombstone, so ending a process shifts nothing.
+    fn retire(&mut self, i: usize) {
+        self.active[i].retired = true;
+        self.owners.remove(self.active[i].hole);
+    }
+
+    /// Drops the round's tombstones in one ordered pass, as
+    /// [`crate::SrProtocol`] does.
+    fn compact(&mut self) {
+        self.active.retain(|p| !p.retired);
     }
 
     /// Ends every active process, in start order, releasing their holes.
+    /// Runs between rounds, when `active` holds no tombstone.
     fn retire_all(&mut self) -> Vec<ScProcess> {
         let all = std::mem::take(&mut self.active);
         for p in &all {
@@ -296,14 +306,12 @@ impl<'n> ShortcutProtocol<'n> {
         self.active[i].forwarded += 1;
         run.metrics.record_message();
         run.metrics.energy += run.energy.message_cost;
-        run.trace.record(
-            round,
-            TraceEvent::NotificationSent {
+        run.trace
+            .record_with(round, || TraceEvent::NotificationSent {
                 process: p.id.raw(),
                 from: p.courier.into(),
                 to: target.into(),
-            },
-        );
+            });
         if let Some(wire) = &mut self.link {
             let announce = Envelope::HoleAnnounce {
                 process: p.id.raw(),
@@ -351,6 +359,7 @@ impl<'n> ShortcutProtocol<'n> {
                 courier: monitor,
                 forwarded: 0,
                 baton: BatonState::Held,
+                retired: false,
             });
             outcome.initiated += 1;
         }
@@ -391,14 +400,10 @@ impl RoundProtocol for ShortcutProtocol<'_> {
         }
         progress |= run.net.repair_heads(run.config.election, &mut run.rng) > 0;
         self.gossip();
-        let mut i = 0;
-        while i < self.active.len() {
-            let before = self.active.len();
+        for i in 0..self.active.len() {
             progress |= self.step_process(i, round);
-            if self.active.len() == before {
-                i += 1;
-            }
         }
+        self.compact();
         progress |= self.detect_and_initiate(round).any_activity();
         // Surveillance duty (battery dynamics only), as SR's heads pay it.
         progress |= self.run.drain_idle_heads();
@@ -575,9 +580,9 @@ mod tests {
             _ => unreachable!(),
         };
         let mut rng = SimRng::seed_from_u64(11);
-        let hole = cycle.order()[12];
+        let hole = cycle.cell_at(12);
         // Spare 5 backward hops from the hole's monitor.
-        let spare_cell = cycle.order()[12 - 6];
+        let spare_cell = cycle.cell_at(12 - 6);
         let mut pos = deploy::with_holes(&sys, &[hole], 1, &mut rng);
         pos.push(sys.cell_rect(spare_cell).unwrap().center());
         let mut net = GridNetwork::new(sys, &pos);

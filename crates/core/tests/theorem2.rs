@@ -4,7 +4,7 @@
 //! 7(a)/7(b) and 8(a)/8(b)).
 
 use wsn_coverage::{analysis, DriveMode, ReplacementScheme, Sr};
-use wsn_grid::{deploy, GridNetwork, GridSystem};
+use wsn_grid::{deploy, GridCoord, GridNetwork, GridSystem};
 use wsn_simcore::SimRng;
 
 /// Runs one single-hole replacement with exactly `n` spares placed
@@ -80,6 +80,69 @@ fn corollary_2_matches_simulation_5x5_dual() {
         (simulated - analytical).abs() / analytical < 0.15,
         "simulated {simulated:.3} vs analytical {analytical:.3}"
     );
+}
+
+/// SR's mean hop count over every hole and every ordered placement of
+/// `n` spares on a `side × side` grid: one node in every cell but the
+/// hole, plus one spare in each placed cell (a cell placed twice holds
+/// two). With `K = side² − 1` other cells that is `side² · K^n` runs, in
+/// which each placement is exactly as likely as under independent
+/// uniform spares.
+fn enumerated_mean_moves(side: u16, n: u32) -> f64 {
+    let sys = GridSystem::new(side, side, 4.4721).unwrap();
+    let cells: Vec<GridCoord> = sys.iter_coords().collect();
+    let (mut total, mut runs) = (0u64, 0u64);
+    for &hole in &cells {
+        let others: Vec<GridCoord> = cells.iter().copied().filter(|&c| c != hole).collect();
+        let mut rng = SimRng::seed_from_u64(7);
+        let base = deploy::with_holes(&sys, &[hole], 1, &mut rng);
+        for placement in 0..others.len().pow(n) {
+            let mut pos = base.clone();
+            let mut rest = placement;
+            for _ in 0..n {
+                let cell = others[rest % others.len()];
+                pos.push(sys.cell_rect(cell).unwrap().center());
+                rest /= others.len();
+            }
+            let mut net = GridNetwork::new(sys, &pos);
+            let report = Sr::new().run(&mut net, 7, DriveMode::Classic).unwrap();
+            assert!(report.fully_covered, "hole {hole}, placement {placement}");
+            assert_eq!(report.processes.len(), 1, "hole {hole}");
+            total += report.processes[0].hops;
+            runs += 1;
+        }
+    }
+    total as f64 / runs as f64
+}
+
+fn assert_exact_dual_expectation(side: u16, n: u32) {
+    let exact = analysis::expected_moves_dual_exact(side, side, n as usize);
+    let enumerated = enumerated_mean_moves(side, n);
+    assert!(
+        (exact - enumerated).abs() < 1e-12,
+        "{side}x{side}, N = {n}: exact {exact} vs enumerated {enumerated}"
+    );
+}
+
+#[test]
+fn corollary_2_exact_expectation_matches_enumeration() {
+    // 9·8 + 9·8² runs on 3x3, 25·24 + 25·24² on 5x5.
+    for side in [3, 5] {
+        for n in 1..=2 {
+            assert_exact_dual_expectation(side, n);
+        }
+    }
+    // The 5x5 values the paper's approximation M(23, N) misses.
+    assert!((analysis::expected_moves_dual_exact(5, 5, 1) - 12.0433).abs() < 5e-5);
+    assert!((analysis::expected_moves_dual_exact(5, 5, 2) - 8.2128).abs() < 5e-5);
+}
+
+#[test]
+#[ignore = "345,600 SR runs on 5x5; CI's release step runs it with --include-ignored"]
+fn corollary_2_exact_expectation_matches_enumeration_at_three_spares() {
+    for side in [3, 5] {
+        assert_exact_dual_expectation(side, 3);
+    }
 }
 
 #[test]

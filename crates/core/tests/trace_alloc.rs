@@ -48,12 +48,11 @@ fn untraced_event_runs_allocate_far_less_than_they_route() {
     let Ok(CycleTopology::Single(cycle)) = CycleTopology::build(side, side) else {
         panic!("even grids carry a single Hamilton cycle");
     };
-    let order = cycle.order();
-    let holes: Vec<GridCoord> = (0..8).map(|k| order[hops * k + hops - 1]).collect();
+    let holes: Vec<GridCoord> = (0..8).map(|k| cycle.cell_at(hops * k + hops - 1)).collect();
     let mut rng = SimRng::seed_from_u64(128);
     let mut pos = deploy::with_holes(&sys, &holes, 1, &mut rng);
     for k in 0..8 {
-        pos.push(sys.cell_rect(order[hops * k]).unwrap().center());
+        pos.push(sys.cell_rect(cycle.cell_at(hops * k)).unwrap().center());
     }
     let lossy = NetModelSpec::Bernoulli {
         loss_ppm: 100_000,

@@ -69,12 +69,58 @@ fn summary_levels(words: usize) -> Vec<Vec<u64>> {
 /// The indices of the set bits of `word`, ascending, offset by `base`:
 /// the cells a bitset word of the grid's layout (cell `i` at bit
 /// `i % 64` of word `i / 64`) names, given `base = 64 · word index`.
-pub fn ones(word: u64, base: usize) -> impl Iterator<Item = usize> {
-    std::iter::successors((word != 0).then_some(word), |&rest| {
-        let next = rest & (rest - 1);
-        (next != 0).then_some(next)
-    })
-    .map(move |rest| base + rest.trailing_zeros() as usize)
+pub fn ones(word: u64, base: usize) -> Ones {
+    Ones { rest: word, base }
+}
+
+/// The iterator of [`ones`]: each step yields the lowest set bit of the
+/// word and clears it.
+#[derive(Debug, Clone)]
+pub struct Ones {
+    rest: u64,
+    base: usize,
+}
+
+impl Iterator for Ones {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.rest == 0 {
+            return None;
+        }
+        let bit = self.rest.trailing_zeros() as usize;
+        self.rest &= self.rest - 1;
+        Some(self.base + bit)
+    }
+}
+
+/// The iterator of [`HoleSet::iter`]: a cursor over one word at a time,
+/// taking the next non-empty word from the summaries once the current
+/// one is spent.
+#[derive(Debug, Clone)]
+pub struct Iter<'a> {
+    set: &'a HoleSet,
+    /// The current word's members not yet yielded.
+    word: Ones,
+    /// The first level-0 word not yet visited.
+    next_word: usize,
+}
+
+impl Iterator for Iter<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        loop {
+            if let Some(i) = self.word.next() {
+                return Some(i);
+            }
+            let w = self.set.next_block(self.next_word)?;
+            self.word = ones(self.set.words[w], w * WORD_BITS);
+            self.next_word = w + 1;
+        }
+    }
 }
 
 impl HoleSet {
@@ -248,9 +294,12 @@ impl HoleSet {
     /// allocating, reaching each non-empty block through the summaries —
     /// the exact visit order of a `BTreeSet<usize>`. O(members +
     /// levels).
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        std::iter::successors(self.next_block(0), |&w| self.next_block(w + 1))
-            .flat_map(|w| ones(self.words[w], w * WORD_BITS))
+    pub fn iter(&self) -> Iter<'_> {
+        Iter {
+            set: self,
+            word: ones(0, 0),
+            next_word: 0,
+        }
     }
 
     /// Calls `f` on every member in ascending order and leaves the

@@ -143,7 +143,11 @@ impl MemberTable {
         let Some(pos) = self.pool[s..s + l].iter().position(|&m| m == id) else {
             return false;
         };
-        self.pool.copy_within(s + pos + 1..s + l, s + pos);
+        if pos + 1 < l {
+            // The last member (a head leaving a one-node cell) shifts
+            // nothing.
+            self.pool.copy_within(s + pos + 1..s + l, s + pos);
+        }
         self.slabs[idx].len -= 1;
         if self.slabs[idx].len == 1 {
             self.multi[idx / WORD_BITS] &= !(1u64 << (idx % WORD_BITS));

@@ -6,6 +6,7 @@ use std::fmt;
 use wsn_geometry::{Point2, Rect};
 use wsn_simcore::{FaultEvent, NodeId, SensorNode, SimRng};
 
+use crate::kernel::ones;
 use crate::members::MemberTable;
 use crate::{GridCoord, GridError, GridSystem, HeadElection, HoleSet, RegionMask, Result};
 
@@ -328,6 +329,7 @@ impl GridNetwork {
     ///
     /// Returns [`GridError::UnknownNode`] for ids not deployed in this
     /// network.
+    #[inline]
     pub fn node(&self, id: NodeId) -> Result<&SensorNode> {
         self.nodes
             .get(id.index())
@@ -372,6 +374,7 @@ impl GridNetwork {
     ///
     /// Returns [`GridError::OutOfBounds`] for coordinates outside the
     /// grid.
+    #[inline]
     pub fn members(&self, coord: GridCoord) -> Result<&[NodeId]> {
         Ok(self.members.cell(self.system.index_of(coord)?))
     }
@@ -382,6 +385,7 @@ impl GridNetwork {
     ///
     /// Returns [`GridError::OutOfBounds`] for coordinates outside the
     /// grid.
+    #[inline]
     pub fn head_of(&self, coord: GridCoord) -> Result<Option<NodeId>> {
         Ok(self.heads[self.system.index_of(coord)?])
     }
@@ -394,6 +398,7 @@ impl GridNetwork {
     ///
     /// Returns [`GridError::OutOfBounds`] for coordinates outside the
     /// grid.
+    #[inline]
     pub fn is_vacant(&self, coord: GridCoord) -> Result<bool> {
         Ok(self.vacancies.contains(self.system.index_of(coord)?))
     }
@@ -438,6 +443,7 @@ impl GridNetwork {
     ///
     /// Returns [`GridError::OutOfBounds`] for coordinates outside the
     /// grid.
+    #[inline]
     pub fn spare_count(&self, coord: GridCoord) -> Result<usize> {
         Ok(self.members(coord)?.len().saturating_sub(1))
     }
@@ -485,14 +491,7 @@ impl GridNetwork {
             .multi_words()
             .iter()
             .enumerate()
-            .flat_map(|(w, &word)| {
-                let base = w * WORD_BITS;
-                std::iter::successors((word != 0).then_some(word), |&rest| {
-                    let next = rest & (rest - 1);
-                    (next != 0).then_some(next)
-                })
-                .map(move |rest| base + rest.trailing_zeros() as usize)
-            })
+            .flat_map(|(w, &word)| ones(word, w * WORD_BITS))
             .map(|i| self.system.coord_of(i))
     }
 

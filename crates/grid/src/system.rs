@@ -129,6 +129,7 @@ impl GridSystem {
     ///
     /// Returns [`GridError::OutOfBounds`] for coordinates outside the
     /// grid.
+    #[inline]
     pub fn index_of(&self, coord: GridCoord) -> Result<usize> {
         if !self.contains(coord) {
             return Err(GridError::OutOfBounds {
@@ -146,6 +147,7 @@ impl GridSystem {
     ///
     /// Panics when `index >= cell_count()` (indices are produced
     /// internally, so an out-of-range index is a caller bug).
+    #[inline]
     pub fn coord_of(&self, index: usize) -> GridCoord {
         assert!(index < self.cell_count(), "cell index out of range");
         GridCoord::new(

@@ -41,21 +41,26 @@ pub fn validate_path(seq: &[GridCoord], expected: &HashSet<GridCoord>) -> Result
 }
 
 /// Checks that `cycle` is a directed Hamilton cycle: a Hamilton path over
-/// all cells whose last cell is adjacent to its first, with a consistent
-/// position index.
+/// all cells whose last cell is adjacent to its first, whose position,
+/// successor and predecessor agree with its order.
 pub fn validate_cycle(cycle: &HamiltonCycle) -> Result<(), String> {
     let all: HashSet<GridCoord> = (0..cycle.cols())
         .flat_map(|x| (0..cycle.rows()).map(move |y| GridCoord::new(x, y)))
         .collect();
-    validate_path(cycle.order(), &all)?;
-    let first = cycle.order()[0];
-    let last = *cycle.order().last().expect("cycles are nonempty");
+    let order: Vec<GridCoord> = cycle.order().collect();
+    validate_path(&order, &all)?;
+    let first = order[0];
+    let last = *order.last().expect("cycles are nonempty");
     if !last.is_adjacent(first) {
         return Err(format!("cycle does not close: {last} !~ {first}"));
     }
-    for (k, &c) in cycle.order().iter().enumerate() {
+    for (k, &c) in order.iter().enumerate() {
         if cycle.position(c) != k {
             return Err(format!("position index wrong for {c}"));
+        }
+        let next = order[(k + 1) % order.len()];
+        if cycle.successor(c) != next || cycle.predecessor(next) != c {
+            return Err(format!("successor of {c} is not {next}"));
         }
     }
     Ok(())

@@ -6,6 +6,7 @@
 //! ```text
 //! <state>/job-7.checkpoint.json   # wsn-checkpoint/1, while running
 //! <state>/job-7.result.json       # wsn-campaign/3, when complete
+//! <state>/job-7.stream.jsonl      # the closed wsn-serve/1 stream log
 //! ```
 //!
 //! Every write lands in `<name>.tmp` first and is renamed into place —
@@ -51,6 +52,10 @@ impl CheckpointStore {
     /// Path of a job's final artifact.
     pub fn result_path(&self, job: &str) -> PathBuf {
         self.dir.join(format!("{job}.result.json"))
+    }
+
+    fn stream_path(&self, job: &str) -> PathBuf {
+        self.dir.join(format!("{job}.stream.jsonl"))
     }
 
     /// Atomic write: `.tmp` then rename.
@@ -125,6 +130,28 @@ impl CheckpointStore {
     /// Propagates filesystem errors other than `NotFound`.
     pub fn load_result(&self, job: &str) -> io::Result<Option<String>> {
         match std::fs::read_to_string(self.result_path(job)) {
+            Ok(text) => Ok(Some(text)),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Writes a terminal job's closed stream log, one line per line.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn save_stream(&self, job: &str, lines: &str) -> io::Result<()> {
+        self.write_atomic(&self.stream_path(job), lines.as_bytes())
+    }
+
+    /// Reads a terminal job's stream log, `Ok(None)` when absent.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors other than `NotFound`.
+    pub fn load_stream(&self, job: &str) -> io::Result<Option<String>> {
+        match std::fs::read_to_string(self.stream_path(job)) {
             Ok(text) => Ok(Some(text)),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e),

@@ -13,6 +13,11 @@
 //! contract, pinned in `wsn-bench`'s resume suite and re-pinned
 //! end-to-end in this crate's `e2e` suite).
 //!
+//! A job that reaches a terminal state moves its closed stream log to
+//! the state directory (`<id>.stream.jsonl`) and drops the lines from
+//! memory, so a long-lived daemon keeps no finished job's stream;
+//! subscribers that come later read the file.
+//!
 //! Cancellation (`DELETE /jobs/<id>`) and process shutdown both flow
 //! through the same cooperative cancel poll; the difference is what
 //! happens after the wind-down — a cancelled job is terminal, a
@@ -120,7 +125,10 @@ struct Job {
     done: Arc<AtomicU64>,
     /// Set by `DELETE /jobs/<id>`.
     cancel: Arc<AtomicBool>,
-    log: Arc<StreamLog>,
+    /// The stream log while the job is live; `None` once the job is
+    /// terminal and its closed log is on disk (or was never kept, for a
+    /// job recovered from its artifact).
+    log: Option<Arc<StreamLog>>,
 }
 
 #[derive(Default)]
@@ -215,8 +223,8 @@ impl JobQueue {
             };
             let done = config.trial_count();
             Self::insert(&mut inner, id.to_owned(), config, state, error, done);
-            let log = &inner.jobs[id].log;
-            log.close();
+            // Terminal: its log is whatever the previous daemon wrote.
+            inner.jobs.get_mut(id).expect("just inserted").log = None;
             completed += 1;
         }
         for id in pending {
@@ -264,7 +272,7 @@ impl JobQueue {
                 error,
                 done: Arc::new(AtomicU64::new(done)),
                 cancel: Arc::new(AtomicBool::new(false)),
-                log: Arc::new(StreamLog::new()),
+                log: Some(Arc::new(StreamLog::new())),
             },
         );
     }
@@ -301,10 +309,51 @@ impl JobQueue {
         inner.jobs.get(id).map(|j| Self::snapshot(id, j))
     }
 
-    /// One job's stream log.
+    /// One job's stream log. A terminal job's log is read back from the
+    /// state directory, closed; with no file there (a job the previous
+    /// daemon finished before logs were kept), it is empty.
     pub fn log(&self, id: &str) -> Option<Arc<StreamLog>> {
         let inner = self.inner.lock().expect("job queue lock");
-        inner.jobs.get(id).map(|j| Arc::clone(&j.log))
+        if let Some(log) = &inner.jobs.get(id)?.log {
+            return Some(Arc::clone(log));
+        }
+        drop(inner);
+        let text = self
+            .store
+            .load_stream(id)
+            .ok()
+            .flatten()
+            .unwrap_or_default();
+        Some(Arc::new(StreamLog::closed(
+            text.lines().map(Arc::from).collect(),
+        )))
+    }
+
+    /// Writes terminal job `id`'s closed log to the state directory and
+    /// drops the queue's copy of its lines. Runs outside the queue lock;
+    /// on a failed write the job keeps its log in memory. Subscribers
+    /// already streaming hold the log itself and finish from it.
+    fn retire_log(&self, id: &str) {
+        let log = {
+            let inner = self.inner.lock().expect("job queue lock");
+            match inner.jobs.get(id).and_then(|j| j.log.clone()) {
+                Some(log) => log,
+                None => return,
+            }
+        };
+        debug_assert!(log.is_closed(), "only terminal jobs retire their log");
+        let (lines, _) = log.read_from(0, usize::MAX);
+        let mut text = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
+        for line in &lines {
+            text.push_str(line);
+            text.push('\n');
+        }
+        if self.store.save_stream(id, &text).is_ok() {
+            let mut inner = self.inner.lock().expect("job queue lock");
+            if let Some(job) = inner.jobs.get_mut(id) {
+                job.log = None;
+            }
+        }
     }
 
     fn snapshot(id: &str, job: &Job) -> JobSnapshot {
@@ -330,10 +379,13 @@ impl JobQueue {
         match job.state {
             JobState::Queued => {
                 job.state = JobState::Cancelled;
-                job.log
-                    .append(event_line(id, "job_cancelled", &[]).to_string());
-                job.log.close();
+                if let Some(log) = &job.log {
+                    log.append(event_line(id, "job_cancelled", &[]).to_string());
+                    log.close();
+                }
                 let _ = self.store.remove_checkpoint(id);
+                drop(inner);
+                self.retire_log(id);
             }
             JobState::Running => job.cancel.store(true, Ordering::SeqCst),
             _ => {}
@@ -383,7 +435,7 @@ impl JobQueue {
                 job.config.clone(),
                 Arc::clone(&job.done),
                 Arc::clone(&job.cancel),
-                Arc::clone(&job.log),
+                job.log.clone().expect("a claimed job is live"),
             )
         };
         let mut config = config;
@@ -492,6 +544,8 @@ impl JobQueue {
         }
     }
 
+    /// Ends claimed job `id` in terminal `state`, closes its log and
+    /// moves the log to disk.
     fn finish(&self, id: &str, state: JobState, error: Option<String>) {
         let mut inner = self.inner.lock().expect("job queue lock");
         if let Some(job) = inner.jobs.get_mut(id) {
@@ -507,8 +561,12 @@ impl JobQueue {
             }
             job.state = state;
             job.error = error;
-            job.log.close();
+            if let Some(log) = &job.log {
+                log.close();
+            }
         }
+        drop(inner);
+        self.retire_log(id);
     }
 }
 
@@ -772,6 +830,62 @@ mod tests {
         assert_eq!(q.get(&id).unwrap().state, JobState::Running);
         // Claimed jobs are not handed out twice.
         assert_eq!(q.claim_or_wait(Duration::from_millis(1)), None);
+    }
+
+    #[test]
+    fn finished_jobs_keep_no_lines_and_replay_them_from_disk() {
+        let q = queue("retire");
+        let ids: Vec<String> = (0..3).map(|_| q.submit(job()).unwrap()).collect();
+        for id in &ids {
+            // A subscriber follows the job live, from before it starts.
+            let live = q.log(id).expect("submitted jobs have a log");
+            let seen = std::thread::scope(|scope| {
+                let subscriber = scope.spawn(|| {
+                    let mut seen: Vec<String> = Vec::new();
+                    loop {
+                        let (lines, done) = live.read_from(seen.len(), 64);
+                        seen.extend(lines.iter().map(|l| l.to_string()));
+                        if done {
+                            return seen;
+                        }
+                        live.wait_closed(Duration::from_millis(1));
+                    }
+                });
+                assert_eq!(q.claim_or_wait(Duration::from_secs(30)).as_ref(), Some(id));
+                q.run_job(id);
+                subscriber.join().expect("subscriber joins")
+            });
+            assert_eq!(q.get(id).unwrap().state, JobState::Done);
+            assert!(seen.len() > 2, "started, deltas, done: {seen:?}");
+            assert!(seen.last().unwrap().contains("\"job_done\""));
+            // The queue keeps none of the finished job's lines ...
+            let inner = q.inner.lock().unwrap();
+            assert!(inner.jobs[id].log.is_none(), "{id} still holds its log");
+            drop(inner);
+            // ... and a subscriber that comes later reads exactly what
+            // the live one read.
+            let late = q.log(id).unwrap();
+            assert!(late.is_closed());
+            let (lines, done) = late.read_from(0, usize::MAX);
+            assert!(done);
+            assert_eq!(
+                lines.iter().map(|l| l.to_string()).collect::<Vec<_>>(),
+                seen
+            );
+        }
+        // A terminal job whose log file is gone (one a previous daemon
+        // finished) streams an empty closed log.
+        std::fs::remove_file(q.store().dir().join(format!("{}.stream.jsonl", ids[0]))).unwrap();
+        let gone = q.log(&ids[0]).unwrap();
+        assert!(gone.is_empty() && gone.is_closed());
+        // A queued job cancelled before it ran retires its log too.
+        let id = q.submit(job()).unwrap();
+        assert!(q.cancel(&id));
+        assert!(q.inner.lock().unwrap().jobs[&id].log.is_none());
+        let (lines, done) = q.log(&id).unwrap().read_from(0, usize::MAX);
+        assert!(done);
+        assert_eq!(lines.len(), 1);
+        assert!(lines[0].contains("\"job_cancelled\""));
     }
 
     #[test]

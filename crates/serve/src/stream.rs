@@ -36,6 +36,18 @@ impl StreamLog {
         StreamLog::default()
     }
 
+    /// A closed log holding `lines`: a finished job's log read back
+    /// from disk.
+    pub fn closed(lines: Vec<Arc<str>>) -> StreamLog {
+        StreamLog {
+            inner: Mutex::new(Inner {
+                lines,
+                closed: true,
+            }),
+            closed: Condvar::new(),
+        }
+    }
+
     /// Appends one line (no trailing newline); wakes no reader.
     /// Appends to a closed log are dropped — the log's final state is
     /// immutable so late folds cannot reorder what subscribers saw.

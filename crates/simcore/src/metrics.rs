@@ -93,12 +93,14 @@ impl Metrics {
     }
 
     /// Records one movement of `distance` meters.
+    #[inline]
     pub fn record_move(&mut self, distance: f64) {
         self.moves += 1;
         self.distance += distance;
     }
 
     /// Records one control message.
+    #[inline]
     pub fn record_message(&mut self) {
         self.messages += 1;
     }

@@ -87,7 +87,7 @@ impl fmt::Display for NodeStatus {
 ///
 /// let n = SensorNode::new(NodeId::new(0), Point2::new(1.0, 2.0));
 /// assert!(n.status().is_enabled());
-/// assert_eq!(n.travelled(), 0.0);
+/// assert_eq!(n.position(), Point2::new(1.0, 2.0));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SensorNode {
@@ -95,8 +95,6 @@ pub struct SensorNode {
     position: Point2,
     status: NodeStatus,
     battery: Battery,
-    travelled: f64,
-    moves: u64,
 }
 
 impl SensorNode {
@@ -107,8 +105,6 @@ impl SensorNode {
             position,
             status: NodeStatus::Enabled,
             battery: Battery::default(),
-            travelled: 0.0,
-            moves: 0,
         }
     }
 
@@ -150,18 +146,6 @@ impl SensorNode {
         &mut self.battery
     }
 
-    /// Total distance travelled so far, meters.
-    #[inline]
-    pub fn travelled(&self) -> f64 {
-        self.travelled
-    }
-
-    /// Number of completed movements.
-    #[inline]
-    pub fn moves(&self) -> u64 {
-        self.moves
-    }
-
     /// Marks the node disabled (idempotent).
     pub fn disable(&mut self) {
         self.status = NodeStatus::Disabled;
@@ -172,13 +156,12 @@ impl SensorNode {
         self.status = NodeStatus::Enabled;
     }
 
-    /// Moves the node to `target`, accumulating travelled distance and the
-    /// move counter, and returns the distance covered by this movement.
+    /// Moves the node to `target` and returns the distance covered.
+    /// Movement cost is accounted per process and per run
+    /// ([`crate::Metrics`]), not per node.
     pub fn move_to(&mut self, target: Point2) -> f64 {
         let d = self.position.distance(target);
         self.position = target;
-        self.travelled += d;
-        self.moves += 1;
         d
     }
 }
@@ -215,14 +198,12 @@ mod tests {
     }
 
     #[test]
-    fn movement_accumulates_distance_and_count() {
+    fn movement_returns_distance_and_relocates() {
         let mut n = SensorNode::new(NodeId::new(1), Point2::ORIGIN);
         let d1 = n.move_to(Point2::new(3.0, 4.0));
         assert_eq!(d1, 5.0);
         let d2 = n.move_to(Point2::new(3.0, 0.0));
         assert_eq!(d2, 4.0);
-        assert_eq!(n.travelled(), 9.0);
-        assert_eq!(n.moves(), 2);
         assert_eq!(n.position(), Point2::new(3.0, 0.0));
     }
 

@@ -251,6 +251,7 @@ impl TraceLog {
     }
 
     /// Appends `event` at `round` (no-op when disabled).
+    #[inline]
     pub fn record(&mut self, round: Round, event: TraceEvent) {
         if self.enabled {
             self.records.push(TraceRecord { round, event });

@@ -77,7 +77,7 @@ fn worst_case_walk_uses_every_hop() {
         panic!("6x6 is even-sided");
     };
     let mut rng = SimRng::seed_from_u64(9);
-    let hole = cycle.order()[20];
+    let hole = cycle.cell_at(20);
     // The farthest-backward cell is the hole's successor on the cycle.
     let far = cycle.successor(hole);
     let mut positions = deploy::with_holes(&system, &[hole], 1, &mut rng);
