@@ -31,11 +31,10 @@ use serde::{Deserialize, Serialize};
 
 use wsn_grid::{Direction, GridCoord, GridNetwork};
 use wsn_simcore::{
-    derive_stream_seed, EnergyModel, Fate, Metrics, NetLink, NodeId, RoundOutcome, RoundProtocol,
-    SimRng, TraceEvent, TraceLog,
+    EnergyModel, Metrics, NodeId, RoundOutcome, RoundProtocol, SimRng, TraceEvent, TraceLog,
 };
 
-use wsn_coverage::actor::{cell_center, cell_endpoint, NET_STREAM_TAG};
+use wsn_coverage::actor::Wire;
 use wsn_coverage::scheme::{
     round_runner, run_to_quiescence, DriveMode, NetworkSpec, ProtocolOutcome, ReplacementScheme,
     SchemeProtocol, SchemeReport, Unsupported,
@@ -183,7 +182,7 @@ pub struct ArProtocol<'n> {
     detect_buf: Vec<usize>,
     /// The network model under [`DriveMode::EventDriven`]; `None` in
     /// classic mode, where detection and asks are axiomatic.
-    link: Option<NetLink>,
+    link: Option<Wire>,
 }
 
 impl<'n> ArProtocol<'n> {
@@ -192,11 +191,10 @@ impl<'n> ArProtocol<'n> {
     /// (pass [`TraceLog::disabled`] to record nothing).
     ///
     /// Under [`DriveMode::EventDriven`] every monitor probe and cascade
-    /// ask is routed through the network model, whose link draws from
-    /// its own [`derive_stream_seed`]ed stream of `seed` (tag
-    /// [`NET_STREAM_TAG`], shared with the SR/SR-SC event engines), so
-    /// under [`wsn_simcore::NetModelSpec::Ideal`] runs are identical to
-    /// classic runs.
+    /// ask goes over the SR/SR-SC event engines' [`Wire`], whose link
+    /// draws from its own stream of `seed`, so under
+    /// [`wsn_simcore::NetModelSpec::Ideal`] runs are identical to classic
+    /// runs.
     pub fn new(
         net: &'n mut GridNetwork,
         config: ArConfig,
@@ -204,12 +202,7 @@ impl<'n> ArProtocol<'n> {
         drive: DriveMode,
         trace: TraceLog,
     ) -> ArProtocol<'n> {
-        let link = match drive {
-            DriveMode::Classic => None,
-            DriveMode::EventDriven { net: spec } => {
-                Some(spec.link(derive_stream_seed(seed, &[NET_STREAM_TAG])))
-            }
-        };
+        let link = Wire::for_drive(drive, seed);
         let mut rng = SimRng::seed_from_u64(seed);
         net.elect_all_heads(config.election, &mut rng);
         let ttl = if config.ttl == 0 {
@@ -246,8 +239,8 @@ impl<'n> ArProtocol<'n> {
         for p in std::mem::take(&mut self.active) {
             self.metrics.processes_failed += 1;
             if p.ready_at > round {
-                if let Some(link) = &mut self.link {
-                    link.health.stalled_repairs += 1;
+                if let Some(wire) = &mut self.link {
+                    wire.health().stalled_repairs += 1;
                 }
             }
             self.trace.record_with(round, || TraceEvent::ProcessFailed {
@@ -281,56 +274,6 @@ impl<'n> ArProtocol<'n> {
     /// Ends `p` (converged or failed), releasing its target.
     fn retire(&mut self, p: ArProcess) {
         self.owners.remove(p.current_target);
-    }
-
-    /// Routes a cascade ask over the network model. Returns the round
-    /// the ask becomes actionable, or `None` when the network dropped it
-    /// (`0` — immediately actionable — in classic mode).
-    fn route_ask(&mut self, from: GridCoord, to: GridCoord, round: u64) -> Option<u64> {
-        let Some(link) = &mut self.link else {
-            return Some(0);
-        };
-        let sys = self.net.system();
-        let fate = link.route(
-            cell_endpoint(sys, from),
-            cell_endpoint(sys, to),
-            cell_center(sys),
-        );
-        let deliver_at = match fate {
-            Fate::Deliver(extra) => Some(round + 1 + extra),
-            Fate::Drop => {
-                link.health.lost_cascades += 1;
-                None
-            }
-        };
-        self.trace.record_with(round, || TraceEvent::NetMessage {
-            msg: "cascade_ask".into(),
-            from: from.into(),
-            to: to.into(),
-            deliver_at,
-        });
-        deliver_at
-    }
-
-    /// A monitor's same-tick occupancy probe of a watched hole. Always
-    /// succeeds in classic mode.
-    fn probe(&mut self, monitor: GridCoord, hole: GridCoord, round: u64) -> bool {
-        let Some(link) = &mut self.link else {
-            return true;
-        };
-        let sys = self.net.system();
-        let probed = link.sense(
-            cell_endpoint(sys, monitor),
-            cell_endpoint(sys, hole),
-            cell_center(sys),
-        );
-        self.trace.record_with(round, || TraceEvent::NetMessage {
-            msg: "monitor_probe".into(),
-            from: monitor.into(),
-            to: hole.into(),
-            deliver_at: probed.then_some(round),
-        });
-        probed
     }
 
     fn is_occupied(&self, cell: GridCoord) -> bool {
@@ -429,7 +372,7 @@ impl SchemeProtocol for ArProtocol<'_> {
         ProtocolOutcome {
             metrics: self.metrics,
             processes: Vec::new(),
-            health: self.link.map(|l| l.health).unwrap_or_default(),
+            health: self.link.map(|mut w| *w.health()).unwrap_or_default(),
             trace: self.trace,
         }
     }
@@ -488,7 +431,19 @@ impl RoundProtocol for ArProtocol<'_> {
                 Some(next) => {
                     self.metrics.record_message();
                     self.metrics.energy += self.energy.message_cost;
-                    let ask = self.route_ask(p.asked, next, round);
+                    // The ask becomes actionable on arrival: at once
+                    // (round 0) in classic mode, never when dropped.
+                    let ask = match &mut self.link {
+                        None => Some(0),
+                        Some(wire) => {
+                            let (sys, trace) = (self.net.system(), &mut self.trace);
+                            let at = wire.send(sys, p.asked, next, "cascade_ask", round, trace);
+                            if at.is_none() {
+                                wire.health().lost_cascades += 1;
+                            }
+                            at
+                        }
+                    };
                     // The relaying head committed when it sent the ask:
                     // it moves whether or not the ask survives the
                     // channel (the honest failure mode — a stranded
@@ -568,21 +523,23 @@ impl RoundProtocol for ArProtocol<'_> {
                 {
                     continue;
                 }
-                if !self.probe(w, g, round) {
-                    // The probe drowned; this monitor retries next round
-                    // (its bit for this hole stays clear).
-                    continue;
+                if let Some(wire) = &mut self.link {
+                    if !wire.probe(self.net.system(), w, g, round, &mut self.trace) {
+                        // The probe drowned; this monitor retries next
+                        // round (its bit for this hole stays clear).
+                        continue;
+                    }
                 }
                 if self.initiated[hole_idx] == 0 {
                     self.initiated_holes.push(hole_idx);
                 }
                 self.initiated[hole_idx] |= monitor;
                 if spawned_for_hole > 0 {
-                    if let Some(link) = &mut self.link {
+                    if let Some(wire) = &mut self.link {
                         // AR's defining defect, now measured: every
                         // process past the first duplicates a repair
                         // already underway.
-                        link.health.duplicate_initiations += 1;
+                        wire.health().duplicate_initiations += 1;
                     }
                 }
                 spawned_for_hole += 1;
@@ -613,9 +570,8 @@ impl RoundProtocol for ArProtocol<'_> {
             .debug_check(self.active.iter().map(|p| p.current_target));
 
         // An ask in flight is scheduled work: the run must not go
-        // quiescent while one is still traveling. Never fires in classic
-        // mode (ready_at stays 0).
-        progress |= self.active.iter().any(|p| p.ready_at > round);
+        // quiescent while one is still traveling.
+        progress |= self.link.as_ref().is_some_and(|w| w.in_flight(round));
 
         self.metrics.rounds = round + 1;
         if progress {

@@ -2,12 +2,13 @@
 //!
 //! SR, SR-SC and AR each have one engine. The classic drive runs it
 //! with no link; the event drive gives it a network link, so every
-//! inter-cell exchange becomes a typed envelope ([`wsn_coverage::actor`])
-//! routed through a network model and queued on a virtual clock. The
-//! honesty argument: under [`NetModelSpec::Ideal`] every envelope
-//! arrives at the start of the next round, which is exactly when the
-//! classic drive's axiomatic delivery would have acted on it, so the
-//! link and queue must reproduce the classic reports **byte for byte**
+//! inter-cell exchange becomes a message sent over a
+//! [`wsn_coverage::actor::Wire`], routed through a network model and
+//! acted on from its arrival round. The honesty argument: under
+//! [`NetModelSpec::Ideal`] every message arrives at the start of the
+//! next round, which is exactly when the classic drive's axiomatic
+//! delivery would have acted on it, so the wire must reproduce the
+//! classic reports **byte for byte**
 //! — same metrics (including `rounds`), same per-process summaries,
 //! same RNG draw order. This suite pins that equivalence across a seeded
 //! scenario grid (single-cycle and dual-path grids, masked regions,
@@ -340,8 +341,8 @@ proptest! {
 fn one_message_per_backward_hop_under_ideal_weather() {
     // Theorem anchor (paper §IV): a snake-like replacement notifies
     // exactly once per backward hop. In the event engine every
-    // backward hop is one `hole_announce` envelope, so the traced
-    // envelope count must equal the classic runner's `messages`
+    // backward hop is one `hole_announce` message, so the traced
+    // message count must equal the classic runner's `messages`
     // counter — the classic counter *is* the hop count.
     for (cols, rows, holes, per_cell) in scenario_grid() {
         for seed in [11u64, 47] {

@@ -4,38 +4,49 @@
 //! Each round scheme has one engine ([`crate::SrProtocol`],
 //! [`crate::ShortcutProtocol`], `wsn_baselines::ArProtocol`). Under
 //! [`DriveMode::Classic`] it runs with no link: a notification sent
-//! this round is *known* next round, and nothing is routed, queued or
-//! counted. Under [`DriveMode::EventDriven`] the same engine holds a
-//! [`NetLink`], and every inter-cell exchange becomes an envelope routed
-//! through it:
+//! this round is *known* next round, and nothing is routed or counted.
+//! Under [`DriveMode::EventDriven`] the same engine holds a [`Wire`],
+//! the one path every inter-cell message of the event drive takes:
 //!
-//! * **`MonitorProbe`** — the monitoring head's same-tick occupancy
+//! * **`monitor_probe`** — the monitoring head's same-tick occupancy
 //!   probe of its watched cell. A dropped probe defers detection to the
 //!   next round.
-//! * **`HoleAnnounce`** — the backward notification carrying the
-//!   cascade. It is the protocol's *baton*: the asked head acts only
-//!   while holding it. A dropped announce loses the baton
+//! * **`hole_announce`** — SR's and SR-SC's backward notification
+//!   carrying the cascade. It is the protocol's *baton*: the asked head
+//!   acts only while holding it. A dropped announce loses the baton
 //!   ([`ProtocolHealth::lost_cascades`]); a slow one leaves the
 //!   receiving head ignorant, and an ignorant monitor re-initiates the
 //!   repair ([`ProtocolHealth::duplicate_initiations`]).
-//! * **`SpareRequest` / `MoveNotify`** — intra-cell head↔spare
-//!   exchanges; a cell is one radio neighborhood, so these never
-//!   traverse the lossy channel (counted, not routed).
-//! * **`MoveAck`** — the filled cell's new head confirming arrival to
-//!   the dispatcher; informational.
+//! * **`cascade_ask`** — AR's ask to the next head of its cascade.
+//! * **`move_ack`** — the filled cell's new head confirming arrival to
+//!   the dispatcher; informational, but the run is not quiescent until
+//!   it lands.
+//!
+//! Intra-cell head↔spare exchanges never traverse the lossy channel: a
+//! cell is one radio neighborhood, so they are counted, not routed.
+//!
+//! No message waits in a queue. Under every network model a message
+//! that survives arrives [`NetModelSpec::latency_ticks`] rounds after it
+//! is sent, so [`Wire::send`] returns that arrival round and the sender
+//! keeps it: a baton in flight is `BatonState::InFlight { at }`. At the
+//! start of each round SR and SR-SC land the batons due, walking their
+//! active processes in id order. That is the order in which the batons
+//! were sent: every baton due in round `t` was sent in round
+//! `t − latency` by a process step, steps run in id order, and a
+//! process has at most one baton in flight.
 //!
 //! # The conformance contract
 //!
-//! Under [`NetModelSpec::Ideal`] every envelope is delivered on the
-//! classic one-round cadence, so the link and queue must reproduce
-//! axiomatic delivery draw-for-draw: the run RNG sees the identical
-//! call sequence (link randomness lives in a separate
-//! [`derive_stream_seed`]ed stream), rounds make the identical progress
-//! verdicts, and the resulting [`SchemeReport`]s are byte-identical to
-//! the classic drives of [`crate::Sr`] and [`crate::SrSc`].
-//! The conformance battery in the bench crate pins this over a scenario
-//! grid; degraded models then *measure* what the synchronous model
-//! assumes away, in [`SchemeReport::health`].
+//! Under [`NetModelSpec::Ideal`] every message arrives on the classic
+//! one-round cadence, so the wire must reproduce axiomatic delivery
+//! draw-for-draw: the run RNG sees the identical call sequence (link
+//! randomness lives in a separate [`derive_stream_seed`]ed stream),
+//! rounds make the identical progress verdicts, and the resulting
+//! [`SchemeReport`]s are byte-identical to the classic drives of
+//! [`crate::Sr`] and [`crate::SrSc`]. The conformance battery in the
+//! bench crate pins this over a scenario grid; degraded models then
+//! *measure* what the synchronous model assumes away, in
+//! [`SchemeReport::health`].
 //!
 //! [`DriveMode::Classic`]: crate::DriveMode::Classic
 //! [`DriveMode::EventDriven`]: crate::DriveMode::EventDriven
@@ -43,20 +54,22 @@
 //! [`SchemeReport::health`]: crate::SchemeReport::health
 //! [`ProtocolHealth::lost_cascades`]: wsn_simcore::ProtocolHealth::lost_cascades
 //! [`ProtocolHealth::duplicate_initiations`]: wsn_simcore::ProtocolHealth::duplicate_initiations
+//! [`NetModelSpec::latency_ticks`]: wsn_simcore::NetModelSpec::latency_ticks
+//! [`NetModelSpec::Ideal`]: wsn_simcore::NetModelSpec::Ideal
 
 use wsn_grid::{GridCoord, GridSystem};
-use wsn_simcore::{
-    derive_stream_seed, EventQueue, Fate, NetLink, NetModelSpec, TraceEvent, TraceLog,
-};
+use wsn_simcore::{derive_stream_seed, NetLink, ProtocolHealth, TraceEvent, TraceLog};
+
+use crate::DriveMode;
 
 /// Stream tag separating the network-model RNG from the run RNG: links
 /// of a run seeded `seed` draw from
 /// `derive_stream_seed(seed, &[NET_STREAM_TAG])`, so
 /// under `Ideal` (no link draws at all) the run RNG sees the
-/// byte-identical sequence the classic drive does. Every scheme that
-/// joins the event drive derives its link seed the same way, so a given
-/// `(seed, net model)` is the same weather for every scheme.
-pub const NET_STREAM_TAG: u64 = 0x004E_4554; // "NET"
+/// byte-identical sequence the classic drive does. Every scheme's wire
+/// derives its link seed the same way, so a given `(seed, net model)`
+/// is the same weather for every scheme.
+const NET_STREAM_TAG: u64 = 0x004E_4554; // "NET"
 
 /// The link endpoint of `cell`: its dense row-major index, the fate
 /// function's stream coordinate. Positions are not part of it; a link
@@ -65,19 +78,19 @@ pub const NET_STREAM_TAG: u64 = 0x004E_4554; // "NET"
 /// # Panics
 ///
 /// Panics when `cell` is outside `sys`.
-pub fn cell_endpoint(sys: &GridSystem, cell: GridCoord) -> u64 {
+pub(crate) fn cell_endpoint(sys: &GridSystem, cell: GridCoord) -> u64 {
     sys.index_of(cell).expect("protocol cells are in bounds") as u64
 }
 
 /// The position function a [`NetLink`] routes with: the center, in
 /// meters, of the cell at link endpoint `index`. Only
-/// [`NetModelSpec::Jammer`] calls it, so no other model builds a cell
-/// rectangle.
+/// [`wsn_simcore::NetModelSpec::Jammer`] calls it, so no other model
+/// builds a cell rectangle.
 ///
 /// # Panics
 ///
 /// The returned function panics on an index outside `sys`.
-pub fn cell_center(sys: &GridSystem) -> impl Fn(u64) -> (f64, f64) + '_ {
+pub(crate) fn cell_center(sys: &GridSystem) -> impl Fn(u64) -> (f64, f64) + '_ {
     move |index| {
         let c = sys
             .cell_center(sys.coord_of(index as usize))
@@ -92,89 +105,82 @@ pub fn cell_center(sys: &GridSystem) -> impl Fn(u64) -> (f64, f64) + '_ {
 pub(crate) enum BatonState {
     /// The asked head holds the notification and can act.
     Held,
-    /// The notification is in transit; delivery is scheduled.
-    InFlight,
+    /// The notification is in transit and lands at the start of round
+    /// `at`.
+    InFlight {
+        /// The arrival round [`Wire::send`] returned.
+        at: u64,
+    },
     /// The network dropped the notification; nobody holds the baton.
     Lost,
 }
 
-/// Scheduled deliveries (the event queue's payload).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Envelope {
-    /// The cascade baton arriving at the asked cell of `process`.
-    HoleAnnounce {
-        /// Raw [`crate::ProcessId`] of the owning process.
-        process: u64,
-    },
-    /// Informational convergence confirmation; delivery is a no-op.
-    MoveAck,
-}
-
-impl Envelope {
-    /// The kind token its `NetMessage` trace events carry.
-    fn name(&self) -> &'static str {
-        match self {
-            Envelope::HoleAnnounce { .. } => "hole_announce",
-            Envelope::MoveAck => "move_ack",
-        }
+impl BatonState {
+    /// Whether this baton lands by `round`.
+    pub(crate) fn is_due(self, round: u64) -> bool {
+        matches!(self, BatonState::InFlight { at } if at <= round)
     }
 }
 
-/// What SR and SR-SC hold only under the event drive: the network link
-/// (with the run's health ledger) and the envelopes in flight on it.
+/// What a scheme holds only under the event drive: the network link,
+/// with the run's health ledger, and the latest arrival round of the
+/// messages sent on it.
 #[derive(Debug)]
-pub(crate) struct Wire {
+pub struct Wire {
     pub(crate) link: NetLink,
-    queue: EventQueue<Envelope>,
+    /// The arrival round of the last message sent that will arrive (0
+    /// before the first). The latency is the link's constant, so it is
+    /// also the latest.
+    last_arrival: u64,
 }
 
 impl Wire {
-    /// A wire over `spec`'s network model for the run seeded `seed`.
-    pub(crate) fn new(spec: NetModelSpec, seed: u64) -> Wire {
-        Wire {
-            link: spec.link(derive_stream_seed(seed, &[NET_STREAM_TAG])),
-            queue: EventQueue::new(),
+    /// The wire of `drive` for the run seeded `seed`: `None` for
+    /// [`DriveMode::Classic`], which routes and counts nothing.
+    pub fn for_drive(drive: DriveMode, seed: u64) -> Option<Wire> {
+        match drive {
+            DriveMode::Classic => None,
+            DriveMode::EventDriven { net } => Some(Wire {
+                link: net.link(derive_stream_seed(seed, &[NET_STREAM_TAG])),
+                last_arrival: 0,
+            }),
         }
     }
 
-    /// Sends `envelope` from `from` to `to` in `round`: routes it,
-    /// schedules its delivery unless the network drops it, and traces
-    /// it. Returns whether it will arrive.
-    pub(crate) fn send(
+    /// Sends a `msg` message (its trace kind, e.g. `hole_announce`) from
+    /// `from` to `to` in `round`: routes it and traces it. Returns its
+    /// arrival round, `round + latency_ticks()`, or `None` when the
+    /// network drops it.
+    pub fn send(
         &mut self,
         sys: &GridSystem,
         from: GridCoord,
         to: GridCoord,
-        envelope: Envelope,
+        msg: &'static str,
         round: u64,
         trace: &mut TraceLog,
-    ) -> bool {
-        let msg = envelope.name();
-        let fate = self.link.route(
+    ) -> Option<u64> {
+        let arrives = self.link.route(
             cell_endpoint(sys, from),
             cell_endpoint(sys, to),
             cell_center(sys),
         );
-        let deliver_at = match fate {
-            Fate::Deliver(extra) => {
-                let at = round + 1 + extra;
-                self.queue.schedule(at, envelope);
-                Some(at)
-            }
-            Fate::Drop => None,
-        };
+        let deliver_at = arrives.then(|| round + u64::from(self.link.spec().latency_ticks()));
+        if let Some(at) = deliver_at {
+            self.last_arrival = at;
+        }
         trace.record_with(round, || TraceEvent::NetMessage {
             msg: msg.into(),
             from: from.into(),
             to: to.into(),
             deliver_at,
         });
-        deliver_at.is_some()
+        deliver_at
     }
 
     /// The monitor's same-tick occupancy probe of `hole`, traced.
     /// Returns whether it got through.
-    pub(crate) fn probe(
+    pub fn probe(
         &mut self,
         sys: &GridSystem,
         monitor: GridCoord,
@@ -182,7 +188,7 @@ impl Wire {
         round: u64,
         trace: &mut TraceLog,
     ) -> bool {
-        let probed = self.link.sense(
+        let probed = self.link.route(
             cell_endpoint(sys, monitor),
             cell_endpoint(sys, hole),
             cell_center(sys),
@@ -196,17 +202,20 @@ impl Wire {
         probed
     }
 
-    /// The next envelope due by `round`, if any.
-    pub(crate) fn pop_due(&mut self, round: u64) -> Option<Envelope> {
-        self.queue.pop_due(round).map(|s| s.payload)
+    /// Whether a message sent by the end of `round` is still to arrive.
+    /// That is scheduled work: a run must not go quiescent while a baton
+    /// or an ack is in the air. Every arrival round is at least the
+    /// round after the send, and the batons due by `round` landed at its
+    /// start, so this is exactly "a message is in flight". Under `Ideal`
+    /// every message sent in a progress round arrives in the next, so
+    /// this never changes a classic quiescence verdict.
+    pub fn in_flight(&self, round: u64) -> bool {
+        self.last_arrival > round
     }
 
-    /// Whether envelopes are still in flight. That is scheduled work: a
-    /// run must not go quiescent while a baton is in the air. Under
-    /// `Ideal` every envelope scheduled in a progress round drains in
-    /// the next, so this never changes a classic quiescence verdict.
-    pub(crate) fn in_flight(&self) -> bool {
-        !self.queue.is_empty()
+    /// The run's health ledger.
+    pub fn health(&mut self) -> &mut ProtocolHealth {
+        &mut self.link.health
     }
 }
 
@@ -216,7 +225,7 @@ mod tests {
     use crate::scheme::{DriveMode, ReplacementScheme, Sr, SrSc};
     use crate::SrConfig;
     use wsn_grid::{deploy, GridNetwork};
-    use wsn_simcore::{NodeId, ProtocolHealth, SimRng};
+    use wsn_simcore::{NetModelSpec, NodeId, ProtocolHealth, SimRng};
 
     const IDEAL: DriveMode = DriveMode::EventDriven {
         net: NetModelSpec::Ideal,

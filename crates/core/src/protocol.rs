@@ -32,15 +32,16 @@
 //!
 //! One engine serves both drives. The classic drive has no link, so a
 //! notification is known the round after it is sent. The event drive
-//! ([`DriveMode::EventDriven`]) adds a step 0 — envelopes due this
-//! round arrive first — and a process acts only while its asked head
-//! holds the notification baton ([`crate::actor`]).
+//! ([`DriveMode::EventDriven`]) adds a step 0 — the batons due this
+//! round land first, in process-id order — and a process acts only
+//! while its asked head holds the notification baton
+//! ([`crate::actor`]).
 
 use wsn_grid::{GridCoord, GridNetwork};
 use wsn_hamilton::{BackwardStep, CycleTopology};
 use wsn_simcore::{Metrics, ProtocolHealth, RoundOutcome, RoundProtocol, TraceEvent, TraceLog};
 
-use crate::actor::{BatonState, Envelope, Wire};
+use crate::actor::{BatonState, Wire};
 use crate::process::ProcessId;
 use crate::run::Run;
 use crate::scheme::{DriveMode, ProtocolOutcome, SchemeProtocol};
@@ -149,7 +150,7 @@ struct SrLink {
 /// Under [`DriveMode::Classic`] it has no link: notifications are known
 /// the round after they are sent. Under [`DriveMode::EventDriven`] the
 /// same rounds route every inter-cell exchange through a network model
-/// (the [`crate::actor`] envelopes), so latency and loss become
+/// (the [`crate::actor`] messages), so latency and loss become
 /// protocol inputs.
 ///
 /// Most callers run SR through [`crate::Sr`], which hands this to
@@ -160,15 +161,15 @@ pub struct SrProtocol<'n> {
     run: Run<'n>,
     topo: CycleTopology,
     /// Active processes, in id order (ids are issued ascending and
-    /// compaction keeps order), so deliveries find theirs by binary
-    /// search. A process that ends mid-round stays as a tombstone until
+    /// compaction keeps order), which is the order their batons land
+    /// in. A process that ends mid-round stays as a tombstone until
     /// [`Self::compact`] at the end of the round's steps.
     active: Vec<ActiveProcess>,
     /// Active processes per `current_vacant` cell: detection's "already
     /// owned" check without scanning `active`.
     owners: OwnerCounts,
     /// The network model under the event drive; `None` in the classic
-    /// drive, which routes, queues and counts nothing.
+    /// drive, which routes and counts nothing.
     link: Option<SrLink>,
 }
 
@@ -179,7 +180,7 @@ impl<'n> SrProtocol<'n> {
     /// nothing).
     ///
     /// Under [`DriveMode::EventDriven`] the link draws from its own
-    /// stream of `seed` (tag [`crate::actor::NET_STREAM_TAG`]), so under
+    /// stream of `seed` ([`Wire::for_drive`]), so under
     /// [`wsn_simcore::NetModelSpec::Ideal`] the run equals the classic
     /// one.
     ///
@@ -201,14 +202,11 @@ impl<'n> SrProtocol<'n> {
             "topology and network dimensions must match"
         );
         let owners = OwnerCounts::new(net.system());
-        let link = match drive {
-            DriveMode::Classic => None,
-            DriveMode::EventDriven { net: spec } => Some(SrLink {
-                wire: Wire::new(spec, seed),
-                held: owners.clone(),
-                vacated_at: vec![0; net.system().cell_count()],
-            }),
-        };
+        let link = Wire::for_drive(drive, seed).map(|wire| SrLink {
+            wire,
+            held: owners.clone(),
+            vacated_at: vec![0; net.system().cell_count()],
+        });
         SrProtocol {
             run: Run::new(net, config, seed, trace),
             topo,
@@ -230,7 +228,7 @@ impl<'n> SrProtocol<'n> {
 
     /// The health ledger, under the event drive.
     fn health(&mut self) -> Option<&mut ProtocolHealth> {
-        self.link.as_mut().map(|l| &mut l.wire.link.health)
+        self.link.as_mut().map(|l| l.wire.health())
     }
 
     /// Marks all still-active processes failed (at the end of the run,
@@ -404,18 +402,13 @@ impl<'n> SrProtocol<'n> {
             .fail(p.id, round, "superseded by a duplicate repair");
     }
 
-    /// Delivers every envelope due this round. Returns `true` when a
-    /// delivery ended a process (a superseded repair).
-    fn drain_due(&mut self, round: u64) -> bool {
+    /// Lands every baton due this round, in id order (the order they
+    /// were sent in; see [`crate::actor`]). Returns `true` when a landing
+    /// ended a process (a superseded repair).
+    fn land_due(&mut self, round: u64) -> bool {
         let mut progress = false;
-        while let Some(envelope) = self.link.as_mut().and_then(|l| l.wire.pop_due(round)) {
-            let Envelope::HoleAnnounce { process } = envelope else {
-                continue;
-            };
-            let Ok(i) = self.active.binary_search_by_key(&process, |p| p.id.raw()) else {
-                continue;
-            };
-            if self.active[i].retired {
+        for i in 0..self.active.len() {
+            if !self.active[i].baton.is_due(round) {
                 continue;
             }
             if self.is_occupied(self.active[i].current_vacant) {
@@ -471,7 +464,7 @@ impl<'n> SrProtocol<'n> {
         if let Some(spare) = spare {
             // Algorithm 1 step 2: a spare fills the vacancy; converge.
             // Head → co-located spare: ask, then order the move. One
-            // radio neighborhood, so neither envelope can be lost.
+            // radio neighborhood, so neither message can be lost.
             if let Some(link) = &mut self.link {
                 link.wire.link.local(); // SpareRequest
                 link.wire.link.local(); // MoveNotify
@@ -483,8 +476,7 @@ impl<'n> SrProtocol<'n> {
                 let (from, to) = (p.current_vacant, p.asked);
                 let sys = self.run.net.system();
                 let trace = &mut self.run.trace;
-                link.wire
-                    .send(sys, from, to, Envelope::MoveAck, round, trace);
+                link.wire.send(sys, from, to, "move_ack", round, trace);
             }
             return true;
         }
@@ -503,24 +495,19 @@ impl<'n> SrProtocol<'n> {
                         from: p.asked.into(),
                         to: next_asked.into(),
                     });
-                // … then, over a link, the envelope takes its chances on
+                // … then, over a link, the message takes its chances on
                 // the channel.
                 let baton = match &mut self.link {
                     None => BatonState::Held,
                     Some(link) => {
-                        let announce = Envelope::HoleAnnounce {
-                            process: p.id.raw(),
-                        };
-                        let sys = run.net.system();
-                        let trace = &mut run.trace;
-                        if link
-                            .wire
-                            .send(sys, p.asked, next_asked, announce, round, trace)
-                        {
-                            BatonState::InFlight
-                        } else {
-                            link.wire.link.health.lost_cascades += 1;
-                            BatonState::Lost
+                        let (sys, trace) = (run.net.system(), &mut run.trace);
+                        let (from, to) = (p.asked, next_asked);
+                        match link.wire.send(sys, from, to, "hole_announce", round, trace) {
+                            Some(at) => BatonState::InFlight { at },
+                            None => {
+                                link.wire.health().lost_cascades += 1;
+                                BatonState::Lost
+                            }
                         }
                     }
                 };
@@ -615,7 +602,7 @@ impl<'n> SrProtocol<'n> {
                 if self.owners.is_owned_at(idx) {
                     // A stale owner exists after all: this initiation
                     // duplicates a cascade the monitor could not observe.
-                    link.wire.link.health.duplicate_initiations += 1;
+                    link.wire.health().duplicate_initiations += 1;
                 }
             }
             self.enlist(ActiveProcess {
@@ -653,7 +640,7 @@ impl SchemeProtocol for SrProtocol<'_> {
         ProtocolOutcome {
             metrics: self.run.metrics,
             processes: self.run.summaries,
-            health: self.link.map(|l| l.wire.link.health).unwrap_or_default(),
+            health: self.link.map(|mut l| *l.wire.health()).unwrap_or_default(),
             trace: self.run.trace,
         }
     }
@@ -661,35 +648,12 @@ impl SchemeProtocol for SrProtocol<'_> {
 
 impl RoundProtocol for SrProtocol<'_> {
     fn execute_round(&mut self, round: u64) -> RoundOutcome {
-        // 0. Due envelopes arrive before anyone acts this round.
-        let mut progress = self.drain_due(round);
-        let run = &mut self.run;
+        // 0. The batons due this round land before anyone acts.
+        let mut progress = self.link.is_some() && self.land_due(round);
 
         // 1. Scheduled faults fire at the start of the round.
-        let fault_events: Vec<_> = run.config.fault_plan.events_at(round).cloned().collect();
-        for ev in fault_events {
-            let killed = run.net.apply_fault(&ev, &mut run.rng);
-            if !killed.is_empty() {
-                // The network changed; previously unfillable holes are
-                // worth re-detecting (conservative but safe).
-                run.failed_holes.clear();
-            }
-            for id in &killed {
-                let cell = run
-                    .net
-                    .system()
-                    .cell_of(run.net.node(*id).expect("deployed").position())
-                    .expect("positions stay in the area");
-                run.trace.record(
-                    round,
-                    TraceEvent::NodeDisabled {
-                        node: *id,
-                        cell: cell.into(),
-                    },
-                );
-            }
-            progress |= !killed.is_empty();
-        }
+        progress |= self.run.apply_faults(round);
+        let run = &mut self.run;
 
         // 2. Local head repair (election within the cell; no movement),
         //    plus periodic rotation when configured (§2: "the role of
@@ -720,16 +684,8 @@ impl RoundProtocol for SrProtocol<'_> {
         // 5. Surveillance duty (battery dynamics only).
         progress |= self.run.drain_idle_heads();
 
-        // The run must not go quiescent while scheduled faults are still
-        // pending — an idle network can be re-holed at any planned round
-        // — nor while envelopes are in flight.
-        progress |= self
-            .run
-            .config
-            .fault_plan
-            .last_round()
-            .is_some_and(|r| r > round);
-        progress |= self.link.as_ref().is_some_and(|l| l.wire.in_flight());
+        // The run must not go quiescent while messages are in flight.
+        progress |= self.link.as_ref().is_some_and(|l| l.wire.in_flight(round));
 
         self.run.metrics.rounds = round + 1;
         if progress {

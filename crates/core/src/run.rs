@@ -130,6 +130,43 @@ impl<'n> Run<'n> {
         });
     }
 
+    /// Fires the faults the plan schedules for `round`, tracing each node
+    /// they disable. A death changes the network, so previously
+    /// unfillable holes are worth re-detecting (conservative but safe):
+    /// it clears `failed_holes`.
+    ///
+    /// Returns whether faults keep the round live: a node died, or the
+    /// plan schedules more after `round` (an idle network can be
+    /// re-holed at any planned round, so the run must not go quiescent
+    /// before then).
+    pub(crate) fn apply_faults(&mut self, round: u64) -> bool {
+        let mut died = false;
+        for event in self.config.fault_plan.events_at(round) {
+            let killed = self.net.apply_fault(event, &mut self.rng);
+            if !killed.is_empty() {
+                died = true;
+                self.failed_holes.clear();
+            }
+            for &node in &killed {
+                let net = &*self.net;
+                self.trace.record_with(round, || {
+                    let position = net.node(node).expect("deployed").position();
+                    let cell = net.system().cell_of(position);
+                    TraceEvent::NodeDisabled {
+                        node,
+                        cell: cell.expect("positions stay in the area").into(),
+                    }
+                });
+            }
+        }
+        let pending = self
+            .config
+            .fault_plan
+            .last_round()
+            .is_some_and(|r| r > round);
+        died || pending
+    }
+
     /// Moves `node` into the central area of `target` as its head, bills
     /// and traces the move, and books it as one hop of `process`.
     ///

@@ -304,7 +304,7 @@ pub struct SchemeReport {
     /// (the synchronous model has no network to lose messages in);
     /// populated by [`DriveMode::EventDriven`].
     /// Excluded from equality: conformance compares the classic engine
-    /// (no envelope accounting) against the event engine (full
+    /// (no message accounting) against the event engine (full
     /// accounting) on everything the paper measures.
     pub health: ProtocolHealth,
 }

@@ -44,7 +44,7 @@ use wsn_grid::{GridCoord, GridNetwork};
 use wsn_hamilton::{CycleTopology, HamiltonCycle, MaskedCycle};
 use wsn_simcore::{RoundOutcome, RoundProtocol, TraceEvent, TraceLog};
 
-use crate::actor::{cell_center, cell_endpoint, BatonState, Envelope, Wire};
+use crate::actor::{cell_center, cell_endpoint, BatonState, Wire};
 use crate::process::ProcessId;
 use crate::run::Run;
 use crate::scheme::{DriveMode, ProtocolOutcome, SchemeProtocol};
@@ -123,15 +123,14 @@ struct ScProcess {
 pub struct ShortcutProtocol<'n> {
     run: Run<'n>,
     cycle: ScRing,
-    /// Active processes, in id order, so deliveries find theirs by
-    /// binary search. A process that ends during the round's steps stays
-    /// as a tombstone until [`Self::compact`].
+    /// Active processes, in id order. A process that ends during the
+    /// round's steps stays as a tombstone until [`Self::compact`].
     active: Vec<ScProcess>,
     /// Active processes per `hole`: detection's "already served" check
     /// without scanning `active`.
     owners: OwnerCounts,
     /// The network model under the event drive; `None` in the classic
-    /// drive, which routes, queues and counts nothing.
+    /// drive, which routes and counts nothing.
     link: Option<Wire>,
 }
 
@@ -148,17 +147,12 @@ impl<'n> ShortcutProtocol<'n> {
         drive: DriveMode,
         trace: TraceLog,
     ) -> Self {
-        let owners = OwnerCounts::new(net.system());
-        let link = match drive {
-            DriveMode::Classic => None,
-            DriveMode::EventDriven { net: spec } => Some(Wire::new(spec, seed)),
-        };
         ShortcutProtocol {
+            owners: OwnerCounts::new(net.system()),
             run: Run::new(net, config, seed, trace),
             cycle,
             active: Vec::new(),
-            owners,
-            link,
+            link: Wire::for_drive(drive, seed),
         }
     }
 
@@ -170,7 +164,7 @@ impl<'n> ShortcutProtocol<'n> {
                 "no reachable spare (run ended)"
             } else {
                 if let Some(wire) = &mut self.link {
-                    wire.link.health.stalled_repairs += 1;
+                    wire.health().stalled_repairs += 1;
                 }
                 "notification lost in the network (run ended)"
             };
@@ -248,13 +242,11 @@ impl<'n> ShortcutProtocol<'n> {
         wire.link.sense_bulk(count, beacons, cell_center(sys));
     }
 
-    /// Delivers due envelopes; courier batons become actionable.
-    fn drain_due(&mut self, round: u64) {
-        while let Some(envelope) = self.link.as_mut().and_then(|w| w.pop_due(round)) {
-            if let Envelope::HoleAnnounce { process } = envelope {
-                if let Ok(i) = self.active.binary_search_by_key(&process, |p| p.id.raw()) {
-                    self.active[i].baton = BatonState::Held;
-                }
+    /// Lands the courier batons due this round; they become actionable.
+    fn land_due(&mut self, round: u64) {
+        for p in &mut self.active {
+            if p.baton.is_due(round) {
+                p.baton = BatonState::Held;
             }
         }
     }
@@ -280,7 +272,7 @@ impl<'n> ShortcutProtocol<'n> {
             if let Some(wire) = &mut self.link {
                 let sys = self.run.net.system();
                 let trace = &mut self.run.trace;
-                wire.send(sys, p.hole, p.courier, Envelope::MoveAck, round, trace);
+                wire.send(sys, p.hole, p.courier, "move_ack", round, trace);
             }
             return true;
         }
@@ -313,15 +305,14 @@ impl<'n> ShortcutProtocol<'n> {
                 to: target.into(),
             });
         if let Some(wire) = &mut self.link {
-            let announce = Envelope::HoleAnnounce {
-                process: p.id.raw(),
-            };
             let (sys, trace) = (run.net.system(), &mut run.trace);
-            self.active[i].baton = if wire.send(sys, p.courier, target, announce, round, trace) {
-                BatonState::InFlight
-            } else {
-                wire.link.health.lost_cascades += 1;
-                BatonState::Lost
+            let (from, to) = (p.courier, target);
+            self.active[i].baton = match wire.send(sys, from, to, "hole_announce", round, trace) {
+                Some(at) => BatonState::InFlight { at },
+                None => {
+                    wire.health().lost_cascades += 1;
+                    BatonState::Lost
+                }
             };
         }
         true
@@ -379,7 +370,7 @@ impl SchemeProtocol for ShortcutProtocol<'_> {
         ProtocolOutcome {
             metrics: self.run.metrics,
             processes: self.run.summaries,
-            health: self.link.map(|w| w.link.health).unwrap_or_default(),
+            health: self.link.map(|mut w| *w.health()).unwrap_or_default(),
             trace: self.run.trace,
         }
     }
@@ -387,17 +378,11 @@ impl SchemeProtocol for ShortcutProtocol<'_> {
 
 impl RoundProtocol for ShortcutProtocol<'_> {
     fn execute_round(&mut self, round: u64) -> RoundOutcome {
-        let mut progress = false;
-        self.drain_due(round);
-        let run = &mut self.run;
-        let fault_events: Vec<_> = run.config.fault_plan.events_at(round).cloned().collect();
-        for ev in fault_events {
-            let killed = run.net.apply_fault(&ev, &mut run.rng);
-            if !killed.is_empty() {
-                run.failed_holes.clear();
-                progress = true;
-            }
+        if self.link.is_some() {
+            self.land_due(round);
         }
+        let mut progress = self.run.apply_faults(round);
+        let run = &mut self.run;
         progress |= run.net.repair_heads(run.config.election, &mut run.rng) > 0;
         self.gossip();
         for i in 0..self.active.len() {
@@ -407,13 +392,7 @@ impl RoundProtocol for ShortcutProtocol<'_> {
         progress |= self.detect_and_initiate(round).any_activity();
         // Surveillance duty (battery dynamics only), as SR's heads pay it.
         progress |= self.run.drain_idle_heads();
-        progress |= self
-            .run
-            .config
-            .fault_plan
-            .last_round()
-            .is_some_and(|r| r > round);
-        progress |= self.link.as_ref().is_some_and(Wire::in_flight);
+        progress |= self.link.as_ref().is_some_and(|w| w.in_flight(round));
         self.run.metrics.rounds = round + 1;
         if progress {
             RoundOutcome::Progress
@@ -567,6 +546,29 @@ mod tests {
         assert!(!report.fully_covered);
         assert!(report.metrics.energy > 20.0, "the chord is billed");
         net.debug_invariants();
+    }
+
+    #[test]
+    fn scheduled_faults_trace_one_node_disabled_per_victim() {
+        use wsn_simcore::fault::{FaultEvent, FaultPlan};
+        use wsn_simcore::TraceEvent;
+        let mut net = network_with_holes(&[GridCoord::new(2, 2)], 2, 17);
+        let cell = GridCoord::new(5, 6);
+        let victims: Vec<NodeId> = net.members(cell).unwrap().to_vec();
+        assert_eq!(victims.len(), 2);
+        let plan = FaultPlan::new().at(3, FaultEvent::KillNodes(victims.clone()));
+        let sc = SrSc::from_config(SrConfig::default().with_fault_plan(plan));
+        let (report, trace) = sc.run_traced(&mut net, 17, DriveMode::Classic).unwrap();
+        assert!(report.fully_covered, "{report}");
+        let disabled: Vec<(u64, NodeId, (u16, u16))> = trace
+            .of_kind("node_disabled")
+            .map(|r| match r.event {
+                TraceEvent::NodeDisabled { node, cell } => (r.round, node, cell),
+                _ => unreachable!(),
+            })
+            .collect();
+        let expected: Vec<_> = victims.iter().map(|&id| (3, id, cell.into())).collect();
+        assert_eq!(disabled, expected);
     }
 
     #[test]

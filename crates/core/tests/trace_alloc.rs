@@ -1,5 +1,5 @@
 //! An untraced event-driven run must not pay for the trace it does not
-//! keep: every routed envelope has a `NetMessage` trace event, and under
+//! keep: every routed message has a `NetMessage` trace event, and under
 //! loss the event-driven SR can retire a duplicate per hop, each with a
 //! `ProcessFailed` event. Both own heap-allocated strings. This binary holds a single test, so
 //! its counting global allocator sees no other test's allocations.
@@ -73,7 +73,7 @@ fn untraced_event_runs_allocate_far_less_than_they_route() {
         assert!(trace.is_empty());
         assert!(routed > 5_000, "{spec}: a long run, {routed} messages");
         // Building every `NetMessage` event would cost at least one
-        // allocation per routed envelope. What remains is per round, not
+        // allocation per routed message. What remains is per round, not
         // per message: debug builds recount the owner tables after every
         // detection sweep, and release builds allocate almost nothing.
         assert!(

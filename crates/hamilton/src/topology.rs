@@ -199,7 +199,8 @@ impl CycleTopology {
     ///
     /// Returns `None` when the walk is exhausted: the next cell would be
     /// the hole itself, i.e. the process has gone all the way around
-    /// without finding a spare.
+    /// without finding a spare. On dual paths a walk for hole `A` (or
+    /// `B`) is exhausted at the other special, the last cell it reaches.
     ///
     /// # Panics
     ///
@@ -218,7 +219,11 @@ impl CycleTopology {
             }
             CycleTopology::Dual(d) => {
                 if u == d.a() || u == d.b() {
-                    (d.c() != hole).then_some(BackwardStep::One(d.c()))
+                    // A walk for hole A (or B) reaches the other special
+                    // last, through C, the chain and D: it has visited
+                    // every other cell, so it is exhausted there too.
+                    let exhausted = hole == d.c() || hole == d.a() || hole == d.b();
+                    (!exhausted).then_some(BackwardStep::One(d.c()))
                 } else if u == d.d() {
                     // Both specials precede D. If one of them is the hole
                     // the fork degenerates to the other.
@@ -366,6 +371,11 @@ mod tests {
             t.backward_from(d.d(), d.b()),
             Some(BackwardStep::One(d.a()))
         );
+        // The walk for A then ends at B, having visited every other
+        // cell (and the walk for B at A); for a chain hole it goes on.
+        assert_eq!(t.backward_from(d.b(), d.a()), None);
+        assert_eq!(t.backward_from(d.a(), d.b()), None);
+        assert_eq!(t.backward_from(d.b(), hole), Some(BackwardStep::One(d.c())));
     }
 
     #[test]

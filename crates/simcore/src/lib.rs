@@ -16,12 +16,12 @@
 //!   battery state.
 //! * [`engine`] — the synchronous round loop, quiescent after two idle
 //!   rounds.
-//! * [`event`] — the virtual-clock binary-heap scheduler behind the
-//!   event-driven engine, with deterministic `(time, seq)` FIFO
-//!   tie-breaking.
 //! * [`net`] — network models (ideal, fixed-latency, Bernoulli loss,
 //!   jammer disk) with coordinate-addressed RNG streams, plus the
-//!   [`net::ProtocolHealth`] outcome block.
+//!   [`net::ProtocolHealth`] outcome block. A message that survives its
+//!   link arrives [`NetModelSpec::latency_ticks`] rounds after it is
+//!   sent, under every model, so the event drive needs no scheduler:
+//!   each message carries its arrival round.
 //! * [`fault`] — fault injection: random kills, targeted kills and a
 //!   moving-jammer region model (after Xu et al., *Jamming sensor
 //!   networks*, cited as \[8\] by the paper).
@@ -58,7 +58,6 @@
 
 pub mod energy;
 pub mod engine;
-pub mod event;
 pub mod fault;
 pub mod metrics;
 pub mod net;
@@ -70,10 +69,9 @@ pub mod trace;
 
 pub use energy::{Battery, EnergyModel};
 pub use engine::{EngineError, Quiescence, RoundOutcome, RoundProtocol, RoundRunner, RunReport};
-pub use event::{EventQueue, Scheduled};
 pub use fault::{FaultEvent, FaultPlan, Jammer};
 pub use metrics::Metrics;
-pub use net::{Fate, NetLink, NetModelSpec, PairHasher, ProtocolHealth};
+pub use net::{NetLink, NetModelSpec, PairHasher, ProtocolHealth};
 pub use node::{NodeId, NodeStatus, SensorNode};
 pub use replay::{diff_logs, shrink_fault_plan, Divergence, ShrinkReport, TraceDiff};
 pub use rng::{derive_stream_seed, SimRng};

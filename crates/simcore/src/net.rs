@@ -3,9 +3,12 @@
 //!
 //! The classic round loop bills a message the instant a head decides to
 //! send it — delivery is an axiom. The event engine routes every
-//! inter-cell envelope through a [`NetLink`] instead, and the link's
-//! [`NetModelSpec`] decides its fate: delivered after some delay, or
-//! dropped. Three properties are load-bearing:
+//! inter-cell message through a [`NetLink`] instead, and the link's
+//! [`NetModelSpec`] decides its fate: it arrives or it is dropped. Under
+//! every model a message that arrives does so
+//! [`NetModelSpec::latency_ticks`] rounds after it is sent, so its
+//! arrival round is known the moment it is routed. These properties are
+//! load-bearing:
 //!
 //! * **Coordinate-addressed weather.** A message's fate is a pure
 //!   function of `(net_seed, from_cell, to_cell, n)` where `n` counts
@@ -40,16 +43,6 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::rng::StreamRoot;
-
-/// The fate of one routed envelope.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fate {
-    /// Delivered after `extra` ticks beyond the engine's one-tick base
-    /// latency (0 = next tick, the classic round cadence).
-    Deliver(u64),
-    /// Lost in transit; the receiver never learns it existed.
-    Drop,
-}
 
 /// Declarative network-model selection — the `net` payload of
 /// `DriveMode::EventDriven` and the latency×loss axes of degraded
@@ -90,7 +83,9 @@ pub enum NetModelSpec {
 }
 
 impl NetModelSpec {
-    /// Effective delivery latency in ticks (always ≥ 1).
+    /// Effective delivery latency in ticks (always ≥ 1): every message
+    /// the link does not drop arrives exactly this many rounds after it
+    /// is sent.
     pub fn latency_ticks(&self) -> u32 {
         match *self {
             NetModelSpec::Ideal | NetModelSpec::Jammer { .. } => 1,
@@ -241,14 +236,9 @@ impl NetLink {
         self.spec
     }
 
-    /// Whether this link is the loss-free, unit-latency baseline.
-    pub fn is_ideal(&self) -> bool {
-        self.spec == NetModelSpec::Ideal
-    }
-
     /// Whether nothing routed on this link can be dropped (`Ideal`,
-    /// `FixedLatency` and a zero-loss `Bernoulli`): every fate is a
-    /// delivery after the spec's latency, whatever the endpoints.
+    /// `FixedLatency` and a zero-loss `Bernoulli`): every message
+    /// arrives, whatever the endpoints.
     fn is_loss_free(&self) -> bool {
         match self.spec {
             NetModelSpec::Ideal | NetModelSpec::FixedLatency { .. } => true,
@@ -257,16 +247,16 @@ impl NetLink {
         }
     }
 
-    /// The fate of the `n`-th message on the directed pair `from → to`
-    /// — pure in `(seed, from, to, n)`, independent of routing order
-    /// elsewhere. Only a lossy `Bernoulli` reads `n`: it drops when the
-    /// first output of the pair's stream `SimRng::for_stream(seed,
+    /// Whether the `n`-th message on the directed pair `from → to` is
+    /// dropped — pure in `(seed, from, to, n)`, independent of routing
+    /// order elsewhere. Only a lossy `Bernoulli` reads `n`: it drops when
+    /// the first output of the pair's stream `SimRng::for_stream(seed,
     /// &[from, to, n])`, reduced mod 10^6, falls below `loss_ppm`. That
     /// output is computed from the two generator words it reads, with
     /// the seed's own hashing step taken once per link. Only `Jammer`
     /// calls `center`.
-    fn fate_at(&self, from: u64, to: u64, n: u64, center: impl Fn(u64) -> (f64, f64)) -> Fate {
-        let dropped = match self.spec {
+    fn drops(&self, from: u64, to: u64, n: u64, center: impl Fn(u64) -> (f64, f64)) -> bool {
+        match self.spec {
             NetModelSpec::Ideal | NetModelSpec::FixedLatency { .. } => false,
             NetModelSpec::Bernoulli { loss_ppm, .. } => {
                 loss_ppm > 0
@@ -286,19 +276,17 @@ impl NetLink {
                 };
                 inside(center(from)) || inside(center(to))
             }
-        };
-        if dropped {
-            Fate::Drop
-        } else {
-            Fate::Deliver(u64::from(self.spec.latency_ticks()) - 1)
         }
     }
 
-    /// Routes one inter-cell envelope from cell `from` to cell `to`
+    /// Routes one inter-cell message from cell `from` to cell `to`
     /// (dense row-major indices), advancing the health ledger and, under
-    /// a lossy `Bernoulli`, the pair counter. `center` maps a cell index
-    /// to its center in meters; only the jammer calls it.
-    pub fn route(&mut self, from: u64, to: u64, center: impl Fn(u64) -> (f64, f64)) -> Fate {
+    /// a lossy `Bernoulli`, the pair counter. Returns whether it arrives:
+    /// one that does arrives [`NetModelSpec::latency_ticks`] rounds
+    /// after it is sent, and a same-tick sense (a 1-hop occupancy probe)
+    /// simply gets through. `center` maps a cell index to its center in
+    /// meters; only the jammer calls it.
+    pub fn route(&mut self, from: u64, to: u64, center: impl Fn(u64) -> (f64, f64)) -> bool {
         let n = match self.spec {
             NetModelSpec::Bernoulli { loss_ppm, .. } if loss_ppm > 0 => {
                 let count = self.pair_counts.entry((from, to)).or_insert(0);
@@ -307,25 +295,17 @@ impl NetLink {
             }
             _ => 0,
         };
-        let fate = self.fate_at(from, to, n, center);
+        let dropped = self.drops(from, to, n, center);
         self.health.messages_sent += 1;
-        if fate == Fate::Drop {
+        if dropped {
             self.health.messages_dropped += 1;
         }
-        fate
-    }
-
-    /// Routes a same-tick sense (a 1-hop occupancy probe): the carrier
-    /// either comes back clean or is jammed/lost — there is no latency
-    /// to a failed carrier sense. Returns `true` when the probe got
-    /// through.
-    pub fn sense(&mut self, from: u64, to: u64, center: impl Fn(u64) -> (f64, f64)) -> bool {
-        self.route(from, to, center) != Fate::Drop
+        !dropped
     }
 
     /// Routes `count` same-tick senses at once, one per `(from, to)` pair
     /// of `pairs`, with the same effect on the health ledger and on
-    /// every later fate as one [`NetLink::sense`] per pair. A loss-free
+    /// every later fate as one [`NetLink::route`] per pair. A loss-free
     /// link (zero-loss `Bernoulli` included) only adds `count` to
     /// `messages_sent` and never draws from `pairs`, so callers pass it
     /// lazily. A lossy `Bernoulli` and `Jammer` route each pair: each one
@@ -368,13 +348,13 @@ impl NetLink {
 /// failure modes the synchronous round model defines away, counted
 /// instead of assumed impossible. All counters are zero for classic
 /// runs and for event runs under [`NetModelSpec::Ideal`] (except the
-/// message tallies, which count real envelopes).
+/// message tallies, which count real messages).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ProtocolHealth {
-    /// Envelopes handed to the network (probes and acks included —
-    /// a superset of the billed `Metrics::messages`).
+    /// Messages handed to the network (probes and acks included — a
+    /// superset of the billed `Metrics::messages`).
     pub messages_sent: u64,
-    /// Envelopes the network dropped.
+    /// Messages the network dropped.
     pub messages_dropped: u64,
     /// Initiations for a hole that already had a live owner the
     /// monitor could not know about — the paper's "one and only one
@@ -400,16 +380,6 @@ impl ProtocolHealth {
             && self.lost_cascades == 0
             && self.stalled_repairs == 0
             && self.superseded_repairs == 0
-    }
-
-    /// Folds another run's counters into this one (campaign cells).
-    pub fn merge(&mut self, other: &ProtocolHealth) {
-        self.messages_sent += other.messages_sent;
-        self.messages_dropped += other.messages_dropped;
-        self.duplicate_initiations += other.duplicate_initiations;
-        self.lost_cascades += other.lost_cascades;
-        self.stalled_repairs += other.stalled_repairs;
-        self.superseded_repairs += other.superseded_repairs;
     }
 }
 
@@ -443,9 +413,11 @@ mod tests {
     fn ideal_and_fixed_latency_never_drop() {
         let mut ideal = NetModelSpec::Ideal.link(1);
         let mut fixed = NetModelSpec::FixedLatency { ticks: 4 }.link(1);
+        assert_eq!(ideal.spec().latency_ticks(), 1);
+        assert_eq!(fixed.spec().latency_ticks(), 4);
         for i in 0..100 {
-            assert_eq!(ideal.route(i, i + 1, line), Fate::Deliver(0));
-            assert_eq!(fixed.route(i, i + 1, line), Fate::Deliver(3));
+            assert!(ideal.route(i, i + 1, line));
+            assert!(fixed.route(i, i + 1, line));
         }
         assert_eq!(ideal.health.messages_dropped, 0);
         assert_eq!(fixed.health.messages_sent, 100);
@@ -463,7 +435,8 @@ mod tests {
             1
         );
         let mut link = NetModelSpec::FixedLatency { ticks: 0 }.link(9);
-        assert_eq!(link.route(0, 1, line), Fate::Deliver(0));
+        assert!(link.route(0, 1, line));
+        assert_eq!(link.spec().latency_ticks(), 1);
     }
 
     #[test]
@@ -479,12 +452,12 @@ mod tests {
         for i in 0..50 {
             b.route(90 + i, 91 + i, line); // unrelated traffic
         }
-        let fates_a: Vec<Fate> = (0..64).map(|_| a.route(3, 4, line)).collect();
-        let fates_b: Vec<Fate> = (0..64).map(|_| b.route(3, 4, line)).collect();
+        let fates_a: Vec<bool> = (0..64).map(|_| a.route(3, 4, line)).collect();
+        let fates_b: Vec<bool> = (0..64).map(|_| b.route(3, 4, line)).collect();
         assert_eq!(fates_a, fates_b);
         // The weather itself is pinned: these are the messages a 30%
         // model drops among the first 64 on this pair.
-        let drops: Vec<usize> = (0..64).filter(|&n| fates_a[n] == Fate::Drop).collect();
+        let drops: Vec<usize> = (0..64).filter(|&n| !fates_a[n]).collect();
         assert_eq!(
             drops,
             [
@@ -494,7 +467,7 @@ mod tests {
         );
         // Different seeds shift the weather.
         let mut c = spec.link(8);
-        let fates_c: Vec<Fate> = (0..64).map(|_| c.route(3, 4, line)).collect();
+        let fates_c: Vec<bool> = (0..64).map(|_| c.route(3, 4, line)).collect();
         assert_ne!(fates_a, fates_c);
     }
 
@@ -536,10 +509,11 @@ mod tests {
             latency: 1,
         }
         .link(3);
+        assert_eq!(never.spec().latency_ticks(), 2);
         for i in 0..32 {
-            assert_eq!(never.route(0, i, line), Fate::Deliver(1));
-            assert_eq!(always.route(0, i, line), Fate::Drop);
-            assert_eq!(over.route(0, i, line), Fate::Drop);
+            assert!(never.route(0, i, line));
+            assert!(!always.route(0, i, line));
+            assert!(!over.route(0, i, line));
         }
     }
 
@@ -557,10 +531,11 @@ mod tests {
             1 => (10.0, 15.0), // exactly on the rim: outside (strict disk)
             _ => (30.0, 30.0),
         };
-        assert_eq!(link.route(inside, outside, center), Fate::Drop);
-        assert_eq!(link.route(outside, inside, center), Fate::Drop);
-        assert_eq!(link.route(outside, rim, center), Fate::Deliver(0));
-        assert_eq!(link.route(rim, outside, center), Fate::Deliver(0));
+        assert!(!link.route(inside, outside, center));
+        assert!(!link.route(outside, inside, center));
+        assert!(link.route(outside, rim, center));
+        assert!(link.route(rim, outside, center));
+        assert_eq!(link.spec().latency_ticks(), 1);
         assert_eq!(link.health.messages_dropped, 2);
     }
 
@@ -574,7 +549,7 @@ mod tests {
             let mut link = spec.link(4);
             for i in 0..16 {
                 link.route(i, i + 1, no_geometry);
-                link.sense(i + 1, i, no_geometry);
+                link.route(i + 1, i, no_geometry);
             }
             link.sense_bulk(2, [(0, 1), (1, 2)], no_geometry);
         }
@@ -609,20 +584,18 @@ mod tests {
     }
 
     #[test]
-    fn health_merge_and_cleanliness() {
-        let mut h = ProtocolHealth::default();
-        assert!(h.is_clean());
-        h.merge(&ProtocolHealth {
+    fn health_cleanliness() {
+        assert!(ProtocolHealth::default().is_clean());
+        let h = ProtocolHealth {
             messages_sent: 5,
             messages_dropped: 1,
             duplicate_initiations: 2,
             lost_cascades: 1,
             stalled_repairs: 1,
             superseded_repairs: 0,
-        });
+        };
         assert!(!h.is_clean());
-        assert_eq!(h.messages_sent, 5);
-        assert_eq!(h.duplicate_initiations, 2);
+        assert!(h.to_string().contains("sent 5 dropped 1 duplicates 2"));
         let clean = ProtocolHealth {
             messages_sent: 10,
             ..ProtocolHealth::default()
@@ -663,11 +636,11 @@ mod tests {
             let mut single = spec.link(17);
             let mut bulk = spec.link(17);
             // Earlier traffic on a shared pair, as monitor probes leave.
-            single.sense(1, 2, line);
-            bulk.sense(1, 2, line);
+            single.route(1, 2, line);
+            bulk.route(1, 2, line);
             for _ in 0..3 {
                 for &(from, to) in &pairs {
-                    single.sense(from, to, line);
+                    single.route(from, to, line);
                 }
                 bulk.sense_bulk(pairs.len() as u64, pairs.iter().copied(), line);
                 assert_eq!(single.health, bulk.health, "{spec}");
@@ -765,7 +738,7 @@ mod tests {
     #[test]
     fn sense_and_local_feed_the_ledger() {
         let mut link = NetModelSpec::Ideal.link(0);
-        assert!(link.sense(1, 2, line));
+        assert!(link.route(1, 2, line));
         link.local();
         assert_eq!(link.health.messages_sent, 2);
         assert_eq!(link.health.messages_dropped, 0);

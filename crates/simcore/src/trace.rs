@@ -98,7 +98,7 @@ pub enum TraceEvent {
         /// Distance covered, meters.
         distance: f64,
     },
-    /// An inter-cell envelope was handed to the network model by the
+    /// An inter-cell message was handed to the network model by the
     /// event-driven engine.
     NetMessage {
         /// Message kind token (e.g. `hole_announce`, `move_ack`).
@@ -107,8 +107,8 @@ pub enum TraceEvent {
         from: (u16, u16),
         /// Receiver cell.
         to: (u16, u16),
-        /// Scheduled delivery round, or `None` when the network
-        /// dropped the envelope.
+        /// Arrival round, or `None` when the network dropped the
+        /// message.
         deliver_at: Option<Round>,
     },
 }

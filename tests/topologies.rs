@@ -147,3 +147,51 @@ fn dual_path_walks_peak_at_one_hop_past_l() {
         }
     }
 }
+
+#[test]
+fn dual_path_walks_with_no_spare_exhaust() {
+    // One node in every cell but the hole, so no spare anywhere. Every
+    // walk visits each cell but its hole and fails "walk exhausted"
+    // where it has nowhere left to go. A walk for hole A (or B) goes C,
+    // the chain down to D, then the other special: m*n - 2 relays. Every
+    // other walk ends one relay sooner, at a cell whose next step would
+    // be its hole: m*n - 3.
+    for (cols, rows) in [(3u16, 3u16), (5, 5), (7, 5)] {
+        let system = GridSystem::for_comm_range(cols, rows, 10.0).unwrap();
+        let cells = system.cell_count() as u64;
+        let CycleTopology::Dual(dual) = CycleTopology::build(cols, rows).unwrap() else {
+            panic!("{cols}x{rows} is odd by odd");
+        };
+        let chain = dual.chain()[1];
+        for (hole, moves) in [
+            (dual.a(), cells - 2),
+            (dual.b(), cells - 2),
+            (dual.c(), cells - 3),
+            (dual.d(), cells - 3),
+            (chain, cells - 3),
+        ] {
+            let mut rng = SimRng::seed_from_u64(13);
+            let positions = deploy::with_holes(&system, &[hole], 1, &mut rng);
+            let mut net = GridNetwork::new(system, &positions);
+            let (report, trace) = Sr::new()
+                .run_traced(&mut net, 13, DriveMode::Classic)
+                .unwrap();
+            let label = format!("{cols}x{rows} hole {hole}");
+            assert!(report.run.is_quiescent(), "{label}: {report}");
+            assert_eq!(report.metrics.moves, moves, "{label}");
+            assert_eq!(report.metrics.processes_initiated, 1, "{label}");
+            assert_eq!(report.metrics.processes_failed, 1, "{label}");
+            let reasons: Vec<&TraceEvent> =
+                trace.of_kind("process_failed").map(|r| &r.event).collect();
+            assert!(
+                matches!(
+                    reasons[..],
+                    [TraceEvent::ProcessFailed { ref reason, .. }]
+                        if reason == "walk exhausted without finding a spare"
+                ),
+                "{label}: {reasons:?}"
+            );
+            net.debug_invariants();
+        }
+    }
+}
