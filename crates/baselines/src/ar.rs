@@ -30,13 +30,11 @@
 use serde::{Deserialize, Serialize};
 
 use wsn_grid::{Direction, GridCoord, GridNetwork};
-use wsn_simcore::{
-    EnergyModel, Metrics, NodeId, RoundOutcome, RoundProtocol, SimRng, TraceEvent, TraceLog,
-};
+use wsn_simcore::{EnergyModel, Metrics, NodeId, SimRng, TraceEvent, TraceLog};
 
 use wsn_coverage::actor::Wire;
 use wsn_coverage::scheme::{
-    round_runner, run_to_quiescence, DriveMode, NetworkSpec, ProtocolOutcome, ReplacementScheme,
+    round_cap, run_to_quiescence, DriveMode, NetworkSpec, ProtocolOutcome, ReplacementScheme,
     SchemeProtocol, SchemeReport, Unsupported,
 };
 use wsn_coverage::{OwnerCounts, SpareSelection};
@@ -80,7 +78,7 @@ impl ReplacementScheme for Ar {
         // works (cascades simply fail where the region starves them).
         // Config validity is part of the supports() contract (matrices
         // validate up front), so the round cap is checked here too.
-        round_runner(self.id(), self.config.max_rounds).map(|_| ())
+        round_cap(self.id(), self.config.max_rounds)
     }
 
     fn supports_event_driven(&self) -> bool {
@@ -94,9 +92,9 @@ impl ReplacementScheme for Ar {
         mode: DriveMode,
         trace: TraceLog,
     ) -> Result<(SchemeReport, TraceLog), Unsupported> {
-        let runner = round_runner(self.id(), self.config.max_rounds)?;
+        round_cap(self.id(), self.config.max_rounds)?;
         let protocol = ArProtocol::new(net, self.config.clone(), seed, mode, trace);
-        Ok(run_to_quiescence(protocol, runner))
+        Ok(run_to_quiescence(protocol, self.config.max_rounds))
     }
 }
 
@@ -363,23 +361,7 @@ impl<'n> ArProtocol<'n> {
 }
 
 impl SchemeProtocol for ArProtocol<'_> {
-    fn network(&self) -> &GridNetwork {
-        self.net
-    }
-
-    fn finish(mut self, rounds: u64) -> ProtocolOutcome {
-        self.fail_remaining(rounds);
-        ProtocolOutcome {
-            metrics: self.metrics,
-            processes: Vec::new(),
-            health: self.link.map(|mut w| *w.health()).unwrap_or_default(),
-            trace: self.trace,
-        }
-    }
-}
-
-impl RoundProtocol for ArProtocol<'_> {
-    fn execute_round(&mut self, round: u64) -> RoundOutcome {
+    fn execute_round(&mut self, round: u64) -> bool {
         let mut progress = false;
         let repaired = self.net.repair_heads(self.config.election, &mut self.rng);
         progress |= repaired > 0;
@@ -571,13 +553,20 @@ impl RoundProtocol for ArProtocol<'_> {
 
         // An ask in flight is scheduled work: the run must not go
         // quiescent while one is still traveling.
-        progress |= self.link.as_ref().is_some_and(|w| w.in_flight(round));
+        progress || self.link.as_ref().is_some_and(|w| w.in_flight(round))
+    }
 
-        self.metrics.rounds = round + 1;
-        if progress {
-            RoundOutcome::Progress
-        } else {
-            RoundOutcome::Quiescent
+    fn network(&self) -> &GridNetwork {
+        self.net
+    }
+
+    fn finish(mut self, rounds: u64) -> ProtocolOutcome {
+        self.fail_remaining(rounds);
+        ProtocolOutcome {
+            metrics: self.metrics,
+            processes: Vec::new(),
+            health: self.link.map(|mut w| *w.health()).unwrap_or_default(),
+            trace: self.trace,
         }
     }
 }

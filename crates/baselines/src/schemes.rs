@@ -46,9 +46,7 @@ pub fn builtins() -> SchemeRegistry {
 mod tests {
     use super::*;
     use crate::{ArConfig, ArProtocol};
-    use wsn_coverage::scheme::{
-        round_runner, run_to_quiescence, DriveMode, NetworkSpec, ReplacementScheme,
-    };
+    use wsn_coverage::scheme::{run_to_quiescence, DriveMode, NetworkSpec, ReplacementScheme};
     use wsn_grid::{deploy, GridCoord, GridNetwork, GridSystem, RegionMask};
     use wsn_simcore::{NetModelSpec, SimRng, TraceLog};
 
@@ -123,8 +121,7 @@ mod tests {
             DriveMode::Classic,
             TraceLog::disabled(),
         );
-        let runner = round_runner("ar", ArConfig::default().max_rounds).unwrap();
-        let (direct, _) = run_to_quiescence(protocol, runner);
+        let (direct, _) = run_to_quiescence(protocol, ArConfig::default().max_rounds);
         assert_eq!(via_trait, direct);
         assert_eq!(net.stats(), direct_net.stats());
         assert!(direct.health.is_clean(), "classic runs keep no ledger");
@@ -147,8 +144,7 @@ mod tests {
             ideal,
             TraceLog::disabled(),
         );
-        let runner = round_runner("ar", ArConfig::default().max_rounds).unwrap();
-        let (direct, _) = run_to_quiescence(protocol, runner);
+        let (direct, _) = run_to_quiescence(protocol, ArConfig::default().max_rounds);
         assert_eq!(via_trait, direct);
         assert_eq!(via_trait.health, direct.health);
         assert_eq!(net.stats(), direct_net.stats());

@@ -13,9 +13,11 @@
 //! providing the coverage for a single hole" — the comparison benches
 //! quantify exactly that against SR.
 
-use wsn_coverage::scheme::{DriveMode, NetworkSpec, ReplacementScheme, SchemeReport, Unsupported};
+use wsn_coverage::scheme::{
+    DriveMode, NetworkSpec, Quiescence, ReplacementScheme, RunReport, SchemeReport, Unsupported,
+};
 use wsn_grid::{GridCoord, GridNetwork};
-use wsn_simcore::{Metrics, NodeId, Quiescence, RunReport, SimRng, TraceEvent, TraceLog};
+use wsn_simcore::{Metrics, NodeId, SimRng, TraceEvent, TraceLog};
 
 /// Balanced per-cell targets for a line of `loads`: each cell gets
 /// `⌊avg⌋` or `⌈avg⌉`, with the remainder spread from the front.

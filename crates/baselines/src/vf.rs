@@ -12,10 +12,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use wsn_coverage::scheme::{DriveMode, NetworkSpec, ReplacementScheme, SchemeReport, Unsupported};
+use wsn_coverage::scheme::{
+    DriveMode, NetworkSpec, Quiescence, ReplacementScheme, RunReport, SchemeReport, Unsupported,
+};
 use wsn_geometry::{Point2, Vec2};
 use wsn_grid::GridNetwork;
-use wsn_simcore::{Metrics, Quiescence, RunReport, SimRng, TraceEvent, TraceLog};
+use wsn_simcore::{Metrics, SimRng, TraceEvent, TraceLog};
 
 /// The policy of a virtual-force run. The run's seed (used only for
 /// symmetry breaking) is not part of it: [`ReplacementScheme::run`]

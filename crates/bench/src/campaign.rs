@@ -2166,8 +2166,8 @@ pub fn run_campaign_resumable_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsn_coverage::scheme::{SchemeReport, Unsupported};
-    use wsn_simcore::{Quiescence, RunReport, TraceLog};
+    use wsn_coverage::scheme::{Quiescence, RunReport, SchemeReport, Unsupported};
+    use wsn_simcore::TraceLog;
 
     fn tiny() -> CampaignConfig {
         CampaignConfig {

@@ -41,7 +41,7 @@ use wsn_coverage::scheme::{DriveMode, SchemeProtocol};
 use wsn_coverage::{SrConfig, SrProtocol};
 use wsn_grid::{deploy, GridNetwork, GridSystem, RegionShape};
 use wsn_hamilton::{CycleTopology, MaskedCycle};
-use wsn_simcore::{FaultEvent, RoundProtocol, SimRng, TraceLog};
+use wsn_simcore::{FaultEvent, SimRng, TraceLog};
 use wsn_stats::JsonValue;
 
 use crate::campaign::{

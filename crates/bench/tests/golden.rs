@@ -20,10 +20,10 @@
 //!   the `region` fields of the artifact.
 //! * `event_smoke8.json` — the degraded-mode smoke campaign (AR, SR and
 //!   SR-SC on the 8×8 grid over a 2×2 latency × loss weather matrix),
-//!   pinning the event-driven engine end to end: the scheduler, the
-//!   network models' coordinate-addressed RNG streams, the per-cell
-//!   `net` and `health` blocks, and the Ideal-weather cells'
-//!   byte-equality with the classic engine.
+//!   pinning the event-driven engine end to end: the arrival rounds
+//!   messages carry, the network models' coordinate-addressed RNG
+//!   streams, the per-cell `net` and `health` blocks, and the
+//!   Ideal-weather cells' byte-equality with the classic engine.
 //! * `recover256.json` — SR and AR full recovery on 256×256 at N = 100
 //!   and N = 1000, one trial per cell: the repair hop at the scale of
 //!   the repository benchmark's `recover-256` workload, where one SR

@@ -61,7 +61,7 @@ pub mod shortcut;
 pub use config::{SpareSelection, SrConfig};
 pub use owners::OwnerCounts;
 pub use process::{ProcessId, ProcessStatus, ProcessSummary};
-pub use protocol::{DetectionOutcome, SrProtocol};
+pub use protocol::SrProtocol;
 pub use scheme::{
     DriveMode, NetworkSpec, RegistryError, ReplacementScheme, SchemeId, SchemeIdError,
     SchemeRegistry, SchemeReport, Sr, SrSc, Unsupported,

@@ -39,7 +39,7 @@
 
 use wsn_grid::{GridCoord, GridNetwork};
 use wsn_hamilton::{BackwardStep, CycleTopology};
-use wsn_simcore::{Metrics, ProtocolHealth, RoundOutcome, RoundProtocol, TraceEvent, TraceLog};
+use wsn_simcore::{Metrics, ProtocolHealth, TraceEvent, TraceLog};
 
 use crate::actor::{BatonState, Wire};
 use crate::process::ProcessId;
@@ -56,63 +56,6 @@ enum BackwardResolution {
     Wait,
     /// The walk covered the whole structure: no spare exists.
     Exhausted,
-}
-
-/// What one detection sweep (Algorithm 1 step 1) did, split into its two
-/// distinct kinds of outcome.
-///
-/// # The `initiated` / `pending` split
-///
-/// In the paper's synchronous round model every monitoring head fires
-/// every round, so a known hole always yields a started process and
-/// `pending` stays zero. In **asynchronous mode**
-/// (`SrConfig::activation_probability < 1`) a monitoring head may not be
-/// scheduled in the round that its hole is swept; the initiation is then
-/// *deferred*, not performed:
-///
-/// * `initiated` counts processes actually started this round — each one
-///   also increments [`Metrics::processes_initiated`], so the metric
-///   remains an honest count of real initiations;
-/// * `pending` counts holes whose initiation was pushed to a later round
-///   by async scheduling. No process exists for them yet, but the work
-///   is still outstanding, so the round must **not** be treated as
-///   quiescent (the deferred head will fire in a later round with
-///   probability 1).
-///
-/// Earlier revisions folded the two together, over-reporting initiations
-/// in async runs. The split keeps progress accounting honest while
-/// [`DetectionOutcome::any_activity`] still keeps the round alive in
-/// both cases.
-///
-/// ```
-/// use wsn_coverage::DetectionOutcome;
-///
-/// // A synchronous sweep that started two processes:
-/// let sync = DetectionOutcome { initiated: 2, pending: 0 };
-/// // An async sweep whose only known hole was deferred this round:
-/// let deferred = DetectionOutcome { initiated: 0, pending: 1 };
-/// // Both keep the run going; only a fully empty sweep is inactive.
-/// assert!(sync.any_activity());
-/// assert!(deferred.any_activity());
-/// assert!(!DetectionOutcome::default().any_activity());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DetectionOutcome {
-    /// Processes started this round (matches
-    /// [`Metrics::processes_initiated`] increments).
-    pub initiated: usize,
-    /// Holes whose initiation was deferred by asynchronous-mode
-    /// scheduling (or, under the event drive, by a dropped probe); still
-    /// outstanding work.
-    pub pending: usize,
-}
-
-impl DetectionOutcome {
-    /// `true` when the sweep either started a process or deferred one —
-    /// either way the round made or scheduled progress.
-    pub fn any_activity(&self) -> bool {
-        self.initiated > 0 || self.pending > 0
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -144,8 +87,8 @@ struct SrLink {
     vacated_at: Vec<u64>,
 }
 
-/// The SR protocol over a borrowed network and a cycle topology; drives
-/// itself one round at a time via [`RoundProtocol`].
+/// The SR protocol over a borrowed network and a cycle topology, one
+/// round at a time via [`SchemeProtocol::execute_round`].
 ///
 /// Under [`DriveMode::Classic`] it has no link: notifications are known
 /// the round after they are sent. Under [`DriveMode::EventDriven`] the
@@ -548,10 +491,15 @@ impl<'n> SrProtocol<'n> {
     /// A stale owner (baton in flight or lost) is invisible to the
     /// monitor, which probes the hole and honestly re-initiates
     /// ([`ProtocolHealth::duplicate_initiations`]).
-    fn detect_and_initiate(&mut self, round: u64) -> DetectionOutcome {
+    ///
+    /// Returns whether the sweep started a process or deferred one: a
+    /// dropped probe or an asynchronous-mode monitor that was not
+    /// scheduled leaves its hole to a later round, and that outstanding
+    /// work keeps the round live just as an initiation does.
+    fn detect_and_initiate(&mut self, round: u64) -> bool {
         let buf = self.run.sweep();
         self.run.metrics.cells_scanned += buf.len() as u64;
-        let mut outcome = DetectionOutcome::default();
+        let mut active = false;
         for &idx in &buf {
             // Ownership first: it is one array read by index, and most
             // pending holes are the vacancies running cascades own.
@@ -578,7 +526,7 @@ impl<'n> SrProtocol<'n> {
                 if !link.wire.probe(sys, monitor, g, round, &mut run.trace) {
                     // The weather ate the probe; the monitor retries next
                     // round. Still outstanding work.
-                    outcome.pending += 1;
+                    active = true;
                     continue;
                 }
             }
@@ -587,7 +535,7 @@ impl<'n> SrProtocol<'n> {
             {
                 // Asynchronous mode: this monitor was not scheduled this
                 // round; the vacancy is deferred, not initiated.
-                outcome.pending += 1;
+                active = true;
                 continue;
             }
             run.trace.record(
@@ -613,7 +561,7 @@ impl<'n> SrProtocol<'n> {
                 baton: BatonState::Held,
                 retired: false,
             });
-            outcome.initiated += 1;
+            active = true;
         }
         self.run.end_sweep(buf);
         self.owners
@@ -626,28 +574,12 @@ impl<'n> SrProtocol<'n> {
                     .map(|p| p.current_vacant),
             );
         }
-        outcome
+        active
     }
 }
 
 impl SchemeProtocol for SrProtocol<'_> {
-    fn network(&self) -> &GridNetwork {
-        self.run.net
-    }
-
-    fn finish(mut self, rounds: u64) -> ProtocolOutcome {
-        self.fail_remaining(rounds);
-        ProtocolOutcome {
-            metrics: self.run.metrics,
-            processes: self.run.summaries,
-            health: self.link.map(|mut l| *l.wire.health()).unwrap_or_default(),
-            trace: self.run.trace,
-        }
-    }
-}
-
-impl RoundProtocol for SrProtocol<'_> {
-    fn execute_round(&mut self, round: u64) -> RoundOutcome {
+    fn execute_round(&mut self, round: u64) -> bool {
         // 0. The batons due this round land before anyone acts.
         let mut progress = self.link.is_some() && self.land_due(round);
 
@@ -677,21 +609,27 @@ impl RoundProtocol for SrProtocol<'_> {
 
         // 4. Detection and initiation for unowned holes. A deferred
         //    (async-mode or lost-probe) initiation is still scheduled
-        //    work, so both halves of the outcome keep the round from
-        //    going quiescent.
-        progress |= self.detect_and_initiate(round).any_activity();
+        //    work, so it keeps the round from going quiescent too.
+        progress |= self.detect_and_initiate(round);
 
         // 5. Surveillance duty (battery dynamics only).
         progress |= self.run.drain_idle_heads();
 
         // The run must not go quiescent while messages are in flight.
-        progress |= self.link.as_ref().is_some_and(|l| l.wire.in_flight(round));
+        progress || self.link.as_ref().is_some_and(|l| l.wire.in_flight(round))
+    }
 
-        self.run.metrics.rounds = round + 1;
-        if progress {
-            RoundOutcome::Progress
-        } else {
-            RoundOutcome::Quiescent
+    fn network(&self) -> &GridNetwork {
+        self.run.net
+    }
+
+    fn finish(mut self, rounds: u64) -> ProtocolOutcome {
+        self.fail_remaining(rounds);
+        ProtocolOutcome {
+            metrics: self.run.metrics,
+            processes: self.run.summaries,
+            health: self.link.map(|mut l| *l.wire.health()).unwrap_or_default(),
+            trace: self.run.trace,
         }
     }
 }
@@ -702,7 +640,7 @@ mod tests {
     use crate::scheme::{run_to_quiescence, SchemeReport};
     use crate::ProcessStatus;
     use wsn_grid::{deploy, GridSystem, HeadElection};
-    use wsn_simcore::{NodeId, RoundRunner, SimRng};
+    use wsn_simcore::{NodeId, SimRng};
 
     /// Runs SR on `net` over its grid's cycle topology, traced.
     fn run_sr(net: &mut GridNetwork, config: SrConfig, seed: u64) -> (SchemeReport, TraceLog) {
@@ -710,7 +648,7 @@ mod tests {
         let topo = CycleTopology::build(cols, rows).unwrap();
         let protocol =
             SrProtocol::new(net, topo, config, seed, DriveMode::Classic, TraceLog::new());
-        run_to_quiescence(protocol, RoundRunner::new(10_000).unwrap())
+        run_to_quiescence(protocol, 10_000)
     }
 
     fn network_with_holes(

@@ -1,19 +1,26 @@
-//! The one round driver behind SR, SR-SC and AR: it runs a round
-//! protocol on a borrowed network to quiescence (or its round cap) and
-//! assembles the [`SchemeReport`]. Everything public here is re-exported
-//! from [`crate::scheme`].
+//! The one round loop behind SR, SR-SC and AR: it runs a round protocol
+//! on a borrowed network to quiescence (or its round cap) and assembles
+//! the [`SchemeReport`]. Everything public here is re-exported from
+//! [`crate::scheme`].
+//!
+//! The paper describes its schemes "in a round-based system": each
+//! round, every head observes the previous round's state of its
+//! monitored cells, receives the notifications sent in the previous
+//! round, and completes at most one action before the next round starts.
+//! A protocol implements [`SchemeProtocol::execute_round`] with exactly
+//! those semantics.
 
 use wsn_grid::GridNetwork;
-use wsn_simcore::{Metrics, ProtocolHealth, RoundProtocol, RoundRunner, TraceLog};
+use wsn_simcore::{Metrics, ProtocolHealth, TraceLog};
 
 use crate::process::ProcessSummary;
-use crate::scheme::{SchemeReport, Unsupported};
+use crate::scheme::{Quiescence, RunReport, SchemeReport, Unsupported};
 
 /// What a protocol hands over when its run ends: the parts of a
 /// [`SchemeReport`] only the protocol knows, plus its event trace.
 #[derive(Debug)]
 pub struct ProtocolOutcome {
-    /// Cost counters.
+    /// Cost counters. The driver sets `rounds`.
     pub metrics: Metrics,
     /// Per-process summaries (empty for schemes without processes).
     pub processes: Vec<ProcessSummary>,
@@ -25,8 +32,16 @@ pub struct ProtocolOutcome {
 }
 
 /// A round protocol [`run_to_quiescence`] can drive: it runs on a
-/// borrowed network and, once the run ends, hands its results over.
-pub trait SchemeProtocol: RoundProtocol {
+/// borrowed network one round at a time and, once the run ends, hands
+/// its results over.
+pub trait SchemeProtocol {
+    /// Executes round `round` and reports whether it made or scheduled
+    /// progress: movements, notifications, initiations, deferred
+    /// initiations, messages still in flight. Implementations must be
+    /// deterministic given their own state (randomness comes from an
+    /// owned [`wsn_simcore::SimRng`]).
+    fn execute_round(&mut self, round: u64) -> bool;
+
     /// The network the protocol runs on.
     fn network(&self) -> &GridNetwork;
 
@@ -36,12 +51,21 @@ pub trait SchemeProtocol: RoundProtocol {
     fn finish(self, rounds: u64) -> ProtocolOutcome;
 }
 
-/// Runs `protocol` until `runner` declares quiescence or hits its round
-/// cap, and reports. The network the protocol borrowed is left in its
-/// recovered state; the returned trace is the protocol's own log.
+/// Consecutive idle rounds after which a run is quiescent: the paper's
+/// one-round notification latency plus one. A head that just sent a
+/// notification has no visible action in flight, but the system is not
+/// yet stable.
+const QUIESCENT_ROUNDS: u64 = 2;
+
+/// Runs `protocol` round by round until two consecutive rounds make no
+/// progress, or until `max_rounds` rounds have run, and reports. `rounds` is the last executed round plus one, so a run cut
+/// by the cap reports `max_rounds`. The network the protocol borrowed is
+/// left in its recovered state; the returned trace is the protocol's own
+/// log. Check the cap with [`round_cap`] before building the protocol: a
+/// zero cap runs no round.
 ///
 /// ```
-/// use wsn_coverage::scheme::{round_runner, run_to_quiescence, DriveMode};
+/// use wsn_coverage::scheme::{run_to_quiescence, DriveMode};
 /// use wsn_coverage::{SrConfig, SrProtocol};
 /// use wsn_grid::{deploy, GridCoord, GridNetwork, GridSystem};
 /// use wsn_hamilton::CycleTopology;
@@ -60,8 +84,9 @@ pub trait SchemeProtocol: RoundProtocol {
 ///     DriveMode::Classic,
 ///     TraceLog::new(),
 /// );
-/// let (report, trace) = run_to_quiescence(protocol, round_runner("sr", 1_000)?);
+/// let (report, trace) = run_to_quiescence(protocol, 1_000);
 /// assert!(report.fully_covered);
+/// assert!(report.run.is_quiescent());
 /// assert_eq!(report.metrics.processes_initiated, 1);
 /// assert_eq!(trace.count_kind("process_initiated"), 1);
 /// assert_eq!(net.stats(), report.final_stats); // recovered in place
@@ -69,12 +94,31 @@ pub trait SchemeProtocol: RoundProtocol {
 /// ```
 pub fn run_to_quiescence<P: SchemeProtocol>(
     mut protocol: P,
-    runner: RoundRunner,
+    max_rounds: u64,
 ) -> (SchemeReport, TraceLog) {
     let initial_stats = protocol.network().stats();
-    let run = runner.run(&mut protocol);
+    let mut run = RunReport {
+        rounds: max_rounds,
+        termination: Quiescence::MaxRoundsExceeded,
+    };
+    let mut idle_streak = 0;
+    for round in 0..max_rounds {
+        if protocol.execute_round(round) {
+            idle_streak = 0;
+            continue;
+        }
+        idle_streak += 1;
+        if idle_streak == QUIESCENT_ROUNDS {
+            run = RunReport {
+                rounds: round + 1,
+                termination: Quiescence::Reached,
+            };
+            break;
+        }
+    }
     let final_stats = protocol.network().stats();
-    let outcome = protocol.finish(run.rounds);
+    let mut outcome = protocol.finish(run.rounds);
+    outcome.metrics.rounds = run.rounds;
     let report = SchemeReport {
         run,
         metrics: outcome.metrics,
@@ -87,16 +131,18 @@ pub fn run_to_quiescence<P: SchemeProtocol>(
     (report, outcome.trace)
 }
 
-/// The round runner for a scheme's round cap: the one configuration
-/// check SR, SR-SC and AR share, in [`crate::ReplacementScheme::supports`]
-/// and before every run. Quiescence takes two consecutive idle rounds,
-/// the paper's one-round notification latency plus one.
+/// The one configuration check SR, SR-SC and AR share, in
+/// [`crate::ReplacementScheme::supports`] and before every run builds
+/// its protocol (so a refusal leaves the network untouched).
 ///
 /// # Errors
 ///
 /// [`Unsupported`], attributed to `scheme`, when `max_rounds` is zero.
-pub fn round_runner(scheme: &str, max_rounds: u64) -> Result<RoundRunner, Unsupported> {
-    RoundRunner::new(max_rounds).map_err(|e| Unsupported::new(scheme, e.to_string()))
+pub fn round_cap(scheme: &str, max_rounds: u64) -> Result<(), Unsupported> {
+    if max_rounds == 0 {
+        return Err(Unsupported::new(scheme, "max_rounds must be at least 1"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -151,7 +197,7 @@ mod tests {
                 DriveMode::Classic,
                 TraceLog::disabled(),
             );
-            let (report, _) = run_to_quiescence(protocol, round_runner("sr", 100_000).unwrap());
+            let (report, _) = run_to_quiescence(protocol, 100_000);
             assert!(report.fully_covered, "{shape}: {report}");
             assert_eq!(report.metrics.processes_failed, 0, "{shape}");
             // Exactly one process per hole: the masked ring preserves
@@ -213,6 +259,98 @@ mod tests {
         let sr = Sr::from_config(SrConfig::default().with_max_rounds(0));
         let err = sr.run(&mut net, 0, DriveMode::Classic).unwrap_err();
         assert!(err.reason.contains("max_rounds"), "{err}");
-        assert_eq!(round_runner("sr", 0).unwrap_err(), err);
+        assert_eq!(round_cap("sr", 0).unwrap_err(), err);
+    }
+
+    /// A protocol that replays a progress script on a tiny network: round
+    /// `r` makes progress when `script[r]` is `true`, and every round
+    /// past the script is idle.
+    struct Script {
+        net: GridNetwork,
+        progress: Vec<bool>,
+        executed: Vec<u64>,
+    }
+
+    impl Script {
+        fn new(progress: &[bool]) -> Script {
+            let sys = GridSystem::new(2, 2, 1.0).unwrap();
+            Script {
+                net: GridNetwork::new(sys, &[]),
+                progress: progress.to_vec(),
+                executed: Vec::new(),
+            }
+        }
+    }
+
+    impl SchemeProtocol for Script {
+        fn execute_round(&mut self, round: u64) -> bool {
+            self.executed.push(round);
+            self.progress.get(round as usize).copied().unwrap_or(false)
+        }
+
+        fn network(&self) -> &GridNetwork {
+            &self.net
+        }
+
+        fn finish(self, rounds: u64) -> ProtocolOutcome {
+            assert_eq!(self.executed.len() as u64, rounds, "one call per round");
+            ProtocolOutcome {
+                metrics: Metrics::new(),
+                processes: Vec::new(),
+                health: ProtocolHealth::default(),
+                trace: TraceLog::disabled(),
+            }
+        }
+    }
+
+    #[test]
+    fn stops_after_quiescence_window() {
+        let (report, _) = run_to_quiescence(Script::new(&[true, true, false, false]), 100);
+        assert_eq!(report.run.rounds, 4);
+        assert!(report.run.is_quiescent());
+        // The driver, not the protocol, writes the round count.
+        assert_eq!(report.metrics.rounds, 4);
+    }
+
+    #[test]
+    fn idle_streak_resets_on_progress() {
+        // Idle, progress, idle, idle: the streak breaks at round 1, so the
+        // run is quiescent after round 3.
+        let (report, _) = run_to_quiescence(Script::new(&[false, true, false, false]), 100);
+        assert_eq!(report.run.rounds, 4);
+        assert!(report.run.is_quiescent());
+    }
+
+    #[test]
+    fn cap_exceeded_is_reported() {
+        let (report, _) = run_to_quiescence(Script::new(&[true; 20]), 10);
+        assert_eq!(report.run.rounds, 10);
+        assert_eq!(report.run.termination, Quiescence::MaxRoundsExceeded);
+        assert!(!report.run.is_quiescent());
+        assert_eq!(report.metrics.rounds, 10);
+    }
+
+    #[test]
+    fn config_validation() {
+        // A zero cap is refused before any protocol exists.
+        let err = round_cap("script", 0).unwrap_err();
+        assert_eq!(err.scheme, "script");
+        assert!(round_cap("script", 1).is_ok());
+    }
+
+    #[test]
+    fn error_and_report_display() {
+        let err = round_cap("script", 0).unwrap_err();
+        assert!(err.to_string().contains("max_rounds"), "{err}");
+        let quiet = RunReport {
+            rounds: 3,
+            termination: Quiescence::Reached,
+        };
+        assert_eq!(quiet.to_string(), "quiescent after 3 rounds");
+        let capped = RunReport {
+            rounds: 10,
+            termination: Quiescence::MaxRoundsExceeded,
+        };
+        assert_eq!(capped.to_string(), "round cap (10) exceeded");
     }
 }

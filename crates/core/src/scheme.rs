@@ -33,10 +33,11 @@
 //!
 //! ```
 //! use wsn_coverage::scheme::{
-//!     DriveMode, NetworkSpec, ReplacementScheme, SchemeReport, SchemeRegistry, Unsupported,
+//!     DriveMode, NetworkSpec, Quiescence, ReplacementScheme, RunReport, SchemeReport,
+//!     SchemeRegistry, Unsupported,
 //! };
 //! use wsn_grid::{deploy, GridCoord, GridNetwork, GridSystem};
-//! use wsn_simcore::{Metrics, Quiescence, RunReport, SimRng, TraceLog};
+//! use wsn_simcore::{Metrics, SimRng, TraceLog};
 //!
 //! /// A third-party scheme: an omniscient dispatcher that teleports the
 //! /// lowest-id spare straight into each hole (physically impossible —
@@ -118,13 +119,13 @@ use serde::{Deserialize, Serialize};
 
 use wsn_grid::{GridNetwork, NetworkStats, RegionMask};
 use wsn_hamilton::CycleTopology;
-use wsn_simcore::{Metrics, NetModelSpec, ProtocolHealth, RunReport, TraceLog};
+use wsn_simcore::{Metrics, NetModelSpec, ProtocolHealth, TraceLog};
 
 use crate::process::ProcessSummary;
-use crate::shortcut::{ScRing, ShortcutProtocol};
+use crate::shortcut::ShortcutProtocol;
 use crate::{SrConfig, SrProtocol};
 
-pub use crate::recovery::{round_runner, run_to_quiescence, ProtocolOutcome, SchemeProtocol};
+pub use crate::recovery::{round_cap, run_to_quiescence, ProtocolOutcome, SchemeProtocol};
 
 /// Which engine drives a scheme's rounds.
 ///
@@ -275,6 +276,41 @@ impl NetworkSpec {
     /// The enabled-cell mask (all cells for a full region).
     pub fn mask(&self) -> &RegionMask {
         &self.mask
+    }
+}
+
+/// Why a run stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Quiescence {
+    /// Two consecutive rounds made no progress.
+    Reached,
+    /// The round cap was hit first (the protocol may be livelocked or the
+    /// cap too small).
+    MaxRoundsExceeded,
+}
+
+/// How a scheme's round loop ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunReport {
+    /// Number of rounds executed.
+    pub rounds: u64,
+    /// How the run terminated.
+    pub termination: Quiescence,
+}
+
+impl RunReport {
+    /// `true` when the run terminated by quiescence (not by the cap).
+    pub fn is_quiescent(&self) -> bool {
+        self.termination == Quiescence::Reached
+    }
+}
+
+impl fmt::Display for RunReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.termination {
+            Quiescence::Reached => write!(f, "quiescent after {} rounds", self.rounds),
+            Quiescence::MaxRoundsExceeded => write!(f, "round cap ({}) exceeded", self.rounds),
+        }
     }
 }
 
@@ -717,7 +753,7 @@ impl ReplacementScheme for Sr {
         // Config validity is part of the supports() contract, so
         // experiment matrices catch a bad round cap up front instead of
         // panicking on a worker thread.
-        round_runner(self.id(), self.config.max_rounds)?;
+        round_cap(self.id(), self.config.max_rounds)?;
         CycleTopology::build_masked(spec.mask())
             .map(|_| ())
             .map_err(|e| Unsupported::new(self.id(), e.to_string()))
@@ -734,11 +770,11 @@ impl ReplacementScheme for Sr {
         mode: DriveMode,
         trace: TraceLog,
     ) -> Result<(SchemeReport, TraceLog), Unsupported> {
-        let runner = round_runner(self.id(), self.config.max_rounds)?;
+        round_cap(self.id(), self.config.max_rounds)?;
         let topo = CycleTopology::build_masked(net.mask())
             .map_err(|e| Unsupported::new(self.id(), e.to_string()))?;
         let protocol = SrProtocol::new(net, topo, self.config.clone(), seed, mode, trace);
-        Ok(run_to_quiescence(protocol, runner))
+        Ok(run_to_quiescence(protocol, self.config.max_rounds))
     }
 }
 
@@ -785,7 +821,7 @@ impl ReplacementScheme for SrSc {
     }
 
     fn supports(&self, spec: &NetworkSpec) -> Result<(), Unsupported> {
-        round_runner(self.id(), self.config.max_rounds)?;
+        round_cap(self.id(), self.config.max_rounds)?;
         self.check_config()?;
         self.ring(spec.mask()).map(|_| ())
     }
@@ -801,11 +837,11 @@ impl ReplacementScheme for SrSc {
         mode: DriveMode,
         trace: TraceLog,
     ) -> Result<(SchemeReport, TraceLog), Unsupported> {
-        let runner = round_runner(self.id(), self.config.max_rounds)?;
+        round_cap(self.id(), self.config.max_rounds)?;
         self.check_config()?;
         let ring = self.ring(net.mask())?;
         let protocol = ShortcutProtocol::new(net, ring, self.config.clone(), seed, mode, trace);
-        Ok(run_to_quiescence(protocol, runner))
+        Ok(run_to_quiescence(protocol, self.config.max_rounds))
     }
 }
 
@@ -827,16 +863,18 @@ impl SrSc {
         Ok(())
     }
 
-    /// The backward ring of `mask`'s replacement structure.
-    fn ring(&self, mask: &RegionMask) -> Result<ScRing, Unsupported> {
+    /// `mask`'s replacement structure, refused when it is the dual path,
+    /// which has no unique predecessor per cell.
+    fn ring(&self, mask: &RegionMask) -> Result<CycleTopology, Unsupported> {
         let topo = CycleTopology::build_masked(mask)
             .map_err(|e| Unsupported::new(self.id(), e.to_string()))?;
-        ScRing::of(topo).ok_or_else(|| {
-            Unsupported::new(
+        if topo.is_dual() {
+            return Err(Unsupported::new(
                 self.id(),
                 "SR-SC requires a single Hamilton cycle (one even side)",
-            )
-        })
+            ));
+        }
+        Ok(topo)
     }
 }
 
@@ -955,7 +993,7 @@ mod tests {
             DriveMode::Classic,
             TraceLog::disabled(),
         );
-        let (direct, trace) = run_to_quiescence(protocol, round_runner("sr", 100_000).unwrap());
+        let (direct, trace) = run_to_quiescence(protocol, 100_000);
         assert_eq!(via_trait, direct);
         assert_eq!(direct_net.stats(), net.stats());
         assert!(!trace.is_enabled(), "a disabled log records nothing");

@@ -35,66 +35,22 @@
 //! The construction is defined on structures with a unique predecessor
 //! per cell: single Hamilton cycles and the masked virtual ring of
 //! irregular regions ([`wsn_hamilton::MaskedCycle`]) — so SR-SC runs
-//! unchanged on masked grids. [`crate::SrSc`] refuses odd×odd
-//! (dual-path) grids: extending the courier walk over the A/B fork is
-//! possible but the paper's future-work remark targets the plain cycle.
+//! unchanged on masked grids. On both, [`CycleTopology::monitors`] is
+//! the ring predecessor, which is all the courier walk and the beacons
+//! need. [`crate::SrSc`] refuses odd×odd (dual-path) grids: extending
+//! the courier walk over the A/B fork is possible but the paper's
+//! future-work remark targets the plain cycle.
 
 use wsn_grid::kernel::ones;
 use wsn_grid::{GridCoord, GridNetwork};
-use wsn_hamilton::{CycleTopology, HamiltonCycle, MaskedCycle};
-use wsn_simcore::{RoundOutcome, RoundProtocol, TraceEvent, TraceLog};
+use wsn_hamilton::CycleTopology;
+use wsn_simcore::{TraceEvent, TraceLog};
 
 use crate::actor::{cell_center, cell_endpoint, BatonState, Wire};
 use crate::process::ProcessId;
 use crate::run::Run;
 use crate::scheme::{DriveMode, ProtocolOutcome, SchemeProtocol};
-use crate::{DetectionOutcome, OwnerCounts, SpareSelection, SrConfig};
-
-/// The backward ring SR-SC forwards notifications along: either the
-/// paper's single Hamilton cycle or the masked virtual ring. Both give
-/// every on-ring cell a unique predecessor, which is all the courier
-/// walk and the beacons need.
-#[derive(Debug, Clone)]
-pub(crate) enum ScRing {
-    Cycle(HamiltonCycle),
-    Masked(MaskedCycle),
-}
-
-impl ScRing {
-    /// The ring of a replacement structure; `None` for the dual-path
-    /// structure, which has no unique predecessor per cell.
-    pub(crate) fn of(topo: CycleTopology) -> Option<ScRing> {
-        match topo {
-            CycleTopology::Single(cycle) => Some(ScRing::Cycle(cycle)),
-            CycleTopology::Masked(ring) => Some(ScRing::Masked(ring)),
-            CycleTopology::Dual(_) => None,
-        }
-    }
-
-    pub(crate) fn predecessor(&self, cell: GridCoord) -> GridCoord {
-        match self {
-            ScRing::Cycle(c) => c.predecessor(cell),
-            ScRing::Masked(m) => m.predecessor(cell),
-        }
-    }
-
-    /// Cells on the ring (all cells for a cycle, enabled cells for a
-    /// masked ring).
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            ScRing::Cycle(c) => c.len(),
-            ScRing::Masked(m) => m.len(),
-        }
-    }
-
-    /// The walk bound `L` (Theorem 2's parameter on the structure).
-    pub(crate) fn max_hops(&self) -> usize {
-        match self {
-            ScRing::Cycle(c) => c.deduced_path_hops(),
-            ScRing::Masked(m) => m.max_walk_hops(),
-        }
-    }
-}
+use crate::{OwnerCounts, SpareSelection, SrConfig};
 
 #[derive(Debug, Clone, Copy)]
 struct ScProcess {
@@ -122,7 +78,8 @@ struct ScProcess {
 #[derive(Debug)]
 pub struct ShortcutProtocol<'n> {
     run: Run<'n>,
-    cycle: ScRing,
+    /// A single cycle or a masked ring, never the dual path.
+    ring: CycleTopology,
     /// Active processes, in id order. A process that ends during the
     /// round's steps stays as a tombstone until [`Self::compact`].
     active: Vec<ScProcess>,
@@ -135,22 +92,23 @@ pub struct ShortcutProtocol<'n> {
 }
 
 impl<'n> ShortcutProtocol<'n> {
-    /// Creates the protocol for `drive` over a unique-predecessor ring,
-    /// seeding the run RNG (and, under the event drive, the link) from
-    /// `seed` as [`crate::SrProtocol::new`] does, recording into
-    /// `trace`.
+    /// Creates the protocol for `drive` over a unique-predecessor ring
+    /// (a single cycle or a masked ring), seeding the run RNG (and, under
+    /// the event drive, the link) from `seed` as
+    /// [`crate::SrProtocol::new`] does, recording into `trace`.
     pub(crate) fn new(
         net: &'n mut GridNetwork,
-        cycle: ScRing,
+        ring: CycleTopology,
         config: SrConfig,
         seed: u64,
         drive: DriveMode,
         trace: TraceLog,
     ) -> Self {
+        debug_assert!(!ring.is_dual(), "SR-SC needs a unique predecessor per cell");
         ShortcutProtocol {
             owners: OwnerCounts::new(net.system()),
             run: Run::new(net, config, seed, trace),
-            cycle,
+            ring,
             active: Vec::new(),
             link: Wire::for_drive(drive, seed),
         }
@@ -218,12 +176,12 @@ impl<'n> ShortcutProtocol<'n> {
     /// A lossy link enumerates the same words in ascending cell order,
     /// and never touches a cell that sends no beacon.
     fn gossip(&mut self) {
-        self.run.metrics.cells_scanned += self.cycle.len() as u64;
+        self.run.metrics.cells_scanned += self.ring.cell_count() as u64;
         let Some(wire) = &mut self.link else {
             return;
         };
         let net = &*self.run.net;
-        let (sys, cycle) = (net.system(), &self.cycle);
+        let (sys, ring) = (net.system(), &self.ring);
         let words = net
             .mask()
             .enabled_words()
@@ -236,7 +194,7 @@ impl<'n> ShortcutProtocol<'n> {
             .enumerate()
             .flat_map(|(w, word)| ones(word, w * 64))
             .map(|c| {
-                let pred = cycle.predecessor(sys.coord_of(c));
+                let pred = ring.monitors(sys.coord_of(c));
                 (cell_endpoint(sys, pred), c as u64)
             });
         wire.link.sense_bulk(count, beacons, cell_center(sys));
@@ -276,7 +234,7 @@ impl<'n> ShortcutProtocol<'n> {
             }
             return true;
         }
-        if p.forwarded >= self.cycle.max_hops() {
+        if p.forwarded >= self.ring.max_walk_hops() {
             let reason = "notification circled the cycle without finding a spare";
             run.fail(p.id, round, reason);
             let idx = run.net.system().index_of(p.hole);
@@ -288,9 +246,9 @@ impl<'n> ShortcutProtocol<'n> {
         // search, one hop per round, minus the node movements. Skip over
         // the hole itself (its cell cannot relay or hold the spare we
         // are looking for).
-        let next = self.cycle.predecessor(p.courier);
+        let next = self.ring.monitors(p.courier);
         let target = if next == p.hole {
-            self.cycle.predecessor(next)
+            self.ring.monitors(next)
         } else {
             next
         };
@@ -318,9 +276,11 @@ impl<'n> ShortcutProtocol<'n> {
         true
     }
 
-    fn detect_and_initiate(&mut self, round: u64) -> DetectionOutcome {
+    /// Detection + initiation, as SR's: returns whether the sweep started
+    /// a courier or a dropped probe deferred one.
+    fn detect_and_initiate(&mut self, round: u64) -> bool {
         let buf = self.run.sweep();
-        let mut outcome = DetectionOutcome::default();
+        let mut active = false;
         for &idx in &buf {
             // Ownership first, by index: most pending holes are served by
             // a running courier, and the coordinate costs a division.
@@ -332,14 +292,14 @@ impl<'n> ShortcutProtocol<'n> {
                 continue;
             }
             let g = run.net.system().coord_of(idx);
-            let monitor = self.cycle.predecessor(g);
+            let monitor = self.ring.monitors(g);
             if run.net.is_vacant(monitor).unwrap_or(true) {
                 continue;
             }
             if let Some(wire) = &mut self.link {
                 let sys = run.net.system();
                 if !wire.probe(sys, monitor, g, round, &mut run.trace) {
-                    outcome.pending += 1;
+                    active = true;
                     continue;
                 }
             }
@@ -352,32 +312,16 @@ impl<'n> ShortcutProtocol<'n> {
                 baton: BatonState::Held,
                 retired: false,
             });
-            outcome.initiated += 1;
+            active = true;
         }
         self.run.end_sweep(buf);
         self.owners.debug_check(self.active.iter().map(|p| p.hole));
-        outcome
+        active
     }
 }
 
 impl SchemeProtocol for ShortcutProtocol<'_> {
-    fn network(&self) -> &GridNetwork {
-        self.run.net
-    }
-
-    fn finish(mut self, rounds: u64) -> ProtocolOutcome {
-        self.fail_remaining(rounds);
-        ProtocolOutcome {
-            metrics: self.run.metrics,
-            processes: self.run.summaries,
-            health: self.link.map(|mut w| *w.health()).unwrap_or_default(),
-            trace: self.run.trace,
-        }
-    }
-}
-
-impl RoundProtocol for ShortcutProtocol<'_> {
-    fn execute_round(&mut self, round: u64) -> RoundOutcome {
+    fn execute_round(&mut self, round: u64) -> bool {
         if self.link.is_some() {
             self.land_due(round);
         }
@@ -389,15 +333,23 @@ impl RoundProtocol for ShortcutProtocol<'_> {
             progress |= self.step_process(i, round);
         }
         self.compact();
-        progress |= self.detect_and_initiate(round).any_activity();
+        progress |= self.detect_and_initiate(round);
         // Surveillance duty (battery dynamics only), as SR's heads pay it.
         progress |= self.run.drain_idle_heads();
-        progress |= self.link.as_ref().is_some_and(|w| w.in_flight(round));
-        self.run.metrics.rounds = round + 1;
-        if progress {
-            RoundOutcome::Progress
-        } else {
-            RoundOutcome::Quiescent
+        progress || self.link.as_ref().is_some_and(|w| w.in_flight(round))
+    }
+
+    fn network(&self) -> &GridNetwork {
+        self.run.net
+    }
+
+    fn finish(mut self, rounds: u64) -> ProtocolOutcome {
+        self.fail_remaining(rounds);
+        ProtocolOutcome {
+            metrics: self.run.metrics,
+            processes: self.run.summaries,
+            health: self.link.map(|mut w| *w.health()).unwrap_or_default(),
+            trace: self.run.trace,
         }
     }
 }
@@ -493,13 +445,14 @@ mod tests {
 
     #[test]
     fn dual_path_grids_are_rejected() {
+        use crate::scheme::NetworkSpec;
         let sys = GridSystem::new(5, 5, 4.4721).unwrap();
         let mut net = GridNetwork::new(sys, &[]);
         let err = SrSc::new()
             .run(&mut net, 0, DriveMode::Classic)
             .unwrap_err();
         assert!(err.reason.contains("single Hamilton cycle"), "{err}");
-        assert!(ScRing::of(CycleTopology::build(5, 5).unwrap()).is_none());
+        assert_eq!(SrSc::new().supports(&NetworkSpec::of(&net)), Err(err));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use wsn_coverage::scheme::{round_runner, run_to_quiescence, DriveMode};
+use wsn_coverage::scheme::{run_to_quiescence, DriveMode};
 use wsn_coverage::{SrConfig, SrProtocol};
 use wsn_grid::{deploy, GridCoord, GridNetwork, GridSystem};
 use wsn_hamilton::CycleTopology;
@@ -62,12 +62,12 @@ fn untraced_event_runs_allocate_far_less_than_they_route() {
         let config = SrConfig::default();
         let mut net = GridNetwork::new(sys, &pos);
         let topo = CycleTopology::build_masked(net.mask()).unwrap();
-        let runner = round_runner("sr", config.max_rounds).unwrap();
+        let max_rounds = config.max_rounds;
         // An untraced run: the protocol records into a disabled log.
         let drive = DriveMode::EventDriven { net: spec };
         let protocol = SrProtocol::new(&mut net, topo, config, 128, drive, TraceLog::disabled());
         let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let (report, trace) = run_to_quiescence(protocol, runner);
+        let (report, trace) = run_to_quiescence(protocol, max_rounds);
         let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
         let routed = report.health.messages_sent;
         assert!(trace.is_empty());

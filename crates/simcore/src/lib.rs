@@ -6,16 +6,14 @@
 //! Workshops) describes its control schemes "in a round-based system": in
 //! every round each grid head observes its neighborhood, sends at most one
 //! notification, and completes at most one movement before the next round
-//! starts. This crate provides exactly that execution model, plus the
-//! cross-cutting machinery every protocol needs:
+//! starts. That loop is `wsn_coverage::scheme::run_to_quiescence`; this
+//! crate provides the cross-cutting machinery every protocol needs:
 //!
 //! * [`rng::SimRng`] — a deterministic, seedable, forkable PRNG
 //!   (xoshiro256++ seeded through splitmix64) written in-repo so that
 //!   every experiment is byte-for-byte reproducible on every platform.
 //! * [`node`] — sensor nodes with positions, enabled/disabled status and
 //!   battery state.
-//! * [`engine`] — the synchronous round loop, quiescent after two idle
-//!   rounds.
 //! * [`net`] — network models (ideal, fixed-latency, Bernoulli loss,
 //!   jammer disk) with coordinate-addressed RNG streams, plus the
 //!   [`net::ProtocolHealth`] outcome block. A message that survives its
@@ -57,7 +55,6 @@
 #![warn(missing_docs)]
 
 pub mod energy;
-pub mod engine;
 pub mod fault;
 pub mod metrics;
 pub mod net;
@@ -68,7 +65,6 @@ pub mod shutdown;
 pub mod trace;
 
 pub use energy::{Battery, EnergyModel};
-pub use engine::{EngineError, Quiescence, RoundOutcome, RoundProtocol, RoundRunner, RunReport};
 pub use fault::{FaultEvent, FaultPlan, Jammer};
 pub use metrics::Metrics;
 pub use net::{NetLink, NetModelSpec, PairHasher, ProtocolHealth};

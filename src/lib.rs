@@ -9,10 +9,10 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`geometry`] | `wsn-geometry` | points, rectangles, disks, cell geometry |
-//! | [`simcore`] | `wsn-simcore` | deterministic RNG, round engine, faults, traces, metrics |
+//! | [`simcore`] | `wsn-simcore` | deterministic RNG, network models, faults, traces, metrics |
 //! | [`grid`] | `wsn-grid` | the GAF virtual grid: occupancy, heads, deployment, coverage checks |
 //! | [`hamilton`] | `wsn-hamilton` | directed Hamilton cycles and the odd×odd dual-path structure |
-//! | [`coverage`] | `wsn-coverage` | **SR** — the paper's synchronized snake-like replacement + Theorem 2 analysis |
+//! | [`coverage`] | `wsn-coverage` | **SR** — the paper's synchronized snake-like replacement, the round loop (`scheme::run_to_quiescence`) + Theorem 2 analysis |
 //! | [`baselines`] | `wsn-baselines` | AR (the paper's comparator), virtual force, SMART-style scans |
 //! | [`stats`] | `wsn-stats` | summaries, confidence intervals, ASCII plots, CSV |
 //!
