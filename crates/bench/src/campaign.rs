@@ -161,6 +161,24 @@ fn elem_u64(v: &JsonValue, what: &str) -> Result<u64, String> {
     Ok(n as u64)
 }
 
+/// The largest grid side a campaign may sweep: 4096 × 4096 is the
+/// largest grid the perf ledger runs.
+pub const MAX_GRID_SIDE: u16 = 4_096;
+
+/// The largest spare target `N` a campaign may sweep: one spare per cell
+/// of the largest grid.
+pub const MAX_TARGET: usize = 4_096 * 4_096;
+
+/// The most matrix cells a campaign may have (the presets top out at 60).
+pub const MAX_MATRIX_CELLS: usize = 4_096;
+
+/// The first value of `axis` that repeats an earlier one.
+fn first_repeat<T: PartialEq>(axis: &[T]) -> Option<&T> {
+    (1..axis.len())
+        .find(|&i| axis[..i].contains(&axis[i]))
+        .map(|i| &axis[i])
+}
+
 /// What one campaign trial measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CampaignMode {
@@ -610,19 +628,35 @@ impl CampaignConfig {
         {
             return Err(CampaignError::EmptyMatrix);
         }
-        for (i, id) in self.schemes.iter().enumerate() {
+        self.check_size()?;
+        for id in &self.schemes {
             if !registry.contains(id.as_str()) {
                 return Err(CampaignError::UnknownScheme {
                     id: id.to_string(),
                     registered: registry.ids().iter().map(ToString::to_string).collect(),
                 });
             }
-            // A repeated id would duplicate whole matrix slabs (same
-            // stream seeds, twice the trials, two identical series).
-            if self.schemes[..i].contains(id) {
-                return Err(CampaignError::DuplicateScheme { id: id.to_string() });
-            }
         }
+        // A repeated axis value would duplicate whole matrix slabs (same
+        // stream seeds, twice the trials, two identical series).
+        let repeat = |axis: &'static str, value: Option<String>| match value {
+            Some(value) => Err(CampaignError::Duplicate { axis, value }),
+            None => Ok(()),
+        };
+        repeat(
+            "scheme id",
+            first_repeat(&self.schemes).map(ToString::to_string),
+        )?;
+        repeat(
+            "region",
+            first_repeat(&self.regions).map(ToString::to_string),
+        )?;
+        let grid = first_repeat(&self.grids).map(|(cols, rows)| format!("{cols}x{rows}"));
+        repeat("grid", grid)?;
+        repeat(
+            "target",
+            first_repeat(&self.targets).map(ToString::to_string),
+        )?;
         if self.seeds_per_cell == 0 {
             return Err(CampaignError::ZeroSeeds);
         }
@@ -640,6 +674,15 @@ impl CampaignConfig {
             self.degraded
                 .validate()
                 .map_err(CampaignError::BadDegradedParams)?;
+            // Distinct axis values can still name one network model:
+            // latencies 0 and 1 are both `ideal` without loss.
+            let nets: Vec<NetModelSpec> = (0..self.degraded.combo_count())
+                .map(|k| self.degraded.spec(k))
+                .collect();
+            repeat(
+                "network model",
+                first_repeat(&nets).map(ToString::to_string),
+            )?;
             for id in &self.schemes {
                 let scheme = registry.get(id.as_str()).expect("ids checked above");
                 if !scheme.supports_event_driven() {
@@ -678,6 +721,50 @@ impl CampaignConfig {
                     }
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// Refuses a matrix too large to run, before any mask is built: more
+    /// than [`MAX_MATRIX_CELLS`] cells, a grid side above
+    /// [`MAX_GRID_SIDE`], a target above [`MAX_TARGET`], or a trial count
+    /// that overflows `u64` (deployments are never more than trials).
+    fn check_size(&self) -> Result<(), CampaignError> {
+        let too_large = |reason: String| Err(CampaignError::TooLarge(reason));
+        let nets = match self.mode {
+            CampaignMode::Degraded => {
+                [self.degraded.latencies.len(), self.degraded.loss_ppms.len()]
+            }
+            _ => [1, 1],
+        };
+        let axes = [
+            self.schemes.len(),
+            self.regions.len(),
+            self.grids.len(),
+            self.targets.len(),
+        ];
+        let cells = axes
+            .into_iter()
+            .chain(nets)
+            .try_fold(1usize, usize::checked_mul)
+            .filter(|&cells| cells <= MAX_MATRIX_CELLS);
+        let Some(cells) = cells else {
+            return too_large(format!("more than {MAX_MATRIX_CELLS} matrix cells"));
+        };
+        let side = |&(cols, rows): &(u16, u16)| cols.max(rows) > MAX_GRID_SIDE;
+        if let Some((cols, rows)) = self.grids.iter().find(|g| side(g)) {
+            return too_large(format!(
+                "grid {cols}x{rows} exceeds {MAX_GRID_SIDE}x{MAX_GRID_SIDE}"
+            ));
+        }
+        if let Some(n) = self.targets.iter().find(|&&n| n > MAX_TARGET) {
+            return too_large(format!("target {n} exceeds {MAX_TARGET}"));
+        }
+        if (cells as u64).checked_mul(self.seeds_per_cell).is_none() {
+            return too_large(format!(
+                "{cells} cells of {} trials overflow a u64 trial count",
+                self.seeds_per_cell
+            ));
         }
         Ok(())
     }
@@ -858,12 +945,19 @@ pub enum CampaignError {
         /// Every id the registry knows.
         registered: Vec<String>,
     },
-    /// A scheme id appears more than once in the scheme axis (which
-    /// would duplicate trials and artifact series).
-    DuplicateScheme {
-        /// The repeated id.
-        id: String,
+    /// A value appears more than once on one axis of the matrix (which
+    /// would duplicate trials and artifact series): a scheme id, region,
+    /// grid or target, or, in a degraded campaign, a network model.
+    Duplicate {
+        /// The axis, as the error message names it.
+        axis: &'static str,
+        /// The repeated value.
+        value: String,
     },
+    /// The matrix is too large to run: more than [`MAX_MATRIX_CELLS`]
+    /// cells, a grid side above [`MAX_GRID_SIDE`], a target above
+    /// [`MAX_TARGET`], or a trial count that overflows `u64`.
+    TooLarge(String),
     /// `seeds_per_cell` must be at least 1.
     ZeroSeeds,
     /// [`CampaignMode::SingleReplacement`] measures Theorem 2's SR
@@ -910,9 +1004,10 @@ impl fmt::Display for CampaignError {
                 "unknown scheme id '{id}'; registered ids: {}",
                 registered.join(", ")
             ),
-            CampaignError::DuplicateScheme { id } => {
-                write!(f, "scheme id '{id}' appears more than once in the matrix")
+            CampaignError::Duplicate { axis, value } => {
+                write!(f, "{axis} '{value}' appears more than once in the matrix")
             }
+            CampaignError::TooLarge(reason) => write!(f, "campaign matrix too large: {reason}"),
             CampaignError::ZeroSeeds => write!(f, "seeds_per_cell must be at least 1"),
             CampaignError::SingleReplacementNeedsSr => {
                 write!(
@@ -2304,8 +2399,137 @@ mod tests {
         cfg.schemes = vec![id("sr"), id("ar"), id("sr")];
         assert_eq!(
             run_campaign(&cfg).unwrap_err(),
-            CampaignError::DuplicateScheme { id: "sr".into() }
+            CampaignError::Duplicate {
+                axis: "scheme id",
+                value: "sr".into()
+            }
         );
+    }
+
+    /// The error `validate` returns for `cfg` against the built-ins.
+    fn refusal(cfg: &CampaignConfig) -> CampaignError {
+        cfg.validate(&builtins()).unwrap_err()
+    }
+
+    fn duplicate(axis: &'static str, value: &str) -> CampaignError {
+        CampaignError::Duplicate {
+            axis,
+            value: value.into(),
+        }
+    }
+
+    #[test]
+    fn every_preset_validates() {
+        for cfg in [
+            CampaignConfig::paper(),
+            CampaignConfig::quick(),
+            CampaignConfig::smoke(),
+            CampaignConfig::masked(),
+            CampaignConfig::masked_smoke(),
+            CampaignConfig::avail(),
+            CampaignConfig::avail_smoke(),
+            CampaignConfig::degraded(),
+            CampaignConfig::degraded_smoke(),
+        ] {
+            assert_eq!(cfg.validate(&builtins()), Ok(()), "{}", cfg.name);
+        }
+    }
+
+    #[test]
+    fn validation_refuses_grids_above_the_largest_side() {
+        let mut cfg = tiny();
+        cfg.grids = vec![(MAX_GRID_SIDE, 2)];
+        assert_eq!(cfg.validate(&builtins()), Ok(()));
+        for grid in [
+            (MAX_GRID_SIDE + 1, 2),
+            (2, MAX_GRID_SIDE + 1),
+            (u16::MAX, u16::MAX),
+        ] {
+            cfg.grids = vec![grid];
+            let err = refusal(&cfg);
+            assert!(matches!(err, CampaignError::TooLarge(_)), "{grid:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn validation_refuses_targets_above_one_spare_per_cell_of_the_largest_grid() {
+        let mut cfg = tiny();
+        cfg.targets = vec![MAX_TARGET];
+        assert_eq!(cfg.validate(&builtins()), Ok(()));
+        cfg.targets = vec![5, MAX_TARGET + 1];
+        let err = refusal(&cfg);
+        assert!(matches!(err, CampaignError::TooLarge(_)), "{err}");
+        assert!(
+            err.to_string().contains(&(MAX_TARGET + 1).to_string()),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn validation_refuses_matrices_above_the_cell_bound() {
+        // Two schemes: a target axis of half the bound fits, one more
+        // target does not.
+        let mut cfg = tiny();
+        cfg.targets = (1..=MAX_MATRIX_CELLS / 2).collect();
+        assert_eq!(cfg.validate(&builtins()), Ok(()));
+        cfg.targets.push(MAX_MATRIX_CELLS);
+        let err = refusal(&cfg);
+        assert!(matches!(err, CampaignError::TooLarge(_)), "{err}");
+        // Degraded network axes count toward the cells as well.
+        let mut cfg = CampaignConfig::degraded_smoke();
+        cfg.degraded.loss_ppms = (0..1_000).collect();
+        let err = refusal(&cfg);
+        assert!(matches!(err, CampaignError::TooLarge(_)), "{err}");
+    }
+
+    #[test]
+    fn validation_refuses_trial_counts_that_overflow_u64() {
+        let mut cfg = tiny();
+        cfg.seeds_per_cell = u64::MAX / cfg.cell_count() as u64;
+        assert_eq!(cfg.validate(&builtins()), Ok(()));
+        cfg.seeds_per_cell += 1;
+        let err = refusal(&cfg);
+        assert!(matches!(err, CampaignError::TooLarge(_)), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_duplicate_regions() {
+        let mut cfg = tiny();
+        cfg.regions = vec![RegionShape::Full, RegionShape::LShape, RegionShape::Full];
+        assert_eq!(refusal(&cfg), duplicate("region", "full"));
+    }
+
+    #[test]
+    fn validation_rejects_duplicate_grids() {
+        let mut cfg = tiny();
+        cfg.grids = vec![(6, 6), (8, 8), (6, 6)];
+        assert_eq!(refusal(&cfg), duplicate("grid", "6x6"));
+    }
+
+    #[test]
+    fn validation_rejects_duplicate_targets() {
+        let mut cfg = tiny();
+        cfg.targets = vec![5, 20, 5];
+        assert_eq!(refusal(&cfg), duplicate("target", "5"));
+    }
+
+    #[test]
+    fn validation_rejects_degraded_axes_that_name_one_network_model() {
+        let mut cfg = CampaignConfig::degraded_smoke();
+        // Latencies 0 and 1 are both the ideal link without loss.
+        cfg.degraded = DegradedParams {
+            latencies: vec![0, 1],
+            loss_ppms: vec![0],
+        };
+        assert_eq!(refusal(&cfg), duplicate("network model", "ideal"));
+        cfg.degraded = DegradedParams {
+            latencies: vec![2],
+            loss_ppms: vec![0, 0],
+        };
+        assert_eq!(refusal(&cfg), duplicate("network model", "lat2"));
+        // Outside degraded mode the network axes are not read.
+        cfg.mode = CampaignMode::FullRecovery;
+        assert_eq!(cfg.validate(&builtins()), Ok(()));
     }
 
     #[test]

@@ -7,37 +7,16 @@
 //! cell, which bounds every hop between `r/4` and `(√58/4)·r` and
 //! averages ≈ `1.08·r` (see [`wsn_geometry::CellGeometry`] for the
 //! derivation).
+//!
+//! The replacement protocols draw `u` and then `v` uniformly from their
+//! run's RNG and hand them to
+//! [`GridNetwork::move_into_cell`](wsn_grid::GridNetwork::move_into_cell),
+//! which moves the node to
+//! [`CellGeometry::central_point`](wsn_geometry::CellGeometry::central_point)
+//! of the target cell at `(u, v)`.
 
 use wsn_geometry::Point2;
-use wsn_grid::{GridCoord, GridSystem};
 use wsn_simcore::SimRng;
-
-/// Draws a movement destination in the central area of `target`
-/// (§5 of the paper: "each movement of node u from one grid to its
-/// neighbor will randomly select the destination location in the central
-/// area of the target grid").
-///
-/// Draws `u` and then `v` uniformly and returns
-/// [`CellGeometry::central_point`](wsn_geometry::CellGeometry::central_point)
-/// of `target` at `(u, v)`. The replacement protocols make the same two
-/// draws in the same order and hand them to
-/// [`GridNetwork::move_into_cell`](wsn_grid::GridNetwork::move_into_cell),
-/// which computes this point itself while it moves the node.
-///
-/// # Panics
-///
-/// Panics when `target` is outside `system` (protocol and network are
-/// built from the same dimensions, so this indicates a wiring bug).
-pub fn movement_target(system: &GridSystem, target: GridCoord, rng: &mut SimRng) -> Point2 {
-    assert!(
-        system.contains(target),
-        "movement target must be a grid cell"
-    );
-    let (u, v) = (rng.uniform_f64(), rng.uniform_f64());
-    system
-        .geometry()
-        .central_point(u32::from(target.x), u32::from(target.y), u, v)
-}
 
 /// Empirical mean per-hop distance between uniform central-area points of
 /// 4-adjacent cells, estimated with `samples` Monte-Carlo draws.
@@ -61,6 +40,15 @@ pub fn empirical_avg_hop_distance(r: f64, samples: usize, rng: &mut SimRng) -> f
 mod tests {
     use super::*;
     use wsn_geometry::CellGeometry;
+    use wsn_grid::{GridCoord, GridSystem};
+
+    /// A movement destination in `cell`'s central area, drawn as the
+    /// protocols draw it: `u`, then `v`.
+    fn target(sys: &GridSystem, cell: GridCoord, rng: &mut SimRng) -> Point2 {
+        let (u, v) = (rng.uniform_f64(), rng.uniform_f64());
+        let (x, y) = (u32::from(cell.x), u32::from(cell.y));
+        sys.geometry().central_point(x, y, u, v)
+    }
 
     #[test]
     fn targets_land_in_central_area() {
@@ -69,7 +57,7 @@ mod tests {
         let cell = GridCoord::new(2, 1);
         let central = sys.cell_rect(cell).unwrap().shrunk(0.75).unwrap();
         for _ in 0..500 {
-            let p = movement_target(&sys, cell, &mut rng);
+            let p = target(&sys, cell, &mut rng);
             assert!(central.contains_closed(p), "{p} outside {central}");
         }
     }
@@ -81,8 +69,8 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(2);
         let geom = sys.geometry();
         for _ in 0..500 {
-            let a = movement_target(&sys, GridCoord::new(0, 0), &mut rng);
-            let b = movement_target(&sys, GridCoord::new(1, 0), &mut rng);
+            let a = target(&sys, GridCoord::new(0, 0), &mut rng);
+            let b = target(&sys, GridCoord::new(1, 0), &mut rng);
             let d = a.distance(b);
             assert!(d >= geom.min_move_distance() - 1e-9);
             assert!(d <= geom.max_move_distance() + 1e-9);
@@ -109,13 +97,5 @@ mod tests {
         );
         assert!(factor > CellGeometry::MIN_MOVE_FACTOR);
         assert!(factor < CellGeometry::MAX_MOVE_FACTOR);
-    }
-
-    #[test]
-    #[should_panic(expected = "grid cell")]
-    fn out_of_bounds_target_panics() {
-        let sys = GridSystem::new(2, 2, 1.0).unwrap();
-        let mut rng = SimRng::seed_from_u64(4);
-        movement_target(&sys, GridCoord::new(5, 5), &mut rng);
     }
 }

@@ -174,8 +174,7 @@ impl<'n> Run<'n> {
     /// owns, SR-SC into the hole it serves (debug builds assert it). So
     /// [`GridNetwork::move_into_cell`]'s "head when headless" makes the
     /// mover the head, as the protocol requires. The destination draws
-    /// `u` then `v` from the run's RNG, as
-    /// [`movement_target`](crate::movement::movement_target) does.
+    /// `u` then `v` from the run's RNG ([`crate::movement`]).
     ///
     /// Under battery dynamics the mover pays the move's energy. A mover
     /// that dies on arrival leaves a fresh hole for detection to pick up;

@@ -16,8 +16,12 @@
 //!
 //! 3×3 is SR only (a dual path; SR-SC refuses odd×odd grids) and runs in
 //! tier-1. 4×3 (298,519 provisioned and 228,826 under-provisioned
-//! states, SR and SR-SC) is ignored there and run by CI's release step
-//! with `--include-ignored`.
+//! states, SR and SR-SC) and 4×4 (24,056,138 provisioned states, SR's
+//! classic drive only, split over the machine's cores) are ignored there
+//! and run by CI's release step with `--include-ignored`.
+
+use std::num::NonZeroUsize;
+use std::ops::Range;
 
 use wsn_coverage::{DriveMode, ReplacementScheme, Sr, SrSc};
 use wsn_geometry::sample;
@@ -55,6 +59,21 @@ fn check_every_state(
     provisioned: bool,
     schemes: &[&dyn ReplacementScheme],
 ) -> u64 {
+    let codes = 0..3u64.pow(u32::from(cols * rows));
+    check_states(cols, rows, codes, provisioned, schemes, true)
+}
+
+/// [`check_every_state`] over the states whose codes lie in `codes`;
+/// the Ideal event drive runs (and must equal the classic one) only
+/// when `with_ideal`.
+fn check_states(
+    cols: u16,
+    rows: u16,
+    codes: Range<u64>,
+    provisioned: bool,
+    schemes: &[&dyn ReplacementScheme],
+    with_ideal: bool,
+) -> u64 {
     let sys = GridSystem::new(cols, rows, 1.0).unwrap();
     let cells = sys.cell_count();
     let ideal = DriveMode::EventDriven {
@@ -63,7 +82,7 @@ fn check_every_state(
     let mut net = GridNetwork::new(sys, &[]);
     let mut positions = Vec::new();
     let mut checked = 0;
-    for code in 0..3u64.pow(cells as u32) {
+    for code in codes {
         let counts = decode(code, cells);
         let holes = counts.iter().filter(|&&k| k == 0).count() as u64;
         let spares = counts.iter().filter(|&&k| k == 2).count() as u64;
@@ -111,6 +130,9 @@ fn check_every_state(
                     state()
                 );
             }
+            if !with_ideal {
+                continue;
+            }
             let mut ideal_net = net.clone();
             let event = scheme.run(&mut ideal_net, code, ideal).unwrap();
             assert!(
@@ -148,4 +170,24 @@ fn every_4x3_state_recovers_under_sr_and_sr_sc() {
 fn every_under_provisioned_4x3_state_ends_quiescent_under_sr_and_sr_sc() {
     let (sr, sr_sc) = (Sr::new(), SrSc::new());
     assert_eq!(check_every_state(4, 3, false, &[&sr, &sr_sc]), 228_826);
+}
+
+#[test]
+#[ignore = "24,056,138 states; CI runs it in release"]
+fn every_4x4_state_recovers_under_sr() {
+    let sr = Sr::new();
+    let total = 3u64.pow(16);
+    let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get) as u64;
+    let chunk = total.div_ceil(threads);
+    let checked: u64 = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                let codes = t * chunk..total.min((t + 1) * chunk);
+                let sr: &dyn ReplacementScheme = &sr;
+                scope.spawn(move || check_states(4, 4, codes, true, &[sr], false))
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).sum()
+    });
+    assert_eq!(checked, 24_056_138);
 }

@@ -14,10 +14,9 @@ use crate::{GeometryError, Point2, Rect, Result};
 /// * fault footprints (`FaultEvent::KillRegion` and the moving `Jammer`
 ///   disable every node the disk [`Disk::contains`]).
 ///
-/// **Boundary semantics are closed everywhere**: a point exactly on the
-/// radius is inside, tangent disks intersect, and a rectangle touching
-/// the circle is intersected. See [`Disk::contains`] for why this is
-/// load-bearing for fault injection.
+/// **The boundary is closed**: a point exactly on the radius is inside.
+/// See [`Disk::contains`] for why this is load-bearing for fault
+/// injection.
 ///
 /// ```
 /// use wsn_geometry::{Disk, Point2};
@@ -87,28 +86,6 @@ impl Disk {
     #[inline]
     pub fn contains(&self, p: Point2) -> bool {
         self.center.distance_squared(p) <= self.radius * self.radius
-    }
-
-    /// Whether two closed disks share at least one point.
-    #[inline]
-    pub fn intersects_disk(&self, other: &Disk) -> bool {
-        let r = self.radius + other.radius;
-        self.center.distance_squared(other.center) <= r * r
-    }
-
-    /// Whether the closed disk and closed rectangle share at least one
-    /// point.
-    #[inline]
-    pub fn intersects_rect(&self, rect: &Rect) -> bool {
-        rect.distance_to_point(self.center) <= self.radius
-    }
-
-    /// Whether the rectangle lies entirely inside the disk (used to prove
-    /// a cell fully covered by a single sensor).
-    ///
-    /// True iff all four corners are inside, since disks are convex.
-    pub fn covers_rect(&self, rect: &Rect) -> bool {
-        rect.corners().iter().all(|&c| self.contains(c))
     }
 }
 
@@ -192,43 +169,15 @@ mod tests {
     }
 
     #[test]
-    fn disk_disk_intersection() {
-        let a = Disk::new(Point2::ORIGIN, 1.0).unwrap();
-        let b = Disk::new(Point2::new(2.0, 0.0), 1.0).unwrap();
-        assert!(a.intersects_disk(&b)); // tangent
-        let c = Disk::new(Point2::new(2.1, 0.0), 1.0).unwrap();
-        assert!(!a.intersects_disk(&c));
-    }
-
-    #[test]
-    fn disk_rect_intersection() {
-        let d = Disk::new(Point2::ORIGIN, 1.0).unwrap();
-        let near = Rect::from_size(Point2::new(0.5, 0.5), 1.0, 1.0).unwrap();
-        assert!(d.intersects_rect(&near));
-        let far = Rect::from_size(Point2::new(2.0, 2.0), 1.0, 1.0).unwrap();
-        assert!(!d.intersects_rect(&far));
-    }
-
-    #[test]
-    fn covers_rect_by_corners() {
-        // A disk of radius √2 centered on a unit square centered at origin
-        // covers it; radius 0.5 does not.
-        let sq = Rect::centered_square(Point2::ORIGIN, 2.0).unwrap();
-        let big = Disk::new(Point2::ORIGIN, 2.0_f64.sqrt()).unwrap();
-        assert!(big.covers_rect(&sq));
-        let small = Disk::new(Point2::ORIGIN, 1.0).unwrap();
-        assert!(!small.covers_rect(&sq));
-    }
-
-    #[test]
     fn gaf_range_covers_cell_from_anywhere_inside() {
         // GAF guarantee geometry: a sensor anywhere in an r x r cell with
         // sensing radius >= sqrt(2) * r covers its own whole cell. The
-        // worst case is a corner sensor reaching the opposite corner.
+        // worst case is a corner sensor reaching the opposite corner; a
+        // disk is convex, so holding every corner covers the cell.
         let r = 4.4721;
         let cell = Rect::from_size(Point2::ORIGIN, r, r).unwrap();
         let corner_sensor = Disk::new(Point2::ORIGIN, r * 2.0_f64.sqrt()).unwrap();
-        assert!(corner_sensor.covers_rect(&cell));
+        assert!(cell.corners().iter().all(|&c| corner_sensor.contains(c)));
     }
 
     #[test]

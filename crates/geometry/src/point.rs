@@ -66,28 +66,13 @@ impl Point2 {
         dx * dx + dy * dy
     }
 
-    /// Manhattan (L1) distance to `other`.
-    #[inline]
-    pub fn manhattan_distance(self, other: Point2) -> f64 {
-        (self.x - other.x).abs() + (self.y - other.y).abs()
-    }
-
-    /// Linear interpolation: `t = 0` yields `self`, `t = 1` yields `other`.
-    ///
-    /// `t` outside `[0, 1]` extrapolates along the same line; callers that
-    /// need clamping should clamp `t` first.
-    #[inline]
-    pub fn lerp(self, other: Point2, t: f64) -> Point2 {
-        Point2 {
-            x: self.x + (other.x - self.x) * t,
-            y: self.y + (other.y - self.y) * t,
-        }
-    }
-
     /// Component-wise midpoint of two points.
     #[inline]
     pub fn midpoint(self, other: Point2) -> Point2 {
-        self.lerp(other, 0.5)
+        Point2 {
+            x: self.x + (other.x - self.x) * 0.5,
+            y: self.y + (other.y - self.y) * 0.5,
+        }
     }
 
     /// Displacement vector from `self` to `other` (`other − self`).
@@ -273,16 +258,15 @@ mod tests {
         let b = Point2::new(3.0, 4.0);
         assert_eq!(a.distance(b), 5.0);
         assert_eq!(a.distance_squared(b), 25.0);
-        assert_eq!(a.manhattan_distance(b), 7.0);
     }
 
     #[test]
-    fn lerp_endpoints_and_midpoint() {
+    fn midpoint_is_componentwise() {
         let a = Point2::new(1.0, 1.0);
         let b = Point2::new(3.0, 5.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
         assert_eq!(a.midpoint(b), Point2::new(2.0, 3.0));
+        assert_eq!(b.midpoint(a), a.midpoint(b));
+        assert_eq!(a.midpoint(a), a);
     }
 
     #[test]

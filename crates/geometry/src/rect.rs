@@ -1,7 +1,7 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-use crate::{GeometryError, Point2, Result, Vec2};
+use crate::{GeometryError, Point2, Result};
 
 /// An axis-aligned rectangle, the shape of both grid cells and the whole
 /// surveillance area.
@@ -157,28 +157,6 @@ impl Rect {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
     }
 
-    /// Returns `true` when the closed rectangles overlap (shared edges
-    /// count as overlap).
-    #[inline]
-    pub fn intersects(&self, other: &Rect) -> bool {
-        self.min.x <= other.max.x
-            && other.min.x <= self.max.x
-            && self.min.y <= other.max.y
-            && other.min.y <= self.max.y
-    }
-
-    /// Intersection of two rectangles, or `None` when they are disjoint.
-    pub fn intersection(&self, other: &Rect) -> Option<Rect> {
-        if !self.intersects(other) {
-            return None;
-        }
-        let min = Point2::new(self.min.x.max(other.min.x), self.min.y.max(other.min.y));
-        let max = Point2::new(self.max.x.min(other.max.x), self.max.y.min(other.max.y));
-        // Construction cannot fail: intersects() guarantees min <= max and
-        // both inputs hold the finite invariant.
-        Some(Rect { min, max })
-    }
-
     /// The point of `self` closest to `p` (i.e. `p` clamped to the
     /// rectangle).
     #[inline]
@@ -221,14 +199,6 @@ impl Rect {
         )
     }
 
-    /// Translates the rectangle by `v`.
-    pub fn translated(&self, v: Vec2) -> Rect {
-        Rect {
-            min: self.min + v,
-            max: self.max + v,
-        }
-    }
-
     /// The four corners in counter-clockwise order starting at `min`.
     pub fn corners(&self) -> [Point2; 4] {
         [
@@ -237,11 +207,6 @@ impl Rect {
             self.max,
             Point2::new(self.min.x, self.max.y),
         ]
-    }
-
-    /// Shortest distance from `p` to the rectangle (0 when inside).
-    pub fn distance_to_point(&self, p: Point2) -> f64 {
-        self.clamp_point(p).distance(p)
     }
 }
 
@@ -300,21 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn intersection_cases() {
-        let a = rect(0.0, 0.0, 2.0, 2.0);
-        let b = rect(1.0, 1.0, 3.0, 3.0);
-        let i = a.intersection(&b).unwrap();
-        assert_eq!(i, rect(1.0, 1.0, 2.0, 2.0));
-        let c = rect(5.0, 5.0, 6.0, 6.0);
-        assert!(a.intersection(&c).is_none());
-        assert!(!a.intersects(&c));
-        // Shared edge counts as intersecting (degenerate overlap).
-        let d = rect(2.0, 0.0, 3.0, 2.0);
-        assert!(a.intersects(&d));
-        assert_eq!(a.intersection(&d).unwrap().area(), 0.0);
-    }
-
-    #[test]
     fn shrunk_central_area_bounds() {
         // r = 4 cell: central area must be the centered 3x3 square.
         let cell = rect(0.0, 0.0, 4.0, 4.0);
@@ -328,9 +278,13 @@ mod tests {
     #[test]
     fn clamp_and_distance() {
         let r = rect(0.0, 0.0, 1.0, 1.0);
-        assert_eq!(r.clamp_point(Point2::new(2.0, 0.5)), Point2::new(1.0, 0.5));
-        assert_eq!(r.distance_to_point(Point2::new(2.0, 0.5)), 1.0);
-        assert_eq!(r.distance_to_point(Point2::new(0.5, 0.5)), 0.0);
+        // The clamped point is the nearest point of the rectangle, so its
+        // distance is the point's distance to the rectangle.
+        let outside = Point2::new(2.0, 0.5);
+        assert_eq!(r.clamp_point(outside), Point2::new(1.0, 0.5));
+        assert_eq!(r.clamp_point(outside).distance(outside), 1.0);
+        let inside = Point2::new(0.5, 0.5);
+        assert_eq!(r.clamp_point(inside), inside);
     }
 
     #[test]
@@ -341,14 +295,6 @@ mod tests {
         assert_eq!(c[1], Point2::new(1.0, 0.0));
         assert_eq!(c[2], Point2::new(1.0, 2.0));
         assert_eq!(c[3], Point2::new(0.0, 2.0));
-    }
-
-    #[test]
-    fn translated_preserves_size() {
-        let r = rect(0.0, 0.0, 2.0, 1.0).translated(Vec2::new(5.0, -1.0));
-        assert_eq!(r.min(), Point2::new(5.0, -1.0));
-        assert_eq!(r.width(), 2.0);
-        assert_eq!(r.height(), 1.0);
     }
 
     #[test]

@@ -38,19 +38,6 @@ proptest! {
     }
 
     #[test]
-    fn manhattan_dominates_euclidean(a in point(), b in point()) {
-        prop_assert!(a.manhattan_distance(b) + 1e-9 >= a.distance(b));
-    }
-
-    #[test]
-    fn lerp_stays_on_segment(a in point(), b in point(), t in unit()) {
-        let p = a.lerp(b, t);
-        let d = a.distance(b);
-        prop_assert!(a.distance(p) <= d + 1e-6 * (1.0 + d));
-        prop_assert!(b.distance(p) <= d + 1e-6 * (1.0 + d));
-    }
-
-    #[test]
     fn vector_add_sub_roundtrip(p in point(), dx in finite_coord(), dy in finite_coord()) {
         let v = Vec2::new(dx, dy);
         let q = p + v;
@@ -69,25 +56,6 @@ proptest! {
         prop_assert!(r.contains(r.center()));
         let p = sample::point_in_rect(&r, u, v);
         prop_assert!(r.contains_closed(p));
-    }
-
-    #[test]
-    fn rect_intersection_is_contained_in_both(
-        ax in -100.0..100.0f64, ay in -100.0..100.0f64,
-        aw in 0.1..50.0f64, ah in 0.1..50.0f64,
-        bx in -100.0..100.0f64, by in -100.0..100.0f64,
-        bw in 0.1..50.0f64, bh in 0.1..50.0f64,
-    ) {
-        let a = Rect::from_size(Point2::new(ax, ay), aw, ah).unwrap();
-        let b = Rect::from_size(Point2::new(bx, by), bw, bh).unwrap();
-        match a.intersection(&b) {
-            Some(i) => {
-                prop_assert!(a.contains_closed(i.min()) && a.contains_closed(i.max()));
-                prop_assert!(b.contains_closed(i.min()) && b.contains_closed(i.max()));
-                prop_assert!(i.area() <= a.area().min(b.area()) + 1e-9);
-            }
-            None => prop_assert!(!a.intersects(&b)),
-        }
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!   on restart and still produces the byte-identical artifact;
 //! * SIGTERM is graceful: the daemon exits 0 with the running job
 //!   checkpointed and re-queued;
-//! * connections past the cap are answered `503` until one closes.
+//! * connections past the cap are answered `503` until one closes;
+//! * a config too large to run, or one that repeats an axis value, is
+//!   refused with `400` and the daemon keeps answering.
 
 mod common;
 
@@ -19,7 +21,7 @@ use std::net::TcpStream;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use wsn_bench::campaign::{run_campaign, CampaignConfig};
+use wsn_bench::campaign::{run_campaign, CampaignConfig, CampaignMode, DegradedParams};
 use wsn_coverage::SchemeId;
 use wsn_serve::client;
 use wsn_serve::server::MAX_CONNECTIONS;
@@ -188,6 +190,71 @@ fn concurrent_subscribers_observe_the_identical_ordered_sequence() {
 
 /// A job big enough to survive until the test lands its signal:
 /// two schemes on the 16×16 grid with the expensive n=1000 cells.
+#[test]
+fn oversized_and_repeated_configs_are_refused_and_the_daemon_keeps_answering() {
+    let state = temp_state("bounds");
+    let daemon = Daemon::start(&state, 0);
+    let paper = CampaignConfig::paper();
+    let refused = [
+        // A first worker would ask for room for N + 256 node positions.
+        CampaignConfig {
+            targets: vec![4_500_000_000_000_000],
+            ..paper.clone()
+        },
+        // 199,999 targets: 399,998 matrix cells in a 1.3 MB body.
+        CampaignConfig {
+            targets: (1..200_000).collect(),
+            ..paper.clone()
+        },
+        // 2,048 cells of 2^53 trials: the trial count overflows u64.
+        CampaignConfig {
+            targets: (1..=1_024).collect(),
+            seeds_per_cell: 1 << 53,
+            ..paper.clone()
+        },
+        // Validation would build this grid's masks in the connection
+        // thread.
+        CampaignConfig {
+            grids: vec![(65_535, 65_535)],
+            ..paper.clone()
+        },
+        CampaignConfig {
+            regions: vec![paper.regions[0]; 2],
+            ..paper.clone()
+        },
+        CampaignConfig {
+            grids: vec![(16, 16), (16, 16)],
+            ..paper.clone()
+        },
+        CampaignConfig {
+            targets: vec![10, 10],
+            ..paper.clone()
+        },
+        // Latencies 0 and 1 without loss are both the ideal link.
+        CampaignConfig {
+            mode: CampaignMode::Degraded,
+            degraded: DegradedParams {
+                latencies: vec![0, 1],
+                loss_ppms: vec![0],
+            },
+            ..CampaignConfig::degraded_smoke()
+        },
+    ];
+    for cfg in &refused {
+        let body = cfg.to_json().to_string();
+        let response = client::request(&daemon.addr, "POST", "/jobs", Some(&body)).expect("post");
+        assert_eq!(response.status, 400, "accepted: {}", response.body);
+        let health = client::request(&daemon.addr, "GET", "/healthz", None).expect("healthz");
+        assert_eq!(health.status, 200, "{}", response.body);
+    }
+    // Nothing was queued.
+    let list = client::request(&daemon.addr, "GET", "/jobs", None).expect("job list");
+    let jobs = JsonValue::parse(&list.body).expect("the job list is JSON");
+    let queued = jobs.get("jobs").and_then(JsonValue::as_arr).map(<[_]>::len);
+    assert_eq!(queued, Some(0), "{}", list.body);
+    let _unused = std::fs::remove_dir_all(&state);
+}
+
 fn long_config() -> CampaignConfig {
     CampaignConfig {
         name: "e2e-long".into(),
