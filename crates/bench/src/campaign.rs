@@ -172,11 +172,21 @@ pub const MAX_TARGET: usize = 4_096 * 4_096;
 /// The most matrix cells a campaign may have (the presets top out at 60).
 pub const MAX_MATRIX_CELLS: usize = 4_096;
 
-/// The first value of `axis` that repeats an earlier one.
-fn first_repeat<T: PartialEq>(axis: &[T]) -> Option<&T> {
-    (1..axis.len())
-        .find(|&i| axis[..i].contains(&axis[i]))
-        .map(|i| &axis[i])
+/// Refuses the first value of the axis `name` that repeats an earlier
+/// one: it would duplicate whole matrix slabs (same stream seeds, twice
+/// the trials, two identical series). `show` spells the value.
+fn refuse_repeats<T: PartialEq>(
+    name: &'static str,
+    axis: &[T],
+    show: impl Fn(&T) -> String,
+) -> Result<(), CampaignError> {
+    match (1..axis.len()).find(|&i| axis[..i].contains(&axis[i])) {
+        Some(i) => Err(CampaignError::Duplicate {
+            axis: name,
+            value: show(&axis[i]),
+        }),
+        None => Ok(()),
+    }
 }
 
 /// What one campaign trial measures.
@@ -637,26 +647,10 @@ impl CampaignConfig {
                 });
             }
         }
-        // A repeated axis value would duplicate whole matrix slabs (same
-        // stream seeds, twice the trials, two identical series).
-        let repeat = |axis: &'static str, value: Option<String>| match value {
-            Some(value) => Err(CampaignError::Duplicate { axis, value }),
-            None => Ok(()),
-        };
-        repeat(
-            "scheme id",
-            first_repeat(&self.schemes).map(ToString::to_string),
-        )?;
-        repeat(
-            "region",
-            first_repeat(&self.regions).map(ToString::to_string),
-        )?;
-        let grid = first_repeat(&self.grids).map(|(cols, rows)| format!("{cols}x{rows}"));
-        repeat("grid", grid)?;
-        repeat(
-            "target",
-            first_repeat(&self.targets).map(ToString::to_string),
-        )?;
+        refuse_repeats("scheme id", &self.schemes, ToString::to_string)?;
+        refuse_repeats("region", &self.regions, ToString::to_string)?;
+        refuse_repeats("grid", &self.grids, |(cols, rows)| format!("{cols}x{rows}"))?;
+        refuse_repeats("target", &self.targets, ToString::to_string)?;
         if self.seeds_per_cell == 0 {
             return Err(CampaignError::ZeroSeeds);
         }
@@ -679,10 +673,7 @@ impl CampaignConfig {
             let nets: Vec<NetModelSpec> = (0..self.degraded.combo_count())
                 .map(|k| self.degraded.spec(k))
                 .collect();
-            repeat(
-                "network model",
-                first_repeat(&nets).map(ToString::to_string),
-            )?;
+            refuse_repeats("network model", &nets, ToString::to_string)?;
             for id in &self.schemes {
                 let scheme = registry.get(id.as_str()).expect("ids checked above");
                 if !scheme.supports_event_driven() {

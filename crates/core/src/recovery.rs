@@ -58,11 +58,12 @@ pub trait SchemeProtocol {
 const QUIESCENT_ROUNDS: u64 = 2;
 
 /// Runs `protocol` round by round until two consecutive rounds make no
-/// progress, or until `max_rounds` rounds have run, and reports. `rounds` is the last executed round plus one, so a run cut
-/// by the cap reports `max_rounds`. The network the protocol borrowed is
-/// left in its recovered state; the returned trace is the protocol's own
-/// log. Check the cap with [`round_cap`] before building the protocol: a
-/// zero cap runs no round.
+/// progress, or until `max_rounds` rounds have run, and reports. The
+/// report's `rounds` (and `metrics.rounds`) is the last executed round
+/// plus one, so a run cut by the cap reports `max_rounds`. The network
+/// the protocol borrowed is left in its recovered state; the returned
+/// trace is the protocol's own log. Check the cap with [`round_cap`]
+/// before building the protocol: a zero cap runs no round.
 ///
 /// ```
 /// use wsn_coverage::scheme::{run_to_quiescence, DriveMode};
@@ -262,8 +263,40 @@ mod tests {
         assert_eq!(round_cap("sr", 0).unwrap_err(), err);
     }
 
+    #[test]
+    fn dropped_probes_keep_the_run_live() {
+        // At 90% loss most probes drown. A drowned probe leaves its hole
+        // to a later round, and that outstanding work must keep the run
+        // going until a probe gets through: the monitor's cell holds a
+        // spare, so one arriving probe covers the hole.
+        use crate::SrSc;
+        use wsn_simcore::NetModelSpec;
+        let lossy = DriveMode::EventDriven {
+            net: NetModelSpec::Bernoulli {
+                loss_ppm: 900_000,
+                latency: 1,
+            },
+        };
+        let sys = GridSystem::new(4, 4, 4.4721).unwrap();
+        for seed in 0..20 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let pos = deploy::with_holes(&sys, &[GridCoord::new(2, 2)], 2, &mut rng);
+            let net = GridNetwork::new(sys, &pos);
+            let schemes: [&dyn ReplacementScheme; 2] = [&Sr::new(), &SrSc::new()];
+            for scheme in schemes {
+                let report = scheme.run(&mut net.clone(), seed, lossy).unwrap();
+                assert!(
+                    report.fully_covered,
+                    "{} seed {seed}: {report}",
+                    scheme.id()
+                );
+                assert!(report.run.is_quiescent(), "{} seed {seed}", scheme.id());
+            }
+        }
+    }
+
     /// A protocol that replays a progress script on a tiny network: round
-    /// `r` makes progress when `script[r]` is `true`, and every round
+    /// `r` makes progress when `progress[r]` is `true`, and every round
     /// past the script is idle.
     struct Script {
         net: GridNetwork,
