@@ -172,15 +172,17 @@ pub const MAX_TARGET: usize = 4_096 * 4_096;
 /// The most matrix cells a campaign may have (the presets top out at 60).
 pub const MAX_MATRIX_CELLS: usize = 4_096;
 
-/// Refuses the first value of the axis `name` that repeats an earlier
-/// one: it would duplicate whole matrix slabs (same stream seeds, twice
-/// the trials, two identical series). `show` spells the value.
-fn refuse_repeats<T: PartialEq>(
+/// Refuses the first value of the axis `name` that is the `same` as an
+/// earlier one: it would duplicate whole matrix slabs (same stream
+/// seeds, twice the trials, two identical series). `show` spells the
+/// value.
+fn refuse_repeats<T>(
     name: &'static str,
     axis: &[T],
+    same: impl Fn(&T, &T) -> bool,
     show: impl Fn(&T) -> String,
 ) -> Result<(), CampaignError> {
-    match (1..axis.len()).find(|&i| axis[..i].contains(&axis[i])) {
+    match (1..axis.len()).find(|&i| axis[..i].iter().any(|v| same(v, &axis[i]))) {
         Some(i) => Err(CampaignError::Duplicate {
             axis: name,
             value: show(&axis[i]),
@@ -647,10 +649,16 @@ impl CampaignConfig {
                 });
             }
         }
-        refuse_repeats("scheme id", &self.schemes, ToString::to_string)?;
-        refuse_repeats("region", &self.regions, ToString::to_string)?;
-        refuse_repeats("grid", &self.grids, |(cols, rows)| format!("{cols}x{rows}"))?;
-        refuse_repeats("target", &self.targets, ToString::to_string)?;
+        refuse_repeats(
+            "scheme id",
+            &self.schemes,
+            PartialEq::eq,
+            ToString::to_string,
+        )?;
+        refuse_repeats("region", &self.regions, PartialEq::eq, ToString::to_string)?;
+        let grid = |(cols, rows): &(u16, u16)| format!("{cols}x{rows}");
+        refuse_repeats("grid", &self.grids, PartialEq::eq, grid)?;
+        refuse_repeats("target", &self.targets, PartialEq::eq, ToString::to_string)?;
         if self.seeds_per_cell == 0 {
             return Err(CampaignError::ZeroSeeds);
         }
@@ -668,12 +676,14 @@ impl CampaignConfig {
             self.degraded
                 .validate()
                 .map_err(CampaignError::BadDegradedParams)?;
-            // Distinct axis values can still name one network model:
-            // latencies 0 and 1 are both `ideal` without loss.
-            let nets: Vec<NetModelSpec> = (0..self.degraded.combo_count())
-                .map(|k| self.degraded.spec(k))
-                .collect();
-            refuse_repeats("network model", &nets, ToString::to_string)?;
+            // Two combinations name one network model exactly when they
+            // share a loss and a latency in rounds, where a latency of 0
+            // is the one-round link, as 1 is
+            // (`NetModelSpec::latency_ticks`).
+            let (latencies, losses) = (&self.degraded.latencies, &self.degraded.loss_ppms);
+            let rounds = |a: &u32, b: &u32| a.max(&1) == b.max(&1);
+            refuse_repeats("latency", latencies, rounds, ToString::to_string)?;
+            refuse_repeats("loss_ppm", losses, PartialEq::eq, ToString::to_string)?;
             for id in &self.schemes {
                 let scheme = registry.get(id.as_str()).expect("ids checked above");
                 if !scheme.supports_event_driven() {
@@ -938,7 +948,8 @@ pub enum CampaignError {
     },
     /// A value appears more than once on one axis of the matrix (which
     /// would duplicate trials and artifact series): a scheme id, region,
-    /// grid or target, or, in a degraded campaign, a network model.
+    /// grid or target, or, in a degraded campaign, a latency (0 and 1
+    /// both mean one round) or a loss.
     Duplicate {
         /// The axis, as the error message names it.
         axis: &'static str,
@@ -2512,12 +2523,15 @@ mod tests {
             latencies: vec![0, 1],
             loss_ppms: vec![0],
         };
-        assert_eq!(refusal(&cfg), duplicate("network model", "ideal"));
+        assert_eq!(refusal(&cfg), duplicate("latency", "1"));
+        // So are latencies 0 and 1 under loss: both take one round.
+        cfg.degraded.loss_ppms = vec![100_000];
+        assert_eq!(refusal(&cfg), duplicate("latency", "1"));
         cfg.degraded = DegradedParams {
             latencies: vec![2],
             loss_ppms: vec![0, 0],
         };
-        assert_eq!(refusal(&cfg), duplicate("network model", "lat2"));
+        assert_eq!(refusal(&cfg), duplicate("loss_ppm", "0"));
         // Outside degraded mode the network axes are not read.
         cfg.mode = CampaignMode::FullRecovery;
         assert_eq!(cfg.validate(&builtins()), Ok(()));
