@@ -20,7 +20,7 @@ use crate::scheme::{Quiescence, RunReport, SchemeReport, Unsupported};
 /// [`SchemeReport`] only the protocol knows, plus its event trace.
 #[derive(Debug)]
 pub struct ProtocolOutcome {
-    /// Cost counters. The driver sets `rounds`.
+    /// Cost counters; [`run_to_quiescence`] sets `rounds`.
     pub metrics: Metrics,
     /// Per-process summaries (empty for schemes without processes).
     pub processes: Vec<ProcessSummary>,
@@ -341,7 +341,7 @@ mod tests {
         let (report, _) = run_to_quiescence(Script::new(&[true, true, false, false]), 100);
         assert_eq!(report.run.rounds, 4);
         assert!(report.run.is_quiescent());
-        // The driver, not the protocol, writes the round count.
+        // The round loop, not the protocol, writes the round count.
         assert_eq!(report.metrics.rounds, 4);
     }
 
