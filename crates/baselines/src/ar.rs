@@ -10,7 +10,7 @@
 //! * *Local direction choice:* with only 1-hop knowledge and no global
 //!   cycle, each cascade picks its next cell greedily (continue straight
 //!   away from the hole when possible, otherwise scan the remaining
-//!   neighbors), keeping a per-process visited set.
+//!   neighbors), never re-entering a cell it has relayed through.
 //! * *Conflicts fail:* two cascades that ask the same head in the same
 //!   round collide — the later one fails (the paper's "overreaction").
 //!   A cascade that runs into a vacant cell or runs out of unvisited
@@ -123,21 +123,29 @@ impl Default for ArConfig {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct ArProcess {
     id: u64,
     current_target: GridCoord,
     asked: GridCoord,
-    /// The cascade's path: its hole first, then every cell it has
-    /// relayed through. Searched linearly: a cascade relays at most one
-    /// hop per round, so the path holds at most one cell more than the
-    /// rounds the cascade has lived, and a check reads no more than that.
-    visited: Vec<GridCoord>,
+    /// The last cell of the cascade's path, as an index into
+    /// [`ArProtocol::paths`]: the path is its hole, then every cell it
+    /// has relayed through, read backwards from here.
+    path: usize,
     hops: usize,
     /// First round in which the asked head may act — the in-flight ask's
     /// arrival time under the event engine's network model. Always 0 in
     /// classic mode (asks arrive by axiom).
     ready_at: u64,
+}
+
+/// One cell of a cascade's path, linked to the cell before it.
+#[derive(Debug, Clone, Copy)]
+struct PathLink {
+    cell: GridCoord,
+    /// The index of the path's previous cell in [`ArProtocol::paths`];
+    /// `None` at the hole, where the path starts.
+    previous: Option<usize>,
 }
 
 /// The AR protocol as a round-based state machine over a borrowed
@@ -158,6 +166,13 @@ pub struct ArProtocol<'n> {
     /// Active cascades per `current_target` cell: detection's "owned by
     /// a cascade" check without scanning `active`.
     owners: OwnerCounts,
+    /// Every cascade's path, as links back towards its hole, in one
+    /// arena that lives as long as the run: starting a cascade or
+    /// relaying it appends one link and allocates nothing of its own.
+    /// A path is searched linearly: a cascade relays at most one hop
+    /// per round, so its path holds at most one cell more than the
+    /// rounds it has lived, and a check reads no more than that.
+    paths: Vec<PathLink>,
     next_id: u64,
     /// The monitors that already fired during the current vacancy
     /// episode of each hole: per dense cell index, bit `i` stands for
@@ -200,7 +215,7 @@ impl<'n> ArProtocol<'n> {
         drive: DriveMode,
         trace: TraceLog,
     ) -> ArProtocol<'n> {
-        let link = Wire::for_drive(drive, seed);
+        let link = Wire::for_drive(drive, net.system(), seed);
         let mut rng = SimRng::seed_from_u64(seed);
         net.elect_all_heads(config.election, &mut rng);
         let ttl = if config.ttl == 0 {
@@ -220,6 +235,7 @@ impl<'n> ArProtocol<'n> {
             active: Vec::new(),
             survivors: Vec::new(),
             owners,
+            paths: Vec::new(),
             next_id: 0,
             initiated: vec![0; cells],
             initiated_holes: Vec::new(),
@@ -259,14 +275,35 @@ impl<'n> ArProtocol<'n> {
     }
 
     /// Relays `p` one hop: the cell it asked becomes its target (the
-    /// asked head just moved out of it), and it asks `next`.
+    /// asked head just moved out of it) and joins its path, and it asks
+    /// `next`.
     fn relay(&mut self, p: &mut ArProcess, next: GridCoord) {
         self.owners.remove(p.current_target);
         self.owners.add(p.asked);
-        p.visited.push(p.asked);
+        p.path = self.extend_path(Some(p.path), p.asked);
         p.current_target = p.asked;
         p.asked = next;
         p.hops += 1;
+    }
+
+    /// Appends `cell` to the path ending at link `previous` (a new path
+    /// when `None`) and returns the new last link.
+    fn extend_path(&mut self, previous: Option<usize>, cell: GridCoord) -> usize {
+        self.paths.push(PathLink { cell, previous });
+        self.paths.len() - 1
+    }
+
+    /// Whether `cell` is on the path ending at link `last`.
+    fn on_path(&self, last: usize, cell: GridCoord) -> bool {
+        let mut link = Some(last);
+        while let Some(i) = link {
+            let PathLink { cell: c, previous } = self.paths[i];
+            if c == cell {
+                return true;
+            }
+            link = previous;
+        }
+        false
     }
 
     /// Ends `p` (converged or failed), releasing its target.
@@ -334,7 +371,7 @@ impl<'n> ArProtocol<'n> {
             .filter(|&c| Some(c) != straight);
         let mut occupied = None;
         for c in straight.into_iter().chain(around) {
-            if !self.is_usable(c) || p.visited.contains(&c) || c == p.current_target {
+            if !self.is_usable(c) || self.on_path(p.path, c) || c == p.current_target {
                 continue;
             }
             if self.net.spare_count(c).is_ok_and(|n| n > 0) {
@@ -536,11 +573,12 @@ impl SchemeProtocol for ArProtocol<'_> {
                         initiator: w.into(),
                     },
                 );
+                let path = self.extend_path(None, g);
                 self.enlist(ArProcess {
                     id,
                     current_target: g,
                     asked: w,
-                    visited: vec![g],
+                    path,
                     hops: 0,
                     ready_at: 0,
                 });

@@ -135,13 +135,18 @@ pub struct Wire {
 }
 
 impl Wire {
-    /// The wire of `drive` for the run seeded `seed`: `None` for
-    /// [`DriveMode::Classic`], which routes and counts nothing.
-    pub fn for_drive(drive: DriveMode, seed: u64) -> Option<Wire> {
+    /// The wire of `drive` for the run over `sys` seeded `seed`: `None`
+    /// for [`DriveMode::Classic`], which routes and counts nothing. The
+    /// link counts messages between adjacent cells of `sys` densely.
+    pub fn for_drive(drive: DriveMode, sys: &GridSystem, seed: u64) -> Option<Wire> {
         match drive {
             DriveMode::Classic => None,
             DriveMode::EventDriven { net } => Some(Wire {
-                link: net.link(derive_stream_seed(seed, &[NET_STREAM_TAG])),
+                link: net.link(
+                    derive_stream_seed(seed, &[NET_STREAM_TAG]),
+                    sys.cell_count(),
+                    usize::from(sys.cols()),
+                ),
                 last_arrival: 0,
             }),
         }

@@ -103,13 +103,23 @@ struct SrLink {
 pub struct SrProtocol<'n> {
     run: Run<'n>,
     topo: CycleTopology,
-    /// Active processes, in id order (ids are issued ascending and
-    /// compaction keeps order), which is the order their batons land
-    /// in. A process that ends mid-round stays as a tombstone until
-    /// [`Self::compact`] at the end of the round's steps.
+    /// Active processes that can still act, in id order (ids are issued
+    /// ascending and compaction keeps order), which is the order their
+    /// batons land in. A process that ends mid-round stays as a
+    /// tombstone until [`Self::compact`] at the end of the round's
+    /// steps, which also parks every process whose baton the link
+    /// dropped in `stranded`; so `active` never holds a lost baton, and
+    /// a round visits only processes that can act.
     active: Vec<ActiveProcess>,
-    /// Active processes per `current_vacant` cell: detection's "already
-    /// owned" check without scanning `active`.
+    /// Active processes whose baton the link dropped
+    /// ([`BatonState::Lost`]), in the order they lost it. Nobody holds
+    /// their notification, so they never act again, but they still own
+    /// their vacancy: a monitor that re-initiates it counts a duplicate.
+    /// They fail with the rest, in id order, when the run ends.
+    stranded: Vec<ActiveProcess>,
+    /// Active processes per `current_vacant` cell, stranded ones
+    /// included: detection's "already owned" check without scanning
+    /// `active`.
     owners: OwnerCounts,
     /// The network model under the event drive; `None` in the classic
     /// drive, which routes and counts nothing.
@@ -145,7 +155,7 @@ impl<'n> SrProtocol<'n> {
             "topology and network dimensions must match"
         );
         let owners = OwnerCounts::new(net.system());
-        let link = Wire::for_drive(drive, seed).map(|wire| SrLink {
+        let link = Wire::for_drive(drive, net.system(), seed).map(|wire| SrLink {
             wire,
             held: owners.clone(),
             vacated_at: vec![0; net.system().cell_count()],
@@ -154,6 +164,7 @@ impl<'n> SrProtocol<'n> {
             run: Run::new(net, config, seed, trace),
             topo,
             active: Vec::new(),
+            stranded: Vec::new(),
             owners,
             link,
         }
@@ -164,9 +175,10 @@ impl<'n> SrProtocol<'n> {
         &self.run.metrics
     }
 
-    /// Number of processes still active (cascading or waiting).
+    /// Number of processes still active (cascading, waiting, or
+    /// stranded by a lost baton).
     pub fn active_processes(&self) -> usize {
-        self.active.len()
+        self.active.len() + self.stranded.len()
     }
 
     /// The health ledger, under the event drive.
@@ -251,16 +263,27 @@ impl<'n> SrProtocol<'n> {
         p
     }
 
-    /// Drops the round's tombstones in one ordered pass: a round that
-    /// ends k of n processes touches each entry once, not k·n times.
+    /// Drops the round's tombstones and parks its lost batons in
+    /// `stranded`, in one ordered pass: a round that ends k of n
+    /// processes touches each entry once, not k·n times.
     fn compact(&mut self) {
-        self.active.retain(|p| !p.retired);
+        let stranded = &mut self.stranded;
+        self.active.retain(|p| {
+            if p.baton == BatonState::Lost && !p.retired {
+                stranded.push(*p);
+                return false;
+            }
+            !p.retired
+        });
     }
 
-    /// Ends every active process, in id order, releasing their cells.
-    /// Runs between rounds, when `active` holds no tombstone.
+    /// Ends every active process, stranded ones included, in id order,
+    /// releasing their cells. Runs between rounds, when `active` holds
+    /// no tombstone.
     fn retire_all(&mut self) -> Vec<ActiveProcess> {
-        let all = std::mem::take(&mut self.active);
+        let mut all = std::mem::take(&mut self.active);
+        all.append(&mut self.stranded);
+        all.sort_unstable_by_key(|p| p.id);
         for &p in &all {
             self.release(p);
         }
@@ -564,8 +587,12 @@ impl<'n> SrProtocol<'n> {
             active = true;
         }
         self.run.end_sweep(buf);
-        self.owners
-            .debug_check(self.active.iter().map(|p| p.current_vacant));
+        self.owners.debug_check(
+            self.active
+                .iter()
+                .chain(&self.stranded)
+                .map(|p| p.current_vacant),
+        );
         if let Some(link) = &self.link {
             link.held.debug_check(
                 self.active
@@ -1033,6 +1060,70 @@ mod tests {
             .filter(|n| n.battery().fraction() < 1.0)
             .count();
         assert!(idlers > 1);
+    }
+
+    #[test]
+    fn lost_batons_stay_owned_and_fail_in_id_order_when_the_run_ends() {
+        use wsn_simcore::NetModelSpec;
+        let lossy = DriveMode::EventDriven {
+            net: NetModelSpec::Bernoulli {
+                loss_ppm: 300_000,
+                latency: 1,
+            },
+        };
+        let lost_reason = "notification lost in the network (run ended)";
+        let mut parked = 0;
+        for seed in 0..16 {
+            // One spare in a far corner: every repair is a long cascade,
+            // so batons cross many links.
+            let sys = GridSystem::new(8, 8, 4.4721).unwrap();
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut pos = deploy::with_holes(&sys, &[GridCoord::new(4, 4)], 1, &mut rng);
+            pos.push(sys.cell_rect(GridCoord::new(0, 0)).unwrap().center());
+            let mut net = GridNetwork::new(sys, &pos);
+            let topo = CycleTopology::build(8, 8).unwrap();
+            let config = SrConfig::default();
+            let mut sr = SrProtocol::new(&mut net, topo, config, seed, lossy, TraceLog::new());
+            // The driver's rule: two idle rounds in a row end the run.
+            let (mut rounds, mut idle) = (0, 0);
+            while idle < 2 {
+                let live = sr.execute_round(rounds);
+                idle = if live { 0 } else { idle + 1 };
+                rounds += 1;
+                assert!(rounds < 10_000, "seed {seed} never went quiescent");
+                assert!(sr.active.iter().all(|p| p.baton != BatonState::Lost));
+                assert!(sr.stranded.iter().all(|p| p.baton == BatonState::Lost));
+                // A stranded process still owns its vacancy.
+                for p in &sr.stranded {
+                    assert!(sr.owners.is_owned(p.current_vacant), "seed {seed}");
+                }
+            }
+            let mut stranded: Vec<u64> = sr.stranded.iter().map(|p| p.id.raw()).collect();
+            stranded.sort_unstable();
+            parked += stranded.len();
+            let outcome = sr.finish(rounds);
+            // No baton is in flight at quiescence, so every stalled
+            // repair is a stranded process, counted once.
+            assert_eq!(outcome.health.stalled_repairs, stranded.len() as u64);
+            let ended: Vec<(u64, bool)> = outcome
+                .trace
+                .of_kind("process_failed")
+                .filter(|r| r.round == rounds)
+                .map(|r| match &r.event {
+                    TraceEvent::ProcessFailed { process, reason } => {
+                        (*process, reason == lost_reason)
+                    }
+                    other => panic!("{other:?}"),
+                })
+                .collect();
+            assert!(ended.windows(2).all(|w| w[0].0 < w[1].0), "id order");
+            let lost: Vec<u64> = ended.iter().filter(|e| e.1).map(|e| e.0).collect();
+            assert_eq!(lost, stranded, "seed {seed}");
+            for id in stranded {
+                assert_eq!(outcome.processes[id as usize].status, ProcessStatus::Failed);
+            }
+        }
+        assert!(parked > 0, "30% loss must strand some baton");
     }
 
     #[test]

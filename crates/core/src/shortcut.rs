@@ -107,10 +107,10 @@ impl<'n> ShortcutProtocol<'n> {
         debug_assert!(!ring.is_dual(), "SR-SC needs a unique predecessor per cell");
         ShortcutProtocol {
             owners: OwnerCounts::new(net.system()),
+            link: Wire::for_drive(drive, net.system(), seed),
             run: Run::new(net, config, seed, trace),
             ring,
             active: Vec::new(),
-            link: Wire::for_drive(drive, seed),
         }
     }
 

@@ -21,9 +21,11 @@
 //!   of the endpoints alone.
 //! * **Cheap fates.** Endpoints are cell indices. The Bernoulli draw is
 //!   the first output of the pair's stream, computed from the two
-//!   generator words it reads; the pair counters hash with a seedless
-//!   multiply. Cell positions are computed only for the jammer, the one
-//!   model that reads geometry.
+//!   generator words it reads. A pair of index-adjacent cells (`to ± 1`,
+//!   `to ± stride`), which carries nearly every message, is counted in a
+//!   dense slot of its own; only the rarer far pairs hash, with a
+//!   seedless multiply. Cell positions are computed only for the jammer,
+//!   the one model that reads geometry.
 //! * **Separate streams.** Link randomness never touches the
 //!   protocol's run RNG: under [`NetModelSpec::Ideal`] a run draws the
 //!   byte-identical random sequence as the classic round loop, which is
@@ -151,11 +153,21 @@ impl NetModelSpec {
     /// Builds the stateful link for one run. `seed` addresses the
     /// link's RNG streams; derive it from the trial seed so it is
     /// independent of the protocol's run RNG.
-    pub fn link(self, seed: u64) -> NetLink {
+    ///
+    /// `cells` and `stride` describe the endpoint space: cells `0..cells`
+    /// in rows of `stride` (a grid's cell count and column count). They
+    /// size a lossy `Bernoulli` link's dense counters, four slots per
+    /// cell; every other model keeps no counters and ignores them. Fates
+    /// never depend on them: `cells = 0` counts every pair in the map.
+    pub fn link(self, seed: u64, cells: usize, stride: usize) -> NetLink {
+        let cells = if self.loss_ppm() > 0 { cells } else { 0 };
         NetLink {
             spec: self,
             root: StreamRoot::new(seed),
-            pair_counts: HashMap::default(),
+            cells: cells as u64,
+            stride: stride as u64,
+            adjacent: vec![0; 4 * cells],
+            far: HashMap::default(),
             health: ProtocolHealth::default(),
         }
     }
@@ -168,7 +180,7 @@ impl fmt::Display for NetModelSpec {
 }
 
 /// A fixed, seedless multiplicative hasher for keys the simulation
-/// chooses itself. Its one user is [`NetLink`]'s per-pair message
+/// chooses itself. Its one user is [`NetLink`]'s map of far-pair message
 /// counters, keyed by `(from, to)` cell endpoints. Such keys are small
 /// cell indices, never adversarial input, so SipHash's flooding
 /// resistance buys nothing; this costs one multiply per word (per byte
@@ -221,11 +233,20 @@ pub struct NetLink {
     spec: NetModelSpec,
     /// The link seed with the first hashing step of its streams taken.
     root: StreamRoot,
-    /// Messages routed so far on each directed `(from, to)` pair — the
-    /// `n` of the coordinate-addressed fate function. Kept only under a
-    /// lossy [`NetModelSpec::Bernoulli`], the one model whose fate
-    /// reads `n`.
-    pair_counts: HashMap<(u64, u64), u64, BuildHasherDefault<PairHasher>>,
+    /// Endpoints below this have dense counters: the grid's cell count
+    /// under a lossy [`NetModelSpec::Bernoulli`], the one model whose
+    /// fate reads `n`, and 0 (no dense counters) otherwise.
+    cells: u64,
+    /// The row stride of the endpoint grid.
+    stride: u64,
+    /// Messages routed so far on each directed pair of index-adjacent
+    /// cells — the `n` of the coordinate-addressed fate function — in
+    /// four slots per receiving cell ([`NetLink::adjacent_slot`]).
+    adjacent: Vec<u32>,
+    /// The same counts for every other pair (masked-ring seams, courier
+    /// forwards that skip a hole, acks, endpoints outside the grid), and
+    /// for an adjacent pair whose slot is full.
+    far: HashMap<(u64, u64), u64, BuildHasherDefault<PairHasher>>,
     /// Counters the run's `SchemeReport` surfaces as `ProtocolHealth`.
     pub health: ProtocolHealth,
 }
@@ -279,6 +300,51 @@ impl NetLink {
         }
     }
 
+    /// The dense counter slot of the directed pair `from → to`: slot
+    /// `4·to + d`, where `d` names `from`'s offset from `to` (+1, −1,
+    /// +stride, −stride; the first that matches when two coincide). Each
+    /// pair has at most one slot and no two pairs share one, since `to`
+    /// and `d` give back `from`. `None` for every other pair and for
+    /// endpoints outside the grid, which the map counts.
+    fn adjacent_slot(&self, from: u64, to: u64) -> Option<usize> {
+        if from >= self.cells || to >= self.cells {
+            return None;
+        }
+        let offset = from.wrapping_sub(to);
+        let d = if offset == 1 {
+            0
+        } else if offset == u64::MAX {
+            1
+        } else if offset == self.stride {
+            2
+        } else if offset == self.stride.wrapping_neg() {
+            3
+        } else {
+            return None;
+        };
+        Some(4 * to as usize + d)
+    }
+
+    /// Counts one more message on `from → to` and returns how many the
+    /// pair carried before it. A slot that reaches `u32::MAX` stops
+    /// there and the map carries the pair on from that count.
+    fn next_count(&mut self, from: u64, to: u64) -> u64 {
+        let start = match self.adjacent_slot(from, to) {
+            Some(slot) => {
+                let count = &mut self.adjacent[slot];
+                if *count < u32::MAX {
+                    *count += 1;
+                    return u64::from(*count - 1);
+                }
+                u64::from(u32::MAX)
+            }
+            None => 0,
+        };
+        let count = self.far.entry((from, to)).or_insert(start);
+        *count += 1;
+        *count - 1
+    }
+
     /// Routes one inter-cell message from cell `from` to cell `to`
     /// (dense row-major indices), advancing the health ledger and, under
     /// a lossy `Bernoulli`, the pair counter. Returns whether it arrives:
@@ -288,11 +354,7 @@ impl NetLink {
     /// meters; only the jammer calls it.
     pub fn route(&mut self, from: u64, to: u64, center: impl Fn(u64) -> (f64, f64)) -> bool {
         let n = match self.spec {
-            NetModelSpec::Bernoulli { loss_ppm, .. } if loss_ppm > 0 => {
-                let count = self.pair_counts.entry((from, to)).or_insert(0);
-                *count += 1;
-                *count - 1
-            }
+            NetModelSpec::Bernoulli { loss_ppm, .. } if loss_ppm > 0 => self.next_count(from, to),
             _ => 0,
         };
         let dropped = self.drops(from, to, n, center);
@@ -409,10 +471,21 @@ mod tests {
         (cell as f64, 0.0)
     }
 
+    /// The endpoint grid the tests' links count over: 16 cells in rows
+    /// of 4, so the tests' pairs mix dense slots, far pairs and
+    /// endpoints past the grid.
+    const CELLS: usize = 16;
+    const STRIDE: usize = 4;
+
+    /// Whether `link` has counted any message, in either store.
+    fn counts_any(link: &NetLink) -> bool {
+        link.adjacent.iter().any(|&n| n > 0) || !link.far.is_empty()
+    }
+
     #[test]
     fn ideal_and_fixed_latency_never_drop() {
-        let mut ideal = NetModelSpec::Ideal.link(1);
-        let mut fixed = NetModelSpec::FixedLatency { ticks: 4 }.link(1);
+        let mut ideal = NetModelSpec::Ideal.link(1, CELLS, STRIDE);
+        let mut fixed = NetModelSpec::FixedLatency { ticks: 4 }.link(1, CELLS, STRIDE);
         assert_eq!(ideal.spec().latency_ticks(), 1);
         assert_eq!(fixed.spec().latency_ticks(), 4);
         for i in 0..100 {
@@ -434,7 +507,7 @@ mod tests {
             .latency_ticks(),
             1
         );
-        let mut link = NetModelSpec::FixedLatency { ticks: 0 }.link(9);
+        let mut link = NetModelSpec::FixedLatency { ticks: 0 }.link(9, CELLS, STRIDE);
         assert!(link.route(0, 1, line));
         assert_eq!(link.spec().latency_ticks(), 1);
     }
@@ -447,8 +520,8 @@ mod tests {
         };
         // The nth message on a pair has the same fate regardless of
         // what other links carried first.
-        let mut a = spec.link(7);
-        let mut b = spec.link(7);
+        let mut a = spec.link(7, CELLS, STRIDE);
+        let mut b = spec.link(7, CELLS, STRIDE);
         for i in 0..50 {
             b.route(90 + i, 91 + i, line); // unrelated traffic
         }
@@ -466,7 +539,7 @@ mod tests {
             ]
         );
         // Different seeds shift the weather.
-        let mut c = spec.link(8);
+        let mut c = spec.link(8, CELLS, STRIDE);
         let fates_c: Vec<bool> = (0..64).map(|_| c.route(3, 4, line)).collect();
         assert_ne!(fates_a, fates_c);
     }
@@ -483,7 +556,7 @@ mod tests {
             to in 0u64..u64::MAX,
             n in 0u64..u64::MAX,
         ) {
-            let link = NetModelSpec::Bernoulli { loss_ppm: 1, latency: 1 }.link(seed);
+            let link = NetModelSpec::Bernoulli { loss_ppm: 1, latency: 1 }.link(seed, CELLS, STRIDE);
             prop_assert_eq!(
                 link.root.first_u64(&[from, to, n]),
                 SimRng::for_stream(seed, &[from, to, n]).next_u64()
@@ -497,18 +570,18 @@ mod tests {
             loss_ppm: 0,
             latency: 2,
         }
-        .link(3);
+        .link(3, CELLS, STRIDE);
         let mut always = NetModelSpec::Bernoulli {
             loss_ppm: 1_000_000,
             latency: 1,
         }
-        .link(3);
+        .link(3, CELLS, STRIDE);
         // An overflowing ppm is clamped, not wrapped.
         let mut over = NetModelSpec::Bernoulli {
             loss_ppm: u32::MAX,
             latency: 1,
         }
-        .link(3);
+        .link(3, CELLS, STRIDE);
         assert_eq!(never.spec().latency_ticks(), 2);
         for i in 0..32 {
             assert!(never.route(0, i, line));
@@ -524,7 +597,7 @@ mod tests {
             y_mm: 10_000,
             radius_mm: 5_000,
         };
-        let mut link = spec.link(1);
+        let mut link = spec.link(1, CELLS, STRIDE);
         let (inside, rim, outside) = (0, 1, 2);
         let center = |cell: u64| match cell {
             0 => (10.0, 12.0),
@@ -546,7 +619,7 @@ mod tests {
             if matches!(spec, NetModelSpec::Jammer { .. }) {
                 continue;
             }
-            let mut link = spec.link(4);
+            let mut link = spec.link(4, CELLS, STRIDE);
             for i in 0..16 {
                 link.route(i, i + 1, no_geometry);
                 link.route(i + 1, i, no_geometry);
@@ -633,8 +706,8 @@ mod tests {
         // advance twice on it within one bulk call.
         let pairs: Vec<(u64, u64)> = vec![(0, 1), (1, 2), (2, 3), (5, 6), (1, 2), (9, 4)];
         for spec in every_model() {
-            let mut single = spec.link(17);
-            let mut bulk = spec.link(17);
+            let mut single = spec.link(17, CELLS, STRIDE);
+            let mut bulk = spec.link(17, CELLS, STRIDE);
             // Earlier traffic on a shared pair, as monitor probes leave.
             single.route(1, 2, line);
             bulk.route(1, 2, line);
@@ -659,11 +732,7 @@ mod tests {
             // Only a lossy link routes the bulk pairs one by one, and
             // only a lossy Bernoulli link counts them per pair.
             let lossy_bernoulli = spec.loss_ppm() > 0;
-            assert_eq!(
-                !bulk.pair_counts.is_empty(),
-                lossy_bernoulli,
-                "{spec} pair counters"
-            );
+            assert_eq!(counts_any(&bulk), lossy_bernoulli, "{spec} pair counters");
         }
     }
 
@@ -672,7 +741,7 @@ mod tests {
     #[should_panic(expected = "bulk sense count disagrees")]
     fn bulk_sense_checks_its_count() {
         NetModelSpec::Ideal
-            .link(0)
+            .link(0, CELLS, STRIDE)
             .sense_bulk(3, [(0, 1), (1, 2)], line);
     }
 
@@ -682,8 +751,8 @@ mod tests {
             if spec.loss_ppm() > 0 {
                 continue;
             }
-            let mut fresh = spec.link(5);
-            let mut busy = spec.link(5);
+            let mut fresh = spec.link(5, CELLS, STRIDE);
+            let mut busy = spec.link(5, CELLS, STRIDE);
             for _ in 0..100 {
                 busy.route(0, 1, line);
                 busy.route(3, 4, line);
@@ -695,7 +764,10 @@ mod tests {
                     "{spec}"
                 );
             }
-            assert!(busy.pair_counts.is_empty(), "{spec} keeps no pair counters");
+            assert!(
+                busy.adjacent.is_empty() && busy.far.is_empty(),
+                "{spec} keeps no pair counters"
+            );
         }
     }
 
@@ -705,21 +777,127 @@ mod tests {
             loss_ppm: 0,
             latency: 2,
         }
-        .link(1);
+        .link(1, CELLS, STRIDE);
         assert!(zero.is_loss_free());
         let lossy = NetModelSpec::Bernoulli {
             loss_ppm: 1,
             latency: 2,
         };
-        assert!(!lossy.link(1).is_loss_free());
+        assert!(!lossy.link(1, CELLS, STRIDE).is_loss_free());
         // It routes exactly as the fixed latency it reduces to.
-        let mut fixed = NetModelSpec::FixedLatency { ticks: 2 }.link(1);
+        let mut fixed = NetModelSpec::FixedLatency { ticks: 2 }.link(1, CELLS, STRIDE);
         for i in 0..32 {
             assert_eq!(zero.route(0, i, line), fixed.route(0, i, line));
         }
         zero.sense_bulk(2, [(0, 1), (1, 2)], line);
         fixed.sense_bulk(2, [(0, 1), (1, 2)], line);
         assert_eq!(zero.health, fixed.health);
+    }
+
+    #[test]
+    fn every_pair_has_at_most_one_dense_slot_and_no_slot_two_pairs() {
+        // Strides 1 and 0 make two offsets coincide; the first match
+        // still names one slot per pair.
+        for stride in [0, 1, 2, 3, 5] {
+            let cells = 3 * stride.max(2);
+            let link = NetModelSpec::Bernoulli {
+                loss_ppm: 1,
+                latency: 1,
+            }
+            .link(0, cells, stride);
+            let mut owner = vec![None; 4 * cells];
+            let ends = 0..cells as u64 + 2;
+            for (from, to) in ends.clone().flat_map(|f| ends.clone().map(move |t| (f, t))) {
+                let Some(slot) = link.adjacent_slot(from, to) else {
+                    continue;
+                };
+                assert!(from < cells as u64 && to < cells as u64, "stride {stride}");
+                assert_eq!(slot / 4, to as usize, "stride {stride}: slots by receiver");
+                let first = owner[slot].replace((from, to));
+                assert_eq!(first, None, "stride {stride}: slot {slot} shared");
+            }
+            // The four neighbours of an interior cell are all dense.
+            let to = (cells / 2) as u64;
+            for from in [to - 1, to + 1, to - stride as u64, to + stride as u64] {
+                assert!(link.adjacent_slot(from, to).is_some(), "stride {stride}");
+            }
+        }
+    }
+
+    /// Routes `from → to` on both links and checks they agree.
+    fn route_both(dense: &mut NetLink, map: &mut NetLink, from: u64, to: u64) -> bool {
+        let fate = dense.route(from, to, line);
+        fate == map.route(from, to, line) && dense.health == map.health
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Dense slots are a store, not a policy: a grid-sized lossy
+        /// link and a map-only one (`cells = 0`) give every message the
+        /// same fate, and keep the same ledger, on any pair sequence.
+        #[test]
+        fn dense_counters_route_as_the_map_does(
+            seed in 0u64..u64::MAX,
+            stride in &[2usize, 3, 32],
+            steps in proptest::collection::vec((0u8..6, 0u64..1_000, 0u64..1_000), 1..300),
+        ) {
+            let cells = 4 * stride;
+            let spec = NetModelSpec::Bernoulli { loss_ppm: 400_000, latency: 1 };
+            let mut dense = spec.link(seed, cells, stride);
+            let mut map = spec.link(seed, 0, 0);
+            let s = stride as u64;
+            let mut pairs = Vec::new();
+            for (kind, a, b) in steps {
+                // Endpoints run two cells past the grid (and wrap below
+                // 0); small ranges make pairs repeat, so counters climb.
+                let cell = a % (cells as u64 + 2);
+                let (from, to) = match kind {
+                    0 => (cell.wrapping_sub(1), cell),
+                    1 => (cell + 1, cell),
+                    2 => (cell.wrapping_sub(s), cell),
+                    3 => (cell + s, cell),
+                    // A ±1 pair across a row boundary.
+                    4 => {
+                        let start = cell / s * s;
+                        if b % 2 == 0 {
+                            (start.wrapping_sub(1), start)
+                        } else {
+                            (start, start.wrapping_sub(1))
+                        }
+                    }
+                    _ => (b % (cells as u64 + 2), cell),
+                };
+                prop_assert!(route_both(&mut dense, &mut map, from, to), "{from} -> {to}");
+                pairs.push((from, to));
+            }
+            for &(from, to) in &pairs {
+                for _ in 0..3 {
+                    prop_assert!(route_both(&mut dense, &mut map, from, to), "later {from} -> {to}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_full_dense_slot_hands_its_pair_on_to_the_map() {
+        let spec = NetModelSpec::Bernoulli {
+            loss_ppm: 500_000,
+            latency: 1,
+        };
+        let (from, to) = (5, 6);
+        let mut dense = spec.link(3, CELLS, STRIDE);
+        let mut map = spec.link(3, 0, 0);
+        // Both stores as if the pair had carried u32::MAX − 2 messages.
+        let slot = dense.adjacent_slot(from, to).expect("an adjacent pair");
+        dense.adjacent[slot] = u32::MAX - 2;
+        map.far.insert((from, to), u64::from(u32::MAX - 2));
+        for _ in 0..6 {
+            assert!(route_both(&mut dense, &mut map, from, to));
+        }
+        assert_eq!(dense.adjacent[slot], u32::MAX);
+        assert_eq!(dense.far[&(from, to)], u64::from(u32::MAX) + 4);
+        assert_eq!(map.far[&(from, to)], u64::from(u32::MAX) + 4);
     }
 
     #[test]
@@ -737,7 +915,7 @@ mod tests {
 
     #[test]
     fn sense_and_local_feed_the_ledger() {
-        let mut link = NetModelSpec::Ideal.link(0);
+        let mut link = NetModelSpec::Ideal.link(0, CELLS, STRIDE);
         assert!(link.route(1, 2, line));
         link.local();
         assert_eq!(link.health.messages_sent, 2);
