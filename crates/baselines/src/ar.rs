@@ -546,6 +546,8 @@ impl SchemeProtocol for ArProtocol<'_> {
                     if !wire.probe(self.net.system(), w, g, round, &mut self.trace) {
                         // The probe drowned; this monitor retries next
                         // round (its bit for this hole stays clear).
+                        // Still outstanding work, so the round is live.
+                        progress = true;
                         continue;
                     }
                 }
@@ -846,6 +848,26 @@ mod tests {
         }
         assert!(dropped > 0, "30% loss must drop something across 16 runs");
         assert!(lost > 0, "some dropped ask must strand a cascade");
+    }
+
+    #[test]
+    fn dropped_probes_keep_the_run_live() {
+        // At 90% loss most probes drown. A drowned probe leaves its hole
+        // to a later round, and that outstanding work must keep the run
+        // going until a probe gets through: every monitor's cell holds a
+        // spare, so one arriving probe covers the hole.
+        let lossy = DriveMode::EventDriven {
+            net: NetModelSpec::Bernoulli {
+                loss_ppm: 900_000,
+                latency: 1,
+            },
+        };
+        for seed in 0..20 {
+            let mut net = network_with_holes(4, 4, &[GridCoord::new(2, 2)], 2, seed);
+            let report = run_ar(&mut net, seed, lossy);
+            assert!(report.fully_covered, "seed {seed}: {report}");
+            assert!(report.run.is_quiescent(), "seed {seed}");
+        }
     }
 
     #[test]
