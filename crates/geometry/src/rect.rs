@@ -83,31 +83,6 @@ impl Rect {
         Rect::new(min, Point2::new(min.x + width, min.y + height))
     }
 
-    /// Creates a square of side `side` centered on `center`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GeometryError::NonPositiveExtent`] when `side <= 0`, and
-    /// [`GeometryError::NonFinite`] on non-finite input.
-    pub fn centered_square(center: Point2, side: f64) -> Result<Rect> {
-        if !side.is_finite() {
-            return Err(GeometryError::NonFinite {
-                context: "Rect::centered_square",
-            });
-        }
-        if side <= 0.0 {
-            return Err(GeometryError::NonPositiveExtent {
-                context: "Rect::centered_square side",
-                value: side,
-            });
-        }
-        let half = side / 2.0;
-        Rect::new(
-            Point2::new(center.x - half, center.y - half),
-            Point2::new(center.x + half, center.y + half),
-        )
-    }
-
     /// Minimum (bottom-left) corner.
     #[inline]
     pub fn min(&self) -> Point2 {
@@ -230,8 +205,6 @@ mod tests {
         assert!(Rect::new(Point2::new(f64::NAN, 0.0), Point2::new(1.0, 1.0)).is_err());
         assert!(Rect::from_size(Point2::ORIGIN, -1.0, 1.0).is_err());
         assert!(Rect::from_size(Point2::ORIGIN, 1.0, 0.0).is_err());
-        assert!(Rect::centered_square(Point2::ORIGIN, 0.0).is_err());
-        assert!(Rect::centered_square(Point2::ORIGIN, f64::INFINITY).is_err());
     }
 
     #[test]
