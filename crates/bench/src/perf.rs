@@ -479,8 +479,9 @@ pub fn bench_avail(smoke: bool) -> JsonValue {
 
 /// Runs the event-engine throughput benchmarks (`BENCH_event.json`):
 /// degraded-mode campaigns driven through the message-passing engine.
-/// The 8×8 four-weather SR matrix and the 32×32 SR-SC matrix under
-/// Ideal and latency-2 weather, loss-free and at 10% loss, always run;
+/// The 8×8 four-weather SR matrix, the 32×32 SR-SC matrix under Ideal
+/// and latency-2 weather, loss-free and at 10% loss, and the lossy
+/// matrix again under SR always run;
 /// the full ledger adds a 16×16 matrix over the four-weather grid plus
 /// a lossy three-scheme matrix (the queue-drain and RNG-stream cost at
 /// AR's fan-out).
@@ -530,6 +531,13 @@ pub fn bench_event(smoke: bool) -> JsonValue {
         ..sc
     };
     entries.push(campaign_entry("degraded_sr_sc_32x32_loss10", 10, &sc_lossy));
+    // SR on that lossy matrix, where a dropped baton strands its
+    // process for the rest of the run and a round must not visit it.
+    let sr_lossy = CampaignConfig {
+        schemes: wsn_coverage::scheme::SchemeId::list(&["sr"]),
+        ..sc_lossy
+    };
+    entries.push(campaign_entry("degraded_sr_32x32_loss10", 10, &sr_lossy));
     if !smoke {
         let big = CampaignConfig {
             grids: vec![(16, 16)],
