@@ -1074,12 +1074,16 @@ mod tests {
         let lost_reason = "notification lost in the network (run ended)";
         let mut parked = 0;
         for seed in 0..16 {
-            // One spare in a far corner: every repair is a long cascade,
-            // so batons cross many links.
+            // Three holes and three lone spares far from them: long
+            // cascades run side by side, so batons cross many links and
+            // an older process can lose its baton after a newer one.
             let sys = GridSystem::new(8, 8, 4.4721).unwrap();
             let mut rng = SimRng::seed_from_u64(seed);
-            let mut pos = deploy::with_holes(&sys, &[GridCoord::new(4, 4)], 1, &mut rng);
-            pos.push(sys.cell_rect(GridCoord::new(0, 0)).unwrap().center());
+            let holes = [(4, 4), (1, 6), (6, 1)].map(|(x, y)| GridCoord::new(x, y));
+            let mut pos = deploy::with_holes(&sys, &holes, 1, &mut rng);
+            for (x, y) in [(0, 0), (7, 7), (3, 3)] {
+                pos.push(sys.cell_center(GridCoord::new(x, y)).unwrap());
+            }
             let mut net = GridNetwork::new(sys, &pos);
             let topo = CycleTopology::build(8, 8).unwrap();
             let config = SrConfig::default();
