@@ -501,10 +501,7 @@ fn lossy_and_jammed_reports_hold_past_one_bitset_word() {
             }
         }
     }
-    for (got, expected) in got.iter().zip(expected) {
-        assert_eq!(got, expected);
-    }
-    assert_eq!(got.len(), expected.len(), "{got:#?}");
+    assert_eq!(got, expected, "{got:#?}");
 }
 
 #[test]
