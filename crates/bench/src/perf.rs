@@ -362,8 +362,8 @@ pub fn bench_campaign(smoke: bool) -> JsonValue {
         if smoke { 3 } else { 5 },
         &base,
     )];
-    // SR-SC's classic engine: its per-round cost is the beacon bill plus
-    // the active couriers, never a pass over the grid.
+    // SR-SC's classic engine: a round costs its active couriers and its
+    // detection sweep, never a pass over the grid.
     let sc = CampaignConfig {
         schemes: wsn_coverage::scheme::SchemeId::list(&["sr-sc"]),
         grids: vec![(32, 32)],
@@ -507,8 +507,8 @@ pub fn bench_event(smoke: bool) -> JsonValue {
         if smoke { 5 } else { 7 },
         &base,
     )];
-    // The SR-SC actor under loss-free weather, where a round's beacons
-    // are counted in one call instead of routed one by one.
+    // The SR-SC actor under loss-free weather: courier forwards, probes
+    // and acks go through the link, and none is dropped.
     let sc = CampaignConfig {
         schemes: wsn_coverage::scheme::SchemeId::list(&["sr-sc"]),
         grids: vec![(32, 32)],
@@ -521,8 +521,9 @@ pub fn bench_event(smoke: bool) -> JsonValue {
         ..base.clone()
     };
     entries.push(campaign_entry("degraded_sr_sc_32x32_ideal_lat2", 10, &sc));
-    // The same matrix at 10% loss, where every beacon is routed: one
-    // addressed fate per spareless head per round.
+    // The same matrix at 10% loss, where every courier forward, probe
+    // and ack draws its own addressed fate, and a dropped forward
+    // strands its repair.
     let sc_lossy = CampaignConfig {
         degraded: DegradedParams {
             latencies: vec![1, 2],

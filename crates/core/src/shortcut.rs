@@ -17,36 +17,34 @@
 //!   **straight across the grid** to the hole: one movement per
 //!   replacement instead of Theorem 2's `M(L, N)`, and a chord-length
 //!   distance instead of a path-length one.
-//! * Every round, each head with no spare of its own hears a
-//!   spare-status **beacon** from its predecessor on the ring. Nothing
-//!   steers the walk by it; it is the protocol's standing monitoring
-//!   cost, billed as one scanned cell per on-ring cell per round
-//!   (`Metrics::cells_scanned`); under the event drive each beacon is
-//!   also routed through the network link.
+//! * Nothing steers the walk: no head tells the courier where the
+//!   spares are. The protocol's standing monitoring cost is billed as
+//!   one scanned cell per on-ring cell per round
+//!   (`Metrics::cells_scanned`); no monitoring message is sent or
+//!   routed.
 //!
 //! Trade-off (quantified by the `figsc` extension figure): SR-SC pays one
-//! notification message per backward hop and the beacon overhead, in
-//! exchange for collapsing the movement count; at low `N` — exactly
-//! where the paper predicts — the savings are largest. The single long
-//! straight move also concentrates battery drain on one node instead of
-//! spreading it over the cascade, which is why SR proper remains the
-//! better choice for energy-balanced deployments.
+//! notification message per backward hop, in exchange for collapsing
+//! the movement count; at low `N` — exactly where the paper predicts —
+//! the savings are largest. The single long straight move also
+//! concentrates battery drain on one node instead of spreading it over
+//! the cascade, which is why SR proper remains the better choice for
+//! energy-balanced deployments.
 //!
 //! The construction is defined on structures with a unique predecessor
 //! per cell: single Hamilton cycles and the masked virtual ring of
 //! irregular regions ([`wsn_hamilton::MaskedCycle`]) — so SR-SC runs
 //! unchanged on masked grids. On both, [`CycleTopology::monitors`] is
-//! the ring predecessor, which is all the courier walk and the beacons
-//! need. [`crate::SrSc`] refuses odd×odd (dual-path) grids: extending
-//! the courier walk over the A/B fork is possible but the paper's
+//! the ring predecessor, which is all the courier walk needs.
+//! [`crate::SrSc`] refuses odd×odd (dual-path) grids: extending the
+//! courier walk over the A/B fork is possible but the paper's
 //! future-work remark targets the plain cycle.
 
-use wsn_grid::kernel::ones;
 use wsn_grid::{GridCoord, GridNetwork};
 use wsn_hamilton::CycleTopology;
 use wsn_simcore::{TraceEvent, TraceLog};
 
-use crate::actor::{cell_center, cell_endpoint, BatonState, Wire};
+use crate::actor::{BatonState, Wire};
 use crate::process::ProcessId;
 use crate::run::Run;
 use crate::scheme::{DriveMode, ProtocolOutcome, SchemeProtocol};
@@ -70,8 +68,8 @@ struct ScProcess {
 ///
 /// Like [`crate::SrProtocol`], one engine serves both drives: under
 /// [`DriveMode::Classic`] it has no link; under
-/// [`DriveMode::EventDriven`] it routes courier forwards, probes, acks
-/// and beacons through a network model. A dropped courier forward
+/// [`DriveMode::EventDriven`] it routes courier forwards, probes and
+/// acks through a network model. A dropped courier forward
 /// permanently strands the repair (the hole stays owned by its process,
 /// so — unlike SR — no duplicate rescues it; the failure mode is
 /// [`wsn_simcore::ProtocolHealth::stalled_repairs`]).
@@ -161,43 +159,11 @@ impl<'n> ShortcutProtocol<'n> {
         all
     }
 
-    /// The round's beacon exchange along the ring: every head with no
-    /// spare of its own hears its predecessor's spare status,
-    /// `pred(c) → c`. Nothing reads it back; it is SR-SC's standing
-    /// per-round cost, billed as one scanned cell per on-ring cell so the
-    /// scan-cost comparison against SR's O(changed) detection stays
-    /// honest. The paper does not bill monitoring beacons as messages,
-    /// so neither do we; over a link each beacon is also one routed
-    /// sense.
-    ///
-    /// The beacon cells are the set bits of the words `enabled &
-    /// !vacant & !spareful`. Their popcount is the round's beacon count,
-    /// so a loss-free link accounts the round without visiting a cell.
-    /// A lossy link enumerates the same words in ascending cell order,
-    /// and never touches a cell that sends no beacon.
+    /// SR-SC's standing per-round bill: one scanned cell per on-ring
+    /// cell, the monitoring cost of the ring in the scan-cost comparison
+    /// against SR's O(changed) detection.
     fn gossip(&mut self) {
         self.run.metrics.cells_scanned += self.ring.cell_count() as u64;
-        let Some(wire) = &mut self.link else {
-            return;
-        };
-        let net = &*self.run.net;
-        let (sys, ring) = (net.system(), &self.ring);
-        let words = net
-            .mask()
-            .enabled_words()
-            .iter()
-            .zip(net.vacancies().words())
-            .zip(net.spareful_words())
-            .map(|((&enabled, &vacant), &spareful)| enabled & !vacant & !spareful);
-        let count = words.clone().map(|w| u64::from(w.count_ones())).sum();
-        let beacons = words
-            .enumerate()
-            .flat_map(|(w, word)| ones(word, w * 64))
-            .map(|c| {
-                let pred = ring.monitors(sys.coord_of(c));
-                (cell_endpoint(sys, pred), c as u64)
-            });
-        wire.link.sense_bulk(count, beacons, cell_center(sys));
     }
 
     /// Lands the courier batons due this round; they become actionable.

@@ -257,17 +257,6 @@ impl NetLink {
         self.spec
     }
 
-    /// Whether nothing routed on this link can be dropped (`Ideal`,
-    /// `FixedLatency` and a zero-loss `Bernoulli`): every message
-    /// arrives, whatever the endpoints.
-    fn is_loss_free(&self) -> bool {
-        match self.spec {
-            NetModelSpec::Ideal | NetModelSpec::FixedLatency { .. } => true,
-            NetModelSpec::Bernoulli { loss_ppm, .. } => loss_ppm == 0,
-            NetModelSpec::Jammer { .. } => false,
-        }
-    }
-
     /// Whether the `n`-th message on the directed pair `from → to` is
     /// dropped — pure in `(seed, from, to, n)`, independent of routing
     /// order elsewhere. Only a lossy `Bernoulli` reads `n`: it drops when
@@ -365,39 +354,6 @@ impl NetLink {
         !dropped
     }
 
-    /// Routes `count` same-tick senses at once, one per `(from, to)` pair
-    /// of `pairs`, with the same effect on the health ledger and on
-    /// every later fate as one [`NetLink::route`] per pair. A loss-free
-    /// link (zero-loss `Bernoulli` included) only adds `count` to
-    /// `messages_sent` and never draws from `pairs`, so callers pass it
-    /// lazily. A lossy `Bernoulli` and `Jammer` route each pair: each one
-    /// is still its own coordinate-addressed fate, by contract.
-    ///
-    /// `pairs` must yield exactly `count` pairs (checked in debug
-    /// builds).
-    pub fn sense_bulk(
-        &mut self,
-        count: u64,
-        pairs: impl IntoIterator<Item = (u64, u64)>,
-        center: impl Fn(u64) -> (f64, f64),
-    ) {
-        if self.is_loss_free() {
-            self.health.messages_sent += count;
-            debug_assert_eq!(
-                pairs.into_iter().count() as u64,
-                count,
-                "bulk sense count disagrees with its pairs"
-            );
-            return;
-        }
-        let mut routed = 0;
-        for (from, to) in pairs {
-            self.route(from, to, &center);
-            routed += 1;
-        }
-        debug_assert_eq!(routed, count, "bulk sense count disagrees with its pairs");
-    }
-
     /// Accounts an intra-cell message (head ↔ co-located spare). The
     /// cell is a single radio neighborhood, so these never traverse the
     /// lossy inter-cell channel: always delivered, still counted.
@@ -476,11 +432,6 @@ mod tests {
     /// endpoints past the grid.
     const CELLS: usize = 16;
     const STRIDE: usize = 4;
-
-    /// Whether `link` has counted any message, in either store.
-    fn counts_any(link: &NetLink) -> bool {
-        link.adjacent.iter().any(|&n| n > 0) || !link.far.is_empty()
-    }
 
     #[test]
     fn ideal_and_fixed_latency_never_drop() {
@@ -624,7 +575,6 @@ mod tests {
                 link.route(i, i + 1, no_geometry);
                 link.route(i + 1, i, no_geometry);
             }
-            link.sense_bulk(2, [(0, 1), (1, 2)], no_geometry);
         }
     }
 
@@ -701,51 +651,6 @@ mod tests {
     }
 
     #[test]
-    fn bulk_sense_matches_one_sense_per_pair() {
-        // A round's beacons, with a repeated pair so Bernoulli counters
-        // advance twice on it within one bulk call.
-        let pairs: Vec<(u64, u64)> = vec![(0, 1), (1, 2), (2, 3), (5, 6), (1, 2), (9, 4)];
-        for spec in every_model() {
-            let mut single = spec.link(17, CELLS, STRIDE);
-            let mut bulk = spec.link(17, CELLS, STRIDE);
-            // Earlier traffic on a shared pair, as monitor probes leave.
-            single.route(1, 2, line);
-            bulk.route(1, 2, line);
-            for _ in 0..3 {
-                for &(from, to) in &pairs {
-                    single.route(from, to, line);
-                }
-                bulk.sense_bulk(pairs.len() as u64, pairs.iter().copied(), line);
-                assert_eq!(single.health, bulk.health, "{spec}");
-            }
-            // Every later fate on every pair agrees too.
-            for &(from, to) in pairs.iter().chain(&[(7, 8)]) {
-                for _ in 0..8 {
-                    assert_eq!(
-                        single.route(from, to, line),
-                        bulk.route(from, to, line),
-                        "{spec}"
-                    );
-                }
-            }
-            assert_eq!(single.health, bulk.health, "{spec}");
-            // Only a lossy link routes the bulk pairs one by one, and
-            // only a lossy Bernoulli link counts them per pair.
-            let lossy_bernoulli = spec.loss_ppm() > 0;
-            assert_eq!(counts_any(&bulk), lossy_bernoulli, "{spec} pair counters");
-        }
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "bulk sense count disagrees")]
-    fn bulk_sense_checks_its_count() {
-        NetModelSpec::Ideal
-            .link(0, CELLS, STRIDE)
-            .sense_bulk(3, [(0, 1), (1, 2)], line);
-    }
-
-    #[test]
     fn only_bernoulli_fates_depend_on_pair_history() {
         for spec in every_model() {
             if spec.loss_ppm() > 0 {
@@ -778,20 +683,20 @@ mod tests {
             latency: 2,
         }
         .link(1, CELLS, STRIDE);
-        assert!(zero.is_loss_free());
+        // It keeps no pair counters, where the least lossy link does.
+        assert!(zero.adjacent.is_empty());
         let lossy = NetModelSpec::Bernoulli {
             loss_ppm: 1,
             latency: 2,
         };
-        assert!(!lossy.link(1, CELLS, STRIDE).is_loss_free());
+        assert_eq!(lossy.link(1, CELLS, STRIDE).adjacent.len(), 4 * CELLS);
         // It routes exactly as the fixed latency it reduces to.
         let mut fixed = NetModelSpec::FixedLatency { ticks: 2 }.link(1, CELLS, STRIDE);
         for i in 0..32 {
             assert_eq!(zero.route(0, i, line), fixed.route(0, i, line));
         }
-        zero.sense_bulk(2, [(0, 1), (1, 2)], line);
-        fixed.sense_bulk(2, [(0, 1), (1, 2)], line);
         assert_eq!(zero.health, fixed.health);
+        assert_eq!(zero.health.messages_dropped, 0);
     }
 
     #[test]
