@@ -466,18 +466,18 @@ fn lossy_and_jammed_reports_hold_past_one_bitset_word() {
         "10x13 sr loss300000-lat2: Metrics { moves: 315, distance: 1508.7300691574858, processes_initiated: 250, processes_converged: 42, processes_failed: 208, messages: 273, energy: 1509.0030691574802, rounds: 113, cells_scanned: 692 } | sent 747 dropped 197 duplicates 208 lost 80 stalled 80 superseded 128 | trace 2001 records fnv1a 6cb0ccfa0363e3e8",
         "10x13 sr jam6708x42484r1000: Metrics { moves: 315, distance: 1524.481401160377, processes_initiated: 42, processes_converged: 42, processes_failed: 0, messages: 273, energy: 1524.7544011603716, rounds: 53, cells_scanned: 336 } | sent 441 dropped 0 duplicates 0 lost 0 stalled 0 superseded 0 | trace 1071 records fnv1a b454d1a61d5adeee",
         "10x13 sr lat3: Metrics { moves: 315, distance: 1504.1860943309905, processes_initiated: 315, processes_converged: 42, processes_failed: 273, messages: 273, energy: 1504.459094330985, rounds: 101, cells_scanned: 608 } | sent 714 dropped 0 duplicates 273 lost 0 stalled 0 superseded 273 | trace 2163 records fnv1a 7d74465147f2ef22",
-        "10x13 sr-sc loss300000-lat2: Metrics { moves: 24, distance: 162.52598588453128, processes_initiated: 38, processes_converged: 24, processes_failed: 14, messages: 36, energy: 162.5619858845314, rounds: 19, cells_scanned: 2470 } | sent 139 dropped 41 duplicates 0 lost 12 stalled 12 superseded 0 | trace 251 records fnv1a c1964e10a84fdd34",
-        "10x13 sr-sc jam6708x42484r1000: Metrics { moves: 42, distance: 590.3122399770765, processes_initiated: 42, processes_converged: 42, processes_failed: 0, messages: 273, energy: 590.5852399770719, rounds: 200, cells_scanned: 26000 } | sent 399 dropped 0 duplicates 0 lost 0 stalled 0 superseded 0 | trace 756 records fnv1a 050e4a31a28aff1e",
-        "10x13 sr-sc lat3: Metrics { moves: 42, distance: 590.0238114514628, processes_initiated: 42, processes_converged: 42, processes_failed: 0, messages: 273, energy: 590.2968114514583, rounds: 582, cells_scanned: 75660 } | sent 399 dropped 0 duplicates 0 lost 0 stalled 0 superseded 0 | trace 756 records fnv1a 01a084160c5761d5",
+        "10x13 sr-sc loss300000-lat2: Metrics { moves: 24, distance: 162.52598588453128, processes_initiated: 38, processes_converged: 24, processes_failed: 14, messages: 36, energy: 162.5619858845314, rounds: 19, cells_scanned: 399 } | sent 139 dropped 41 duplicates 0 lost 12 stalled 12 superseded 0 | trace 251 records fnv1a c1964e10a84fdd34",
+        "10x13 sr-sc jam6708x42484r1000: Metrics { moves: 42, distance: 590.3122399770765, processes_initiated: 42, processes_converged: 42, processes_failed: 0, messages: 273, energy: 590.5852399770719, rounds: 200, cells_scanned: 692 } | sent 399 dropped 0 duplicates 0 lost 0 stalled 0 superseded 0 | trace 756 records fnv1a 050e4a31a28aff1e",
+        "10x13 sr-sc lat3: Metrics { moves: 42, distance: 590.0238114514628, processes_initiated: 42, processes_converged: 42, processes_failed: 0, messages: 273, energy: 590.2968114514583, rounds: 582, cells_scanned: 1922 } | sent 399 dropped 0 duplicates 0 lost 0 stalled 0 superseded 0 | trace 756 records fnv1a 01a084160c5761d5",
         "10x13 ar loss300000-lat2: Metrics { moves: 237, distance: 1072.3544052190916, processes_initiated: 167, processes_converged: 110, processes_failed: 57, messages: 127, energy: 1072.4814052190895, rounds: 21, cells_scanned: 506 } | sent 350 dropped 90 duplicates 92 lost 34 stalled 0 superseded 0 | trace 921 records fnv1a 42c83ecabf012fa6",
         "10x13 ar jam6708x42484r1000: Metrics { moves: 151, distance: 693.1103646943153, processes_initiated: 108, processes_converged: 73, processes_failed: 35, messages: 78, energy: 693.1883646943141, rounds: 9, cells_scanned: 229 } | sent 188 dropped 2 duplicates 66 lost 0 stalled 0 superseded 0 | trace 555 records fnv1a c38ec6219fcfeac3",
         "10x13 ar lat3: Metrics { moves: 154, distance: 697.077142255416, processes_initiated: 110, processes_converged: 74, processes_failed: 36, messages: 80, energy: 697.1571422554148, rounds: 19, cells_scanned: 542 } | sent 190 dropped 0 duplicates 68 lost 0 stalled 0 superseded 0 | trace 564 records fnv1a fc5289b1e8080219",
         "l-shape 12x12 sr loss300000-lat2: Metrics { moves: 341, distance: 1593.9916121164717, processes_initiated: 267, processes_converged: 37, processes_failed: 230, messages: 304, energy: 1594.2956121164657, rounds: 163, cells_scanned: 745 } | sent 790 dropped 209 duplicates 230 lost 90 stalled 90 superseded 140 | trace 2162 records fnv1a 58c7e478a6d77507",
         "l-shape 12x12 sr jam6708x42484r1000: Metrics { moves: 341, distance: 1608.7448648981483, processes_initiated: 37, processes_converged: 37, processes_failed: 0, messages: 304, energy: 1609.048864898142, rounds: 77, cells_scanned: 364 } | sent 452 dropped 0 duplicates 0 lost 0 stalled 0 superseded 0 | trace 1134 records fnv1a b42c93c2e97d6c99",
         "l-shape 12x12 sr lat3: Metrics { moves: 341, distance: 1592.4994013476658, processes_initiated: 341, processes_converged: 37, processes_failed: 304, messages: 304, energy: 1592.8034013476597, rounds: 149, cells_scanned: 665 } | sent 756 dropped 0 duplicates 304 lost 0 stalled 0 superseded 304 | trace 2350 records fnv1a 970b9a5ddd5877b8",
-        "l-shape 12x12 sr-sc loss300000-lat2: Metrics { moves: 21, distance: 158.1856613725565, processes_initiated: 31, processes_converged: 21, processes_failed: 10, messages: 45, energy: 158.23066137255663, rounds: 24, cells_scanned: 2592 } | sent 133 dropped 26 duplicates 0 lost 7 stalled 7 superseded 0 | trace 240 records fnv1a d2b117f3c100b9e9",
-        "l-shape 12x12 sr-sc jam6708x42484r1000: Metrics { moves: 37, distance: 483.5636223210618, processes_initiated: 37, processes_converged: 37, processes_failed: 0, messages: 304, energy: 483.8676223210568, rounds: 218, cells_scanned: 23544 } | sent 415 dropped 0 duplicates 0 lost 0 stalled 0 superseded 0 | trace 793 records fnv1a c6fade477c5fb097",
-        "l-shape 12x12 sr-sc lat3: Metrics { moves: 37, distance: 489.5958525892454, processes_initiated: 37, processes_converged: 37, processes_failed: 0, messages: 304, energy: 489.89985258923997, rounds: 640, cells_scanned: 69120 } | sent 415 dropped 0 duplicates 0 lost 0 stalled 0 superseded 0 | trace 793 records fnv1a 916a5816b246aa2a",
+        "l-shape 12x12 sr-sc loss300000-lat2: Metrics { moves: 21, distance: 158.1856613725565, processes_initiated: 31, processes_converged: 21, processes_failed: 10, messages: 45, energy: 158.23066137255663, rounds: 24, cells_scanned: 466 } | sent 133 dropped 26 duplicates 0 lost 7 stalled 7 superseded 0 | trace 240 records fnv1a d2b117f3c100b9e9",
+        "l-shape 12x12 sr-sc jam6708x42484r1000: Metrics { moves: 37, distance: 483.5636223210618, processes_initiated: 37, processes_converged: 37, processes_failed: 0, messages: 304, energy: 483.8676223210568, rounds: 218, cells_scanned: 655 } | sent 415 dropped 0 duplicates 0 lost 0 stalled 0 superseded 0 | trace 793 records fnv1a c6fade477c5fb097",
+        "l-shape 12x12 sr-sc lat3: Metrics { moves: 37, distance: 489.5958525892454, processes_initiated: 37, processes_converged: 37, processes_failed: 0, messages: 304, energy: 489.89985258923997, rounds: 640, cells_scanned: 1825 } | sent 415 dropped 0 duplicates 0 lost 0 stalled 0 superseded 0 | trace 793 records fnv1a 916a5816b246aa2a",
         "l-shape 12x12 ar loss300000-lat2: Metrics { moves: 154, distance: 688.7214359041195, processes_initiated: 107, processes_converged: 67, processes_failed: 40, messages: 87, energy: 688.8084359041184, rounds: 22, cells_scanned: 424 } | sent 236 dropped 62 duplicates 51 lost 20 stalled 0 superseded 0 | trace 604 records fnv1a 06f83605d9045e0b",
         "l-shape 12x12 ar jam6708x42484r1000: Metrics { moves: 116, distance: 552.154092234165, processes_initiated: 87, processes_converged: 54, processes_failed: 33, messages: 62, energy: 552.2160922341643, rounds: 11, cells_scanned: 198 } | sent 151 dropped 2 duplicates 50 lost 0 stalled 0 superseded 0 | trace 441 records fnv1a d497de8a128d36f7",
         "l-shape 12x12 ar lat3: Metrics { moves: 118, distance: 580.9488887339792, processes_initiated: 89, processes_converged: 55, processes_failed: 34, messages: 63, energy: 581.0118887339786, rounds: 25, cells_scanned: 457 } | sent 152 dropped 0 duplicates 52 lost 0 stalled 0 superseded 0 | trace 448 records fnv1a 281de251d66db9d1",

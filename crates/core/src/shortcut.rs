@@ -18,10 +18,9 @@
 //!   replacement instead of Theorem 2's `M(L, N)`, and a chord-length
 //!   distance instead of a path-length one.
 //! * Nothing steers the walk: no head tells the courier where the
-//!   spares are. The protocol's standing monitoring cost is billed as
-//!   one scanned cell per on-ring cell per round
-//!   (`Metrics::cells_scanned`); no monitoring message is sent or
-//!   routed.
+//!   spares are, and no monitoring message is sent. Detection sweeps
+//!   the network's vacancy index as SR's does and bills the holes it
+//!   visits (`Metrics::cells_scanned`).
 //!
 //! Trade-off (quantified by the `figsc` extension figure): SR-SC pays one
 //! notification message per backward hop, in exchange for collapsing
@@ -159,13 +158,6 @@ impl<'n> ShortcutProtocol<'n> {
         all
     }
 
-    /// SR-SC's standing per-round bill: one scanned cell per on-ring
-    /// cell, the monitoring cost of the ring in the scan-cost comparison
-    /// against SR's O(changed) detection.
-    fn gossip(&mut self) {
-        self.run.metrics.cells_scanned += self.ring.cell_count() as u64;
-    }
-
     /// Lands the courier batons due this round; they become actionable.
     fn land_due(&mut self, round: u64) {
         for p in &mut self.active {
@@ -242,10 +234,12 @@ impl<'n> ShortcutProtocol<'n> {
         true
     }
 
-    /// Detection + initiation, as SR's: returns whether the sweep started
-    /// a courier or a dropped probe deferred one.
+    /// Detection + initiation, as SR's: sweeps the vacancy index and
+    /// bills the holes it visits as scanned cells. Returns whether the
+    /// sweep started a courier or a dropped probe deferred one.
     fn detect_and_initiate(&mut self, round: u64) -> bool {
         let buf = self.run.sweep();
+        self.run.metrics.cells_scanned += buf.len() as u64;
         let mut active = false;
         for &idx in &buf {
             // Ownership first, by index: most pending holes are served by
@@ -294,7 +288,6 @@ impl SchemeProtocol for ShortcutProtocol<'_> {
         let mut progress = self.run.apply_faults(round);
         let run = &mut self.run;
         progress |= run.net.repair_heads(run.config.election, &mut run.rng) > 0;
-        self.gossip();
         for i in 0..self.active.len() {
             progress |= self.step_process(i, round);
         }
