@@ -78,7 +78,7 @@ const NET_STREAM_TAG: u64 = 0x004E_4554; // "NET"
 /// # Panics
 ///
 /// Panics when `cell` is outside `sys`.
-pub(crate) fn cell_endpoint(sys: &GridSystem, cell: GridCoord) -> u64 {
+fn cell_endpoint(sys: &GridSystem, cell: GridCoord) -> u64 {
     sys.index_of(cell).expect("protocol cells are in bounds") as u64
 }
 
@@ -90,7 +90,7 @@ pub(crate) fn cell_endpoint(sys: &GridSystem, cell: GridCoord) -> u64 {
 /// # Panics
 ///
 /// The returned function panics on an index outside `sys`.
-pub(crate) fn cell_center(sys: &GridSystem) -> impl Fn(u64) -> (f64, f64) + '_ {
+fn cell_center(sys: &GridSystem) -> impl Fn(u64) -> (f64, f64) + '_ {
     move |index| {
         let c = sys
             .cell_center(sys.coord_of(index as usize))

@@ -153,16 +153,6 @@ impl HoleSet {
         self.len == 0
     }
 
-    /// The raw membership words: cell `i` at bit `i % 64` of word
-    /// `i / 64`, the layout of [`RegionMask::enabled_words`], so
-    /// word-level filters combine them with one `AND` per block.
-    ///
-    /// [`RegionMask::enabled_words`]: crate::RegionMask::enabled_words
-    #[inline]
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
     /// Whether cell `index` is a member.
     ///
     /// # Panics

@@ -240,16 +240,6 @@ impl RegionMask {
         self.words[index / WORD_BITS] & (1u64 << (index % WORD_BITS)) != 0
     }
 
-    /// The raw enabled-cell words: one bit per cell, set ⇔ enabled,
-    /// cell `i` at bit `i % 64` of word `i / 64`, trailing bits of the
-    /// last word clear. Word-level kernels ([`crate::HoleSet`]) `AND`
-    /// these blocks with the vacancy words to filter masked regions
-    /// without per-cell mask probes.
-    #[inline]
-    pub fn enabled_words(&self) -> &[u64] {
-        &self.words
-    }
-
     /// Whether `coord` is an enabled cell (`false` for out-of-grid
     /// coordinates).
     #[inline]

@@ -105,7 +105,7 @@ impl MemberTable {
     }
 
     /// The spare-availability words: one bit per cell, set ⇔ ≥ 2
-    /// members, same layout as `HoleSet::words`.
+    /// members, cell `i` at bit `i % 64` of word `i / 64`.
     #[inline]
     pub(crate) fn multi_words(&self) -> &[u64] {
         &self.multi

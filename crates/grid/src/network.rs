@@ -350,8 +350,7 @@ impl GridNetwork {
 
     /// The vacancy index: the dense row-major indices of the holes
     /// (enabled cells with no enabled node), kept current by every
-    /// mutation. Round protocols sweep it in place, in ascending order,
-    /// and word-level consumers read its [`HoleSet::words`].
+    /// mutation. Round protocols sweep it in place, in ascending order.
     #[inline]
     pub fn vacancies(&self) -> &HoleSet {
         &self.vacancies
@@ -472,20 +471,10 @@ impl GridNetwork {
             .map(|(_, id)| id))
     }
 
-    /// The raw spare-availability words: one bit per cell, set ⇔ the
-    /// cell holds ≥ 2 enabled members (at least one spare under the
-    /// paper's occupancy accounting), same layout as
-    /// [`HoleSet::words`]. Maintained incrementally by every
-    /// membership mutation, so word-level spare scans cost `cells/64`
-    /// word reads instead of a per-cell member-count probe.
-    #[inline]
-    pub fn spareful_words(&self) -> &[u64] {
-        self.members.multi_words()
-    }
-
     /// Iterates the cells holding at least one spare (≥ 2 members) in
-    /// row-major order without allocating, skipping spare-less 64-cell
-    /// blocks via [`GridNetwork::spareful_words`].
+    /// row-major order without allocating. It reads the member table's
+    /// spare-availability bitset, which every membership mutation keeps
+    /// current, and skips spare-less 64-cell blocks a word at a time.
     pub fn spareful_iter(&self) -> impl Iterator<Item = GridCoord> + '_ {
         self.members
             .multi_words()
