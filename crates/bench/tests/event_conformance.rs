@@ -505,6 +505,44 @@ fn lossy_and_jammed_reports_hold_past_one_bitset_word() {
 }
 
 #[test]
+fn every_counted_message_is_traced_or_intra_cell() {
+    // The health ledger counts a message in one of two ways: a routed
+    // message, which the wire traces as one `net_message` record, or an
+    // intra-cell head ↔ spare exchange, which is counted and never
+    // routed. A converged SR process sends two of those (the spare
+    // request and the move order), a converged SR-SC process one (the
+    // spare request) and AR none. So no counted message may be missing
+    // from both, and every drop is a traced record with no arrival.
+    let regions = [
+        ("10x13", RegionMask::full(10, 13)),
+        ("l-shape 12x12", RegionMask::l_shape(12, 12)),
+    ];
+    for (region, mask) in &regions {
+        for (id, intra_per_converged) in [("sr", 2), ("sr-sc", 1), ("ar", 0)] {
+            for token in ["ideal", "lat3", "loss300000-lat2", "jam6708x42484r1000"] {
+                for seed in 0..6 {
+                    let (report, trace) = event_run(id, token, mask, seed);
+                    let (mut traced, mut dropped) = (0, 0);
+                    for record in trace.of_kind("net_message") {
+                        traced += 1;
+                        if let TraceEvent::NetMessage {
+                            deliver_at: None, ..
+                        } = record.event
+                        {
+                            dropped += 1;
+                        }
+                    }
+                    let intra = intra_per_converged * report.metrics.processes_converged;
+                    let run = format!("{region} {id} {token} seed {seed}");
+                    assert_eq!(report.health.messages_sent, traced + intra, "{run}");
+                    assert_eq!(report.health.messages_dropped, dropped, "{run}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn zero_loss_bernoulli_reports_equal_fixed_latency() {
     // `loss0-lat2` cannot drop a message, so it is the `lat2` weather:
     // the same report and the same health counters, for every scheme

@@ -806,16 +806,25 @@ mod tests {
     }
 
     #[test]
-    fn pair_hasher_spreads_beacon_pairs_over_table_slots() {
+    fn pair_hasher_spreads_hole_skipping_pairs_over_table_slots() {
         use std::hash::BuildHasher;
         let build = BuildHasherDefault::<PairHasher>::default();
-        // The low bits pick a hash-table slot. A round's beacon pairs
-        // `(c - 1, c)` on a 64×64 grid must not crowd into a few slots
-        // of a 4096-slot table (a uniform hash fills about 63%).
-        let slots: std::collections::HashSet<u64> = (1..=4096u64)
-            .map(|c| build.hash_one((c - 1, c)) & 4095)
-            .collect();
-        assert!(slots.len() > 2048, "{} of 4096 slots", slots.len());
+        // The low bits pick a hash-table slot. Adjacent pairs never reach
+        // the map; the far pairs it counts are mostly courier forwards
+        // that skip a hole, `(c + 2, c)` along a row and
+        // `(c + 2·stride, c)` across rows. On a 64×64 grid neither
+        // family may crowd into a few slots of a 4096-slot table (a
+        // uniform hash fills about 63%).
+        for step in [2, 2 * 64] {
+            let slots: std::collections::HashSet<u64> = (0..4096u64)
+                .map(|c| build.hash_one((c + step, c)) & 4095)
+                .collect();
+            assert!(
+                slots.len() > 2048,
+                "step {step}: {} of 4096 slots",
+                slots.len()
+            );
+        }
     }
 
     #[test]
