@@ -521,7 +521,6 @@ impl<'n> SrProtocol<'n> {
     /// work keeps the round live just as an initiation does.
     fn detect_and_initiate(&mut self, round: u64) -> bool {
         let buf = self.run.sweep();
-        self.run.metrics.cells_scanned += buf.len() as u64;
         let mut active = false;
         for &idx in &buf {
             // Ownership first: it is one array read by index, and most

@@ -58,11 +58,13 @@ impl<'n> Run<'n> {
     /// The current holes, ascending, copied off the network's vacancy
     /// index into the reused scratch buffer, so detection can update the
     /// run while it walks them; hand it back with [`Run::end_sweep`].
-    /// O(holes + levels), not O(cells).
+    /// O(holes + levels), not O(cells). Detection's scan bill is the
+    /// holes it visits: each one counts in `Metrics::cells_scanned`.
     pub(crate) fn sweep(&mut self) -> Vec<usize> {
         let mut buf = std::mem::take(&mut self.detect_buf);
         buf.clear();
         buf.extend(self.net.vacancies().iter());
+        self.metrics.cells_scanned += buf.len() as u64;
         buf
     }
 

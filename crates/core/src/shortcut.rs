@@ -234,12 +234,11 @@ impl<'n> ShortcutProtocol<'n> {
         true
     }
 
-    /// Detection + initiation, as SR's: sweeps the vacancy index and
+    /// Detection + initiation, as SR's: sweeps the vacancy index, which
     /// bills the holes it visits as scanned cells. Returns whether the
     /// sweep started a courier or a dropped probe deferred one.
     fn detect_and_initiate(&mut self, round: u64) -> bool {
         let buf = self.run.sweep();
-        self.run.metrics.cells_scanned += buf.len() as u64;
         let mut active = false;
         for &idx in &buf {
             // Ownership first, by index: most pending holes are served by
